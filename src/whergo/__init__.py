@@ -30,7 +30,6 @@ from .engine import (
     compute_D,
     existence_system_2x2,
     factorise,
-    scalar_factorise,
     toeplitz_kernel_dim,
 )
 from .geometry import (
@@ -71,7 +70,6 @@ __all__ = [
     "compute_D",
     "existence_system_2x2",
     "factorise",
-    "scalar_factorise",
     "toeplitz_kernel_dim",
     "CurvePolyline",
     "MetricScalars4D",

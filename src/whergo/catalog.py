@@ -286,9 +286,11 @@ class DegreeTable:
 class MonodromyMatrixTau:
     """Composed monodromy matrix: rational entries in tau plus bookkeeping.
 
-    For 2x2 models of the common-denominator form the normal-form data
-    (scalar prefactor tau^n/q_2n and the numerator polynomials ptilde) is
-    attached; 3x3 models carry only the flat pole ledger.
+    Every model carries its entries and the flat pole ledger, which is all
+    the factorisation route needs.  For 2x2 models of the common-denominator
+    form the degree table, the composed denominator q_2n and the numerator
+    polynomials ptilde are attached as well; they feed the degree
+    classification and the reference existence system.
     """
 
     n: int
@@ -299,8 +301,6 @@ class MonodromyMatrixTau:
     degree_table: DegreeTable | None = None
     q2n: np.ndarray | None = None   # composed denominator polynomial (2x2)
     ptilde: tuple | None = None     # ((p11~, p12~), (p12~, p22~)) numerators (2x2)
-    pomega: tuple | None = None     # omega-side numerators of the normal form
-    qomega: np.ndarray | None = None
 
     def eval(self, tau) -> np.ndarray:
         return np.array([[self.entries[i][j](tau) for j in range(self.n)]
@@ -438,10 +438,8 @@ def compose_monodromy(model: RationalMatrixOmega, pt: SpectralPoint,
     degree_table = None
     q2n = None
     ptilde = None
-    pomega = None
-    qomega = None
     # the 2x2 normal form presumes plain symmetry (p21 = p12); eta-symmetric
-    # but asymmetric matrices go through the generic route
+    # but asymmetric matrices carry no degree table
     plain_symmetric = model.n == 2 and all(e == 1.0 for e in model.eta)
     if plain_symmetric:
         q, p = _common_denominator_form(model)
@@ -449,8 +447,6 @@ def compose_monodromy(model: RationalMatrixOmega, pt: SpectralPoint,
                   and (poly_is_zero(p[0][1]) or
                        np.max(np.abs(p[0][1] - p[1][0])) <= 1e-10 * np.max(np.abs(p[0][1]))))
         if q is not None and sym_ok:
-            pomega = ((p[0][0], p[0][1]), (p[1][0], p[1][1]))
-            qomega = q
             nq = poly_degree(q)
             q2n, _ = compose_polynomial(pt, q)
             pt11, _ = compose_polynomial(pt, p[0][0])
@@ -464,7 +460,7 @@ def compose_monodromy(model: RationalMatrixOmega, pt: SpectralPoint,
             )
             ptilde = ((pt11, pt12), (pt12, pt22))
     mono = MonodromyMatrixTau(model.n, pt, entries, model, tuple(ledger),
-                              degree_table, q2n, ptilde, pomega, qomega)
+                              degree_table, q2n, ptilde)
     if check:
         _check_monodromy(mono)
     return mono

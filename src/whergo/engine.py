@@ -1,16 +1,17 @@
 """Existence test and construction of canonical factorisations.
 
-Two construction routes share one contract:
+One per-point route serves every n: the minus columns are parametrised by
+rational functions with prescribed inside poles, mapped through the
+adjugate, and pole cancellation plus the normalisation at tau = 0 fix
+their coefficients.  The homogeneous part of that system is the Toeplitz
+kernel; a fixed square row subset of it gives D(rho, v).  The route
+returns the factors X (plus factor, X(0) = I), M_minus and the solution
+matrix M(rho, v) = lim M_minus(tau).
 
-* the 2x2 normal-form route works with the stripped matrix (scalar
-  prefactor tau^n/q_2n times numerator polynomials) and solves the
-  value-and-derivative system at the inside zeros;
-* the generic route parametrises the minus columns by rational functions
-  with prescribed inside poles, maps them through the adjugate and imposes
-  pole cancellation plus the normalisation at tau = 0.
-
-Both return the factors X (plus factor, X(0) = I), M_minus and the
-solution matrix M(rho, v) = lim M_minus(tau).
+For 2x2 models of the common-denominator form two more pieces remain: the
+degree classification (whose always-canonical case needs no system at
+all) and the value-and-derivative existence system, which is the
+reference D of the paper and backs the batched grid evaluation.
 """
 from __future__ import annotations
 
@@ -26,13 +27,10 @@ from .errors import (
     NonSquareSystem,
     NotCanonical,
     SingularSystem,
-    UnsupportedPoleSet,
 )
 from .poly import (
     FactoredRational,
     dense_det,
-    dense_solve,
-    newton_polish,
     numerical_nullity,
     poly_add,
     poly_degree,
@@ -40,11 +38,9 @@ from .poly import (
     poly_deflate,
     poly_eval,
     poly_from_roots,
-    poly_is_zero,
     poly_mul,
     poly_scale,
     poly_shift,
-    poly_sub,
     poly_trim,
 )
 from .spectral import PolePartition, SpectralPoint, build_partition, compose_polynomial_batch
@@ -121,7 +117,7 @@ def _inside_zeros(mono: MonodromyMatrixTau, partition: PolePartition):
 
 
 def _normal_form_gpair(mono: MonodromyMatrixTau):
-    """g2 = tau^(N2-k22) p22~ and g1 = tau^(N1-k12) p12~ for the 2x2 route."""
+    """g2 = tau^(N2-k22) p22~ and g1 = tau^(N1-k12) p12~ of the existence system."""
     dt = mono.degree_table
     p12t = mono.ptilde[0][1]
     p22t = mono.ptilde[1][1]
@@ -143,7 +139,8 @@ def existence_system_2x2(mono: MonodromyMatrixTau, partition: PolePartition) -> 
         raise ValueError(f"existence system defined for the determinant-test case, got {cls.kind}")
     taus = _inside_zeros(mono, partition)
     g1, g2 = _normal_form_gpair(mono)
-    return _value_derivative_matrix(taus, g2, g1, dt.N1, dt.N2)
+    # rows of alpha(tau) * g2 - beta(tau) * g1
+    return _block_rows_at_zero(taus, g2, poly_scale(g1, -1.0), dt.N1, dt.N2)
 
 
 def _block_rows_at_zero(taus, poly_alpha, poly_beta, n_alpha, n_beta):
@@ -163,105 +160,28 @@ def _block_rows_at_zero(taus, poly_alpha, poly_beta, n_alpha, n_beta):
     return np.array(rows)
 
 
-def _value_derivative_matrix(taus, g2, g1, n_alpha, n_beta):
-    """Rows of the value-and-derivative system: alpha-block * g2 - beta-block * g1."""
-    return _block_rows_at_zero(taus, g2, poly_scale(g1, -1.0), n_alpha, n_beta)
-
-
-def _reducible_system_2x2(mono: MonodromyMatrixTau, partition: PolePartition) -> np.ndarray:
-    """Square homogeneous system for the chain (reducible) case.
-
-    The rearranged numerator carries the 2n value/derivative conditions at
-    the inside zeros; the divided-out tau power resurfaces as d extra
-    vanishing conditions at the origin on the other component's numerator.
-    """
-    dt = mono.degree_table
-    taus = _inside_zeros(mono, partition)
-    p11t, p12t = mono.ptilde[0][0], mono.ptilde[0][1]
-    p22t = mono.ptilde[1][1]
-    two_n = 2 * dt.n
-    d = dt.N1 + dt.N2 - two_n
-    e_mixed = two_n - 2 * dt.k12          # exponent on the p12~ term
-    e_diag = two_n - dt.k11 - dt.k22      # exponent on the diagonal term
-    if dt.k11 > dt.k12 > dt.k22:
-        poly_alpha = poly_shift(p22t, e_diag)
-        poly_beta = poly_scale(poly_shift(p12t, e_mixed), -1.0)
-        h_alpha, h_beta = poly_scale(p12t, -1.0), p11t
-    else:
-        poly_alpha = poly_scale(poly_shift(p12t, e_mixed), -1.0)
-        poly_beta = poly_shift(p11t, e_diag)
-        h_alpha, h_beta = p22t, poly_scale(p12t, -1.0)
-    top = _block_rows_at_zero(taus, poly_alpha, poly_beta, dt.N1, dt.N2)
-    origin = np.zeros((d, dt.N1 + dt.N2), dtype=complex)
-    for order in range(d):
-        for c in range(dt.N1):
-            if 0 <= order - c < h_alpha.size:
-                origin[order, c] = h_alpha[order - c]
-        for c in range(dt.N2):
-            if 0 <= order - c < h_beta.size:
-                origin[order, dt.N1 + c] = h_beta[order - c]
-    return np.vstack([top, origin]) if d else top
-
-
-def _is_diagonal_2x2(mono: MonodromyMatrixTau) -> bool:
-    return (mono.n == 2 and mono.entries[0][1].is_zero()
-            and mono.entries[1][0].is_zero())
-
-
-def _diagonal_system(mono: MonodromyMatrixTau, partition: PolePartition) -> np.ndarray:
-    """Decoupled analyticity system for diagonal monodromies.
-
-    With reduced entries n_j/d_j, the minus ansatz S_j/pi_j (deg S_j <
-    deg pi_j, pi_j = inside poles) gives phi_j+ = S_j d_out_j / n_j, so the
-    kernel conditions are: S_j vanishes at every inside zero of the entry
-    numerator, to its multiplicity.  Zero counts balance pair by pair, the
-    blocks are Vandermonde-like and diagonal matrices always factorise.
-    """
-    blocks = []
-    for j in range(2):
-        fr = mono.entries[j][j]
-        nj = sum(1 for r in fr.den_roots if _is_inside_root(r, partition))
-        pairs = _pair_members_for_poly(mono, mono.model.entry(j, j).num)
-        z_in = [r for k, r in enumerate(pairs) if k % 2 == 0]
-        num = poly_trim(fr.num)
-        zeros0 = 0
-        while zeros0 < num.size - 1 and num[zeros0] == 0:
-            zeros0 += 1
-        z_in.extend([0.0 + 0j] * zeros0)
-        rows = []
-        for root, mult in _group_roots(z_in):
-            for order in range(mult):
-                rows.append([math.perm(c, order) * root ** (c - order) if c >= order else 0.0
-                             for c in range(nj)])
-        blocks.append(np.array(rows, dtype=complex) if rows and nj else
-                      np.zeros((len(rows), nj), dtype=complex))
-    rtot = blocks[0].shape[0] + blocks[1].shape[0]
-    ctot = blocks[0].shape[1] + blocks[1].shape[1]
-    out = np.zeros((rtot, ctot), dtype=complex)
-    out[: blocks[0].shape[0], : blocks[0].shape[1]] = blocks[0]
-    out[blocks[0].shape[0]:, blocks[0].shape[1]:] = blocks[1]
-    return out
+def _homogeneous_system(mono: MonodromyMatrixTau, partition: PolePartition):
+    """(homogeneous constraint system, rows whose determinant is D), or None
+    in the always-canonical case, where nothing needs to be assembled."""
+    if (mono.degree_table is not None
+            and classify_2x2(mono).kind is Classification.ALWAYS_CANONICAL):
+        return None
+    spec = _ansatz_for(mono, partition)
+    return _assemble_homogeneous(spec), spec.selected_rows
 
 
 def compute_D(mono: MonodromyMatrixTau, partition: PolePartition) -> complex:
     """Determinant of the analyticity-constraint system.
 
     Its vanishing locus is exactly where the canonical factorisation fails.
-    2x2 normal-form monodromies use the value-and-derivative system; all
-    others use the generic constraint assembly with a fixed row selection.
+    The rows are a fixed square subset of the homogeneous system, chosen
+    once per (model, branches).
     """
-    if mono.degree_table is not None:
-        cls = classify_2x2(mono)
-        if cls.kind is Classification.ALWAYS_CANONICAL:
-            return 1.0 + 0j
-        if _is_diagonal_2x2(mono):
-            return dense_det(_diagonal_system(mono, partition))
-        if cls.kind is Classification.DETERMINANT_TEST:
-            return dense_det(existence_system_2x2(mono, partition))
-        return dense_det(_reducible_system_2x2(mono, partition))
-    spec = _ansatz_for(mono, partition)
-    a0 = _assemble_homogeneous(spec)
-    return dense_det(a0[spec.selected_rows, :])
+    system = _homogeneous_system(mono, partition)
+    if system is None:
+        return 1.0 + 0j
+    a0, rows = system
+    return dense_det(a0[rows, :])
 
 
 def toeplitz_kernel_dim(mono: MonodromyMatrixTau, partition: PolePartition,
@@ -272,85 +192,14 @@ def toeplitz_kernel_dim(mono: MonodromyMatrixTau, partition: PolePartition,
     assembling anything: every kernel element picks up a positive tau power
     and is forced to vanish at the origin, hence identically.
     """
-    if mono.degree_table is not None:
-        cls = classify_2x2(mono)
-        if cls.kind is Classification.ALWAYS_CANONICAL:
-            return 0
-        if _is_diagonal_2x2(mono):
-            return numerical_nullity(_diagonal_system(mono, partition), rel_tol)
-        if cls.kind is Classification.DETERMINANT_TEST:
-            return numerical_nullity(existence_system_2x2(mono, partition), rel_tol)
-        return numerical_nullity(_reducible_system_2x2(mono, partition), rel_tol)
-    spec = _ansatz_for(mono, partition)
-    return numerical_nullity(_assemble_homogeneous(spec), rel_tol)
+    system = _homogeneous_system(mono, partition)
+    if system is None:
+        return 0
+    return numerical_nullity(system[0], rel_tol)
 
 
 # ---------------------------------------------------------------------------
-# scalar factorisation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalarFactors:
-    """s = s_minus * s_plus with s_plus(0) = 1 exactly."""
-
-    s_minus: FactoredRational
-    s_plus: FactoredRational
-
-    def plus_inverse(self) -> FactoredRational:
-        """1/s_plus; valid because s_plus is constant / root product."""
-        const = self.s_plus.num[-1]
-        return FactoredRational(
-            poly_from_roots(self.s_plus.den_roots, self.s_plus.den_lc / const), 1.0, ())
-
-    def residual(self, s: FactoredRational, taus) -> float:
-        worst = 0.0
-        for t in taus:
-            lhs = s(t)
-            rhs = self.s_minus(t) * self.s_plus(t)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-        return worst
-
-
-def scalar_factorise(s: FactoredRational, partition: PolePartition) -> ScalarFactors:
-    """Canonical factorisation of the prefactor tau^n / q_2n.
-
-    Zeros are allowed only at 0 and infinity; every denominator root must
-    be a member of a partition pair.  Building block per pair:
-    tau/((tau-t_i)(tau-t~_i)) = [-tau/(t~_i (tau-t_i))] * [-t~_i/(tau-t~_i)].
-    """
-    num = poly_trim(s.num)
-    if not poly_is_zero(num[:-1]) and num.size > 1:
-        raise UnsupportedPoleSet("numerator must be a pure power of tau")
-    n_zero = num.size - 1
-    lc_num = num[-1]
-    inside_roots = []
-    outside_roots = []
-    for r in s.den_roots:
-        placed = False
-        for p in partition.pairs:
-            if abs(r - p.tau_in) <= 1e-8 * max(1.0, abs(r)):
-                inside_roots.append(p.tau_in)
-                placed = True
-                break
-            if abs(r - p.tau_out) <= 1e-8 * max(1.0, abs(r)):
-                outside_roots.append(p.tau_out)
-                placed = True
-                break
-        if not placed:
-            raise UnsupportedPoleSet(f"denominator root {r} is not a partition point")
-    if len(inside_roots) != n_zero:
-        raise UnsupportedPoleSet(
-            f"tau power {n_zero} does not balance {len(inside_roots)} inside poles")
-    coeff = lc_num / (s.den_lc * np.prod([-r for r in outside_roots]) if outside_roots else s.den_lc)
-    s_minus = FactoredRational(poly_shift(np.array([coeff]), n_zero), 1.0, tuple(inside_roots))
-    s_plus = FactoredRational(np.array([np.prod([-r for r in outside_roots]) if outside_roots else 1.0 + 0j]),
-                              1.0, tuple(outside_roots))
-    return ScalarFactors(s_minus, s_plus)
-
-
-# ---------------------------------------------------------------------------
-# generic route: adjugate ansatz with explicit pole-cancellation constraints
+# factorisation route: adjugate ansatz with explicit pole-cancellation constraints
 # ---------------------------------------------------------------------------
 
 from .poly import _multiset_minus, _root_lcm  # noqa: E402  (module-internal helpers)
@@ -578,7 +427,7 @@ def _greedy_rows(A: np.ndarray, k: int):
         q = work[pick] / norms[pick] if norms[pick] > 0 else work[pick]
         chosen.append(pick)
         work = work - np.outer(work @ q.conj(), q)
-    return np.array(sorted(chosen)), worst
+    return np.array(sorted(chosen), dtype=int), worst
 
 
 _SELECTION_CACHE: dict = {}
@@ -709,181 +558,9 @@ def _residual_report(mono, X: "RationalMatrixTau", M_minus: "RationalMatrixTau",
     return ResidualReport(float(worst), x0_resid, tuple(taus), float(pole_resid))
 
 
-def _adj_numeric(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if n == 2:
-        return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
-    out = np.empty_like(a)
-    for i in range(n):
-        for j in range(n):
-            sub = np.delete(np.delete(a, j, axis=0), i, axis=1)
-            out[i, j] = (-1) ** (i + j) * np.linalg.det(sub)
-    return out
-
-
-def _pair_members_for_poly(mono: MonodromyMatrixTau, p_omega):
-    """tau-plane roots (both pair members) of a composed numerator, obtained
-    through the omega-plane roots of p_omega."""
-    from .spectral import zero_pair_for
-
-    roots = []
-    p = poly_trim(p_omega)
-    if poly_degree(p) < 1:
-        return roots
-    for w in np.roots(p[::-1]):
-        w = complex(newton_polish(p, w, steps=2))
-        zp = zero_pair_for(mono.pt, w, "minus")
-        roots.extend([zp.tau_in, zp.tau_out])
-    return roots
-
-
 def _abs_eval(coeffs, r) -> float:
     """sum |c_i| |r|^i: magnitude scale of a polynomial evaluation at r."""
     return float(np.polynomial.polynomial.polyval(abs(r), np.abs(coeffs)))
-
-
-def _deflate_double_zeros(num, taus):
-    """Divide out (tau - t_i)^2 for every inside zero; worst relative
-    remainder (against the absolute-value evaluation bound) comes back."""
-    worst = 0.0
-    out = poly_trim(num)
-    for t in taus:
-        for _ in range(2):
-            scale = max(_abs_eval(out, t), 1e-300)
-            out, rem = poly_deflate(out, t)
-            worst = max(worst, rem / scale)
-    return poly_trim(out), worst
-
-
-def solve_factor_columns_2x2(mono: MonodromyMatrixTau, partition: PolePartition):
-    """Factor columns for the determinant-test 2x2 case.
-
-    Splits Q_Nj = tau * Qtilde_{Nj-1} + A_j, fixes (A_1, A_2) from the
-    normalisation psi_+(0) = e_i, solves the value-and-derivative system
-    for the Qtilde coefficients and assembles psi_+, psi_-.  Returns
-    (columns_plus, columns_minus, M_tilde, pole_residual).
-    """
-    dt = mono.degree_table
-    taus = _inside_zeros(mono, partition)
-    g1, g2 = _normal_form_gpair(mono)
-    g1d, g2d = poly_derivative(g1), poly_derivative(g2)
-    sys_mat = existence_system_2x2(mono, partition)
-    p11t, p12t = mono.ptilde[0][0], mono.ptilde[0][1]
-    p22t = mono.ptilde[1][1]
-    n1, n2 = dt.N1, dt.N2
-
-    # denominator bookkeeping for psi_2+: use the expression whose divisor
-    # does not vanish at the origin (guaranteed outside the chain case)
-    use_second_row = (dt.N2 == dt.k22)
-    if use_second_row:
-        divisor_poly = p22t
-        divisor_omega = mono.pomega[1][1]
-        mixed_shift = dt.N2 - dt.k12
-    else:
-        divisor_poly = p12t
-        divisor_omega = mono.pomega[0][1]
-        mixed_shift = 0  # N1 == k12 in this branch, divisor tau power is 0
-    divisor_roots = _pair_members_for_poly(mono, divisor_omega)
-    recip = FactoredRational(np.array([1.0 + 0j]), divisor_poly[-1], tuple(divisor_roots))
-
-    q_lc = mono.q2n[-1]
-    outside = [partition.pair_for(w).tau_out for w in mono.model.omega_poles]
-
-    cols_plus, cols_minus, pole_resid = [], [], 0.0
-    m_tilde = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = 1.0
-        a1 = (p11t[0] if dt.N1 == dt.k11 else 0.0) * e[0] + \
-             (p12t[0] if dt.N1 == dt.k12 else 0.0) * e[1]
-        a2 = (p12t[0] if dt.N2 == dt.k12 else 0.0) * e[0] + \
-             (p22t[0] if dt.N2 == dt.k22 else 0.0) * e[1]
-        if a1 == 0 and a2 == 0:
-            raise SingularSystem("normalisation constants A1, A2 vanished simultaneously")
-        rhs = np.zeros(2 * len(taus), dtype=complex)
-        for idx, t in enumerate(taus):
-            rv = -(a1 * poly_eval(g2, t) - a2 * poly_eval(g1, t)) / t
-            rd = (-rv - a1 * poly_eval(g2d, t) + a2 * poly_eval(g1d, t)) / t
-            rhs[2 * idx] = rv
-            rhs[2 * idx + 1] = rd
-        x = dense_solve(sys_mat, rhs)
-        q1 = np.concatenate([[a1], x[:n1]])
-        q2 = np.concatenate([[a2], x[n1:]])
-        m_tilde[0, i] = q1[n1] if q1.size > n1 else 0.0
-        m_tilde[1, i] = q2[n2] if q2.size > n2 else 0.0
-
-        num1 = poly_sub(poly_mul(q1, g2), poly_mul(q2, g1))
-        num1, resid = _deflate_double_zeros(num1, taus)
-        pole_resid = max(pole_resid, resid)
-        psi1p = FactoredRational(num1, q_lc ** 2, tuple(outside) * 2)
-        if use_second_row:
-            raw = FactoredRational.from_poly(q2).sub(
-                FactoredRational.from_poly(poly_shift(p12t, mixed_shift)).mul(psi1p))
-        else:
-            raw = FactoredRational.from_poly(q1).sub(
-                FactoredRational.from_poly(poly_shift(p11t, dt.N1 - dt.k11)).mul(psi1p))
-        psi2p = raw.mul(recip).simplified()
-        for r in psi2p.den_roots:
-            if _is_inside_root(r, partition):
-                raise SingularSystem(
-                    f"psi_2+ retains an inside pole at tau = {r} (cancellation failed)")
-        psi1m = FactoredRational(q1, 1.0, (0.0 + 0j,) * n1)
-        psi2m = FactoredRational(q2, 1.0, (0.0 + 0j,) * n2)
-        cols_plus.append((psi1p, psi2p))
-        cols_minus.append((psi1m, psi2m))
-    return cols_plus, cols_minus, m_tilde, pole_resid
-
-
-def _prefactor(mono: MonodromyMatrixTau, partition: PolePartition) -> FactoredRational:
-    """tau^n / q_2n as a factored rational."""
-    members = []
-    for w in mono.model.omega_poles:
-        p = partition.pair_for(w)
-        members.extend([p.tau_in, p.tau_out])
-    return FactoredRational(poly_shift(np.array([1.0 + 0j]), mono.degree_table.n),
-                            mono.q2n[-1], tuple(members))
-
-
-def _scale_matrix(fr: FactoredRational, cols):
-    """Multiply every column entry by a scalar factored rational."""
-    return tuple(tuple(entry.mul(fr) for entry in col) for col in cols)
-
-
-def _solve_diagonal_2x2(mono: MonodromyMatrixTau, partition: PolePartition):
-    """Scalar route for diagonal 2x2 monodromies (p12 = 0).
-
-    Each diagonal entry factorises on its own: pairs straddle the contour,
-    so inside zero and pole counts always balance.  Numerator pairs use the
-    minus-branch convention for their inside member.
-    """
-    zero = FactoredRational.from_const(0.0)
-    s_plus_inv, s_minus, diag = [], [], []
-    for i in range(2):
-        fr = mono.entries[i][i]
-        num = poly_trim(fr.num)
-        num_pairs = _pair_members_for_poly(mono, mono.model.entry(i, i).num)
-        z_in = [r for k, r in enumerate(num_pairs) if k % 2 == 0]
-        z_out = [r for k, r in enumerate(num_pairs) if k % 2 == 1]
-        zeros0 = 0
-        while zeros0 < num.size - 1 and num[zeros0] == 0:
-            zeros0 += 1
-        z_in.extend([0.0 + 0j] * zeros0)
-        p_in = [r for r in fr.den_roots if _is_inside_root(r, partition)]
-        p_out = [r for r in fr.den_roots if not _is_inside_root(r, partition)]
-        if len(z_in) != len(p_in):
-            raise UnsupportedPoleSet(
-                f"diagonal entry {i}: inside zeros ({len(z_in)}) and poles "
-                f"({len(p_in)}) do not balance")
-        lc_num = num[-1]
-        cc = (lc_num / fr.den_lc) * np.prod([-z for z in z_out]) / \
-             (np.prod([-r for r in p_out]) if p_out else 1.0)
-        lc_plus = lc_num / (fr.den_lc * cc)
-        s_minus.append(FactoredRational(poly_from_roots(z_in, cc), 1.0, tuple(p_in)))
-        s_plus_inv.append(FactoredRational(poly_from_roots(p_out), lc_plus, tuple(z_out)))
-        diag.append(cc)
-    cols_plus = [(s_plus_inv[0], zero), (zero, s_plus_inv[1])]
-    cols_minus = [(s_minus[0], zero), (zero, s_minus[1])]
-    return cols_plus, cols_minus, np.diag(np.array(diag, dtype=complex)), 0.0
 
 
 def _equilibrated_lstsq(A, B, refine: int = 2):
@@ -966,21 +643,14 @@ def solve_factor_columns_generic(mono: MonodromyMatrixTau, partition: PolePartit
     return cols_plus, cols_minus, m_lim, pole_resid
 
 
-def _symbolic_factors(cols_plus, cols_minus, n, scalars: ScalarFactors | None = None):
+def _symbolic_factors(cols_plus, cols_minus, n):
     """Assemble X and M_minus from the solved psi columns.
 
-    Without a scalar prefactor det Psi_+ = 1 and X = adj(Psi_+).  With the
-    prefactor split s = s_minus s_plus, the stripped matrix has
-    det Psi~_+ = s_plus^2, so X = s_plus * adj(Psi~_+)/det = adj(Psi~_+)/s_plus
-    while M_minus picks up s_minus.
+    det Psi_+ = 1, so X = Psi_+^{-1} = adj(Psi_+).
     """
     psi_plus = [[cols_plus[i][k] for i in range(n)] for k in range(n)]
     x_entries = _adjugate_fr(psi_plus, n)
     m_entries = [[cols_minus[i][j] for i in range(n)] for j in range(n)]
-    if scalars is not None:
-        plus_inv = scalars.plus_inverse()
-        x_entries = [[x_entries[i][j].mul(plus_inv) for j in range(n)] for i in range(n)]
-        m_entries = [[m_entries[i][j].mul(scalars.s_minus) for j in range(n)] for i in range(n)]
     X = RationalMatrixTau(n, tuple(tuple(r) for r in x_entries))
     M_minus = RationalMatrixTau(n, tuple(tuple(r) for r in m_entries))
     return X, M_minus
@@ -989,19 +659,11 @@ def _symbolic_factors(cols_plus, cols_minus, n, scalars: ScalarFactors | None = 
 def _d_with_scale(mono: MonodromyMatrixTau, partition: PolePartition):
     """(D, Hadamard row-norm bound) so |D|/scale is a unit-free singularity
     measure."""
-    if mono.degree_table is not None:
-        cls = classify_2x2(mono)
-        if cls.kind is Classification.ALWAYS_CANONICAL:
-            return 1.0 + 0j, 1.0
-        if _is_diagonal_2x2(mono):
-            a = _diagonal_system(mono, partition)
-        elif cls.kind is Classification.DETERMINANT_TEST:
-            a = existence_system_2x2(mono, partition)
-        else:
-            a = _reducible_system_2x2(mono, partition)
-    else:
-        spec = _ansatz_for(mono, partition)
-        a = _assemble_homogeneous(spec)[spec.selected_rows, :]
+    system = _homogeneous_system(mono, partition)
+    if system is None:
+        return 1.0 + 0j, 1.0
+    a0, rows = system
+    a = a0[rows, :]
     if a.shape[0] == 0:
         return 1.0 + 0j, 1.0
     norms = np.linalg.norm(a, axis=1)
@@ -1030,26 +692,14 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
         kdim = toeplitz_kernel_dim(mono, partition, rank_tol)
         return FactorisationOutcome(Status.DEGENERATE, d_val, d_scale, kdim,
                                     classification)
-    is_diag = _is_diagonal_2x2(mono)
     try:
-        if is_diag:
-            cols_plus, cols_minus, m_lim, pole_resid = _solve_diagonal_2x2(mono, partition)
-            scalars = None
-        elif (mono.degree_table is not None
-              and classification.kind is Classification.DETERMINANT_TEST):
-            cols_plus, cols_minus, m_tilde, pole_resid = \
-                solve_factor_columns_2x2(mono, partition)
-            scalars = scalar_factorise(_prefactor(mono, partition), partition)
-            m_lim = scalars.s_minus.limit_at_infinity() * m_tilde
-        else:
-            cols_plus, cols_minus, m_lim, pole_resid = \
-                solve_factor_columns_generic(mono, partition)
-            scalars = None
+        cols_plus, cols_minus, m_lim, pole_resid = \
+            solve_factor_columns_generic(mono, partition)
     except SingularSystem:
         kdim = toeplitz_kernel_dim(mono, partition, rank_tol)
         status = Status.NON_CANONICAL if kdim >= 1 else Status.DEGENERATE
         return FactorisationOutcome(status, d_val, d_scale, kdim, classification)
-    X, M_minus = _symbolic_factors(cols_plus, cols_minus, mono.n, scalars)
+    X, M_minus = _symbolic_factors(cols_plus, cols_minus, mono.n)
     report = _residual_report(mono, X, M_minus, pole_resid)
     return FactorisationOutcome(Status.CANONICAL, d_val, d_scale, 0, classification,
                                 X, M_minus, m_lim, report)
@@ -1087,14 +737,29 @@ def _pairs_batch(rho, v, omega0, branch):
     return t_in, -1.0 / t_in
 
 
+def _bval(coeffs, t):
+    """Horner evaluation of stacked coefficient arrays (..., deg + 1) at t."""
+    acc = np.zeros_like(t)
+    for c in coeffs[..., ::-1].transpose(-1, *range(coeffs.ndim - 1)):
+        acc = acc * t + c
+    return acc
+
+
+def _bder(coeffs, t):
+    """Derivative of stacked coefficient arrays (..., deg + 1) at t."""
+    deg = coeffs.shape[-1] - 1
+    acc = np.zeros_like(t)
+    for k in range(deg, 0, -1):
+        acc = acc * t + k * coeffs[..., k]
+    return acc
+
+
 def _grid_system_2x2(model: RationalMatrixOmega, rho, v, branches=None):
     """Stacked existence systems over a broadcast grid; shape (..., 2n, 2n).
 
     Mirrors existence_system_2x2 but without per-point Newton polish; the
     difference is far below every bisection tolerance used on grids.
     """
-    from .spectral import compose_polynomial_batch
-
     rho = np.asarray(rho, dtype=float)
     v = np.asarray(v, dtype=float)
     if branches is None:
@@ -1116,23 +781,9 @@ def _grid_system_2x2(model: RationalMatrixOmega, rho, v, branches=None):
         g1 = np.concatenate([np.zeros(shape + (n1 - k12,)), p12b], axis=-1)
     size = n1 + n2
     out = np.zeros(shape + (size, size), dtype=complex)
-
-    def bval(coeffs, t):
-        acc = np.zeros_like(t)
-        for c in coeffs[..., ::-1].transpose(-1, *range(coeffs.ndim - 1)):
-            acc = acc * t + c
-        return acc
-
-    def bder(coeffs, t):
-        deg = coeffs.shape[-1] - 1
-        acc = np.zeros_like(t)
-        for k in range(deg, 0, -1):
-            acc = acc * t + k * coeffs[..., k]
-        return acc
-
     for i, t in enumerate(taus):
-        v2, d2 = bval(g2, t), bder(g2, t)
-        v1, d1 = bval(g1, t), bder(g1, t)
+        v2, d2 = _bval(g2, t), _bder(g2, t)
+        v1, d1 = _bval(g1, t), _bder(g1, t)
         for c in range(n1):
             out[..., 2 * i, c] = t ** c * v2
             out[..., 2 * i + 1, c] = (c * t ** (c - 1) if c else 0.0) * v2 + t ** c * d2
@@ -1189,24 +840,10 @@ def grid_delta_2x2(model: RationalMatrixOmega, rho, v, branches=None):
     # normalisation constants for column 2 (psi_+(0) = e_2)
     a1 = g1[..., 0] if n1 == k12 else np.zeros(shape, dtype=complex)
     a2 = g2[..., 0] if n2 == k22 else np.zeros(shape, dtype=complex)
-
-    def bval(coeffs, t):
-        acc = np.zeros_like(t)
-        for c in coeffs[..., ::-1].transpose(-1, *range(coeffs.ndim - 1)):
-            acc = acc * t + c
-        return acc
-
-    def bder(coeffs, t):
-        deg = coeffs.shape[-1] - 1
-        acc = np.zeros_like(t)
-        for k in range(deg, 0, -1):
-            acc = acc * t + k * coeffs[..., k]
-        return acc
-
     rhs = np.zeros(shape + (n1 + n2,), dtype=complex)
     for i, t in enumerate(taus):
-        rv = -(a1 * bval(g2, t) - a2 * bval(g1, t)) / t
-        rd = (-rv - a1 * bder(g2, t) + a2 * bder(g1, t)) / t
+        rv = -(a1 * _bval(g2, t) - a2 * _bval(g1, t)) / t
+        rd = (-rv - a1 * _bder(g2, t) + a2 * _bder(g1, t)) / t
         rhs[..., 2 * i] = rv
         rhs[..., 2 * i + 1] = rd
     good = np.abs(dnorm) > 1e-12

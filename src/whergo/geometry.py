@@ -406,9 +406,15 @@ def curve_match_distance(traced: np.ndarray, oracle: np.ndarray,
     return max(d1, d2)
 
 
+# |g_tt| bound for the "ergosurface" tag.  The probes sit 1e-4 off the
+# curve, where a g_tt that vanishes linearly on it is still of order 1e-4
+# times its normal gradient; a tighter bound would reject true
+# ergosurfaces, while curves where g_tt stays O(1) keep the failure tag.
+ERGO_GTT_TOL = 1e-3
+
+
 def classify_curve(model: RationalMatrixOmega, polyline: CurvePolyline,
-                   branches=None, gtt_tol: float = 1e-6,
-                   probe_count: int = 9) -> CurvePolyline:
+                   branches=None, probe_count: int = 9) -> CurvePolyline:
     """Tag the failure curve "ergosurface" when g_tt vanishes along it.
 
     g_tt is sampled from factorisations at small normal offsets from curve
@@ -445,7 +451,7 @@ def classify_curve(model: RationalMatrixOmega, polyline: CurvePolyline,
                 break
             except NonPhysicalM:
                 continue
-    if values and max(abs(g) for g in values) <= max(gtt_tol, 1e-3):
+    if values and max(abs(g) for g in values) <= ERGO_GTT_TOL:
         tag = "ergosurface"
     else:
         tag = "factorisation-failure"

@@ -44,10 +44,9 @@ def poly_degree(c) -> int:
     return p.size - 1
 
 
-def poly_is_zero(c, rel: float = TRIM_REL) -> bool:
-    p = as_poly(c)
-    scale = np.max(np.abs(p))
-    return scale == 0.0
+def poly_is_zero(c) -> bool:
+    """True when every coefficient is exactly zero (no noise threshold)."""
+    return np.max(np.abs(as_poly(c))) == 0.0
 
 
 def poly_eval(c, z):

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from whergo import factorise
 from whergo.cli import main
 
 RUN = lambda *argv: main(list(argv))  # noqa: E731
@@ -77,6 +78,30 @@ def test_sweep_contains_kernel_transition(tmp_path):
         cols = r.split(",")
         if cols[4] != "0":
             assert cols[5] == ""   # blank g_tt at degenerate points
+
+
+@pytest.mark.parametrize("branches", [None, "plus,minus", "minus,plus", "plus,plus"])
+def test_sweep_agrees_with_factorise(tmp_path, kerr, branches):
+    # the batched existence-system sweep and the per-point factorisation
+    # route are two D systems for the same failure locus: row by row they
+    # must agree on status, kernel dimension and g_tt = -1/M22
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--model", "kerr", "--grid", "0.2:2.0:10,-0.8:0.8:9",
+            "--out", str(out)]
+    if branches:
+        args += ["--branches", branches]
+    assert RUN(*args) == 0
+    rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")][1:]
+    assert len(rows) == 90
+    for r in rows:
+        cols = r.split(",")
+        rho, v, kdim = float(cols[0]), float(cols[1]), int(cols[4])
+        res = factorise(kerr, rho, v, branches.split(",") if branches else None)
+        assert res.kernel_dim == kdim, (rho, v)
+        assert res.canonical == (cols[5] != ""), (rho, v)
+        if res.canonical:
+            gtt, expect = float(cols[5]), -1.0 / res.M_limit[1, 1].real
+            assert abs(gtt - expect) <= 1e-10 * max(abs(expect), 1e-3), (rho, v)
 
 
 def test_sweep_row_major_order(tmp_path):

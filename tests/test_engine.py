@@ -17,25 +17,17 @@ from whergo.engine import (
     _ansatz_for,
     _assemble_homogeneous,
     _assemble_inhomogeneous,
-    _reducible_system_2x2,
+    _homogeneous_system,
     assemble_M,
     classify_2x2,
     compute_D,
     existence_system_2x2,
     factorise,
-    scalar_factorise,
-    solve_factor_columns_2x2,
     solve_factor_columns_generic,
     toeplitz_kernel_dim,
 )
-from whergo.errors import DegenerateZeros, NotCanonical, UnsupportedPoleSet
-from whergo.poly import (
-    FactoredRational,
-    dense_det,
-    numerical_nullity,
-    poly_from_roots,
-    poly_shift,
-)
+from whergo.errors import DegenerateZeros, NotCanonical
+from whergo.poly import dense_det, numerical_nullity, poly_from_roots
 from whergo.spectral import SpectralPoint, build_partition, weyl_from_prolate_4d, weyl_from_prolate_5d
 
 M_K, A_K = 2.0, 1.0
@@ -227,10 +219,13 @@ def test_mvc5d_local_proportionality(mvc5d):
 
 
 def test_reducible_system_square_and_regular():
+    # the chain (reducible) case goes through the generic system like every
+    # other model: the selected rows form a regular square matrix
     model = synthetic_chain_model()
     _, part, mono = _setup(model, 1.3, 0.4)
-    A = _reducible_system_2x2(mono, part)
-    assert A.shape == (5, 5)
+    a0, rows = _homogeneous_system(mono, part)
+    A = a0[rows, :]
+    assert A.shape[0] == A.shape[1] > 0
     assert numerical_nullity(A) == 0
     assert abs(compute_D(mono, part)) > 0
 
@@ -254,59 +249,6 @@ def test_kernel_dim_kerr_20_points(kerr, rng):
 
 
 # ---------------------------------------------------------------------------
-# scalar factorisation
-# ---------------------------------------------------------------------------
-
-
-def test_scalar_factorise_trivial(kerr):
-    _, part, _ = _setup(kerr, 1.1, 0.2)
-    s = FactoredRational(np.array([1.0 + 0j]))
-    fac = scalar_factorise(s, part)
-    assert fac.s_plus(0.37) == pytest.approx(1.0)
-    assert fac.s_minus(2.2) == pytest.approx(1.0)
-
-
-def test_scalar_factorise_single_pair():
-    pt = SpectralPoint(1.2, 0.3)
-    part = build_partition(pt, [0.5], ["minus"])
-    zp = part.pairs[0]
-    s = FactoredRational(poly_shift(np.array([1.0 + 0j]), 1), 1.0, zp.members())
-    fac = scalar_factorise(s, part)
-    assert fac.s_plus(0.0) == pytest.approx(1.0)
-    for tau in np.exp(2j * np.pi * np.arange(10) / 10.0) * 1.3:
-        lhs = s(tau)
-        assert abs(fac.s_minus(tau) * fac.s_plus(tau) - lhs) <= 1e-12 * max(1, abs(lhs))
-    # block identity: tau/((tau-t)(tau-tt)) = [-tau/(tt (tau-t))] [-tt/(tau-tt)]
-    t_in, t_out = zp.tau_in, zp.tau_out
-    tau = 0.9 + 0.4j
-    lhs = tau / ((tau - t_in) * (tau - t_out))
-    rhs = (-tau / (t_out * (tau - t_in))) * (-t_out / (tau - t_out))
-    assert abs(lhs - rhs) < 1e-14
-
-
-def test_scalar_factorise_kerr_prefactor(kerr):
-    _, part, mono = _setup(kerr, 1.4, -0.5)
-    from whergo.engine import _prefactor
-    pre = _prefactor(mono, part)
-    fac = scalar_factorise(pre, part)
-    for tau in (0.9, 1.1 + 0.3j, -0.7 + 0.4j):
-        lhs = pre(tau)
-        assert abs(fac.s_minus(tau) * fac.s_plus(tau) - lhs) <= 1e-11 * max(1.0, abs(lhs))
-    s_inf = fac.s_minus.limit_at_infinity()
-    assert s_inf != 0 and np.isfinite(s_inf)
-    # s_minus(inf) = prod(tau_i)/lc(q_2n)
-    expect = np.prod([p.tau_in for p in part.pairs]) / mono.q2n[-1]
-    assert s_inf == pytest.approx(expect)
-
-
-def test_scalar_factorise_rejects_foreign_poles(kerr):
-    _, part, _ = _setup(kerr, 1.4, -0.5)
-    s = FactoredRational(poly_shift(np.array([1.0 + 0j]), 1), 1.0, (0.123, -8.1))
-    with pytest.raises(UnsupportedPoleSet):
-        scalar_factorise(s, part)
-
-
-# ---------------------------------------------------------------------------
 # factor construction
 # ---------------------------------------------------------------------------
 
@@ -317,6 +259,16 @@ def test_factorise_identity():
     assert np.allclose(out.M_limit, np.eye(2))
     assert np.allclose(out.X.eval(0.33 + 0.1j), np.eye(2))
     assert np.allclose(out.M_minus.eval(5.0), np.eye(2))
+
+
+def test_factorise_identity_3x3():
+    model = model_identity(3)
+    out = factorise(model, 1.3, 0.2)
+    assert out.status is Status.CANONICAL
+    assert np.allclose(out.M_limit, np.eye(3))
+    _, part, mono = _setup(model, 1.3, 0.2)
+    assert compute_D(mono, part) == pytest.approx(1.0)
+    assert toeplitz_kernel_dim(mono, part) == 0
 
 
 def test_factorise_kerr_residuals(kerr, rng):
@@ -351,13 +303,6 @@ def test_factorise_det_factors_one(kerr):
     for tau in (1.1 + 0.2j, -0.8 + 0.5j):
         assert abs(np.linalg.det(out.X.eval(tau)) - 1.0) <= 1e-9
         assert abs(np.linalg.det(out.M_minus.eval(tau)) - 1.0) <= 1e-9
-
-
-def test_factorise_2x2_vs_generic_route(kerr):
-    pt, part, mono = _setup(kerr, 2.3, 0.7)
-    out = factorise(kerr, 2.3, 0.7)
-    _, _, m_generic, _ = solve_factor_columns_generic(mono, part)
-    assert np.max(np.abs(out.M_limit - m_generic)) <= 1e-12 * np.max(np.abs(m_generic))
 
 
 def test_factorise_kerr_a0_diagonal():
@@ -455,57 +400,23 @@ def test_uniqueness_probe(mvc5d, rng):
         assert np.max(np.abs(A @ pert - B[:, 0])) >= 1e-7
 
 
-def test_induced_component_pole_cancellation(kerr, rng):
-    # random normalisation constants: the induced psi_2+ still loses the
-    # inside poles of its divisor tau^2 * p12~ (here: a double zero at 0)
-    pt, part, mono = _setup(kerr, 1.7, 0.6)
-    from whergo.engine import _inside_zeros, _normal_form_gpair
-    from whergo.poly import dense_solve, poly_derivative, poly_eval, poly_mul, poly_sub
-    dt = mono.degree_table
-    taus = _inside_zeros(mono, part)
-    g1, g2 = _normal_form_gpair(mono)
-    g1d, g2d = poly_derivative(g1), poly_derivative(g2)
-    sys_mat = existence_system_2x2(mono, part)
-    for _ in range(5):
-        a1 = complex(rng.normal(), rng.normal())
-        a2 = complex(rng.normal(), rng.normal())
-        rhs = np.zeros(4, dtype=complex)
-        for i, t in enumerate(taus):
-            rv = -(a1 * poly_eval(g2, t) - a2 * poly_eval(g1, t)) / t
-            rd = (-rv - a1 * poly_eval(g2d, t) + a2 * poly_eval(g1d, t)) / t
-            rhs[2 * i] = rv
-            rhs[2 * i + 1] = rd
-        x = dense_solve(sys_mat, rhs)
-        q1 = np.concatenate([[a1], x[:2]])
-        q2 = np.concatenate([[a2], x[2:]])
-        num1 = poly_sub(poly_mul(q1, g2), poly_mul(q2, g1))
-        from whergo.engine import _deflate_double_zeros
-        deflated, resid = _deflate_double_zeros(num1, taus)
-        assert resid <= 1e-9
-        psi1p = FactoredRational(deflated, mono.q2n[-1] ** 2,
-                                 tuple(p.tau_out for p in part.pairs) * 2)
-        p11t = mono.ptilde[0][0]
-        raw_num = poly_sub(poly_mul(q1, psi1p.den_poly()), poly_mul(p11t, psi1p.num))
-        # vanishing to order 2 at tau = 0 (the divisor's inside zeros)
-        scale = np.max(np.abs(raw_num))
-        assert abs(raw_num[0]) <= 1e-9 * scale
-        assert abs(raw_num[1]) <= 1e-9 * scale
-
-
 def test_solve_columns_kerr_psi_structure(kerr):
     _, part, mono = _setup(kerr, 2.0, 1.0)
-    cols_plus, cols_minus, m_tilde, pres = solve_factor_columns_2x2(mono, part)
+    cols_plus, cols_minus, _, pres = solve_factor_columns_generic(mono, part)
     assert pres <= 1e-10
-    # psi_+ analytic inside: denominators contain only outside points
-    inside = set(round(t.real, 8) for t in part.inside())
+    inside = list(part.inside()) + [0.0]
+
+    def is_inside(r):
+        return any(abs(r - t) <= 1e-8 * max(1.0, abs(t)) for t in inside)
+
+    # psi_+ analytic inside: no denominator root is an inside point
     for col in cols_plus:
         for fr in col:
-            for r in fr.den_roots:
-                assert round(r.real, 8) not in inside
-    # psi_- analytic outside: minus columns have poles only at 0
+            assert not any(is_inside(r) for r in fr.den_roots)
+    # psi_- analytic outside: minus columns have poles only at inside points
     for col in cols_minus:
         for fr in col:
-            assert all(abs(r) < 1e-12 for r in fr.den_roots)
+            assert all(is_inside(r) for r in fr.den_roots)
 
 
 def test_inverse_delta_blowup_near_curve(kerr):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,10 +21,12 @@ from .errors import (
 )
 from .poly import (
     FactoredRational,
+    _multiset_minus,
     as_poly,
     newton_polish,
     poly_degree,
     poly_eval,
+    poly_from_roots,
     poly_is_zero,
     poly_mul,
     poly_shift,
@@ -50,6 +53,14 @@ class RationalEntry:
     def __call__(self, w):
         return poly_eval(self.num, w) / poly_eval(self.den, w)
 
+    @cached_property
+    def den_roots(self) -> tuple:
+        """Zeros of den in omega, each polished by two Newton steps."""
+        if poly_degree(self.den) < 1:
+            return ()
+        return tuple(complex(newton_polish(self.den, r, steps=2))
+                     for r in np.roots(self.den[::-1]))
+
     @staticmethod
     def of(num, den=(1.0,)) -> "RationalEntry":
         return RationalEntry(poly_trim(num), poly_trim(den))
@@ -57,7 +68,13 @@ class RationalEntry:
 
 @dataclass(frozen=True)
 class RationalMatrixOmega:
-    """Validated omega-plane matrix: det = 1, eta M^T eta = M, simple poles."""
+    """Validated omega-plane matrix: det = 1, eta M^T eta = M, simple poles.
+
+    Structure fixed by the matrix alone is computed once and kept on it
+    (each entry keeps its own denominator roots): the 2x2 common-denominator
+    form with its degree table and, filled by the engine, the generic-D row
+    selection per branch tuple.
+    """
 
     n: int
     entries: tuple            # n x n nested tuple of RationalEntry
@@ -66,19 +83,49 @@ class RationalMatrixOmega:
     model_id: str = "custom"
     omega_poles: tuple = ()   # distinct omega-plane denominator zeros
     default_branches: tuple = ()
+    # branches -> row selection of the generic D, filled once per tuple by the engine
+    row_selections: dict = field(default_factory=dict, init=False, compare=False,
+                                 repr=False)
 
     def entry(self, i: int, j: int) -> RationalEntry:
         return self.entries[i][j]
 
-    def cache_key(self) -> tuple:
-        """Content-based key for engine-level caches (id() is unsafe: a
-        collected model's address can be recycled)."""
-        parts = [self.model_id, self.n, self.eta]
-        for row in self.entries:
-            for e in row:
-                parts.append(e.num.tobytes())
-                parts.append(e.den.tobytes())
-        return tuple(parts)
+    @cached_property
+    def common_denominator_form(self):
+        """2x2 normal form (q, p): monic common denominator q (root-multiset
+        lcm of the reduced entry denominators) and numerators
+        p_ij = num * (q/den)."""
+        lcm: list = []
+        for i in range(2):
+            for j in range(2):
+                lcm = lcm + _multiset_minus(self.entry(i, j).den_roots, lcm)
+        q = poly_from_roots(lcm, 1.0)
+        p = [[None, None], [None, None]]
+        for i in range(2):
+            for j in range(2):
+                e = self.entry(i, j)
+                if poly_is_zero(e.num):
+                    p[i][j] = np.zeros(1, dtype=complex)
+                    continue
+                cof = _multiset_minus(lcm, e.den_roots)
+                p[i][j] = poly_trim(poly_mul(e.num, poly_from_roots(cof, 1.0 / e.den[-1])))
+        return q, p
+
+    @cached_property
+    def degree_table(self) -> "DegreeTable | None":
+        """Degrees of the 2x2 normal form, or None where that form does not
+        apply: it presumes n = 2 and plain symmetry (eta = (1, 1), p21 = p12),
+        so eta-symmetric but asymmetric matrices carry no degree table."""
+        if self.n != 2 or any(e != 1.0 for e in self.eta):
+            return None
+        q, p = self.common_denominator_form
+        sym_ok = (poly_degree(p[0][1]) == poly_degree(p[1][0])
+                  and (poly_is_zero(p[0][1]) or
+                       np.max(np.abs(p[0][1] - p[1][0])) <= 1e-10 * np.max(np.abs(p[0][1]))))
+        if not sym_ok:
+            return None
+        return DegreeTable(k11=poly_degree(p[0][0]), k12=poly_degree(p[0][1]),
+                           k22=poly_degree(p[1][1]), n=poly_degree(q))
 
     def eval(self, w) -> np.ndarray:
         return np.array([[self.entries[i][j](w) for j in range(self.n)]
@@ -104,12 +151,11 @@ def _validate_matrix(m: RationalMatrixOmega, det_tol=1e-10, sym_tol=1e-10):
     # simple poles: denominator roots of every entry pairwise distinct
     for row in m.entries:
         for e in row:
-            if poly_degree(e.den) >= 2:
-                roots = np.roots(e.den[::-1])
-                for i in range(len(roots)):
-                    for j in range(i + 1, len(roots)):
-                        if abs(roots[i] - roots[j]) < 1e-8 * max(1.0, abs(roots[i])):
-                            raise InvariantViolation("entry denominator has a repeated zero")
+            roots = e.den_roots
+            for i in range(len(roots)):
+                for j in range(i + 1, len(roots)):
+                    if abs(roots[i] - roots[j]) < 1e-8 * max(1.0, abs(roots[i])):
+                        raise InvariantViolation("entry denominator has a repeated zero")
     return m
 
 
@@ -132,11 +178,9 @@ def make_model(entries, eta=None, params=None, model_id="custom",
         found = []
         for row in entries:
             for e in row:
-                if poly_degree(e.den) >= 1:
-                    for r in np.roots(e.den[::-1]):
-                        r = complex(newton_polish(e.den, r, steps=2))
-                        if not any(abs(r - s) < 1e-8 * max(1.0, abs(r)) for s in found):
-                            found.append(r)
+                for r in e.den_roots:
+                    if not any(abs(r - s) < 1e-8 * max(1.0, abs(r)) for s in found):
+                        found.append(r)
         omega_poles = tuple(sorted(found, key=lambda z: (round(z.real, 12), round(z.imag, 12))))
     if default_branches is None:
         default_branches = (BRANCH_MINUS,) * len(omega_poles)
@@ -288,9 +332,9 @@ class MonodromyMatrixTau:
 
     Every model carries its entries and the flat pole ledger, which is all
     the factorisation route needs.  For 2x2 models of the common-denominator
-    form the degree table, the composed denominator q_2n and the numerator
-    polynomials ptilde are attached as well; they feed the degree
-    classification and the reference existence system.
+    form the model's degree table is attached, together with the composed
+    denominator q_2n and numerator polynomials ptilde at this point; they
+    feed the degree classification and the reference existence system.
     """
 
     n: int
@@ -376,11 +420,8 @@ def _compose_entry(entry: RationalEntry, pt: SpectralPoint, root_hints):
     den_t, _ = compose_polynomial(pt, entry.den)
     den_lc = den_t[-1]
     roots = []
-    if kd >= 1:
-        for r in np.roots(entry.den[::-1]):
-            r = complex(newton_polish(entry.den, r, steps=2))
-            t1, t2 = root_hints(r)
-            roots.extend([t1, t2])
+    for r in entry.den_roots:
+        roots.extend(root_hints(r))
     shift = kd - kn
     if shift >= 0:
         num_t = poly_shift(num_t, shift)
@@ -392,6 +433,11 @@ def _compose_entry(entry: RationalEntry, pt: SpectralPoint, root_hints):
 def compose_monodromy(model: RationalMatrixOmega, pt: SpectralPoint,
                       check: bool = True) -> MonodromyMatrixTau:
     """Compose M(omega) with the spectral relation at the given Weyl point.
+
+    Only what moves with (rho, v) is computed here: the tau-plane pair of
+    each omega-plane pole and the composed polynomials.  The entry
+    denominator roots, the 2x2 normal form and its degree table are read
+    from the model, which computes each of them once.
 
     check=False skips the sample-point consistency validation (grid sweeps
     re-verify through their own oracles)."""
@@ -435,65 +481,21 @@ def compose_monodromy(model: RationalMatrixOmega, pt: SpectralPoint,
                 omega0, partner = w, t1
         ledger.append(PoleRecord(complex(r), k, partner, omega0))
 
-    degree_table = None
+    degree_table = model.degree_table
     q2n = None
     ptilde = None
-    # the 2x2 normal form presumes plain symmetry (p21 = p12); eta-symmetric
-    # but asymmetric matrices carry no degree table
-    plain_symmetric = model.n == 2 and all(e == 1.0 for e in model.eta)
-    if plain_symmetric:
-        q, p = _common_denominator_form(model)
-        sym_ok = (poly_degree(p[0][1]) == poly_degree(p[1][0])
-                  and (poly_is_zero(p[0][1]) or
-                       np.max(np.abs(p[0][1] - p[1][0])) <= 1e-10 * np.max(np.abs(p[0][1]))))
-        if q is not None and sym_ok:
-            nq = poly_degree(q)
-            q2n, _ = compose_polynomial(pt, q)
-            pt11, _ = compose_polynomial(pt, p[0][0])
-            pt12, _ = compose_polynomial(pt, p[0][1])
-            pt22, _ = compose_polynomial(pt, p[1][1])
-            degree_table = DegreeTable(
-                k11=poly_degree(p[0][0]),
-                k12=poly_degree(p[0][1]),
-                k22=poly_degree(p[1][1]),
-                n=nq,
-            )
-            ptilde = ((pt11, pt12), (pt12, pt22))
+    if degree_table is not None:
+        q, p = model.common_denominator_form
+        q2n, _ = compose_polynomial(pt, q)
+        pt11, _ = compose_polynomial(pt, p[0][0])
+        pt12, _ = compose_polynomial(pt, p[0][1])
+        pt22, _ = compose_polynomial(pt, p[1][1])
+        ptilde = ((pt11, pt12), (pt12, pt22))
     mono = MonodromyMatrixTau(model.n, pt, entries, model, tuple(ledger),
                               degree_table, q2n, ptilde)
     if check:
         _check_monodromy(mono)
     return mono
-
-
-def _common_denominator_form(model: RationalMatrixOmega):
-    """2x2 normal form: monic common denominator q (root-multiset lcm of
-    the reduced entry denominators) and numerators p_ij = num * (q/den)."""
-    from .poly import _multiset_minus, poly_from_roots
-
-    den_roots = []
-    for i in range(2):
-        for j in range(2):
-            d = model.entry(i, j).den
-            roots = []
-            if poly_degree(d) >= 1:
-                for r in np.roots(d[::-1]):
-                    roots.append(complex(newton_polish(d, r, steps=2)))
-            den_roots.append(roots)
-    lcm: list = []
-    for roots in den_roots:
-        lcm = lcm + _multiset_minus(roots, lcm)
-    q = poly_from_roots(lcm, 1.0)
-    p = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            e = model.entry(i, j)
-            if poly_is_zero(e.num):
-                p[i][j] = np.zeros(1, dtype=complex)
-                continue
-            cof = _multiset_minus(lcm, den_roots[2 * i + j])
-            p[i][j] = poly_trim(poly_mul(e.num, poly_from_roots(cof, 1.0 / e.den[-1])))
-    return q, p
 
 
 def _check_monodromy(mono: MonodromyMatrixTau, tol=1e-10, seed=40923):

@@ -8,6 +8,13 @@ kernel; a fixed square row subset of it gives D(rho, v).  The route
 returns the factors X (plus factor, X(0) = I), M_minus and the solution
 matrix M(rho, v) = lim M_minus(tau).
 
+Structure fixed by the model is held on the model object: the 2x2 normal
+form read by the batched grid, and the row subset that gives D, chosen once
+per branch tuple.  Each factorise call builds the ansatz and assembles its
+constraint system once; D, the kernel dimension and the factor solve all
+read that system.  Callers that need only D or the kernel dimension
+assemble the smaller homogeneous system alone.
+
 For 2x2 models of the common-denominator form two more pieces remain: the
 degree classification (whose always-canonical case needs no system at
 all) and the value-and-derivative existence system, which is the
@@ -160,14 +167,10 @@ def _block_rows_at_zero(taus, poly_alpha, poly_beta, n_alpha, n_beta):
     return np.array(rows)
 
 
-def _homogeneous_system(mono: MonodromyMatrixTau, partition: PolePartition):
-    """(homogeneous constraint system, rows whose determinant is D), or None
-    in the always-canonical case, where nothing needs to be assembled."""
-    if (mono.degree_table is not None
-            and classify_2x2(mono).kind is Classification.ALWAYS_CANONICAL):
-        return None
-    spec = _ansatz_for(mono, partition)
-    return _assemble_homogeneous(spec), spec.selected_rows
+def _always_canonical(mono: MonodromyMatrixTau) -> bool:
+    """The degree classification settles existence with no system at all."""
+    return (mono.degree_table is not None
+            and classify_2x2(mono).kind is Classification.ALWAYS_CANONICAL)
 
 
 def compute_D(mono: MonodromyMatrixTau, partition: PolePartition) -> complex:
@@ -177,11 +180,7 @@ def compute_D(mono: MonodromyMatrixTau, partition: PolePartition) -> complex:
     The rows are a fixed square subset of the homogeneous system, chosen
     once per (model, branches).
     """
-    system = _homogeneous_system(mono, partition)
-    if system is None:
-        return 1.0 + 0j
-    a0, rows = system
-    return dense_det(a0[rows, :])
+    return _d_with_scale(mono, partition)[0]
 
 
 def toeplitz_kernel_dim(mono: MonodromyMatrixTau, partition: PolePartition,
@@ -192,10 +191,9 @@ def toeplitz_kernel_dim(mono: MonodromyMatrixTau, partition: PolePartition,
     assembling anything: every kernel element picks up a positive tau power
     and is forced to vanish at the origin, hence identically.
     """
-    system = _homogeneous_system(mono, partition)
-    if system is None:
+    if _always_canonical(mono):
         return 0
-    return numerical_nullity(system[0], rel_tol)
+    return numerical_nullity(_assemble_homogeneous(_ansatz_for(mono, partition)), rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +246,8 @@ class AnsatzSpec:
 
     pi_roots[j] are the prescribed inside poles (with multiplicity) of the
     j-th minus component; base_polys[k][j] collects adj(M)_kj over the
-    common denominator of component k; the constraint ledger lists
-    (tau_star, vanishing order, component) for every imposed condition.
+    common denominator of component k; inside_groups[k] lists the
+    (tau_star, vanishing order) of every condition imposed on component k.
     """
 
     mono: MonodromyMatrixTau
@@ -268,16 +266,6 @@ class AnsatzSpec:
 
     def hom_unknowns(self) -> int:
         return sum(len(r) for r in self.pi_roots)
-
-    def inh_unknowns(self) -> int:
-        return sum(len(r) + 1 for r in self.pi_roots)
-
-    def constraint_ledger(self):
-        ledger = []
-        for k in range(self.n):
-            for root, mult in self.inside_groups[k]:
-                ledger.append((root, mult, k))
-        return ledger
 
 
 def _is_inside_root(r, partition) -> bool:
@@ -379,6 +367,17 @@ def _assemble_homogeneous(spec: AnsatzSpec) -> np.ndarray:
     return _assemble_rows(spec, [len(r) - 1 for r in spec.pi_roots])
 
 
+def _homogeneous_part(spec: AnsatzSpec, A: np.ndarray) -> np.ndarray:
+    """The homogeneous system inside the full one: the analyticity rows of
+    A restricted to the columns c < deg pi_j of each block.  Entry for entry
+    equal to _assemble_homogeneous(spec), whose rows are built the same way."""
+    keep, col = [], 0
+    for r in spec.pi_roots:
+        keep.extend(range(col, col + len(r)))
+        col += len(r) + 1
+    return A[:-spec.n, keep]
+
+
 def _assemble_inhomogeneous(spec: AnsatzSpec):
     """Full system: analyticity rows plus n normalisation rows at tau = 0.
 
@@ -430,9 +429,6 @@ def _greedy_rows(A: np.ndarray, k: int):
     return np.array(sorted(chosen), dtype=int), worst
 
 
-_SELECTION_CACHE: dict = {}
-
-
 def _branch_signature(partition: PolePartition):
     return tuple(p.branch for p in partition.pairs)
 
@@ -441,12 +437,13 @@ def _selection_for(model: RationalMatrixOmega, branches) -> np.ndarray:
     """Row selection for the generic D, fixed once per (model, branches).
 
     Computed at the first reference Weyl point where the homogeneous system
-    has full column rank with margin; reused at every other point so that
-    D(rho, v) is a continuous determinant of the same constraint subset.
+    has full column rank with margin and stored in model.row_selections;
+    reused at every other point so that D(rho, v) is a continuous
+    determinant of the same constraint subset.
     """
-    key = (model.cache_key(), tuple(branches))
-    if key in _SELECTION_CACHE:
-        return _SELECTION_CACHE[key]
+    branches = tuple(branches)
+    if branches in model.row_selections:
+        return model.row_selections[branches]
     last_exc = None
     for rho_ref, v_ref in _REFERENCE_POINTS:
         try:
@@ -467,7 +464,7 @@ def _selection_for(model: RationalMatrixOmega, branches) -> np.ndarray:
                     f"({rho_ref}, {v_ref}); smallest accepted pivot {margin:.2e}",
                     unknowns=u, constraints=a0.shape[0],
                     certificate={"reference": (rho_ref, v_ref), "margin": margin})
-            _SELECTION_CACHE[key] = sel
+            model.row_selections[branches] = sel
             return sel
         except Exception as exc:  # degenerate reference point, try the next
             last_exc = exc
@@ -588,19 +585,16 @@ def _equilibrated_lstsq(A, B, refine: int = 2):
     return x
 
 
-def solve_factor_columns_generic(mono: MonodromyMatrixTau, partition: PolePartition,
-                                 spec: AnsatzSpec | None = None, verify_tol: float = 1e-8):
+def solve_factor_columns_generic(spec: AnsatzSpec, A: np.ndarray, B: np.ndarray,
+                                 verify_tol: float = 1e-8):
     """Factor columns via the adjugate ansatz (any n with det = 1).
 
     psi_j- = S_j / pi_j with deg S_j <= deg pi_j; psi_+ = adj(M) psi_- must
     lose every inside pole, which together with psi_+(0) = e_i fixes the
-    coefficients.  Analyticity is re-verified by explicit deflation at
-    every inside pole.
+    coefficients (A, B = _assemble_inhomogeneous(spec)).  Analyticity is
+    re-verified by explicit deflation at every inside pole.
     """
-    if spec is None:
-        spec = _ansatz_for(mono, partition)
     n = spec.n
-    A, B = _assemble_inhomogeneous(spec)
     sol = _equilibrated_lstsq(A, B)
     resid = np.max(np.abs(A @ sol - B))
     scale = max(1.0, np.max(np.abs(B)), np.max(np.abs(A)) * max(1.0, np.max(np.abs(sol))))
@@ -658,12 +652,15 @@ def _symbolic_factors(cols_plus, cols_minus, n):
 
 def _d_with_scale(mono: MonodromyMatrixTau, partition: PolePartition):
     """(D, Hadamard row-norm bound) so |D|/scale is a unit-free singularity
-    measure."""
-    system = _homogeneous_system(mono, partition)
-    if system is None:
+    measure; assembles the homogeneous system only."""
+    if _always_canonical(mono):
         return 1.0 + 0j, 1.0
-    a0, rows = system
-    a = a0[rows, :]
+    spec = _ansatz_for(mono, partition)
+    return _det_with_scale(_assemble_homogeneous(spec)[spec.selected_rows, :])
+
+
+def _det_with_scale(a: np.ndarray):
+    """(det a, Hadamard bound prod |row|) of the square D rows."""
     if a.shape[0] == 0:
         return 1.0 + 0j, 1.0
     norms = np.linalg.norm(a, axis=1)
@@ -687,22 +684,30 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
     partition = build_partition(pt, model.omega_poles, branches)
     mono = compose_monodromy(model, pt)
     classification = classify_2x2(mono) if mono.degree_table is not None else None
-    d_val, d_scale = _d_with_scale(mono, partition)
+    spec = _ansatz_for(mono, partition)
+    A, B = _assemble_inhomogeneous(spec)
+    if classification is not None and classification.kind is Classification.ALWAYS_CANONICAL:
+        a0 = None
+        d_val, d_scale = 1.0 + 0j, 1.0
+    else:
+        a0 = _homogeneous_part(spec, A)
+        d_val, d_scale = _det_with_scale(a0[spec.selected_rows, :])
     if abs(d_val) < d_tol * d_scale:
-        kdim = toeplitz_kernel_dim(mono, partition, rank_tol)
-        return FactorisationOutcome(Status.DEGENERATE, d_val, d_scale, kdim,
-                                    classification)
-    try:
-        cols_plus, cols_minus, m_lim, pole_resid = \
-            solve_factor_columns_generic(mono, partition)
-    except SingularSystem:
-        kdim = toeplitz_kernel_dim(mono, partition, rank_tol)
-        status = Status.NON_CANONICAL if kdim >= 1 else Status.DEGENERATE
-        return FactorisationOutcome(status, d_val, d_scale, kdim, classification)
-    X, M_minus = _symbolic_factors(cols_plus, cols_minus, mono.n)
-    report = _residual_report(mono, X, M_minus, pole_resid)
-    return FactorisationOutcome(Status.CANONICAL, d_val, d_scale, 0, classification,
-                                X, M_minus, m_lim, report)
+        status = Status.DEGENERATE
+    else:
+        try:
+            cols_plus, cols_minus, m_lim, pole_resid = solve_factor_columns_generic(spec, A, B)
+        except SingularSystem:
+            status = Status.NON_CANONICAL
+        else:
+            X, M_minus = _symbolic_factors(cols_plus, cols_minus, mono.n)
+            report = _residual_report(mono, X, M_minus, pole_resid)
+            return FactorisationOutcome(Status.CANONICAL, d_val, d_scale, 0, classification,
+                                        X, M_minus, m_lim, report)
+    kdim = 0 if a0 is None else numerical_nullity(a0, rank_tol)
+    if kdim < 1:
+        status = Status.DEGENERATE
+    return FactorisationOutcome(status, d_val, d_scale, kdim, classification)
 
 
 def assemble_M(outcome: FactorisationOutcome, check: bool = True,
@@ -764,7 +769,7 @@ def _grid_system_2x2(model: RationalMatrixOmega, rho, v, branches=None):
     v = np.asarray(v, dtype=float)
     if branches is None:
         branches = model.default_branches
-    q, p = _cdf_cached(model)
+    q, p = model.common_denominator_form
     k11, k12, k22 = (poly_degree(p[0][0]), poly_degree(p[0][1]), poly_degree(p[1][1]))
     n1, n2 = max(k11, k12), max(k12, k22)
     shape = np.broadcast(rho, v).shape
@@ -793,18 +798,6 @@ def _grid_system_2x2(model: RationalMatrixOmega, rho, v, branches=None):
     return out, taus, (g2, g1), (n1, n2, k11, k12, k22)
 
 
-_CDF_CACHE: dict = {}
-
-
-def _cdf_cached(model):
-    key = model.cache_key()
-    if key not in _CDF_CACHE:
-        from .catalog import _common_denominator_form
-
-        _CDF_CACHE[key] = _common_denominator_form(model)
-    return _CDF_CACHE[key]
-
-
 def grid_D_2x2(model: RationalMatrixOmega, rho, v, branches=None,
                normalised: bool = True):
     """D over a grid for 2x2 determinant-test models; optionally divided by
@@ -826,7 +819,7 @@ def grid_delta_2x2(model: RationalMatrixOmega, rho, v, branches=None):
     """
     sys_mat, taus, (g2, g1), (n1, n2, k11, k12, k22) = \
         _grid_system_2x2(model, rho, v, branches)
-    q, p = _cdf_cached(model)
+    q = model.common_denominator_form[0]
     if n1 + n2 == 0:
         # pole-free constant model: M_minus = M itself, X = I
         const = model.eval(0.0)

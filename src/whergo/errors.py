@@ -49,10 +49,6 @@ class DegenerateZeros(WhergoError):
     """Two inside zeros coincide within tolerance."""
 
 
-class UnsupportedPoleSet(WhergoError):
-    """Scalar factorisation requested for a pole set it cannot handle."""
-
-
 class NonSquareSystem(WhergoError):
     """Constraint assembly produced a structurally deficient system."""
 

@@ -65,10 +65,6 @@ def poly_add(a, b) -> np.ndarray:
     return poly_trim(npoly.polyadd(as_poly(a), as_poly(b)))
 
 
-def poly_sub(a, b) -> np.ndarray:
-    return poly_trim(npoly.polysub(as_poly(a), as_poly(b)))
-
-
 def poly_mul(a, b) -> np.ndarray:
     pa, pb = as_poly(a), as_poly(b)
     if poly_is_zero(pa) or poly_is_zero(pb):
@@ -180,13 +176,6 @@ class FactoredRational:
     @staticmethod
     def from_const(c) -> "FactoredRational":
         return FactoredRational(as_poly([c]))
-
-    @staticmethod
-    def from_poly(p) -> "FactoredRational":
-        return FactoredRational(poly_trim(p))
-
-    def den_poly(self) -> np.ndarray:
-        return poly_from_roots(self.den_roots, self.den_lc)
 
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=complex)

@@ -113,13 +113,14 @@ def _suite_sigma(rng) -> SuiteResult:
 
 
 def _suite_roundtrip(rng) -> SuiteResult:
+    kerr, mvc5d = model_kerr(2.0, 1.0), model_mvc5d(2.0, 1.0)
     worst = 0.0
     for _ in range(4):
-        out = factorise(model_kerr(2.0, 1.0), rng.uniform(1.5, 3.0), rng.uniform(-1.0, 1.0))
+        out = factorise(kerr, rng.uniform(1.5, 3.0), rng.uniform(-1.0, 1.0))
         M = out.M_limit.real
         s = extract_4d(M)
         worst = max(worst, float(np.max(np.abs(s.rebuild_M() - M))) / max(1.0, np.max(np.abs(M))))
-        out = factorise(model_mvc5d(2.0, 1.0), rng.uniform(1.2, 2.5), rng.uniform(-0.8, 0.8))
+        out = factorise(mvc5d, rng.uniform(1.2, 2.5), rng.uniform(-0.8, 0.8))
         M = out.M_limit.real
         s5 = extract_5d(M)
         worst = max(worst, float(np.max(np.abs(s5.rebuild_M() - M))) / max(1.0, np.max(np.abs(M))))

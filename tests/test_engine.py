@@ -11,13 +11,14 @@ from whergo.catalog import (
     model_identity,
     model_kerr,
 )
+import whergo.engine as engine
 from whergo.engine import (
     Classification,
     Status,
     _ansatz_for,
     _assemble_homogeneous,
     _assemble_inhomogeneous,
-    _homogeneous_system,
+    _d_with_scale,
     assemble_M,
     classify_2x2,
     compute_D,
@@ -191,7 +192,6 @@ def test_mvc5d_loci_match_reference_subsystem(mvc5d):
             pt = SpectralPoint(rho, v)
             part = build_partition(pt, mvc5d.omega_poles, mvc5d.default_branches)
             mono = compose_monodromy(mvc5d, pt, check=False)
-            from whergo.engine import _d_with_scale
             d_val, scale = _d_with_scale(mono, part)
             d_ref = mvc_closed_form_D(rho, v)
             if expect_zero:
@@ -210,7 +210,6 @@ def test_mvc5d_local_proportionality(mvc5d):
             pt = SpectralPoint(rho + ds, v + ds)
             part = build_partition(pt, mvc5d.omega_poles, mvc5d.default_branches)
             mono = compose_monodromy(mvc5d, pt, check=False)
-            from whergo.engine import _d_with_scale
             d_val, _ = _d_with_scale(mono, part)
             d_ref = mvc_closed_form_D(rho + ds, v + ds)
             ratios.append((d_val / d_ref).real)
@@ -223,11 +222,69 @@ def test_reducible_system_square_and_regular():
     # other model: the selected rows form a regular square matrix
     model = synthetic_chain_model()
     _, part, mono = _setup(model, 1.3, 0.4)
-    a0, rows = _homogeneous_system(mono, part)
-    A = a0[rows, :]
+    spec = _ansatz_for(mono, part)
+    A = _assemble_homogeneous(spec)[spec.selected_rows, :]
     assert A.shape[0] == A.shape[1] > 0
     assert numerical_nullity(A) == 0
     assert abs(compute_D(mono, part)) > 0
+
+
+def _on_curve_points(kerr, mp5d, mvc5d, ys):
+    """Closed-form failure-curve points: Kerr ergosurface, mp5d ergosurface
+    line, mvc5d condition curve."""
+    al, L = mp5d.params["alpha"], mp5d.params["L"]
+    al_v, m_v = mvc5d.params["alpha"], mvc5d.params["m"]
+    return {
+        "kerr": [weyl_from_prolate_4d(np.sqrt(M_K ** 2 - A_K ** 2 * y * y), y, C_K)
+                 for y in ys],
+        "mp5d": [weyl_from_prolate_5d((2.0 - L * y) / (2.0 - L), y, al) for y in ys],
+        "mvc5d": [weyl_from_prolate_5d(np.sqrt(y * y + (m_v / (2 * al_v)) * (1 - y * y)),
+                                       y, al_v) for y in ys],
+    }
+
+
+def test_factorise_d_matches_homogeneous_assembly(kerr, mp5d, mvc5d, rng):
+    # factorise takes D and the kernel from its full system; the D-only
+    # callers assemble the homogeneous system alone; both must agree exactly
+    on_curve = _on_curve_points(kerr, mp5d, mvc5d, (-0.6, 0.1, 0.7))
+    for name, model in (("kerr", kerr), ("mp5d", mp5d), ("mvc5d", mvc5d)):
+        off_curve = [(rng.uniform(0.3, 4.0), rng.uniform(-3.0, 3.0)) for _ in range(6)]
+        for rho, v in off_curve + on_curve[name]:
+            out = factorise(model, rho, v)
+            _, part, mono = _setup(model, rho, v)
+            assert (out.D_value, out.D_scale) == _d_with_scale(mono, part)
+            if (rho, v) in on_curve[name]:
+                assert out.status is Status.DEGENERATE
+                assert out.kernel_dim == toeplitz_kernel_dim(mono, part) == 1
+
+
+def test_factorise_builds_one_system(kerr, mp5d, mvc5d, monkeypatch):
+    # model constants are computed once per model; each call then builds one
+    # ansatz, assembles one system and finds no omega-plane roots
+    on_curve = _on_curve_points(kerr, mp5d, mvc5d, (0.3,))
+    cases = ((kerr, (2.1, 0.6), Status.CANONICAL, False),
+             (kerr, on_curve["kerr"][0], Status.DEGENERATE, False),
+             (mvc5d, (1.4, 0.2), Status.CANONICAL, False),
+             (mvc5d, on_curve["mvc5d"][0], Status.DEGENERATE, False),
+             # a zero solution fails the residual check, so the solve raises
+             # SingularSystem; the trivial kernel then reads as degenerate
+             (kerr, (2.1, 0.6), Status.DEGENERATE, True))
+    for model, (rho, v), status, solve_raises in cases:
+        factorise(model, rho, v)
+        if solve_raises:
+            monkeypatch.setattr(engine, "_equilibrated_lstsq",
+                                lambda A, B, refine=2: np.zeros((A.shape[1],) + B.shape[1:]))
+        counts = {"build_ansatz": 0, "_assemble_rows": 0, "roots": 0}
+        for module, name in ((engine, "build_ansatz"), (engine, "_assemble_rows"),
+                             (np, "roots")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        out = factorise(model, rho, v)
+        monkeypatch.undo()
+        assert out.status is status
+        assert counts == {"build_ansatz": 1, "_assemble_rows": 1, "roots": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +459,9 @@ def test_uniqueness_probe(mvc5d, rng):
 
 def test_solve_columns_kerr_psi_structure(kerr):
     _, part, mono = _setup(kerr, 2.0, 1.0)
-    cols_plus, cols_minus, _, pres = solve_factor_columns_generic(mono, part)
+    spec = _ansatz_for(mono, part)
+    cols_plus, cols_minus, _, pres = solve_factor_columns_generic(
+        spec, *_assemble_inhomogeneous(spec))
     assert pres <= 1e-10
     inside = list(part.inside()) + [0.0]
 

@@ -72,8 +72,8 @@ class RationalMatrixOmega:
 
     Structure fixed by the matrix alone is computed once and kept on it
     (each entry keeps its own denominator roots): the 2x2 common-denominator
-    form with its degree table and, filled by the engine, the generic-D row
-    selection per branch tuple.
+    form with its degree table and, filled by the engine, the compiled plan
+    of the generic constraint system per branch tuple.
     """
 
     n: int
@@ -83,9 +83,8 @@ class RationalMatrixOmega:
     model_id: str = "custom"
     omega_poles: tuple = ()   # distinct omega-plane denominator zeros
     default_branches: tuple = ()
-    # branches -> row selection of the generic D, filled once per tuple by the engine
-    row_selections: dict = field(default_factory=dict, init=False, compare=False,
-                                 repr=False)
+    # branches -> engine.AnsatzPlan, compiled once per tuple by the engine
+    plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def entry(self, i: int, j: int) -> RationalEntry:
         return self.entries[i][j]

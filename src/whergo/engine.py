@@ -1,19 +1,24 @@
 """Existence test and construction of canonical factorisations.
 
-One per-point route serves every n: the minus columns are parametrised by
-rational functions with prescribed inside poles, mapped through the
-adjugate, and pole cancellation plus the normalisation at tau = 0 fix
-their coefficients.  The homogeneous part of that system is the Toeplitz
-kernel; a fixed square row subset of it gives D(rho, v).  The route
-returns the factors X (plus factor, X(0) = I), M_minus and the solution
-matrix M(rho, v) = lim M_minus(tau).
+One route serves every n: the minus columns are parametrised by rational
+functions with prescribed inside poles, mapped through the adjugate, and
+pole cancellation plus the normalisation at tau = 0 fix their
+coefficients.  The homogeneous part of that system is the Toeplitz kernel;
+a fixed square row subset of it gives D(rho, v).  The route returns the
+factors X (plus factor, X(0) = I), M_minus and the solution matrix
+M(rho, v) = lim M_minus(tau).
 
-Structure fixed by the model is held on the model object: the 2x2 normal
-form read by the batched grid, and the row subset that gives D, chosen once
-per branch tuple.  Each factorise call builds the ansatz and assembles its
-constraint system once; D, the kernel dimension and the factor solve all
-read that system.  Callers that need only D or the kernel dimension
-assemble the smaller homogeneous system alone.
+The structure of the constraint system is fixed by (model, branches) and is
+compiled once into an AnsatzPlan kept on the model: the omega-plane
+adjugate, the label of every root (tau = 0, or the inside or outside member
+of a zero pair), m0, the column degrees and the D rows.  At Weyl points the
+plan needs only the zero pairs and the composed adjugate numerators, and
+its rows are numpy arrays over (rho, v): one evaluation serves a single
+point and a tracer grid alike.  build_ansatz, the symbolic construction at
+one point, remains as the compile step and as the reference the plan is
+checked against.  Each factorise call assembles the plan's system once; D,
+the kernel dimension and the factor solve all read it.  Callers that need
+only D or the kernel dimension assemble the analyticity rows alone.
 
 For 2x2 models of the common-denominator form two more pieces remain: the
 degree classification (whose always-canonical case needs no system at
@@ -24,20 +29,26 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .catalog import MonodromyMatrixTau, RationalMatrixOmega, compose_monodromy
 from .errors import (
+    DegeneratePair,
     DegenerateZeros,
+    InadmissiblePartition,
+    InvariantViolation,
     NonSquareSystem,
     NotCanonical,
     SingularSystem,
 )
 from .poly import (
     FactoredRational,
-    dense_det,
+    _multiset_minus,
+    _root_lcm,
     numerical_nullity,
     poly_add,
     poly_degree,
@@ -50,13 +61,19 @@ from .poly import (
     poly_shift,
     poly_trim,
 )
-from .spectral import PolePartition, SpectralPoint, build_partition, compose_polynomial_batch
+from .spectral import (
+    BRANCH_PLUS,
+    PolePartition,
+    SpectralPoint,
+    build_partition,
+    compose_polynomial_batch,
+)
 
 DEFAULT_D_TOL = 1e-9
 
-# reference Weyl points used once per (model, branches) to fix the row
-# selection of the generic constraint system; must be off-curve, which the
-# builder verifies and falls back along the list if not
+# reference Weyl points used once per (model, branches) to compile the plan
+# of the generic constraint system; must be off-curve, which the compile
+# verifies and falls back along the list if not
 _REFERENCE_POINTS = ((2.0, 0.5), (3.1, -0.7), (1.7, 1.3), (2.6, 1.9))
 
 
@@ -167,10 +184,11 @@ def _block_rows_at_zero(taus, poly_alpha, poly_beta, n_alpha, n_beta):
     return np.array(rows)
 
 
-def _always_canonical(mono: MonodromyMatrixTau) -> bool:
-    """The degree classification settles existence with no system at all."""
-    return (mono.degree_table is not None
-            and classify_2x2(mono).kind is Classification.ALWAYS_CANONICAL)
+def _always_canonical(source) -> bool:
+    """The degree classification settles existence with no system at all
+    (source: a model or a monodromy, both carry the degree table)."""
+    return (source.degree_table is not None
+            and classify_2x2(source).kind is Classification.ALWAYS_CANONICAL)
 
 
 def compute_D(mono: MonodromyMatrixTau, partition: PolePartition) -> complex:
@@ -180,7 +198,9 @@ def compute_D(mono: MonodromyMatrixTau, partition: PolePartition) -> complex:
     The rows are a fixed square subset of the homogeneous system, chosen
     once per (model, branches).
     """
-    return _d_with_scale(mono, partition)[0]
+    model = mono.model
+    return complex(_d_with_scale(model, mono.pt.rho, mono.pt.v,
+                                 _branches_of(model, partition))[0])
 
 
 def toeplitz_kernel_dim(mono: MonodromyMatrixTau, partition: PolePartition,
@@ -199,8 +219,6 @@ def toeplitz_kernel_dim(mono: MonodromyMatrixTau, partition: PolePartition,
 # ---------------------------------------------------------------------------
 # factorisation route: adjugate ansatz with explicit pole-cancellation constraints
 # ---------------------------------------------------------------------------
-
-from .poly import _multiset_minus, _root_lcm  # noqa: E402  (module-internal helpers)
 
 
 def _root_sort_key(r):
@@ -242,30 +260,46 @@ def _adjugate_fr(entries, n):
 
 @dataclass
 class AnsatzSpec:
-    """Assembly data for the generic constraint system at one Weyl point.
+    """Assembly data for the generic constraint system at one Weyl point, or
+    at an array of them (every value then carries the same leading axes).
 
     pi_roots[j] are the prescribed inside poles (with multiplicity) of the
-    j-th minus component; base_polys[k][j] collects adj(M)_kj over the
-    common denominator of component k; inside_groups[k] lists the
-    (tau_star, vanishing order) of every condition imposed on component k.
+    j-th minus component.  A_kj = adj(M)_kj L_k / pi_j, with L_k the common
+    denominator of component k (roots lk_roots[k]), is num_polys[..., k, j, :]
+    times prod (tau - r) over the extra roots r = extra_roots[..., k, j, x]
+    with extra_on[k, j, x]: build_ansatz multiplies every root in, the plan
+    keeps the labelled roots of L_k apart so that the rows can evaluate them
+    in product form.  inside_groups[k] lists the (tau_star, vanishing order)
+    of every condition imposed on component k.
     """
 
-    mono: MonodromyMatrixTau
-    partition: PolePartition
+    n: int
     pi_roots: list            # per row j: tuple of inside poles with multiplicity
-    base_polys: list          # [k][j] numerator polynomial A_kj
+    num_polys: np.ndarray     # (..., k, j, coefficient): polynomial part of A_kj
+    extra_roots: np.ndarray   # (..., k, j, x): roots multiplied into A_kj
+    extra_on: np.ndarray      # (k, j, x): which of those slots hold a root
     lk_roots: list            # per component k: full denominator root multiset
     inside_groups: list       # per k: ordered [(root, mult)] of inside constraints
     m0: list                  # per k: multiplicity of tau = 0 in L_k
-    l0: list                  # per k: leading Taylor coefficient of L_k at 0
+    l0: np.ndarray            # (..., k): leading Taylor coefficient of L_k at 0
+    layout: _RowLayout        # index tables of the rows, fixed by the structure above
     selected_rows: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.mono.n
 
     def hom_unknowns(self) -> int:
         return sum(len(r) for r in self.pi_roots)
+
+    @cached_property
+    def base_polys(self) -> np.ndarray:
+        """Coefficients of A_kj, shape (..., k, j, coefficient)."""
+        slots = self.extra_on.shape[-1]
+        base = np.concatenate([self.num_polys, np.zeros(self.num_polys.shape[:-1] + (slots,),
+                                                        dtype=complex)], axis=-1)
+        for x in range(slots):
+            on = self.extra_on[..., x]
+            nxt = base * np.where(on, -self.extra_roots[..., x], 1.0)[..., None]
+            nxt[..., 1:] += base[..., :-1] * on[..., None]
+            base = nxt
+        return base
 
 
 def _is_inside_root(r, partition) -> bool:
@@ -278,6 +312,8 @@ def _is_inside_root(r, partition) -> bool:
 
 
 def build_ansatz(mono: MonodromyMatrixTau, partition: PolePartition) -> AnsatzSpec:
+    """AnsatzSpec at one point from the composed monodromy, by symbolic
+    rational arithmetic in tau; the plan compile reads its structure."""
     n = mono.n
     rows_inside = mono.row_inside_poles(partition)
     pi_roots = []
@@ -313,69 +349,100 @@ def build_ansatz(mono: MonodromyMatrixTau, partition: PolePartition) -> AnsatzSp
         inside_groups.append(groups)
         m0s.append(m0)
         l0s.append(l0)
-    return AnsatzSpec(mono, partition, pi_roots, base_polys, lk_roots,
-                      inside_groups, m0s, l0s)
+    base = np.zeros((n, n, max(p.size for row in base_polys for p in row)), dtype=complex)
+    for k in range(n):
+        for j in range(n):
+            base[k, j, :base_polys[k][j].size] = base_polys[k][j]
+    layout = _row_layout(n, base.shape[-1], [len(r) for r in pi_roots],
+                         [[m for _, m in g] for g in inside_groups])
+    return AnsatzSpec(n, pi_roots, base, np.zeros((n, n, 0), dtype=complex),
+                      np.zeros((n, n, 0), dtype=bool), lk_roots, inside_groups, m0s,
+                      np.array(l0s), layout)
 
 
-def _row_for(spec: AnsatzSpec, k: int, p: complex, order: int, degrees, deriv_cache):
-    """One analyticity row: d^order/dtau^order of NUM_k at p, per column (j, c)."""
-    cols = []
-    for j, dj in enumerate(degrees):
-        chain = deriv_cache[(k, j)]
-        for c in range(dj + 1):
-            val = 0.0 + 0j
-            for i in range(min(c, order) + 1):
-                a_der = chain[order - i] if order - i < len(chain) else None
-                if a_der is None:
-                    continue
-                perm = 1.0
-                for t in range(i):
-                    perm *= (c - t)
-                val += math.comb(order, i) * perm * p ** (c - i) * poly_eval(a_der, p)
-            cols.append(val)
-    return np.array(cols)
+@dataclass(frozen=True, eq=False)
+class _RowLayout:
+    """Index tables of a constraint system, fixed by its structure alone."""
+
+    jcol: np.ndarray          # (W,) block j of each column
+    ccol: np.ndarray          # (W,) coefficient c of each column, c <= deg pi_j
+    hom: np.ndarray           # columns with c < deg pi_j
+    gk: np.ndarray            # (G,) component k of each inside group
+    taylor: np.ndarray        # (O, width, width): coefficients -> Taylor coefficients o
+    row_group: np.ndarray     # (R, 1) inside group of each analyticity row
+    row_order: np.ndarray     # (R, O) Taylor order o - i of term i (clipped)
+    shift: np.ndarray         # (O, C) power c - i of term i (clipped)
+    weight: np.ndarray        # (R, O, C) o! C(c, i) for i <= min(o, c), else 0
 
 
-def _deriv_cache(spec: AnsatzSpec, max_order: int):
-    cache = {}
-    for k in range(spec.n):
-        for j in range(spec.n):
-            chain = [spec.base_polys[k][j]]
-            for _ in range(max_order):
-                chain.append(poly_derivative(chain[-1]))
-            cache[(k, j)] = chain
-    return cache
+def _row_layout(n: int, width: int, degrees, mults) -> _RowLayout:
+    """Layout for n components with deg pi_j = degrees[j], polynomial parts
+    of `width` coefficients and inside groups of multiplicities mults[k]."""
+    widths = [d + 1 for d in degrees]
+    starts = np.cumsum([0] + widths[:-1])
+    groups = [(k, m) for k in range(n) for m in mults[k]]
+    order = max((m for _, m in groups), default=1)
+    taylor = np.zeros((order, width, width))
+    for o in range(order):
+        for i in range(width - o):
+            taylor[o, i + o, i] = math.comb(i + o, o)
+    rows = [(g, o) for g, (_, m) in enumerate(groups) for o in range(m)]
+    i, c = np.arange(order), np.arange(max(widths))
+    weight = np.array([[[math.factorial(o) * math.comb(cc, ii) if ii <= min(o, cc) else 0.0
+                         for cc in c] for ii in i] for _, o in rows]).reshape(-1, order, c.size)
+    return _RowLayout(
+        np.repeat(np.arange(n), widths), np.concatenate([np.arange(w) for w in widths]),
+        np.concatenate([np.arange(a, a + d) for a, d in zip(starts, degrees)]).astype(int),
+        np.array([k for k, _ in groups], dtype=int), taylor,
+        np.array([g for g, _ in rows], dtype=int).reshape(-1, 1),
+        np.maximum(np.array([o for _, o in rows], dtype=int).reshape(-1, 1) - i, 0),
+        np.maximum(c - i[:, None], 0), weight)
 
 
-def _assemble_rows(spec: AnsatzSpec, degrees):
-    max_order = max((m for groups in spec.inside_groups for _, m in groups), default=1)
-    cache = _deriv_cache(spec, max_order)
-    rows = []
-    for k in range(spec.n):
-        for root, mult in spec.inside_groups[k]:
-            for order in range(mult):
-                rows.append(_row_for(spec, k, root, order, degrees, cache))
-    if rows:
-        return np.array(rows)
-    width = sum(d + 1 for d in degrees)
-    return np.zeros((0, width), dtype=complex)
+def _assemble_rows(spec: AnsatzSpec) -> np.ndarray:
+    """Analyticity rows, shape (..., rows, columns).
+
+    For each component k and inside group (p, m) of L_k: the derivatives of
+    order o < m at p of NUM_k = sum_j A_kj S_j, one column per coefficient
+    c of S_j.  With a_q the Taylor coefficients of A_kj at p the entry is
+    o! sum_i C(c, i) p^(c - i) a_(o - i).  The a_q come from those of the
+    polynomial part times the factors (tau - p) + (p - r) of the extra roots,
+    so a root of L_k at p itself vanishes exactly instead of cancelling.
+    """
+    lay = spec.layout
+    num = spec.num_polys
+    width = num.shape[-1]
+    if not lay.gk.size:
+        return np.zeros(num.shape[:-3] + (0, lay.jcol.size), dtype=complex)
+    p = np.stack([np.asarray(r, dtype=complex) for g in spec.inside_groups for r, _ in g],
+                 axis=-1)
+    pw = p[..., None] ** np.arange(max(width, lay.shift.shape[-1]))
+    # Taylor coefficients at p_g of the polynomial part, (..., g, j, o)
+    coef = (num[..., None, None, :] @ lay.taylor)[..., 0, :]
+    coef = (coef[..., lay.gk, :, :, :] @ pw[..., :width, None][..., None, :, :])[..., 0]
+    gap = p[..., None, None] - spec.extra_roots[..., lay.gk, :, :]     # (..., g, j, x)
+    on = spec.extra_on[lay.gk]
+    for x in range(on.shape[-1]):
+        nxt = coef * np.where(on[..., x], gap[..., x], 1.0)[..., None]
+        nxt[..., 1:] += coef[..., :-1] * on[..., x, None]
+        coef = nxt
+    coef = np.swapaxes(coef, -1, -2)[..., lay.row_group, lay.row_order, :]   # (..., row, i, j)
+    entries = np.swapaxes(coef, -1, -2) @ (lay.weight * pw[..., lay.row_group[..., None],
+                                                           lay.shift])
+    return entries[..., lay.jcol, lay.ccol]
 
 
 def _assemble_homogeneous(spec: AnsatzSpec) -> np.ndarray:
-    # columns c <= deg pi_j - 1: phi_- must vanish at infinity; rows with
-    # deg pi_j = 0 contribute no unknowns (their block is empty)
-    return _assemble_rows(spec, [len(r) - 1 for r in spec.pi_roots])
+    """Analyticity rows on the columns c <= deg pi_j - 1 of each block: phi_-
+    must vanish at infinity; rows with deg pi_j = 0 contribute no unknowns."""
+    return _assemble_rows(spec)[..., spec.layout.hom]
 
 
 def _homogeneous_part(spec: AnsatzSpec, A: np.ndarray) -> np.ndarray:
     """The homogeneous system inside the full one: the analyticity rows of
     A restricted to the columns c < deg pi_j of each block.  Entry for entry
-    equal to _assemble_homogeneous(spec), whose rows are built the same way."""
-    keep, col = [], 0
-    for r in spec.pi_roots:
-        keep.extend(range(col, col + len(r)))
-        col += len(r) + 1
-    return A[:-spec.n, keep]
+    equal to _assemble_homogeneous(spec), which slices the same rows."""
+    return A[..., :-spec.n, spec.layout.hom]
 
 
 def _assemble_inhomogeneous(spec: AnsatzSpec):
@@ -383,24 +450,16 @@ def _assemble_inhomogeneous(spec: AnsatzSpec):
 
     Returns (A, B) where B has one right-hand side per factor column.
     """
-    degrees = [len(r) for r in spec.pi_roots]    # deg S_j <= deg pi_j
-    a_top = _assemble_rows(spec, degrees)
-    n = spec.n
-    width = sum(d + 1 for d in degrees)
-    norm = np.zeros((n, width), dtype=complex)
-    for k in range(n):
-        col = 0
-        for j, dj in enumerate(degrees):
-            base = spec.base_polys[k][j]
-            for c in range(dj + 1):
-                idx = spec.m0[k] - c
-                if 0 <= idx < base.size:
-                    norm[k, col] = base[idx]
-                col += 1
-    A = np.vstack([a_top, norm])
-    B = np.zeros((A.shape[0], n), dtype=complex)
-    for i in range(n):
-        B[a_top.shape[0] + i, i] = spec.l0[i]
+    lay = spec.layout
+    a_top = _assemble_rows(spec)
+    n, base = spec.n, spec.base_polys
+    # row k: coefficient of tau^m0_k of NUM_k, i.e. A_kj[m0_k - c] per column
+    idx = np.array(spec.m0)[:, None] - lay.ccol
+    norm = (base[..., np.arange(n)[:, None], lay.jcol, np.clip(idx, 0, base.shape[-1] - 1)]
+            * ((idx >= 0) & (idx < base.shape[-1])))
+    A = np.concatenate([a_top, norm], axis=-2)
+    B = np.zeros(A.shape[:-1] + (n,), dtype=complex)
+    B[..., a_top.shape[-2] + np.arange(n), np.arange(n)] = spec.l0
     return A, B
 
 
@@ -429,59 +488,248 @@ def _greedy_rows(A: np.ndarray, k: int):
     return np.array(sorted(chosen), dtype=int), worst
 
 
-def _branch_signature(partition: PolePartition):
-    return tuple(p.branch for p in partition.pairs)
+# ---------------------------------------------------------------------------
+# ansatz plan: the constraint system compiled once per (model, branches)
+# ---------------------------------------------------------------------------
 
 
-def _selection_for(model: RationalMatrixOmega, branches) -> np.ndarray:
-    """Row selection for the generic D, fixed once per (model, branches).
+@dataclass(frozen=True, eq=False)
+class AnsatzPlan:
+    """The generic constraint system of one (model, branches), compiled once.
 
-    Computed at the first reference Weyl point where the homogeneous system
-    has full column rank with margin and stored in model.row_selections;
-    reused at every other point so that D(rho, v) is a continuous
-    determinant of the same constraint subset.
+    Every root of the system carries one of 2P + 1 labels: tau = 0 (label 0)
+    or a member of the zero pair of omega pole i, inside (1 + 2i) or outside
+    (2 + 2i).  The labels of L_k, pi_j and the inside groups, m0, the column
+    degrees and the D-row selection are read from one build_ansatz run at a
+    reference point.  At a Weyl point A_kj = adj(M)_kj(omega(tau)) L_k / pi_j
+    is the composed numerator of the omega-plane adjugate entry, times a
+    power of tau, over the composed denominator's leading coefficient, times
+    the labelled roots of L_k that neither pi_j nor that denominator takes.
+    """
+
+    n: int
+    omega_poles: np.ndarray   # (P,) in the model's order
+    plus: np.ndarray          # (P,) True where the inside member is the plus branch
+    adj_num: np.ndarray       # (n*n, K + 1) adjugate numerators in omega, entry k*n + j
+    adj_lc: np.ndarray        # (n*n,) leading coefficient of each adjugate denominator
+    adj_deg: np.ndarray       # (n*n,) degree of each adjugate denominator
+    place: tuple              # (source index, mask), each (n*n, width): the tau power
+    extras: np.ndarray        # (n, n, X) labels of the roots multiplied in, -1 = none
+    pi_labels: tuple          # per j: labels of pi_j
+    lk_labels: tuple          # per k: labels of L_k with multiplicity
+    groups: tuple             # per k: ((label, mult), ...) of the inside constraints
+    lk_count: np.ndarray      # (n, 2P + 1) multiplicity of each non-zero label in L_k
+    m0: tuple                 # per k: multiplicity of tau = 0 in L_k
+    selected_rows: np.ndarray
+    layout: _RowLayout
+
+
+# what a degenerate Weyl point raises (a reference point of the plan compile,
+# a probe of the curve classifier); anything else is a bug and propagates
+DEGENERATE_POINT_ERRORS = (NonSquareSystem, DegeneratePair, InadmissiblePartition,
+                           DegenerateZeros, SingularSystem, InvariantViolation)
+
+
+def _plan_for(model: RationalMatrixOmega, branches) -> AnsatzPlan:
+    """The model's plan for this branch tuple, compiled on first use.
+
+    Compiled at the first reference Weyl point that is off-curve (the
+    homogeneous system has full column rank with margin) and where the plan
+    reproduces build_ansatz; the same plan, and so the same D rows, then
+    serves every other point, so D(rho, v) is a continuous determinant.
     """
     branches = tuple(branches)
-    if branches in model.row_selections:
-        return model.row_selections[branches]
-    last_exc = None
-    for rho_ref, v_ref in _REFERENCE_POINTS:
-        try:
-            pt = SpectralPoint(rho_ref, v_ref)
-            part = build_partition(pt, model.omega_poles, branches)
-            mono = compose_monodromy(model, pt)
-            spec = build_ansatz(mono, part)
-            a0 = _assemble_homogeneous(spec)
-            u = spec.hom_unknowns()
-            if a0.shape[0] < u:
-                raise NonSquareSystem(
-                    "fewer constraints than unknowns in homogeneous system",
-                    unknowns=u, constraints=a0.shape[0])
-            sel, margin = _greedy_rows(a0, u)
-            if margin < 1e-8:
-                raise NonSquareSystem(
-                    f"homogeneous system rank-deficient at reference point "
-                    f"({rho_ref}, {v_ref}); smallest accepted pivot {margin:.2e}",
-                    unknowns=u, constraints=a0.shape[0],
-                    certificate={"reference": (rho_ref, v_ref), "margin": margin})
-            model.row_selections[branches] = sel
-            return sel
-        except Exception as exc:  # degenerate reference point, try the next
-            last_exc = exc
-            continue
-    raise NonSquareSystem(f"no usable reference point found: {last_exc}")
+    plan = model.plans.get(branches)
+    if plan is None:
+        adj = _omega_adjugate(model)
+        last_exc = None
+        for rho_ref, v_ref in _REFERENCE_POINTS:
+            try:
+                plan = _compile_plan(model, branches, adj, rho_ref, v_ref)
+                break
+            except DEGENERATE_POINT_ERRORS as exc:  # degenerate reference point, try the next
+                last_exc = exc
+        else:
+            raise NonSquareSystem(f"no usable reference point found: {last_exc}")
+        model.plans[branches] = plan
+    return plan
+
+
+def _omega_adjugate(model: RationalMatrixOmega):
+    """adj M(omega), each entry with its shared numerator/denominator roots
+    cancelled."""
+    entries = [[FactoredRational(e.num, e.den[-1], e.den_roots) for e in row]
+               for row in model.entries]
+    return [[a if a.is_zero() else a.simplified() for a in row]
+            for row in _adjugate_fr(entries, model.n)]
+
+
+def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
+    pt = SpectralPoint(rho_ref, v_ref)
+    part = build_partition(pt, model.omega_poles, branches)
+    spec = build_ansatz(compose_monodromy(model, pt), part)
+    n = model.n
+    pairs = [part.pair_for(w) for w in model.omega_poles]
+
+    def label(r):
+        if abs(r) < 1e-10:
+            return 0
+        for i, pair in enumerate(pairs):
+            for side, t in enumerate((pair.tau_in, pair.tau_out)):
+                if abs(r - t) <= 1e-8 * max(1.0, abs(t)):
+                    return 1 + 2 * i + side
+        raise NonSquareSystem(f"root {r} is neither tau = 0 nor a zero-pair member")
+
+    def pole(w):
+        for i, w0 in enumerate(model.omega_poles):
+            if abs(w - w0) <= 1e-8 * max(1.0, abs(w0)):
+                return i
+        raise NonSquareSystem(f"adjugate pole {w} is not a pole of the model")
+
+    pi_labels = tuple(tuple(label(r) for r in roots) for roots in spec.pi_roots)
+    lk_labels = tuple(tuple(sorted(label(r) for r in roots)) for roots in spec.lk_roots)
+    groups = tuple(tuple((label(r), m) for r, m in g) for g in spec.inside_groups)
+    lk_count = np.zeros((n, 1 + 2 * len(pairs)), dtype=int)
+    for k, ls in enumerate(lk_labels):
+        lk_count[k] = np.bincount(ls, minlength=lk_count.shape[1])
+    if (any(lk_count[k, lab] != m for k, g in enumerate(groups) for lab, m in g)
+            or list(lk_count[:, 0]) != list(spec.m0)):
+        raise NonSquareSystem("zero-pair members merge at the reference point")
+    lk_count[:, 0] = 0
+
+    top = max((poly_degree(a.num) for row in adj for a in row), default=0)
+    size = n * n
+    adj_num = np.zeros((size, top + 1), dtype=complex)
+    adj_lc = np.ones(size, dtype=complex)
+    adj_deg = np.zeros(size, dtype=int)
+    shifts, extras = {}, {}
+    for k in range(n):
+        for j in range(n):
+            a = adj[k][j]
+            if a.is_zero():
+                continue
+            e, d_num = k * n + j, poly_degree(a.num)
+            adj_num[e, :d_num + 1] = a.num[:d_num + 1]
+            adj_lc[e], adj_deg[e] = a.den_lc, len(a.den_roots)
+            rest = Counter(lk_labels[k])
+            rest.subtract(pi_labels[j])
+            for w in a.den_roots:
+                rest.subtract((1 + 2 * pole(w), 2 + 2 * pole(w)))
+            # A_kj carries tau^(m0_k - deg_0 pi_j + deg den - deg num)
+            tau_power = rest.pop(0, 0) + len(a.den_roots) - d_num
+            if tau_power < 0 or min(rest.values(), default=0) < 0:
+                raise NonSquareSystem(f"adjugate entry ({k}, {j}) has a pole that "
+                                      f"L_{k} / pi_{j} does not cancel")
+            shifts[e] = tau_power - (top - d_num)     # the composition carries tau^(K - deg num)
+            extras[e] = sorted(rest.elements())
+    width = max((shifts[e] + 2 * top + 1 for e in shifts), default=1)
+    src = np.arange(width) - np.array([shifts.get(e, 0) for e in range(size)])[:, None]
+    mask = (src >= 0) & (src <= 2 * top) & np.isin(np.arange(size), list(shifts))[:, None]
+    extra = np.full((size, max((len(x) for x in extras.values()), default=0)), -1)
+    for e, x in extras.items():
+        extra[e, :len(x)] = x
+
+    a0 = _assemble_homogeneous(spec)
+    u = spec.hom_unknowns()
+    if a0.shape[0] < u:
+        raise NonSquareSystem("fewer constraints than unknowns in homogeneous system",
+                              unknowns=u, constraints=a0.shape[0])
+    sel, margin = _greedy_rows(a0, u)
+    if margin < 1e-8:
+        raise NonSquareSystem(
+            f"homogeneous system rank-deficient at reference point "
+            f"({rho_ref}, {v_ref}); smallest accepted pivot {margin:.2e}",
+            unknowns=u, constraints=a0.shape[0],
+            certificate={"reference": (rho_ref, v_ref), "margin": margin})
+
+    plan = AnsatzPlan(
+        n, np.array(model.omega_poles, dtype=complex),
+        np.array([b == BRANCH_PLUS for b in branches], dtype=bool),
+        adj_num, adj_lc, adj_deg, (np.clip(src, 0, 2 * top), mask), extra.reshape(n, n, -1),
+        pi_labels, lk_labels, groups, lk_count, tuple(spec.m0), sel,
+        _row_layout(n, width, [len(ls) for ls in pi_labels], [[m for _, m in g] for g in groups]))
+    gap = _system_gap(_assemble_inhomogeneous(_plan_spec(plan, rho_ref, v_ref)),
+                      _assemble_inhomogeneous(spec))
+    if gap > 1e-10:
+        raise InvariantViolation(f"plan system differs from build_ansatz by {gap:.2e} "
+                                 f"(relative to the row norm) at ({rho_ref}, {v_ref})")
+    return plan
+
+
+def _system_gap(got, want) -> float:
+    """Largest entry difference of two (A, B) systems relative to the row
+    norm of [A | B] in `want`, over the rows that `got` does not assemble as
+    exact zeros.  Those are conditions at a root of L_k that A_kj itself
+    carries, rounding noise in `want`, which only has to stay below 1e-8 of
+    its largest row norm."""
+    got, want = (np.concatenate(ab, axis=-1) for ab in (got, want))
+    if got.shape != want.shape:
+        return np.inf
+    norms = np.linalg.norm(want, axis=-1)
+    real = np.any(got != 0, axis=-1)
+    if np.any(norms[~real] > 1e-8 * np.max(norms, initial=0.0)):
+        return np.inf
+    gap = np.max(np.abs(got - want), axis=-1, initial=0.0)[real] / norms[real]
+    return float(np.max(gap, initial=0.0))
+
+
+def _label_values(plan: AnsatzPlan, rho, v) -> np.ndarray:
+    """Root of every label at Weyl points (rho, v), shape (..., 2P + 1).
+
+    The inside member is zero_pair_for's (v - w +- sqrt((v - w)^2 + rho^2))
+    / rho, taken from the product -rho^2 of the two numerators where it
+    would cancel; the outside member is -1/tau_in.
+    """
+    dv = v[..., None] - plan.omega_poles
+    r = rho[..., None]
+    s = np.sqrt(dv * dv + r * r)
+    sign = np.where(plan.plus, 1.0, -1.0)
+    a, b = dv + sign * s, dv - sign * s
+    t_in = np.where(np.abs(a) >= np.abs(b), a / r, -r / b)
+    lab = np.zeros(rho.shape + (1 + 2 * plan.plus.size,), dtype=complex)
+    lab[..., 1::2] = t_in
+    lab[..., 2::2] = -1.0 / t_in
+    return lab
+
+
+def _plan_spec(plan: AnsatzPlan, rho, v) -> AnsatzSpec:
+    """The plan's AnsatzSpec at Weyl points (rho, v) of any common shape."""
+    rho, v = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(v, dtype=float))
+    if not np.all(rho > 0.0):
+        raise ValueError("rho must be strictly positive")
+    batch = rho.shape
+    lab = _label_values(plan, rho, v)
+    half = -0.5 * rho[..., None]                 # tau^2 coefficient of W = tau omega(tau)
+    top = plan.adj_num.shape[1] - 1
+    # rows W^i tau^(K - i), i = 0..K, built as W^i tau^(K - i) = (W / tau) W^(i-1) tau^(K-i+1)
+    powers = np.zeros(batch + (top + 1, 2 * top + 1), dtype=complex)
+    powers[..., 0, top] = 1.0
+    for i in range(1, top + 1):
+        prev = powers[..., i - 1, :]
+        powers[..., i, :-1] -= half * prev[..., 1:]
+        powers[..., i, :] += v[..., None] * prev
+        powers[..., i, 1:] += half * prev[..., :-1]
+    src, mask = plan.place
+    num = (plan.adj_num @ powers)[..., np.arange(src.shape[0])[:, None], src] * mask
+    num = num / (plan.adj_lc * half ** plan.adj_deg)[..., None]
+    roots = list(np.moveaxis(lab, -1, 0))
+    return AnsatzSpec(
+        plan.n, [tuple(roots[i] for i in ls) for ls in plan.pi_labels],
+        num.reshape(batch + (plan.n, plan.n, -1)), lab[..., plan.extras], plan.extras >= 0,
+        [tuple(roots[i] for i in ls) for ls in plan.lk_labels],
+        [[(roots[i], m) for i, m in g] for g in plan.groups],
+        list(plan.m0), np.prod((-lab[..., None, :]) ** plan.lk_count, axis=-1),
+        plan.layout, plan.selected_rows)
+
+
+def _branches_of(model: RationalMatrixOmega, partition: PolePartition) -> tuple:
+    return tuple(partition.pair_for(w).branch for w in model.omega_poles)
 
 
 def _ansatz_for(mono: MonodromyMatrixTau, partition: PolePartition) -> AnsatzSpec:
-    spec = build_ansatz(mono, partition)
-    sel = _selection_for(mono.model, _branch_signature(partition))
-    a0_rows = sum(m for groups in spec.inside_groups for _, m in groups)
-    if sel.size and (sel.max() >= a0_rows):
-        raise NonSquareSystem(
-            "constraint structure changed between reference and target point",
-            unknowns=spec.hom_unknowns(), constraints=a0_rows)
-    spec.selected_rows = sel
-    return spec
+    """The plan's AnsatzSpec at the monodromy's Weyl point."""
+    plan = _plan_for(mono.model, _branches_of(mono.model, partition))
+    return _plan_spec(plan, mono.pt.rho, mono.pt.v)
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +782,15 @@ def _check_taus(mono: MonodromyMatrixTau, count: int = 12):
     """
     poles = [rec.tau for rec in mono.ledger] + [rec.partner for rec in mono.ledger
                                                 if rec.partner is not None]
+    best, best_gap = None, -1.0
     for radius in (1.0, 1.17, 0.83, 1.31, 0.67):
         taus = [radius * np.exp(2j * np.pi * (k + 0.37) / count) for k in range(count)]
-        ok = all(min((abs(t - p) for p in poles), default=1.0) > 0.08 for t in taus)
-        if ok:
+        gap = min((abs(t - p) for t in taus for p in poles), default=np.inf)
+        if gap > 0.08:
             return taus
-    return taus
+        if gap > best_gap:       # no radius clears every pole: the one farthest off
+            best, best_gap = taus, gap
+    return best
 
 
 def _residual_report(mono, X: "RationalMatrixTau", M_minus: "RationalMatrixTau",
@@ -650,22 +901,30 @@ def _symbolic_factors(cols_plus, cols_minus, n):
     return X, M_minus
 
 
-def _d_with_scale(mono: MonodromyMatrixTau, partition: PolePartition):
-    """(D, Hadamard row-norm bound) so |D|/scale is a unit-free singularity
-    measure; assembles the homogeneous system only."""
-    if _always_canonical(mono):
-        return 1.0 + 0j, 1.0
-    spec = _ansatz_for(mono, partition)
-    return _det_with_scale(_assemble_homogeneous(spec)[spec.selected_rows, :])
+def _d_with_scale(model: RationalMatrixOmega, rho, v, branches=None):
+    """(D, Hadamard row-norm bound) at Weyl points (rho, v) of any common
+    shape, so |D|/scale is a unit-free singularity measure.  Evaluates the
+    plan's analyticity rows only: no monodromy, no normalisation rows."""
+    if _always_canonical(model):
+        shape = np.broadcast(np.asarray(rho), np.asarray(v)).shape
+        return np.ones(shape, dtype=complex), np.ones(shape)
+    if branches is None:
+        branches = model.default_branches
+    spec = _plan_spec(_plan_for(model, branches), rho, v)
+    return _det_with_scale(_assemble_homogeneous(spec)[..., spec.selected_rows, :])
 
 
 def _det_with_scale(a: np.ndarray):
-    """(det a, Hadamard bound prod |row|) of the square D rows."""
-    if a.shape[0] == 0:
-        return 1.0 + 0j, 1.0
-    norms = np.linalg.norm(a, axis=1)
-    scale = float(np.prod(norms)) if np.all(norms > 0) else 1.0
-    return dense_det(a), max(scale, 1e-300)
+    """(det a, Hadamard bound prod |row|) of stacked square D rows.
+
+    The rows span many orders of magnitude, so the determinant is taken of
+    the rows scaled to unit norm (whose LU is well conditioned) and scaled
+    back."""
+    norms = np.linalg.norm(a, axis=-1)
+    full = np.all(norms > 0, axis=-1)
+    unit = np.where(full[..., None], norms, 1.0)
+    scale = np.where(full, np.prod(norms, axis=-1), 1.0)
+    return np.linalg.det(a / unit[..., None]) * np.prod(unit, axis=-1), np.maximum(scale, 1e-300)
 
 
 def factorise(model: RationalMatrixOmega, rho: float, v: float,
@@ -681,17 +940,17 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
     pt = SpectralPoint(rho, v)
     if branches is None:
         branches = model.default_branches
-    partition = build_partition(pt, model.omega_poles, branches)
+    build_partition(pt, model.omega_poles, branches)    # rejects degenerate pairs
     mono = compose_monodromy(model, pt)
     classification = classify_2x2(mono) if mono.degree_table is not None else None
-    spec = _ansatz_for(mono, partition)
+    spec = _plan_spec(_plan_for(model, branches), rho, v)
     A, B = _assemble_inhomogeneous(spec)
     if classification is not None and classification.kind is Classification.ALWAYS_CANONICAL:
         a0 = None
         d_val, d_scale = 1.0 + 0j, 1.0
     else:
         a0 = _homogeneous_part(spec, A)
-        d_val, d_scale = _det_with_scale(a0[spec.selected_rows, :])
+        d_val, d_scale = (x.item() for x in _det_with_scale(a0[spec.selected_rows, :]))
     if abs(d_val) < d_tol * d_scale:
         status = Status.DEGENERATE
     else:

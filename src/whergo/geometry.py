@@ -5,15 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import RationalMatrixOmega, compose_monodromy
-from .engine import _d_with_scale, grid_D_2x2
+from .catalog import RationalMatrixOmega
+from .engine import DEGENERATE_POINT_ERRORS, _d_with_scale, grid_D_2x2
 from .errors import NoCurveFound, NonPhysicalM, NoRealSolution, OutOfChart
-from .spectral import (
-    SpectralPoint,
-    build_partition,
-    weyl_from_prolate_4d,
-    weyl_from_prolate_5d,
-)
+from .spectral import weyl_from_prolate_4d, weyl_from_prolate_5d
 
 REALITY_REL = 1e-9
 
@@ -218,20 +213,12 @@ def _d_hat_function(model: RationalMatrixOmega, branches):
             return grid_D_2x2(model, R, V, branches)
         return f, fgrid
 
-    def f(rho, v):
-        pt = SpectralPoint(float(rho), float(v))
-        part = build_partition(pt, model.omega_poles, branches)
-        mono = compose_monodromy(model, pt, check=False)
-        d, scale = _d_with_scale(mono, part)
+    def fgrid(R, V):
+        d, scale = _d_with_scale(model, R, V, branches)
         return d / scale
 
-    def fgrid(R, V):
-        out = np.empty(R.shape, dtype=complex)
-        it = np.nditer(R, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            out[idx] = f(R[idx], V[idx])
-        return out
+    def f(rho, v):
+        return complex(fgrid(rho, v))
     return f, fgrid
 
 
@@ -439,7 +426,7 @@ def classify_curve(model: RationalMatrixOmega, polyline: CurvePolyline,
                 continue
             try:
                 out = factorise(model, q[0], q[1], branches)
-            except Exception:
+            except DEGENERATE_POINT_ERRORS:   # degenerate probe point
                 continue
             if out.status is not Status.CANONICAL:
                 continue

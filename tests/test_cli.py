@@ -218,8 +218,14 @@ def test_branches_flag(capsys):
 
 
 def test_console_script_entrypoint():
+    # the child does not inherit pytest's sys.path: point it at these sources
+    import whergo
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(whergo.__file__)))
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     proc = subprocess.run([sys.executable, "-m", "whergo.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
     assert proc.returncode == 0
     assert "whergo" in proc.stdout
 

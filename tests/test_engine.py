@@ -20,6 +20,7 @@ from whergo.engine import (
     _assemble_inhomogeneous,
     _d_with_scale,
     assemble_M,
+    build_ansatz,
     classify_2x2,
     compute_D,
     existence_system_2x2,
@@ -189,10 +190,7 @@ def test_mvc5d_loci_match_reference_subsystem(mvc5d):
         u_on = np.sqrt(y * y + (m / (2 * al)) * (1 - y * y))
         for u, expect_zero in ((u_on, True), (u_on * 1.08, False)):
             rho, v = weyl_from_prolate_5d(u, y, al)
-            pt = SpectralPoint(rho, v)
-            part = build_partition(pt, mvc5d.omega_poles, mvc5d.default_branches)
-            mono = compose_monodromy(mvc5d, pt, check=False)
-            d_val, scale = _d_with_scale(mono, part)
+            d_val, scale = _d_with_scale(mvc5d, rho, v)
             d_ref = mvc_closed_form_D(rho, v)
             if expect_zero:
                 assert abs(d_val) / scale < 1e-12
@@ -207,10 +205,7 @@ def test_mvc5d_local_proportionality(mvc5d):
     for rho, v in ((1.1, 0.25), (0.9, -0.4), (1.6, 0.8)):
         ratios = []
         for ds in (0.0, 1e-7, 2e-7):
-            pt = SpectralPoint(rho + ds, v + ds)
-            part = build_partition(pt, mvc5d.omega_poles, mvc5d.default_branches)
-            mono = compose_monodromy(mvc5d, pt, check=False)
-            d_val, _ = _d_with_scale(mono, part)
+            d_val, _ = _d_with_scale(mvc5d, rho + ds, v + ds)
             d_ref = mvc_closed_form_D(rho + ds, v + ds)
             ratios.append((d_val / d_ref).real)
         spread = (max(ratios) - min(ratios)) / abs(ratios[0])
@@ -252,15 +247,16 @@ def test_factorise_d_matches_homogeneous_assembly(kerr, mp5d, mvc5d, rng):
         for rho, v in off_curve + on_curve[name]:
             out = factorise(model, rho, v)
             _, part, mono = _setup(model, rho, v)
-            assert (out.D_value, out.D_scale) == _d_with_scale(mono, part)
+            assert (out.D_value, out.D_scale) == _d_with_scale(model, rho, v)
             if (rho, v) in on_curve[name]:
                 assert out.status is Status.DEGENERATE
                 assert out.kernel_dim == toeplitz_kernel_dim(mono, part) == 1
 
 
 def test_factorise_builds_one_system(kerr, mp5d, mvc5d, monkeypatch):
-    # model constants are computed once per model; each call then builds one
-    # ansatz, assembles one system and finds no omega-plane roots
+    # model constants and the ansatz plan are computed once per model; each
+    # call then builds no ansatz, assembles one system from the plan and
+    # finds no omega-plane roots
     on_curve = _on_curve_points(kerr, mp5d, mvc5d, (0.3,))
     cases = ((kerr, (2.1, 0.6), Status.CANONICAL, False),
              (kerr, on_curve["kerr"][0], Status.DEGENERATE, False),
@@ -284,7 +280,7 @@ def test_factorise_builds_one_system(kerr, mp5d, mvc5d, monkeypatch):
         out = factorise(model, rho, v)
         monkeypatch.undo()
         assert out.status is status
-        assert counts == {"build_ansatz": 1, "_assemble_rows": 1, "roots": 0}
+        assert counts == {"build_ansatz": 0, "_assemble_rows": 1, "roots": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -512,3 +508,113 @@ def test_eta_asymmetric_2x2_routes_generic():
     M = out.M_limit
     assert np.max(np.abs(eta @ M.T @ eta - M)) <= 1e-9 * np.max(np.abs(M))
     assert abs(np.linalg.det(M) - 1.0) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# compiled ansatz plan
+# ---------------------------------------------------------------------------
+
+
+def _reference_system(model, rho, v, branches):
+    """build_ansatz at the point itself, with the plan's D-row selection."""
+    pt = SpectralPoint(rho, v)
+    part = build_partition(pt, model.omega_poles, branches)
+    spec = build_ansatz(compose_monodromy(model, pt), part)
+    spec.selected_rows = engine._plan_for(model, branches).selected_rows
+    return spec
+
+
+def _d_hat(spec):
+    d, scale = engine._det_with_scale(_assemble_homogeneous(spec)[spec.selected_rows, :])
+    return abs(d) / scale
+
+
+PLAN_CASES = [("kerr", None), ("kerr", ("plus", "minus")), ("kerr", ("minus", "plus")),
+              ("kerr", ("plus", "plus")), ("mp5d", None), ("mvc5d", None),
+              ("chain", None), ("identity3", None)]
+
+
+@pytest.mark.parametrize("name, branches", PLAN_CASES)
+def test_plan_matches_build_ansatz(name, branches, kerr, mp5d, mvc5d):
+    # the plan's system equals the one build_ansatz assembles at the point:
+    # every entry of [A | B] within 1e-12 of its row norm, D-hat within 1e-11.
+    # A row the plan assembles as exact zeros is the condition at a root of
+    # L_k that A_kj itself carries (a spurious pole of the symbolic tau-plane
+    # adjugate); build_ansatz has rounding noise there, which must stay small.
+    model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model(),
+             "identity3": model_identity(3)}[name]
+    branches = branches or model.default_branches
+    rng = np.random.default_rng(4)
+    for _ in range(12):
+        rho, v = 10.0 ** rng.uniform(-3.0, np.log10(20.0)), rng.uniform(-4.0, 4.0)
+        ref = _reference_system(model, rho, v, branches)
+        plan = engine._plan_spec(engine._plan_for(model, branches), rho, v)
+        want, got = (np.hstack(_assemble_inhomogeneous(s)) for s in (ref, plan))
+        assert got.shape == want.shape
+        norms = np.linalg.norm(want, axis=1)
+        real = np.any(got != 0, axis=1)
+        assert np.all(norms[~real] <= 1e-8 * np.max(norms, initial=0.0))
+        assert np.all(np.max(np.abs(got - want), axis=1)[real] <= 1e-12 * norms[real])
+        d_ref = _d_hat(ref)
+        assert abs(_d_hat(plan) - d_ref) <= 1e-11 * d_ref
+
+
+def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch):
+    # once the plan is compiled, D (single point and grid alike) needs no
+    # ansatz build, no monodromy composition and no root finding
+    from whergo import catalog, geometry
+
+    for model in (mp5d, mvc5d):
+        f, fgrid = geometry._d_hat_function(model, None)
+        f(1.1, 0.2)
+        _, part, mono = _setup(model, 1.3, 0.4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("symbolic work after warm-up")
+        for module, name in ((engine, "build_ansatz"), (engine, "compose_monodromy"),
+                             (catalog, "compose_monodromy"), (np, "roots")):
+            monkeypatch.setattr(module, name, forbidden)
+        R, V = np.meshgrid(np.linspace(0.3, 2.0, 4), np.linspace(-1.0, 1.0, 3), indexing="ij")
+        grid = fgrid(R, V)
+        assert grid[2, 1] == pytest.approx(f(R[2, 1], V[2, 1]), rel=1e-12)
+        assert compute_D(mono, part) != 0
+        monkeypatch.undo()
+
+
+def test_plan_compile_skips_degenerate_reference_points(monkeypatch):
+    # a reference point that raises a degenerate-point error is skipped; an
+    # error of any other kind is a bug and propagates
+    real = engine.build_ansatz
+    calls = []
+
+    def first_degenerate(mono, partition):
+        calls.append(mono.pt)
+        if len(calls) == 1:
+            raise DegenerateZeros("coincident inside zeros")
+        return real(mono, partition)
+    monkeypatch.setattr(engine, "build_ansatz", first_degenerate)
+    model = model_kerr(2.0, 1.0)
+    plan = engine._plan_for(model, model.default_branches)
+    assert len(calls) == 2 and calls[1].rho == engine._REFERENCE_POINTS[1][0]
+    assert model.plans[model.default_branches] is plan
+
+    def broken(mono, partition):
+        raise TypeError("bug")
+    monkeypatch.setattr(engine, "build_ansatz", broken)
+    fresh = model_kerr(2.0, 1.0)
+    with pytest.raises(TypeError):
+        engine._plan_for(fresh, fresh.default_branches)
+
+
+def test_check_taus_falls_back_to_the_farthest_radius():
+    # every candidate circle carries a ledger pole; the fallback must take the
+    # circle whose samples stay farthest from all poles (1.17 here), not the last
+    from whergo.catalog import PoleRecord
+
+    first = np.exp(2j * np.pi * 0.37 / 12)            # angle of the first sample
+    gaps = {1.0: 0.01, 1.17: 0.05, 0.83: 0.02, 1.31: 0.03, 0.67: 0.04}
+    ledger = tuple(PoleRecord((r + g) * first, 1, None, None) for r, g in gaps.items())
+    stub = MonodromyMatrixTau(2, SpectralPoint(1.0, 0.0), None, None, ledger)
+    taus = engine._check_taus(stub)
+    assert np.allclose(np.abs(taus), 1.17)
+    assert taus == engine._check_taus(stub)

@@ -211,3 +211,23 @@ def test_polyline_hausdorff_basic():
 def test_curve_polyline_len():
     poly = CurvePolyline(np.zeros((5, 2)), np.zeros(5))
     assert len(poly) == 5
+
+
+def test_classify_curve_propagates_unexpected_errors(kerr, monkeypatch):
+    # a probe that fails with a degenerate-point error is skipped; any other
+    # exception is a bug and must not be swallowed
+    import whergo.engine as engine
+    from whergo.errors import SingularSystem
+
+    poly = CurvePolyline(np.array([[1.0, -0.1], [1.0, 0.0], [1.0, 0.1]]), np.zeros(3))
+
+    def degenerate(*args, **kwargs):
+        raise SingularSystem("probe on the curve")
+    monkeypatch.setattr(engine, "factorise", degenerate)
+    assert classify_curve(kerr, poly).tag == "factorisation-failure"
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+    monkeypatch.setattr(engine, "factorise", broken)
+    with pytest.raises(TypeError):
+        classify_curve(kerr, poly)

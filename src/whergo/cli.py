@@ -10,22 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .catalog import (
-    MODEL_BUILDERS,
-    RationalMatrixOmega,
-    compose_monodromy,
-    load_model_json,
-    model_identity,
-)
-from .engine import (
-    DEFAULT_D_TOL,
-    factorise,
-    grid_delta_2x2,
-    toeplitz_kernel_dim,
-)
-from .errors import NoCurveFound, WhergoError
+from .catalog import MODEL_BUILDERS, RationalMatrixOmega, load_model_json, model_identity
+from .engine import DEFAULT_D_TOL, evaluate_points, factorise
+from .errors import NoCurveFound, NonPhysicalM, WhergoError
 from .geometry import classify_curve, extract_4d, extract_5d, trace_curve
-from .spectral import SpectralPoint, build_partition
 
 SCHEMA_VERSION = 1
 
@@ -134,52 +122,58 @@ def cmd_factorize(cfg: RunConfig, rho: float, v: float) -> int:
     return EXIT_OK if out.canonical else EXIT_NONCANONICAL
 
 
+# grid points per sweep chunk, rounded to whole rho rows: fixed by the grid,
+# never by --jobs, so that serial and parallel sweeps compute the same chunks
+SWEEP_CHUNK_POINTS = 2048
+
+
 def _sweep_rows(cfg: RunConfig, model: RationalMatrixOmega):
+    """(rho, v, re D-hat, im D-hat, kernel_dim, g_tt or None) per grid point,
+    row-major in rho; D-hat is factorise's normalised D."""
     lo_r, hi_r, n_r = cfg.grid["rho"]
     lo_v, hi_v, n_v = cfg.grid["v"]
     rho_vals = np.linspace(lo_r, hi_r, int(n_r))
     v_vals = np.linspace(lo_v, hi_v, int(n_v))
+    step = max(1, SWEEP_CHUNK_POINTS // int(n_v))
+    chunks = [(rho_vals[i:i + step], v_vals) for i in range(0, int(n_r), step)]
+    return [row for rows in _map_points(cfg, model, chunks) for row in rows]
+
+
+def _chunk_rows(cfg: RunConfig, model: RationalMatrixOmega, rho_vals, v_vals):
+    """Sweep rows of the grid rho_vals x v_vals, with factorise's verdict at
+    every point: degenerate where |D| < tol * scale, canonical where the
+    system is consistent, otherwise the kernel dimension."""
+    R, V = (x.ravel() for x in np.meshgrid(rho_vals, v_vals, indexing="ij"))
+    batch = evaluate_points(model, R, V, cfg.branches)
     tol = cfg.d_tol()
-    rows = []
+    canonical = (np.abs(batch.D_value) >= tol * batch.D_scale) & batch.consistent
+    gtt = iter(_sweep_gtt(model, batch.M_limit[canonical]))
+    dhat = batch.D_value / batch.D_scale
+    return [(r, v, d.real, d.imag, 0, next(gtt)) if ok
+            else (r, v, d.real, d.imag, batch.kernel_dim(i, max(1e-9, tol)), None)
+            for i, (r, v, d, ok) in enumerate(zip(R.tolist(), V.tolist(), dhat.tolist(),
+                                                  canonical.tolist()))]
+
+
+def _sweep_gtt(model: RationalMatrixOmega, M) -> list:
+    """g_tt from stacked solution matrices: -Re(1/M22) for n = 2, written
+    inside the ergoregion too (M22 < 0 there); extract_5d's g_tt for
+    n = 3, None where M is not physical."""
     if model.n == 2:
-        R, V = np.meshgrid(rho_vals, v_vals, indexing="ij")
-        delta, _, dhat = grid_delta_2x2(model, R, V, cfg.branches)
-        for i in range(int(n_r)):
-            for j in range(int(n_v)):
-                dn = dhat[i, j]
-                degenerate = abs(dn) < tol
-                if degenerate:
-                    pt = SpectralPoint(R[i, j], V[i, j])
-                    part = build_partition(pt, model.omega_poles,
-                                           cfg.branches or model.default_branches)
-                    mono = compose_monodromy(model, pt, check=False)
-                    kdim = toeplitz_kernel_dim(mono, part, rel_tol=max(1e-9, tol))
-                    gtt = ""
-                else:
-                    kdim = 0
-                    gtt = _fmt(-delta[i, j].real)
-                rows.append((R[i, j], V[i, j], dn.real, dn.imag, kdim, gtt))
-        return rows
-    points = [(r, v) for r in rho_vals for v in v_vals]
-    results = _map_points(cfg, points)
-    for (r, v), res in zip(points, results):
-        rows.append((r, v, *res))
-    return rows
-
-
-def _point_job(args):
-    cfg_doc, rho, v = args
-    cfg = RunConfig(**cfg_doc)
-    model = _worker_model(cfg)
-    out = factorise(model, rho, v, cfg.branches, d_tol=cfg.d_tol())
-    dn = out.D_value / out.D_scale
-    if out.canonical:
+        return (-(1.0 / M[:, 1, 1]).real).tolist()
+    out = []
+    for m in M:
         try:
-            gtt = _fmt(_metric_payload(model, out.M_limit)["g_tt"])
-        except WhergoError:
-            gtt = ""
-        return (dn.real, dn.imag, 0, gtt)
-    return (dn.real, dn.imag, out.kernel_dim, "")
+            out.append(extract_5d(m).g_tt)
+        except NonPhysicalM:
+            out.append(None)
+    return out
+
+
+def _chunk_job(args):
+    cfg_doc, rho_vals, v_vals = args
+    cfg = RunConfig(**cfg_doc)
+    return _chunk_rows(cfg, _worker_model(cfg), rho_vals, v_vals)
 
 
 _WORKER_MODELS: dict = {}
@@ -192,15 +186,16 @@ def _worker_model(cfg: RunConfig) -> RationalMatrixOmega:
     return _WORKER_MODELS[key]
 
 
-def _map_points(cfg: RunConfig, points):
-    cfg_doc = {k: getattr(cfg, k) for k in RunConfig.__dataclass_fields__}
-    args = [(cfg_doc, r, v) for r, v in points]
+def _map_points(cfg: RunConfig, model: RationalMatrixOmega, chunks):
+    """Sweep rows of every (rho_vals, v_vals) chunk, in chunk order: in
+    --jobs worker processes, or here with `model`."""
     if cfg.jobs and cfg.jobs > 1:
         import multiprocessing as mp
 
+        cfg_doc = {k: getattr(cfg, k) for k in RunConfig.__dataclass_fields__}
         with mp.Pool(cfg.jobs) as pool:
-            return pool.map(_point_job, args)
-    return [_point_job(a) for a in args]
+            return pool.map(_chunk_job, [(cfg_doc,) + chunk for chunk in chunks])
+    return [_chunk_rows(cfg, model, *chunk) for chunk in chunks]
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -211,8 +206,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         doc = {"schema_version": SCHEMA_VERSION, "model": model.model_id,
                "params": model.params,
                "columns": ["rho", "v", "re_D", "im_D", "kernel_dim", "g_tt"],
-               "rows": [[r[0], r[1], r[2], r[3], r[4], (None if r[5] == "" else float(r[5]))]
-                        for r in rows]}
+               "rows": [list(r) for r in rows]}
         _write_text(cfg.out, json.dumps(doc, indent=2) + "\n")
         return EXIT_OK
     lines = [f"# whergo sweep schema_version={SCHEMA_VERSION}",
@@ -220,7 +214,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
              f"# branches={','.join(cfg.branches or model.default_branches)}",
              "rho,v,re_D,im_D,kernel_dim,g_tt"]
     for r in rows:
-        lines.append(f"{_fmt(r[0])},{_fmt(r[1])},{_fmt(r[2])},{_fmt(r[3])},{r[4]},{r[5]}")
+        gtt = "" if r[5] is None else _fmt(r[5])
+        lines.append(f"{_fmt(r[0])},{_fmt(r[1])},{_fmt(r[2])},{_fmt(r[3])},{r[4]},{gtt}")
     _write_text(cfg.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

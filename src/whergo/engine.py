@@ -14,19 +14,22 @@ adjugate, the label of every root (tau = 0, or the inside or outside member
 of a zero pair), m0, the column degrees and the D rows.  At Weyl points the
 plan needs only the zero pairs and the composed adjugate numerators, and
 its rows are numpy arrays over (rho, v): one evaluation serves a single
-point and a tracer grid alike.  build_ansatz, the symbolic construction at
-one point, remains as the compile step and as the reference the plan is
-checked against.  Each factorise call assembles the plan's system once; D,
-the kernel dimension and the factor solve all read it.  Callers that need
-only D or the kernel dimension assemble the analyticity rows alone.
+point, a tracer grid and a sweep chunk alike.  build_ansatz, the symbolic
+construction at one point, remains as the compile step and as the
+reference the plan is checked against.  Each factorise call assembles the
+plan's system once; D, the kernel dimension and the factor solve all read
+it.  evaluate_points makes the same D test and solves for M(rho, v) over an
+array of points at once; callers that need only D assemble the analyticity
+rows alone.
 
 For 2x2 models of the common-denominator form two more pieces remain: the
 degree classification (whose always-canonical case needs no system at
 all) and the value-and-derivative existence system, which is the
-reference D of the paper and backs the batched grid evaluation.
+reference D of the paper.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from collections import Counter
@@ -50,7 +53,6 @@ from .poly import (
     _multiset_minus,
     _root_lcm,
     numerical_nullity,
-    poly_add,
     poly_degree,
     poly_derivative,
     poly_deflate,
@@ -61,13 +63,7 @@ from .poly import (
     poly_shift,
     poly_trim,
 )
-from .spectral import (
-    BRANCH_PLUS,
-    PolePartition,
-    SpectralPoint,
-    build_partition,
-    compose_polynomial_batch,
-)
+from .spectral import BRANCH_PLUS, PolePartition, SpectralPoint, build_partition
 
 DEFAULT_D_TOL = 1e-9
 
@@ -261,12 +257,13 @@ def _adjugate_fr(entries, n):
 @dataclass
 class AnsatzSpec:
     """Assembly data for the generic constraint system at one Weyl point, or
-    at an array of them (every value then carries the same leading axes).
+    at an array of them (every value then carries the batch shape as its
+    trailing axes, so that the work over points runs along contiguous axes).
 
     pi_roots[j] are the prescribed inside poles (with multiplicity) of the
     j-th minus component.  A_kj = adj(M)_kj L_k / pi_j, with L_k the common
-    denominator of component k (roots lk_roots[k]), is num_polys[..., k, j, :]
-    times prod (tau - r) over the extra roots r = extra_roots[..., k, j, x]
+    denominator of component k (roots lk_roots[k]), is num_polys[k, j, :]
+    times prod (tau - r) over the extra roots r = extra_roots[k, j, x]
     with extra_on[k, j, x]: build_ansatz multiplies every root in, the plan
     keeps the labelled roots of L_k apart so that the rows can evaluate them
     in product form.  inside_groups[k] lists the (tau_star, vanishing order)
@@ -275,31 +272,43 @@ class AnsatzSpec:
 
     n: int
     pi_roots: list            # per row j: tuple of inside poles with multiplicity
-    num_polys: np.ndarray     # (..., k, j, coefficient): polynomial part of A_kj
-    extra_roots: np.ndarray   # (..., k, j, x): roots multiplied into A_kj
+    num_polys: np.ndarray     # (k, j, coefficient, ...): polynomial part of A_kj
+    extra_roots: np.ndarray   # (k, j, x, ...): roots multiplied into A_kj
     extra_on: np.ndarray      # (k, j, x): which of those slots hold a root
     lk_roots: list            # per component k: full denominator root multiset
     inside_groups: list       # per k: ordered [(root, mult)] of inside constraints
     m0: list                  # per k: multiplicity of tau = 0 in L_k
-    l0: np.ndarray            # (..., k): leading Taylor coefficient of L_k at 0
+    l0: np.ndarray            # (k, ...): leading Taylor coefficient of L_k at 0
     layout: _RowLayout        # index tables of the rows, fixed by the structure above
     selected_rows: np.ndarray | None = None
 
     def hom_unknowns(self) -> int:
         return sum(len(r) for r in self.pi_roots)
 
+    @property
+    def batch(self) -> tuple:
+        return self.num_polys.shape[3:]
+
     @cached_property
     def base_polys(self) -> np.ndarray:
-        """Coefficients of A_kj, shape (..., k, j, coefficient)."""
+        """Coefficients of A_kj, shape (k, j, coefficient, ...)."""
+        num = _flat(self.num_polys, 3)
         slots = self.extra_on.shape[-1]
-        base = np.concatenate([self.num_polys, np.zeros(self.num_polys.shape[:-1] + (slots,),
-                                                        dtype=complex)], axis=-1)
+        base = np.concatenate([num, np.zeros(num.shape[:2] + (slots, num.shape[3]),
+                                             dtype=num.dtype)], axis=2)
+        roots = _flat(self.extra_roots, 3)
         for x in range(slots):
-            on = self.extra_on[..., x]
-            nxt = base * np.where(on, -self.extra_roots[..., x], 1.0)[..., None]
-            nxt[..., 1:] += base[..., :-1] * on[..., None]
+            on = self.extra_on[:, :, x, None, None]
+            nxt = base * np.where(on, -roots[:, :, x, None, :], 1.0)
+            nxt[:, :, 1:] += base[:, :, :-1] * on
             base = nxt
-        return base
+        return base.reshape(base.shape[:3] + self.batch)
+
+
+def _flat(x: np.ndarray, lead: int) -> np.ndarray:
+    """x with its trailing batch axes folded into one (of length 1 when x
+    holds a single point)."""
+    return x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),))
 
 
 def _is_inside_root(r, partition) -> bool:
@@ -368,11 +377,12 @@ class _RowLayout:
     ccol: np.ndarray          # (W,) coefficient c of each column, c <= deg pi_j
     hom: np.ndarray           # columns with c < deg pi_j
     gk: np.ndarray            # (G,) component k of each inside group
-    taylor: np.ndarray        # (O, width, width): coefficients -> Taylor coefficients o
-    row_group: np.ndarray     # (R, 1) inside group of each analyticity row
-    row_order: np.ndarray     # (R, O) Taylor order o - i of term i (clipped)
-    shift: np.ndarray         # (O, C) power c - i of term i (clipped)
-    weight: np.ndarray        # (R, O, C) o! C(c, i) for i <= min(o, c), else 0
+    powers: int               # C: the rows use powers 0..C-1 of the group roots
+    tshift: np.ndarray        # (O, C) power c - i of p in C(c, i) p^(c - i) (clipped)
+    tweight: np.ndarray       # (O, C, 1) C(c, i) for c >= i, else 0
+    lag: np.ndarray           # (O, O) order o - i of a for i <= o, else O (a zero)
+    cmax: int                 # max deg pi_j + 1: the coefficients c of the cells
+    cell: np.ndarray          # (R, W) entry of each row and column in the (g, j, o, c) cells
 
 
 def _row_layout(n: int, width: int, degrees, mults) -> _RowLayout:
@@ -382,54 +392,60 @@ def _row_layout(n: int, width: int, degrees, mults) -> _RowLayout:
     starts = np.cumsum([0] + widths[:-1])
     groups = [(k, m) for k in range(n) for m in mults[k]]
     order = max((m for _, m in groups), default=1)
-    taylor = np.zeros((order, width, width))
-    for o in range(order):
-        for i in range(width - o):
-            taylor[o, i + o, i] = math.comb(i + o, o)
     rows = [(g, o) for g, (_, m) in enumerate(groups) for o in range(m)]
-    i, c = np.arange(order), np.arange(max(widths))
-    weight = np.array([[[math.factorial(o) * math.comb(cc, ii) if ii <= min(o, cc) else 0.0
-                         for cc in c] for ii in i] for _, o in rows]).reshape(-1, order, c.size)
+    jcol = np.repeat(np.arange(n), widths)
+    ccol = np.concatenate([np.arange(w) for w in widths])
+    i, c = np.arange(order)[:, None], np.arange(max([width] + widths))
+    g_r = np.array([g for g, _ in rows], dtype=int).reshape(-1, 1)
+    o_r = np.array([o for _, o in rows], dtype=int).reshape(-1, 1)
     return _RowLayout(
-        np.repeat(np.arange(n), widths), np.concatenate([np.arange(w) for w in widths]),
+        jcol, ccol,
         np.concatenate([np.arange(a, a + d) for a, d in zip(starts, degrees)]).astype(int),
-        np.array([k for k, _ in groups], dtype=int), taylor,
-        np.array([g for g, _ in rows], dtype=int).reshape(-1, 1),
-        np.maximum(np.array([o for _, o in rows], dtype=int).reshape(-1, 1) - i, 0),
-        np.maximum(c - i[:, None], 0), weight)
+        np.array([k for k, _ in groups], dtype=int), c.size, np.maximum(c - i, 0),
+        np.array([[math.comb(cc, ii) if cc >= ii else 0.0 for cc in c]
+                  for ii in range(order)])[..., None],
+        np.where(i.T <= i, i - i.T, order), max(widths),
+        ((g_r * n + jcol) * order + o_r) * max(widths) + ccol)
 
 
 def _assemble_rows(spec: AnsatzSpec) -> np.ndarray:
-    """Analyticity rows, shape (..., rows, columns).
+    """Analyticity rows, shape (..., rows, columns) with the batch axes first.
 
-    For each component k and inside group (p, m) of L_k: the derivatives of
-    order o < m at p of NUM_k = sum_j A_kj S_j, one column per coefficient
-    c of S_j.  With a_q the Taylor coefficients of A_kj at p the entry is
-    o! sum_i C(c, i) p^(c - i) a_(o - i).  The a_q come from those of the
-    polynomial part times the factors (tau - p) + (p - r) of the extra roots,
-    so a root of L_k at p itself vanishes exactly instead of cancelling.
+    For each component k and inside group (p, m) of L_k: the Taylor
+    coefficients of order o < m at p of NUM_k = sum_j A_kj S_j, one column
+    per coefficient c of S_j.  With a_q the Taylor coefficients of A_kj at p
+    the entry is sum_i C(c, i) p^(c - i) a_(o - i).  The a_q come from those
+    of the polynomial part times the factors (tau - p) + (p - r) of the extra
+    roots, so a root of L_k at p itself vanishes exactly instead of cancelling.
     """
     lay = spec.layout
-    num = spec.num_polys
-    width = num.shape[-1]
+    num = _flat(spec.num_polys, 3)
     if not lay.gk.size:
-        return np.zeros(num.shape[:-3] + (0, lay.jcol.size), dtype=complex)
-    p = np.stack([np.asarray(r, dtype=complex) for g in spec.inside_groups for r, _ in g],
-                 axis=-1)
-    pw = p[..., None] ** np.arange(max(width, lay.shift.shape[-1]))
-    # Taylor coefficients at p_g of the polynomial part, (..., g, j, o)
-    coef = (num[..., None, None, :] @ lay.taylor)[..., 0, :]
-    coef = (coef[..., lay.gk, :, :, :] @ pw[..., :width, None][..., None, :, :])[..., 0]
-    gap = p[..., None, None] - spec.extra_roots[..., lay.gk, :, :]     # (..., g, j, x)
-    on = spec.extra_on[lay.gk]
-    for x in range(on.shape[-1]):
-        nxt = coef * np.where(on[..., x], gap[..., x], 1.0)[..., None]
-        nxt[..., 1:] += coef[..., :-1] * on[..., x, None]
+        return np.zeros(spec.batch + (0, lay.jcol.size), dtype=num.dtype)
+    p = np.array([r for g in spec.inside_groups for r, _ in g],
+                 dtype=num.dtype).reshape(-1, 1, num.shape[3])
+    pw = np.ones((p.shape[0], lay.powers, p.shape[2]), dtype=p.dtype)
+    for c in range(1, lay.powers):
+        np.multiply(pw[:, c - 1], p[:, 0], out=pw[:, c])
+    # C(c, i) p^(c - i): Taylor coefficient i of tau^c at p, (g, i, c, point)
+    taylor = lay.tweight * pw[:, lay.tshift]
+    # Taylor coefficients at p_g of the polynomial part, (g, j, o, point)
+    coef = (num[lay.gk, :, None] * taylor[:, None, :, :num.shape[2]]).sum(axis=3)
+    on = spec.extra_on[lay.gk, :, :, None]
+    gap = np.where(on, p[:, None] - _flat(spec.extra_roots, 3)[lay.gk], 1.0)   # (g, j, x, point)
+    for x in range(on.shape[2]):
+        nxt = coef * gap[:, :, x, None]
+        nxt[:, :, 1:] += coef[:, :, :-1] * on[:, :, x, None]
         coef = nxt
-    coef = np.swapaxes(coef, -1, -2)[..., lay.row_group, lay.row_order, :]   # (..., row, i, j)
-    entries = np.swapaxes(coef, -1, -2) @ (lay.weight * pw[..., lay.row_group[..., None],
-                                                           lay.shift])
-    return entries[..., lay.jcol, lay.ccol]
+    # Taylor coefficient o of tau^c A_kj in every (g, j, o, c) cell
+    coef = np.concatenate([coef, np.zeros_like(coef[:, :, :1])], axis=2)
+    cells = (coef[:, :, lay.lag, None] * taylor[:, None, None, :, :lay.cmax]).sum(axis=3)
+    return _batch_first(cells.reshape(-1, cells.shape[-1])[lay.cell], spec.batch)
+
+
+def _batch_first(x: np.ndarray, batch: tuple) -> np.ndarray:
+    """(rows, columns, point) -> batch + (rows, columns)."""
+    return x.transpose(2, 0, 1).reshape(batch + x.shape[:2])
 
 
 def _assemble_homogeneous(spec: AnsatzSpec) -> np.ndarray:
@@ -452,14 +468,14 @@ def _assemble_inhomogeneous(spec: AnsatzSpec):
     """
     lay = spec.layout
     a_top = _assemble_rows(spec)
-    n, base = spec.n, spec.base_polys
+    n, base = spec.n, _flat(spec.base_polys, 3)
     # row k: coefficient of tau^m0_k of NUM_k, i.e. A_kj[m0_k - c] per column
     idx = np.array(spec.m0)[:, None] - lay.ccol
-    norm = (base[..., np.arange(n)[:, None], lay.jcol, np.clip(idx, 0, base.shape[-1] - 1)]
-            * ((idx >= 0) & (idx < base.shape[-1])))
-    A = np.concatenate([a_top, norm], axis=-2)
-    B = np.zeros(A.shape[:-1] + (n,), dtype=complex)
-    B[..., a_top.shape[-2] + np.arange(n), np.arange(n)] = spec.l0
+    norm = (base[np.arange(n)[:, None], lay.jcol, np.clip(idx, 0, base.shape[2] - 1)]
+            * ((idx >= 0) & (idx < base.shape[2]))[..., None])
+    A = np.concatenate([a_top, _batch_first(norm, spec.batch)], axis=-2)
+    B = np.zeros(A.shape[:-1] + (n,), dtype=A.dtype)
+    B[..., a_top.shape[-2] + np.arange(n), np.arange(n)] = np.moveaxis(spec.l0, 0, -1)
     return A, B
 
 
@@ -505,6 +521,9 @@ class AnsatzPlan:
     is the composed numerator of the omega-plane adjugate entry, times a
     power of tau, over the composed denominator's leading coefficient, times
     the labelled roots of L_k that neither pi_j nor that denominator takes.
+    When the poles and the adjugate coefficients are all real, so is every
+    entry of the system, and the plan stores them real: the system is then
+    assembled, and solved, in real arithmetic.
     """
 
     n: int
@@ -513,12 +532,13 @@ class AnsatzPlan:
     adj_num: np.ndarray       # (n*n, K + 1) adjugate numerators in omega, entry k*n + j
     adj_lc: np.ndarray        # (n*n,) leading coefficient of each adjugate denominator
     adj_deg: np.ndarray       # (n*n,) degree of each adjugate denominator
-    place: tuple              # (source index, mask), each (n*n, width): the tau power
+    place: np.ndarray         # (n*n, width) row e * (2K + 2) + tau power of the composed
+                              # numerators; power 2K + 1 is zero and fills the empty slots
     extras: np.ndarray        # (n, n, X) labels of the roots multiplied in, -1 = none
     pi_labels: tuple          # per j: labels of pi_j
     lk_labels: tuple          # per k: labels of L_k with multiplicity
     groups: tuple             # per k: ((label, mult), ...) of the inside constraints
-    lk_count: np.ndarray      # (n, 2P + 1) multiplicity of each non-zero label in L_k
+    l0_labels: np.ndarray     # (n, X) labels of the non-zero roots of L_k, -1 = none
     m0: tuple                 # per k: multiplicity of tau = 0 in L_k
     selected_rows: np.ndarray
     layout: _RowLayout
@@ -595,7 +615,10 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     if (any(lk_count[k, lab] != m for k, g in enumerate(groups) for lab, m in g)
             or list(lk_count[:, 0]) != list(spec.m0)):
         raise NonSquareSystem("zero-pair members merge at the reference point")
-    lk_count[:, 0] = 0
+    nonzero = [[lab for lab in ls if lab] for ls in lk_labels]
+    l0_labels = np.full((n, max(map(len, nonzero), default=0)), -1)
+    for k, ls in enumerate(nonzero):
+        l0_labels[k, :len(ls)] = ls
 
     top = max((poly_degree(a.num) for row in adj for a in row), default=0)
     size = n * n
@@ -625,6 +648,7 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     width = max((shifts[e] + 2 * top + 1 for e in shifts), default=1)
     src = np.arange(width) - np.array([shifts.get(e, 0) for e in range(size)])[:, None]
     mask = (src >= 0) & (src <= 2 * top) & np.isin(np.arange(size), list(shifts))[:, None]
+    place = np.arange(size)[:, None] * (2 * top + 2) + np.where(mask, src, 2 * top + 1)
     extra = np.full((size, max((len(x) for x in extras.values()), default=0)), -1)
     for e, x in extras.items():
         extra[e, :len(x)] = x
@@ -642,11 +666,13 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
             unknowns=u, constraints=a0.shape[0],
             certificate={"reference": (rho_ref, v_ref), "margin": margin})
 
+    poles = np.array(model.omega_poles, dtype=complex)
+    if not (np.any(poles.imag) or np.any(adj_num.imag) or np.any(adj_lc.imag)):
+        poles, adj_num, adj_lc = poles.real, adj_num.real, adj_lc.real
     plan = AnsatzPlan(
-        n, np.array(model.omega_poles, dtype=complex),
-        np.array([b == BRANCH_PLUS for b in branches], dtype=bool),
-        adj_num, adj_lc, adj_deg, (np.clip(src, 0, 2 * top), mask), extra.reshape(n, n, -1),
-        pi_labels, lk_labels, groups, lk_count, tuple(spec.m0), sel,
+        n, poles, np.array([b == BRANCH_PLUS for b in branches], dtype=bool),
+        adj_num, adj_lc, adj_deg, place, extra.reshape(n, n, -1),
+        pi_labels, lk_labels, groups, l0_labels, tuple(spec.m0), sel,
         _row_layout(n, width, [len(ls) for ls in pi_labels], [[m for _, m in g] for g in groups]))
     gap = _system_gap(_assemble_inhomogeneous(_plan_spec(plan, rho_ref, v_ref)),
                       _assemble_inhomogeneous(spec))
@@ -658,37 +684,39 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
 
 def _system_gap(got, want) -> float:
     """Largest entry difference of two (A, B) systems relative to the row
-    norm of [A | B] in `want`, over the rows that `got` does not assemble as
-    exact zeros.  Those are conditions at a root of L_k that A_kj itself
-    carries, rounding noise in `want`, which only has to stay below 1e-8 of
-    its largest row norm."""
+    norm of [A | B] in `want`, over the rows that `got` assembles above 1e-8
+    of that system's largest row norm.  The others are conditions at a root
+    of L_k that every A_kj carries (exact zeros where `got` keeps the root in
+    product form), rounding noise in both systems, which in `want` too only
+    has to stay below 1e-8 of its largest row norm."""
     got, want = (np.concatenate(ab, axis=-1) for ab in (got, want))
     if got.shape != want.shape:
         return np.inf
     norms = np.linalg.norm(want, axis=-1)
-    real = np.any(got != 0, axis=-1)
-    if np.any(norms[~real] > 1e-8 * np.max(norms, initial=0.0)):
+    floor = 1e-8 * np.max(norms, initial=0.0)
+    real = np.linalg.norm(got, axis=-1) > floor
+    if np.any(norms[~real] > floor):
         return np.inf
     gap = np.max(np.abs(got - want), axis=-1, initial=0.0)[real] / norms[real]
     return float(np.max(gap, initial=0.0))
 
 
 def _label_values(plan: AnsatzPlan, rho, v) -> np.ndarray:
-    """Root of every label at Weyl points (rho, v), shape (..., 2P + 1).
+    """Root of every label at Weyl points (rho, v) of shape (P,); returns
+    shape (2P + 1, P).
 
     The inside member is zero_pair_for's (v - w +- sqrt((v - w)^2 + rho^2))
     / rho, taken from the product -rho^2 of the two numerators where it
     would cancel; the outside member is -1/tau_in.
     """
-    dv = v[..., None] - plan.omega_poles
-    r = rho[..., None]
-    s = np.sqrt(dv * dv + r * r)
-    sign = np.where(plan.plus, 1.0, -1.0)
+    dv = v - plan.omega_poles[:, None]
+    s = np.sqrt(dv * dv + rho * rho)
+    sign = np.where(plan.plus, 1.0, -1.0)[:, None]
     a, b = dv + sign * s, dv - sign * s
-    t_in = np.where(np.abs(a) >= np.abs(b), a / r, -r / b)
-    lab = np.zeros(rho.shape + (1 + 2 * plan.plus.size,), dtype=complex)
-    lab[..., 1::2] = t_in
-    lab[..., 2::2] = -1.0 / t_in
+    t_in = np.where(np.abs(a) >= np.abs(b), a / rho, -rho / b)
+    lab = np.zeros((1 + 2 * plan.plus.size,) + rho.shape, dtype=t_in.dtype)
+    lab[1::2] = t_in
+    lab[2::2] = -1.0 / t_in
     return lab
 
 
@@ -698,28 +726,33 @@ def _plan_spec(plan: AnsatzPlan, rho, v) -> AnsatzSpec:
     if not np.all(rho > 0.0):
         raise ValueError("rho must be strictly positive")
     batch = rho.shape
+    rho, v = rho.reshape(-1), v.reshape(-1)
     lab = _label_values(plan, rho, v)
-    half = -0.5 * rho[..., None]                 # tau^2 coefficient of W = tau omega(tau)
+    half = -0.5 * rho                            # tau^2 coefficient of W = tau omega(tau)
     top = plan.adj_num.shape[1] - 1
-    # rows W^i tau^(K - i), i = 0..K, built as W^i tau^(K - i) = (W / tau) W^(i-1) tau^(K-i+1)
-    powers = np.zeros(batch + (top + 1, 2 * top + 1), dtype=complex)
-    powers[..., 0, top] = 1.0
+    # rows W^i tau^(K - i), i = 0..K, built as W^i tau^(K - i) = (W / tau) W^(i-1) tau^(K-i+1);
+    # one more coefficient column stays zero
+    powers = np.zeros((top + 1, 2 * top + 2, rho.size), dtype=plan.adj_num.dtype)
+    poly = powers[:, :-1]
+    poly[0, top] = 1.0
     for i in range(1, top + 1):
-        prev = powers[..., i - 1, :]
-        powers[..., i, :-1] -= half * prev[..., 1:]
-        powers[..., i, :] += v[..., None] * prev
-        powers[..., i, 1:] += half * prev[..., :-1]
-    src, mask = plan.place
-    num = (plan.adj_num @ powers)[..., np.arange(src.shape[0])[:, None], src] * mask
-    num = num / (plan.adj_lc * half ** plan.adj_deg)[..., None]
-    roots = list(np.moveaxis(lab, -1, 0))
+        prev = poly[i - 1]
+        poly[i, :-1] -= half * prev[1:]
+        poly[i] += v * prev
+        poly[i, 1:] += half * prev[:-1]
+    composed = (plan.adj_num @ powers.reshape(top + 1, -1)).reshape(-1, rho.size)
+    scale = 1.0 / (plan.adj_lc[:, None] * half ** plan.adj_deg[:, None])
+    num = composed[plan.place] * scale[:, None]
+    # -1 pads l0_labels and picks the row of ones
+    l0 = np.prod(np.concatenate([-lab, np.ones((1, rho.size))])[plan.l0_labels], axis=1)
+    roots = list(lab.reshape(lab.shape[:1] + batch))
     return AnsatzSpec(
         plan.n, [tuple(roots[i] for i in ls) for ls in plan.pi_labels],
-        num.reshape(batch + (plan.n, plan.n, -1)), lab[..., plan.extras], plan.extras >= 0,
+        num.reshape((plan.n, plan.n, num.shape[1]) + batch),
+        lab[plan.extras].reshape(plan.extras.shape + batch), plan.extras >= 0,
         [tuple(roots[i] for i in ls) for ls in plan.lk_labels],
         [[(roots[i], m) for i, m in g] for g in plan.groups],
-        list(plan.m0), np.prod((-lab[..., None, :]) ** plan.lk_count, axis=-1),
-        plan.layout, plan.selected_rows)
+        list(plan.m0), l0.reshape((plan.n,) + batch), plan.layout, plan.selected_rows)
 
 
 def _branches_of(model: RationalMatrixOmega, partition: PolePartition) -> tuple:
@@ -806,9 +839,17 @@ def _residual_report(mono, X: "RationalMatrixTau", M_minus: "RationalMatrixTau",
     return ResidualReport(float(worst), x0_resid, tuple(taus), float(pole_resid))
 
 
-def _abs_eval(coeffs, r) -> float:
-    """sum |c_i| |r|^i: magnitude scale of a polynomial evaluation at r."""
-    return float(np.polynomial.polynomial.polyval(abs(r), np.abs(coeffs)))
+def _taylor_rows(groups, width: int) -> np.ndarray:
+    """Rows taking the coefficients of a polynomial (`width` of them) to its
+    Taylor coefficients of orders o < m at every (root, m) of groups."""
+    t = np.arange(width)
+    rows = []
+    for root, mult in groups:
+        comb = np.ones(width)                      # C(t, o), zero for t < o
+        for o in range(mult):
+            rows.append(comb * complex(root) ** np.maximum(t - o, 0))
+            comb = comb * (t - o) / (o + 1)
+    return np.array(rows).reshape(-1, width)
 
 
 def _equilibrated_lstsq(A, B, refine: int = 2):
@@ -843,19 +884,35 @@ def solve_factor_columns_generic(spec: AnsatzSpec, A: np.ndarray, B: np.ndarray,
     psi_j- = S_j / pi_j with deg S_j <= deg pi_j; psi_+ = adj(M) psi_- must
     lose every inside pole, which together with psi_+(0) = e_i fixes the
     coefficients (A, B = _assemble_inhomogeneous(spec)).  Analyticity is
-    re-verified by explicit deflation at every inside pole.
+    re-verified at every inside pole, where psi_+'s numerator must vanish to
+    the pole's order relative to the terms it sums, before deflation divides
+    the pole out.
     """
     n = spec.n
     sol = _equilibrated_lstsq(A, B)
-    resid = np.max(np.abs(A @ sol - B))
-    scale = max(1.0, np.max(np.abs(B)), np.max(np.abs(A)) * max(1.0, np.max(np.abs(sol))))
-    if resid > verify_tol * scale:
+    resid, scale = _system_residual(A, B, sol)
+    if not resid <= verify_tol * scale:
         raise SingularSystem(
             f"constraint system inconsistent: residual {resid:.2e} vs scale {scale:.2e}")
     degrees = [len(r) for r in spec.pi_roots]
+    lay, base = spec.layout, spec.base_polys
+    # NUM_k = sum_j A_kj S_j of every factor column, as a map from sol
+    shift = np.arange(max(degrees) + base.shape[2])[:, None] - lay.ccol
+    conv = np.where((shift >= 0) & (shift < base.shape[2]),
+                    base[:, lay.jcol, np.clip(shift, 0, base.shape[2] - 1)], 0.0)
+    nums = conv @ sol                               # (k, coefficient, column)
+    # every NUM_k vanishes to the pole order at each inside pole, relative to
+    # the terms of its column before they cancel (coefficient-wise bound,
+    # taken at max(1, |root|)): a component that vanishes identically is
+    # rounding noise relative to its own terms
+    poles = [rm for g in spec.inside_groups for rm in g]
+    owner = [k for k, g in enumerate(spec.inside_groups) for _, m in g for _ in range(m)]
+    values = np.einsum("rt,rti->ri", _taylor_rows(poles, shift.shape[0]), nums[owner])
+    terms = (_taylor_rows([(max(1.0, abs(r)), m) for r, m in poles], shift.shape[0]).real
+             @ (np.abs(conv) @ np.abs(sol)).max(axis=0))
+    pole_resid = float(np.max(np.abs(values) / np.maximum(terms, 1e-300), initial=0.0))
     cols_plus, cols_minus = [], []
     m_lim = np.zeros((n, n), dtype=complex)
-    pole_resid = 0.0
     for i in range(n):
         s_polys = []
         col = 0
@@ -867,15 +924,11 @@ def solve_factor_columns_generic(spec: AnsatzSpec, A: np.ndarray, B: np.ndarray,
                       for j in range(n))
         plus = []
         for k in range(n):
-            num = np.zeros(1, dtype=complex)
-            for j in range(n):
-                num = poly_add(num, poly_mul(s_polys[j], spec.base_polys[k][j]))
+            num = poly_trim(nums[k, :, i])
             den_roots = list(spec.lk_roots[k])
             for root, mult in spec.inside_groups[k]:
                 for _ in range(mult):
-                    nscale = max(_abs_eval(num, root), 1e-300)
-                    num, rem = poly_deflate(num, root)
-                    pole_resid = max(pole_resid, rem / nscale)
+                    num, _ = poly_deflate(num, root)
                     for idx, r in enumerate(den_roots):
                         if abs(r - root) <= 1e-8 * max(1.0, abs(root)):
                             den_roots.pop(idx)
@@ -927,6 +980,86 @@ def _det_with_scale(a: np.ndarray):
     return np.linalg.det(a / unit[..., None]) * np.prod(unit, axis=-1), np.maximum(scale, 1e-300)
 
 
+def _plan_system(model: RationalMatrixOmega, rho, v, branches):
+    """The plan's full system at Weyl points (rho, v) of any common shape:
+    (spec, A, B, homogeneous part, D, Hadamard bound of D).  Where the
+    degree classification settles existence the homogeneous part is None
+    and D = 1."""
+    spec = _plan_spec(_plan_for(model, branches), rho, v)
+    A, B = _assemble_inhomogeneous(spec)
+    if _always_canonical(model):
+        return spec, A, B, None, np.ones(spec.batch, dtype=complex), np.ones(spec.batch)
+    a0 = _homogeneous_part(spec, A)
+    return (spec, A, B, a0) + _det_with_scale(a0[..., spec.selected_rows, :])
+
+
+def _system_residual(A, B, sol):
+    """(max |A sol - B|, scale of the system) over stacked systems; the
+    factor solve accepts sol where the residual is at most 1e-8 of the scale."""
+    def largest(x):      # max |x| per system, from squares: one square root per system
+        square = x.real * x.real
+        if np.iscomplexobj(x):
+            square += x.imag * x.imag
+        return np.sqrt(square.max(axis=(-2, -1)))
+
+    scale = np.maximum(np.maximum(1.0, largest(B)), largest(A) * np.maximum(1.0, largest(sol)))
+    return largest(A @ sol - B), scale
+
+
+@dataclass(frozen=True)
+class PointBatch:
+    """The plan's system evaluated at an array of Weyl points: what factorise
+    decides from, without building the factors."""
+
+    D_value: np.ndarray           # batch
+    D_scale: np.ndarray           # batch: Hadamard bound of D
+    M_limit: np.ndarray           # batch + (n, n); NaN where the square system is singular
+    consistent: np.ndarray        # batch: M_limit satisfies every row of the full system
+    homogeneous: np.ndarray | None   # batch + (rows, unknowns); None when always canonical
+
+    def kernel_dim(self, index, rel_tol: float = 1e-9) -> int:
+        """factorise's kernel dimension at a batch index that is not canonical."""
+        if self.homogeneous is None:
+            return 0
+        return numerical_nullity(self.homogeneous[index], rel_tol)
+
+
+def evaluate_points(model: RationalMatrixOmega, rho, v, branches=None) -> PointBatch:
+    """factorise's D test and M(rho, v) at Weyl points (rho, v) of any common
+    shape, from one evaluation of the plan.
+
+    D and its scale are factorise's.  M comes from the square system of the
+    D rows and the n normalisation rows; a point is consistent where that
+    solution satisfies every row of the full system to factorise's
+    tolerance, which is where factorise's own solve succeeds.
+    """
+    if branches is None:
+        branches = model.default_branches
+    spec, A, B, a0, d_val, d_scale = _plan_system(model, rho, v, branches)
+    n, top = spec.n, A.shape[-2]
+    rows = np.concatenate([spec.selected_rows, np.arange(top - n, top)])
+    sol = _solve_stack(A[..., rows, :], B[..., rows, :])
+    resid, scale = _system_residual(A, B, sol)
+    ends = np.cumsum([len(r) + 1 for r in spec.pi_roots]) - 1     # coefficient deg pi_j of S_j
+    return PointBatch(d_val, d_scale, sol[..., ends, :], resid <= 1e-8 * scale, a0)
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-equilibrated solve of stacked square systems; NaN where a matrix
+    is exactly singular."""
+    norms = np.linalg.norm(a, axis=-1, keepdims=True)
+    norms = np.where(norms > 0, norms, 1.0)
+    a, b = a / norms, b / norms
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:          # some matrix of the stack is singular
+        out = np.full(b.shape, np.nan, dtype=b.dtype)
+        for index in np.ndindex(a.shape[:-2]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[index] = np.linalg.solve(a[index], b[index])
+        return out
+
+
 def factorise(model: RationalMatrixOmega, rho: float, v: float,
               branches=None, d_tol: float | None = None,
               rank_tol: float = 1e-9) -> FactorisationOutcome:
@@ -943,14 +1076,8 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
     build_partition(pt, model.omega_poles, branches)    # rejects degenerate pairs
     mono = compose_monodromy(model, pt)
     classification = classify_2x2(mono) if mono.degree_table is not None else None
-    spec = _plan_spec(_plan_for(model, branches), rho, v)
-    A, B = _assemble_inhomogeneous(spec)
-    if classification is not None and classification.kind is Classification.ALWAYS_CANONICAL:
-        a0 = None
-        d_val, d_scale = 1.0 + 0j, 1.0
-    else:
-        a0 = _homogeneous_part(spec, A)
-        d_val, d_scale = (x.item() for x in _det_with_scale(a0[spec.selected_rows, :]))
+    spec, A, B, a0, d_val, d_scale = _plan_system(model, rho, v, branches)
+    d_val, d_scale = complex(d_val.item()), d_scale.item()
     if abs(d_val) < d_tol * d_scale:
         status = Status.DEGENERATE
     else:
@@ -986,130 +1113,3 @@ def assemble_M(outcome: FactorisationOutcome, check: bool = True,
                 f"limit cross-check failed: |extrapolated - closed form| = "
                 f"{np.max(np.abs(extr - m)):.2e}")
     return m
-
-
-# ---------------------------------------------------------------------------
-# batched grid evaluation (2x2 normal-form models)
-# ---------------------------------------------------------------------------
-
-
-def _pairs_batch(rho, v, omega0, branch):
-    """Vectorised zero-pair members for arrays of (rho, v)."""
-    dv = v - omega0
-    s = np.sqrt(dv * dv + rho * rho + 0j)
-    t_in = (dv - s) / rho if branch == "minus" else (dv + s) / rho
-    return t_in, -1.0 / t_in
-
-
-def _bval(coeffs, t):
-    """Horner evaluation of stacked coefficient arrays (..., deg + 1) at t."""
-    acc = np.zeros_like(t)
-    for c in coeffs[..., ::-1].transpose(-1, *range(coeffs.ndim - 1)):
-        acc = acc * t + c
-    return acc
-
-
-def _bder(coeffs, t):
-    """Derivative of stacked coefficient arrays (..., deg + 1) at t."""
-    deg = coeffs.shape[-1] - 1
-    acc = np.zeros_like(t)
-    for k in range(deg, 0, -1):
-        acc = acc * t + k * coeffs[..., k]
-    return acc
-
-
-def _grid_system_2x2(model: RationalMatrixOmega, rho, v, branches=None):
-    """Stacked existence systems over a broadcast grid; shape (..., 2n, 2n).
-
-    Mirrors existence_system_2x2 but without per-point Newton polish; the
-    difference is far below every bisection tolerance used on grids.
-    """
-    rho = np.asarray(rho, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if branches is None:
-        branches = model.default_branches
-    q, p = model.common_denominator_form
-    k11, k12, k22 = (poly_degree(p[0][0]), poly_degree(p[0][1]), poly_degree(p[1][1]))
-    n1, n2 = max(k11, k12), max(k12, k22)
-    shape = np.broadcast(rho, v).shape
-    taus = []
-    for w, b in zip(model.omega_poles, branches):
-        t_in, _ = _pairs_batch(rho, v, w, b)
-        taus.append(np.broadcast_to(t_in, shape))
-    p22b = compose_polynomial_batch(rho, v, p[1][1])
-    p12b = compose_polynomial_batch(rho, v, p[0][1]) if k12 >= 0 else None
-    g2 = np.concatenate([np.zeros(shape + (n2 - k22,)), p22b], axis=-1)
-    if p12b is None:
-        g1 = np.zeros(shape + (1,))
-    else:
-        g1 = np.concatenate([np.zeros(shape + (n1 - k12,)), p12b], axis=-1)
-    size = n1 + n2
-    out = np.zeros(shape + (size, size), dtype=complex)
-    for i, t in enumerate(taus):
-        v2, d2 = _bval(g2, t), _bder(g2, t)
-        v1, d1 = _bval(g1, t), _bder(g1, t)
-        for c in range(n1):
-            out[..., 2 * i, c] = t ** c * v2
-            out[..., 2 * i + 1, c] = (c * t ** (c - 1) if c else 0.0) * v2 + t ** c * d2
-        for c in range(n2):
-            out[..., 2 * i, n1 + c] = -(t ** c) * v1
-            out[..., 2 * i + 1, n1 + c] = -((c * t ** (c - 1) if c else 0.0) * v1 + t ** c * d1)
-    return out, taus, (g2, g1), (n1, n2, k11, k12, k22)
-
-
-def grid_D_2x2(model: RationalMatrixOmega, rho, v, branches=None,
-               normalised: bool = True):
-    """D over a grid for 2x2 determinant-test models; optionally divided by
-    the Hadamard row-norm bound (a unit-free singularity measure)."""
-    sys_mat, *_ = _grid_system_2x2(model, rho, v, branches)
-    det = np.linalg.det(sys_mat)
-    if not normalised:
-        return det
-    norms = np.linalg.norm(sys_mat, axis=-1)
-    scale = np.prod(norms, axis=-1)
-    return det / np.maximum(scale, 1e-300)
-
-
-def grid_delta_2x2(model: RationalMatrixOmega, rho, v, branches=None):
-    """(Delta, Btilde, normalised D) over a grid, via the column-2 solve.
-
-    Delta = 1/M_22 and Btilde = M_12/M_22 of the solution matrix; entries
-    are NaN where the system is numerically singular.
-    """
-    sys_mat, taus, (g2, g1), (n1, n2, k11, k12, k22) = \
-        _grid_system_2x2(model, rho, v, branches)
-    q = model.common_denominator_form[0]
-    if n1 + n2 == 0:
-        # pole-free constant model: M_minus = M itself, X = I
-        const = model.eval(0.0)
-        shape = np.broadcast(np.asarray(rho), np.asarray(v)).shape
-        ones = np.ones(shape, dtype=complex)
-        return (ones / const[1, 1], ones * const[0, 1] / const[1, 1], ones)
-    det = np.linalg.det(sys_mat)
-    norms = np.linalg.norm(sys_mat, axis=-1)
-    dnorm = det / np.maximum(np.prod(norms, axis=-1), 1e-300)
-    shape = det.shape
-    # normalisation constants for column 2 (psi_+(0) = e_2)
-    a1 = g1[..., 0] if n1 == k12 else np.zeros(shape, dtype=complex)
-    a2 = g2[..., 0] if n2 == k22 else np.zeros(shape, dtype=complex)
-    rhs = np.zeros(shape + (n1 + n2,), dtype=complex)
-    for i, t in enumerate(taus):
-        rv = -(a1 * _bval(g2, t) - a2 * _bval(g1, t)) / t
-        rd = (-rv - a1 * _bder(g2, t) + a2 * _bder(g1, t)) / t
-        rhs[..., 2 * i] = rv
-        rhs[..., 2 * i + 1] = rd
-    good = np.abs(dnorm) > 1e-12
-    sol = np.full(shape + (n1 + n2,), np.nan, dtype=complex)
-    if np.any(good):
-        sol[good] = np.linalg.solve(sys_mat[good], rhs[good][..., None])[..., 0]
-    # s_minus(inf) = prod(tau_i) / lc(q2n); lc(q2n) = lc(q) * (-rho/2)^n
-    rho_b = np.broadcast_to(np.asarray(rho, dtype=float), shape)
-    nq = poly_degree(q)
-    lc = q[-1] * (-rho_b / 2.0) ** nq
-    s_inf = np.prod(np.stack(taus, axis=0), axis=0) / lc
-    with np.errstate(invalid="ignore", divide="ignore"):
-        m22 = s_inf * sol[..., n1 + n2 - 1]
-        m12 = s_inf * sol[..., n1 - 1]
-        delta = 1.0 / m22
-        btilde = m12 / m22
-    return delta, btilde, dnorm

@@ -166,31 +166,6 @@ def compose_polynomial(pt: SpectralPoint, coeffs) -> tuple[np.ndarray, int]:
     return poly_trim(acc), k
 
 
-def compose_polynomial_batch(rho, v, coeffs) -> np.ndarray:
-    """Vectorised compose_polynomial over arrays of (rho, v).
-
-    Returns an array of shape rho.shape + (2k+1,) of ptilde coefficients.
-    """
-    rho = np.asarray(rho, dtype=float)
-    v = np.asarray(v, dtype=float)
-    p = poly_trim(coeffs)
-    k = p.size - 1
-    shape = np.broadcast(rho, v).shape
-    out = np.zeros(shape + (2 * k + 1,), dtype=complex)
-    # running powers of W(tau) as batched coefficient arrays
-    wpow = np.ones(shape + (1,), dtype=complex)
-    w = np.stack([rho / 2.0 * np.ones(shape), v * np.ones(shape), -rho / 2.0 * np.ones(shape)], axis=-1)
-    for j in range(k + 1):
-        deg = wpow.shape[-1] - 1
-        out[..., k - j: k - j + deg + 1] += p[j] * wpow
-        if j < k:
-            new = np.zeros(shape + (deg + 3,), dtype=complex)
-            for i in range(3):
-                new[..., i: i + deg + 1] += w[..., i: i + 1] * wpow
-            wpow = new
-    return out
-
-
 def verify_composition(pt: SpectralPoint, coeffs, ptilde, k, n_samples: int = 5,
                        rel: float = 1e-11, seed: int = 2023) -> float:
     """Max relative residual of p(omega(tau)) - ptilde(tau)/tau^k at samples."""

@@ -13,9 +13,9 @@ from whergo.engine import (
     Classification,
     Status,
     classify_2x2,
+    evaluate_points,
     existence_system_2x2,
     factorise,
-    grid_D_2x2,
     toeplitz_kernel_dim,
 )
 from whergo.geometry import (
@@ -68,7 +68,7 @@ def test_criterion_1_kerr_existence_oracle(kerr):
     rho = np.linspace(0.02, 4.0, 200)
     v = np.linspace(-4.0, 4.0, 200)
     R, V = np.meshgrid(rho, v, indexing="ij")
-    _ = grid_D_2x2(kerr, R, V)                      # the 200x200 sweep
+    _ = evaluate_points(kerr, R, V)                 # the 200x200 sweep
     box = (0.02, 4.0, -4.0, 4.0)
     poly = trace_curve(kerr, box=box, grid=(200, 200), step=0.01)
     elapsed = time.time() - t0

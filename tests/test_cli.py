@@ -8,6 +8,8 @@ import pytest
 
 from whergo import factorise
 from whergo.cli import main
+from whergo.errors import NonPhysicalM
+from whergo.geometry import extract_5d
 
 RUN = lambda *argv: main(list(argv))  # noqa: E731
 
@@ -80,28 +82,94 @@ def test_sweep_contains_kernel_transition(tmp_path):
             assert cols[5] == ""   # blank g_tt at degenerate points
 
 
+def _sweep_rows_of(path):
+    rows = [l for l in path.read_text().splitlines() if l and not l.startswith("#")][1:]
+    return [r.split(",") for r in rows]
+
+
+def _assert_sweep_matches_factorise(model, rows, branches=None):
+    # row by row the sweep must carry factorise's verdict: the kernel
+    # dimension, a g_tt exactly where factorise gives a physical M, and
+    # that g_tt to 1e-10 (-1/M22 for n = 2, extract_5d's for n = 3)
+    for cols in rows:
+        rho, v, kdim = float(cols[0]), float(cols[1]), int(cols[4])
+        res = factorise(model, rho, v, branches)
+        assert res.kernel_dim == kdim, (rho, v)
+        expect = None
+        if res.canonical and model.n == 2:
+            expect = -1.0 / res.M_limit[1, 1].real
+        elif res.canonical:
+            try:
+                expect = extract_5d(res.M_limit).g_tt
+            except NonPhysicalM:
+                pass
+        assert (expect is None) == (cols[5] == ""), (rho, v, res.status)
+        if expect is not None:
+            assert abs(float(cols[5]) - expect) <= 1e-10 * max(abs(expect), 1e-3), (rho, v)
+
+
 @pytest.mark.parametrize("branches", [None, "plus,minus", "minus,plus", "plus,plus"])
 def test_sweep_agrees_with_factorise(tmp_path, kerr, branches):
-    # the batched existence-system sweep and the per-point factorisation
-    # route are two D systems for the same failure locus: row by row they
-    # must agree on status, kernel dimension and g_tt = -1/M22
     out = tmp_path / "sweep.csv"
     args = ["sweep", "--model", "kerr", "--grid", "0.2:2.0:10,-0.8:0.8:9",
             "--out", str(out)]
     if branches:
         args += ["--branches", branches]
     assert RUN(*args) == 0
-    rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")][1:]
+    rows = _sweep_rows_of(out)
     assert len(rows) == 90
-    for r in rows:
-        cols = r.split(",")
-        rho, v, kdim = float(cols[0]), float(cols[1]), int(cols[4])
-        res = factorise(kerr, rho, v, branches.split(",") if branches else None)
-        assert res.kernel_dim == kdim, (rho, v)
-        assert res.canonical == (cols[5] != ""), (rho, v)
-        if res.canonical:
-            gtt, expect = float(cols[5]), -1.0 / res.M_limit[1, 1].real
-            assert abs(gtt - expect) <= 1e-10 * max(abs(expect), 1e-3), (rho, v)
+    _assert_sweep_matches_factorise(kerr, rows, branches.split(",") if branches else None)
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("mp5d", "0.3:2.0:7,-1.0:1.0:9"),
+    # the first rho row runs through the mvc5d failure curve at v = 0
+    ("mvc5d", f"{0.75 / 3.0 ** 0.5!r}:1.2:4,-0.4:0.4:5")], ids=["mp5d", "mvc5d"])
+def test_sweep_agrees_with_factorise_5d(tmp_path, mp5d, mvc5d, name, grid):
+    out = tmp_path / "sweep.csv"
+    assert RUN("sweep", "--model", name, "--grid", grid, "--out", str(out)) == 0
+    rows = _sweep_rows_of(out)
+    _assert_sweep_matches_factorise({"mp5d": mp5d, "mvc5d": mvc5d}[name], rows)
+    if name == "mvc5d":
+        assert [int(c[4]) for c in rows[:5]] == [0, 0, 1, 0, 0]
+
+
+def test_sweep_jobs_byte_identical_over_chunks(tmp_path):
+    # a Kerr grid of several chunks and more rho rows than jobs: the chunks
+    # are fixed by the grid, so --jobs changes nothing in the output
+    from whergo.cli import SWEEP_CHUNK_POINTS
+
+    grid = f"0.3:3.0:5,-2.0:2.0:{SWEEP_CHUNK_POINTS // 2}"
+    p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+    assert RUN("sweep", "--model", "kerr", "--grid", grid, "--jobs", "1", "--out", str(p1)) == 0
+    assert RUN("sweep", "--model", "kerr", "--grid", grid, "--jobs", "2", "--out", str(p2)) == 0
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_sweep_after_warm_up_evaluates_the_plan_once_per_chunk(kerr, mvc5d, monkeypatch):
+    # once the plan exists a sweep is batched: no per-point factorisation,
+    # composition, partition or ansatz build, and one plan evaluation for
+    # each chunk of rho rows
+    import whergo.catalog as catalog
+    import whergo.cli as cli
+    import whergo.engine as engine
+
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", 8)    # 4 x 4 grid: chunks of 2 rows
+    for model in (kerr, mvc5d):
+        cfg = cli.RunConfig(model=model.model_id, grid={"rho": [0.5, 2.0, 4], "v": [-1.0, 1.0, 4]})
+        cli._sweep_rows(cfg, model)
+        calls = []
+        real = engine._plan_spec
+        with monkeypatch.context() as m:
+            def forbidden(*args, **kwargs):
+                raise AssertionError("per-point work in a batched sweep")
+            for module, name in ((engine, "build_ansatz"), (engine, "compose_monodromy"),
+                                 (catalog, "compose_monodromy"), (engine, "build_partition"),
+                                 (engine, "factorise"), (cli, "factorise")):
+                m.setattr(module, name, forbidden)
+            m.setattr(engine, "_plan_spec", lambda *a, **k: calls.append(1) or real(*a, **k))
+            rows = cli._sweep_rows(cfg, model)
+        assert len(rows) == 16 and len(calls) == 2
 
 
 def test_sweep_row_major_order(tmp_path):

@@ -387,6 +387,31 @@ def test_factorise_chain_model_generic_route():
     assert abs(np.linalg.det(out.M_limit) - 1.0) <= 1e-9 * np.max(np.abs(out.M_limit)) ** 2
 
 
+def test_pole_cancellation_is_scale_free_at_tau_zero(mp5d):
+    # mp5d and the synthetic chain have a pole at tau = 0, where the
+    # cancelled numerator value is rounding noise; measured against the
+    # terms it sums, pole cancellation must be as small as the
+    # factorisation residual says it is
+    rng = np.random.default_rng(7)
+    for model in (mp5d, synthetic_chain_model()):
+        count = 0
+        for _ in range(12):
+            out = factorise(model, 10.0 ** rng.uniform(-0.5, 1.0), rng.uniform(-3.0, 3.0))
+            if out.canonical and out.residual_report.factorisation <= 1e-9:
+                count += 1
+                assert out.residual_report.pole_cancellation <= 1e-9
+        assert count >= 8
+
+
+def test_solve_stack_marks_singular_systems():
+    # a stack with an exactly singular matrix still solves the others; the
+    # singular one reads NaN, which evaluate_points counts as inconsistent
+    a = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 2.0], [2.0, 4.0]]])
+    b = np.array([[[2.0], [8.0]], [[1.0], [1.0]]])
+    sol = engine._solve_stack(a, b)
+    assert np.allclose(sol[0], [[1.0], [2.0]]) and np.all(np.isnan(sol[1]))
+
+
 def test_assemble_m_richardson(kerr):
     out = factorise(kerr, 2.8, -0.9)
     M = assemble_M(out, check=True)

@@ -216,18 +216,18 @@ def test_curve_polyline_len():
 def test_classify_curve_propagates_unexpected_errors(kerr, monkeypatch):
     # a probe that fails with a degenerate-point error is skipped; any other
     # exception is a bug and must not be swallowed
-    import whergo.engine as engine
+    import whergo.geometry as geometry
     from whergo.errors import SingularSystem
 
     poly = CurvePolyline(np.array([[1.0, -0.1], [1.0, 0.0], [1.0, 0.1]]), np.zeros(3))
 
     def degenerate(*args, **kwargs):
         raise SingularSystem("probe on the curve")
-    monkeypatch.setattr(engine, "factorise", degenerate)
+    monkeypatch.setattr(geometry, "factorise", degenerate)
     assert classify_curve(kerr, poly).tag == "factorisation-failure"
 
     def broken(*args, **kwargs):
         raise TypeError("bug")
-    monkeypatch.setattr(engine, "factorise", broken)
+    monkeypatch.setattr(geometry, "factorise", broken)
     with pytest.raises(TypeError):
         classify_curve(kerr, poly)

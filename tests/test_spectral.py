@@ -7,7 +7,6 @@ from whergo.spectral import (
     SpectralPoint,
     build_partition,
     compose_polynomial,
-    compose_polynomial_batch,
     pair_quadratic,
     prolate_from_weyl_4d,
     prolate_from_weyl_5d,
@@ -146,16 +145,6 @@ def test_compose_multiplicative(rng):
         prod = poly_mul(cp, cq)
         scale = np.max(np.abs(prod))
         assert np.max(np.abs(prod - cpq)) <= 1e-10 * scale
-
-
-def test_compose_batch_matches_scalar(rng):
-    rho = rng.uniform(0.3, 2.5, size=7)
-    v = rng.uniform(-2, 2, size=7)
-    coeffs = np.array([-3.0, 0.2, 1.0])
-    batch = compose_polynomial_batch(rho, v, coeffs)
-    for i in range(7):
-        single, _ = compose_polynomial(SpectralPoint(rho[i], v[i]), coeffs)
-        assert np.allclose(batch[i], single)
 
 
 def test_build_partition_kerr_insides(kerr):

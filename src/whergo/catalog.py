@@ -329,11 +329,12 @@ class DegreeTable:
 class MonodromyMatrixTau:
     """Composed monodromy matrix: rational entries in tau plus bookkeeping.
 
-    Every model carries its entries and the flat pole ledger, which is all
-    the factorisation route needs.  For 2x2 models of the common-denominator
-    form the model's degree table is attached, together with the composed
-    denominator q_2n and numerator polynomials ptilde at this point; they
-    feed the degree classification and the reference existence system.
+    Every model carries its entries and the flat pole ledger, which the
+    plan compile (build_ansatz at a reference point) reads; factorise itself
+    needs no monodromy.  For 2x2 models of the common-denominator form the
+    model's degree table is attached, together with the composed denominator
+    q_2n and numerator polynomials ptilde at this point; they feed the
+    reference existence system.
     """
 
     n: int
@@ -438,8 +439,8 @@ def compose_monodromy(model: RationalMatrixOmega, pt: SpectralPoint,
     denominator roots, the 2x2 normal form and its degree table are read
     from the model, which computes each of them once.
 
-    check=False skips the sample-point consistency validation (grid sweeps
-    re-verify through their own oracles)."""
+    Callers are the plan compile, `whergo verify` and the test oracles.
+    check=False skips the sample-point consistency validation."""
     if pt.lam != 1:
         raise ValueError("the factorisation engine is restricted to lambda = +1")
     pair_cache: dict[complex, tuple] = {}

@@ -22,6 +22,14 @@ it.  evaluate_points makes the same D test and solves for M(rho, v) over an
 array of points at once; callers that need only D assemble the analyticity
 rows alone.
 
+factorise composes no monodromy.  Its factors are numeric: M_minus holds
+the solved S_j over pi_j, X the deflated psi_+ columns, and X(tau) is the
+adjugate of Psi_+(tau) taken at each evaluation.  Both evaluate at a scalar
+tau or an array of them.  The residual report evaluates M(tau) from the
+model's omega-entries at omega(tau), and M_minus and X from the solved
+columns, in one batch over the check circle, whose poles are the plan's
+label values.
+
 For 2x2 models of the common-denominator form two more pieces remain: the
 degree classification (whose always-canonical case needs no system at
 all) and the value-and-derivative existence system, which is the
@@ -94,9 +102,10 @@ class ClassificationResult:
     transcript: str | None = None
 
 
-def classify_2x2(mono: MonodromyMatrixTau) -> ClassificationResult:
-    """Trichotomy on N1 + N2 versus 2n for the 2x2 normal form."""
-    dt = mono.degree_table
+def classify_2x2(source) -> ClassificationResult:
+    """Trichotomy on N1 + N2 versus 2n for the 2x2 normal form (source: a
+    model or a monodromy, both carry the degree table)."""
+    dt = source.degree_table
     if dt is None:
         raise ValueError("no 2x2 normal form available for this monodromy")
     n1, n2, two_n = dt.N1, dt.N2, 2 * dt.n
@@ -770,16 +779,72 @@ def _ansatz_for(mono: MonodromyMatrixTau, partition: PolePartition) -> AnsatzSpe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalMatrixTau:
-    """Plain rational matrix in tau (factor output)."""
+    """n x n matrix of rational functions of tau (factor output).
 
-    n: int
-    entries: tuple
+    Entry (r, c) is the polynomial nums[r, c] (ascending coefficients) over
+    the row denominator prod (tau - den_roots[r][x]).  With adjugate=True the
+    matrix is the adjugate of that quotient, taken at each tau: X = adj Psi_+
+    since det Psi_+ = 1.  eval takes a scalar tau, giving (n, n), or an array
+    of them, giving (..., n, n); each tau is evaluated alike, so an array
+    gives the stacked scalar values.
+    """
+
+    nums: np.ndarray          # (n, n, coefficient)
+    den_roots: tuple          # per row: roots of its denominator
+    adjugate: bool = False
+
+    @property
+    def n(self) -> int:
+        return self.nums.shape[0]
 
     def eval(self, tau) -> np.ndarray:
-        return np.array([[self.entries[i][j](tau) for j in range(self.n)]
-                         for i in range(self.n)])
+        tau = np.asarray(tau, dtype=complex)
+        t = tau.reshape(-1)
+        val = self.nums[..., -1, None] + 0.0 * t            # Horner, (r, c, tau)
+        for k in range(self.nums.shape[-1] - 2, -1, -1):
+            val = self.nums[..., k, None] + val * t
+        for r, roots in enumerate(self.den_roots):
+            den = np.ones_like(t)
+            for root in roots:
+                den = den * (t - root)
+            val[r] = val[r] / den
+        val = np.moveaxis(val, -1, 0)
+        if self.adjugate:
+            val = _adjugate(val)
+        return val.reshape(tau.shape + val.shape[-2:])
+
+
+def _adjugate(a: np.ndarray) -> np.ndarray:
+    """Adjugate of stacked n x n matrices (..., n, n), n = 2 or 3, from the
+    cofactors."""
+    n = a.shape[-1]
+    if n == 2:
+        return np.stack([np.stack([a[..., 1, 1], -a[..., 0, 1]], axis=-1),
+                         np.stack([-a[..., 1, 0], a[..., 0, 0]], axis=-1)], axis=-2)
+    if n != 3:
+        raise NotImplementedError("adjugate implemented for n <= 3")
+    rest = np.array([[1, 2], [0, 2], [0, 1]])
+    # entry (i, j) is the cofactor of (j, i): rows rest[j], columns rest[i]
+    sub = a[..., rest[None, :, :, None], rest[:, None, None, :]]     # (..., i, j, 2, 2)
+    minor = sub[..., 0, 0] * sub[..., 1, 1] - sub[..., 0, 1] * sub[..., 1, 0]
+    return minor * np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+
+
+def _factor_matrices(cols_plus, cols_minus):
+    """X and M_minus from the solved psi columns (column i of Psi_+ and of
+    Psi_- = M_minus is cols_plus[i] and cols_minus[i]); X = Psi_+^{-1} =
+    adj(Psi_+).  The entries of a row share their denominator."""
+    def matrix(cols, adjugate):
+        nums = np.zeros((len(cols), len(cols), max(fr.num.size for col in cols for fr in col)),
+                        dtype=complex)
+        for i, col in enumerate(cols):
+            for k, fr in enumerate(col):
+                nums[k, i, :fr.num.size] = fr.num
+        return RationalMatrixTau(nums, tuple(fr.den_roots for fr in cols[0]), adjugate)
+
+    return matrix(cols_plus, True), matrix(cols_minus, False)
 
 
 @dataclass(frozen=True)
@@ -807,18 +872,17 @@ class FactorisationOutcome:
         return self.status is Status.CANONICAL
 
 
-def _check_taus(mono: MonodromyMatrixTau, count: int = 12):
-    """Sample points for residual checks, nudged off every ledger pole.
+def _check_taus(poles, count: int = 12) -> tuple:
+    """Sample points for residual checks, nudged off every pole in `poles`.
 
     Pair radii have geometric mean 1, so the unit circle is the natural
     spot-check contour; the radius is bumped when a pole sits too close.
     """
-    poles = [rec.tau for rec in mono.ledger] + [rec.partner for rec in mono.ledger
-                                                if rec.partner is not None]
+    poles = np.asarray(poles, dtype=complex).reshape(-1)
     best, best_gap = None, -1.0
     for radius in (1.0, 1.17, 0.83, 1.31, 0.67):
-        taus = [radius * np.exp(2j * np.pi * (k + 0.37) / count) for k in range(count)]
-        gap = min((abs(t - p) for t in taus for p in poles), default=np.inf)
+        taus = tuple(radius * np.exp(2j * np.pi * (k + 0.37) / count) for k in range(count))
+        gap = float(np.min(np.abs(np.array(taus)[:, None] - poles), initial=np.inf))
         if gap > 0.08:
             return taus
         if gap > best_gap:       # no radius clears every pole: the one farthest off
@@ -826,17 +890,28 @@ def _check_taus(mono: MonodromyMatrixTau, count: int = 12):
     return best
 
 
-def _residual_report(mono, X: "RationalMatrixTau", M_minus: "RationalMatrixTau",
-                     pole_resid) -> ResidualReport:
-    """Pointwise check of M = M_minus * X and X(0) = I."""
-    taus = _check_taus(mono)
-    worst = 0.0
-    for t in taus:
-        m_val = mono.eval(t)
-        resid = np.max(np.abs(m_val - M_minus.eval(t) @ X.eval(t)))
-        worst = max(worst, resid / max(1.0, np.max(np.abs(m_val))))
-    x0_resid = float(np.max(np.abs(X.eval(0.0) - np.eye(mono.n))))
-    return ResidualReport(float(worst), x0_resid, tuple(taus), float(pole_resid))
+def _residual_report(model: RationalMatrixOmega, pt: SpectralPoint, poles,
+                     X: RationalMatrixTau, M_minus: RationalMatrixTau,
+                     pole_resid, det_tol: float = 1e-8) -> ResidualReport:
+    """Pointwise check of M = M_minus * X and X(0) = I over the check circle.
+
+    M(tau) comes from the model's omega-entries at omega(tau), the factors
+    from the solved columns, so the check is independent of the solve.  At
+    the same points det M(tau) = 1 must hold to det_tol * max(1, |M|)^n.
+    """
+    taus = _check_taus(poles)
+    t = np.array(taus)
+    omega = pt.v + 0.5 * pt.rho * (1.0 - t * t) / t          # the spectral map, lambda = 1
+    m_val = np.moveaxis(model.eval(omega), -1, 0)
+    scale = np.maximum(1.0, np.max(np.abs(m_val), axis=(-2, -1)))
+    det = np.linalg.det(m_val)
+    bad = np.abs(det - 1.0) > det_tol * scale ** model.n
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise InvariantViolation(f"det M(omega(tau)) is {det[k]} at tau={taus[k]}")
+    resid = np.max(np.abs(m_val - M_minus.eval(t) @ X.eval(t)), axis=(-2, -1))
+    x0_resid = float(np.max(np.abs(X.eval(0.0) - np.eye(model.n))))
+    return ResidualReport(float(np.max(resid / scale)), x0_resid, taus, float(pole_resid))
 
 
 def _taylor_rows(groups, width: int) -> np.ndarray:
@@ -939,19 +1014,6 @@ def solve_factor_columns_generic(spec: AnsatzSpec, A: np.ndarray, B: np.ndarray,
         cols_plus.append(tuple(plus))
         cols_minus.append(minus)
     return cols_plus, cols_minus, m_lim, pole_resid
-
-
-def _symbolic_factors(cols_plus, cols_minus, n):
-    """Assemble X and M_minus from the solved psi columns.
-
-    det Psi_+ = 1, so X = Psi_+^{-1} = adj(Psi_+).
-    """
-    psi_plus = [[cols_plus[i][k] for i in range(n)] for k in range(n)]
-    x_entries = _adjugate_fr(psi_plus, n)
-    m_entries = [[cols_minus[i][j] for i in range(n)] for j in range(n)]
-    X = RationalMatrixTau(n, tuple(tuple(r) for r in x_entries))
-    M_minus = RationalMatrixTau(n, tuple(tuple(r) for r in m_entries))
-    return X, M_minus
 
 
 def _d_with_scale(model: RationalMatrixOmega, rho, v, branches=None):
@@ -1063,9 +1125,10 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def factorise(model: RationalMatrixOmega, rho: float, v: float,
               branches=None, d_tol: float | None = None,
               rank_tol: float = 1e-9) -> FactorisationOutcome:
-    """Full pipeline at one Weyl point: compose, test, construct.
+    """Full pipeline at one Weyl point: D test, factor solve, residual check.
 
-    Returns a Canonical outcome with factors and M(rho, v), or a
+    Everything is read from the model's compiled plan: no monodromy is
+    composed.  Returns a Canonical outcome with factors and M(rho, v), or a
     Degenerate/NonCanonical outcome carrying D and the kernel dimension.
     """
     if d_tol is None:
@@ -1074,8 +1137,7 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
     if branches is None:
         branches = model.default_branches
     build_partition(pt, model.omega_poles, branches)    # rejects degenerate pairs
-    mono = compose_monodromy(model, pt)
-    classification = classify_2x2(mono) if mono.degree_table is not None else None
+    classification = classify_2x2(model) if model.degree_table is not None else None
     spec, A, B, a0, d_val, d_scale = _plan_system(model, rho, v, branches)
     d_val, d_scale = complex(d_val.item()), d_scale.item()
     if abs(d_val) < d_tol * d_scale:
@@ -1086,8 +1148,10 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
         except SingularSystem:
             status = Status.NON_CANONICAL
         else:
-            X, M_minus = _symbolic_factors(cols_plus, cols_minus, mono.n)
-            report = _residual_report(mono, X, M_minus, pole_resid)
+            X, M_minus = _factor_matrices(cols_plus, cols_minus)
+            poles = _label_values(_plan_for(model, branches), np.array([float(rho)]),
+                                  np.array([float(v)]))
+            report = _residual_report(model, pt, poles, X, M_minus, pole_resid)
             return FactorisationOutcome(Status.CANONICAL, d_val, d_scale, 0, classification,
                                         X, M_minus, m_lim, report)
     kdim = 0 if a0 is None else numerical_nullity(a0, rank_tol)
@@ -1105,7 +1169,7 @@ def assemble_M(outcome: FactorisationOutcome, check: bool = True,
     m = outcome.M_limit
     if check:
         taus = [1e3, 1e4, 1e6]
-        vals = [outcome.M_minus.eval(t) for t in taus]
+        vals = outcome.M_minus.eval(np.array(taus))
         extr = (taus[2] * vals[2] - taus[1] * vals[1]) / (taus[2] - taus[1])
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(extr - m)) > rel * scale:

@@ -233,23 +233,32 @@ def _bisect_edge(f, p0, p1, f0, f1, tol: float, max_iter: int = 80):
 
 
 def _chain_points(pts: np.ndarray) -> np.ndarray:
-    """Nearest-neighbour ordering starting from the point of minimal v."""
-    pts = list(map(np.asarray, pts))
-    start = min(range(len(pts)), key=lambda i: (pts[i][1], pts[i][0]))
+    """Nearest-neighbour ordering starting from the point of minimal v (then
+    minimal rho); ties go to the lowest index."""
+    pts = np.asarray(pts, dtype=float)
+    start = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])
     order = [start]
-    used = {start}
-    while len(order) < len(pts):
-        last = pts[order[-1]]
-        best, bd = None, np.inf
-        for i, p in enumerate(pts):
-            if i in used:
-                continue
-            d = np.hypot(*(p - last))
-            if d < bd:
-                best, bd = i, d
+    free = np.ones(len(pts), dtype=bool)
+    free[start] = False
+    for _ in range(len(pts) - 1):
+        d = np.hypot(pts[:, 0] - pts[order[-1], 0], pts[:, 1] - pts[order[-1], 1])
+        best = int(np.argmin(np.where(free, d, np.inf)))
         order.append(best)
-        used.add(best)
-    return np.array([pts[i] for i in order])
+        free[best] = False
+    return pts[order]
+
+
+def _sign_change_edges(sign: np.ndarray) -> np.ndarray:
+    """Grid edges ((i, j), (i', j')) across which sign changes, shape (E, 2, 2):
+    row-major in (i, j), the rho-edge to (i + 1, j) before the v-edge to
+    (i, j + 1)."""
+    rho_edge = np.zeros(sign.shape, dtype=bool)
+    v_edge = np.zeros(sign.shape, dtype=bool)
+    rho_edge[:-1] = sign[:-1] * sign[1:] < 0
+    v_edge[:, :-1] = sign[:, :-1] * sign[:, 1:] < 0
+    i, j, kind = np.nonzero(np.stack([rho_edge, v_edge], axis=-1))
+    start = np.stack([i, j], axis=-1)
+    return np.stack([start, start + np.stack([1 - kind, kind], axis=-1)], axis=1)
 
 
 def trace_curve(model: RationalMatrixOmega, branches=None,
@@ -286,21 +295,11 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
         return f_raw(rho, v) * np.conj(phase)
 
     Dn = (D * np.conj(phase)).real
-    pts = []
-    sign = np.sign(Dn)
-    for i in range(grid[0]):
-        for j in range(grid[1]):
-            if i + 1 < grid[0] and sign[i, j] * sign[i + 1, j] < 0:
-                p, r = _bisect_edge(f, (R[i, j], V[i, j]), (R[i + 1, j], V[i + 1, j]),
-                                    Dn[i, j], Dn[i + 1, j], residual_tol)
-                pts.append((p, r))
-            if j + 1 < grid[1] and sign[i, j] * sign[i, j + 1] < 0:
-                p, r = _bisect_edge(f, (R[i, j], V[i, j]), (R[i, j + 1], V[i, j + 1]),
-                                    Dn[i, j], Dn[i, j + 1], residual_tol)
-                pts.append((p, r))
+    pts = [_bisect_edge(f, (R[a], V[a]), (R[b], V[b]), Dn[a], Dn[b], residual_tol)[0]
+           for a, b in (map(tuple, edge) for edge in _sign_change_edges(np.sign(Dn)))]
     if not pts:
         raise NoCurveFound(f"no D = 0 locus found in box {box}")
-    ordered = _chain_points(np.array([p for p, _ in pts]))
+    ordered = _chain_points(np.array(pts))
 
     # refinement: insert corrected midpoints until spacing <= step
     def correct(pt_mid, direction, gap):

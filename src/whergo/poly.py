@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .errors import DegenerateCoefficient, SingularSystem
+from .errors import DegenerateCoefficient
 
 # Coefficients below TRIM_REL * max|coeff| are treated as arithmetic noise.
 TRIM_REL = 1e-14
@@ -271,49 +271,25 @@ def _root_lcm(roots_a, roots_b):
 
 
 def _lu_decompose(A, piv_rel: float = 1e-15):
-    """LU with partial pivoting; returns (LU, perm, sign, smallest_pivot_ratio)."""
+    """LU with partial pivoting; returns (LU, sign of the row permutation).
+    A pivot at or below piv_rel * max|A| eliminates nothing below it."""
     A = np.array(A, dtype=complex)
     n, m = A.shape
     if n != m:
         raise ValueError("square matrix required")
     scale = np.max(np.abs(A)) or 1.0
-    perm = np.arange(n)
     sign = 1.0
-    min_ratio = np.inf
     for k in range(n):
         p = k + int(np.argmax(np.abs(A[k:, k])))
         if p != k:
             A[[k, p]] = A[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
             sign = -sign
         piv = A[k, k]
-        min_ratio = min(min_ratio, abs(piv) / scale)
         if abs(piv) <= piv_rel * scale:
-            A[k, k] = piv  # keep value for det; solve path raises
             continue
         A[k + 1:, k] /= piv
         A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
-    return A, perm, sign, min_ratio
-
-
-def dense_solve(A, b, piv_rel: float = 1e-13):
-    """Solve A x = b by LU with partial pivoting.
-
-    Raises SingularSystem when a pivot underflows piv_rel * max|A|; upstream
-    this signals D(rho, v) ~ 0.
-    """
-    A = np.asarray(A, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    LU, perm, _, ratio = _lu_decompose(A.copy())
-    if ratio <= piv_rel:
-        raise SingularSystem(f"pivot ratio {ratio:.3e} below tolerance {piv_rel:.1e}")
-    n = A.shape[0]
-    x = b[perm].astype(complex)
-    for k in range(1, n):
-        x[k] -= LU[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - LU[k, k + 1:] @ x[k + 1:]) / LU[k, k]
-    return x
+    return A, sign
 
 
 def dense_det(A) -> complex:
@@ -321,7 +297,7 @@ def dense_det(A) -> complex:
     A = np.asarray(A, dtype=complex)
     if A.shape[0] == 0:
         return 1.0 + 0j
-    LU, _, sign, _ = _lu_decompose(A.copy())
+    LU, sign = _lu_decompose(A.copy())
     return complex(sign * np.prod(np.diag(LU)))
 
 

@@ -28,7 +28,7 @@ from whergo.engine import (
     solve_factor_columns_generic,
     toeplitz_kernel_dim,
 )
-from whergo.errors import DegenerateZeros, NotCanonical
+from whergo.errors import DegenerateZeros, InvariantViolation, NotCanonical
 from whergo.poly import dense_det, numerical_nullity, poly_from_roots
 from whergo.spectral import SpectralPoint, build_partition, weyl_from_prolate_4d, weyl_from_prolate_5d
 
@@ -632,14 +632,101 @@ def test_plan_compile_skips_degenerate_reference_points(monkeypatch):
 
 
 def test_check_taus_falls_back_to_the_farthest_radius():
-    # every candidate circle carries a ledger pole; the fallback must take the
+    # every candidate circle carries a pole; the fallback must take the
     # circle whose samples stay farthest from all poles (1.17 here), not the last
-    from whergo.catalog import PoleRecord
-
     first = np.exp(2j * np.pi * 0.37 / 12)            # angle of the first sample
     gaps = {1.0: 0.01, 1.17: 0.05, 0.83: 0.02, 1.31: 0.03, 0.67: 0.04}
-    ledger = tuple(PoleRecord((r + g) * first, 1, None, None) for r, g in gaps.items())
-    stub = MonodromyMatrixTau(2, SpectralPoint(1.0, 0.0), None, None, ledger)
-    taus = engine._check_taus(stub)
+    poles = np.array([(r + g) * first for r, g in gaps.items()])
+    taus = engine._check_taus(poles)
     assert np.allclose(np.abs(taus), 1.17)
-    assert taus == engine._check_taus(stub)
+    assert taus == engine._check_taus(poles)
+
+
+def _ledger_check_taus(mono, count=12):
+    """The check points picked from the composed monodromy's pole ledger:
+    the rule factorise applied before it read the poles off the plan."""
+    poles = [rec.tau for rec in mono.ledger] + [rec.partner for rec in mono.ledger
+                                                if rec.partner is not None]
+    best, best_gap = None, -1.0
+    for radius in (1.0, 1.17, 0.83, 1.31, 0.67):
+        taus = [radius * np.exp(2j * np.pi * (k + 0.37) / count) for k in range(count)]
+        gap = min((abs(t - p) for t in taus for p in poles), default=np.inf)
+        if gap > 0.08:
+            return taus
+        if gap > best_gap:
+            best, best_gap = taus, gap
+    return best
+
+
+def _canonical_draws(model, count, seed):
+    rng = np.random.default_rng(seed)
+    while count:
+        rho, v = 10.0 ** rng.uniform(np.log10(0.3), 1.0), rng.uniform(-4.0, 4.0)
+        out = factorise(model, rho, v)
+        if out.canonical:
+            count -= 1
+            yield rho, v, out
+
+
+@pytest.mark.parametrize("name", ["kerr", "mp5d", "mvc5d", "chain"])
+def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d):
+    # X and M_minus evaluate an array of tau as the stack of scalar calls,
+    # bitwise; both match the symbolic adjugate of the solved columns on the
+    # check circle, and the check circle is the one the pole ledger picks
+    model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
+    n = model.n
+    for rho, v, out in _canonical_draws(model, 20, seed=61):
+        _, part, mono = _setup(model, rho, v)
+        taus = np.array(out.residual_report.check_points)
+        assert list(out.residual_report.check_points) == _ledger_check_taus(mono)
+        for factor in (out.X, out.M_minus):
+            got = factor.eval(taus)
+            assert got.shape == (taus.size, n, n)
+            assert np.array_equal(got, np.stack([factor.eval(t) for t in taus]))
+        spec = _ansatz_for(mono, part)
+        cols_plus, cols_minus, _, _ = solve_factor_columns_generic(
+            spec, *_assemble_inhomogeneous(spec))
+        x_sym = engine._adjugate_fr([[cols_plus[i][k] for i in range(n)] for k in range(n)], n)
+        for factor, entries in ((out.X, x_sym),
+                                (out.M_minus, [[cols_minus[i][j] for i in range(n)]
+                                               for j in range(n)])):
+            want = np.moveaxis(np.array([[e(taus) for e in row] for row in entries]), -1, 0)
+            err = np.max(np.abs(factor.eval(taus) - want), axis=(1, 2))
+            assert np.all(err <= 1e-10 * np.max(np.abs(want), axis=(1, 2)))
+
+
+def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypatch):
+    # once the model's plan is compiled, a factorisation (canonical or on the
+    # curve) composes no monodromy, builds no symbolic adjugate, multiplies
+    # no polynomials and finds no roots
+    from whergo import catalog, poly
+
+    on_curve = _on_curve_points(kerr, mp5d, mvc5d, (0.2,))
+    cases = ((kerr, (2.1, 0.6), on_curve["kerr"][0]),
+             (mp5d, (1.7, 0.3), on_curve["mp5d"][0]),
+             (mvc5d, (1.4, 0.2), on_curve["mvc5d"][0]))
+    for model, canonical, curve in cases:
+        for point in (canonical, curve):
+            factorise(model, *point)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("symbolic work after warm-up")
+        for module, name in ((engine, "compose_monodromy"), (catalog, "compose_monodromy"),
+                             (engine, "_adjugate_fr"), (poly, "poly_mul"),
+                             (engine, "poly_mul"), (np, "roots")):
+            monkeypatch.setattr(module, name, forbidden)
+        out = factorise(model, *canonical)
+        assert out.canonical and out.residual_report.factorisation <= 1e-9
+        assemble_M(out, check=True)
+        assert factorise(model, *curve).status is Status.DEGENERATE
+        monkeypatch.undo()
+
+
+def test_residual_report_checks_det_m_at_the_check_points(kerr, monkeypatch):
+    # det M = 1 is enforced where M is evaluated for the residual check
+    out = factorise(kerr, 2.1, 0.6)
+    assert out.canonical
+    real_eval = type(kerr).eval
+    monkeypatch.setattr(type(kerr), "eval", lambda self, w: 1.001 * real_eval(self, w))
+    with pytest.raises(InvariantViolation):
+        factorise(kerr, 2.1, 0.6)

@@ -231,3 +231,54 @@ def test_classify_curve_propagates_unexpected_errors(kerr, monkeypatch):
     monkeypatch.setattr(geometry, "factorise", broken)
     with pytest.raises(TypeError):
         classify_curve(kerr, poly)
+
+
+def _chain_points_loop(pts):
+    """The tracer's nearest-neighbour chaining as a plain Python loop."""
+    pts = list(map(np.asarray, pts))
+    start = min(range(len(pts)), key=lambda i: (pts[i][1], pts[i][0]))
+    order = [start]
+    used = {start}
+    while len(order) < len(pts):
+        last = pts[order[-1]]
+        best, bd = None, np.inf
+        for i, p in enumerate(pts):
+            if i in used:
+                continue
+            d = np.hypot(*(p - last))
+            if d < bd:
+                best, bd = i, d
+        order.append(best)
+        used.add(best)
+    return np.array([pts[i] for i in order])
+
+
+def _sign_change_edges_loop(sign):
+    """The tracer's sign-change edges as a plain Python double loop."""
+    edges = []
+    for i in range(sign.shape[0]):
+        for j in range(sign.shape[1]):
+            if i + 1 < sign.shape[0] and sign[i, j] * sign[i + 1, j] < 0:
+                edges.append(((i, j), (i + 1, j)))
+            if j + 1 < sign.shape[1] and sign[i, j] * sign[i, j + 1] < 0:
+                edges.append(((i, j), (i, j + 1)))
+    return np.array(edges, dtype=int).reshape(-1, 2, 2)
+
+
+def test_vectorised_tracer_loops_match_the_python_loops(kerr, monkeypatch):
+    from whergo import geometry
+
+    # a lattice cloud has exact distance ties (and a tie for the start point)
+    rng = np.random.default_rng(29)
+    cloud = rng.integers(0, 6, size=(60, 2)).astype(float) * 0.25
+    assert np.array_equal(geometry._chain_points(cloud), _chain_points_loop(cloud))
+    sign = np.sign(rng.normal(size=(9, 7)))
+    assert np.array_equal(geometry._sign_change_edges(sign), _sign_change_edges_loop(sign))
+    # the Kerr box and scan of acceptance criterion 1
+    kwargs = dict(box=(0.02, 4.0, -4.0, 4.0), grid=(200, 200), step=0.01)
+    new = trace_curve(kerr, **kwargs)
+    monkeypatch.setattr(geometry, "_chain_points", _chain_points_loop)
+    monkeypatch.setattr(geometry, "_sign_change_edges", _sign_change_edges_loop)
+    old = trace_curve(kerr, **kwargs)
+    assert np.array_equal(new.samples, old.samples)
+    assert np.array_equal(new.residuals, old.residuals)

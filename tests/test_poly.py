@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from whergo.errors import DegenerateCoefficient, SingularSystem
+from whergo.errors import DegenerateCoefficient
 from whergo.poly import (
     FactoredRational,
     dense_det,
-    dense_solve,
     newton_polish,
     numerical_nullity,
     poly_add,
@@ -122,27 +121,6 @@ def test_quadratic_roots_residual_bound(rng):
 def test_quadratic_degenerate_raises():
     with pytest.raises(DegenerateCoefficient):
         quadratic_roots(0.0, 1.0, 2.0)
-
-
-def test_dense_solve_identity_and_diag():
-    b = np.array([2.0, 4.0])
-    assert np.allclose(dense_solve(np.eye(2), b), b)
-    assert np.allclose(dense_solve(np.diag([2.0, 4.0]), b), [1.0, 1.0])
-
-
-def test_dense_solve_residual(rng):
-    for _ in range(5):
-        A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        b = rng.normal(size=6) + 1j * rng.normal(size=6)
-        x = dense_solve(A, b)
-        kappa = np.linalg.cond(A)
-        assert np.linalg.norm(A @ x - b) <= kappa * 1e-12 * np.linalg.norm(b)
-
-
-def test_dense_solve_singular_raises():
-    A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularSystem):
-        dense_solve(A, np.array([1.0, 1.0]))
 
 
 def test_dense_det():

@@ -46,6 +46,11 @@ class RunConfig:
             return float(env)
         return DEFAULT_D_TOL
 
+    def rank_tol(self) -> float:
+        """Relative rank tolerance of the kernel dimension: the D tolerance,
+        floored at 1e-9."""
+        return max(1e-9, self.d_tol())
+
     def validate(self):
         for key in ("rho", "v"):
             lo, hi, n = self.grid[key]
@@ -92,7 +97,8 @@ def _metric_payload(model, M) -> dict:
 
 def cmd_factorize(cfg: RunConfig, rho: float, v: float) -> int:
     model = build_model(cfg)
-    out = factorise(model, rho, v, cfg.branches, d_tol=cfg.d_tol())
+    out = factorise(model, rho, v, cfg.branches, d_tol=cfg.d_tol(),
+                    rank_tol=cfg.rank_tol())
     payload = {
         "schema_version": SCHEMA_VERSION,
         "model": model.model_id,
@@ -140,17 +146,17 @@ def _sweep_rows(cfg: RunConfig, model: RationalMatrixOmega):
 
 
 def _chunk_rows(cfg: RunConfig, model: RationalMatrixOmega, rho_vals, v_vals):
-    """Sweep rows of the grid rho_vals x v_vals, with factorise's verdict at
-    every point: degenerate where |D| < tol * scale, canonical where the
-    system is consistent, otherwise the kernel dimension."""
+    """Sweep rows of the grid rho_vals x v_vals, with factorise's verdict
+    (PointBatch.canonical) at every point: g_tt where canonical, otherwise
+    the kernel dimension."""
     R, V = (x.ravel() for x in np.meshgrid(rho_vals, v_vals, indexing="ij"))
     batch = evaluate_points(model, R, V, cfg.branches)
-    tol = cfg.d_tol()
-    canonical = (np.abs(batch.D_value) >= tol * batch.D_scale) & batch.consistent
+    canonical = batch.canonical(cfg.d_tol())
     gtt = iter(_sweep_gtt(model, batch.M_limit[canonical]))
     dhat = batch.D_value / batch.D_scale
+    rank_tol = cfg.rank_tol()
     return [(r, v, d.real, d.imag, 0, next(gtt)) if ok
-            else (r, v, d.real, d.imag, batch.kernel_dim(i, max(1e-9, tol)), None)
+            else (r, v, d.real, d.imag, batch.kernel_dim(i, rank_tol), None)
             for i, (r, v, d, ok) in enumerate(zip(R.tolist(), V.tolist(), dhat.tolist(),
                                                   canonical.tolist()))]
 
@@ -308,7 +314,8 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=float, help="mass parameter")
         sp.add_argument("--a", type=float, help="rotation parameter")
         sp.add_argument("--branches", help="comma-separated pair branches, e.g. minus,minus")
-        sp.add_argument("--tol", type=float, help="on-curve |D| tolerance "
+        sp.add_argument("--tol", type=float, help="on-curve |D| tolerance, also the kernel "
+                                                  "rank tolerance floored at 1e-9 "
                                                   "(default WH_ERGO_TOL or 1e-9)")
         sp.add_argument("--out", help="output file (default stdout)")
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"))

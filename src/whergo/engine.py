@@ -16,24 +16,28 @@ plan needs only the zero pairs and the composed adjugate numerators, and
 its rows are numpy arrays over (rho, v): one evaluation serves a single
 point, a tracer grid and a sweep chunk alike.  build_ansatz, the symbolic
 construction at one point, remains as the compile step and as the
-reference the plan is checked against.  Each factorise call assembles the
-plan's system once; D, the kernel dimension and the factor solve all read
-it.  evaluate_points makes the same D test and solves for M(rho, v) over an
-array of points at once; callers that need only D assemble the analyticity
-rows alone.
+reference the plan is checked against.  evaluate_points assembles the
+plan's full system once over an array of points (one point for factorise)
+and solves the square system of its D rows and normalisation rows: D, the
+kernel dimension, M(rho, v) and the verdict all read that one evaluation,
+so factorise, sweep and the curve classifier cannot disagree.  Callers
+that need only D assemble the analyticity rows alone.
 
-factorise composes no monodromy.  Its factors are numeric: M_minus holds
-the solved S_j over pi_j, X the deflated psi_+ columns, and X(tau) is the
-adjugate of Psi_+(tau) taken at each evaluation.  Both evaluate at a scalar
-tau or an array of them.  The residual report evaluates M(tau) from the
-model's omega-entries at omega(tau), and M_minus and X from the solved
-columns, in one batch over the check circle, whose poles are the plan's
-label values.
+factorise is evaluate_points at one point, plus the factors and the
+residual report.  It composes no monodromy.  Its factors are numeric:
+M_minus holds the solved S_j over pi_j, X the deflated psi_+ columns, and
+X(tau) is the adjugate of Psi_+(tau) taken at each evaluation.  Both
+evaluate at a scalar tau or an array of them.  The residual report
+evaluates M(tau) from the model's omega-entries at omega(tau), and M_minus
+and X from the solved columns, in one batch over the check circle, whose
+poles are the plan's label values.
 
 For 2x2 models of the common-denominator form two more pieces remain: the
-degree classification (whose always-canonical case needs no system at
-all) and the value-and-derivative existence system, which is the
-reference D of the paper.
+degree classification and the value-and-derivative existence system, which
+is the reference D of the paper.  The classification's always-canonical
+case N1 + N2 < 2n cannot occur for a valid model (det M = 1 gives det p =
+q^2, of degree 2n, while p11 p22 - p12^2 has degree at most N1 + N2), so
+only toeplitz_kernel_dim's degree-table short cut reads it.
 """
 from __future__ import annotations
 
@@ -189,13 +193,6 @@ def _block_rows_at_zero(taus, poly_alpha, poly_beta, n_alpha, n_beta):
     return np.array(rows)
 
 
-def _always_canonical(source) -> bool:
-    """The degree classification settles existence with no system at all
-    (source: a model or a monodromy, both carry the degree table)."""
-    return (source.degree_table is not None
-            and classify_2x2(source).kind is Classification.ALWAYS_CANONICAL)
-
-
 def compute_D(mono: MonodromyMatrixTau, partition: PolePartition) -> complex:
     """Determinant of the analyticity-constraint system.
 
@@ -216,7 +213,8 @@ def toeplitz_kernel_dim(mono: MonodromyMatrixTau, partition: PolePartition,
     assembling anything: every kernel element picks up a positive tau power
     and is forced to vanish at the origin, hence identically.
     """
-    if _always_canonical(mono):
+    if (mono.degree_table is not None
+            and classify_2x2(mono).kind is Classification.ALWAYS_CANONICAL):
         return 0
     return numerical_nullity(_assemble_homogeneous(_ansatz_for(mono, partition)), rel_tol)
 
@@ -927,48 +925,18 @@ def _taylor_rows(groups, width: int) -> np.ndarray:
     return np.array(rows).reshape(-1, width)
 
 
-def _equilibrated_lstsq(A, B, refine: int = 2):
-    """Least squares with row/column equilibration and iterative refinement.
-
-    The constraint systems are consistent, so equilibration does not change
-    the solution but it rescues several digits at extreme Weyl points where
-    pair members spread over many orders of magnitude.
-    """
-    rn = np.linalg.norm(A, axis=1)
-    # structurally-vacuous rows carry only arithmetic noise; scaling them to
-    # unit norm would promote that noise to O(1) constraints
-    floor = 1e-11 * (np.max(rn) if rn.size else 1.0)
-    rn = np.where(rn > floor, rn, 1.0)
-    As = A / rn[:, None]
-    cn = np.linalg.norm(As, axis=0)
-    cn[cn == 0] = 1.0
-    As = As / cn[None, :]
-    y, *_ = np.linalg.lstsq(As, B / rn[:, None], rcond=None)
-    x = y / cn[:, None]
-    for _ in range(refine):
-        r = B - A @ x
-        dy, *_ = np.linalg.lstsq(As, r / rn[:, None], rcond=None)
-        x = x + dy / cn[:, None]
-    return x
-
-
-def solve_factor_columns_generic(spec: AnsatzSpec, A: np.ndarray, B: np.ndarray,
-                                 verify_tol: float = 1e-8):
-    """Factor columns via the adjugate ansatz (any n with det = 1).
+def solve_factor_columns_generic(spec: AnsatzSpec, sol: np.ndarray):
+    """Factor columns of the adjugate ansatz (any n with det = 1) from its
+    solved coefficients; returns (cols_plus, cols_minus, pole_resid).
 
     psi_j- = S_j / pi_j with deg S_j <= deg pi_j; psi_+ = adj(M) psi_- must
     lose every inside pole, which together with psi_+(0) = e_i fixes the
-    coefficients (A, B = _assemble_inhomogeneous(spec)).  Analyticity is
-    re-verified at every inside pole, where psi_+'s numerator must vanish to
-    the pole's order relative to the terms it sums, before deflation divides
-    the pole out.
+    coefficients: sol, one column per factor column, as evaluate_points
+    solves them at one point.  Analyticity is re-verified at every inside
+    pole, where psi_+'s numerator must vanish to the pole's order relative
+    to the terms it sums, before deflation divides the pole out.
     """
     n = spec.n
-    sol = _equilibrated_lstsq(A, B)
-    resid, scale = _system_residual(A, B, sol)
-    if not resid <= verify_tol * scale:
-        raise SingularSystem(
-            f"constraint system inconsistent: residual {resid:.2e} vs scale {scale:.2e}")
     degrees = [len(r) for r in spec.pi_roots]
     lay, base = spec.layout, spec.base_polys
     # NUM_k = sum_j A_kj S_j of every factor column, as a map from sol
@@ -987,7 +955,6 @@ def solve_factor_columns_generic(spec: AnsatzSpec, A: np.ndarray, B: np.ndarray,
              @ (np.abs(conv) @ np.abs(sol)).max(axis=0))
     pole_resid = float(np.max(np.abs(values) / np.maximum(terms, 1e-300), initial=0.0))
     cols_plus, cols_minus = [], []
-    m_lim = np.zeros((n, n), dtype=complex)
     for i in range(n):
         s_polys = []
         col = 0
@@ -1009,20 +976,15 @@ def solve_factor_columns_generic(spec: AnsatzSpec, A: np.ndarray, B: np.ndarray,
                             den_roots.pop(idx)
                             break
             plus.append(FactoredRational(poly_trim(num), 1.0, tuple(den_roots)))
-        for j in range(n):
-            m_lim[j, i] = s_polys[j][degrees[j]] if s_polys[j].size > degrees[j] else 0.0
         cols_plus.append(tuple(plus))
         cols_minus.append(minus)
-    return cols_plus, cols_minus, m_lim, pole_resid
+    return cols_plus, cols_minus, pole_resid
 
 
 def _d_with_scale(model: RationalMatrixOmega, rho, v, branches=None):
     """(D, Hadamard row-norm bound) at Weyl points (rho, v) of any common
     shape, so |D|/scale is a unit-free singularity measure.  Evaluates the
     plan's analyticity rows only: no monodromy, no normalisation rows."""
-    if _always_canonical(model):
-        shape = np.broadcast(np.asarray(rho), np.asarray(v)).shape
-        return np.ones(shape, dtype=complex), np.ones(shape)
     if branches is None:
         branches = model.default_branches
     spec = _plan_spec(_plan_for(model, branches), rho, v)
@@ -1042,22 +1004,10 @@ def _det_with_scale(a: np.ndarray):
     return np.linalg.det(a / unit[..., None]) * np.prod(unit, axis=-1), np.maximum(scale, 1e-300)
 
 
-def _plan_system(model: RationalMatrixOmega, rho, v, branches):
-    """The plan's full system at Weyl points (rho, v) of any common shape:
-    (spec, A, B, homogeneous part, D, Hadamard bound of D).  Where the
-    degree classification settles existence the homogeneous part is None
-    and D = 1."""
-    spec = _plan_spec(_plan_for(model, branches), rho, v)
-    A, B = _assemble_inhomogeneous(spec)
-    if _always_canonical(model):
-        return spec, A, B, None, np.ones(spec.batch, dtype=complex), np.ones(spec.batch)
-    a0 = _homogeneous_part(spec, A)
-    return (spec, A, B, a0) + _det_with_scale(a0[..., spec.selected_rows, :])
-
-
 def _system_residual(A, B, sol):
-    """(max |A sol - B|, scale of the system) over stacked systems; the
-    factor solve accepts sol where the residual is at most 1e-8 of the scale."""
+    """(max |A sol - B|, scale of the system) over stacked systems;
+    evaluate_points calls sol consistent where the residual is at most 1e-8
+    of the scale."""
     def largest(x):      # max |x| per system, from squares: one square root per system
         square = x.real * x.real
         if np.iscomplexobj(x):
@@ -1070,40 +1020,59 @@ def _system_residual(A, B, sol):
 
 @dataclass(frozen=True)
 class PointBatch:
-    """The plan's system evaluated at an array of Weyl points: what factorise
-    decides from, without building the factors."""
+    """The plan's system evaluated and solved at an array of Weyl points:
+    everything factorise decides from.  factorise reads it at one point
+    and builds the factors from spec and solution; sweep reads it over a
+    grid chunk."""
 
+    spec: AnsatzSpec              # the plan's spec at the points
+    solution: np.ndarray          # batch + (unknowns, n): coefficients of the S_j;
+                                  # NaN where the square system is singular
     D_value: np.ndarray           # batch
     D_scale: np.ndarray           # batch: Hadamard bound of D
-    M_limit: np.ndarray           # batch + (n, n); NaN where the square system is singular
-    consistent: np.ndarray        # batch: M_limit satisfies every row of the full system
-    homogeneous: np.ndarray | None   # batch + (rows, unknowns); None when always canonical
+    consistent: np.ndarray        # batch: solution satisfies every row of the full system
+    homogeneous: np.ndarray       # batch + (rows, unknowns)
+
+    @property
+    def M_limit(self) -> np.ndarray:
+        """batch + (n, n): M(rho, v) = lim M_minus, the coefficient deg pi_j of S_j."""
+        ends = np.cumsum([len(r) + 1 for r in self.spec.pi_roots]) - 1
+        return self.solution[..., ends, :]
+
+    def d_clear(self, d_tol: float) -> np.ndarray:
+        """Where |D| >= d_tol * scale: D is not zero to the tolerance."""
+        return np.abs(self.D_value) >= d_tol * self.D_scale
+
+    def canonical(self, d_tol: float) -> np.ndarray:
+        """The verdict of factorise and sweep: D is not zero and the
+        solution is consistent."""
+        return self.d_clear(d_tol) & self.consistent
 
     def kernel_dim(self, index, rel_tol: float = 1e-9) -> int:
         """factorise's kernel dimension at a batch index that is not canonical."""
-        if self.homogeneous is None:
-            return 0
         return numerical_nullity(self.homogeneous[index], rel_tol)
 
 
 def evaluate_points(model: RationalMatrixOmega, rho, v, branches=None) -> PointBatch:
-    """factorise's D test and M(rho, v) at Weyl points (rho, v) of any common
-    shape, from one evaluation of the plan.
+    """The plan's system at Weyl points (rho, v) of any common shape, from
+    one evaluation: factorise's D test, solution and verdict.
 
-    D and its scale are factorise's.  M comes from the square system of the
-    D rows and the n normalisation rows; a point is consistent where that
-    solution satisfies every row of the full system to factorise's
-    tolerance, which is where factorise's own solve succeeds.
+    D and its scale come from the fixed D rows of the homogeneous part.  The
+    coefficients solve the square system of the D rows and the n
+    normalisation rows; a point is consistent where that solution satisfies
+    every row of the full system to 1e-8 of the system's scale.
     """
     if branches is None:
         branches = model.default_branches
-    spec, A, B, a0, d_val, d_scale = _plan_system(model, rho, v, branches)
+    spec = _plan_spec(_plan_for(model, branches), rho, v)
+    A, B = _assemble_inhomogeneous(spec)
+    a0 = _homogeneous_part(spec, A)
+    d_val, d_scale = _det_with_scale(a0[..., spec.selected_rows, :])
     n, top = spec.n, A.shape[-2]
     rows = np.concatenate([spec.selected_rows, np.arange(top - n, top)])
     sol = _solve_stack(A[..., rows, :], B[..., rows, :])
     resid, scale = _system_residual(A, B, sol)
-    ends = np.cumsum([len(r) + 1 for r in spec.pi_roots]) - 1     # coefficient deg pi_j of S_j
-    return PointBatch(d_val, d_scale, sol[..., ends, :], resid <= 1e-8 * scale, a0)
+    return PointBatch(spec, sol, d_val, d_scale, resid <= 1e-8 * scale, a0)
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1125,7 +1094,8 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def factorise(model: RationalMatrixOmega, rho: float, v: float,
               branches=None, d_tol: float | None = None,
               rank_tol: float = 1e-9) -> FactorisationOutcome:
-    """Full pipeline at one Weyl point: D test, factor solve, residual check.
+    """Full pipeline at one Weyl point: evaluate_points at that point, then
+    the factors and the residual check where its verdict is canonical.
 
     Everything is read from the model's compiled plan: no monodromy is
     composed.  Returns a Canonical outcome with factors and M(rho, v), or a
@@ -1138,25 +1108,20 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
         branches = model.default_branches
     build_partition(pt, model.omega_poles, branches)    # rejects degenerate pairs
     classification = classify_2x2(model) if model.degree_table is not None else None
-    spec, A, B, a0, d_val, d_scale = _plan_system(model, rho, v, branches)
-    d_val, d_scale = complex(d_val.item()), d_scale.item()
-    if abs(d_val) < d_tol * d_scale:
-        status = Status.DEGENERATE
-    else:
-        try:
-            cols_plus, cols_minus, m_lim, pole_resid = solve_factor_columns_generic(spec, A, B)
-        except SingularSystem:
-            status = Status.NON_CANONICAL
-        else:
-            X, M_minus = _factor_matrices(cols_plus, cols_minus)
-            poles = _label_values(_plan_for(model, branches), np.array([float(rho)]),
-                                  np.array([float(v)]))
-            report = _residual_report(model, pt, poles, X, M_minus, pole_resid)
-            return FactorisationOutcome(Status.CANONICAL, d_val, d_scale, 0, classification,
-                                        X, M_minus, m_lim, report)
-    kdim = 0 if a0 is None else numerical_nullity(a0, rank_tol)
-    if kdim < 1:
-        status = Status.DEGENERATE
+    batch = evaluate_points(model, rho, v, branches)
+    d_val, d_scale = complex(batch.D_value.item()), batch.D_scale.item()
+    if batch.canonical(d_tol):
+        cols_plus, cols_minus, pole_resid = solve_factor_columns_generic(batch.spec,
+                                                                         batch.solution)
+        X, M_minus = _factor_matrices(cols_plus, cols_minus)
+        poles = _label_values(_plan_for(model, branches), np.array([float(rho)]),
+                              np.array([float(v)]))
+        report = _residual_report(model, pt, poles, X, M_minus, pole_resid)
+        return FactorisationOutcome(Status.CANONICAL, d_val, d_scale, 0, classification,
+                                    X, M_minus, batch.M_limit, report)
+    kdim = batch.kernel_dim((), rank_tol)
+    # D clear of zero yet no consistent solution: a kernel makes it non-canonical
+    status = Status.NON_CANONICAL if kdim >= 1 and batch.d_clear(d_tol) else Status.DEGENERATE
     return FactorisationOutcome(status, d_val, d_scale, kdim, classification)
 
 

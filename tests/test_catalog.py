@@ -110,6 +110,14 @@ def test_kerr_degree_table(kerr):
     assert dt.N1 + dt.N2 == 2 * dt.n
 
 
+def test_always_canonical_degrees_violate_det_one():
+    # a symmetric 2x2 model with N1 + N2 < 2n cannot have det M = 1: det p
+    # = q^2 has degree 2n, but p11 p22 - p12^2 has degree at most N1 + N2
+    with pytest.raises(InvariantViolation, match="det M"):
+        make_model([[([1.0], [1.0, 1.0]), ([0.0], [1.0])],
+                    [([0.0], [1.0]), ([1.0], [1.0, 1.0])]])
+
+
 def test_degree_dichotomy(kerr):
     # N1 + N2 = 2n holds precisely when no chain inequality holds
     mono = compose_monodromy(kerr, SpectralPoint(1.0, 0.5))

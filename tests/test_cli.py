@@ -277,6 +277,21 @@ def test_env_tolerance(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("WH_ERGO_TOL")
 
 
+def test_tol_sets_one_rank_tolerance_for_factorize_and_sweep(tmp_path, capsys):
+    # 2e-5 beyond the Kerr curve at v = 0, where --tol 1e-6 calls D zero:
+    # both commands take the kernel rank at that tolerance too, and agree
+    rho = "1.0000199998500034"
+    code, out, _ = run_capture(capsys, "factorize", "--model", "kerr", "--tol", "1e-6",
+                               "--rho", rho, "--v", "0")
+    assert code == 3
+    assert json.loads(out)["kernel_dim"] == 1
+    path = tmp_path / "sweep.csv"
+    assert RUN("sweep", "--model", "kerr", "--tol", "1e-6", "--grid", f"{rho}:1.1:2,0:1:2",
+               "--out", str(path)) == 0
+    first = _sweep_rows_of(path)[0]
+    assert (first[0], first[1], first[4]) == (rho, "0", "1")
+
+
 def test_branches_flag(capsys):
     code, out, _ = run_capture(capsys, "factorize", "--model", "kerr",
                                "--rho", "3", "--v", "0",

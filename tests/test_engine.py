@@ -23,6 +23,7 @@ from whergo.engine import (
     build_ansatz,
     classify_2x2,
     compute_D,
+    evaluate_points,
     existence_system_2x2,
     factorise,
     solve_factor_columns_generic,
@@ -240,17 +241,26 @@ def _on_curve_points(kerr, mp5d, mvc5d, ys):
 
 def test_factorise_d_matches_homogeneous_assembly(kerr, mp5d, mvc5d, rng):
     # factorise takes D and the kernel from its full system; the D-only
-    # callers assemble the homogeneous system alone; both must agree exactly
+    # callers assemble the homogeneous system alone; both must agree exactly.
+    # factorise is evaluate_points at one point: D, its scale and M agree
+    # bitwise with the batch
     on_curve = _on_curve_points(kerr, mp5d, mvc5d, (-0.6, 0.1, 0.7))
     for name, model in (("kerr", kerr), ("mp5d", mp5d), ("mvc5d", mvc5d)):
         off_curve = [(rng.uniform(0.3, 4.0), rng.uniform(-3.0, 3.0)) for _ in range(6)]
+        canonical = 0
         for rho, v in off_curve + on_curve[name]:
             out = factorise(model, rho, v)
             _, part, mono = _setup(model, rho, v)
             assert (out.D_value, out.D_scale) == _d_with_scale(model, rho, v)
+            batch = evaluate_points(model, rho, v)
+            assert (out.D_value, out.D_scale) == (batch.D_value, batch.D_scale)
+            if out.canonical:
+                canonical += 1
+                assert np.array_equal(out.M_limit, batch.M_limit)
             if (rho, v) in on_curve[name]:
                 assert out.status is Status.DEGENERATE
                 assert out.kernel_dim == toeplitz_kernel_dim(mono, part) == 1
+        assert canonical >= 3
 
 
 def test_factorise_builds_one_system(kerr, mp5d, mvc5d, monkeypatch):
@@ -262,14 +272,13 @@ def test_factorise_builds_one_system(kerr, mp5d, mvc5d, monkeypatch):
              (kerr, on_curve["kerr"][0], Status.DEGENERATE, False),
              (mvc5d, (1.4, 0.2), Status.CANONICAL, False),
              (mvc5d, on_curve["mvc5d"][0], Status.DEGENERATE, False),
-             # a zero solution fails the residual check, so the solve raises
-             # SingularSystem; the trivial kernel then reads as degenerate
+             # a zero solution fails the residual check, so the point is not
+             # consistent; the trivial kernel then reads as degenerate
              (kerr, (2.1, 0.6), Status.DEGENERATE, True))
     for model, (rho, v), status, solve_raises in cases:
         factorise(model, rho, v)
         if solve_raises:
-            monkeypatch.setattr(engine, "_equilibrated_lstsq",
-                                lambda A, B, refine=2: np.zeros((A.shape[1],) + B.shape[1:]))
+            monkeypatch.setattr(engine, "_solve_stack", lambda a, b: np.zeros_like(b))
         counts = {"build_ansatz": 0, "_assemble_rows": 0, "roots": 0}
         for module, name in ((engine, "build_ansatz"), (engine, "_assemble_rows"),
                              (np, "roots")):
@@ -481,8 +490,8 @@ def test_uniqueness_probe(mvc5d, rng):
 def test_solve_columns_kerr_psi_structure(kerr):
     _, part, mono = _setup(kerr, 2.0, 1.0)
     spec = _ansatz_for(mono, part)
-    cols_plus, cols_minus, _, pres = solve_factor_columns_generic(
-        spec, *_assemble_inhomogeneous(spec))
+    cols_plus, cols_minus, pres = solve_factor_columns_generic(
+        spec, evaluate_points(kerr, 2.0, 1.0).solution)
     assert pres <= 1e-10
     inside = list(part.inside()) + [0.0]
 
@@ -684,8 +693,8 @@ def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d
             assert got.shape == (taus.size, n, n)
             assert np.array_equal(got, np.stack([factor.eval(t) for t in taus]))
         spec = _ansatz_for(mono, part)
-        cols_plus, cols_minus, _, _ = solve_factor_columns_generic(
-            spec, *_assemble_inhomogeneous(spec))
+        cols_plus, cols_minus, _ = solve_factor_columns_generic(
+            spec, evaluate_points(model, rho, v).solution)
         x_sym = engine._adjugate_fr([[cols_plus[i][k] for i in range(n)] for k in range(n)], n)
         for factor, entries in ((out.X, x_sym),
                                 (out.M_minus, [[cols_minus[i][j] for i in range(n)]

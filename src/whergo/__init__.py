@@ -39,6 +39,7 @@ from .geometry import (
     ergosurface_closed_form,
     extract_4d,
     extract_5d,
+    extract_metric,
     trace_curve,
 )
 from .spectral import (
@@ -77,6 +78,7 @@ __all__ = [
     "ergosurface_closed_form",
     "extract_4d",
     "extract_5d",
+    "extract_metric",
     "trace_curve",
     "PolePartition",
     "SpectralPoint",

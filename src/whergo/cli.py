@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -13,7 +14,7 @@ from . import __version__
 from .catalog import MODEL_BUILDERS, RationalMatrixOmega, load_model_json, model_identity
 from .engine import DEFAULT_D_TOL, evaluate_points, factorise
 from .errors import NoCurveFound, NonPhysicalM, WhergoError
-from .geometry import classify_curve, extract_4d, extract_5d, trace_curve
+from .geometry import classify_curve, extract_metric, trace_curve
 
 SCHEMA_VERSION = 1
 
@@ -86,15 +87,6 @@ def _write_text(path, text: str):
         sys.stdout.write(text)
 
 
-def _metric_payload(model, M) -> dict:
-    if model.n == 2:
-        s = extract_4d(M)
-        return {"Delta": s.Delta, "Btilde": s.Btilde, "g_tt": s.g_tt}
-    s = extract_5d(M)
-    return {"Sigma1": s.Sigma1, "Sigma2": s.Sigma2, "Sigma3": s.Sigma3,
-            "chi1": s.chi1, "chi2": s.chi2, "chi3": s.chi3, "g_tt": s.g_tt}
-
-
 def cmd_factorize(cfg: RunConfig, rho: float, v: float) -> int:
     model = build_model(cfg)
     out = factorise(model, rho, v, cfg.branches, d_tol=cfg.d_tol(),
@@ -112,11 +104,10 @@ def cmd_factorize(cfg: RunConfig, rho: float, v: float) -> int:
         "kernel_dim": out.kernel_dim,
     }
     if out.canonical:
-        payload["M_limit"] = [[out.M_limit[i, j].real for j in range(model.n)]
-                              for i in range(model.n)]
+        payload["M_limit"] = out.M_limit.real.tolist()
         try:
-            payload["metric"] = _metric_payload(model, out.M_limit)
-        except WhergoError as exc:
+            payload["metric"] = asdict(extract_metric(out.M_limit))
+        except NonPhysicalM as exc:
             payload["metric"] = {"error": str(exc)}
         r = out.residual_report
         payload["residuals"] = {
@@ -147,33 +138,18 @@ def _sweep_rows(cfg: RunConfig, model: RationalMatrixOmega):
 
 def _chunk_rows(cfg: RunConfig, model: RationalMatrixOmega, rho_vals, v_vals):
     """Sweep rows of the grid rho_vals x v_vals, with factorise's verdict
-    (PointBatch.canonical) at every point: g_tt where canonical, otherwise
-    the kernel dimension."""
+    (PointBatch.canonical) at every point: factorize's g_tt where canonical
+    (blank where the extractor refuses M), otherwise the kernel dimension."""
     R, V = (x.ravel() for x in np.meshgrid(rho_vals, v_vals, indexing="ij"))
     batch = evaluate_points(model, R, V, cfg.branches)
     canonical = batch.canonical(cfg.d_tol())
-    gtt = iter(_sweep_gtt(model, batch.M_limit[canonical]))
+    gtt = extract_metric(batch.M_limit).g_tt
     dhat = batch.D_value / batch.D_scale
     rank_tol = cfg.rank_tol()
-    return [(r, v, d.real, d.imag, 0, next(gtt)) if ok
+    return [(r, v, d.real, d.imag, 0, None if math.isnan(g) else g) if ok
             else (r, v, d.real, d.imag, batch.kernel_dim(i, rank_tol), None)
-            for i, (r, v, d, ok) in enumerate(zip(R.tolist(), V.tolist(), dhat.tolist(),
-                                                  canonical.tolist()))]
-
-
-def _sweep_gtt(model: RationalMatrixOmega, M) -> list:
-    """g_tt from stacked solution matrices: -Re(1/M22) for n = 2, written
-    inside the ergoregion too (M22 < 0 there); extract_5d's g_tt for
-    n = 3, None where M is not physical."""
-    if model.n == 2:
-        return (-(1.0 / M[:, 1, 1]).real).tolist()
-    out = []
-    for m in M:
-        try:
-            out.append(extract_5d(m).g_tt)
-        except NonPhysicalM:
-            out.append(None)
-    return out
+            for i, (r, v, d, ok, g) in enumerate(zip(R.tolist(), V.tolist(), dhat.tolist(),
+                                                     canonical.tolist(), gtt.tolist()))]
 
 
 def _chunk_job(args):

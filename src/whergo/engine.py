@@ -1128,14 +1128,19 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
 def assemble_M(outcome: FactorisationOutcome, check: bool = True,
                rel: float = 1e-8) -> np.ndarray:
     """Solution matrix M(rho, v) = lim M_minus(tau), with a Richardson
-    cross-check of the closed-form limit against large-tau evaluations."""
+    cross-check of the closed-form limit against large-tau evaluations.
+
+    The extrapolation's own error grows like pole^2 / (tau1 tau2) with the
+    largest pole of M_minus, so both taus are scaled by max(1, |pole|).
+    """
     if not outcome.canonical:
         raise NotCanonical(f"no solution matrix for status {outcome.status.value}")
     m = outcome.M_limit
     if check:
-        taus = [1e3, 1e4, 1e6]
-        vals = outcome.M_minus.eval(np.array(taus))
-        extr = (taus[2] * vals[2] - taus[1] * vals[1]) / (taus[2] - taus[1])
+        poles = [abs(r) for roots in outcome.M_minus.den_roots for r in roots]
+        taus = max([1.0, *poles]) * np.array([1e4, 1e6])
+        vals = outcome.M_minus.eval(taus)
+        extr = (taus[1] * vals[1] - taus[0] * vals[0]) / (taus[1] - taus[0])
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(extr - m)) > rel * scale:
             raise ArithmeticError(

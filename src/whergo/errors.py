@@ -64,7 +64,7 @@ class NotCanonical(WhergoError):
 
 
 class NonPhysicalM(WhergoError):
-    """Solution matrix fails reality/positivity requirements for extraction."""
+    """Solution matrix is not finite and real, or its coset form has a zero denominator."""
 
 
 class NoRealSolution(WhergoError):

@@ -6,26 +6,46 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import RationalMatrixOmega
-from .engine import DEGENERATE_POINT_ERRORS, Status, _d_with_scale, factorise
+from .engine import DEGENERATE_POINT_ERRORS, _d_with_scale, factorise
 from .errors import NoCurveFound, NonPhysicalM, NoRealSolution, OutOfChart
 from .spectral import weyl_from_prolate_4d, weyl_from_prolate_5d
 
 REALITY_REL = 1e-9
 
 
-def _realise(M, rel: float = REALITY_REL) -> np.ndarray:
-    """Drop numerically-zero imaginary parts; reject genuinely complex input."""
-    M = np.asarray(M, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M.imag)) > rel * scale:
-        raise NonPhysicalM(
-            f"imaginary part {np.max(np.abs(M.imag)):.2e} exceeds {rel:.0e} * scale")
-    return M.real.copy()
+def _coset_scalars(cls, M, n: int, formulas):
+    """cls(*Sigma_i, *fields), (exps, fields) = formulas(Re M), Sigma_i =
+    0.5 log exps[i], for one matrix (n, n) or a stack (..., n, n).
+
+    Refused where M is not finite and real (real: |Im M| <= REALITY_REL *
+    max(1, |M|)) or a denominator vanishes, leaving an exp or a field not
+    finite: NaN in every field of a stack, NonPhysicalM for one matrix.
+    Sigma_i exists only where exp(2 Sigma_i) > 0: NaN in a stack, else None.
+    """
+    M = np.asarray(M)
+    if M.shape[-2:] != (n, n):
+        raise ValueError(f"{n}x{n} matrix or a stack of them required")
+    size = np.abs(M).max(axis=(-2, -1))
+    ok = np.isfinite(size)
+    if np.iscomplexobj(M):
+        ok &= np.abs(M.imag).max(axis=(-2, -1)) <= REALITY_REL * np.maximum(1.0, size)
+    with np.errstate(all="ignore"):
+        exps, fields = formulas(M.real)
+        sigmas = [np.where(e > 0, 0.5 * np.log(e), np.nan) for e in exps]
+    ok &= np.all([np.isfinite(x) for x in (*exps, *fields)], axis=0)
+    values = [np.where(ok, x, np.nan) for x in (*sigmas, *fields)]
+    if np.ndim(ok):
+        return cls(*values)
+    if not ok:
+        raise NonPhysicalM("M is not finite and real, or a denominator of its coset form "
+                           f"vanishes: M = {M.tolist()}")
+    return cls(*(None if np.isnan(x) else float(x) for x in values))
 
 
 @dataclass(frozen=True)
 class MetricScalars4D:
-    """Norm factor Delta, twist potential Btilde and g_tt (= -lam Delta)."""
+    """Norm factor Delta, twist potential Btilde and g_tt = -Delta: floats
+    from one matrix, arrays from a stack."""
 
     Delta: float
     Btilde: float
@@ -38,18 +58,23 @@ class MetricScalars4D:
 
 @dataclass(frozen=True)
 class MetricScalars5D:
-    Sigma1: float
-    Sigma2: float
-    Sigma3: float
+    """Sigma_i, chi_i and g_tt of the 3x3 coset form: floats from one
+    matrix, Sigma_i None where exp(2 Sigma_i) <= 0; arrays from a stack,
+    NaN there."""
+
+    Sigma1: float | None
+    Sigma2: float | None
+    Sigma3: float | None
     chi1: float
     chi2: float
     chi3: float
     g_tt: float
 
     def rebuild_M(self) -> np.ndarray:
-        e1 = np.exp(2.0 * self.Sigma1)
-        e2 = np.exp(2.0 * self.Sigma2)
-        e3 = np.exp(2.0 * self.Sigma3)
+        sigmas = (self.Sigma1, self.Sigma2, self.Sigma3)
+        if None in sigmas:
+            raise NonPhysicalM("exp(2 Sigma_i) <= 0: no coset form to rebuild")
+        e1, e2, e3 = np.exp(2.0 * np.array(sigmas))
         c1, c2, c3 = self.chi1, self.chi2, self.chi3
         return np.array([
             [e1, e1 * c2, e1 * c3],
@@ -58,38 +83,35 @@ class MetricScalars5D:
         ])
 
 
-def extract_4d(M, lam: int = 1) -> MetricScalars4D:
-    """Invert the 2x2 coset form: Delta = 1/M22, Btilde = M12/M22."""
-    M = _realise(M)
-    if M.shape != (2, 2):
-        raise ValueError("2x2 matrix required")
-    if M[1, 1] <= 0.0:
-        raise NonPhysicalM(f"M22 = {M[1, 1]} must be positive")
-    delta = 1.0 / M[1, 1]
-    btilde = M[0, 1] / M[1, 1]
-    return MetricScalars4D(delta, btilde, -lam * delta)
+def extract_4d(M) -> MetricScalars4D:
+    """Invert the 2x2 coset form of one matrix or a stack (..., 2, 2):
+    Delta = 1/M22, Btilde = M12/M22, g_tt = -Delta, also where M22 < 0
+    (inside the Kerr ergoregion, where g_tt > 0)."""
+    return _coset_scalars(MetricScalars4D, M, 2, lambda R: (
+        (), (1.0 / R[..., 1, 1], R[..., 0, 1] / R[..., 1, 1], -1.0 / R[..., 1, 1])))
+
+
+def _formulas_5d(M):
+    e1 = M[..., 0, 0]
+    chi2 = M[..., 0, 1] / e1
+    chi3 = M[..., 0, 2] / e1
+    e2 = M[..., 1, 1] + e1 * chi2 * chi2
+    chi1 = (M[..., 1, 2] + e1 * chi2 * chi3) / e2
+    e3 = M[..., 2, 2] + e2 * chi1 * chi1 - e1 * chi3 * chi3
+    return (e1, e2, e3), (chi1, chi2, chi3, -e3 + e2 * chi1 * chi1)
 
 
 def extract_5d(M) -> MetricScalars5D:
-    """Invert the 3x3 coset form (eta = diag(1, -1, 1)) into Sigma_i, chi_i."""
-    M = _realise(M)
-    if M.shape != (3, 3):
-        raise ValueError("3x3 matrix required")
-    if M[0, 0] <= 0.0:
-        raise NonPhysicalM(f"M11 = {M[0, 0]} must be positive")
-    e1 = M[0, 0]
-    chi2 = M[0, 1] / e1
-    chi3 = M[0, 2] / e1
-    e2 = M[1, 1] + e1 * chi2 * chi2
-    if e2 <= 0.0:
-        raise NonPhysicalM(f"exp(2 Sigma2) = {e2} must be positive")
-    chi1 = (M[1, 2] + e1 * chi2 * chi3) / e2
-    e3 = M[2, 2] + e2 * chi1 * chi1 - e1 * chi3 * chi3
-    if e3 <= 0.0:
-        raise NonPhysicalM(f"exp(2 Sigma3) = {e3} must be positive")
-    g_tt = -e3 + e2 * chi1 * chi1
-    return MetricScalars5D(0.5 * np.log(e1), 0.5 * np.log(e2), 0.5 * np.log(e3),
-                           chi1, chi2, chi3, g_tt)
+    """Invert the 3x3 coset form (eta = diag(1, -1, 1)) of one matrix or a
+    stack (..., 3, 3) into Sigma_i, chi_i and g_tt = -e3 + e2 chi1^2, with
+    e_i = exp(2 Sigma_i).  The formulas are rational in M, so they hold on
+    both sides of a failure curve, where M11 passes through infinity."""
+    return _coset_scalars(MetricScalars5D, M, 3, _formulas_5d)
+
+
+def extract_metric(M):
+    """extract_4d or extract_5d, by the size n of M (..., n, n)."""
+    return extract_4d(M) if np.shape(M)[-1] == 2 else extract_5d(M)
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +444,10 @@ def classify_curve(model: RationalMatrixOmega, polyline: CurvePolyline,
                 continue
             try:
                 out = factorise(model, q[0], q[1], branches)
-            except DEGENERATE_POINT_ERRORS:   # degenerate probe point
-                continue
-            if out.status is not Status.CANONICAL:
-                continue
-            try:
-                if model.n == 2:
-                    values.append(extract_4d(out.M_limit).g_tt)
-                else:
-                    values.append(extract_5d(out.M_limit).g_tt)
-                break
-            except NonPhysicalM:
+                if out.canonical:
+                    values.append(extract_metric(out.M_limit).g_tt)
+                    break
+            except (*DEGENERATE_POINT_ERRORS, NonPhysicalM):   # no metric at this probe
                 continue
     if values and max(abs(g) for g in values) <= ERGO_GTT_TOL:
         tag = "ergosurface"

@@ -6,10 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from whergo import factorise
 from whergo.cli import main
-from whergo.errors import NonPhysicalM
-from whergo.geometry import extract_5d
+from whergo.geometry import bl_from_prolate_4d, kerr_gtt_bl
+from whergo.spectral import prolate_from_weyl_4d
 
 RUN = lambda *argv: main(list(argv))  # noqa: E731
 
@@ -87,51 +86,67 @@ def _sweep_rows_of(path):
     return [r.split(",") for r in rows]
 
 
-def _assert_sweep_matches_factorise(model, rows, branches=None):
-    # row by row the sweep must carry factorise's verdict: the kernel
-    # dimension, a g_tt exactly where factorise gives a physical M, and
-    # that g_tt to 1e-10 (-1/M22 for n = 2, extract_5d's for n = 3)
+def _assert_sweep_matches_factorise(capsys, monkeypatch, model, argv, rows):
+    # row by row the sweep must carry `whergo factorize`'s answer: its
+    # kernel dimension, and the g_tt of its metric to 1e-10, blank exactly
+    # where factorize reports none
+    import whergo.cli as cli
+
+    monkeypatch.setattr(cli, "build_model", lambda cfg: model)   # plan compiled once
     for cols in rows:
-        rho, v, kdim = float(cols[0]), float(cols[1]), int(cols[4])
-        res = factorise(model, rho, v, branches)
-        assert res.kernel_dim == kdim, (rho, v)
-        expect = None
-        if res.canonical and model.n == 2:
-            expect = -1.0 / res.M_limit[1, 1].real
-        elif res.canonical:
-            try:
-                expect = extract_5d(res.M_limit).g_tt
-            except NonPhysicalM:
-                pass
-        assert (expect is None) == (cols[5] == ""), (rho, v, res.status)
+        code, out, _ = run_capture(capsys, "factorize", *argv, "--rho", cols[0], "--v", cols[1])
+        doc = json.loads(out)
+        assert doc["kernel_dim"] == int(cols[4]), cols
+        expect = doc.get("metric", {}).get("g_tt")
+        assert (expect is None) == (cols[5] == ""), (cols, doc["status"])
         if expect is not None:
-            assert abs(float(cols[5]) - expect) <= 1e-10 * max(abs(expect), 1e-3), (rho, v)
+            assert abs(float(cols[5]) - expect) <= 1e-10 * max(abs(expect), 1e-3), cols
 
 
 @pytest.mark.parametrize("branches", [None, "plus,minus", "minus,plus", "plus,plus"])
-def test_sweep_agrees_with_factorise(tmp_path, kerr, branches):
+def test_sweep_agrees_with_factorise(tmp_path, capsys, monkeypatch, kerr, branches):
     out = tmp_path / "sweep.csv"
-    args = ["sweep", "--model", "kerr", "--grid", "0.2:2.0:10,-0.8:0.8:9",
-            "--out", str(out)]
-    if branches:
-        args += ["--branches", branches]
-    assert RUN(*args) == 0
+    argv = ["--model", "kerr"] + (["--branches", branches] if branches else [])
+    assert RUN("sweep", *argv, "--grid", "0.2:2.0:10,-0.8:0.8:9", "--out", str(out)) == 0
     rows = _sweep_rows_of(out)
     assert len(rows) == 90
-    _assert_sweep_matches_factorise(kerr, rows, branches.split(",") if branches else None)
+    if branches is None:        # the grid crosses the ergosurface
+        assert any(c[5] and float(c[5]) > 0 for c in rows)
+    _assert_sweep_matches_factorise(capsys, monkeypatch, kerr, argv, rows)
 
 
-@pytest.mark.parametrize("name, grid", [
-    ("mp5d", "0.3:2.0:7,-1.0:1.0:9"),
+@pytest.mark.parametrize("name, grid, first_row_kernels", [
+    ("mp5d", "0.3:2.0:7,-1.0:1.0:9", None),
     # the first rho row runs through the mvc5d failure curve at v = 0
-    ("mvc5d", f"{0.75 / 3.0 ** 0.5!r}:1.2:4,-0.4:0.4:5")], ids=["mp5d", "mvc5d"])
-def test_sweep_agrees_with_factorise_5d(tmp_path, mp5d, mvc5d, name, grid):
+    ("mvc5d", f"{0.75 / 3.0 ** 0.5!r}:1.2:4,-0.4:0.4:5", [0, 0, 1, 0, 0]),
+    # 8 of these 20 points lie inside the mvc5d failure curve, where M11 < 0
+    ("mvc5d", "0.05:0.9:4,-0.6:0.6:5", None)], ids=["mp5d", "mvc5d", "mvc5d-inside"])
+def test_sweep_agrees_with_factorise_5d(tmp_path, capsys, monkeypatch, mp5d, mvc5d, name, grid,
+                                        first_row_kernels):
     out = tmp_path / "sweep.csv"
     assert RUN("sweep", "--model", name, "--grid", grid, "--out", str(out)) == 0
     rows = _sweep_rows_of(out)
-    _assert_sweep_matches_factorise({"mp5d": mp5d, "mvc5d": mvc5d}[name], rows)
-    if name == "mvc5d":
-        assert [int(c[4]) for c in rows[:5]] == [0, 0, 1, 0, 0]
+    _assert_sweep_matches_factorise(capsys, monkeypatch, {"mp5d": mp5d, "mvc5d": mvc5d}[name],
+                                    ["--model", name], rows)
+    if first_row_kernels:
+        assert [int(c[4]) for c in rows[:5]] == first_row_kernels
+    # every canonical row carries g_tt, on either side of the failure curve
+    assert all(c[5] != "" for c in rows if c[4] == "0")
+
+
+def test_factorize_reports_the_metric_inside_the_ergoregion(capsys):
+    # Kerr (m = 2, a = 1) at (0.3, 0) lies inside the ergoregion: M22 < 0,
+    # and g_tt > 0 is the Boyer-Lindquist value there
+    code, out, _ = run_capture(capsys, "factorize", "--model", "kerr",
+                               "--rho", "0.3", "--v", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["M_limit"][1][1] < 0
+    u, y = prolate_from_weyl_4d(0.3, 0.0, 3.0 ** 0.5)
+    r, theta = bl_from_prolate_4d(u, y, 2.0)
+    expect = kerr_gtt_bl(r, theta, 2.0, 1.0)
+    assert expect > 0
+    assert abs(doc["metric"]["g_tt"] - expect) <= 1e-10 * abs(expect)
 
 
 def test_sweep_jobs_byte_identical_over_chunks(tmp_path):

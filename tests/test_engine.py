@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -425,6 +427,20 @@ def test_assemble_m_richardson(kerr):
     out = factorise(kerr, 2.8, -0.9)
     M = assemble_M(out, check=True)
     assert np.array_equal(M, out.M_limit)
+
+
+@pytest.mark.parametrize("point", [(0.4090974066222354, -1.4335124397770158),
+                                   (0.7318409783108428, -1.837649440686218)])
+def test_assemble_m_richardson_scales_with_the_poles_of_m_minus(kerr, point):
+    # M_minus has a pole of modulus 15.5 (9.9) here: unscaled, the
+    # extrapolation's own error exceeded the tolerance on right factors
+    out = factorise(kerr, *point)
+    assert out.residual_report.factorisation <= 1e-9
+    assert np.array_equal(assemble_M(out, check=True), out.M_limit)
+    # the cross-check still catches a limit that is off by 1e-6
+    wrong = dataclasses.replace(out, M_limit=out.M_limit * (1 + 1e-6))
+    with pytest.raises(ArithmeticError):
+        assemble_M(wrong, check=True)
 
 
 def test_mp5d_matches_reference_closed_form(mp5d, rng):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import mvc_closed_form
 from whergo.catalog import model_kerr
 from whergo.engine import Status, factorise
 from whergo.errors import NoCurveFound, NonPhysicalM, NoRealSolution
@@ -46,10 +49,16 @@ def test_extract_4d_roundtrip():
 
 
 def test_extract_4d_rejects_bad_input():
+    # M22 < 0 is the far side of the Kerr ergosurface, where g_tt > 0
+    s = extract_4d(np.array([[1.0, 0.0], [0.0, -2.0]]))
+    assert (s.Delta, s.Btilde, s.g_tt) == (-0.5, 0.0, 0.5)
     with pytest.raises(NonPhysicalM):
-        extract_4d(np.array([[1.0, 0.0], [0.0, -2.0]]))
+        extract_4d(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(NonPhysicalM):
         extract_4d(np.eye(2) + 1e-3j * np.ones((2, 2)))
+    # in a stack the refused entries are NaN, the others as alone
+    stack = extract_4d(np.array([[[1.0, 0.0], [0.0, -2.0]], [[1.0, 0.0], [0.0, 0.0]]]))
+    assert stack.g_tt[0] == 0.5 and np.isnan(stack.g_tt[1])
 
 
 def test_extract_4d_kerr_ergosurface_point(kerr):
@@ -84,6 +93,43 @@ def test_extract_5d_roundtrip(rng):
         assert (s.Sigma1, s.Sigma2, s.Sigma3) == pytest.approx((sig1, sig2, sig3), abs=1e-10)
         assert (s.chi1, s.chi2, s.chi3) == pytest.approx(tuple(chi), abs=1e-10)
         assert np.max(np.abs(s.rebuild_M() - M)) <= 1e-10 * max(1, np.max(np.abs(M)))
+
+
+def _coset_5d(e1, e2, e3, c1, c2, c3):
+    """The 3x3 coset form from exp(2 Sigma_i) = e_i of any sign, stacked."""
+    return np.moveaxis(np.array([
+        [e1, e1 * c2, e1 * c3],
+        [-e1 * c2, -e1 * c2 * c2 + e2, -e1 * c2 * c3 + e2 * c1],
+        [e1 * c3, e1 * c2 * c3 - e2 * c1, -e2 * c1 * c1 + e1 * c3 * c3 + e3]]), (0, 1), (-2, -1))
+
+
+_finite = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_finite, _finite, _finite, _finite, _finite,
+                          st.booleans(), st.booleans()), min_size=1, max_size=12))
+def test_extract_5d_stack_is_bitwise_the_single_matrix_extraction(draws):
+    # one path for sweep (stacks) and factorize (one matrix): entry for
+    # entry the same bits, on either side of a failure curve (e1 or e3 < 0)
+    sig1, sig2, c1, c2, c3, flip1, flip3 = (np.array(x) for x in zip(*draws))
+    e1 = np.where(flip1, -1.0, 1.0) * np.exp(2 * sig1)
+    e3 = np.where(flip3, -1.0, 1.0) * np.exp(-2 * (sig1 + sig2))
+    M = _coset_5d(e1, np.exp(2 * sig2), e3, c1, c2, c3)
+    stack = extract_5d(M)
+    for k in range(len(draws)):
+        alone = extract_5d(M[k])
+        for name, value in vars(alone).items():
+            got = getattr(stack, name)[k]
+            assert (value is None and np.isnan(got)) or value == got, name
+        if flip1[k] or flip3[k]:
+            assert (alone.Sigma1 is None) == flip1[k] and (alone.Sigma3 is None) == flip3[k]
+            with pytest.raises(NonPhysicalM):
+                alone.rebuild_M()
+        else:
+            assert np.max(np.abs(alone.rebuild_M() - M[k])) <= 1e-10 * np.max(np.abs(M[k]))
+        assert alone.g_tt == pytest.approx(-e3[k] + np.exp(2 * sig2[k]) * c1[k] ** 2,
+                                           rel=1e-9, abs=1e-9)
 
 
 def test_extract_5d_mp_block_structure(mp5d):
@@ -172,6 +218,30 @@ def test_mvc_gtt_oracle_matches_extraction(mvc5d, rng):
         s = extract_5d(out.M_limit)
         r, th = spherical_from_prolate_5d(u, y, al)
         assert s.g_tt == pytest.approx(mp_gtt_spherical(r, th, M_K, A_K), rel=1e-8)
+
+
+@pytest.mark.parametrize("y", [-0.5, 0.0, 0.4])
+def test_mvc_metric_stays_finite_across_the_failure_curve(mvc5d, y):
+    # the paper's claim: M blows up on the failure curve (M11 ~ 1/(u - u_c),
+    # changing sign across it) while g_tt stays finite and right on both
+    # sides.  Not gated on the factorisation residual, which misses 1e-9 this
+    # close to the curve.
+    al = mvc5d.params["alpha"]
+    u_c = ergosurface_closed_form("mvc5d", PARAMS, y)
+    products = []
+    for offset in (1e-3, -1e-3, 1e-4, -1e-4, 1e-5, -1e-5):
+        rho, v = weyl_from_prolate_5d(u_c + offset, y, al)
+        out = factorise(mvc5d, rho, v)
+        assert out.status is Status.CANONICAL
+        expect, _ = mvc_closed_form(rho, v)
+        assert np.max(np.abs(out.M_limit - expect)) <= 1e-8 * np.max(np.abs(expect))
+        products.append(out.M_limit[0, 0] * offset)
+        r, th = spherical_from_prolate_5d(u_c + offset, y, al)
+        assert extract_5d(out.M_limit).g_tt == pytest.approx(
+            mp_gtt_spherical(r, th, M_K, A_K), rel=1e-8)
+    products = np.array(products)
+    assert np.all(products > 0)
+    assert np.ptp(products) <= 1e-3 * np.max(products)
 
 
 # ---------------------------------------------------------------------------

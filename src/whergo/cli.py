@@ -12,7 +12,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import MODEL_BUILDERS, RationalMatrixOmega, load_model_json, model_identity
-from .engine import DEFAULT_D_TOL, evaluate_points, factorise
+from .engine import DEFAULT_TOL, check_tol, evaluate_points, factorise
 from .errors import NoCurveFound, NonPhysicalM, WhergoError
 from .geometry import classify_curve, extract_metric, trace_curve
 
@@ -39,18 +39,13 @@ class RunConfig:
     jobs: int = 1
     step: float = 0.01
 
-    def d_tol(self) -> float:
+    def tolerance(self) -> float:
+        """The rank tolerance: tol, else WH_ERGO_TOL, else DEFAULT_TOL;
+        ValueError unless it lies in (0, 1)."""
         if self.tol is not None:
-            return self.tol
+            return check_tol(self.tol)
         env = os.environ.get("WH_ERGO_TOL")
-        if env:
-            return float(env)
-        return DEFAULT_D_TOL
-
-    def rank_tol(self) -> float:
-        """Relative rank tolerance of the kernel dimension: the D tolerance,
-        floored at 1e-9."""
-        return max(1e-9, self.d_tol())
+        return check_tol(float(env)) if env else DEFAULT_TOL
 
     def validate(self):
         for key in ("rho", "v"):
@@ -61,8 +56,7 @@ class RunConfig:
                 raise ValueError("rho range must be strictly positive")
             if hi <= lo:
                 raise ValueError(f"empty {key} range")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        self.tolerance()
 
 
 def build_model(cfg: RunConfig) -> RationalMatrixOmega:
@@ -89,8 +83,7 @@ def _write_text(path, text: str):
 
 def cmd_factorize(cfg: RunConfig, rho: float, v: float) -> int:
     model = build_model(cfg)
-    out = factorise(model, rho, v, cfg.branches, d_tol=cfg.d_tol(),
-                    rank_tol=cfg.rank_tol())
+    out = factorise(model, rho, v, cfg.branches, cfg.tolerance())
     payload = {
         "schema_version": SCHEMA_VERSION,
         "model": model.model_id,
@@ -137,19 +130,16 @@ def _sweep_rows(cfg: RunConfig, model: RationalMatrixOmega):
 
 
 def _chunk_rows(cfg: RunConfig, model: RationalMatrixOmega, rho_vals, v_vals):
-    """Sweep rows of the grid rho_vals x v_vals, with factorise's verdict
-    (PointBatch.canonical) at every point: factorize's g_tt where canonical
-    (blank where the extractor refuses M), otherwise the kernel dimension."""
+    """Sweep rows of the grid rho_vals x v_vals, with factorise's kernel
+    dimension and verdict (PointBatch.canonical) at every point: factorize's
+    g_tt where canonical, blank elsewhere and where the extractor refuses M."""
     R, V = (x.ravel() for x in np.meshgrid(rho_vals, v_vals, indexing="ij"))
-    batch = evaluate_points(model, R, V, cfg.branches)
-    canonical = batch.canonical(cfg.d_tol())
-    gtt = extract_metric(batch.M_limit).g_tt
+    batch = evaluate_points(model, R, V, cfg.branches, cfg.tolerance())
+    gtt = np.where(batch.canonical, extract_metric(batch.M_limit).g_tt, np.nan)
     dhat = batch.D_value / batch.D_scale
-    rank_tol = cfg.rank_tol()
-    return [(r, v, d.real, d.imag, 0, None if math.isnan(g) else g) if ok
-            else (r, v, d.real, d.imag, batch.kernel_dim(i, rank_tol), None)
-            for i, (r, v, d, ok, g) in enumerate(zip(R.tolist(), V.tolist(), dhat.tolist(),
-                                                     canonical.tolist(), gtt.tolist()))]
+    return [(r, v, d.real, d.imag, k, None if math.isnan(g) else g)
+            for r, v, d, k, g in zip(R.tolist(), V.tolist(), dhat.tolist(),
+                                     batch.kernel_dim.tolist(), gtt.tolist())]
 
 
 def _chunk_job(args):
@@ -290,8 +280,9 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=float, help="mass parameter")
         sp.add_argument("--a", type=float, help="rotation parameter")
         sp.add_argument("--branches", help="comma-separated pair branches, e.g. minus,minus")
-        sp.add_argument("--tol", type=float, help="on-curve |D| tolerance, also the kernel "
-                                                  "rank tolerance floored at 1e-9 "
+        sp.add_argument("--tol", type=float, help="rank tolerance in (0, 1): a kernel where "
+                                                  "sigma_min/sigma_max of the equilibrated "
+                                                  "system is at most tol "
                                                   "(default WH_ERGO_TOL or 1e-9)")
         sp.add_argument("--out", help="output file (default stdout)")
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"))

@@ -20,8 +20,11 @@ reference the plan is checked against.  evaluate_points assembles the
 plan's full system once over an array of points (one point for factorise)
 and solves the square system of its D rows and normalisation rows: D, the
 kernel dimension, M(rho, v) and the verdict all read that one evaluation,
-so factorise, sweep and the curve classifier cannot disagree.  Callers
-that need only D assemble the analyticity rows alone.
+so factorise, sweep, the curve classifier and toeplitz_kernel_dim cannot
+disagree.  One rank test decides: the kernel dimension counts the singular
+values <= tol * sigma_max of the row- then column-equilibrated homogeneous
+system, and D only spares that SVD where it proves the kernel trivial.
+Callers that need only D assemble the analyticity rows alone.
 
 factorise is evaluate_points at one point, plus the factors and the
 residual report.  It composes no monodromy.  Its factors are numeric:
@@ -61,9 +64,11 @@ from .errors import (
     SingularSystem,
 )
 from .poly import (
+    DEFAULT_TOL,
     FactoredRational,
     _multiset_minus,
     _root_lcm,
+    equilibrate,
     numerical_nullity,
     poly_degree,
     poly_derivative,
@@ -76,8 +81,6 @@ from .poly import (
     poly_trim,
 )
 from .spectral import BRANCH_PLUS, PolePartition, SpectralPoint, build_partition
-
-DEFAULT_D_TOL = 1e-9
 
 # reference Weyl points used once per (model, branches) to compile the plan
 # of the generic constraint system; must be off-curve, which the compile
@@ -93,8 +96,8 @@ class Classification(enum.Enum):
 
 class Status(enum.Enum):
     CANONICAL = "canonical"
-    NON_CANONICAL = "non-canonical"
-    DEGENERATE = "degenerate"
+    DEGENERATE = "degenerate"        # a non-trivial Toeplitz kernel
+    UNRESOLVED = "unresolved"        # trivial kernel, yet no consistent solution
 
 
 @dataclass(frozen=True)
@@ -206,8 +209,9 @@ def compute_D(mono: MonodromyMatrixTau, partition: PolePartition) -> complex:
 
 
 def toeplitz_kernel_dim(mono: MonodromyMatrixTau, partition: PolePartition,
-                        rel_tol: float = 1e-9) -> int:
-    """Kernel dimension of the Toeplitz operator with this symbol.
+                        tol: float = DEFAULT_TOL) -> int:
+    """Kernel dimension of the Toeplitz operator with this symbol: the
+    kernel_dim of evaluate_points at the monodromy's Weyl point.
 
     The always-canonical classification short-circuits to 0 without
     assembling anything: every kernel element picks up a positive tau power
@@ -216,7 +220,9 @@ def toeplitz_kernel_dim(mono: MonodromyMatrixTau, partition: PolePartition,
     if (mono.degree_table is not None
             and classify_2x2(mono).kind is Classification.ALWAYS_CANONICAL):
         return 0
-    return numerical_nullity(_assemble_homogeneous(_ansatz_for(mono, partition)), rel_tol)
+    model = mono.model
+    return int(evaluate_points(model, mono.pt.rho, mono.pt.v,
+                               _branches_of(model, partition), tol).kernel_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -766,12 +772,6 @@ def _branches_of(model: RationalMatrixOmega, partition: PolePartition) -> tuple:
     return tuple(partition.pair_for(w).branch for w in model.omega_poles)
 
 
-def _ansatz_for(mono: MonodromyMatrixTau, partition: PolePartition) -> AnsatzSpec:
-    """The plan's AnsatzSpec at the monodromy's Weyl point."""
-    plan = _plan_for(mono.model, _branches_of(mono.model, partition))
-    return _plan_spec(plan, mono.pt.rho, mono.pt.v)
-
-
 # ---------------------------------------------------------------------------
 # factors and outcome
 # ---------------------------------------------------------------------------
@@ -1018,6 +1018,36 @@ def _system_residual(A, B, sol):
     return largest(A @ sol - B), scale
 
 
+def check_tol(tol: float) -> float:
+    """tol itself if it is a rank tolerance, a number in (0, 1); else ValueError."""
+    if not 0.0 < tol < 1.0:          # NaN fails the comparison too
+        raise ValueError(f"tolerance must be a number in (0, 1), got {tol!r}")
+    return tol
+
+
+def _kernel_dim(a0: np.ndarray, d_hat: np.ndarray, tol: float) -> np.ndarray:
+    """numerical_nullity of every homogeneous system of a0, batch + (rows, u),
+    at tol; d_hat is D over its Hadamard bound, batch.
+
+    The SVD runs only where D-hat does not prove the kernel trivial.  Let
+    A~ be a0 with its rows and then its columns scaled to unit norm, and S
+    the D rows.  Every column of A~ has unit norm, so sigma_max(A~) <=
+    |A~|_F = sqrt(u), and so does sigma_max(A~_S); with |det A~_S| <=
+    sigma_min(A~_S) sigma_max(A~_S)^(u - 1) and sigma_min(A~) >=
+    sigma_min(A~_S) (S is a subset of the rows), sigma_min(A~) >=
+    |det A~_S| / u^((u - 1) / 2).  det A~_S is D-hat over the product of
+    the column norms c_j of the row-scaled a0, so sigma_min / sigma_max >
+    tol, a trivial kernel, wherever |D-hat| > tol u^(u/2) prod c_j.
+    """
+    u = a0.shape[-1]
+    _, cols = equilibrate(a0)
+    clear = np.abs(d_hat) > tol * u ** (u / 2) * np.prod(cols, axis=-1)
+    kernel = np.zeros(clear.shape, dtype=int)
+    if not np.all(clear):
+        kernel[~clear] = numerical_nullity(a0[~clear], tol)
+    return kernel
+
+
 @dataclass(frozen=True)
 class PointBatch:
     """The plan's system evaluated and solved at an array of Weyl points:
@@ -1031,7 +1061,7 @@ class PointBatch:
     D_value: np.ndarray           # batch
     D_scale: np.ndarray           # batch: Hadamard bound of D
     consistent: np.ndarray        # batch: solution satisfies every row of the full system
-    homogeneous: np.ndarray       # batch + (rows, unknowns)
+    kernel_dim: np.ndarray        # batch: Toeplitz kernel dimension at the batch's tol
 
     @property
     def M_limit(self) -> np.ndarray:
@@ -1039,29 +1069,26 @@ class PointBatch:
         ends = np.cumsum([len(r) + 1 for r in self.spec.pi_roots]) - 1
         return self.solution[..., ends, :]
 
-    def d_clear(self, d_tol: float) -> np.ndarray:
-        """Where |D| >= d_tol * scale: D is not zero to the tolerance."""
-        return np.abs(self.D_value) >= d_tol * self.D_scale
-
-    def canonical(self, d_tol: float) -> np.ndarray:
-        """The verdict of factorise and sweep: D is not zero and the
-        solution is consistent."""
-        return self.d_clear(d_tol) & self.consistent
-
-    def kernel_dim(self, index, rel_tol: float = 1e-9) -> int:
-        """factorise's kernel dimension at a batch index that is not canonical."""
-        return numerical_nullity(self.homogeneous[index], rel_tol)
+    @property
+    def canonical(self) -> np.ndarray:
+        """The verdict of factorise and sweep: a trivial kernel and a
+        consistent solution."""
+        return (self.kernel_dim == 0) & self.consistent
 
 
-def evaluate_points(model: RationalMatrixOmega, rho, v, branches=None) -> PointBatch:
+def evaluate_points(model: RationalMatrixOmega, rho, v, branches=None,
+                    tol: float = DEFAULT_TOL) -> PointBatch:
     """The plan's system at Weyl points (rho, v) of any common shape, from
-    one evaluation: factorise's D test, solution and verdict.
+    one evaluation: factorise's D, kernel dimension, solution and verdict.
 
-    D and its scale come from the fixed D rows of the homogeneous part.  The
-    coefficients solve the square system of the D rows and the n
-    normalisation rows; a point is consistent where that solution satisfies
-    every row of the full system to 1e-8 of the system's scale.
+    D and its scale come from the fixed D rows of the homogeneous part, the
+    kernel dimension from the whole homogeneous part at the rank tolerance
+    tol (check_tol).  The coefficients solve the square system of the D
+    rows and the n normalisation rows; a point is consistent where that
+    solution satisfies every row of the full system to 1e-8 of the system's
+    scale.
     """
+    check_tol(tol)
     if branches is None:
         branches = model.default_branches
     spec = _plan_spec(_plan_for(model, branches), rho, v)
@@ -1072,7 +1099,8 @@ def evaluate_points(model: RationalMatrixOmega, rho, v, branches=None) -> PointB
     rows = np.concatenate([spec.selected_rows, np.arange(top - n, top)])
     sol = _solve_stack(A[..., rows, :], B[..., rows, :])
     resid, scale = _system_residual(A, B, sol)
-    return PointBatch(spec, sol, d_val, d_scale, resid <= 1e-8 * scale, a0)
+    return PointBatch(spec, sol, d_val, d_scale, resid <= 1e-8 * scale,
+                      _kernel_dim(a0, d_val / d_scale, tol))
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1092,25 +1120,26 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def factorise(model: RationalMatrixOmega, rho: float, v: float,
-              branches=None, d_tol: float | None = None,
-              rank_tol: float = 1e-9) -> FactorisationOutcome:
-    """Full pipeline at one Weyl point: evaluate_points at that point, then
-    the factors and the residual check where its verdict is canonical.
+              branches=None, tol: float = DEFAULT_TOL) -> FactorisationOutcome:
+    """Full pipeline at one Weyl point: evaluate_points at that point (rank
+    tolerance tol), then the factors and the residual check where its
+    verdict is canonical.
 
     Everything is read from the model's compiled plan: no monodromy is
-    composed.  Returns a Canonical outcome with factors and M(rho, v), or a
-    Degenerate/NonCanonical outcome carrying D and the kernel dimension.
+    composed.  Returns a CANONICAL outcome with factors and M(rho, v); a
+    DEGENERATE one (kernel_dim >= 1); or an UNRESOLVED one, whose kernel is
+    trivial but whose solution misses a row of the system.  The last two
+    carry D and the kernel dimension.
     """
-    if d_tol is None:
-        d_tol = DEFAULT_D_TOL
     pt = SpectralPoint(rho, v)
     if branches is None:
         branches = model.default_branches
     build_partition(pt, model.omega_poles, branches)    # rejects degenerate pairs
     classification = classify_2x2(model) if model.degree_table is not None else None
-    batch = evaluate_points(model, rho, v, branches)
+    batch = evaluate_points(model, rho, v, branches, tol)
     d_val, d_scale = complex(batch.D_value.item()), batch.D_scale.item()
-    if batch.canonical(d_tol):
+    kdim = int(batch.kernel_dim)
+    if batch.canonical:
         cols_plus, cols_minus, pole_resid = solve_factor_columns_generic(batch.spec,
                                                                          batch.solution)
         X, M_minus = _factor_matrices(cols_plus, cols_minus)
@@ -1119,9 +1148,7 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
         report = _residual_report(model, pt, poles, X, M_minus, pole_resid)
         return FactorisationOutcome(Status.CANONICAL, d_val, d_scale, 0, classification,
                                     X, M_minus, batch.M_limit, report)
-    kdim = batch.kernel_dim((), rank_tol)
-    # D clear of zero yet no consistent solution: a kernel makes it non-canonical
-    status = Status.NON_CANONICAL if kdim >= 1 and batch.d_clear(d_tol) else Status.DEGENERATE
+    status = Status.DEGENERATE if kdim else Status.UNRESOLVED
     return FactorisationOutcome(status, d_val, d_scale, kdim, classification)
 
 

@@ -16,7 +16,9 @@ from .errors import DegenerateCoefficient
 # Coefficients below TRIM_REL * max|coeff| are treated as arithmetic noise.
 TRIM_REL = 1e-14
 
-DEFAULT_RANK_TOL = 1e-9
+# The one rank tolerance: a matrix is rank deficient where, with its rows and
+# then its columns scaled to unit norm, sigma_min / sigma_max <= DEFAULT_TOL.
+DEFAULT_TOL = 1e-9
 
 
 def as_poly(c) -> np.ndarray:
@@ -301,14 +303,25 @@ def dense_det(A) -> complex:
     return complex(sign * np.prod(np.diag(LU)))
 
 
-def numerical_nullity(A, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count singular values <= rel_tol * sigma_max (0 for a zero matrix of
-    positive size counts all of them)."""
-    A = np.asarray(A, dtype=complex)
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0:
-        return 0
-    smax = s[0]
-    if smax == 0.0:
-        return min(A.shape)
-    return int(np.sum(s <= rel_tol * smax))
+def equilibrate(A):
+    """(A with its rows and then its columns scaled to unit 2-norm, the
+    column norms of the row-scaled A), for one matrix (m, u) or a stack
+    (..., m, u).  Zero rows and columns stay zero (van der Sluis 1969:
+    this scaling takes the condition number to within a factor sqrt(u) of
+    its minimum over all column scalings)."""
+    A = np.asarray(A)
+    rows = np.linalg.norm(A, axis=-1, keepdims=True)
+    A = A / np.where(rows > 0, rows, 1.0)
+    cols = np.linalg.norm(A, axis=-2)
+    return A / np.where(cols > 0, cols, 1.0)[..., None, :], cols
+
+
+def numerical_nullity(A, tol: float = DEFAULT_TOL):
+    """Kernel dimension of a matrix (m, u), m >= u, or of each matrix of a
+    stack (..., m, u): the number of singular values <= tol * sigma_max
+    once the rows and then the columns are scaled to unit norm, so that no
+    row or column scaling changes the count.  A zero matrix counts all of
+    them.  Returns an int, or an int array of the stack's shape."""
+    s = np.linalg.svd(equilibrate(A)[0], compute_uv=False)
+    count = np.sum(s <= tol * s[..., :1], axis=-1)
+    return int(count) if count.ndim == 0 else count

@@ -292,16 +292,40 @@ def test_env_tolerance(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("WH_ERGO_TOL")
 
 
+@pytest.mark.parametrize("command", [
+    ["factorize", "--rho", "1", "--v", "0"],              # on the Kerr curve
+    ["sweep", "--grid", "0.9:1.1:2,-0.1:0.1:2"],
+    ["curve", "--grid", "0.5:1.5:6,-0.5:0.5:6"]], ids=["factorize", "sweep", "curve"])
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("tol", ["-1", "0", "1", "nan"])
+def test_tolerance_outside_zero_one_exits_1(tmp_path, monkeypatch, capsys, command, source, tol):
+    # a rank tolerance must be a number in (0, 1), whichever way it is set;
+    # factorize used to report the curve point canonical under --tol -1
+    argv = command + ["--model", "kerr"]
+    if source == "flag":
+        argv.append(f"--tol={tol}")
+    elif source == "env":
+        monkeypatch.setenv("WH_ERGO_TOL", tol)
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tol": float(tol)}))
+        argv += ["--config", str(path)]
+    code, out, err = run_capture(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "tolerance must be a number in (0, 1)" in err
+
+
 def test_tol_sets_one_rank_tolerance_for_factorize_and_sweep(tmp_path, capsys):
-    # 2e-5 beyond the Kerr curve at v = 0, where --tol 1e-6 calls D zero:
-    # both commands take the kernel rank at that tolerance too, and agree
+    # 2e-5 beyond the Kerr curve at v = 0, where the equilibrated system's
+    # sigma_min/sigma_max lies between 1e-6 and 1e-5: --tol 1e-5 finds a
+    # kernel there, and both commands take the rank at that tolerance
     rho = "1.0000199998500034"
-    code, out, _ = run_capture(capsys, "factorize", "--model", "kerr", "--tol", "1e-6",
+    code, out, _ = run_capture(capsys, "factorize", "--model", "kerr", "--tol", "1e-5",
                                "--rho", rho, "--v", "0")
     assert code == 3
     assert json.loads(out)["kernel_dim"] == 1
     path = tmp_path / "sweep.csv"
-    assert RUN("sweep", "--model", "kerr", "--tol", "1e-6", "--grid", f"{rho}:1.1:2,0:1:2",
+    assert RUN("sweep", "--model", "kerr", "--tol", "1e-5", "--grid", f"{rho}:1.1:2,0:1:2",
                "--out", str(path)) == 0
     first = _sweep_rows_of(path)[0]
     assert (first[0], first[1], first[4]) == (rho, "0", "1")

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (kerr_delta_closed_form, kerr_fh, mp5d_solution_closed_form,
                       mvc_closed_form, mvc_closed_form_D)
@@ -17,7 +19,6 @@ import whergo.engine as engine
 from whergo.engine import (
     Classification,
     Status,
-    _ansatz_for,
     _assemble_homogeneous,
     _assemble_inhomogeneous,
     _d_with_scale,
@@ -44,6 +45,12 @@ def _setup(model, rho, v, branches=None):
     part = build_partition(pt, model.omega_poles, branches or model.default_branches)
     mono = compose_monodromy(model, pt)
     return pt, part, mono
+
+
+def _plan_spec_at(mono, part):
+    """The plan's AnsatzSpec at the monodromy's Weyl point."""
+    plan = engine._plan_for(mono.model, engine._branches_of(mono.model, part))
+    return engine._plan_spec(plan, mono.pt.rho, mono.pt.v)
 
 
 def synthetic_chain_model():
@@ -220,7 +227,7 @@ def test_reducible_system_square_and_regular():
     # other model: the selected rows form a regular square matrix
     model = synthetic_chain_model()
     _, part, mono = _setup(model, 1.3, 0.4)
-    spec = _ansatz_for(mono, part)
+    spec = _plan_spec_at(mono, part)
     A = _assemble_homogeneous(spec)[spec.selected_rows, :]
     assert A.shape[0] == A.shape[1] > 0
     assert numerical_nullity(A) == 0
@@ -275,8 +282,8 @@ def test_factorise_builds_one_system(kerr, mp5d, mvc5d, monkeypatch):
              (mvc5d, (1.4, 0.2), Status.CANONICAL, False),
              (mvc5d, on_curve["mvc5d"][0], Status.DEGENERATE, False),
              # a zero solution fails the residual check, so the point is not
-             # consistent; the trivial kernel then reads as degenerate
-             (kerr, (2.1, 0.6), Status.DEGENERATE, True))
+             # consistent; with a trivial kernel the engine cannot decide
+             (kerr, (2.1, 0.6), Status.UNRESOLVED, True))
     for model, (rho, v), status, solve_raises in cases:
         factorise(model, rho, v)
         if solve_raises:
@@ -291,6 +298,7 @@ def test_factorise_builds_one_system(kerr, mp5d, mvc5d, monkeypatch):
         out = factorise(model, rho, v)
         monkeypatch.undo()
         assert out.status is status
+        assert out.kernel_dim == (status is Status.DEGENERATE)
         assert counts == {"build_ansatz": 0, "_assemble_rows": 1, "roots": 0}
 
 
@@ -310,6 +318,87 @@ def test_kernel_dim_kerr_20_points(kerr, rng):
         rho, v = weyl_from_prolate_4d(u, y, C_K)
         _, part, mono = _setup(kerr, rho, v)
         assert toeplitz_kernel_dim(mono, part) == 1
+
+
+# ---------------------------------------------------------------------------
+# one rank decision: status and kernel dimension
+# ---------------------------------------------------------------------------
+
+
+def _batch_status(batch, i):
+    """The status factorise gives at index i of an evaluate_points batch."""
+    if batch.kernel_dim[i]:
+        return Status.DEGENERATE
+    return Status.CANONICAL if batch.canonical[i] else Status.UNRESOLVED
+
+
+_RHO = st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["kerr", "mp5d", "mvc5d"]),
+       points=st.lists(st.tuples(_RHO, st.floats(-1e3, 1e3)), min_size=1, max_size=6))
+# Kerr points that were DEGENERATE with kernel_dim 0 under the old |D| test
+@example(name="kerr", points=[(0.5, 160.0), (1e-4, 5.0), (0.5, 1000.0), (1e-3, -3.0)])
+def test_factorise_is_the_batch_verdict_over_the_half_plane(name, points, kerr, mp5d, mvc5d):
+    # over the whole Weyl half-plane factorise's status and kernel dimension
+    # are those of one evaluate_points call on all the points, and the
+    # status follows the kernel: DEGENERATE exactly where kernel_dim >= 1
+    model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d}[name]
+    rho, v = (np.array(x) for x in zip(*points))
+    batch = evaluate_points(model, rho, v)
+    for i, (r, w) in enumerate(points):
+        try:
+            out = factorise(model, r, w)
+        except engine.DEGENERATE_POINT_ERRORS:        # no admissible partition here
+            continue
+        assert (out.status, out.kernel_dim) == (_batch_status(batch, i), batch.kernel_dim[i])
+        assert (out.status is Status.DEGENERATE) == (out.kernel_dim >= 1)
+
+
+@pytest.mark.parametrize("rho, v", [(0.5, 160.0), (1e-4, 5.0), (0.5, 1000.0)])
+def test_kerr_far_points_are_canonical(kerr, rho, v):
+    # D-hat is 8.6e-10, 1.8e-11 and 5.8e-13 here, below the old |D| test's
+    # 1e-9, yet the equilibrated system has full rank and the factors are right
+    out = factorise(kerr, rho, v)
+    assert out.status is Status.CANONICAL and out.kernel_dim == 0
+    r = out.residual_report
+    assert r.factorisation <= 1e-9 and r.x_at_zero <= 1e-10 and r.pole_cancellation <= 1e-9
+    assert abs(1.0 / out.M_limit[1, 1].real - kerr_delta_closed_form(rho, v)) <= 1e-13
+
+
+def test_kerr_near_axis_point_is_not_degenerate(kerr):
+    # the kernel is trivial at (1e-3, -3); its factors still miss the
+    # residual gate, which the status does not read yet
+    out = factorise(kerr, 1e-3, -3.0)
+    assert out.status is not Status.DEGENERATE and out.kernel_dim == 0
+
+
+def _kerr_plus_one(kerr):
+    """Kerr + 1: the Kerr entries in a 3x3 block with a unit (3, 3) entry."""
+    zero, one = ([0.0], [1.0]), ([1.0], [1.0])
+    (k11, k12), (k21, k22) = kerr.entries
+    return make_model([[k11, k12, zero], [k21, k22, zero], [zero, zero, one]],
+                      eta=(1.0, 1.0, 1.0), params=kerr.params, model_id="kerr+1",
+                      omega_poles=kerr.omega_poles, default_branches=kerr.default_branches)
+
+
+def test_kerr_plus_one_agrees_with_kerr(kerr, mp5d, mvc5d):
+    # n = 3 against n = 2: the block sum has Kerr's status, kernel dimension
+    # and M, and a one-dimensional kernel on the Kerr curve
+    model = _kerr_plus_one(kerr)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        rho, v = 10.0 ** rng.uniform(-1.0, 1.0), rng.uniform(-3.0, 3.0)
+        want, got = factorise(kerr, rho, v), factorise(model, rho, v)
+        assert (got.status, got.kernel_dim) == (want.status, want.kernel_dim) \
+            == (Status.CANONICAL, 0)
+        expect = np.eye(3)
+        expect[:2, :2] = want.M_limit.real
+        assert np.max(np.abs(got.M_limit - expect)) <= 1e-12 * np.max(np.abs(expect))
+    for rho, v in _on_curve_points(kerr, mp5d, mvc5d, (-0.6, 0.0, 0.5))["kerr"]:
+        out = factorise(model, rho, v)
+        assert (out.status, out.kernel_dim) == (Status.DEGENERATE, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +571,7 @@ def test_index_balance(kerr, mp5d, mvc5d):
     assert A.shape[0] == A.shape[1]
     for model in (mp5d, mvc5d):
         _, part, mono = _setup(model, 1.9, 0.4)
-        spec = _ansatz_for(mono, part)
+        spec = _plan_spec_at(mono, part)
         a0 = _assemble_homogeneous(spec)
         u = spec.hom_unknowns()
         assert spec.selected_rows.size == u
@@ -492,7 +581,7 @@ def test_index_balance(kerr, mp5d, mvc5d):
 
 def test_uniqueness_probe(mvc5d, rng):
     _, part, mono = _setup(mvc5d, 1.4, 0.2)
-    spec = _ansatz_for(mono, part)
+    spec = _plan_spec_at(mono, part)
     A, B = _assemble_inhomogeneous(spec)
     sol, *_ = np.linalg.lstsq(A, B, rcond=None)
     assert np.max(np.abs(A @ sol - B)) <= 1e-9 * max(1.0, np.max(np.abs(B)))
@@ -505,7 +594,7 @@ def test_uniqueness_probe(mvc5d, rng):
 
 def test_solve_columns_kerr_psi_structure(kerr):
     _, part, mono = _setup(kerr, 2.0, 1.0)
-    spec = _ansatz_for(mono, part)
+    spec = _plan_spec_at(mono, part)
     cols_plus, cols_minus, pres = solve_factor_columns_generic(
         spec, evaluate_points(kerr, 2.0, 1.0).solution)
     assert pres <= 1e-10
@@ -708,7 +797,7 @@ def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d
             got = factor.eval(taus)
             assert got.shape == (taus.size, n, n)
             assert np.array_equal(got, np.stack([factor.eval(t) for t in taus]))
-        spec = _ansatz_for(mono, part)
+        spec = _plan_spec_at(mono, part)
         cols_plus, cols_minus, _ = solve_factor_columns_generic(
             spec, evaluate_points(model, rho, v).solution)
         x_sym = engine._adjugate_fr([[cols_plus[i][k] for i in range(n)] for k in range(n)], n)

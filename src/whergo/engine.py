@@ -27,13 +27,15 @@ system, and D only spares that SVD where it proves the kernel trivial.
 Callers that need only D assemble the analyticity rows alone.
 
 factorise is evaluate_points at one point, plus the factors and the
-residual report.  It composes no monodromy.  Its factors are numeric:
-M_minus holds the solved S_j over pi_j, X the deflated psi_+ columns, and
-X(tau) is the adjugate of Psi_+(tau) taken at each evaluation.  Both
-evaluate at a scalar tau or an array of them.  The residual report
-evaluates M(tau) from the model's omega-entries at omega(tau), and M_minus
-and X from the solved columns, in one batch over the check circle, whose
-poles are the plan's label values.
+residual report.  It composes no monodromy and builds no pole partition, so
+it answers wherever the batch does.  Its factors come from one array pass
+(_factors): M_minus is the solution scattered through the layout, S_j over
+pi_j; X holds the psi_+ numerators of every column, deflated at once by the
+inside roots and never trimmed, and X(tau) is the adjugate of Psi_+(tau)
+taken at each evaluation.  Both evaluate at a scalar tau or an array of
+them.  The residual report evaluates M(tau) from the model's omega-entries
+at omega(tau), and M_minus and X from the solved columns, in one batch over
+the check circle, whose poles are the plan's label values.
 
 For 2x2 models of the common-denominator form two more pieces remain: the
 degree classification and the value-and-derivative existence system, which
@@ -78,7 +80,6 @@ from .poly import (
     poly_mul,
     poly_scale,
     poly_shift,
-    poly_trim,
 )
 from .spectral import BRANCH_PLUS, PolePartition, SpectralPoint, build_partition
 
@@ -557,12 +558,6 @@ class AnsatzPlan:
     layout: _RowLayout
 
 
-# what a degenerate Weyl point raises (a reference point of the plan compile,
-# a probe of the curve classifier); anything else is a bug and propagates
-DEGENERATE_POINT_ERRORS = (NonSquareSystem, DegeneratePair, InadmissiblePartition,
-                           DegenerateZeros, SingularSystem, InvariantViolation)
-
-
 def _plan_for(model: RationalMatrixOmega, branches) -> AnsatzPlan:
     """The model's plan for this branch tuple, compiled on first use.
 
@@ -580,8 +575,9 @@ def _plan_for(model: RationalMatrixOmega, branches) -> AnsatzPlan:
             try:
                 plan = _compile_plan(model, branches, adj, rho_ref, v_ref)
                 break
-            except DEGENERATE_POINT_ERRORS as exc:  # degenerate reference point, try the next
-                last_exc = exc
+            except (NonSquareSystem, DegeneratePair, InadmissiblePartition,
+                    DegenerateZeros, SingularSystem, InvariantViolation) as exc:
+                last_exc = exc      # a degenerate reference point: try the next
         else:
             raise NonSquareSystem(f"no usable reference point found: {last_exc}")
         model.plans[branches] = plan
@@ -726,7 +722,8 @@ def _label_values(plan: AnsatzPlan, rho, v) -> np.ndarray:
     s = np.sqrt(dv * dv + rho * rho)
     sign = np.where(plan.plus, 1.0, -1.0)[:, None]
     a, b = dv + sign * s, dv - sign * s
-    t_in = np.where(np.abs(a) >= np.abs(b), a / rho, -rho / b)
+    big = np.abs(a) >= np.abs(b)            # b may vanish far out, where a is kept
+    t_in = np.where(big, a, -rho) / np.where(big, rho, b)
     lab = np.zeros((1 + 2 * plan.plus.size,) + rho.shape, dtype=t_in.dtype)
     lab[1::2] = t_in
     lab[2::2] = -1.0 / t_in
@@ -830,21 +827,6 @@ def _adjugate(a: np.ndarray) -> np.ndarray:
     return minor * np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
 
 
-def _factor_matrices(cols_plus, cols_minus):
-    """X and M_minus from the solved psi columns (column i of Psi_+ and of
-    Psi_- = M_minus is cols_plus[i] and cols_minus[i]); X = Psi_+^{-1} =
-    adj(Psi_+).  The entries of a row share their denominator."""
-    def matrix(cols, adjugate):
-        nums = np.zeros((len(cols), len(cols), max(fr.num.size for col in cols for fr in col)),
-                        dtype=complex)
-        for i, col in enumerate(cols):
-            for k, fr in enumerate(col):
-                nums[k, i, :fr.num.size] = fr.num
-        return RationalMatrixTau(nums, tuple(fr.den_roots for fr in cols[0]), adjugate)
-
-    return matrix(cols_plus, True), matrix(cols_minus, False)
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     factorisation: float      # max rel |M - M_minus X| over check points
@@ -925,22 +907,24 @@ def _taylor_rows(groups, width: int) -> np.ndarray:
     return np.array(rows).reshape(-1, width)
 
 
-def solve_factor_columns_generic(spec: AnsatzSpec, sol: np.ndarray):
-    """Factor columns of the adjugate ansatz (any n with det = 1) from its
-    solved coefficients; returns (cols_plus, cols_minus, pole_resid).
+def _factors(spec: AnsatzSpec, sol: np.ndarray):
+    """The factors of the adjugate ansatz (any n with det = 1) from its
+    solved coefficients at one point; returns (X, M_minus, pole_resid).
 
-    psi_j- = S_j / pi_j with deg S_j <= deg pi_j; psi_+ = adj(M) psi_- must
-    lose every inside pole, which together with psi_+(0) = e_i fixes the
-    coefficients: sol, one column per factor column, as evaluate_points
-    solves them at one point.  Analyticity is re-verified at every inside
-    pole, where psi_+'s numerator must vanish to the pole's order relative
-    to the terms it sums, before deflation divides the pole out.
+    psi_j- = S_j / pi_j with deg S_j <= deg pi_j, so M_minus is sol
+    scattered through the layout, one factor column per column of sol.
+    psi_+ = adj(M) psi_- must lose every inside pole, which together with
+    psi_+(0) = e_i fixes the coefficients, as evaluate_points solves them.
+    Analyticity is re-verified at every inside pole, where psi_+'s numerator
+    NUM_k must vanish to the pole's order relative to the terms it sums.
+    Then NUM_k of every column is deflated at once by each inside root of
+    L_k, untrimmed, and that root leaves L_k's roots as the identical value
+    the plan gives both.  X = Psi_+^{-1} = adj(Psi_+); the entries of a row
+    share their denominator.
     """
-    n = spec.n
-    degrees = [len(r) for r in spec.pi_roots]
-    lay, base = spec.layout, spec.base_polys
+    n, lay, base = spec.n, spec.layout, spec.base_polys
     # NUM_k = sum_j A_kj S_j of every factor column, as a map from sol
-    shift = np.arange(max(degrees) + base.shape[2])[:, None] - lay.ccol
+    shift = np.arange(lay.cmax - 1 + base.shape[2])[:, None] - lay.ccol
     conv = np.where((shift >= 0) & (shift < base.shape[2]),
                     base[:, lay.jcol, np.clip(shift, 0, base.shape[2] - 1)], 0.0)
     nums = conv @ sol                               # (k, coefficient, column)
@@ -954,31 +938,20 @@ def solve_factor_columns_generic(spec: AnsatzSpec, sol: np.ndarray):
     terms = (_taylor_rows([(max(1.0, abs(r)), m) for r, m in poles], shift.shape[0]).real
              @ (np.abs(conv) @ np.abs(sol)).max(axis=0))
     pole_resid = float(np.max(np.abs(values) / np.maximum(terms, 1e-300), initial=0.0))
-    cols_plus, cols_minus = [], []
-    for i in range(n):
-        s_polys = []
-        col = 0
-        for j, dj in enumerate(degrees):
-            s_polys.append(sol[col: col + dj + 1, i])
-            col += dj + 1
-        minus = tuple(FactoredRational(np.array(s_polys[j], dtype=complex), 1.0,
-                                       tuple(spec.pi_roots[j]))
-                      for j in range(n))
-        plus = []
-        for k in range(n):
-            num = poly_trim(nums[k, :, i])
-            den_roots = list(spec.lk_roots[k])
-            for root, mult in spec.inside_groups[k]:
-                for _ in range(mult):
-                    num, _ = poly_deflate(num, root)
-                    for idx, r in enumerate(den_roots):
-                        if abs(r - root) <= 1e-8 * max(1.0, abs(root)):
-                            den_roots.pop(idx)
-                            break
-            plus.append(FactoredRational(poly_trim(num), 1.0, tuple(den_roots)))
-        cols_plus.append(tuple(plus))
-        cols_minus.append(minus)
-    return cols_plus, cols_minus, pole_resid
+    minus = np.zeros((n, n, lay.cmax), dtype=complex)
+    minus[lay.jcol, :, lay.ccol] = sol
+    plus = np.zeros((n, n, shift.shape[0]), dtype=complex)
+    den_plus = []
+    for k, groups in enumerate(spec.inside_groups):
+        num, den = nums[k], list(spec.lk_roots[k])
+        for root, mult in groups:
+            for _ in range(mult):
+                num, _ = poly_deflate(num, root)
+                den.remove(root)
+        plus[k, :, :num.shape[0]] = num.T
+        den_plus.append(tuple(den))
+    return (RationalMatrixTau(plus, tuple(den_plus), adjugate=True),
+            RationalMatrixTau(minus, tuple(spec.pi_roots)), pole_resid)
 
 
 def _d_with_scale(model: RationalMatrixOmega, rho, v, branches=None):
@@ -1134,15 +1107,12 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
     pt = SpectralPoint(rho, v)
     if branches is None:
         branches = model.default_branches
-    build_partition(pt, model.omega_poles, branches)    # rejects degenerate pairs
     classification = classify_2x2(model) if model.degree_table is not None else None
     batch = evaluate_points(model, rho, v, branches, tol)
     d_val, d_scale = complex(batch.D_value.item()), batch.D_scale.item()
     kdim = int(batch.kernel_dim)
     if batch.canonical:
-        cols_plus, cols_minus, pole_resid = solve_factor_columns_generic(batch.spec,
-                                                                         batch.solution)
-        X, M_minus = _factor_matrices(cols_plus, cols_minus)
+        X, M_minus, pole_resid = _factors(batch.spec, batch.solution)
         poles = _label_values(_plan_for(model, branches), np.array([float(rho)]),
                               np.array([float(v)]))
         report = _residual_report(model, pt, poles, X, M_minus, pole_resid)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import RationalMatrixOmega
-from .engine import DEGENERATE_POINT_ERRORS, _d_with_scale, factorise
+from .engine import _d_with_scale, evaluate_points
 from .errors import NoCurveFound, NonPhysicalM, NoRealSolution, OutOfChart
 from .spectral import weyl_from_prolate_4d, weyl_from_prolate_5d
 
@@ -424,31 +424,35 @@ def classify_curve(model: RationalMatrixOmega, polyline: CurvePolyline,
                    branches=None, probe_count: int = 9) -> CurvePolyline:
     """Tag the failure curve "ergosurface" when g_tt vanishes along it.
 
-    g_tt is sampled from factorisations at small normal offsets from curve
-    points; the tag stays "factorisation-failure" when g_tt is bounded away
-    from zero (the two notions agree for some models/contours only).
+    g_tt is sampled at small normal offsets from curve points, both sides of
+    every probed point in one evaluate_points batch; each point reads the
+    first side whose verdict is canonical and whose M has a metric.  The tag
+    stays "factorisation-failure" when g_tt is bounded away from zero (the
+    two notions agree for some models/contours only).
     """
     samples = polyline.samples
     idxs = np.linspace(0, len(samples) - 1, min(probe_count, len(samples))).astype(int)
-    values = []
+    owner, probes = [], []
     for i in idxs:
-        p = samples[i]
         d = samples[min(i + 1, len(samples) - 1)] - samples[max(i - 1, 0)]
         nrm = np.linalg.norm(d)
         if nrm == 0:
             continue
         n_hat = np.array([-d[1], d[0]]) / nrm
         for sgn in (1.0, -1.0):
-            q = p + sgn * 1e-4 * n_hat
-            if q[0] <= 0:
-                continue
-            try:
-                out = factorise(model, q[0], q[1], branches)
-                if out.canonical:
-                    values.append(extract_metric(out.M_limit).g_tt)
-                    break
-            except (*DEGENERATE_POINT_ERRORS, NonPhysicalM):   # no metric at this probe
-                continue
+            q = samples[i] + sgn * 1e-4 * n_hat
+            if q[0] > 0:
+                owner.append(i)
+                probes.append(q)
+    values = []
+    if probes:
+        rho, v = np.array(probes).T
+        batch = evaluate_points(model, rho, v, branches)
+        g_tt = np.where(batch.canonical, extract_metric(batch.M_limit).g_tt, np.nan)
+        owner = np.array(owner)
+        for i in idxs:
+            side = g_tt[(owner == i) & np.isfinite(g_tt)]
+            values.extend(side[:1])
     if values and max(abs(g) for g in values) <= ERGO_GTT_TOL:
         tag = "ergosurface"
     else:

@@ -96,29 +96,38 @@ def poly_from_roots(roots, lc=1.0) -> np.ndarray:
 def poly_deflate(c, root) -> tuple[np.ndarray, float]:
     """Synthetic division by (tau - root); returns (quotient, |remainder|).
 
-    Forward recurrence for |root| <= 1, reversed-coefficient recurrence for
-    |root| > 1 (equivalent to deflating the reversed polynomial at 1/root),
-    which keeps the division backward-stable for any root magnitude.
+    c is one polynomial or a stack of them with the coefficients on axis 0
+    (the quotients then share that layout, the remainders the trailing
+    shape).  Forward recurrence for |root| <= 1, reversed-coefficient
+    recurrence for |root| > 1 (equivalent to deflating the reversed
+    polynomial at 1/root), which keeps the division backward-stable for any
+    root magnitude.  One polynomial runs as a stack of one, so that every
+    column of a stack is divided bitwise as it would be alone.
     """
-    p = as_poly(c)
-    n = p.size - 1
+    p = np.asarray(c, dtype=complex)
+    if p.ndim == 0 or p.size == 0:
+        p = as_poly(p)
+    stack, n = p.shape[1:], p.shape[0] - 1
+    p = np.ascontiguousarray(p.reshape(n + 1, -1))
     if n < 1:
-        return np.zeros(1, dtype=complex), abs(p[0])
+        return np.zeros((1,) + stack, dtype=complex), np.abs(p[0]).reshape(stack)[()]
     root = complex(root)
-    q = np.empty(n, dtype=complex)
+    q = np.empty((n, p.shape[1]), dtype=complex)
     if abs(root) <= 1.0:
         acc = p[n]
         for k in range(n - 1, -1, -1):
             q[k] = acc
             acc = p[k] + acc * root
-        return q, abs(acc)
-    inv = 1.0 / root
-    acc = -p[0] * inv
-    for k in range(n):
-        q[k] = acc
-        acc = (q[k] - p[k + 1]) * inv
-    # final defect is -p(root)/root^(n+1)
-    return q, abs(acc) * abs(root) ** (n + 1)
+        rem = np.abs(acc)
+    else:
+        inv = 1.0 / root
+        acc = -p[0] * inv
+        for k in range(n):
+            q[k] = acc
+            acc = (q[k] - p[k + 1]) * inv
+        # final defect is -p(root)/root^(n+1)
+        rem = np.abs(acc) * abs(root) ** (n + 1)
+    return q.reshape((n,) + stack), rem.reshape(stack)[()]
 
 
 def newton_polish(c, z, steps: int = 1):

@@ -29,11 +29,10 @@ from whergo.engine import (
     evaluate_points,
     existence_system_2x2,
     factorise,
-    solve_factor_columns_generic,
     toeplitz_kernel_dim,
 )
 from whergo.errors import DegenerateZeros, InvariantViolation, NotCanonical
-from whergo.poly import dense_det, numerical_nullity, poly_from_roots
+from whergo.poly import FactoredRational, dense_det, numerical_nullity, poly_deflate, poly_from_roots
 from whergo.spectral import SpectralPoint, build_partition, weyl_from_prolate_4d, weyl_from_prolate_5d
 
 M_K, A_K = 2.0, 1.0
@@ -348,10 +347,7 @@ def test_factorise_is_the_batch_verdict_over_the_half_plane(name, points, kerr, 
     rho, v = (np.array(x) for x in zip(*points))
     batch = evaluate_points(model, rho, v)
     for i, (r, w) in enumerate(points):
-        try:
-            out = factorise(model, r, w)
-        except engine.DEGENERATE_POINT_ERRORS:        # no admissible partition here
-            continue
+        out = factorise(model, r, w)
         assert (out.status, out.kernel_dim) == (_batch_status(batch, i), batch.kernel_dim[i])
         assert (out.status is Status.DEGENERATE) == (out.kernel_dim >= 1)
 
@@ -367,11 +363,39 @@ def test_kerr_far_points_are_canonical(kerr, rho, v):
     assert abs(1.0 / out.M_limit[1, 1].real - kerr_delta_closed_form(rho, v)) <= 1e-13
 
 
+def _assert_gates(out):
+    r = out.residual_report
+    assert r.factorisation <= 1e-9 and r.x_at_zero <= 1e-10 and r.pole_cancellation <= 1e-9
+
+
 def test_kerr_near_axis_point_is_not_degenerate(kerr):
-    # the kernel is trivial at (1e-3, -3); its factors still miss the
-    # residual gate, which the status does not read yet
+    # the kernel is trivial at (1e-3, -3), and the factors, built from
+    # untrimmed numerators, pass every residual gate
     out = factorise(kerr, 1e-3, -3.0)
-    assert out.status is not Status.DEGENERATE and out.kernel_dim == 0
+    assert out.status is Status.CANONICAL and out.kernel_dim == 0
+    _assert_gates(out)
+
+
+@pytest.mark.parametrize("name, rho, v", [
+    ("kerr", 1e-6, 500.0),     # inside points 7e-12 apart: no partition could be built
+    ("mvc5d", 0.5, 1000.0),    # numerator coefficients over more than 14 decades
+    ("mvc5d", 1e-6, 0.3),
+    ("mp5d", 1e-5, 500.0),     # L_k roots within 1e-8 of tau = 0
+])
+def test_far_and_near_axis_points_pass_every_gate(name, rho, v, kerr, mp5d, mvc5d):
+    model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d}[name]
+    out = factorise(model, rho, v)
+    assert out.status is Status.CANONICAL and out.kernel_dim == 0
+    _assert_gates(out)
+    m = out.M_limit.real
+    if name == "kerr":
+        assert abs(1.0 / m[1, 1] - kerr_delta_closed_form(rho, v)) <= 1e-10
+    elif name == "mp5d":
+        want = mp5d_solution_closed_form(rho, v)
+        assert np.max(np.abs(m - want)) <= 1e-10 * np.max(np.abs(want))
+    elif rho > 1e-3:      # the float closed form itself is off by 6e-8 at (1e-6, 0.3)
+        want = mvc_closed_form(rho, v)[0]
+        assert np.max(np.abs(m - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def _kerr_plus_one(kerr):
@@ -593,24 +617,21 @@ def test_uniqueness_probe(mvc5d, rng):
 
 
 def test_solve_columns_kerr_psi_structure(kerr):
-    _, part, mono = _setup(kerr, 2.0, 1.0)
-    spec = _plan_spec_at(mono, part)
-    cols_plus, cols_minus, pres = solve_factor_columns_generic(
-        spec, evaluate_points(kerr, 2.0, 1.0).solution)
-    assert pres <= 1e-10
+    _, part, _ = _setup(kerr, 2.0, 1.0)
+    out = factorise(kerr, 2.0, 1.0)
+    assert out.residual_report.pole_cancellation <= 1e-10
     inside = list(part.inside()) + [0.0]
 
     def is_inside(r):
         return any(abs(r - t) <= 1e-8 * max(1.0, abs(t)) for t in inside)
 
-    # psi_+ analytic inside: no denominator root is an inside point
-    for col in cols_plus:
-        for fr in col:
-            assert not any(is_inside(r) for r in fr.den_roots)
-    # psi_- analytic outside: minus columns have poles only at inside points
-    for col in cols_minus:
-        for fr in col:
-            assert all(is_inside(r) for r in fr.den_roots)
+    # psi_+ analytic inside: no row denominator of X = adj(Psi_+) holds an
+    # inside point
+    for roots in out.X.den_roots:
+        assert not any(is_inside(r) for r in roots)
+    # psi_- analytic outside: M_minus has poles only at inside points
+    for roots in out.M_minus.den_roots:
+        assert all(is_inside(r) for r in roots)
 
 
 def test_inverse_delta_blowup_near_curve(kerr):
@@ -772,6 +793,31 @@ def _ledger_check_taus(mono, count=12):
     return best
 
 
+def _factor_columns_loop(spec, sol):
+    """The psi_+ and psi_- columns of the solved ansatz at one point, one
+    column and one inside root at a time, as FactoredRational entries."""
+    n, base = spec.n, spec.base_polys
+    cols_plus, cols_minus = [], []
+    for i in range(n):
+        s = [sol[spec.layout.jcol == j, i] for j in range(n)]
+        cols_minus.append([FactoredRational(s[j], 1.0, tuple(spec.pi_roots[j]))
+                           for j in range(n)])
+        plus = []
+        for k in range(n):
+            num = np.zeros(base.shape[2] + max(map(len, s)) - 1, dtype=complex)
+            for j in range(n):
+                term = np.convolve(base[k, j], s[j])
+                num[:term.size] += term
+            den = list(spec.lk_roots[k])
+            for root, mult in spec.inside_groups[k]:
+                for _ in range(mult):
+                    num, _ = poly_deflate(num, root)
+                    den.remove(root)
+            plus.append(FactoredRational(num, 1.0, tuple(den)))
+        cols_plus.append(plus)
+    return cols_plus, cols_minus
+
+
 def _canonical_draws(model, count, seed):
     rng = np.random.default_rng(seed)
     while count:
@@ -785,8 +831,9 @@ def _canonical_draws(model, count, seed):
 @pytest.mark.parametrize("name", ["kerr", "mp5d", "mvc5d", "chain"])
 def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d):
     # X and M_minus evaluate an array of tau as the stack of scalar calls,
-    # bitwise; both match the symbolic adjugate of the solved columns on the
-    # check circle, and the check circle is the one the pole ledger picks
+    # bitwise; both match the symbolic adjugate of the solved columns, built
+    # one column and one root at a time, on the check circle, and the check
+    # circle is the one the pole ledger picks
     model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
     n = model.n
     for rho, v, out in _canonical_draws(model, 20, seed=61):
@@ -798,7 +845,7 @@ def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d
             assert got.shape == (taus.size, n, n)
             assert np.array_equal(got, np.stack([factor.eval(t) for t in taus]))
         spec = _plan_spec_at(mono, part)
-        cols_plus, cols_minus, _ = solve_factor_columns_generic(
+        cols_plus, cols_minus = _factor_columns_loop(
             spec, evaluate_points(model, rho, v).solution)
         x_sym = engine._adjugate_fr([[cols_plus[i][k] for i in range(n)] for k in range(n)], n)
         for factor, entries in ((out.X, x_sym),

@@ -284,21 +284,24 @@ def test_curve_polyline_len():
 
 
 def test_classify_curve_propagates_unexpected_errors(kerr, monkeypatch):
-    # a probe that fails with a degenerate-point error is skipped; any other
-    # exception is a bug and must not be swallowed
+    # probes that the batch calls non-canonical are skipped; an exception
+    # raised while evaluating the batch is a bug and must not be swallowed
+    import dataclasses
+
     import whergo.geometry as geometry
-    from whergo.errors import SingularSystem
 
     poly = CurvePolyline(np.array([[1.0, -0.1], [1.0, 0.0], [1.0, 0.1]]), np.zeros(3))
+    real = geometry.evaluate_points
 
     def degenerate(*args, **kwargs):
-        raise SingularSystem("probe on the curve")
-    monkeypatch.setattr(geometry, "factorise", degenerate)
+        batch = real(*args, **kwargs)
+        return dataclasses.replace(batch, kernel_dim=np.ones_like(batch.kernel_dim))
+    monkeypatch.setattr(geometry, "evaluate_points", degenerate)
     assert classify_curve(kerr, poly).tag == "factorisation-failure"
 
     def broken(*args, **kwargs):
         raise TypeError("bug")
-    monkeypatch.setattr(geometry, "factorise", broken)
+    monkeypatch.setattr(geometry, "evaluate_points", broken)
     with pytest.raises(TypeError):
         classify_curve(kerr, poly)
 

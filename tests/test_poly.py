@@ -88,6 +88,19 @@ def test_deflate():
     assert np.allclose(q, poly_from_roots([-1.0, 0.5]))
 
 
+@pytest.mark.parametrize("root", [0.6 - 0.3j, -1.0, 2.5 + 1.5j, -40.0])
+def test_deflate_stack_is_the_columns_bitwise(root):
+    # a stack (coefficients on axis 0) divides every column as it would be
+    # divided alone, on the forward (|root| <= 1) and the reversed recurrence
+    rng = np.random.default_rng(5)
+    p = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    q, rem = poly_deflate(p, root)
+    assert q.shape == (5, 4) and rem.shape == (4,)
+    for i in range(4):
+        qi, ri = poly_deflate(p[:, i], root)
+        assert np.array_equal(q[:, i], qi) and rem[i] == ri
+
+
 def test_quadratic_roots_symmetric_pair():
     r1, r2 = quadratic_roots(-0.5, 0.0, 0.5)
     assert sorted([r1.real, r2.real]) == pytest.approx([-1.0, 1.0], abs=1e-14)

@@ -24,6 +24,7 @@ from .poly import (
     _multiset_minus,
     as_poly,
     newton_polish,
+    poly_deflate,
     poly_degree,
     poly_eval,
     poly_from_roots,
@@ -37,6 +38,7 @@ from .spectral import (
     BRANCH_PLUS,
     SpectralPoint,
     compose_polynomial,
+    spectral_map,
     zero_pair_for,
 )
 
@@ -502,7 +504,7 @@ def _check_monodromy(mono: MonodromyMatrixTau, tol=1e-10, seed=40923):
     rng = np.random.default_rng(seed)
     for _ in range(7):
         tau = complex(rng.uniform(0.3, 1.8), rng.uniform(-1.2, 1.2))
-        w = spectral_map_checked(mono.pt, tau)
+        w = spectral_map(mono.pt, tau)
         direct = mono.model.eval(w)
         composed = mono.eval(tau)
         scale = max(1.0, np.max(np.abs(direct)))
@@ -512,11 +514,6 @@ def _check_monodromy(mono: MonodromyMatrixTau, tol=1e-10, seed=40923):
         det = np.linalg.det(composed)
         if abs(det - 1.0) > 1e-8 * scale ** mono.n:
             raise InvariantViolation(f"det of composed monodromy is {det} at tau={tau}")
-
-
-def spectral_map_checked(pt, tau):
-    from .spectral import spectral_map
-    return spectral_map(pt, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +578,6 @@ def model_from_dict(doc: dict, model_id="json") -> RationalMatrixOmega:
 
 def _cancel_shared_roots(num, den, rel=1e-12):
     """Cancel exactly-shared linear factors between num and den."""
-    from .poly import poly_deflate
-
     num, den = poly_trim(num), poly_trim(den)
     if poly_degree(den) < 1 or poly_is_zero(num):
         return num, den

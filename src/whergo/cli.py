@@ -203,7 +203,7 @@ def cmd_curve(cfg: RunConfig) -> int:
     except NoCurveFound as exc:
         print(f"no curve: {exc}", file=sys.stderr)
         return EXIT_NONCANONICAL
-    poly = classify_curve(model, poly, cfg.branches)
+    poly = classify_curve(model, poly, cfg.branches, tol=cfg.tolerance())
     lines = [f"# whergo curve schema_version={SCHEMA_VERSION}",
              f"# model={model.model_id} params={json.dumps(model.params, sort_keys=True)}",
              f"# branches={','.join(cfg.branches or model.default_branches)}",

@@ -1,12 +1,12 @@
 """Metric scalars from M(rho, v), ergosurface curves and D = 0 tracing."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .catalog import RationalMatrixOmega
-from .engine import _d_with_scale, evaluate_points
+from .engine import DEFAULT_TOL, _d_with_scale, evaluate_points
 from .errors import NoCurveFound, NonPhysicalM, NoRealSolution, OutOfChart
 from .spectral import weyl_from_prolate_4d, weyl_from_prolate_5d
 
@@ -209,13 +209,16 @@ def mp_gtt_spherical(r: float, theta: float, m: float, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# The refinement inserts no sample once the polyline holds this many.
+MAX_SAMPLES = 20000
+
+
 @dataclass(frozen=True)
 class CurvePolyline:
     """Ordered samples of a factorisation-failure curve with |D| residuals."""
 
     samples: np.ndarray          # (N, 2) of (rho, v)
     residuals: np.ndarray        # normalised |D| at each sample
-    parameterisation: str = "arclength"
     tag: str = "factorisation-failure"
 
     def __len__(self) -> int:
@@ -237,26 +240,61 @@ def _d_hat_function(model: RationalMatrixOmega, branches):
     return f, fgrid
 
 
-def _bisect_edge(f, p0, p1, f0, f1, tol: float, max_iter: int = 80):
-    """Bisection along the segment p0-p1 for a sign change of Re f."""
-    a, b = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
-    fa = f0
-    for _ in range(max_iter):
+def _bisect(fn, a, b, fa, tol: float):
+    """Bisect stacked segments a-b (K, 2) for a sign change of fn, fa = fn(a).
+
+    fn maps points (k, 2) to real values (k,); each level evaluates the
+    midpoints of all live segments in one call.  A segment retires at its
+    midpoint m once |fn(m)| <= tol, |b - a| < 1e-13, or after 80
+    halvings.  Returns (points (K, 2), |fn| there (K,))."""
+    pts, res = np.empty_like(a), np.empty(len(a))
+    live = np.arange(len(a))
+    for level in range(81):
+        if not len(live):
+            break
         mid = 0.5 * (a + b)
-        fm = f(mid[0], mid[1]).real
-        if abs(fm) <= tol or np.linalg.norm(b - a) < 1e-13:
-            return mid, abs(fm)
-        if (fa < 0) != (fm < 0):
-            b = mid
-        else:
-            a, fa = mid, fm
-    mid = 0.5 * (a + b)
-    return mid, abs(f(mid[0], mid[1]).real)
+        fm = fn(mid)
+        done = ((np.abs(fm) <= tol) | (np.linalg.norm(b - a, axis=1) < 1e-13)
+                | (level == 80))
+        pts[live[done]], res[live[done]] = mid[done], np.abs(fm[done])
+        flip = ((fa < 0) != (fm < 0))[:, None]
+        a, b, fa = np.where(flip, a, mid), np.where(flip, mid, b), np.where(flip[:, 0], fa, fm)
+        keep = ~done
+        live, a, b, fa = live[keep], a[keep], b[keep], fa[keep]
+    return pts, res
 
 
-def _chain_points(pts: np.ndarray) -> np.ndarray:
-    """Nearest-neighbour ordering starting from the point of minimal v (then
-    minimal rho); ties go to the lowest index."""
+def _normal_search(fn, mid, n_hat, h):
+    """Probe pairs mid +- h n_hat (K, 2) for a sign change of fn, all pairs in
+    lockstep: a pair with a probe at rho <= 0 halves h unevaluated, the other
+    pairs are evaluated in one call and h shrinks by 0.6 where fn keeps its
+    sign.  Returns (mask of the pairs that found a change within 24 tries,
+    their probes a and b, fn(a))."""
+    h = h.copy()
+    a, b, fa = np.empty_like(mid), np.empty_like(mid), np.empty(len(mid))
+    searching = np.ones(len(mid), dtype=bool)
+    for _ in range(24):
+        if not searching.any():
+            break
+        pa, pb = mid + h[:, None] * n_hat, mid - h[:, None] * n_hat
+        inside = searching & (pa[:, 0] > 0) & (pb[:, 0] > 0)
+        h[searching & ~inside] *= 0.5
+        idx = np.flatnonzero(inside)
+        if len(idx):
+            f = fn(np.concatenate([pa[idx], pb[idx]]))
+            f_a, f_b = f[:len(idx)], f[len(idx):]
+            change = (f_a < 0) != (f_b < 0)
+            hit = idx[change]
+            a[hit], b[hit], fa[hit] = pa[hit], pb[hit], f_a[change]
+            searching[hit] = False
+            h[idx[~change]] *= 0.6
+    found = ~searching
+    return found, a[found], b[found], fa[found]
+
+
+def _chain_order(pts: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour order of the points, starting from the point of
+    minimal v (then minimal rho); ties go to the lowest index."""
     pts = np.asarray(pts, dtype=float)
     start = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])
     order = [start]
@@ -267,7 +305,7 @@ def _chain_points(pts: np.ndarray) -> np.ndarray:
         best = int(np.argmin(np.where(free, d, np.inf)))
         order.append(best)
         free[best] = False
-    return pts[order]
+    return np.array(order)
 
 
 def _sign_change_edges(sign: np.ndarray) -> np.ndarray:
@@ -285,24 +323,38 @@ def _sign_change_edges(sign: np.ndarray) -> np.ndarray:
 
 def trace_curve(model: RationalMatrixOmega, branches=None,
                 box=(0.05, 4.0, -4.0, 4.0), grid=(80, 80),
-                step: float = 0.01, residual_tol: float = 1e-10,
-                max_points: int = 20000) -> CurvePolyline:
+                step: float = 0.01, residual_tol: float = 1e-10) -> CurvePolyline:
     """Trace the D(rho, v) = 0 locus inside a box of the Weyl half-plane.
 
     D is factorise's normalised D, the Hadamard-scaled determinant of the
-    plan's D rows, for every n.  Grid scan for sign changes of the
-    phase-normalised D, edge bisection down to |D| <= residual_tol,
-    nearest-neighbour chaining, then midpoint refinement along local
-    normals until samples are at most `step` apart.  Near the axis this D
-    falls like rho^2 (see the Kerr identity D = f h), so a looser
-    residual_tol stops bisection visibly off the curve there: on the Kerr
-    box of acceptance criterion 1, 1e-8 leaves samples at rho <= 0.15 up to
-    1.5e-4 off the closed form, 1e-10 up to 6.5e-6.
+    plan's D rows, for every n, and every evaluation of it is one array call
+    over all the work still open:
+
+    - scan: Re of the phase-normalised D on the grid; every grid edge with a
+      sign change is bisected, all edges together, down to |D| <=
+      residual_tol (or an edge shorter than 1e-13, or 80 halvings);
+    - chain: nearest-neighbour order of the edge points, each keeping the
+      residual its bisection returned;
+    - refine, in rounds: each round places one target per gap still wider
+      than `step`, at most `step` past the gap's last sample towards its
+      end, searches the normal through it for a sign change (24 tries, all
+      gaps in lockstep), and bisects the segments found together.  A gap
+      closes once it is at most `step` wide, or when its search finds no
+      sign change or no new point.
+
+    Once the polyline holds MAX_SAMPLES points no sample is inserted: the
+    gaps still open stay as coarse as the rounds so far left them, and in
+    the last round the gaps late in chain order are the ones left out.
+
+    Near the axis this D falls like rho^2 (see the Kerr identity D = f h),
+    so a looser residual_tol stops bisection visibly off the curve there:
+    on the Kerr box of acceptance criterion 1, 1e-8 leaves samples at
+    rho <= 0.15 up to 1.5e-4 off the closed form, 1e-10 up to 6.5e-6.
     """
     rmin, rmax, vmin, vmax = box
     if rmin <= 0:
         raise ValueError("box must lie in the rho > 0 half-plane")
-    f_raw, fgrid = _d_hat_function(model, branches)
+    _, fgrid = _d_hat_function(model, branches)
     rho_vals = np.linspace(rmin, rmax, grid[0])
     v_vals = np.linspace(vmin, vmax, grid[1])
     R, V = np.meshgrid(rho_vals, v_vals, indexing="ij")
@@ -313,56 +365,43 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
         raise NoCurveFound("D vanishes identically on the scan grid")
     phase = ref / abs(ref)
 
-    def f(rho, v):
-        return f_raw(rho, v) * np.conj(phase)
+    def fn(p):
+        return (fgrid(p[:, 0], p[:, 1]) * np.conj(phase)).real
 
     Dn = (D * np.conj(phase)).real
-    pts = [_bisect_edge(f, (R[a], V[a]), (R[b], V[b]), Dn[a], Dn[b], residual_tol)[0]
-           for a, b in (map(tuple, edge) for edge in _sign_change_edges(np.sign(Dn)))]
-    if not pts:
+    edges = _sign_change_edges(np.sign(Dn))
+    if not len(edges):
         raise NoCurveFound(f"no D = 0 locus found in box {box}")
-    ordered = _chain_points(np.array(pts))
+    i, j = edges[..., 0], edges[..., 1]
+    scan = np.stack([R[i, j], V[i, j]], axis=-1)
+    pts, res = _bisect(fn, scan[:, 0], scan[:, 1], Dn[i[:, 0], j[:, 0]], residual_tol)
+    order = _chain_order(pts)
+    ordered, ordered_res = pts[order], res[order]
 
-    # refinement: insert corrected midpoints until spacing <= step
-    def correct(pt_mid, direction, gap):
-        nrm = np.linalg.norm(direction)
-        if nrm == 0:
-            return None
-        n_hat = np.array([-direction[1], direction[0]]) / nrm
-        h = 0.5 * gap
-        for _ in range(24):
-            a = pt_mid + h * n_hat
-            b = pt_mid - h * n_hat
-            if a[0] <= 0 or b[0] <= 0:
-                h *= 0.5
-                continue
-            fa, fb = f(a[0], a[1]).real, f(b[0], b[1]).real
-            if (fa < 0) != (fb < 0):
-                p, r = _bisect_edge(f, a, b, fa, fb, residual_tol)
-                return p, r
-            h *= 0.6
-        return None
+    # gap g runs from ordered[g] to ordered[g + 1]; last[g] is its last sample
+    last, end = ordered[:-1].copy(), ordered[1:]
+    total = len(ordered)
+    open_gaps = np.flatnonzero(np.hypot(*(end - last).T) > step)[:max(MAX_SAMPLES - total, 0)]
+    inserted = []                 # (gap, round, point, residual) arrays per round
+    while len(open_gaps):
+        cur = last[open_gaps]
+        gap = np.hypot(*(end[open_gaps] - cur).T)
+        direction = (end[open_gaps] - cur) / gap[:, None]
+        reach = np.minimum(step, 0.5 * gap)
+        n_hat = direction[:, ::-1] * [-1.0, 1.0] / np.linalg.norm(direction, axis=1)[:, None]
+        found, a, b, fa = _normal_search(fn, cur + reach[:, None] * direction, n_hat, 0.5 * reach)
+        p, r = _bisect(fn, a, b, fa, residual_tol)
+        moved = np.hypot(*(p - cur[found]).T) >= 1e-12
+        g = open_gaps[found][moved]
+        inserted.append((g, np.full(len(g), len(inserted)), p[moved], r[moved]))
+        last[g] = p[moved]
+        total += len(g)
+        open_gaps = g[np.hypot(*(end[g] - last[g]).T) > step][:max(MAX_SAMPLES - total, 0)]
 
-    out = [ordered[0]]
-    res_out = [abs(f(ordered[0][0], ordered[0][1]).real)]
-    for nxt in ordered[1:]:
-        while np.hypot(*(nxt - out[-1])) > step and len(out) < max_points:
-            cur = out[-1]
-            gap = np.hypot(*(nxt - cur))
-            direction = (nxt - cur) / gap
-            target = cur + min(step, 0.5 * gap) * direction
-            got = correct(target, direction, min(step, 0.5 * gap))
-            if got is None:
-                break
-            p, r = got
-            if np.hypot(*(p - cur)) < 1e-12:
-                break
-            out.append(p)
-            res_out.append(r)
-        out.append(nxt)
-        res_out.append(abs(f(nxt[0], nxt[1]).real))
-    samples = np.array(out)
-    return CurvePolyline(samples, np.array(res_out))
+    chained = (np.arange(len(ordered)), np.full(len(ordered), -1), ordered, ordered_res)
+    gaps, rounds, points, residuals = map(np.concatenate, zip(chained, *inserted))
+    keep = np.lexsort((rounds, gaps))
+    return CurvePolyline(points[keep], residuals[keep])
 
 
 def _point_to_segments(x, q0, q1, seg, seg_len2):
@@ -421,14 +460,16 @@ ERGO_GTT_TOL = 1e-3
 
 
 def classify_curve(model: RationalMatrixOmega, polyline: CurvePolyline,
-                   branches=None, probe_count: int = 9) -> CurvePolyline:
+                   branches=None, probe_count: int = 9,
+                   tol: float = DEFAULT_TOL) -> CurvePolyline:
     """Tag the failure curve "ergosurface" when g_tt vanishes along it.
 
     g_tt is sampled at small normal offsets from curve points, both sides of
-    every probed point in one evaluate_points batch; each point reads the
-    first side whose verdict is canonical and whose M has a metric.  The tag
-    stays "factorisation-failure" when g_tt is bounded away from zero (the
-    two notions agree for some models/contours only).
+    every probed point in one evaluate_points batch at rank tolerance tol;
+    each point reads the first side whose verdict is canonical and whose M
+    has a metric.  The tag stays "factorisation-failure" when g_tt is
+    bounded away from zero (the two notions agree for some models/contours
+    only).
     """
     samples = polyline.samples
     idxs = np.linspace(0, len(samples) - 1, min(probe_count, len(samples))).astype(int)
@@ -447,7 +488,7 @@ def classify_curve(model: RationalMatrixOmega, polyline: CurvePolyline,
     values = []
     if probes:
         rho, v = np.array(probes).T
-        batch = evaluate_points(model, rho, v, branches)
+        batch = evaluate_points(model, rho, v, branches, tol)
         g_tt = np.where(batch.canonical, extract_metric(batch.M_limit).g_tt, np.nan)
         owner = np.array(owner)
         for i in idxs:
@@ -457,5 +498,4 @@ def classify_curve(model: RationalMatrixOmega, polyline: CurvePolyline,
         tag = "ergosurface"
     else:
         tag = "factorisation-failure"
-    return CurvePolyline(polyline.samples, polyline.residuals,
-                         polyline.parameterisation, tag)
+    return replace(polyline, tag=tag)

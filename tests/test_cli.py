@@ -230,6 +230,16 @@ def test_curve_none_found_exit_3(capsys):
     assert "no curve" in err
 
 
+def test_curve_tag_reads_the_rank_tolerance(capsys):
+    # --tol reaches the probes that tag the curve: at 0.5 no probe beside
+    # the Kerr ergosurface is canonical, so no g_tt vouches for the tag
+    grid = ("--grid", "0.05:2:30,-2:2:30")
+    code, out, _ = run_capture(capsys, "curve", "--model", "kerr", *grid)
+    assert code == 0 and "# tag=ergosurface" in out.splitlines()
+    code, out, _ = run_capture(capsys, "curve", "--model", "kerr", *grid, "--tol", "0.5")
+    assert code == 0 and "# tag=factorisation-failure" in out.splitlines()
+
+
 def test_catalog_lists_models(capsys):
     code, out, _ = run_capture(capsys, "catalog")
     assert code == 0

@@ -720,11 +720,13 @@ def test_plan_matches_build_ansatz(name, branches, kerr, mp5d, mvc5d):
 
 
 def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch):
-    # once the plan is compiled, D (single point and grid alike) needs no
-    # ansatz build, no monodromy composition and no root finding
+    # once the plan is compiled, D (single point, grid and a whole trace
+    # alike) needs no ansatz build, no monodromy composition and no root
+    # finding
     from whergo import catalog, geometry
 
-    for model in (mp5d, mvc5d):
+    # each box straddles the model's failure curve at y = 0
+    for model, box in ((mp5d, (0.55, 0.75, -0.1, 0.1)), (mvc5d, (0.3, 0.5, -0.1, 0.1))):
         f, fgrid = geometry._d_hat_function(model, None)
         f(1.1, 0.2)
         _, part, mono = _setup(model, 1.3, 0.4)
@@ -738,6 +740,8 @@ def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch
         grid = fgrid(R, V)
         assert grid[2, 1] == pytest.approx(f(R[2, 1], V[2, 1]), rel=1e-12)
         assert compute_D(mono, part) != 0
+        poly = geometry.trace_curve(model, box=box, grid=(5, 5), step=0.05, residual_tol=1e-11)
+        assert len(poly) > 2
         monkeypatch.undo()
 
 

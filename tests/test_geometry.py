@@ -338,20 +338,126 @@ def _sign_change_edges_loop(sign):
     return np.array(edges, dtype=int).reshape(-1, 2, 2)
 
 
-def test_vectorised_tracer_loops_match_the_python_loops(kerr, monkeypatch):
+def _bisect_edge_loop(f, p0, p1, f0, f1, tol: float, max_iter: int = 80):
+    """Bisection along the segment p0-p1 for a sign change of Re f."""
+    a, b = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    fa = f0
+    for _ in range(max_iter):
+        mid = 0.5 * (a + b)
+        fm = f(mid[0], mid[1]).real
+        if abs(fm) <= tol or np.linalg.norm(b - a) < 1e-13:
+            return mid, abs(fm)
+        if (fa < 0) != (fm < 0):
+            b = mid
+        else:
+            a, fa = mid, fm
+    mid = 0.5 * (a + b)
+    return mid, abs(f(mid[0], mid[1]).real)
+
+
+def _trace_curve_loop(model, branches=None, box=(0.05, 4.0, -4.0, 4.0), grid=(80, 80),
+                      step=0.01, residual_tol=1e-10, max_points=20000):
+    """The sequential tracer, one D-hat point per call of the scalar f: the
+    reference for trace_curve.  Returns the polyline and the number of
+    chained edge points, which it evaluates a second time."""
+    from whergo.geometry import _d_hat_function
+
+    rmin, rmax, vmin, vmax = box
+    if rmin <= 0:
+        raise ValueError("box must lie in the rho > 0 half-plane")
+    f_raw, fgrid = _d_hat_function(model, branches)
+    rho_vals = np.linspace(rmin, rmax, grid[0])
+    v_vals = np.linspace(vmin, vmax, grid[1])
+    R, V = np.meshgrid(rho_vals, v_vals, indexing="ij")
+    D = fgrid(R, V)
+    ref = D.flat[int(np.argmax(np.abs(D)))]
+    if ref == 0:
+        raise NoCurveFound("D vanishes identically on the scan grid")
+    phase = ref / abs(ref)
+
+    def f(rho, v):
+        return f_raw(rho, v) * np.conj(phase)
+
+    Dn = (D * np.conj(phase)).real
+    pts = [_bisect_edge_loop(f, (R[a], V[a]), (R[b], V[b]), Dn[a], Dn[b], residual_tol)[0]
+           for a, b in (map(tuple, edge) for edge in _sign_change_edges_loop(np.sign(Dn)))]
+    if not pts:
+        raise NoCurveFound(f"no D = 0 locus found in box {box}")
+    ordered = _chain_points_loop(np.array(pts))
+
+    def correct(pt_mid, direction, gap):
+        nrm = np.linalg.norm(direction)
+        if nrm == 0:
+            return None
+        n_hat = np.array([-direction[1], direction[0]]) / nrm
+        h = 0.5 * gap
+        for _ in range(24):
+            a = pt_mid + h * n_hat
+            b = pt_mid - h * n_hat
+            if a[0] <= 0 or b[0] <= 0:
+                h *= 0.5
+                continue
+            fa, fb = f(a[0], a[1]).real, f(b[0], b[1]).real
+            if (fa < 0) != (fb < 0):
+                p, r = _bisect_edge_loop(f, a, b, fa, fb, residual_tol)
+                return p, r
+            h *= 0.6
+        return None
+
+    out = [ordered[0]]
+    res_out = [abs(f(ordered[0][0], ordered[0][1]).real)]
+    for nxt in ordered[1:]:
+        while np.hypot(*(nxt - out[-1])) > step and len(out) < max_points:
+            cur = out[-1]
+            gap = np.hypot(*(nxt - cur))
+            direction = (nxt - cur) / gap
+            target = cur + min(step, 0.5 * gap) * direction
+            got = correct(target, direction, min(step, 0.5 * gap))
+            if got is None:
+                break
+            p, r = got
+            if np.hypot(*(p - cur)) < 1e-12:
+                break
+            out.append(p)
+            res_out.append(r)
+        out.append(nxt)
+        res_out.append(abs(f(nxt[0], nxt[1]).real))
+    return CurvePolyline(np.array(out), np.array(res_out)), len(ordered)
+
+
+def test_vectorised_tracer_loops_match_the_python_loops(kerr, mvc5d, monkeypatch):
     from whergo import geometry
 
     # a lattice cloud has exact distance ties (and a tie for the start point)
     rng = np.random.default_rng(29)
     cloud = rng.integers(0, 6, size=(60, 2)).astype(float) * 0.25
-    assert np.array_equal(geometry._chain_points(cloud), _chain_points_loop(cloud))
+    assert np.array_equal(cloud[geometry._chain_order(cloud)], _chain_points_loop(cloud))
     sign = np.sign(rng.normal(size=(9, 7)))
     assert np.array_equal(geometry._sign_change_edges(sign), _sign_change_edges_loop(sign))
-    # the Kerr box and scan of acceptance criterion 1
-    kwargs = dict(box=(0.02, 4.0, -4.0, 4.0), grid=(200, 200), step=0.01)
-    new = trace_curve(kerr, **kwargs)
-    monkeypatch.setattr(geometry, "_chain_points", _chain_points_loop)
-    monkeypatch.setattr(geometry, "_sign_change_edges", _sign_change_edges_loop)
-    old = trace_curve(kerr, **kwargs)
-    assert np.array_equal(new.samples, old.samples)
-    assert np.array_equal(new.residuals, old.residuals)
+
+    count = {"calls": 0, "points": 0}
+    d_with_scale = geometry._d_with_scale
+
+    def counted(model, R, V, branches=None):
+        count["calls"] += 1
+        count["points"] += np.size(R)
+        return d_with_scale(model, R, V, branches)
+    monkeypatch.setattr(geometry, "_d_with_scale", counted)
+
+    def traced(tracer, *args, **kwargs):
+        count.update(calls=0, points=0)
+        return tracer(*args, **kwargs), dict(count)
+
+    # the Kerr box and scan of acceptance criterion 1, the mvc5d box of 5
+    for model, kwargs in ((kerr, dict(box=(0.02, 4.0, -4.0, 4.0), grid=(200, 200), step=0.01)),
+                          (mvc5d, dict(box=(0.02, 0.9, -0.9, 0.9), grid=(36, 36), step=0.015,
+                                       residual_tol=1e-11))):
+        new, new_count = traced(trace_curve, model, **kwargs)
+        (old, chained), old_count = traced(_trace_curve_loop, model, **kwargs)
+        assert len(new) == len(old)
+        assert np.max(np.abs(new.samples - old.samples)) <= 1e-12
+        assert np.max(np.abs(new.residuals - old.residuals)) <= 1e-12
+        # the same D-hat points, less the second evaluation of each chained
+        # point, in batches
+        assert new_count["points"] == old_count["points"] - chained
+        assert new_count["calls"] * 20 < old_count["calls"]

@@ -298,20 +298,6 @@ MODEL_BUILDERS = {
 
 
 @dataclass(frozen=True)
-class PoleRecord:
-    """One tau-plane pole: location, multiplicity, pair partner, omega origin.
-
-    Poles at tau = 0 (and the matching growth at infinity) are recorded with
-    omega0 = None; they arise from entries that are improper in omega.
-    """
-
-    tau: complex
-    multiplicity: int
-    partner: complex | None
-    omega0: complex | None
-
-
-@dataclass(frozen=True)
 class DegreeTable:
     k11: int
     k12: int
@@ -331,19 +317,18 @@ class DegreeTable:
 class MonodromyMatrixTau:
     """Composed monodromy matrix: rational entries in tau plus bookkeeping.
 
-    Every model carries its entries and the flat pole ledger, which the
-    plan compile (build_ansatz at a reference point) reads; factorise itself
-    needs no monodromy.  For 2x2 models of the common-denominator form the
-    model's degree table is attached, together with the composed denominator
-    q_2n and numerator polynomials ptilde at this point; they feed the
-    reference existence system.
+    Each entry lists its tau-plane poles: both members of the zero pair of
+    every omega pole of the entry, and tau = 0 where it grows at infinity.
+    The engine's plan needs no monodromy.  For 2x2 models of the
+    common-denominator form the model's degree table is attached, together
+    with the composed denominator q_2n and numerator polynomials ptilde at
+    this point; they feed the reference existence system.
     """
 
     n: int
     pt: SpectralPoint
     entries: tuple                  # n x n of FactoredRational in tau
     model: RationalMatrixOmega
-    ledger: tuple                   # PoleRecord, every tau-plane pole
     degree_table: DegreeTable | None = None
     q2n: np.ndarray | None = None   # composed denominator polynomial (2x2)
     ptilde: tuple | None = None     # ((p11~, p12~), (p12~, p22~)) numerators (2x2)
@@ -352,60 +337,9 @@ class MonodromyMatrixTau:
         return np.array([[self.entries[i][j](tau) for j in range(self.n)]
                          for i in range(self.n)])
 
-    def row_inside_poles(self, partition):
-        """Per-row multiset of inside poles {tau: multiplicity}.
-
-        Pair poles are mapped through the partition's branch choice; tau = 0
-        poles are always inside (the contour encircles the origin).
-        """
-        inside_of = {}
-        for rec in self.ledger:
-            if rec.omega0 is None:
-                continue
-            pair = partition.pair_for(rec.omega0)
-            inside_of[rec.omega0] = pair.tau_in
-        rows = []
-        for i in range(self.n):
-            row: dict[complex, int] = {}
-            for j in range(self.n):
-                fr = self.entries[i][j]
-                mult: dict[complex, int] = {}
-                for r in fr.den_roots:
-                    key = _find_key(mult, r)
-                    mult[key] = mult.get(key, 0) + 1
-                for r, k in mult.items():
-                    if abs(r) < 1e-12:
-                        tin = 0.0 + 0j
-                    else:
-                        rec = _ledger_lookup(self.ledger, r)
-                        if rec.omega0 is None:
-                            tin = 0.0 + 0j
-                        else:
-                            tin = inside_of[rec.omega0]
-                            if not _close(tin, r):
-                                continue  # this root is the outside member
-                    key = _find_key(row, tin)
-                    row[key] = max(row.get(key, 0), k)
-            rows.append(row)
-        return rows
-
 
 def _close(a, b, rel=1e-8):
     return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
-
-
-def _find_key(d: dict, r):
-    for k in d:
-        if _close(k, r):
-            return k
-    return r
-
-
-def _ledger_lookup(ledger, tau):
-    for rec in ledger:
-        if _close(rec.tau, tau):
-            return rec
-    raise KeyError(f"tau = {tau} not in pole ledger")
 
 
 def _compose_entry(entry: RationalEntry, pt: SpectralPoint, root_hints):
@@ -441,8 +375,9 @@ def compose_monodromy(model: RationalMatrixOmega, pt: SpectralPoint,
     denominator roots, the 2x2 normal form and its degree table are read
     from the model, which computes each of them once.
 
-    Callers are the plan compile, `whergo verify` and the test oracles.
-    check=False skips the sample-point consistency validation."""
+    Callers are `whergo verify` and the test oracles; the engine composes
+    no monodromy.  check=False skips the sample-point consistency
+    validation."""
     if pt.lam != 1:
         raise ValueError("the factorisation engine is restricted to lambda = +1")
     pair_cache: dict[complex, tuple] = {}
@@ -458,31 +393,6 @@ def compose_monodromy(model: RationalMatrixOmega, pt: SpectralPoint,
     entries = tuple(tuple(_compose_entry(model.entry(i, j), pt, hints)
                           for j in range(model.n)) for i in range(model.n))
 
-    # ledger: pair poles ...
-    ledger: list[PoleRecord] = []
-    mult_at: dict[complex, int] = {}
-    for row in entries:
-        for fr in row:
-            seen: dict[complex, int] = {}
-            for r in fr.den_roots:
-                key = _find_key(seen, r)
-                seen[key] = seen.get(key, 0) + 1
-            for r, k in seen.items():
-                key = _find_key(mult_at, r)
-                mult_at[key] = max(mult_at.get(key, 0), k)
-    for r, k in mult_at.items():
-        if abs(r) < 1e-12:
-            ledger.append(PoleRecord(0.0 + 0j, k, None, None))
-            continue
-        omega0 = None
-        partner = None
-        for w, (t1, t2) in pair_cache.items():
-            if _close(r, t1):
-                omega0, partner = w, t2
-            elif _close(r, t2):
-                omega0, partner = w, t1
-        ledger.append(PoleRecord(complex(r), k, partner, omega0))
-
     degree_table = model.degree_table
     q2n = None
     ptilde = None
@@ -493,8 +403,7 @@ def compose_monodromy(model: RationalMatrixOmega, pt: SpectralPoint,
         pt12, _ = compose_polynomial(pt, p[0][1])
         pt22, _ = compose_polynomial(pt, p[1][1])
         ptilde = ((pt11, pt12), (pt12, pt22))
-    mono = MonodromyMatrixTau(model.n, pt, entries, model, tuple(ledger),
-                              degree_table, q2n, ptilde)
+    mono = MonodromyMatrixTau(model.n, pt, entries, model, degree_table, q2n, ptilde)
     if check:
         _check_monodromy(mono)
     return mono

@@ -14,7 +14,7 @@ from . import __version__
 from .catalog import MODEL_BUILDERS, RationalMatrixOmega, load_model_json, model_identity
 from .engine import DEFAULT_TOL, check_tol, evaluate_points, factorise
 from .errors import NoCurveFound, NonPhysicalM, WhergoError
-from .geometry import classify_curve, extract_metric, trace_curve
+from .geometry import check_step, classify_curve, extract_metric, trace_curve
 
 SCHEMA_VERSION = 1
 
@@ -50,12 +50,15 @@ class RunConfig:
     def validate(self):
         for key in ("rho", "v"):
             lo, hi, n = self.grid[key]
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{key} range bounds must be finite, got {lo}:{hi}")
             if n < 2:
                 raise ValueError(f"grid resolution for {key} must be >= 2")
             if key == "rho" and lo <= 0:
                 raise ValueError("rho range must be strictly positive")
             if hi <= lo:
                 raise ValueError(f"empty {key} range")
+        check_step(self.step)
         self.tolerance()
 
 

@@ -11,12 +11,13 @@ M(rho, v) = lim M_minus(tau).
 The structure of the constraint system is fixed by (model, branches) and is
 compiled once into an AnsatzPlan kept on the model: the omega-plane
 adjugate, the label of every root (tau = 0, or the inside or outside member
-of a zero pair), m0, the column degrees and the D rows.  At Weyl points the
-plan needs only the zero pairs and the composed adjugate numerators, and
-its rows are numpy arrays over (rho, v): one evaluation serves a single
-point, a tracer grid and a sweep chunk alike.  build_ansatz, the symbolic
-construction at one point, remains as the compile step and as the
-reference the plan is checked against.  evaluate_points assembles the
+of a zero pair), m0, the column degrees and the D rows.  The labels are
+read from the model's omega-plane poles by integer multiset arithmetic, so
+the compile composes no monodromy and finds no tau-plane roots; it checks
+itself by factorising at its reference point.  At Weyl points the plan
+needs only the zero pairs and the composed adjugate numerators, and its
+rows are numpy arrays over (rho, v): one evaluation serves a single point,
+a tracer grid and a sweep chunk alike.  evaluate_points assembles the
 plan's full system once over an array of points (one point for factorise)
 and solves the square system of its D rows and normalisation rows: D, the
 kernel dimension, M(rho, v) and the verdict all read that one evaluation,
@@ -47,6 +48,7 @@ only toeplitz_kernel_dim's degree-table short cut reads it.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import enum
 import math
 from collections import Counter
@@ -55,33 +57,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import MonodromyMatrixTau, RationalMatrixOmega, compose_monodromy
-from .errors import (
-    DegeneratePair,
-    DegenerateZeros,
-    InadmissiblePartition,
-    InvariantViolation,
-    NonSquareSystem,
-    NotCanonical,
-    SingularSystem,
-)
+from .catalog import MonodromyMatrixTau, RationalMatrixOmega
+from .errors import DegenerateZeros, InvariantViolation, NonSquareSystem, NotCanonical
 from .poly import (
     DEFAULT_TOL,
     FactoredRational,
-    _multiset_minus,
-    _root_lcm,
     equilibrate,
     numerical_nullity,
     poly_degree,
     poly_derivative,
     poly_deflate,
     poly_eval,
-    poly_from_roots,
-    poly_mul,
     poly_scale,
     poly_shift,
 )
-from .spectral import BRANCH_PLUS, PolePartition, SpectralPoint, build_partition
+from .spectral import BRANCH_MINUS, BRANCH_PLUS, PolePartition, SpectralPoint
 
 # reference Weyl points used once per (model, branches) to compile the plan
 # of the generic constraint system; must be off-curve, which the compile
@@ -236,17 +226,6 @@ def _root_sort_key(r):
     return (round(r.real, 9), round(r.imag, 9))
 
 
-def _group_roots(roots):
-    """Multiset -> ordered list of (root, multiplicity)."""
-    out = []
-    for r in sorted((complex(x) for x in roots), key=_root_sort_key):
-        if out and abs(out[-1][0] - r) <= 1e-8 * max(1.0, abs(r)):
-            out[-1] = (out[-1][0], out[-1][1] + 1)
-        else:
-            out.append((r, 1))
-    return out
-
-
 def _adjugate_fr(entries, n):
     """Adjugate of an n x n FactoredRational matrix (n = 2 or 3)."""
     if n == 2:
@@ -278,10 +257,10 @@ class AnsatzSpec:
     j-th minus component.  A_kj = adj(M)_kj L_k / pi_j, with L_k the common
     denominator of component k (roots lk_roots[k]), is num_polys[k, j, :]
     times prod (tau - r) over the extra roots r = extra_roots[k, j, x]
-    with extra_on[k, j, x]: build_ansatz multiplies every root in, the plan
-    keeps the labelled roots of L_k apart so that the rows can evaluate them
-    in product form.  inside_groups[k] lists the (tau_star, vanishing order)
-    of every condition imposed on component k.
+    with extra_on[k, j, x]: the plan keeps the labelled roots of L_k apart
+    so that the rows can evaluate them in product form.  inside_groups[k]
+    lists the (tau_star, vanishing order) of every condition imposed on
+    component k.
     """
 
     n: int
@@ -323,64 +302,6 @@ def _flat(x: np.ndarray, lead: int) -> np.ndarray:
     """x with its trailing batch axes folded into one (of length 1 when x
     holds a single point)."""
     return x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),))
-
-
-def _is_inside_root(r, partition) -> bool:
-    if abs(r) < 1e-10:
-        return True
-    for p in partition.pairs:
-        if abs(r - p.tau_in) <= 1e-8 * max(1.0, abs(r)):
-            return True
-    return False
-
-
-def build_ansatz(mono: MonodromyMatrixTau, partition: PolePartition) -> AnsatzSpec:
-    """AnsatzSpec at one point from the composed monodromy, by symbolic
-    rational arithmetic in tau; the plan compile reads its structure."""
-    n = mono.n
-    rows_inside = mono.row_inside_poles(partition)
-    pi_roots = []
-    for row in rows_inside:
-        roots = []
-        for r, mult in sorted(row.items(), key=lambda kv: _root_sort_key(kv[0])):
-            roots.extend([complex(r)] * mult)
-        pi_roots.append(tuple(roots))
-    adj = _adjugate_fr(mono.entries, n)
-    base_polys = [[None] * n for _ in range(n)]
-    lk_roots, inside_groups, m0s, l0s = [], [], [], []
-    for k in range(n):
-        dens = [tuple(adj[k][j].den_roots) + pi_roots[j] for j in range(n)]
-        lk = ()
-        for d in dens:
-            lk, _, _ = _root_lcm(lk, d)
-        for j in range(n):
-            if adj[k][j].is_zero():
-                base_polys[k][j] = np.zeros(1, dtype=complex)
-                continue
-            cof = _multiset_minus(lk, dens[j])
-            base_polys[k][j] = poly_scale(
-                poly_mul(adj[k][j].num, poly_from_roots(cof)), 1.0 / adj[k][j].den_lc)
-        groups = [(r, m) for r, m in _group_roots(lk) if _is_inside_root(r, partition)]
-        m0 = 0
-        l0 = 1.0 + 0j
-        for r, m in _group_roots(lk):
-            if abs(r) < 1e-10:
-                m0 = m
-            else:
-                l0 *= (-r) ** m
-        lk_roots.append(tuple(lk))
-        inside_groups.append(groups)
-        m0s.append(m0)
-        l0s.append(l0)
-    base = np.zeros((n, n, max(p.size for row in base_polys for p in row)), dtype=complex)
-    for k in range(n):
-        for j in range(n):
-            base[k, j, :base_polys[k][j].size] = base_polys[k][j]
-    layout = _row_layout(n, base.shape[-1], [len(r) for r in pi_roots],
-                         [[m for _, m in g] for g in inside_groups])
-    return AnsatzSpec(n, pi_roots, base, np.zeros((n, n, 0), dtype=complex),
-                      np.zeros((n, n, 0), dtype=bool), lk_roots, inside_groups, m0s,
-                      np.array(l0s), layout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -529,15 +450,16 @@ class AnsatzPlan:
 
     Every root of the system carries one of 2P + 1 labels: tau = 0 (label 0)
     or a member of the zero pair of omega pole i, inside (1 + 2i) or outside
-    (2 + 2i).  The labels of L_k, pi_j and the inside groups, m0, the column
-    degrees and the D-row selection are read from one build_ansatz run at a
-    reference point.  At a Weyl point A_kj = adj(M)_kj(omega(tau)) L_k / pi_j
-    is the composed numerator of the omega-plane adjugate entry, times a
-    power of tau, over the composed denominator's leading coefficient, times
-    the labelled roots of L_k that neither pi_j nor that denominator takes.
-    When the poles and the adjugate coefficients are all real, so is every
-    entry of the system, and the plan stores them real: the system is then
-    assembled, and solved, in real arithmetic.
+    (2 + 2i).  The labels of L_k, pi_j and the inside groups, and m0, are
+    read from the model's omega-plane poles (_plan_labels); the column
+    degrees follow from them, and the D-row selection from the plan's own
+    system at a reference point.  At a Weyl point A_kj = adj(M)_kj(omega(tau))
+    L_k / pi_j is the composed numerator of the omega-plane adjugate entry,
+    times a power of tau, over the composed denominator's leading
+    coefficient, times the labelled roots of L_k that neither pi_j nor that
+    denominator takes.  When the poles and the adjugate coefficients are
+    all real, so is every entry of the system, and the plan stores them
+    real: the system is then assembled, and solved, in real arithmetic.
     """
 
     n: int
@@ -561,22 +483,29 @@ class AnsatzPlan:
 def _plan_for(model: RationalMatrixOmega, branches) -> AnsatzPlan:
     """The model's plan for this branch tuple, compiled on first use.
 
-    Compiled at the first reference Weyl point that is off-curve (the
-    homogeneous system has full column rank with margin) and where the plan
-    reproduces build_ansatz; the same plan, and so the same D rows, then
-    serves every other point, so D(rho, v) is a continuous determinant.
+    branches holds one tag, "minus" or "plus", per omega pole in the
+    model's order; anything else is a ValueError.  The plan is compiled at
+    the first reference Weyl point that is off-curve (the homogeneous system
+    has full column rank with margin) and where the plan factorises within
+    the residual gates; the same plan, and so the same D rows, then serves
+    every other point, so D(rho, v) is a continuous determinant.
     """
     branches = tuple(branches)
     plan = model.plans.get(branches)
     if plan is None:
+        if (len(branches) != len(model.omega_poles)
+                or any(b not in (BRANCH_MINUS, BRANCH_PLUS) for b in branches)):
+            raise ValueError(
+                f"branches must be one tag per omega pole of model {model.model_id} "
+                f"({len(model.omega_poles)} in all), each 'minus' or 'plus'; "
+                f"got {','.join(map(str, branches)) or 'none'}")
         adj = _omega_adjugate(model)
         last_exc = None
         for rho_ref, v_ref in _REFERENCE_POINTS:
             try:
                 plan = _compile_plan(model, branches, adj, rho_ref, v_ref)
                 break
-            except (NonSquareSystem, DegeneratePair, InadmissiblePartition,
-                    DegenerateZeros, SingularSystem, InvariantViolation) as exc:
+            except (NonSquareSystem, InvariantViolation) as exc:
                 last_exc = exc      # a degenerate reference point: try the next
         else:
             raise NonSquareSystem(f"no usable reference point found: {last_exc}")
@@ -593,47 +522,90 @@ def _omega_adjugate(model: RationalMatrixOmega):
             for row in _adjugate_fr(entries, model.n)]
 
 
-def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
-    pt = SpectralPoint(rho_ref, v_ref)
-    part = build_partition(pt, model.omega_poles, branches)
-    spec = build_ansatz(compose_monodromy(model, pt), part)
+def _pole_index(model: RationalMatrixOmega, w) -> int:
+    """Index of the omega pole w in model.omega_poles."""
+    for i, w0 in enumerate(model.omega_poles):
+        if abs(w - w0) <= 1e-8 * max(1.0, abs(w0)):
+            return i
+    raise NonSquareSystem(f"pole {w} is not a pole of the model")
+
+
+def _plan_labels(model: RationalMatrixOmega, values):
+    """(pi_labels, lk_labels, groups, m0) of the plan, from the model's
+    omega-plane poles: no monodromy is composed and no root is found.
+
+    A multiset of labels is a Counter: a sum is a product of denominators,
+    a union (|) their lcm.  M_ij(omega(tau)) has both members of the pair
+    of each omega pole of M_ij, and tau = 0 as often as deg num exceeds
+    deg den.  The adjugate mirrors _adjugate_fr without
+    cancellation: a minor a b - c d has the labels (a + b) | (c + d).  pi_j
+    is the union of the inside labels (0 and odd) of row j, L_k the union
+    over j of adj_kj + pi_j.  pi_j and the groups are ordered by the roots
+    of their labels at the reference point (values).
+    """
     n = model.n
-    pairs = [part.pair_for(w) for w in model.omega_poles]
 
-    def label(r):
-        if abs(r) < 1e-10:
-            return 0
-        for i, pair in enumerate(pairs):
-            for side, t in enumerate((pair.tau_in, pair.tau_out)):
-                if abs(r - t) <= 1e-8 * max(1.0, abs(t)):
-                    return 1 + 2 * i + side
-        raise NonSquareSystem(f"root {r} is neither tau = 0 nor a zero-pair member")
+    def composed(e):
+        if poly_degree(e.num) < 0:
+            return Counter()
+        out = Counter({0: max(poly_degree(e.num) - poly_degree(e.den), 0)})
+        for w in e.den_roots:
+            p = _pole_index(model, w)
+            out.update((1 + 2 * p, 2 + 2 * p))
+        return +out
 
-    def pole(w):
-        for i, w0 in enumerate(model.omega_poles):
-            if abs(w - w0) <= 1e-8 * max(1.0, abs(w0)):
-                return i
-        raise NonSquareSystem(f"adjugate pole {w} is not a pole of the model")
+    def inside(c):
+        return Counter({lab: m for lab, m in c.items() if lab % 2 or not lab})
 
-    pi_labels = tuple(tuple(label(r) for r in roots) for roots in spec.pi_roots)
-    lk_labels = tuple(tuple(sorted(label(r) for r in roots)) for roots in spec.lk_roots)
-    groups = tuple(tuple((label(r), m) for r, m in g) for g in spec.inside_groups)
-    lk_count = np.zeros((n, 1 + 2 * len(pairs)), dtype=int)
-    for k, ls in enumerate(lk_labels):
-        lk_count[k] = np.bincount(ls, minlength=lk_count.shape[1])
-    if (any(lk_count[k, lab] != m for k, g in enumerate(groups) for lab, m in g)
-            or list(lk_count[:, 0]) != list(spec.m0)):
-        raise NonSquareSystem("zero-pair members merge at the reference point")
-    nonzero = [[lab for lab in ls if lab] for ls in lk_labels]
-    l0_labels = np.full((n, max(map(len, nonzero), default=0)), -1)
-    for k, ls in enumerate(nonzero):
-        l0_labels[k, :len(ls)] = ls
+    def ordered(labels):
+        return sorted(labels, key=lambda lab: (_root_sort_key(values[lab]), lab))
 
+    ent = [[composed(e) for e in row] for row in model.entries]
+    if n == 2:
+        adj = [[ent[1][1], ent[0][1]], [ent[1][0], ent[0][0]]]
+    elif n == 3:
+        def minor(r, c):
+            (r0, r1), (c0, c1) = ([i for i in range(3) if i != x] for x in (r, c))
+            return (ent[r0][c0] + ent[r1][c1]) | (ent[r0][c1] + ent[r1][c0])
+        adj = [[minor(j, i) for j in range(3)] for i in range(3)]
+    else:
+        raise NotImplementedError("adjugate implemented for n <= 3")
+    pi = [Counter() for _ in range(n)]
+    for j, row in enumerate(ent):
+        for c in row:
+            pi[j] |= inside(c)
+    lk = [Counter() for _ in range(n)]
+    for k in range(n):
+        for j in range(n):
+            lk[k] |= adj[k][j] + pi[j]
+    return (tuple(tuple(ordered(c.elements())) for c in pi),
+            tuple(tuple(sorted(c.elements())) for c in lk),
+            tuple(tuple((lab, c[lab]) for lab in ordered(inside(c))) for c in lk),
+            tuple(c[0] for c in lk))
+
+
+def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
+    n = model.n
     top = max((poly_degree(a.num) for row in adj for a in row), default=0)
     size = n * n
     adj_num = np.zeros((size, top + 1), dtype=complex)
     adj_lc = np.ones(size, dtype=complex)
     adj_deg = np.zeros(size, dtype=int)
+    for e, a in enumerate(a for row in adj for a in row):
+        if not a.is_zero():
+            adj_num[e, :poly_degree(a.num) + 1] = a.num[:poly_degree(a.num) + 1]
+            adj_lc[e], adj_deg[e] = a.den_lc, len(a.den_roots)
+    poles = np.array(model.omega_poles, dtype=complex)
+    if not (np.any(poles.imag) or np.any(adj_num.imag) or np.any(adj_lc.imag)):
+        poles, adj_num, adj_lc = poles.real, adj_num.real, adj_lc.real
+    plus = np.array([b == BRANCH_PLUS for b in branches], dtype=bool)
+    values = _label_values(poles, plus, np.array([rho_ref]), np.array([v_ref]))[:, 0]
+    pi_labels, lk_labels, groups, m0 = _plan_labels(model, values)
+    nonzero = [[lab for lab in ls if lab] for ls in lk_labels]
+    l0_labels = np.full((n, max(map(len, nonzero), default=0)), -1)
+    for k, ls in enumerate(nonzero):
+        l0_labels[k, :len(ls)] = ls
+
     shifts, extras = {}, {}
     for k in range(n):
         for j in range(n):
@@ -641,12 +613,11 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
             if a.is_zero():
                 continue
             e, d_num = k * n + j, poly_degree(a.num)
-            adj_num[e, :d_num + 1] = a.num[:d_num + 1]
-            adj_lc[e], adj_deg[e] = a.den_lc, len(a.den_roots)
             rest = Counter(lk_labels[k])
             rest.subtract(pi_labels[j])
             for w in a.den_roots:
-                rest.subtract((1 + 2 * pole(w), 2 + 2 * pole(w)))
+                p = _pole_index(model, w)
+                rest.subtract((1 + 2 * p, 2 + 2 * p))
             # A_kj carries tau^(m0_k - deg_0 pi_j + deg den - deg num)
             tau_power = rest.pop(0, 0) + len(a.den_roots) - d_num
             if tau_power < 0 or min(rest.values(), default=0) < 0:
@@ -661,7 +632,12 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     extra = np.full((size, max((len(x) for x in extras.values()), default=0)), -1)
     for e, x in extras.items():
         extra[e, :len(x)] = x
+    plan = AnsatzPlan(
+        n, poles, plus, adj_num, adj_lc, adj_deg, place, extra.reshape(n, n, -1),
+        pi_labels, lk_labels, groups, l0_labels, m0, np.zeros(0, dtype=int),
+        _row_layout(n, width, [len(ls) for ls in pi_labels], [[m for _, m in g] for g in groups]))
 
+    spec = _plan_spec(plan, rho_ref, v_ref)
     a0 = _assemble_homogeneous(spec)
     u = spec.hom_unknowns()
     if a0.shape[0] < u:
@@ -674,57 +650,38 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
             f"({rho_ref}, {v_ref}); smallest accepted pivot {margin:.2e}",
             unknowns=u, constraints=a0.shape[0],
             certificate={"reference": (rho_ref, v_ref), "margin": margin})
-
-    poles = np.array(model.omega_poles, dtype=complex)
-    if not (np.any(poles.imag) or np.any(adj_num.imag) or np.any(adj_lc.imag)):
-        poles, adj_num, adj_lc = poles.real, adj_num.real, adj_lc.real
-    plan = AnsatzPlan(
-        n, poles, np.array([b == BRANCH_PLUS for b in branches], dtype=bool),
-        adj_num, adj_lc, adj_deg, place, extra.reshape(n, n, -1),
-        pi_labels, lk_labels, groups, l0_labels, tuple(spec.m0), sel,
-        _row_layout(n, width, [len(ls) for ls in pi_labels], [[m for _, m in g] for g in groups]))
-    gap = _system_gap(_assemble_inhomogeneous(_plan_spec(plan, rho_ref, v_ref)),
-                      _assemble_inhomogeneous(spec))
-    if gap > 1e-10:
-        raise InvariantViolation(f"plan system differs from build_ansatz by {gap:.2e} "
-                                 f"(relative to the row norm) at ({rho_ref}, {v_ref})")
+    plan = dataclasses.replace(plan, selected_rows=sel)
+    # the plan factorises at its reference point within the residual gates:
+    # a wrong label leaves a pole that no solution cancels
+    batch = _evaluate(dataclasses.replace(spec, selected_rows=sel), DEFAULT_TOL)
+    if not batch.canonical:
+        raise InvariantViolation(f"the plan is not canonical at its reference point "
+                                 f"({rho_ref}, {v_ref})")
+    r = _checked_factors(model, plan, batch, SpectralPoint(rho_ref, v_ref))[2]
+    if not (r.factorisation <= 1e-9 and r.x_at_zero <= 1e-10 and r.pole_cancellation <= 1e-9):
+        raise InvariantViolation(
+            f"the plan does not factorise at its reference point ({rho_ref}, {v_ref}): "
+            f"factorisation {r.factorisation:.1e}, X(0) {r.x_at_zero:.1e}, "
+            f"pole cancellation {r.pole_cancellation:.1e}")
     return plan
 
 
-def _system_gap(got, want) -> float:
-    """Largest entry difference of two (A, B) systems relative to the row
-    norm of [A | B] in `want`, over the rows that `got` assembles above 1e-8
-    of that system's largest row norm.  The others are conditions at a root
-    of L_k that every A_kj carries (exact zeros where `got` keeps the root in
-    product form), rounding noise in both systems, which in `want` too only
-    has to stay below 1e-8 of its largest row norm."""
-    got, want = (np.concatenate(ab, axis=-1) for ab in (got, want))
-    if got.shape != want.shape:
-        return np.inf
-    norms = np.linalg.norm(want, axis=-1)
-    floor = 1e-8 * np.max(norms, initial=0.0)
-    real = np.linalg.norm(got, axis=-1) > floor
-    if np.any(norms[~real] > floor):
-        return np.inf
-    gap = np.max(np.abs(got - want), axis=-1, initial=0.0)[real] / norms[real]
-    return float(np.max(gap, initial=0.0))
-
-
-def _label_values(plan: AnsatzPlan, rho, v) -> np.ndarray:
-    """Root of every label at Weyl points (rho, v) of shape (P,); returns
-    shape (2P + 1, P).
+def _label_values(poles: np.ndarray, plus: np.ndarray, rho, v) -> np.ndarray:
+    """Root of every label at Weyl points (rho, v) of shape (N,), for the
+    omega poles `poles` (P,) with the plus branch inside where `plus`;
+    returns shape (2P + 1, N).
 
     The inside member is zero_pair_for's (v - w +- sqrt((v - w)^2 + rho^2))
     / rho, taken from the product -rho^2 of the two numerators where it
     would cancel; the outside member is -1/tau_in.
     """
-    dv = v - plan.omega_poles[:, None]
+    dv = v - poles[:, None]
     s = np.sqrt(dv * dv + rho * rho)
-    sign = np.where(plan.plus, 1.0, -1.0)[:, None]
+    sign = np.where(plus, 1.0, -1.0)[:, None]
     a, b = dv + sign * s, dv - sign * s
     big = np.abs(a) >= np.abs(b)            # b may vanish far out, where a is kept
     t_in = np.where(big, a, -rho) / np.where(big, rho, b)
-    lab = np.zeros((1 + 2 * plan.plus.size,) + rho.shape, dtype=t_in.dtype)
+    lab = np.zeros((1 + 2 * plus.size,) + rho.shape, dtype=t_in.dtype)
     lab[1::2] = t_in
     lab[2::2] = -1.0 / t_in
     return lab
@@ -733,11 +690,14 @@ def _label_values(plan: AnsatzPlan, rho, v) -> np.ndarray:
 def _plan_spec(plan: AnsatzPlan, rho, v) -> AnsatzSpec:
     """The plan's AnsatzSpec at Weyl points (rho, v) of any common shape."""
     rho, v = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(v, dtype=float))
-    if not np.all(rho > 0.0):
-        raise ValueError("rho must be strictly positive")
     batch = rho.shape
     rho, v = rho.reshape(-1), v.reshape(-1)
-    lab = _label_values(plan, rho, v)
+    bad = ~((rho > 0.0) & np.isfinite(rho) & np.isfinite(v))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"a Weyl point needs finite v and finite rho > 0, "
+                         f"got (rho, v) = ({rho[i]}, {v[i]})")
+    lab = _label_values(plan.omega_poles, plan.plus, rho, v)
     half = -0.5 * rho                            # tau^2 coefficient of W = tau omega(tau)
     top = plan.adj_num.shape[1] - 1
     # rows W^i tau^(K - i), i = 0..K, built as W^i tau^(K - i) = (W / tau) W^(i-1) tau^(K-i+1);
@@ -954,6 +914,16 @@ def _factors(spec: AnsatzSpec, sol: np.ndarray):
             RationalMatrixTau(minus, tuple(spec.pi_roots)), pole_resid)
 
 
+def _checked_factors(model: RationalMatrixOmega, plan: AnsatzPlan, batch: PointBatch,
+                     pt: SpectralPoint):
+    """(X, M_minus, residual report) of the canonical one-point batch of
+    `plan` at pt."""
+    X, M_minus, pole_resid = _factors(batch.spec, batch.solution)
+    poles = _label_values(plan.omega_poles, plan.plus, np.array([float(pt.rho)]),
+                          np.array([float(pt.v)]))
+    return X, M_minus, _residual_report(model, pt, poles, X, M_minus, pole_resid)
+
+
 def _d_with_scale(model: RationalMatrixOmega, rho, v, branches=None):
     """(D, Hadamard row-norm bound) at Weyl points (rho, v) of any common
     shape, so |D|/scale is a unit-free singularity measure.  Evaluates the
@@ -1064,7 +1034,11 @@ def evaluate_points(model: RationalMatrixOmega, rho, v, branches=None,
     check_tol(tol)
     if branches is None:
         branches = model.default_branches
-    spec = _plan_spec(_plan_for(model, branches), rho, v)
+    return _evaluate(_plan_spec(_plan_for(model, branches), rho, v), tol)
+
+
+def _evaluate(spec: AnsatzSpec, tol: float) -> PointBatch:
+    """evaluate_points on the plan's spec at its points."""
     A, B = _assemble_inhomogeneous(spec)
     a0 = _homogeneous_part(spec, A)
     d_val, d_scale = _det_with_scale(a0[..., spec.selected_rows, :])
@@ -1112,10 +1086,7 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
     d_val, d_scale = complex(batch.D_value.item()), batch.D_scale.item()
     kdim = int(batch.kernel_dim)
     if batch.canonical:
-        X, M_minus, pole_resid = _factors(batch.spec, batch.solution)
-        poles = _label_values(_plan_for(model, branches), np.array([float(rho)]),
-                              np.array([float(v)]))
-        report = _residual_report(model, pt, poles, X, M_minus, pole_resid)
+        X, M_minus, report = _checked_factors(model, _plan_for(model, branches), batch, pt)
         return FactorisationOutcome(Status.CANONICAL, d_val, d_scale, 0, classification,
                                     X, M_minus, batch.M_limit, report)
     status = Status.DEGENERATE if kdim else Status.UNRESOLVED

@@ -9,10 +9,6 @@ class DegenerateCoefficient(WhergoError):
     """Leading coefficient of a quadratic is (numerically) zero."""
 
 
-class SingularSystem(WhergoError):
-    """A dense linear solve hit a pivot below the relative tolerance."""
-
-
 class ZeroTau(WhergoError):
     """The spectral map is undefined at tau = 0."""
 

@@ -321,6 +321,12 @@ def _sign_change_edges(sign: np.ndarray) -> np.ndarray:
     return np.stack([start, start + np.stack([1 - kind, kind], axis=-1)], axis=1)
 
 
+def check_step(step: float) -> None:
+    """ValueError unless step, a polyline spacing, is finite and > 0."""
+    if not (step > 0.0 and np.isfinite(step)):          # NaN fails the comparison too
+        raise ValueError(f"step must be a finite number > 0, got {step!r}")
+
+
 def trace_curve(model: RationalMatrixOmega, branches=None,
                 box=(0.05, 4.0, -4.0, 4.0), grid=(80, 80),
                 step: float = 0.01, residual_tol: float = 1e-10) -> CurvePolyline:
@@ -354,6 +360,7 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
     rmin, rmax, vmin, vmax = box
     if rmin <= 0:
         raise ValueError("box must lie in the rho > 0 half-plane")
+    check_step(step)
     _, fgrid = _d_hat_function(model, branches)
     rho_vals = np.linspace(rmin, rmax, grid[0])
     v_vals = np.linspace(vmin, vmax, grid[1])

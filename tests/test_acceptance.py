@@ -239,7 +239,7 @@ def test_criterion_7_kernel_classification(kerr, mvc5d, rng):
         ok = ok and toeplitz_kernel_dim(mono, part) == 1
     # always-canonical fast path: a degree-table-only stub (entries None)
     # returns 0 without assembling or solving anything
-    stub = MonodromyMatrixTau(2, SpectralPoint(1.0, 0.0), None, None, (),
+    stub = MonodromyMatrixTau(2, SpectralPoint(1.0, 0.0), None, None,
                               DegreeTable(k11=1, k12=0, k22=1, n=2))
     fast = (classify_2x2(stub).kind is Classification.ALWAYS_CANONICAL
             and toeplitz_kernel_dim(stub, None) == 0)

@@ -14,13 +14,14 @@ from whergo.catalog import (
     model_mvc5d,
     model_to_dict,
 )
+import whergo.engine as engine
 from whergo.errors import (
     ExtremalOrOverRotating,
     InvariantViolation,
     ParameterViolation,
     SchemaError,
 )
-from whergo.spectral import SpectralPoint, build_partition, spectral_map
+from whergo.spectral import SpectralPoint, spectral_map
 
 
 def test_kerr_entry_values(kerr):
@@ -160,19 +161,20 @@ def test_identity_monodromy():
     model = model_identity(2)
     mono = compose_monodromy(model, SpectralPoint(2.0, 1.0))
     assert np.allclose(mono.eval(0.7 + 0.2j), np.eye(2))
-    assert mono.ledger == ()
+    # no pole: the plan labels no root
+    plan = engine._plan_for(model, model.default_branches)
+    assert plan.pi_labels == plan.lk_labels == ((), ())
 
 
-def test_mp5d_ledger_has_origin_pole(mp5d):
-    mono = compose_monodromy(mp5d, SpectralPoint(1.3, 0.4))
-    zero_recs = [rec for rec in mono.ledger if abs(rec.tau) < 1e-12]
-    assert len(zero_recs) == 1
-    assert zero_recs[0].omega0 is None
-    pair_w0 = sorted({round(rec.omega0.real, 8) for rec in mono.ledger
-                      if rec.omega0 is not None})
+def test_mp5d_plan_labels_have_origin_pole(mp5d):
+    # labels: 0 is tau = 0, 1 + 2i and 2 + 2i the pair of omega_poles[i]
+    plan = engine._plan_for(mp5d, mp5d.default_branches)
+    assert plan.m0 == (1, 1, 1)          # one tau = 0 pole in every L_k
+    assert plan.pi_labels[1] == (0,)
     # the omega = alpha - m denominator factor of the (3,3) entry cancels
     # exactly under 4 alpha = 2m - a^2, so only the +-alpha pairs are poles
-    assert pair_w0 == pytest.approx([-0.75, 0.75])
+    assert [w.real for w in mp5d.omega_poles[:2]] == pytest.approx([-0.75, 0.75])
+    assert {lab for ls in plan.lk_labels for lab in ls} == {0, 1, 2, 3, 4}
 
 
 def test_mp5d_alpha_minus_m_pole_is_removable(mp5d):
@@ -188,11 +190,8 @@ def test_mp5d_alpha_minus_m_pole_is_removable(mp5d):
 
 
 def test_mvc5d_row_inside_poles(mvc5d):
-    pt = SpectralPoint(1.3, 0.4)
-    mono = compose_monodromy(mvc5d, pt)
-    part = build_partition(pt, mvc5d.omega_poles, mvc5d.default_branches)
-    rows = mono.row_inside_poles(part)
-    assert [sum(r.values()) for r in rows] == [1, 2, 1]
+    plan = engine._plan_for(mvc5d, mvc5d.default_branches)
+    assert [len(labels) for labels in plan.pi_labels] == [1, 2, 1]
 
 
 def test_json_roundtrip(kerr, tmp_path):

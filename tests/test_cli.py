@@ -163,11 +163,13 @@ def test_sweep_jobs_byte_identical_over_chunks(tmp_path):
 
 def test_sweep_after_warm_up_evaluates_the_plan_once_per_chunk(kerr, mvc5d, monkeypatch):
     # once the plan exists a sweep is batched: no per-point factorisation,
-    # composition, partition or ansatz build, and one plan evaluation for
-    # each chunk of rho rows
+    # composition, partition or polynomial product, and one plan evaluation
+    # for each chunk of rho rows
     import whergo.catalog as catalog
     import whergo.cli as cli
     import whergo.engine as engine
+    import whergo.poly as poly
+    import whergo.spectral as spectral
 
     monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", 8)    # 4 x 4 grid: chunks of 2 rows
     for model in (kerr, mvc5d):
@@ -178,8 +180,8 @@ def test_sweep_after_warm_up_evaluates_the_plan_once_per_chunk(kerr, mvc5d, monk
         with monkeypatch.context() as m:
             def forbidden(*args, **kwargs):
                 raise AssertionError("per-point work in a batched sweep")
-            for module, name in ((engine, "build_ansatz"), (engine, "compose_monodromy"),
-                                 (catalog, "compose_monodromy"), (engine, "build_partition"),
+            for module, name in ((catalog, "compose_monodromy"), (spectral, "build_partition"),
+                                 (poly, "poly_mul"), (np, "roots"),
                                  (engine, "factorise"), (cli, "factorise")):
                 m.setattr(module, name, forbidden)
             m.setattr(engine, "_plan_spec", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -347,6 +349,39 @@ def test_branches_flag(capsys):
                                "--branches", "plus,plus")
     assert code == 0
     assert json.loads(out)["branches"] == ["plus", "plus"]
+
+
+@pytest.mark.parametrize("model, branches, count", [
+    ("kerr", "minus", 2), ("kerr", "minus,plus,plus", 2), ("mvc5d", "plus", 2),
+    ("mp5d", "minus,minus", 3), ("kerr", "minus,sideways", 2)])
+def test_branches_need_one_tag_per_omega_pole(capsys, model, branches, count):
+    # a wrong tuple is a usage error that names the expected count, not a
+    # failed plan compile
+    code, out, err = run_capture(capsys, "factorize", "--model", model,
+                                 "--rho", "2", "--v", "0.5", "--branches", branches)
+    assert code == 1 and out == ""
+    assert f"one tag per omega pole of model {model} ({count} in all)" in err
+    assert "reference point" not in err
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["factorize", "--rho", "1", "--v", "nan"], "(1.0, nan)"),
+    (["factorize", "--rho", "inf", "--v", "0.5"], "(inf, 0.5)"),
+    (["factorize", "--rho", "nan", "--v", "0.5"], "nan"),
+    (["sweep", "--grid", "1:2:2,nan:1:2"], "v range bounds must be finite"),
+    (["sweep", "--grid", "1:inf:2,0:1:2"], "rho range bounds must be finite"),
+    (["curve", "--grid", "0.1:2:10,nan:2:10"], "v range bounds must be finite"),
+    (["curve", "--grid", "0.05:2:10,-2:2:10", "--step", "0"], "step must be a finite number > 0"),
+    (["curve", "--grid", "0.05:2:10,-2:2:10", "--step", "-1"], "step must be a finite number > 0"),
+    (["curve", "--grid", "0.05:2:10,-2:2:10", "--step", "nan"], "step must be a finite number > 0"),
+])
+def test_invalid_points_and_steps_exit_1(capsys, argv, bad):
+    # a point or grid bound that is not finite, or a step that is not a
+    # positive number, is invalid input: exit 1 with a message naming it,
+    # never a RuntimeWarning, an SVD failure or "no curve"
+    code, out, err = run_capture(capsys, *argv, "--model", "kerr")
+    assert code == 1 and out == ""
+    assert bad in err
 
 
 def test_console_script_entrypoint():

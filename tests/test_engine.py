@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from whergo.catalog import (
     make_model,
     model_identity,
     model_kerr,
+    model_mp5d,
+    model_mvc5d,
 )
 import whergo.engine as engine
 from whergo.engine import (
@@ -23,7 +26,6 @@ from whergo.engine import (
     _assemble_inhomogeneous,
     _d_with_scale,
     assemble_M,
-    build_ansatz,
     classify_2x2,
     compute_D,
     evaluate_points,
@@ -31,8 +33,18 @@ from whergo.engine import (
     factorise,
     toeplitz_kernel_dim,
 )
-from whergo.errors import DegenerateZeros, InvariantViolation, NotCanonical
-from whergo.poly import FactoredRational, dense_det, numerical_nullity, poly_deflate, poly_from_roots
+from whergo.errors import DegenerateZeros, InvariantViolation, NonSquareSystem, NotCanonical
+from whergo.poly import (
+    FactoredRational,
+    _multiset_minus,
+    _root_lcm,
+    dense_det,
+    numerical_nullity,
+    poly_deflate,
+    poly_from_roots,
+    poly_mul,
+    poly_scale,
+)
 from whergo.spectral import SpectralPoint, build_partition, weyl_from_prolate_4d, weyl_from_prolate_5d
 
 M_K, A_K = 2.0, 1.0
@@ -97,7 +109,7 @@ def test_classify_always_canonical_stub():
     # N1 + N2 < 2n is unreachable for composed monodromies (the degree
     # bookkeeping forces N1 + N2 >= 2n); a degree-table stub exercises the
     # fast path, which must not touch entries at all
-    stub = MonodromyMatrixTau(2, SpectralPoint(1.0, 0.0), None, None, (),
+    stub = MonodromyMatrixTau(2, SpectralPoint(1.0, 0.0), None, None,
                               DegreeTable(k11=1, k12=0, k22=1, n=2))
     res = classify_2x2(stub)
     assert res.kind is Classification.ALWAYS_CANONICAL
@@ -273,7 +285,7 @@ def test_factorise_d_matches_homogeneous_assembly(kerr, mp5d, mvc5d, rng):
 
 def test_factorise_builds_one_system(kerr, mp5d, mvc5d, monkeypatch):
     # model constants and the ansatz plan are computed once per model; each
-    # call then builds no ansatz, assembles one system from the plan and
+    # call then compiles no plan, assembles one system from the plan and
     # finds no omega-plane roots
     on_curve = _on_curve_points(kerr, mp5d, mvc5d, (0.3,))
     cases = ((kerr, (2.1, 0.6), Status.CANONICAL, False),
@@ -287,8 +299,8 @@ def test_factorise_builds_one_system(kerr, mp5d, mvc5d, monkeypatch):
         factorise(model, rho, v)
         if solve_raises:
             monkeypatch.setattr(engine, "_solve_stack", lambda a, b: np.zeros_like(b))
-        counts = {"build_ansatz": 0, "_assemble_rows": 0, "roots": 0}
-        for module, name in ((engine, "build_ansatz"), (engine, "_assemble_rows"),
+        counts = {"_compile_plan": 0, "_assemble_rows": 0, "roots": 0}
+        for module, name in ((engine, "_compile_plan"), (engine, "_assemble_rows"),
                              (np, "roots")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 counts[_name] += 1
@@ -298,7 +310,7 @@ def test_factorise_builds_one_system(kerr, mp5d, mvc5d, monkeypatch):
         monkeypatch.undo()
         assert out.status is status
         assert out.kernel_dim == (status is Status.DEGENERATE)
-        assert counts == {"build_ansatz": 0, "_assemble_rows": 1, "roots": 0}
+        assert counts == {"_compile_plan": 0, "_assemble_rows": 1, "roots": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +362,14 @@ def test_factorise_is_the_batch_verdict_over_the_half_plane(name, points, kerr, 
         out = factorise(model, r, w)
         assert (out.status, out.kernel_dim) == (_batch_status(batch, i), batch.kernel_dim[i])
         assert (out.status is Status.DEGENERATE) == (out.kernel_dim >= 1)
+
+
+@pytest.mark.parametrize("rho, v", [(1.0, np.nan), (np.inf, 0.5), (-1.0, 0.5),
+                                    ([1.0, 2.0], [0.5, np.nan])])
+def test_evaluate_points_rejects_points_that_are_not_finite(kerr, rho, v):
+    # a NaN or infinite coordinate never reaches the linear algebra
+    with pytest.raises(ValueError, match="finite v and finite rho > 0"):
+        evaluate_points(kerr, np.asarray(rho), np.asarray(v))
 
 
 @pytest.mark.parametrize("rho, v", [(0.5, 160.0), (1e-4, 5.0), (0.5, 1000.0)])
@@ -647,18 +667,20 @@ def test_inverse_delta_blowup_near_curve(kerr):
     assert vals[2] / vals[1] >= 5.0
 
 
-def test_eta_asymmetric_2x2_routes_generic():
-    # eta = (1, -1): eta-symmetric but not plain-symmetric, so no 2x2
-    # normal form; the generic route factorises it
-    from whergo.poly import poly_mul
-
+def _eta_asym_model():
+    """eta = (1, -1): eta-symmetric but not plain-symmetric."""
     q1 = np.array([1.0, 0.0, 1.0])
     q2 = np.array([2.0, 0.0, 1.0])
     d_num = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-    model = make_model(
+    return make_model(
         [[([2.0, 0.0, 1.0], q1), ([0.0, 1.0], q1)],
          [([0.0, -1.0], q1), (d_num, poly_mul(q1, q2))]],
         eta=(1.0, -1.0), model_id="eta-asym")
+
+
+def test_eta_asymmetric_2x2_routes_generic():
+    # eta = (1, -1): no 2x2 normal form; the generic route factorises it
+    model = _eta_asym_model()
     mono = compose_monodromy(model, SpectralPoint(1.2, 0.4))
     assert mono.degree_table is None
     out = factorise(model, 1.2, 0.4)
@@ -673,6 +695,97 @@ def test_eta_asymmetric_2x2_routes_generic():
 # ---------------------------------------------------------------------------
 # compiled ansatz plan
 # ---------------------------------------------------------------------------
+
+
+def _group_roots(roots):
+    """Multiset -> ordered list of (root, multiplicity)."""
+    out = []
+    for r in sorted((complex(x) for x in roots), key=engine._root_sort_key):
+        if out and abs(out[-1][0] - r) <= 1e-8 * max(1.0, abs(r)):
+            out[-1] = (out[-1][0], out[-1][1] + 1)
+        else:
+            out.append((r, 1))
+    return out
+
+
+def _is_inside_root(r, partition) -> bool:
+    if abs(r) < 1e-10:
+        return True
+    for p in partition.pairs:
+        if abs(r - p.tau_in) <= 1e-8 * max(1.0, abs(r)):
+            return True
+    return False
+
+
+def _row_inside_poles(mono, partition):
+    """Per-row multiset {tau: multiplicity} of the inside poles of the
+    composed monodromy, read off its entries' denominator roots: tau = 0
+    and the inside member of each zero pair (the partition's value)."""
+    rows = []
+    for row in mono.entries:
+        poles = {}
+        for fr in row:
+            mult = Counter()
+            for r in fr.den_roots:
+                if abs(r) < 1e-12:
+                    mult[0j] += 1
+                else:
+                    mult.update(t for t in partition.inside()
+                                if abs(t - r) <= 1e-8 * max(1.0, abs(t), abs(r)))
+            for t, m in mult.items():
+                poles[t] = max(poles.get(t, 0), m)
+        rows.append(poles)
+    return rows
+
+
+def build_ansatz(mono, partition):
+    """AnsatzSpec at one point from the composed monodromy, by symbolic
+    rational arithmetic in tau: the reference the compiled plan is checked
+    against."""
+    n = mono.n
+    rows_inside = _row_inside_poles(mono, partition)
+    pi_roots = []
+    for row in rows_inside:
+        roots = []
+        for r, mult in sorted(row.items(), key=lambda kv: engine._root_sort_key(kv[0])):
+            roots.extend([complex(r)] * mult)
+        pi_roots.append(tuple(roots))
+    adj = engine._adjugate_fr(mono.entries, n)
+    base_polys = [[None] * n for _ in range(n)]
+    lk_roots, inside_groups, m0s, l0s = [], [], [], []
+    for k in range(n):
+        dens = [tuple(adj[k][j].den_roots) + pi_roots[j] for j in range(n)]
+        lk = ()
+        for d in dens:
+            lk, _, _ = _root_lcm(lk, d)
+        for j in range(n):
+            if adj[k][j].is_zero():
+                base_polys[k][j] = np.zeros(1, dtype=complex)
+                continue
+            cof = _multiset_minus(lk, dens[j])
+            base_polys[k][j] = poly_scale(
+                poly_mul(adj[k][j].num, poly_from_roots(cof)), 1.0 / adj[k][j].den_lc)
+        groups = [(r, m) for r, m in _group_roots(lk) if _is_inside_root(r, partition)]
+        m0 = 0
+        l0 = 1.0 + 0j
+        for r, m in _group_roots(lk):
+            if abs(r) < 1e-10:
+                m0 = m
+            else:
+                l0 *= (-r) ** m
+        lk_roots.append(tuple(lk))
+        inside_groups.append(groups)
+        m0s.append(m0)
+        l0s.append(l0)
+    base = np.zeros((n, n, max(p.size for row in base_polys for p in row)), dtype=complex)
+    for k in range(n):
+        for j in range(n):
+            base[k, j, :base_polys[k][j].size] = base_polys[k][j]
+    layout = engine._row_layout(n, base.shape[-1], [len(r) for r in pi_roots],
+                                [[m for _, m in g] for g in inside_groups])
+    return engine.AnsatzSpec(n, pi_roots, base, np.zeros((n, n, 0), dtype=complex),
+                             np.zeros((n, n, 0), dtype=bool), lk_roots, inside_groups, m0s,
+                             np.array(l0s), layout)
 
 
 def _reference_system(model, rho, v, branches):
@@ -691,29 +804,38 @@ def _d_hat(spec):
 
 PLAN_CASES = [("kerr", None), ("kerr", ("plus", "minus")), ("kerr", ("minus", "plus")),
               ("kerr", ("plus", "plus")), ("mp5d", None), ("mvc5d", None),
-              ("chain", None), ("identity3", None)]
+              ("chain", None), ("identity3", None), ("kerr+1", None), ("eta-asym", None)]
 
 
 @pytest.mark.parametrize("name, branches", PLAN_CASES)
 def test_plan_matches_build_ansatz(name, branches, kerr, mp5d, mvc5d):
-    # the plan's system equals the one build_ansatz assembles at the point:
-    # every entry of [A | B] within 1e-12 of its row norm, D-hat within 1e-11.
-    # A row the plan assembles as exact zeros is the condition at a root of
-    # L_k that A_kj itself carries (a spurious pole of the symbolic tau-plane
-    # adjugate); build_ansatz has rounding noise there, which must stay small.
+    # two independent constructions of one system: the plan, compiled from
+    # the model's pole labels, and build_ansatz, symbolic in tau at the
+    # point.  Every entry of [A | B] agrees within 1e-12 of its row norm,
+    # D-hat within 1e-11, at random points and at the compile's reference
+    # points.  A row the plan assembles as exact zeros is the condition at a
+    # root of L_k that A_kj itself carries (a spurious pole of the symbolic
+    # tau-plane adjugate); build_ansatz has rounding noise there, which must
+    # stay small.  Where the adjugate keeps such a root in its numerator
+    # (eta-asym), the plan has rounding noise in that row as well: a row
+    # within 1e-14 of the largest row norm in both systems is such a row.
     model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model(),
-             "identity3": model_identity(3)}[name]
+             "identity3": model_identity(3), "kerr+1": _kerr_plus_one(kerr),
+             "eta-asym": _eta_asym_model()}[name]
     branches = branches or model.default_branches
     rng = np.random.default_rng(4)
-    for _ in range(12):
-        rho, v = 10.0 ** rng.uniform(-3.0, np.log10(20.0)), rng.uniform(-4.0, 4.0)
+    points = [(10.0 ** rng.uniform(-3.0, np.log10(20.0)), rng.uniform(-4.0, 4.0))
+              for _ in range(12)]
+    for rho, v in points + list(engine._REFERENCE_POINTS):
         ref = _reference_system(model, rho, v, branches)
         plan = engine._plan_spec(engine._plan_for(model, branches), rho, v)
         want, got = (np.hstack(_assemble_inhomogeneous(s)) for s in (ref, plan))
         assert got.shape == want.shape
         norms = np.linalg.norm(want, axis=1)
-        real = np.any(got != 0, axis=1)
-        assert np.all(norms[~real] <= 1e-8 * np.max(norms, initial=0.0))
+        top = np.max(norms, initial=0.0)
+        noise = np.maximum(norms, np.linalg.norm(got, axis=1)) <= 1e-14 * top
+        real = np.any(got != 0, axis=1) & ~noise
+        assert np.all(norms[~real] <= 1e-8 * top)
         assert np.all(np.max(np.abs(got - want), axis=1)[real] <= 1e-12 * norms[real])
         d_ref = _d_hat(ref)
         assert abs(_d_hat(plan) - d_ref) <= 1e-11 * d_ref
@@ -721,9 +843,9 @@ def test_plan_matches_build_ansatz(name, branches, kerr, mp5d, mvc5d):
 
 def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch):
     # once the plan is compiled, D (single point, grid and a whole trace
-    # alike) needs no ansatz build, no monodromy composition and no root
-    # finding
-    from whergo import catalog, geometry
+    # alike) needs no monodromy composition, no partition, no polynomial
+    # product and no root finding
+    from whergo import catalog, geometry, poly, spectral
 
     # each box straddles the model's failure curve at y = 0
     for model, box in ((mp5d, (0.55, 0.75, -0.1, 0.1)), (mvc5d, (0.3, 0.5, -0.1, 0.1))):
@@ -733,41 +855,95 @@ def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch
 
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic work after warm-up")
-        for module, name in ((engine, "build_ansatz"), (engine, "compose_monodromy"),
-                             (catalog, "compose_monodromy"), (np, "roots")):
+        for module, name in ((catalog, "compose_monodromy"), (spectral, "build_partition"),
+                             (poly, "poly_mul"), (np, "roots")):
             monkeypatch.setattr(module, name, forbidden)
         R, V = np.meshgrid(np.linspace(0.3, 2.0, 4), np.linspace(-1.0, 1.0, 3), indexing="ij")
         grid = fgrid(R, V)
         assert grid[2, 1] == pytest.approx(f(R[2, 1], V[2, 1]), rel=1e-12)
         assert compute_D(mono, part) != 0
-        poly = geometry.trace_curve(model, box=box, grid=(5, 5), step=0.05, residual_tol=1e-11)
-        assert len(poly) > 2
+        curve = geometry.trace_curve(model, box=box, grid=(5, 5), step=0.05, residual_tol=1e-11)
+        assert len(curve) > 2
         monkeypatch.undo()
 
 
-def test_plan_compile_skips_degenerate_reference_points(monkeypatch):
-    # a reference point that raises a degenerate-point error is skipped; an
-    # error of any other kind is a bug and propagates
-    real = engine.build_ansatz
-    calls = []
+def test_plan_compile_needs_no_tau_plane_work(monkeypatch):
+    # the compile reads its labels from the model's omega poles: it composes
+    # no monodromy, builds no partition, forms no zero pair and finds no root
+    from whergo import catalog, spectral
 
-    def first_degenerate(mono, partition):
-        calls.append(mono.pt)
-        if len(calls) == 1:
-            raise DegenerateZeros("coincident inside zeros")
-        return real(mono, partition)
-    monkeypatch.setattr(engine, "build_ansatz", first_degenerate)
+    for build in (model_kerr, model_mp5d, model_mvc5d):
+        model = build(2.0, 1.0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tau-plane work in the plan compile")
+        with monkeypatch.context() as m:
+            for module, name in ((catalog, "compose_monodromy"), (catalog, "zero_pair_for"),
+                                 (spectral, "build_partition"), (spectral, "zero_pair_for"),
+                                 (np, "roots")):
+                m.setattr(module, name, forbidden)
+            plan = engine._plan_for(model, model.default_branches)
+        assert model.plans[model.default_branches] is plan
+
+
+def _flip_pi_label(real, label):
+    """_plan_labels with the first `label` of pi_0 (an inside member) turned
+    into its outside member."""
+    def flipped(*args):
+        pi, lk, groups, m0 = real(*args)
+        row = list(pi[0])
+        row[row.index(label)] = label + 1
+        return (tuple(row),) + pi[1:], lk, groups, m0
+    return flipped
+
+
+@pytest.mark.parametrize("build", [model_kerr, model_mp5d, model_mvc5d])
+def test_plan_compile_rejects_a_wrong_label(build, monkeypatch):
+    # with one pi_0 label on the wrong side of the contour, no reference
+    # point yields a plan, and none is stored.  Kerr and mvc5d fail the
+    # structural check (L_k / pi_j leaves a pole uncancelled); for mp5d
+    # the structure holds and the plan's own factorisation at the reference
+    # point misses its residual gates
+    monkeypatch.setattr(engine, "_plan_labels", _flip_pi_label(engine._plan_labels, 1))
+    model = build(2.0, 1.0)
+    with pytest.raises(NonSquareSystem) as info:
+        engine._plan_for(model, model.default_branches)
+    assert not model.plans
+    if model.model_id == "mp5d":
+        assert "does not factorise" in str(info.value)
+
+
+def test_plan_compile_skips_degenerate_reference_points(monkeypatch):
+    # a reference point where the homogeneous system has no row selection
+    # with margin 1e-8 is skipped for the next; an error of any other kind
+    # is a bug and propagates, and no plan is stored
+    real = engine._greedy_rows
+    refs = []
+    real_compile = engine._compile_plan
+
+    def recorded(model, branches, adj, rho_ref, v_ref):
+        refs.append((rho_ref, v_ref))
+        return real_compile(model, branches, adj, rho_ref, v_ref)
+
+    def first_degenerate(a, k):
+        sel, margin = real(a, k)
+        return sel, (1e-9 if len(refs) == 1 else margin)
+    monkeypatch.setattr(engine, "_compile_plan", recorded)
+    monkeypatch.setattr(engine, "_greedy_rows", first_degenerate)
     model = model_kerr(2.0, 1.0)
     plan = engine._plan_for(model, model.default_branches)
-    assert len(calls) == 2 and calls[1].rho == engine._REFERENCE_POINTS[1][0]
+    assert refs == list(engine._REFERENCE_POINTS[:2])
     assert model.plans[model.default_branches] is plan
+    assert factorise(model, 2.1, 0.6).canonical
 
-    def broken(mono, partition):
-        raise TypeError("bug")
-    monkeypatch.setattr(engine, "build_ansatz", broken)
-    fresh = model_kerr(2.0, 1.0)
-    with pytest.raises(TypeError):
-        engine._plan_for(fresh, fresh.default_branches)
+    for exc in (TypeError("bug"), DegenerateZeros("coincident inside zeros")):
+        def broken(a, k, _exc=exc):
+            raise _exc
+        monkeypatch.setattr(engine, "_greedy_rows", broken)
+        fresh = model_kerr(2.0, 1.0)
+        with pytest.raises(type(exc)):
+            engine._plan_for(fresh, fresh.default_branches)
+        assert not fresh.plans
 
 
 def test_check_taus_falls_back_to_the_farthest_radius():
@@ -781,11 +957,11 @@ def test_check_taus_falls_back_to_the_farthest_radius():
     assert taus == engine._check_taus(poles)
 
 
-def _ledger_check_taus(mono, count=12):
-    """The check points picked from the composed monodromy's pole ledger:
-    the rule factorise applied before it read the poles off the plan."""
-    poles = [rec.tau for rec in mono.ledger] + [rec.partner for rec in mono.ledger
-                                                if rec.partner is not None]
+def _monodromy_check_taus(mono, count=12):
+    """The check points picked from the poles of the composed monodromy's
+    entries (tau = 0 and both members of every zero pair): the rule
+    factorise applied before it read the poles off the plan."""
+    poles = [r for row in mono.entries for fr in row for r in fr.den_roots]
     best, best_gap = None, -1.0
     for radius in (1.0, 1.17, 0.83, 1.31, 0.67):
         taus = [radius * np.exp(2j * np.pi * (k + 0.37) / count) for k in range(count)]
@@ -837,13 +1013,13 @@ def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d
     # X and M_minus evaluate an array of tau as the stack of scalar calls,
     # bitwise; both match the symbolic adjugate of the solved columns, built
     # one column and one root at a time, on the check circle, and the check
-    # circle is the one the pole ledger picks
+    # circle is the one the composed monodromy's poles pick
     model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
     n = model.n
     for rho, v, out in _canonical_draws(model, 20, seed=61):
         _, part, mono = _setup(model, rho, v)
         taus = np.array(out.residual_report.check_points)
-        assert list(out.residual_report.check_points) == _ledger_check_taus(mono)
+        assert list(out.residual_report.check_points) == _monodromy_check_taus(mono)
         for factor in (out.X, out.M_minus):
             got = factor.eval(taus)
             assert got.shape == (taus.size, n, n)
@@ -862,9 +1038,9 @@ def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d
 
 def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypatch):
     # once the model's plan is compiled, a factorisation (canonical or on the
-    # curve) composes no monodromy, builds no symbolic adjugate, multiplies
-    # no polynomials and finds no roots
-    from whergo import catalog, poly
+    # curve) composes no monodromy, builds no partition or symbolic
+    # adjugate, multiplies no polynomials and finds no roots
+    from whergo import catalog, poly, spectral
 
     on_curve = _on_curve_points(kerr, mp5d, mvc5d, (0.2,))
     cases = ((kerr, (2.1, 0.6), on_curve["kerr"][0]),
@@ -876,9 +1052,8 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
 
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic work after warm-up")
-        for module, name in ((engine, "compose_monodromy"), (catalog, "compose_monodromy"),
-                             (engine, "_adjugate_fr"), (poly, "poly_mul"),
-                             (engine, "poly_mul"), (np, "roots")):
+        for module, name in ((catalog, "compose_monodromy"), (spectral, "build_partition"),
+                             (engine, "_adjugate_fr"), (poly, "poly_mul"), (np, "roots")):
             monkeypatch.setattr(module, name, forbidden)
         out = factorise(model, *canonical)
         assert out.canonical and out.residual_report.factorisation <= 1e-9

@@ -265,6 +265,12 @@ def test_trace_kerr_a0_no_curve():
         trace_curve(model, box=(0.2, 4.0, -3.0, 3.0), grid=(40, 40), step=0.05)
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+def test_trace_rejects_a_step_that_is_not_positive(kerr, step):
+    with pytest.raises(ValueError, match="step must be a finite number > 0"):
+        trace_curve(kerr, box=(0.05, 2.0, -2.0, 2.0), grid=(10, 10), step=step)
+
+
 def test_classify_curve_tags(kerr):
     poly = trace_curve(kerr, box=(0.05, 2.0, -2.0, 2.0), grid=(60, 60), step=0.05)
     tagged = classify_curve(kerr, poly)

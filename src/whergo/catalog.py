@@ -27,6 +27,7 @@ from .poly import (
     poly_deflate,
     poly_degree,
     poly_eval,
+    poly_eval_stack,
     poly_from_roots,
     poly_is_zero,
     poly_mul,
@@ -53,7 +54,8 @@ class RationalEntry:
     den: np.ndarray
 
     def __call__(self, w):
-        return poly_eval(self.num, w) / poly_eval(self.den, w)
+        """The entry at w of any shape, as RationalMatrixOmega.eval takes it."""
+        return (poly_eval_stack(as_poly(self.num), w) / poly_eval_stack(as_poly(self.den), w))[()]
 
     @cached_property
     def den_roots(self) -> tuple:
@@ -128,9 +130,24 @@ class RationalMatrixOmega:
         return DegreeTable(k11=poly_degree(p[0][0]), k12=poly_degree(p[0][1]),
                            k22=poly_degree(p[1][1]), n=poly_degree(q))
 
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The entries' numerators (index 0) and denominators (index 1),
+        zero-padded into one stack (2, n, n, coefficient)."""
+        polys = [[(as_poly(e.num), as_poly(e.den)) for e in row] for row in self.entries]
+        width = max(p.size for row in polys for pair in row for p in pair)
+        stack = np.zeros((2, self.n, self.n, width), dtype=complex)
+        for i, row in enumerate(polys):
+            for j, pair in enumerate(row):
+                for x, p in enumerate(pair):
+                    stack[x, i, j, :p.size] = p
+        return stack
+
     def eval(self, w) -> np.ndarray:
-        return np.array([[self.entries[i][j](w) for j in range(self.n)]
-                         for i in range(self.n)])
+        """M(w), shape (n, n) + w.shape: one Horner pass over the stacked
+        coefficients, entry for entry RationalEntry.__call__'s value."""
+        num, den = poly_eval_stack(self.coefficients, w)
+        return num / den
 
 
 def _validate_matrix(m: RationalMatrixOmega, det_tol=1e-10, sym_tol=1e-10):

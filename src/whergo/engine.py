@@ -29,14 +29,20 @@ Callers that need only D assemble the analyticity rows alone.
 
 factorise is evaluate_points at one point, plus the factors and the
 residual report.  It composes no monodromy and builds no pole partition, so
-it answers wherever the batch does.  Its factors come from one array pass
-(_factors): M_minus is the solution scattered through the layout, S_j over
-pi_j; X holds the psi_+ numerators of every column, deflated at once by the
-inside roots and never trimmed, and X(tau) is the adjugate of Psi_+(tau)
-taken at each evaluation.  Both evaluate at a scalar tau or an array of
-them.  The residual report evaluates M(tau) from the model's omega-entries
-at omega(tau), and M_minus and X from the solved columns, in one batch over
-the check circle, whose poles are the plan's label values.
+it answers wherever the batch does.  Its factors come from a few array
+passes over tables the plan's layout fixes once (_factors): the gather that
+maps the solution to the numerators NUM_k, the Taylor tables of their
+analyticity re-check, and the deflation order, one synthetic-division step
+per root position for every component that has a root there.  M_minus is
+the solution scattered through the layout, S_j over pi_j; X holds the psi_+
+numerators of every column, deflated and never trimmed, and X(tau) is the
+adjugate of Psi_+(tau) taken at each evaluation.  Both evaluate at a scalar
+tau or an array of them, every tau alike.  The residual report evaluates
+M(tau) in one Horner pass over the model's stacked omega-coefficients at
+omega(tau), M_minus at the check circle and X at the circle and tau = 0 in
+one evaluation; the circle's poles are the label values the plan's spec
+already holds.  A point whose system overflows the double range is never
+consistent and gets no SVD: it is unresolved.
 
 For 2x2 models of the common-denominator form two more pieces remain: the
 degree classification and the value-and-derivative existence system, which
@@ -68,6 +74,7 @@ from .poly import (
     poly_derivative,
     poly_deflate,
     poly_eval,
+    poly_eval_stack,
     poly_scale,
     poly_shift,
 )
@@ -88,7 +95,8 @@ class Classification(enum.Enum):
 class Status(enum.Enum):
     CANONICAL = "canonical"
     DEGENERATE = "degenerate"        # a non-trivial Toeplitz kernel
-    UNRESOLVED = "unresolved"        # trivial kernel, yet no consistent solution
+    UNRESOLVED = "unresolved"        # no consistent solution: a trivial kernel, or a
+                                     # system beyond the double range
 
 
 @dataclass(frozen=True)
@@ -274,6 +282,7 @@ class AnsatzSpec:
     l0: np.ndarray            # (k, ...): leading Taylor coefficient of L_k at 0
     layout: _RowLayout        # index tables of the rows, fixed by the structure above
     selected_rows: np.ndarray | None = None
+    labels: np.ndarray | None = None    # (2P + 1, ...): the root of every plan label
 
     def hom_unknowns(self) -> int:
         return sum(len(r) for r in self.pi_roots)
@@ -318,11 +327,23 @@ class _RowLayout:
     lag: np.ndarray           # (O, O) order o - i of a for i <= o, else O (a zero)
     cmax: int                 # max deg pi_j + 1: the coefficients c of the cells
     cell: np.ndarray          # (R, W) entry of each row and column in the (g, j, o, c) cells
+    # the factor build (_factors): NUM_k has T = cmax - 1 + B coefficients, B those of A_kj
+    gather: np.ndarray        # (T, W) coefficient t - c of A_kj that coefficient t of
+                              # NUM_k takes from column c (clipped)
+    gmask: np.ndarray         # (T, W) where that coefficient exists
+    tgroup: np.ndarray        # (R,) group g of each Taylor row (g, o)
+    tpower: np.ndarray        # (R, T) power max(t - o, 0) of the group root in row (g, o)
+    tcomb: np.ndarray         # (R, T) C(t, o), zero for t < o
+    deflation: tuple          # per root position: (the components of the previous
+                              # position that have no root here, those that have one,
+                              # as positions in that position's stack; the group of
+                              # each one's root)
 
 
-def _row_layout(n: int, width: int, degrees, mults) -> _RowLayout:
+def _row_layout(n: int, width: int, degrees, mults, slots: int) -> _RowLayout:
     """Layout for n components with deg pi_j = degrees[j], polynomial parts
-    of `width` coefficients and inside groups of multiplicities mults[k]."""
+    of `width` coefficients times `slots` extra roots, and inside groups of
+    multiplicities mults[k]."""
     widths = [d + 1 for d in degrees]
     starts = np.cumsum([0] + widths[:-1])
     groups = [(k, m) for k in range(n) for m in mults[k]]
@@ -333,6 +354,21 @@ def _row_layout(n: int, width: int, degrees, mults) -> _RowLayout:
     i, c = np.arange(order)[:, None], np.arange(max([width] + widths))
     g_r = np.array([g for g, _ in rows], dtype=int).reshape(-1, 1)
     o_r = np.array([o for _, o in rows], dtype=int).reshape(-1, 1)
+    span = width + slots
+    t = np.arange(max(widths) - 1 + span)
+    shift = t[:, None] - ccol
+    comb = [np.ones(t.size)]                     # C(t, o), by the recurrence in o
+    for o in range(order - 1):
+        comb.append(comb[-1] * (t - o) / (o + 1))
+    # the roots of component k in deflation order, one group index per root
+    seq = [[g for g, (kg, m) in enumerate(groups) if kg == k for _ in range(m)]
+           for k in range(n)]
+    deflation, active = [], np.arange(n)
+    for pos in range(max(map(len, seq), default=0)):
+        has = np.array([len(seq[k]) > pos for k in active])
+        active = active[has]
+        deflation.append((np.flatnonzero(~has), np.flatnonzero(has),
+                          np.array([seq[k][pos] for k in active], dtype=int)))
     return _RowLayout(
         jcol, ccol,
         np.concatenate([np.arange(a, a + d) for a, d in zip(starts, degrees)]).astype(int),
@@ -340,7 +376,10 @@ def _row_layout(n: int, width: int, degrees, mults) -> _RowLayout:
         np.array([[math.comb(cc, ii) if cc >= ii else 0.0 for cc in c]
                   for ii in range(order)])[..., None],
         np.where(i.T <= i, i - i.T, order), max(widths),
-        ((g_r * n + jcol) * order + o_r) * max(widths) + ccol)
+        ((g_r * n + jcol) * order + o_r) * max(widths) + ccol,
+        np.clip(shift, 0, span - 1), (shift >= 0) & (shift < span),
+        g_r[:, 0],
+        np.maximum(t - o_r, 0), np.array(comb)[o_r[:, 0]], tuple(deflation))
 
 
 def _assemble_rows(spec: AnsatzSpec) -> np.ndarray:
@@ -635,7 +674,8 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     plan = AnsatzPlan(
         n, poles, plus, adj_num, adj_lc, adj_deg, place, extra.reshape(n, n, -1),
         pi_labels, lk_labels, groups, l0_labels, m0, np.zeros(0, dtype=int),
-        _row_layout(n, width, [len(ls) for ls in pi_labels], [[m for _, m in g] for g in groups]))
+        _row_layout(n, width, [len(ls) for ls in pi_labels], [[m for _, m in g] for g in groups],
+                    extra.shape[-1]))
 
     spec = _plan_spec(plan, rho_ref, v_ref)
     a0 = _assemble_homogeneous(spec)
@@ -657,7 +697,7 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     if not batch.canonical:
         raise InvariantViolation(f"the plan is not canonical at its reference point "
                                  f"({rho_ref}, {v_ref})")
-    r = _checked_factors(model, plan, batch, SpectralPoint(rho_ref, v_ref))[2]
+    r = _checked_factors(model, batch, SpectralPoint(rho_ref, v_ref))[2]
     if not (r.factorisation <= 1e-9 and r.x_at_zero <= 1e-10 and r.pole_cancellation <= 1e-9):
         raise InvariantViolation(
             f"the plan does not factorise at its reference point ({rho_ref}, {v_ref}): "
@@ -715,14 +755,15 @@ def _plan_spec(plan: AnsatzPlan, rho, v) -> AnsatzSpec:
     num = composed[plan.place] * scale[:, None]
     # -1 pads l0_labels and picks the row of ones
     l0 = np.prod(np.concatenate([-lab, np.ones((1, rho.size))])[plan.l0_labels], axis=1)
-    roots = list(lab.reshape(lab.shape[:1] + batch))
+    labels = lab.reshape(lab.shape[:1] + batch)
+    roots = list(labels)
     return AnsatzSpec(
         plan.n, [tuple(roots[i] for i in ls) for ls in plan.pi_labels],
         num.reshape((plan.n, plan.n, num.shape[1]) + batch),
         lab[plan.extras].reshape(plan.extras.shape + batch), plan.extras >= 0,
         [tuple(roots[i] for i in ls) for ls in plan.lk_labels],
         [[(roots[i], m) for i, m in g] for g in plan.groups],
-        list(plan.m0), l0.reshape((plan.n,) + batch), plan.layout, plan.selected_rows)
+        list(plan.m0), l0.reshape((plan.n,) + batch), plan.layout, plan.selected_rows, labels)
 
 
 def _branches_of(model: RationalMatrixOmega, partition: PolePartition) -> tuple:
@@ -754,18 +795,28 @@ class RationalMatrixTau:
     def n(self) -> int:
         return self.nums.shape[0]
 
+    @cached_property
+    def _den_table(self) -> tuple:
+        """(roots, on): the row denominators' roots padded into a table
+        (n, slot), and which slots hold a root."""
+        on = np.arange(max(map(len, self.den_roots))) < np.array(
+            [len(roots) for roots in self.den_roots])[:, None]
+        roots = np.zeros(on.shape, dtype=complex)
+        roots[on] = [r for row in self.den_roots for r in row]
+        return roots, on
+
     def eval(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=complex)
         t = tau.reshape(-1)
-        val = self.nums[..., -1, None] + 0.0 * t            # Horner, (r, c, tau)
-        for k in range(self.nums.shape[-1] - 2, -1, -1):
-            val = self.nums[..., k, None] + val * t
-        for r, roots in enumerate(self.den_roots):
-            den = np.ones_like(t)
-            for root in roots:
-                den = den * (t - root)
-            val[r] = val[r] / den
-        val = np.moveaxis(val, -1, 0)
+        val = poly_eval_stack(self.nums, t)                 # (r, c, tau)
+        roots, on = self._den_table
+        # the masked product of each row's roots, the padding multiplying by
+        # 1.0; slot by slot, as np.prod would take another order for another
+        # number of taus, and every tau must evaluate alike
+        den = np.ones((self.n, t.size), dtype=complex)
+        for x in range(on.shape[1]):
+            den = den * np.where(on[:, x, None], t - roots[:, x, None], 1.0)
+        val = (val / den[:, None]).transpose(2, 0, 1)
         if self.adjugate:
             val = _adjugate(val)
         return val.reshape(tau.shape + val.shape[-2:])
@@ -812,22 +863,24 @@ class FactorisationOutcome:
         return self.status is Status.CANONICAL
 
 
-def _check_taus(poles, count: int = 12) -> tuple:
+# the candidate check circles of the residual report, in the order tried
+_CHECK_CIRCLES = tuple(tuple(radius * np.exp(2j * np.pi * (k + 0.37) / 12) for k in range(12))
+                       for radius in (1.0, 1.17, 0.83, 1.31, 0.67))
+_CHECK_TAUS = np.array(_CHECK_CIRCLES)
+
+
+def _check_taus(poles) -> tuple:
     """Sample points for residual checks, nudged off every pole in `poles`.
 
     Pair radii have geometric mean 1, so the unit circle is the natural
-    spot-check contour; the radius is bumped when a pole sits too close.
+    spot-check contour; the radius is bumped when a pole sits too close:
+    the first circle all of whose points keep 0.08 off every pole, else the
+    one farthest off.
     """
     poles = np.asarray(poles, dtype=complex).reshape(-1)
-    best, best_gap = None, -1.0
-    for radius in (1.0, 1.17, 0.83, 1.31, 0.67):
-        taus = tuple(radius * np.exp(2j * np.pi * (k + 0.37) / count) for k in range(count))
-        gap = float(np.min(np.abs(np.array(taus)[:, None] - poles), initial=np.inf))
-        if gap > 0.08:
-            return taus
-        if gap > best_gap:       # no radius clears every pole: the one farthest off
-            best, best_gap = taus, gap
-    return best
+    gaps = np.min(np.abs(_CHECK_TAUS[:, :, None] - poles), axis=(1, 2), initial=np.inf)
+    clear = gaps > 0.08
+    return _CHECK_CIRCLES[int(np.argmax(clear if clear.any() else gaps))]
 
 
 def _residual_report(model: RationalMatrixOmega, pt: SpectralPoint, poles,
@@ -842,29 +895,17 @@ def _residual_report(model: RationalMatrixOmega, pt: SpectralPoint, poles,
     taus = _check_taus(poles)
     t = np.array(taus)
     omega = pt.v + 0.5 * pt.rho * (1.0 - t * t) / t          # the spectral map, lambda = 1
-    m_val = np.moveaxis(model.eval(omega), -1, 0)
+    m_val = model.eval(omega).transpose(2, 0, 1)
     scale = np.maximum(1.0, np.max(np.abs(m_val), axis=(-2, -1)))
     det = np.linalg.det(m_val)
     bad = np.abs(det - 1.0) > det_tol * scale ** model.n
     if np.any(bad):
         k = int(np.argmax(bad))
         raise InvariantViolation(f"det M(omega(tau)) is {det[k]} at tau={taus[k]}")
-    resid = np.max(np.abs(m_val - M_minus.eval(t) @ X.eval(t)), axis=(-2, -1))
-    x0_resid = float(np.max(np.abs(X.eval(0.0) - np.eye(model.n))))
+    x_val = X.eval(np.append(t, 0.0))                       # the check points and tau = 0
+    resid = np.max(np.abs(m_val - M_minus.eval(t) @ x_val[:-1]), axis=(-2, -1))
+    x0_resid = float(np.max(np.abs(x_val[-1] - np.eye(model.n))))
     return ResidualReport(float(np.max(resid / scale)), x0_resid, taus, float(pole_resid))
-
-
-def _taylor_rows(groups, width: int) -> np.ndarray:
-    """Rows taking the coefficients of a polynomial (`width` of them) to its
-    Taylor coefficients of orders o < m at every (root, m) of groups."""
-    t = np.arange(width)
-    rows = []
-    for root, mult in groups:
-        comb = np.ones(width)                      # C(t, o), zero for t < o
-        for o in range(mult):
-            rows.append(comb * complex(root) ** np.maximum(t - o, 0))
-            comb = comb * (t - o) / (o + 1)
-    return np.array(rows).reshape(-1, width)
 
 
 def _factors(spec: AnsatzSpec, sol: np.ndarray):
@@ -877,51 +918,53 @@ def _factors(spec: AnsatzSpec, sol: np.ndarray):
     psi_+(0) = e_i fixes the coefficients, as evaluate_points solves them.
     Analyticity is re-verified at every inside pole, where psi_+'s numerator
     NUM_k must vanish to the pole's order relative to the terms it sums.
-    Then NUM_k of every column is deflated at once by each inside root of
-    L_k, untrimmed, and that root leaves L_k's roots as the identical value
-    the plan gives both.  X = Psi_+^{-1} = adj(Psi_+); the entries of a row
-    share their denominator.
+    Then NUM_k of every column is deflated by the inside roots of L_k, one
+    root position at a time for all components at once, untrimmed, and those
+    roots leave L_k's roots as the identical values the plan gives both.
+    X = Psi_+^{-1} = adj(Psi_+); the entries of a row share their
+    denominator.  Every table indexed here is the plan's layout.
     """
     n, lay, base = spec.n, spec.layout, spec.base_polys
     # NUM_k = sum_j A_kj S_j of every factor column, as a map from sol
-    shift = np.arange(lay.cmax - 1 + base.shape[2])[:, None] - lay.ccol
-    conv = np.where((shift >= 0) & (shift < base.shape[2]),
-                    base[:, lay.jcol, np.clip(shift, 0, base.shape[2] - 1)], 0.0)
+    conv = np.where(lay.gmask, base[:, lay.jcol, lay.gather], 0.0)
     nums = conv @ sol                               # (k, coefficient, column)
     # every NUM_k vanishes to the pole order at each inside pole, relative to
     # the terms of its column before they cancel (coefficient-wise bound,
     # taken at max(1, |root|)): a component that vanishes identically is
-    # rounding noise relative to its own terms
-    poles = [rm for g in spec.inside_groups for rm in g]
-    owner = [k for k, g in enumerate(spec.inside_groups) for _, m in g for _ in range(m)]
-    values = np.einsum("rt,rti->ri", _taylor_rows(poles, shift.shape[0]), nums[owner])
-    terms = (_taylor_rows([(max(1.0, abs(r)), m) for r, m in poles], shift.shape[0]).real
-             @ (np.abs(conv) @ np.abs(sol)).max(axis=0))
+    # rounding noise relative to its own terms.  Row (g, o) of a Taylor table
+    # takes coefficients to the Taylor coefficient o at the root of group g
+    # (table 0), or at max(1, |root|) (table 1).
+    roots = np.array([r for g in spec.inside_groups for r, _ in g], dtype=complex)
+    at = np.stack([roots, np.maximum(1.0, np.abs(roots))])
+    taylor = lay.tcomb * at[:, lay.tgroup, None] ** lay.tpower
+    values = np.einsum("rt,rti->ri", taylor[0], nums[lay.gk[lay.tgroup]])
+    terms = taylor[1].real @ (np.abs(conv) @ np.abs(sol)).max(axis=0)
     pole_resid = float(np.max(np.abs(values) / np.maximum(terms, 1e-300), initial=0.0))
     minus = np.zeros((n, n, lay.cmax), dtype=complex)
     minus[lay.jcol, :, lay.ccol] = sol
-    plus = np.zeros((n, n, shift.shape[0]), dtype=complex)
+    plus = np.zeros((n, n, lay.gather.shape[0]), dtype=complex)
+    num, ks = nums.transpose(1, 0, 2), np.arange(n)        # (coefficient, k, column)
+    for done, keep, group in lay.deflation:
+        if done.size:       # components whose roots are all divided out
+            plus[ks[done], :, :num.shape[0]] = num[:, done].transpose(1, 2, 0)
+        num, ks = poly_deflate(num[:, keep], roots[group])[0], ks[keep]
+    plus[ks, :, :num.shape[0]] = num.transpose(1, 2, 0)
     den_plus = []
     for k, groups in enumerate(spec.inside_groups):
-        num, den = nums[k], list(spec.lk_roots[k])
+        den = list(spec.lk_roots[k])
         for root, mult in groups:
             for _ in range(mult):
-                num, _ = poly_deflate(num, root)
                 den.remove(root)
-        plus[k, :, :num.shape[0]] = num.T
         den_plus.append(tuple(den))
     return (RationalMatrixTau(plus, tuple(den_plus), adjugate=True),
             RationalMatrixTau(minus, tuple(spec.pi_roots)), pole_resid)
 
 
-def _checked_factors(model: RationalMatrixOmega, plan: AnsatzPlan, batch: PointBatch,
-                     pt: SpectralPoint):
+def _checked_factors(model: RationalMatrixOmega, batch: PointBatch, pt: SpectralPoint):
     """(X, M_minus, residual report) of the canonical one-point batch of
-    `plan` at pt."""
+    the model's plan at pt."""
     X, M_minus, pole_resid = _factors(batch.spec, batch.solution)
-    poles = _label_values(plan.omega_poles, plan.plus, np.array([float(pt.rho)]),
-                          np.array([float(pt.v)]))
-    return X, M_minus, _residual_report(model, pt, poles, X, M_minus, pole_resid)
+    return X, M_minus, _residual_report(model, pt, batch.spec.labels, X, M_minus, pole_resid)
 
 
 def _d_with_scale(model: RationalMatrixOmega, rho, v, branches=None):
@@ -987,7 +1030,14 @@ def _kernel_dim(a0: np.ndarray, d_hat: np.ndarray, tol: float) -> np.ndarray:
     clear = np.abs(d_hat) > tol * u ** (u / 2) * np.prod(cols, axis=-1)
     kernel = np.zeros(clear.shape, dtype=int)
     if not np.all(clear):
-        kernel[~clear] = numerical_nullity(a0[~clear], tol)
+        rest = a0[~clear]
+        # a system with a non-finite entry has no SVD: its kernel stays 0 and
+        # _evaluate finds no consistent solution there, so it is unresolved
+        finite = np.all(np.isfinite(rest), axis=(-2, -1))
+        dims = np.zeros(finite.shape, dtype=int)
+        if np.any(finite):
+            dims[finite] = numerical_nullity(rest[finite], tol)
+        kernel[~clear] = dims
     return kernel
 
 
@@ -1046,7 +1096,8 @@ def _evaluate(spec: AnsatzSpec, tol: float) -> PointBatch:
     rows = np.concatenate([spec.selected_rows, np.arange(top - n, top)])
     sol = _solve_stack(A[..., rows, :], B[..., rows, :])
     resid, scale = _system_residual(A, B, sol)
-    return PointBatch(spec, sol, d_val, d_scale, resid <= 1e-8 * scale,
+    # a finite scale bounds the residual too: inf <= inf must not pass
+    return PointBatch(spec, sol, d_val, d_scale, (resid <= 1e-8 * scale) & np.isfinite(scale),
                       _kernel_dim(a0, d_val / d_scale, tol))
 
 
@@ -1086,7 +1137,7 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
     d_val, d_scale = complex(batch.D_value.item()), batch.D_scale.item()
     kdim = int(batch.kernel_dim)
     if batch.canonical:
-        X, M_minus, report = _checked_factors(model, _plan_for(model, branches), batch, pt)
+        X, M_minus, report = _checked_factors(model, batch, pt)
         return FactorisationOutcome(Status.CANONICAL, d_val, d_scale, 0, classification,
                                     X, M_minus, batch.M_limit, report)
     status = Status.DEGENERATE if kdim else Status.UNRESOLVED

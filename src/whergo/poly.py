@@ -56,6 +56,20 @@ def poly_eval(c, z):
     return npoly.polyval(z, as_poly(c))
 
 
+def poly_eval_stack(c, z) -> np.ndarray:
+    """Horner values of a stack of polynomials c (..., coefficient), all
+    ascending and zero-padded to one length, at z of any shape; returns
+    shape c.shape[:-1] + z.shape.  Each value is poly_eval's at an array of
+    z, bitwise (leading zero coefficients change no value); a scalar z runs
+    as an array of one, so that it too is taken in numpy's array arithmetic."""
+    z = np.asarray(z)
+    x = z.reshape(-1)
+    val = c[..., -1, None] + x * 0
+    for k in range(c.shape[-1] - 2, -1, -1):
+        val = c[..., k, None] + val * x
+    return val.reshape(c.shape[:-1] + z.shape)
+
+
 def poly_derivative(c) -> np.ndarray:
     p = as_poly(c)
     if p.size == 1:
@@ -98,36 +112,57 @@ def poly_deflate(c, root) -> tuple[np.ndarray, float]:
 
     c is one polynomial or a stack of them with the coefficients on axis 0
     (the quotients then share that layout, the remainders the trailing
-    shape).  Forward recurrence for |root| <= 1, reversed-coefficient
-    recurrence for |root| > 1 (equivalent to deflating the reversed
-    polynomial at 1/root), which keeps the division backward-stable for any
-    root magnitude.  One polynomial runs as a stack of one, so that every
-    column of a stack is divided bitwise as it would be alone.
+    shape).  root is one root for the whole stack, or an array of roots, one
+    per row of the stack: root.shape leads the stack's shape, and each root
+    divides the polynomials of its row.  Forward recurrence for |root| <= 1,
+    reversed-coefficient recurrence for |root| > 1 (equivalent to deflating
+    the reversed polynomial at 1/root), chosen per root, which keeps the
+    division backward-stable for any root magnitude.  One polynomial runs
+    as a stack of one, so that every column of a stack, and every row with
+    its own root, is divided bitwise as it would be alone.
     """
     p = np.asarray(c, dtype=complex)
     if p.ndim == 0 or p.size == 0:
         p = as_poly(p)
     stack, n = p.shape[1:], p.shape[0] - 1
-    p = np.ascontiguousarray(p.reshape(n + 1, -1))
+    root = np.asarray(root, dtype=complex).reshape(-1, 1)
+    p = np.ascontiguousarray(p.reshape(n + 1, root.shape[0], -1))    # (coefficient, row, column)
     if n < 1:
         return np.zeros((1,) + stack, dtype=complex), np.abs(p[0]).reshape(stack)[()]
-    root = complex(root)
-    q = np.empty((n, p.shape[1]), dtype=complex)
-    if abs(root) <= 1.0:
-        acc = p[n]
-        for k in range(n - 1, -1, -1):
-            q[k] = acc
-            acc = p[k] + acc * root
-        rem = np.abs(acc)
+    small = np.abs(root[:, 0]) <= 1.0
+    if small.all() or not small.any():      # one recurrence serves every row: no copies
+        q, rem = (_deflate_forward if small.all() else _deflate_reversed)(p, root)
     else:
-        inv = 1.0 / root
-        acc = -p[0] * inv
-        for k in range(n):
-            q[k] = acc
-            acc = (q[k] - p[k + 1]) * inv
-        # final defect is -p(root)/root^(n+1)
-        rem = np.abs(acc) * abs(root) ** (n + 1)
+        q, rem = np.empty((n,) + p.shape[1:], dtype=complex), np.empty(p.shape[1:])
+        for recurrence, rows in ((_deflate_forward, small), (_deflate_reversed, ~small)):
+            q[:, rows], rem[rows] = recurrence(p[:, rows], root[rows])
     return q.reshape((n,) + stack), rem.reshape(stack)[()]
+
+
+def _deflate_forward(p, root):
+    """poly_deflate's recurrence for |root| <= 1 on a stack (coefficient,
+    row, column) with one root per row, root (row, 1)."""
+    n = p.shape[0] - 1
+    q = np.empty((n,) + p.shape[1:], dtype=complex)
+    acc = p[n]
+    for k in range(n - 1, -1, -1):
+        q[k] = acc
+        acc = p[k] + acc * root
+    return q, np.abs(acc)
+
+
+def _deflate_reversed(p, root):
+    """poly_deflate's recurrence for |root| > 1, on the reversed coefficients."""
+    n = p.shape[0] - 1
+    # Python's complex division: numpy's differs from it in the last bit
+    inv = np.array([[1.0 / complex(r)] for r in root[:, 0]])
+    q = np.empty((n,) + p.shape[1:], dtype=complex)
+    acc = -p[0] * inv
+    for k in range(n):
+        q[k] = acc
+        acc = (q[k] - p[k + 1]) * inv
+    # final defect is -p(root)/root^(n+1)
+    return q, np.abs(acc) * np.array([[abs(complex(r)) ** (n + 1)] for r in root[:, 0]])
 
 
 def newton_polish(c, z, steps: int = 1):

@@ -15,6 +15,7 @@ from whergo.catalog import (
     model_to_dict,
 )
 import whergo.engine as engine
+from whergo.poly import poly_eval
 from whergo.errors import (
     ExtremalOrOverRotating,
     InvariantViolation,
@@ -28,6 +29,25 @@ def test_kerr_entry_values(kerr):
     # (1,2) entry: 2 a m / (w^2 - c^2) = 4/(w^2 - 3) at m=2, a=1
     assert kerr.entry(0, 1)(2.0) == pytest.approx(4.0)
     assert abs(np.linalg.det(kerr.eval(5j)) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+def test_stacked_eval_is_the_entry_calls_bitwise(shape, kerr, mp5d, mvc5d):
+    # one Horner pass over the zero-padded coefficient stack gives each
+    # entry's own value, bit for bit and with the same shape; an array of
+    # omega gives poly_eval's values too
+    rng = np.random.default_rng(8)
+    w = rng.uniform(-4.0, 4.0, shape) + 1j * rng.uniform(-3.0, 3.0, shape)
+    w = complex(w) if shape == () else w
+    for model in (kerr, mp5d, mvc5d):
+        got = model.eval(w)
+        assert got.shape == (model.n, model.n) + shape
+        want = np.array([[e(w) for e in row] for row in model.entries])
+        assert want.shape == got.shape and np.array_equal(got, want)
+        if shape:
+            direct = np.array([[poly_eval(e.num, w) / poly_eval(e.den, w) for e in row]
+                               for row in model.entries])
+            assert np.array_equal(got, direct)
 
 
 def test_kerr_a_zero_reduces_to_ratio():

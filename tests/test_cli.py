@@ -41,6 +41,15 @@ def test_factorize_on_curve_exit_3(capsys):
     assert "M_limit" not in doc
 
 
+def test_factorize_far_out_is_unresolved_exit_3(capsys):
+    # the system overflows at v = 1e160: an undecided point, not an SVD error
+    with np.errstate(all="ignore"):
+        code, out, _ = run_capture(capsys, "factorize", "--model", "kerr",
+                                   "--m", "2", "--a", "1", "--rho", "1", "--v", "1e160")
+    assert code == 3
+    assert json.loads(out)["status"] == "unresolved"
+
+
 def test_factorize_identity(capsys):
     code, out, _ = run_capture(capsys, "factorize", "--model", "identity",
                                "--rho", "1.3", "--v", "0.2")

@@ -41,6 +41,7 @@ from whergo.poly import (
     dense_det,
     numerical_nullity,
     poly_deflate,
+    poly_eval,
     poly_from_roots,
     poly_mul,
     poly_scale,
@@ -245,17 +246,19 @@ def test_reducible_system_square_and_regular():
     assert abs(compute_D(mono, part)) > 0
 
 
-def _on_curve_points(kerr, mp5d, mvc5d, ys):
+def _on_curve_points(kerr, mp5d, mvc5d, ys, du=0.0):
     """Closed-form failure-curve points: Kerr ergosurface, mp5d ergosurface
-    line, mvc5d condition curve."""
+    line, mvc5d condition curve; with du > 0 (one per y, or one for all) the
+    points u - u_c = du beyond the curve."""
     al, L = mp5d.params["alpha"], mp5d.params["L"]
     al_v, m_v = mvc5d.params["alpha"], mvc5d.params["m"]
+    yu = list(zip(ys, np.broadcast_to(du, np.shape(ys))))
     return {
-        "kerr": [weyl_from_prolate_4d(np.sqrt(M_K ** 2 - A_K ** 2 * y * y), y, C_K)
-                 for y in ys],
-        "mp5d": [weyl_from_prolate_5d((2.0 - L * y) / (2.0 - L), y, al) for y in ys],
-        "mvc5d": [weyl_from_prolate_5d(np.sqrt(y * y + (m_v / (2 * al_v)) * (1 - y * y)),
-                                       y, al_v) for y in ys],
+        "kerr": [weyl_from_prolate_4d(np.sqrt(M_K ** 2 - A_K ** 2 * y * y) + d, y, C_K)
+                 for y, d in yu],
+        "mp5d": [weyl_from_prolate_5d((2.0 - L * y) / (2.0 - L) + d, y, al) for y, d in yu],
+        "mvc5d": [weyl_from_prolate_5d(np.sqrt(y * y + (m_v / (2 * al_v)) * (1 - y * y)) + d,
+                                       y, al_v) for y, d in yu],
     }
 
 
@@ -370,6 +373,19 @@ def test_evaluate_points_rejects_points_that_are_not_finite(kerr, rho, v):
     # a NaN or infinite coordinate never reaches the linear algebra
     with pytest.raises(ValueError, match="finite v and finite rho > 0"):
         evaluate_points(kerr, np.asarray(rho), np.asarray(v))
+
+
+@pytest.mark.parametrize("name, rho, v", [("kerr", 1.0, 1e160), ("kerr", 1e-300, 0.3),
+                                          ("mvc5d", 1.0, 1e100)])
+def test_points_with_a_system_beyond_double_range_are_unresolved(name, rho, v, kerr, mvc5d):
+    # the system overflows to inf and NaN there: no SVD is attempted, no
+    # solution is consistent, and the engine says it cannot decide
+    model = {"kerr": kerr, "mvc5d": mvc5d}[name]
+    with np.errstate(all="ignore"):
+        out = factorise(model, rho, v)
+        batch = evaluate_points(model, np.array([rho, 2.0]), np.array([v, 0.5]))
+    assert out.status is Status.UNRESOLVED and out.kernel_dim == 0
+    assert [_batch_status(batch, i) for i in range(2)] == [Status.UNRESOLVED, Status.CANONICAL]
 
 
 @pytest.mark.parametrize("rho, v", [(0.5, 160.0), (1e-4, 5.0), (0.5, 1000.0)])
@@ -782,7 +798,7 @@ def build_ansatz(mono, partition):
         for j in range(n):
             base[k, j, :base_polys[k][j].size] = base_polys[k][j]
     layout = engine._row_layout(n, base.shape[-1], [len(r) for r in pi_roots],
-                                [[m for _, m in g] for g in inside_groups])
+                                [[m for _, m in g] for g in inside_groups], 0)
     return engine.AnsatzSpec(n, pi_roots, base, np.zeros((n, n, 0), dtype=complex),
                              np.zeros((n, n, 0), dtype=bool), lk_roots, inside_groups, m0s,
                              np.array(l0s), layout)
@@ -957,20 +973,133 @@ def test_check_taus_falls_back_to_the_farthest_radius():
     assert taus == engine._check_taus(poles)
 
 
-def _monodromy_check_taus(mono, count=12):
-    """The check points picked from the poles of the composed monodromy's
-    entries (tau = 0 and both members of every zero pair): the rule
-    factorise applied before it read the poles off the plan."""
-    poles = [r for row in mono.entries for fr in row for r in fr.den_roots]
+def _check_taus_loop(poles, count=12):
+    """The check circle tried one radius at a time: the rule _check_taus
+    applies to its module constants."""
+    poles = np.asarray(poles, dtype=complex).reshape(-1)
     best, best_gap = None, -1.0
     for radius in (1.0, 1.17, 0.83, 1.31, 0.67):
-        taus = [radius * np.exp(2j * np.pi * (k + 0.37) / count) for k in range(count)]
-        gap = min((abs(t - p) for t in taus for p in poles), default=np.inf)
+        taus = tuple(radius * np.exp(2j * np.pi * (k + 0.37) / count) for k in range(count))
+        gap = float(np.min(np.abs(np.array(taus)[:, None] - poles), initial=np.inf))
         if gap > 0.08:
             return taus
         if gap > best_gap:
             best, best_gap = taus, gap
     return best
+
+
+def _monodromy_check_taus(mono):
+    """The check points picked from the poles of the composed monodromy's
+    entries (tau = 0 and both members of every zero pair): the rule
+    factorise applied before it read the poles off the plan."""
+    return list(_check_taus_loop([r for row in mono.entries for fr in row for r in fr.den_roots]))
+
+
+def _taylor_rows_loop(groups, width):
+    """Rows taking the coefficients of a polynomial (`width` of them) to its
+    Taylor coefficients of orders o < m at every (root, m) of groups, one
+    root at a time: the reference for the layout's Taylor tables."""
+    t = np.arange(width)
+    rows = []
+    for root, mult in groups:
+        comb = np.ones(width)                      # C(t, o), zero for t < o
+        for o in range(mult):
+            rows.append(comb * complex(root) ** np.maximum(t - o, 0))
+            comb = comb * (t - o) / (o + 1)
+    return np.array(rows).reshape(-1, width)
+
+
+def _factors_loop(spec, sol):
+    """_factors with the Taylor rows built one root at a time and NUM_k
+    deflated one component and one root at a time; returns (X numerators,
+    X row denominators, M_minus numerators, pole_resid)."""
+    n, lay, base = spec.n, spec.layout, spec.base_polys
+    shift = np.arange(lay.cmax - 1 + base.shape[2])[:, None] - lay.ccol
+    conv = np.where((shift >= 0) & (shift < base.shape[2]),
+                    base[:, lay.jcol, np.clip(shift, 0, base.shape[2] - 1)], 0.0)
+    nums = conv @ sol
+    poles = [rm for g in spec.inside_groups for rm in g]
+    owner = [k for k, g in enumerate(spec.inside_groups) for _, m in g for _ in range(m)]
+    values = np.einsum("rt,rti->ri", _taylor_rows_loop(poles, shift.shape[0]), nums[owner])
+    terms = (_taylor_rows_loop([(max(1.0, abs(r)), m) for r, m in poles], shift.shape[0]).real
+             @ (np.abs(conv) @ np.abs(sol)).max(axis=0))
+    pole_resid = float(np.max(np.abs(values) / np.maximum(terms, 1e-300), initial=0.0))
+    minus = np.zeros((n, n, lay.cmax), dtype=complex)
+    minus[lay.jcol, :, lay.ccol] = sol
+    plus = np.zeros((n, n, shift.shape[0]), dtype=complex)
+    den_plus = []
+    for k, groups in enumerate(spec.inside_groups):
+        num, den = nums[k], list(spec.lk_roots[k])
+        for root, mult in groups:
+            for _ in range(mult):
+                num, _ = poly_deflate(num, root)
+                den.remove(root)
+        plus[k, :, :num.shape[0]] = num.T
+        den_plus.append(tuple(den))
+    return plus, tuple(den_plus), minus, pole_resid
+
+
+def _tau_eval_loop(nums, den_roots, adjugate, t):
+    """RationalMatrixTau.eval at an array t, one row denominator and one
+    root at a time."""
+    val = nums[..., -1, None] + 0.0 * t
+    for k in range(nums.shape[-1] - 2, -1, -1):
+        val = nums[..., k, None] + val * t
+    for r, roots in enumerate(den_roots):
+        den = np.ones_like(t)
+        for root in roots:
+            den = den * (t - root)
+        val[r] = val[r] / den
+    val = np.moveaxis(val, -1, 0)
+    return engine._adjugate(val) if adjugate else val
+
+
+def _report_loop(model, rho, v, spec, factors):
+    """The residual report from the per-root factors: the check circle tried
+    one radius at a time, M(tau) entry by entry, X evaluated apart at the
+    check points and at tau = 0."""
+    plus, den_plus, minus, pole_resid = factors
+    plan = engine._plan_for(model, model.default_branches)
+    poles = engine._label_values(plan.omega_poles, plan.plus, np.array([rho]), np.array([v]))
+    taus = _check_taus_loop(poles)
+    t = np.array(taus)
+    omega = v + 0.5 * rho * (1.0 - t * t) / t
+    m_val = np.moveaxis(np.array([[poly_eval(e.num, omega) / poly_eval(e.den, omega)
+                                   for e in row] for row in model.entries]), -1, 0)
+    scale = np.maximum(1.0, np.max(np.abs(m_val), axis=(-2, -1)))
+    prod = _tau_eval_loop(minus, spec.pi_roots, False, t) @ _tau_eval_loop(plus, den_plus, True, t)
+    x0 = _tau_eval_loop(plus, den_plus, True, np.zeros(1, dtype=complex))[0]
+    return engine.ResidualReport(
+        float(np.max(np.max(np.abs(m_val - prod), axis=(-2, -1)) / scale)),
+        float(np.max(np.abs(x0 - np.eye(model.n)))), taus, pole_resid)
+
+
+@pytest.mark.parametrize("name", ["kerr", "mp5d", "mvc5d", "chain"])
+def test_factors_are_the_per_root_loops_bitwise(name, kerr, mp5d, mvc5d):
+    # the plan's Taylor tables, the deflation by root position, the masked
+    # row denominators and the stacked Horner pass of model.eval compute
+    # what the per-root loops compute, bit for bit: the factors' numerators
+    # and denominators and every field of the residual report, at canonical
+    # draws and at points 1e-4..1e-2 beyond the failure curve
+    model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
+    points = [(rho, v) for rho, v, _ in _canonical_draws(model, 12, seed=62)]
+    if name != "chain":
+        rng = np.random.default_rng(63)
+        ys = rng.uniform(-0.85, 0.85, 12)
+        du = 10.0 ** rng.uniform(-4.0, -2.0, 12)
+        points += _on_curve_points(kerr, mp5d, mvc5d, ys, du)[name]
+    compared = 0
+    for rho, v in points:
+        out = factorise(model, rho, v)
+        if not out.canonical:
+            continue
+        spec = engine._plan_spec(engine._plan_for(model, model.default_branches), rho, v)
+        ref = _factors_loop(spec, evaluate_points(model, rho, v).solution)
+        assert np.array_equal(out.X.nums, ref[0]) and out.X.den_roots == ref[1]
+        assert np.array_equal(out.M_minus.nums, ref[2])
+        assert out.residual_report == _report_loop(model, rho, v, spec, ref)
+        compared += 1
+    assert compared >= (12 if name == "chain" else 20)
 
 
 def _factor_columns_loop(spec, sol):
@@ -1036,10 +1165,29 @@ def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d
             assert np.all(err <= 1e-10 * np.max(np.abs(want), axis=(1, 2)))
 
 
+@pytest.mark.parametrize("kept", [(2, 1), (0, 2), (1, 0)])
+def test_deflation_by_root_position_with_fewer_roots_in_a_component(kept, kerr):
+    # a component with fewer inside roots than another leaves the deflation
+    # early and keeps its longer quotient: Kerr's spec with only the first
+    # kept[k] groups of component k, against the per-root loops
+    spec = engine._plan_spec(engine._plan_for(kerr, kerr.default_branches), 2.1, 0.6)
+    groups = [list(g[:keep]) for g, keep in zip(spec.inside_groups, kept)]
+    layout = engine._row_layout(2, spec.num_polys.shape[2], [len(r) for r in spec.pi_roots],
+                                [[m for _, m in g] for g in groups], spec.extra_on.shape[-1])
+    short = dataclasses.replace(spec, inside_groups=groups, layout=layout)
+    sol = evaluate_points(kerr, 2.1, 0.6).solution
+    X, M_minus, pole_resid = engine._factors(short, sol)
+    plus, den_plus, minus, want_resid = _factors_loop(short, sol)
+    assert np.array_equal(X.nums, plus) and X.den_roots == den_plus
+    assert np.array_equal(M_minus.nums, minus) and pole_resid == want_resid
+
+
 def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypatch):
     # once the model's plan is compiled, a factorisation (canonical or on the
     # curve) composes no monodromy, builds no partition or symbolic
-    # adjugate, multiplies no polynomials and finds no roots
+    # adjugate, multiplies no polynomials and finds no roots; a canonical one
+    # and assemble_M evaluate no polynomial entry by entry, and deflate once
+    # per root position, not once per root
     from whergo import catalog, poly, spectral
 
     on_curve = _on_curve_points(kerr, mp5d, mvc5d, (0.2,))
@@ -1053,11 +1201,21 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic work after warm-up")
         for module, name in ((catalog, "compose_monodromy"), (spectral, "build_partition"),
-                             (engine, "_adjugate_fr"), (poly, "poly_mul"), (np, "roots")):
+                             (engine, "_adjugate_fr"), (poly, "poly_mul"), (np, "roots"),
+                             (poly, "poly_eval"), (catalog, "poly_eval"), (engine, "poly_eval"),
+                             (catalog.RationalEntry, "__call__")):
             monkeypatch.setattr(module, name, forbidden)
+        deflations = []
+
+        def deflate(c, root, _real=engine.poly_deflate):
+            deflations.append(np.shape(root))
+            return _real(c, root)
+        monkeypatch.setattr(engine, "poly_deflate", deflate)
         out = factorise(model, *canonical)
         assert out.canonical and out.residual_report.factorisation <= 1e-9
         assemble_M(out, check=True)
+        plan = engine._plan_for(model, model.default_branches)
+        assert 0 < len(deflations) <= max(sum(m for _, m in g) for g in plan.groups)
         assert factorise(model, *curve).status is Status.DEGENERATE
         monkeypatch.undo()
 

@@ -101,6 +101,56 @@ def test_deflate_stack_is_the_columns_bitwise(root):
         assert np.array_equal(q[:, i], qi) and rem[i] == ri
 
 
+def _deflate_reference(p, root):
+    """Synthetic division of one polynomial by (tau - root), as a stack of
+    one with a Python scalar root, as poly_deflate divided before it took a
+    root per stack row: (quotient, |remainder|)."""
+    p, root, n = np.asarray(p, dtype=complex).reshape(-1, 1), complex(root), len(p) - 1
+    q = np.empty((n, 1), dtype=complex)
+    if abs(root) <= 1.0:
+        acc = p[n]
+        for k in range(n - 1, -1, -1):
+            q[k] = acc
+            acc = p[k] + acc * root
+        return q[:, 0], np.abs(acc)[0]
+    inv = 1.0 / root
+    acc = -p[0] * inv
+    for k in range(n):
+        q[k] = acc
+        acc = (q[k] - p[k + 1]) * inv
+    return q[:, 0], (np.abs(acc) * abs(root) ** (n + 1))[0]
+
+
+@pytest.mark.parametrize("root", [0.6 - 0.3j, -1.0, 0.25, 1.1 + 0.9j, -40.0, 3.0])
+def test_deflate_scalar_root_is_the_plain_recurrence_bitwise(root):
+    rng = np.random.default_rng(6)
+    p = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+    for c in (p[:, 0], p[:, 1].real):
+        q, rem = poly_deflate(c, root)
+        want_q, want_rem = _deflate_reference(c, root)
+        assert np.array_equal(q, want_q) and rem == want_rem
+    q, rem = poly_deflate(p, root)
+    for i in range(3):
+        want_q, want_rem = _deflate_reference(p[:, i], root)
+        assert np.array_equal(q[:, i], want_q) and rem[i] == want_rem
+
+
+def test_deflate_rows_with_their_own_roots_are_the_row_calls_bitwise():
+    # one root per stack row, |root| <= 1 and > 1 mixed: each row is divided
+    # by its own root, with its own recurrence, as a call on that row alone
+    rng = np.random.default_rng(7)
+    p = rng.normal(size=(6, 4, 3)) + 1j * rng.normal(size=(6, 4, 3))
+    roots = np.array([0.6 - 0.3j, 1.1 + 0.9j, -0.9, -40.0])
+    q, rem = poly_deflate(p, roots)
+    assert q.shape == (5, 4, 3) and rem.shape == (4, 3)
+    for i, root in enumerate(roots):
+        qi, ri = poly_deflate(p[:, i], root)
+        assert np.array_equal(q[:, i], qi) and np.array_equal(rem[i], ri)
+        for j in range(3):
+            want_q, want_rem = _deflate_reference(p[:, i, j], root)
+            assert np.array_equal(q[:, i, j], want_q) and rem[i, j] == want_rem
+
+
 def test_quadratic_roots_symmetric_pair():
     r1, r2 = quadratic_roots(-0.5, 0.0, 0.5)
     assert sorted([r1.real, r2.real]) == pytest.approx([-1.0, 1.0], abs=1e-14)

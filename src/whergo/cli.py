@@ -76,12 +76,18 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_text(path, text: str):
+def _finite_or_null(x: float):
+    """x, or None (JSON null) where it is not finite: strict JSON (RFC 8259)
+    has no NaN or Infinity."""
+    return x if math.isfinite(x) else None
+
+
+def _write_text(path, *texts: str):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def cmd_factorize(cfg: RunConfig, rho: float, v: float) -> int:
@@ -95,8 +101,8 @@ def cmd_factorize(cfg: RunConfig, rho: float, v: float) -> int:
         "rho": rho,
         "v": v,
         "status": out.status.value,
-        "D": [out.D_value.real, out.D_value.imag],
-        "D_normalised": abs(out.D_value) / out.D_scale,
+        "D": [_finite_or_null(out.D_value.real), _finite_or_null(out.D_value.imag)],
+        "D_normalised": _finite_or_null(abs(out.D_value) / out.D_scale),
         "kernel_dim": out.kernel_dim,
     }
     if out.canonical:
@@ -111,7 +117,7 @@ def cmd_factorize(cfg: RunConfig, rho: float, v: float) -> int:
             "x_at_zero": r.x_at_zero,
             "pole_cancellation": r.pole_cancellation,
         }
-    _write_text(cfg.out, json.dumps(payload, indent=2) + "\n")
+    _write_text(cfg.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return EXIT_OK if out.canonical else EXIT_NONCANONICAL
 
 
@@ -120,35 +126,41 @@ def cmd_factorize(cfg: RunConfig, rho: float, v: float) -> int:
 SWEEP_CHUNK_POINTS = 2048
 
 
-def _sweep_rows(cfg: RunConfig, model: RationalMatrixOmega):
-    """(rho, v, re D-hat, im D-hat, kernel_dim, g_tt or None) per grid point,
-    row-major in rho; D-hat is factorise's normalised D."""
+# one CSV row: rho and v come formatted; a blank g_tt is formatted as nan,
+# which _csv_chunk then cuts
+_CSV_ROW = "%s,%s,%.17g,%.17g,%d,%.17g\n"
+
+
+def _sweep_chunks(cfg: RunConfig, model: RationalMatrixOmega):
+    """(rho_vals, v_vals, columns) per chunk of whole rho rows, in grid
+    order; every chunk spans the whole v grid, and its columns are
+    _chunk_columns's."""
     lo_r, hi_r, n_r = cfg.grid["rho"]
     lo_v, hi_v, n_v = cfg.grid["v"]
     rho_vals = np.linspace(lo_r, hi_r, int(n_r))
     v_vals = np.linspace(lo_v, hi_v, int(n_v))
     step = max(1, SWEEP_CHUNK_POINTS // int(n_v))
     chunks = [(rho_vals[i:i + step], v_vals) for i in range(0, int(n_r), step)]
-    return [row for rows in _map_points(cfg, model, chunks) for row in rows]
+    return [chunk + (cols,) for chunk, cols in zip(chunks, _map_points(cfg, model, chunks))]
 
 
-def _chunk_rows(cfg: RunConfig, model: RationalMatrixOmega, rho_vals, v_vals):
-    """Sweep rows of the grid rho_vals x v_vals, with factorise's kernel
-    dimension and verdict (PointBatch.canonical) at every point: factorize's
-    g_tt where canonical, blank elsewhere and where the extractor refuses M."""
+def _chunk_columns(cfg: RunConfig, model: RationalMatrixOmega, rho_vals, v_vals):
+    """Sweep columns (re D-hat, im D-hat, kernel_dim, g_tt) of the grid
+    rho_vals x v_vals, row-major in rho, with factorise's kernel dimension
+    and verdict (PointBatch.canonical) at every point: D-hat is factorise's
+    normalised D, g_tt is factorize's where canonical and NaN elsewhere and
+    where the extractor refuses M."""
     R, V = (x.ravel() for x in np.meshgrid(rho_vals, v_vals, indexing="ij"))
     batch = evaluate_points(model, R, V, cfg.branches, cfg.tolerance())
     gtt = np.where(batch.canonical, extract_metric(batch.M_limit).g_tt, np.nan)
     dhat = batch.D_value / batch.D_scale
-    return [(r, v, d.real, d.imag, k, None if math.isnan(g) else g)
-            for r, v, d, k, g in zip(R.tolist(), V.tolist(), dhat.tolist(),
-                                     batch.kernel_dim.tolist(), gtt.tolist())]
+    return dhat.real, dhat.imag, batch.kernel_dim, gtt
 
 
 def _chunk_job(args):
     cfg_doc, rho_vals, v_vals = args
     cfg = RunConfig(**cfg_doc)
-    return _chunk_rows(cfg, _worker_model(cfg), rho_vals, v_vals)
+    return _chunk_columns(cfg, _worker_model(cfg), rho_vals, v_vals)
 
 
 _WORKER_MODELS: dict = {}
@@ -162,7 +174,7 @@ def _worker_model(cfg: RunConfig) -> RationalMatrixOmega:
 
 
 def _map_points(cfg: RunConfig, model: RationalMatrixOmega, chunks):
-    """Sweep rows of every (rho_vals, v_vals) chunk, in chunk order: in
+    """Sweep columns of every (rho_vals, v_vals) chunk, in chunk order: in
     --jobs worker processes, or here with `model`."""
     if cfg.jobs and cfg.jobs > 1:
         import multiprocessing as mp
@@ -170,28 +182,58 @@ def _map_points(cfg: RunConfig, model: RationalMatrixOmega, chunks):
         cfg_doc = {k: getattr(cfg, k) for k in RunConfig.__dataclass_fields__}
         with mp.Pool(cfg.jobs) as pool:
             return pool.map(_chunk_job, [(cfg_doc,) + chunk for chunk in chunks])
-    return [_chunk_rows(cfg, model, *chunk) for chunk in chunks]
+    return [_chunk_columns(cfg, model, *chunk) for chunk in chunks]
+
+
+def _chunk_table(rho_cells, v_cells, columns):
+    """(points, 6) object table of one chunk, row-major in rho: each rho
+    cell over every v cell, then the chunk's four columns."""
+    table = np.empty((len(rho_cells), len(v_cells), 6), dtype=object)
+    table[..., 0] = np.asarray(rho_cells, dtype=object)[:, None]
+    table[..., 1] = np.asarray(v_cells, dtype=object)
+    for j, col in enumerate(columns, 2):
+        table[..., j] = col.reshape(table.shape[:2])
+    return table.reshape(-1, 6)
+
+
+def _csv_chunk(rho_cells, v_cells, columns) -> str:
+    """The CSV lines of one chunk; rho_cells and v_cells are formatted."""
+    table = _chunk_table(rho_cells, v_cells, columns)
+    text = (_CSV_ROW * len(table)) % tuple(table.ravel().tolist())
+    return text.replace(",nan\n", ",\n")     # g_tt, the only column that ends a line
+
+
+def _json_rows(rho_vals, v_vals, columns) -> list:
+    """The JSON rows of one chunk, null for every non-finite number: strict
+    JSON (RFC 8259) has no NaN or Infinity."""
+    table = _chunk_table(rho_vals, v_vals, columns)
+    floats = [0, 1, 2, 3, 5]
+    finite = np.isfinite(table[:, floats].astype(float))
+    table[:, floats] = np.where(finite, table[:, floats], None)
+    return table.tolist()
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    """Sweep the grid; the output is built chunk by chunk and written only
+    once every chunk has been evaluated, so a failing sweep writes nothing."""
     cfg.validate()
     model = build_model(cfg)
-    rows = _sweep_rows(cfg, model)
+    chunks = _sweep_chunks(cfg, model)
     if cfg.fmt == "json":
         doc = {"schema_version": SCHEMA_VERSION, "model": model.model_id,
                "params": model.params,
                "columns": ["rho", "v", "re_D", "im_D", "kernel_dim", "g_tt"],
-               "rows": [list(r) for r in rows]}
-        _write_text(cfg.out, json.dumps(doc, indent=2) + "\n")
+               "rows": [row for chunk in chunks for row in _json_rows(*chunk)]}
+        _write_text(cfg.out, json.dumps(doc, indent=2, allow_nan=False) + "\n")
         return EXIT_OK
-    lines = [f"# whergo sweep schema_version={SCHEMA_VERSION}",
-             f"# model={model.model_id} params={json.dumps(model.params, sort_keys=True)}",
-             f"# branches={','.join(cfg.branches or model.default_branches)}",
-             "rho,v,re_D,im_D,kernel_dim,g_tt"]
-    for r in rows:
-        gtt = "" if r[5] is None else _fmt(r[5])
-        lines.append(f"{_fmt(r[0])},{_fmt(r[1])},{_fmt(r[2])},{_fmt(r[3])},{r[4]},{gtt}")
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    head = (f"# whergo sweep schema_version={SCHEMA_VERSION}\n"
+            f"# model={model.model_id} params={json.dumps(model.params, sort_keys=True)}\n"
+            f"# branches={','.join(cfg.branches or model.default_branches)}\n"
+            "rho,v,re_D,im_D,kernel_dim,g_tt\n")
+    v_cells = [_fmt(v) for v in chunks[0][1].tolist()]     # one v grid for every chunk
+    texts = [_csv_chunk([_fmt(r) for r in rho_vals.tolist()], v_cells, cols)
+             for rho_vals, _, cols in chunks]
+    _write_text(cfg.out, head, *texts)
     return EXIT_OK
 
 

@@ -64,7 +64,13 @@ from functools import cached_property
 import numpy as np
 
 from .catalog import MonodromyMatrixTau, RationalMatrixOmega
-from .errors import DegenerateZeros, InvariantViolation, NonSquareSystem, NotCanonical
+from .errors import (
+    DegenerateZeros,
+    InvariantViolation,
+    NonSquareSystem,
+    NotCanonical,
+    ParameterViolation,
+)
 from .poly import (
     DEFAULT_TOL,
     FactoredRational,
@@ -538,6 +544,16 @@ def _plan_for(model: RationalMatrixOmega, branches) -> AnsatzPlan:
                 f"branches must be one tag per omega pole of model {model.model_id} "
                 f"({len(model.omega_poles)} in all), each 'minus' or 'plus'; "
                 f"got {','.join(map(str, branches)) or 'none'}")
+        # each pole has its own zero pair and labels: coincident poles (mp5d
+        # at a = 0) would split into roots that match neither label
+        poles = model.omega_poles
+        for i, p in enumerate(poles):
+            for q in poles[i + 1:]:
+                if abs(p - q) <= 1e-8 * max(1.0, abs(p)):
+                    raise ParameterViolation(
+                        f"omega poles {p:.17g} and {q:.17g} of model {model.model_id} "
+                        f"coincide at params {model.params}; the factorisation needs "
+                        f"distinct poles")
         adj = _omega_adjugate(model)
         last_exc = None
         for rho_ref, v_ref in _REFERENCE_POINTS:

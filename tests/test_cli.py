@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -183,7 +184,7 @@ def test_sweep_after_warm_up_evaluates_the_plan_once_per_chunk(kerr, mvc5d, monk
     monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", 8)    # 4 x 4 grid: chunks of 2 rows
     for model in (kerr, mvc5d):
         cfg = cli.RunConfig(model=model.model_id, grid={"rho": [0.5, 2.0, 4], "v": [-1.0, 1.0, 4]})
-        cli._sweep_rows(cfg, model)
+        cli._sweep_chunks(cfg, model)
         calls = []
         real = engine._plan_spec
         with monkeypatch.context() as m:
@@ -194,8 +195,118 @@ def test_sweep_after_warm_up_evaluates_the_plan_once_per_chunk(kerr, mvc5d, monk
                                  (engine, "factorise"), (cli, "factorise")):
                 m.setattr(module, name, forbidden)
             m.setattr(engine, "_plan_spec", lambda *a, **k: calls.append(1) or real(*a, **k))
-            rows = cli._sweep_rows(cfg, model)
-        assert len(rows) == 16 and len(calls) == 2
+            chunks = cli._sweep_chunks(cfg, model)
+        assert sum(columns[0].size for *_, columns in chunks) == 16 and len(calls) == 2
+
+
+def _per_row_sweep(cfg, model):
+    """The sweep output as the per-row writer made it: one tuple per grid
+    point over the same chunks, each value formatted on its own row; JSON
+    with null for every non-finite number."""
+    import whergo.cli as cli
+    from whergo.engine import evaluate_points
+    from whergo.geometry import extract_metric
+
+    lo_r, hi_r, n_r = cfg.grid["rho"]
+    lo_v, hi_v, n_v = cfg.grid["v"]
+    rho_vals = np.linspace(lo_r, hi_r, int(n_r))
+    v_vals = np.linspace(lo_v, hi_v, int(n_v))
+    step = max(1, cli.SWEEP_CHUNK_POINTS // int(n_v))
+    rows = []
+    for i in range(0, int(n_r), step):
+        R, V = (x.ravel() for x in np.meshgrid(rho_vals[i:i + step], v_vals, indexing="ij"))
+        batch = evaluate_points(model, R, V, cfg.branches, cfg.tolerance())
+        gtt = np.where(batch.canonical, extract_metric(batch.M_limit).g_tt, np.nan)
+        dhat = batch.D_value / batch.D_scale
+        rows += [(r, v, d.real, d.imag, k, None if math.isnan(g) else g)
+                 for r, v, d, k, g in zip(R.tolist(), V.tolist(), dhat.tolist(),
+                                          batch.kernel_dim.tolist(), gtt.tolist())]
+    if cfg.fmt == "json":
+        doc = {"schema_version": 1, "model": model.model_id, "params": model.params,
+               "columns": ["rho", "v", "re_D", "im_D", "kernel_dim", "g_tt"],
+               "rows": [[None if isinstance(x, float) and not math.isfinite(x) else x
+                         for x in r] for r in rows]}
+        return json.dumps(doc, indent=2) + "\n"
+    fmt = lambda x: f"{x:.17g}"  # noqa: E731
+    lines = ["# whergo sweep schema_version=1",
+             f"# model={model.model_id} params={json.dumps(model.params, sort_keys=True)}",
+             f"# branches={','.join(cfg.branches or model.default_branches)}",
+             "rho,v,re_D,im_D,kernel_dim,g_tt"]
+    for r in rows:
+        gtt = "" if r[5] is None else fmt(r[5])
+        lines.append(f"{fmt(r[0])},{fmt(r[1])},{fmt(r[2])},{fmt(r[3])},{r[4]},{gtt}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid, chunk_points, jobs", [
+    ("0.5:1.5:3,-1:1:3", None, "1"),         # (1, 0) lies on the Kerr curve: blank g_tt
+    ("0.5:1:2,1e159:1e160:2", None, "1"),    # far out: D-hat is not finite
+    ("0.3:3.0:7,-2.0:2.0:4", 8, "1"),        # four chunks of up to two rho rows
+    ("0.3:3.0:7,-2.0:2.0:4", 8, "2")], ids=["curve", "far", "chunks-jobs1", "chunks-jobs2"])
+def test_sweep_output_is_the_per_row_writer_bytewise(tmp_path, capsys, monkeypatch, kerr,
+                                                     grid, chunk_points, jobs, fmt):
+    # the chunked writer formats columns, not rows: its CSV and JSON, to a
+    # file and to stdout, are the per-row writer's byte for byte
+    import whergo.cli as cli
+
+    if chunk_points:
+        monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", chunk_points)
+    argv = ["sweep", "--model", "kerr", "--grid", grid, "--format", fmt, "--jobs", jobs]
+    path = tmp_path / f"sweep.{fmt}"
+    with np.errstate(all="ignore"):
+        assert RUN(*argv, "--out", str(path)) == 0
+        code, out, _ = run_capture(capsys, *argv)
+        expect = _per_row_sweep(cli.RunConfig(grid=cli._parse_grid(grid), fmt=fmt), kerr)
+    assert code == 0
+    assert path.read_bytes() == expect.encode() and out == expect
+    csv = fmt == "csv"
+    if grid.startswith("0.5:1.5"):               # a degenerate row, g_tt blank
+        assert (",1,\n" if csv else "1,\n      null\n") in expect
+    if "e160" in grid:                           # re D-hat not finite
+        assert (",nan," if csv else "1e+159,\n      null,") in expect
+
+
+def test_failing_sweep_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the second of two chunks fails: no partial file is left behind
+    import whergo.cli as cli
+    from whergo.errors import NonSquareSystem
+
+    real = cli._chunk_columns
+    seen = []
+
+    def second_fails(cfg, model, rho_vals, v_vals):
+        seen.append(1)
+        if len(seen) == 2:
+            raise NonSquareSystem("second chunk")
+        return real(cfg, model, rho_vals, v_vals)
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", 8)     # 4 x 4 grid: two chunks
+    monkeypatch.setattr(cli, "_chunk_columns", second_fails)
+    path = tmp_path / "sweep.csv"
+    code, out, err = run_capture(capsys, "sweep", "--model", "kerr",
+                                 "--grid", "0.5:2:4,-1:1:4", "--out", str(path))
+    assert code == 1 and "second chunk" in err and len(seen) == 2
+    assert not path.exists() and out == ""
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_writes_null_for_non_finite_numbers(capsys):
+    # the system overflows at v ~ 1e160: D is NaN there, which strict JSON
+    # cannot carry, so factorize and sweep write null
+    with np.errstate(all="ignore"):
+        code, out, _ = run_capture(capsys, "factorize", "--model", "kerr",
+                                   "--rho", "1", "--v", "1e160")
+        doc = _strict_json(out)
+        assert code == 3 and doc["D"][0] is None and doc["D_normalised"] is None
+        code, out, _ = run_capture(capsys, "sweep", "--model", "kerr", "--format", "json",
+                                   "--grid", "0.5:1:2,1e159:1e160:2")
+    rows = _strict_json(out)["rows"]
+    assert code == 0 and len(rows) == 4 and all(r[2] is None for r in rows)
 
 
 def test_sweep_row_major_order(tmp_path):
@@ -370,6 +481,16 @@ def test_branches_need_one_tag_per_omega_pole(capsys, model, branches, count):
                                  "--rho", "2", "--v", "0.5", "--branches", branches)
     assert code == 1 and out == ""
     assert f"one tag per omega pole of model {model} ({count} in all)" in err
+    assert "reference point" not in err
+
+
+def test_mp5d_with_coincident_omega_poles_exit_1(capsys):
+    # at a = 0 the poles -alpha and alpha - m of mp5d coincide: a usage
+    # error naming them, not "no usable reference point found"
+    code, out, err = run_capture(capsys, "factorize", "--model", "mp5d", "--m", "2", "--a", "0",
+                                 "--rho", "2", "--v", "0.5")
+    assert code == 1 and out == ""
+    assert "omega poles -1+0j and -1+0j of model mp5d coincide" in err
     assert "reference point" not in err
 
 

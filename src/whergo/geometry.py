@@ -240,27 +240,49 @@ def _d_hat_function(model: RationalMatrixOmega, branches):
     return f, fgrid
 
 
-def _bisect(fn, a, b, fa, tol: float):
-    """Bisect stacked segments a-b (K, 2) for a sign change of fn, fa = fn(a).
+def _false_position(fn, a, b, fa, fb, tol: float):
+    """Roots of fn on stacked segments a-b (K, 2) across which it changes
+    sign, fa = fn(a) and fb = fn(b), by safeguarded false position.
 
-    fn maps points (k, 2) to real values (k,); each level evaluates the
-    midpoints of all live segments in one call.  A segment retires at its
-    midpoint m once |fn(m)| <= tol, |b - a| < 1e-13, or after 80
-    halvings.  Returns (points (K, 2), |fn| there (K,))."""
+    fn maps points (k, 2) to real values (k,); each level evaluates the new
+    points of all live segments in one call.  A bracket's new point x is the
+    secant root, where an end kept k > 1 times in a row enters with its
+    value scaled by 2^(1 - k) (Illinois).  x is the midpoint instead where
+    the secant root is not finite or not strictly inside the bracket, where
+    the bracket is still wider than 2^(2 - level/2) times the segment, or
+    where the bracket's newest end, its other end and the point dropped
+    last fail Chandrupatla's test for a function smooth enough to
+    interpolate (multiple roots, steps).  A segment retires at x once
+    |fn(x)| <= tol, the bracket x was placed in is shorter than 1e-13, or x
+    is its 81st point.  Returns (points (K, 2), |fn| there (K,))."""
     pts, res = np.empty_like(a), np.empty(len(a))
     live = np.arange(len(a))
+    width0 = np.hypot(*(b - a).T)
+    c, fc = a, fa                           # the point dropped last
+    kept = np.zeros(len(a))                 # levels b has been kept in a row
     for level in range(81):
         if not len(live):
             break
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        done = ((np.abs(fm) <= tol) | (np.linalg.norm(b - a, axis=1) < 1e-13)
-                | (level == 80))
-        pts[live[done]], res[live[done]] = mid[done], np.abs(fm[done])
-        flip = ((fa < 0) != (fm < 0))[:, None]
-        a, b, fa = np.where(flip, a, mid), np.where(flip, mid, b), np.where(flip[:, 0], fa, fm)
+        width = np.hypot(*(b - a).T)
+        with np.errstate(all="ignore"):
+            x = a + (fa / (fa - 0.5 ** np.maximum(kept - 1, 0) * fb))[:, None] * (b - a)
+            xi, phi = width / np.hypot(*(c - b).T), (fa - fb) / (fc - fb)
+            smooth = (level == 0) | ((phi * phi < xi) & ((1 - phi) ** 2 < 1 - xi))
+        ok = (np.isfinite(x).all(axis=1) & (x != a).any(axis=1) & (x != b).any(axis=1)
+              & smooth & (width <= width0 * 2.0 ** (2 - 0.5 * level)))
+        x = np.where(ok[:, None], x, 0.5 * (a + b))
+        fx = fn(x)
+        done = (np.abs(fx) <= tol) | (width < 1e-13) | (level == 80)
+        pts[live[done]], res[live[done]] = x[done], np.abs(fx[done])
+        # x replaces a; b stays the other end unless the sign change lies in a-x
+        same = ((fa < 0) == (fx < 0))[:, None]
+        c, fc = np.where(same, a, b), np.where(same[:, 0], fa, fb)
+        b, fb = np.where(same, b, a), np.where(same[:, 0], fb, fa)
+        a, fa, kept = x, fx, np.where(same[:, 0], kept + 1, 1)
         keep = ~done
-        live, a, b, fa = live[keep], a[keep], b[keep], fa[keep]
+        live, a, b, c, fa, fb, fc = (live[keep], a[keep], b[keep], c[keep],
+                                     fa[keep], fb[keep], fc[keep])
+        kept, width0 = kept[keep], width0[keep]
     return pts, res
 
 
@@ -269,9 +291,10 @@ def _normal_search(fn, mid, n_hat, h):
     lockstep: a pair with a probe at rho <= 0 halves h unevaluated, the other
     pairs are evaluated in one call and h shrinks by 0.6 where fn keeps its
     sign.  Returns (mask of the pairs that found a change within 24 tries,
-    their probes a and b, fn(a))."""
+    their probes a and b, fn(a), fn(b))."""
     h = h.copy()
-    a, b, fa = np.empty_like(mid), np.empty_like(mid), np.empty(len(mid))
+    a, b = np.empty_like(mid), np.empty_like(mid)
+    fa, fb = np.empty(len(mid)), np.empty(len(mid))
     searching = np.ones(len(mid), dtype=bool)
     for _ in range(24):
         if not searching.any():
@@ -285,11 +308,11 @@ def _normal_search(fn, mid, n_hat, h):
             f_a, f_b = f[:len(idx)], f[len(idx):]
             change = (f_a < 0) != (f_b < 0)
             hit = idx[change]
-            a[hit], b[hit], fa[hit] = pa[hit], pb[hit], f_a[change]
+            a[hit], b[hit], fa[hit], fb[hit] = pa[hit], pb[hit], f_a[change], f_b[change]
             searching[hit] = False
             h[idx[~change]] *= 0.6
     found = ~searching
-    return found, a[found], b[found], fa[found]
+    return found, a[found], b[found], fa[found], fb[found]
 
 
 def _chain_order(pts: np.ndarray) -> np.ndarray:
@@ -336,31 +359,35 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
     plan's D rows, for every n, and every evaluation of it is one array call
     over all the work still open:
 
-    - scan: Re of the phase-normalised D on the grid; every grid edge with a
-      sign change is bisected, all edges together, down to |D| <=
-      residual_tol (or an edge shorter than 1e-13, or 80 halvings);
+    - scan: Re of the phase-normalised D on the grid; the root on every grid
+      edge with a sign change is found by safeguarded false position (see
+      _false_position), all edges together, down to |D| <= residual_tol
+      (or a bracket shorter than 1e-13, or 81 points);
     - chain: nearest-neighbour order of the edge points, each keeping the
-      residual its bisection returned;
+      residual its root search returned;
     - refine, in rounds: each round places one target per gap still wider
       than `step`, at most `step` past the gap's last sample towards its
       end, searches the normal through it for a sign change (24 tries, all
-      gaps in lockstep), and bisects the segments found together.  A gap
-      closes once it is at most `step` wide, or when its search finds no
-      sign change or no new point.
+      gaps in lockstep), and finds the roots of the segments found
+      together.  A gap closes once it is at most `step` wide, or when its
+      search finds no sign change or no new point.
 
     Once the polyline holds MAX_SAMPLES points no sample is inserted: the
     gaps still open stay as coarse as the rounds so far left them, and in
     the last round the gaps late in chain order are the ones left out.
 
+    residual_tol must be finite and >= 0 (0 stops on the bracket alone).
     Near the axis this D falls like rho^2 (see the Kerr identity D = f h),
-    so a looser residual_tol stops bisection visibly off the curve there:
-    on the Kerr box of acceptance criterion 1, 1e-8 leaves samples at
-    rho <= 0.15 up to 1.5e-4 off the closed form, 1e-10 up to 6.5e-6.
+    so a looser residual_tol stops the root search visibly off the curve
+    there: on the Kerr box of acceptance criterion 1, 1e-8 leaves samples
+    at rho <= 0.15 up to 9.2e-5 off the closed form, 1e-10 up to 4.1e-7.
     """
     rmin, rmax, vmin, vmax = box
     if rmin <= 0:
         raise ValueError("box must lie in the rho > 0 half-plane")
     check_step(step)
+    if not 0.0 <= residual_tol < np.inf:                # NaN fails the comparison too
+        raise ValueError(f"residual_tol must be a finite number >= 0, got {residual_tol!r}")
     _, fgrid = _d_hat_function(model, branches)
     rho_vals = np.linspace(rmin, rmax, grid[0])
     v_vals = np.linspace(vmin, vmax, grid[1])
@@ -381,7 +408,8 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
         raise NoCurveFound(f"no D = 0 locus found in box {box}")
     i, j = edges[..., 0], edges[..., 1]
     scan = np.stack([R[i, j], V[i, j]], axis=-1)
-    pts, res = _bisect(fn, scan[:, 0], scan[:, 1], Dn[i[:, 0], j[:, 0]], residual_tol)
+    pts, res = _false_position(fn, scan[:, 0], scan[:, 1], Dn[i[:, 0], j[:, 0]],
+                               Dn[i[:, 1], j[:, 1]], residual_tol)
     order = _chain_order(pts)
     ordered, ordered_res = pts[order], res[order]
 
@@ -396,8 +424,9 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
         direction = (end[open_gaps] - cur) / gap[:, None]
         reach = np.minimum(step, 0.5 * gap)
         n_hat = direction[:, ::-1] * [-1.0, 1.0] / np.linalg.norm(direction, axis=1)[:, None]
-        found, a, b, fa = _normal_search(fn, cur + reach[:, None] * direction, n_hat, 0.5 * reach)
-        p, r = _bisect(fn, a, b, fa, residual_tol)
+        found, a, b, fa, fb = _normal_search(fn, cur + reach[:, None] * direction, n_hat,
+                                             0.5 * reach)
+        p, r = _false_position(fn, a, b, fa, fb, residual_tol)
         moved = np.hypot(*(p - cur[found]).T) >= 1e-12
         g = open_gaps[found][moved]
         inserted.append((g, np.full(len(g), len(inserted)), p[moved], r[moved]))

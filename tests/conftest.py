@@ -37,11 +37,12 @@ def kerr_delta_closed_form(rho, v, m=KERR_M, a=KERR_A):
     return (r * r - 2.0 * m * r + a * a * y * y) / (r * r + a * a * y * y)
 
 
-def mp5d_solution_closed_form(rho, v, m=KERR_M, a=KERR_A):
-    """Closed-form solution matrix of the first 5D model."""
+def mp5d_solution_closed_form(rho, v, m=KERR_M, a=KERR_A, sqrt=np.sqrt):
+    """Closed-form solution matrix of the first 5D model; with mpmath
+    numbers and sqrt=mpmath.sqrt, an object array in mpmath's precision."""
     al = (2.0 * m - a * a) / 4.0
-    rp = np.sqrt(rho ** 2 + (v + al) ** 2)
-    rm = np.sqrt(rho ** 2 + (v - al) ** 2)
+    rp = sqrt(rho ** 2 + (v + al) ** 2)
+    rm = sqrt(rho ** 2 + (v - al) ** 2)
     e2s2 = rp + v + al
     e2s3 = (rp + rm * (1 - a * a / m) - 2 * al) / (rp + rm * (1 - a * a / m) + 2 * al)
     e2s1 = 1.0 / (e2s2 * e2s3)

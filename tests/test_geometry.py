@@ -271,6 +271,12 @@ def test_trace_rejects_a_step_that_is_not_positive(kerr, step):
         trace_curve(kerr, box=(0.05, 2.0, -2.0, 2.0), grid=(10, 10), step=step)
 
 
+@pytest.mark.parametrize("residual_tol", [-1.0, float("nan"), float("inf")])
+def test_trace_rejects_a_residual_tol_that_is_not_finite_and_non_negative(kerr, residual_tol):
+    with pytest.raises(ValueError, match="residual_tol must be a finite number >= 0"):
+        trace_curve(kerr, box=(0.3, 0.9, 1.0, 1.6), grid=(20, 20), residual_tol=residual_tol)
+
+
 def test_classify_curve_tags(kerr):
     poly = trace_curve(kerr, box=(0.05, 2.0, -2.0, 2.0), grid=(60, 60), step=0.05)
     tagged = classify_curve(kerr, poly)
@@ -344,21 +350,32 @@ def _sign_change_edges_loop(sign):
     return np.array(edges, dtype=int).reshape(-1, 2, 2)
 
 
-def _bisect_edge_loop(f, p0, p1, f0, f1, tol: float, max_iter: int = 80):
-    """Bisection along the segment p0-p1 for a sign change of Re f."""
+def _false_position_edge_loop(f, p0, p1, f0, f1, tol: float, max_iter: int = 80):
+    """Safeguarded false position along the segment p0-p1 for a sign change
+    of Re f, f0 and f1 the values at its ends: the tracer's root search for
+    one segment, one point per call of f."""
     a, b = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
-    fa = f0
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        fm = f(mid[0], mid[1]).real
-        if abs(fm) <= tol or np.linalg.norm(b - a) < 1e-13:
-            return mid, abs(fm)
-        if (fa < 0) != (fm < 0):
-            b = mid
+    fa, fb = f0, f1
+    c, fc = a, fa                      # the point dropped last
+    width0 = np.hypot(*(b - a))
+    kept = 0                           # steps b has been kept in a row
+    for level in range(max_iter + 1):
+        width = np.hypot(*(b - a))
+        with np.errstate(all="ignore"):
+            x = a + fa / (fa - 0.5 ** max(kept - 1, 0) * fb) * (b - a)
+            xi, phi = width / np.hypot(*(c - b)), (fa - fb) / (fc - fb)
+        smooth = level == 0 or (phi * phi < xi and (1 - phi) ** 2 < 1 - xi)
+        if not (np.all(np.isfinite(x)) and np.any(x != a) and np.any(x != b) and smooth
+                and width <= width0 * 2.0 ** (2 - 0.5 * level)):
+            x = 0.5 * (a + b)
+        fx = f(x[0], x[1]).real
+        if abs(fx) <= tol or width < 1e-13 or level == max_iter:
+            return x, abs(fx)
+        if (fa < 0) == (fx < 0):
+            c, fc, kept = a, fa, kept + 1
         else:
-            a, fa = mid, fm
-    mid = 0.5 * (a + b)
-    return mid, abs(f(mid[0], mid[1]).real)
+            c, fc, b, fb, kept = b, fb, a, fa, 1
+        a, fa = x, fx
 
 
 def _trace_curve_loop(model, branches=None, box=(0.05, 4.0, -4.0, 4.0), grid=(80, 80),
@@ -385,7 +402,8 @@ def _trace_curve_loop(model, branches=None, box=(0.05, 4.0, -4.0, 4.0), grid=(80
         return f_raw(rho, v) * np.conj(phase)
 
     Dn = (D * np.conj(phase)).real
-    pts = [_bisect_edge_loop(f, (R[a], V[a]), (R[b], V[b]), Dn[a], Dn[b], residual_tol)[0]
+    pts = [_false_position_edge_loop(f, (R[a], V[a]), (R[b], V[b]), Dn[a], Dn[b],
+                                     residual_tol)[0]
            for a, b in (map(tuple, edge) for edge in _sign_change_edges_loop(np.sign(Dn)))]
     if not pts:
         raise NoCurveFound(f"no D = 0 locus found in box {box}")
@@ -405,7 +423,7 @@ def _trace_curve_loop(model, branches=None, box=(0.05, 4.0, -4.0, 4.0), grid=(80
                 continue
             fa, fb = f(a[0], a[1]).real, f(b[0], b[1]).real
             if (fa < 0) != (fb < 0):
-                p, r = _bisect_edge_loop(f, a, b, fa, fb, residual_tol)
+                p, r = _false_position_edge_loop(f, a, b, fa, fb, residual_tol)
                 return p, r
             h *= 0.6
         return None
@@ -467,3 +485,54 @@ def test_vectorised_tracer_loops_match_the_python_loops(kerr, mvc5d, monkeypatch
         # point, in batches
         assert new_count["points"] == old_count["points"] - chained
         assert new_count["calls"] * 20 < old_count["calls"]
+
+
+def _bisection_evaluations(g, lo: float, hi: float, tol: float) -> int:
+    """Evaluations bisection takes on lo-hi under the root search's rule."""
+    a, b, ga = lo, hi, g(lo)
+    for level in range(81):
+        mid = 0.5 * (a + b)
+        gm = g(mid)
+        if abs(gm) <= tol or b - a < 1e-13 or level == 80:
+            return level + 1
+        if (ga < 0) != (gm < 0):
+            b = mid
+        else:
+            a, ga = mid, gm
+
+
+def test_false_position_retires_stacked_segments_within_twice_bisection():
+    from whergo.geometry import _false_position
+
+    # simple, triple and ninth-order roots, a jump and a steep exponential,
+    # each on two segments along rho, segment k at v = k
+    funcs = [lambda x: 3.0 * x, lambda x: x ** 3, lambda x: np.sign(x) * np.abs(x) ** 9,
+             lambda x: np.where(x < 0, -1.0, 2.0), lambda x: np.expm1(20.0 * x)]
+    spans = [(-0.3, 1.0), (-1.0, 0.7)]
+    cases = [(g, lo, hi) for g in funcs for lo, hi in spans]
+    tol = 1e-10
+    evals = np.zeros(len(cases), dtype=int)
+
+    def fn(p):
+        k = p[:, 1].astype(int)
+        np.add.at(evals, k, 1)
+        return np.array([cases[i][0](x) for i, x in zip(k, p[:, 0])], dtype=float)
+
+    v = np.arange(len(cases), dtype=float)
+    a = np.stack([[lo for _, lo, _ in cases], v], axis=1)
+    b = np.stack([[hi for _, _, hi in cases], v], axis=1)
+    fa = np.array([g(lo) for g, lo, _ in cases], dtype=float)
+    fb = np.array([g(hi) for g, _, hi in cases], dtype=float)
+    pts, res = _false_position(fn, a, b, fa, fb, tol)
+    for k, (g, lo, hi) in enumerate(cases):
+        # on its segment
+        assert pts[k, 1] == k and lo <= pts[k, 0] <= hi
+        assert res[k] == abs(g(pts[k, 0]))
+        # retired by the rule: |fn| <= tol, or (the jump) a bracket under
+        # 1e-13 around the root, never by the 81-point cap
+        assert res[k] <= tol or abs(pts[k, 0]) < 1e-13
+        assert evals[k] < 81
+        assert evals[k] <= 2 * _bisection_evaluations(g, lo, hi, tol)
+    # the simple roots and the exponential take under half of bisection's
+    for k in (0, 1, 8, 9):
+        assert 2 * evals[k] < _bisection_evaluations(*cases[k], tol)

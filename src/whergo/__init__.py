@@ -27,7 +27,6 @@ from .engine import (
     Status,
     assemble_M,
     classify_2x2,
-    compute_D,
     existence_system_2x2,
     factorise,
     toeplitz_kernel_dim,
@@ -43,10 +42,8 @@ from .geometry import (
     trace_curve,
 )
 from .spectral import (
-    PolePartition,
     SpectralPoint,
     ZeroPair,
-    build_partition,
     compose_polynomial,
     spectral_map,
     zero_pair_for,
@@ -68,7 +65,6 @@ __all__ = [
     "Status",
     "assemble_M",
     "classify_2x2",
-    "compute_D",
     "existence_system_2x2",
     "factorise",
     "toeplitz_kernel_dim",
@@ -80,10 +76,8 @@ __all__ = [
     "extract_5d",
     "extract_metric",
     "trace_curve",
-    "PolePartition",
     "SpectralPoint",
     "ZeroPair",
-    "build_partition",
     "compose_polynomial",
     "spectral_map",
     "zero_pair_for",

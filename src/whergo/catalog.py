@@ -2,8 +2,9 @@
 
 A model is an n x n matrix of rational functions of omega with det = 1 and
 eta-symmetry eta M^T eta = M.  Composition with the spectral relation turns
-it into a monodromy matrix in tau whose pole pairs feed the factorisation
-engine.
+it into a monodromy matrix in tau: the 2x2 reference existence system and
+the tests read it, while the factorisation engine works from the model's
+omega-plane poles and adjugate and never composes one.
 """
 from __future__ import annotations
 

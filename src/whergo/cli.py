@@ -60,6 +60,8 @@ class RunConfig:
                 raise ValueError(f"empty {key} range")
         check_step(self.step)
         self.tolerance()
+        if not isinstance(self.jobs, int) or self.jobs < 1:
+            raise ValueError(f"jobs must be an integer >= 1, got {self.jobs!r}")
 
 
 def build_model(cfg: RunConfig) -> RationalMatrixOmega:
@@ -176,7 +178,7 @@ def _worker_model(cfg: RunConfig) -> RationalMatrixOmega:
 def _map_points(cfg: RunConfig, model: RationalMatrixOmega, chunks):
     """Sweep columns of every (rho_vals, v_vals) chunk, in chunk order: in
     --jobs worker processes, or here with `model`."""
-    if cfg.jobs and cfg.jobs > 1:
+    if cfg.jobs > 1:
         import multiprocessing as mp
 
         cfg_doc = {k: getattr(cfg, k) for k in RunConfig.__dataclass_fields__}
@@ -318,7 +320,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"whergo {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, help):
+        # no prefix matching: `verify --model` must not be read as --model-json
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    def model_flags(sp):
         sp.add_argument("--config", help="JSON config file; flags override its fields")
         sp.add_argument("--model", help="catalog model id (kerr, mp5d, mvc5d, identity)")
         sp.add_argument("--model-json", help="path to a JSON model file")
@@ -330,29 +336,30 @@ def make_parser() -> argparse.ArgumentParser:
                                                   "system is at most tol "
                                                   "(default WH_ERGO_TOL or 1e-9)")
         sp.add_argument("--out", help="output file (default stdout)")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
-        sp.add_argument("--jobs", type=int, help="worker processes for sweeps")
 
-    sp = sub.add_parser("factorize", help="factorise at one Weyl point")
-    common(sp)
+    sp = command("factorize", "factorise at one Weyl point")
+    model_flags(sp)
     sp.add_argument("--rho", type=float, required=True)
     sp.add_argument("--v", type=float, required=True)
 
-    sp = sub.add_parser("sweep", help="D/kernel/g_tt over a Weyl grid (CSV)")
-    common(sp)
+    sp = command("sweep", "D/kernel/g_tt over a Weyl grid (CSV)")
+    model_flags(sp)
     sp.add_argument("--grid", help="rmin:rmax:n,vmin:vmax:n")
+    sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
+    sp.add_argument("--jobs", type=int, help="worker processes (at least 1)")
 
-    sp = sub.add_parser("curve", help="trace the D = 0 locus (CSV polyline)")
-    common(sp)
+    sp = command("curve", "trace the D = 0 locus (CSV polyline)")
+    model_flags(sp)
     sp.add_argument("--grid", help="scan grid rmin:rmax:n,vmin:vmax:n")
     sp.add_argument("--step", type=float, help="maximum polyline spacing")
 
-    sp = sub.add_parser("verify", help="run the invariant/oracle suites")
-    common(sp)
+    sp = command("verify", "run the invariant/oracle suites")
+    sp.add_argument("--config", help="JSON config file; flags override its fields")
+    sp.add_argument("--model-json", help="path to a JSON model file to check on load")
+    sp.add_argument("--out", help="JSON report file")
     sp.add_argument("--suite", action="append", help="run a single named suite")
 
-    sp = sub.add_parser("catalog", help="list built-in models")
-    common(sp)
+    command("catalog", "list built-in models")
     return p
 
 

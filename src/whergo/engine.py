@@ -28,28 +28,37 @@ system, and D only spares that SVD where it proves the kernel trivial.
 Callers that need only D assemble the analyticity rows alone.
 
 factorise is evaluate_points at one point, plus the factors and the
-residual report.  It composes no monodromy and builds no pole partition, so
-it answers wherever the batch does.  Its factors come from a few array
-passes over tables the plan's layout fixes once (_factors): the gather that
-maps the solution to the numerators NUM_k, the Taylor tables of their
-analyticity re-check, and the deflation order, one synthetic-division step
-per root position for every component that has a root there.  M_minus is
-the solution scattered through the layout, S_j over pi_j; X holds the psi_+
-numerators of every column, deflated and never trimmed, and X(tau) is the
-adjugate of Psi_+(tau) taken at each evaluation.  Both evaluate at a scalar
-tau or an array of them, every tau alike.  The residual report evaluates
-M(tau) in one Horner pass over the model's stacked omega-coefficients at
-omega(tau), M_minus at the check circle and X at the circle and tau = 0 in
-one evaluation; the circle's poles are the label values the plan's spec
-already holds.  A point whose system overflows the double range is never
-consistent and gets no SVD: it is unresolved.
+residual report.  It composes no monodromy, so it answers wherever the
+batch does.  Its factors come from a few array passes over tables the
+plan's layout fixes once (_factors): the gather that maps the solution to
+the numerators NUM_k, the Taylor tables of their analyticity re-check, and
+the deflation order, one synthetic-division step per root position for
+every component that has a root there.  M_minus is the solution scattered
+through the layout, S_j over pi_j; X holds the psi_+ numerators of every
+column, deflated and never trimmed, and X(tau) is the adjugate of
+Psi_+(tau) taken at each evaluation.  Both evaluate at a scalar tau or an
+array of them, every tau alike.  The residual report evaluates M(tau) in
+one Horner pass over the model's stacked omega-coefficients at omega(tau),
+M_minus at the check circle and X at the circle and tau = 0 in one
+evaluation; the circle's poles are the label values the plan's spec already
+holds.  A point whose system overflows the double range is never consistent
+and gets no SVD: it is unresolved.
+
+The contour enters only as the branch tuple: one tag, "minus" or "plus",
+per omega pole, naming the member of its zero pair that lies inside.
+Every entry point takes it (None is the model's default), and a tuple of
+the wrong length or with an unknown tag is a ValueError.
 
 For 2x2 models of the common-denominator form two more pieces remain: the
-degree classification and the value-and-derivative existence system, which
-is the reference D of the paper.  The classification's always-canonical
-case N1 + N2 < 2n cannot occur for a valid model (det M = 1 gives det p =
-q^2, of degree 2n, while p11 p22 - p12^2 has degree at most N1 + N2), so
-only toeplitz_kernel_dim's degree-table short cut reads it.
+degree classification and existence_system_2x2, the paper's
+value-and-derivative system at the inside zeros, whose determinant is the
+reference D that the acceptance tests compare with f*h.  It is composed from
+the monodromy at one point and serves as an oracle only.  The
+classification's always-canonical case N1 + N2 < 2n cannot occur for a
+valid model (det M = 1 gives det p = q^2, of degree 2n, while
+p11 p22 - p12^2 has degree at most N1 + N2), so only
+toeplitz_kernel_dim(model, rho, v, branches)'s degree-table short cut reads
+it.
 """
 from __future__ import annotations
 
@@ -84,7 +93,7 @@ from .poly import (
     poly_scale,
     poly_shift,
 )
-from .spectral import BRANCH_MINUS, BRANCH_PLUS, PolePartition, SpectralPoint
+from .spectral import BRANCH_MINUS, BRANCH_PLUS, SpectralPoint, zero_pair_for
 
 # reference Weyl points used once per (model, branches) to compile the plan
 # of the generic constraint system; must be off-curve, which the compile
@@ -145,11 +154,25 @@ def classify_2x2(source) -> ClassificationResult:
     return ClassificationResult(Classification.REDUCIBLE_CASE, n1, n2, two_n, transcript)
 
 
-def _inside_zeros(mono: MonodromyMatrixTau, partition: PolePartition):
+def _check_branches(model: RationalMatrixOmega, branches) -> tuple:
+    """branches as a tuple: one tag, "minus" or "plus", per omega pole of
+    the model, in its order; None is the model's default.  Anything else is
+    a ValueError."""
+    branches = tuple(model.default_branches if branches is None else branches)
+    if (len(branches) != len(model.omega_poles)
+            or any(b not in (BRANCH_MINUS, BRANCH_PLUS) for b in branches)):
+        raise ValueError(
+            f"branches must be one tag per omega pole of model {model.model_id} "
+            f"({len(model.omega_poles)} in all), each 'minus' or 'plus'; "
+            f"got {','.join(map(str, branches)) or 'none'}")
+    return branches
+
+
+def _inside_zeros(mono: MonodromyMatrixTau, branches):
     """Inside zeros tau_i of q_2n in the model's declared pole order."""
-    taus = []
-    for w in mono.model.omega_poles:
-        taus.append(partition.pair_for(w).tau_in)
+    model = mono.model
+    taus = [zero_pair_for(mono.pt, w, b).tau_in
+            for w, b in zip(model.omega_poles, _check_branches(model, branches))]
     for i in range(len(taus)):
         for j in range(i + 1, len(taus)):
             if abs(taus[i] - taus[j]) < 1e-10 * max(1.0, abs(taus[i])):
@@ -167,18 +190,20 @@ def _normal_form_gpair(mono: MonodromyMatrixTau):
     return g1, g2
 
 
-def existence_system_2x2(mono: MonodromyMatrixTau, partition: PolePartition) -> np.ndarray:
-    """Value-and-derivative system at the inside zeros (homogeneous form).
+def existence_system_2x2(mono: MonodromyMatrixTau, branches=None) -> np.ndarray:
+    """Value-and-derivative system at the inside zeros (homogeneous form),
+    the paper's reference D for the 2x2 normal form.
 
-    Unknown order (alpha_0, .., alpha_{N1-1}, beta_0, .., beta_{N2-1}); row
-    order value-then-derivative per inside zero, in the model's declared
-    pole order.
+    branches picks the inside member of each zero pair, one tag per omega
+    pole (default: the model's).  Unknown order (alpha_0, .., alpha_{N1-1},
+    beta_0, .., beta_{N2-1}); row order value-then-derivative per inside
+    zero, in the model's declared pole order.
     """
     dt = mono.degree_table
     cls = classify_2x2(mono)
     if cls.kind is not Classification.DETERMINANT_TEST:
         raise ValueError(f"existence system defined for the determinant-test case, got {cls.kind}")
-    taus = _inside_zeros(mono, partition)
+    taus = _inside_zeros(mono, branches)
     g1, g2 = _normal_form_gpair(mono)
     # rows of alpha(tau) * g2 - beta(tau) * g1
     return _block_rows_at_zero(taus, g2, poly_scale(g1, -1.0), dt.N1, dt.N2)
@@ -201,33 +226,19 @@ def _block_rows_at_zero(taus, poly_alpha, poly_beta, n_alpha, n_beta):
     return np.array(rows)
 
 
-def compute_D(mono: MonodromyMatrixTau, partition: PolePartition) -> complex:
-    """Determinant of the analyticity-constraint system.
-
-    Its vanishing locus is exactly where the canonical factorisation fails.
-    The rows are a fixed square subset of the homogeneous system, chosen
-    once per (model, branches).
-    """
-    model = mono.model
-    return complex(_d_with_scale(model, mono.pt.rho, mono.pt.v,
-                                 _branches_of(model, partition))[0])
-
-
-def toeplitz_kernel_dim(mono: MonodromyMatrixTau, partition: PolePartition,
+def toeplitz_kernel_dim(model: RationalMatrixOmega, rho: float, v: float, branches=None,
                         tol: float = DEFAULT_TOL) -> int:
     """Kernel dimension of the Toeplitz operator with this symbol: the
-    kernel_dim of evaluate_points at the monodromy's Weyl point.
+    kernel_dim of evaluate_points at (rho, v).
 
     The always-canonical classification short-circuits to 0 without
     assembling anything: every kernel element picks up a positive tau power
     and is forced to vanish at the origin, hence identically.
     """
-    if (mono.degree_table is not None
-            and classify_2x2(mono).kind is Classification.ALWAYS_CANONICAL):
+    if (model.degree_table is not None
+            and classify_2x2(model).kind is Classification.ALWAYS_CANONICAL):
         return 0
-    model = mono.model
-    return int(evaluate_points(model, mono.pt.rho, mono.pt.v,
-                               _branches_of(model, partition), tol).kernel_dim)
+    return int(evaluate_points(model, rho, v, branches, tol).kernel_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +549,7 @@ def _plan_for(model: RationalMatrixOmega, branches) -> AnsatzPlan:
     branches = tuple(branches)
     plan = model.plans.get(branches)
     if plan is None:
-        if (len(branches) != len(model.omega_poles)
-                or any(b not in (BRANCH_MINUS, BRANCH_PLUS) for b in branches)):
-            raise ValueError(
-                f"branches must be one tag per omega pole of model {model.model_id} "
-                f"({len(model.omega_poles)} in all), each 'minus' or 'plus'; "
-                f"got {','.join(map(str, branches)) or 'none'}")
+        _check_branches(model, branches)
         # each pole has its own zero pair and labels: coincident poles (mp5d
         # at a = 0) would split into roots that match neither label
         poles = model.omega_poles
@@ -780,10 +786,6 @@ def _plan_spec(plan: AnsatzPlan, rho, v) -> AnsatzSpec:
         [tuple(roots[i] for i in ls) for ls in plan.lk_labels],
         [[(roots[i], m) for i, m in g] for g in plan.groups],
         list(plan.m0), l0.reshape((plan.n,) + batch), plan.layout, plan.selected_rows, labels)
-
-
-def _branches_of(model: RationalMatrixOmega, partition: PolePartition) -> tuple:
-    return tuple(partition.pair_for(w).branch for w in model.omega_poles)
 
 
 # ---------------------------------------------------------------------------

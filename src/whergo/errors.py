@@ -17,10 +17,6 @@ class DegeneratePair(WhergoError):
     """A zero pair collapsed (double zero); the simple-zero assumption fails."""
 
 
-class InadmissiblePartition(WhergoError):
-    """No admissible contour separates the requested inside/outside sets."""
-
-
 class OutOfChart(WhergoError):
     """Point lies outside the exterior prolate-spheroidal chart."""
 

@@ -277,15 +277,6 @@ class FactoredRational:
                 keep.append(r)
         return FactoredRational(poly_trim(num), self.den_lc, tuple(keep))
 
-    def limit_at_infinity(self) -> complex:
-        """Finite limit as tau -> oo (0 if numerator degree is smaller)."""
-        dn, dd = poly_degree(self.num), len(self.den_roots)
-        if dn > dd:
-            raise ValueError("rational function unbounded at infinity")
-        if dn < dd:
-            return 0.0
-        return complex(self.num[-1] / self.den_lc)
-
 
 def _root_match(a, b, rel: float = 1e-9) -> bool:
     return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
@@ -314,37 +305,6 @@ def _root_lcm(roots_a, roots_b):
 # ---------------------------------------------------------------------------
 # small dense linear algebra
 # ---------------------------------------------------------------------------
-
-
-def _lu_decompose(A, piv_rel: float = 1e-15):
-    """LU with partial pivoting; returns (LU, sign of the row permutation).
-    A pivot at or below piv_rel * max|A| eliminates nothing below it."""
-    A = np.array(A, dtype=complex)
-    n, m = A.shape
-    if n != m:
-        raise ValueError("square matrix required")
-    scale = np.max(np.abs(A)) or 1.0
-    sign = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            sign = -sign
-        piv = A[k, k]
-        if abs(piv) <= piv_rel * scale:
-            continue
-        A[k + 1:, k] /= piv
-        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
-    return A, sign
-
-
-def dense_det(A) -> complex:
-    """Determinant via LU; permutation sign tracked exactly."""
-    A = np.asarray(A, dtype=complex)
-    if A.shape[0] == 0:
-        return 1.0 + 0j
-    LU, sign = _lu_decompose(A.copy())
-    return complex(sign * np.prod(np.diag(LU)))
 
 
 def equilibrate(A):

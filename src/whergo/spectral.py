@@ -1,9 +1,10 @@
-"""Spectral relation, paired zeros in the tau plane and pole partitions.
+"""Spectral relation, paired zeros in the tau plane and prolate charts.
 
 The contour Gamma is never represented geometrically: every statement used
 by the factorisation engine depends only on which member of each zero pair
-{tau0, -1/tau0} is designated "inside".  A PolePartition records exactly
-that choice.
+{tau0, -1/tau0} is designated "inside".  A branch tuple, one tag "minus" or
+"plus" per omega pole of the model, records exactly that choice;
+zero_pair_for gives the inside member for one tag.
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePair, InadmissiblePartition, OutOfChart, ZeroTau
-from .poly import poly_eval, poly_mul, poly_shift, poly_trim, quadratic_roots
+from .errors import DegeneratePair, OutOfChart, ZeroTau
+from .poly import poly_mul, poly_shift, poly_trim, quadratic_roots
 
 PAIR_TOL = 1e-10
 
@@ -57,13 +58,6 @@ class ZeroPair:
     omega0: complex
     branch: str = BRANCH_MINUS
 
-    def members(self):
-        return (self.tau_in, self.tau_out)
-
-    def swapped(self) -> "ZeroPair":
-        other = BRANCH_PLUS if self.branch == BRANCH_MINUS else BRANCH_MINUS
-        return ZeroPair(self.tau_out, self.tau_in, self.omega0, other)
-
 
 def zero_pair_for(pt: SpectralPoint, omega0, branch: str = BRANCH_MINUS) -> ZeroPair:
     """Zero pair of the quadratic for omega0, with the chosen branch inside.
@@ -91,58 +85,6 @@ def zero_pair_for(pt: SpectralPoint, omega0, branch: str = BRANCH_MINUS) -> Zero
     return ZeroPair(tau_in, tau_out, omega0, branch)
 
 
-@dataclass(frozen=True)
-class PolePartition:
-    """Inside/outside designation for every zero pair; stands in for Gamma."""
-
-    pairs: tuple
-    lam: int = 1
-
-    def inside(self):
-        return tuple(p.tau_in for p in self.pairs)
-
-    def outside(self):
-        return tuple(p.tau_out for p in self.pairs)
-
-    def pair_for(self, omega0, rel=1e-9):
-        for p in self.pairs:
-            if abs(p.omega0 - complex(omega0)) <= rel * max(1.0, abs(omega0)):
-                return p
-        raise KeyError(f"no pair for omega0 = {omega0}")
-
-
-def build_partition(pt: SpectralPoint, omega_zeros, branch_choices=None) -> PolePartition:
-    """Build and validate a pole partition for the given omega-plane zeros.
-
-    branch_choices is one tag per zero ("minus"/"plus"); defaults to all
-    "minus".  Raises InadmissiblePartition when the chosen inside set
-    collides with the outside set, in which case no admissible contour
-    separates them.
-    """
-    omega_zeros = [complex(w) for w in omega_zeros]
-    if branch_choices is None:
-        branch_choices = [BRANCH_MINUS] * len(omega_zeros)
-    if len(branch_choices) != len(omega_zeros):
-        raise InadmissiblePartition("one branch choice required per omega zero")
-    pairs = tuple(zero_pair_for(pt, w, b) for w, b in zip(omega_zeros, branch_choices))
-    inside = [p.tau_in for p in pairs]
-    outside = [p.tau_out for p in pairs]
-    for i, t in enumerate(inside):
-        scale = max(1.0, abs(t))
-        for s in outside:
-            if abs(t - s) < PAIR_TOL * scale:
-                raise InadmissiblePartition(
-                    f"inside point {t} collides with an outside point")
-        for j, s in enumerate(inside):
-            if j != i and abs(t - s) < PAIR_TOL * scale:
-                raise InadmissiblePartition(
-                    f"two inside points coincide at tau = {t}")
-    for t in inside + outside:
-        if abs(t) < PAIR_TOL:
-            raise InadmissiblePartition("partition point at tau = 0")
-    return PolePartition(pairs, pt.lam)
-
-
 def compose_polynomial(pt: SpectralPoint, coeffs) -> tuple[np.ndarray, int]:
     """Compose p(omega) with the spectral relation.
 
@@ -164,21 +106,6 @@ def compose_polynomial(pt: SpectralPoint, coeffs) -> tuple[np.ndarray, int]:
         if j < k:
             wpow = poly_mul(wpow, w)
     return poly_trim(acc), k
-
-
-def verify_composition(pt: SpectralPoint, coeffs, ptilde, k, n_samples: int = 5,
-                       rel: float = 1e-11, seed: int = 2023) -> float:
-    """Max relative residual of p(omega(tau)) - ptilde(tau)/tau^k at samples."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        tau = complex(rng.uniform(0.4, 2.0), rng.uniform(-1.0, 1.0))
-        lhs = poly_eval(coeffs, spectral_map(pt, tau))
-        rhs = poly_eval(ptilde, tau) / tau ** k
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    if worst > rel:
-        raise ArithmeticError(f"composition residual {worst:.2e} exceeds {rel:.1e}")
-    return worst
 
 
 # ---------------------------------------------------------------------------

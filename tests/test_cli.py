@@ -173,13 +173,12 @@ def test_sweep_jobs_byte_identical_over_chunks(tmp_path):
 
 def test_sweep_after_warm_up_evaluates_the_plan_once_per_chunk(kerr, mvc5d, monkeypatch):
     # once the plan exists a sweep is batched: no per-point factorisation,
-    # composition, partition or polynomial product, and one plan evaluation
+    # composition, zero pair or polynomial product, and one plan evaluation
     # for each chunk of rho rows
     import whergo.catalog as catalog
     import whergo.cli as cli
     import whergo.engine as engine
     import whergo.poly as poly
-    import whergo.spectral as spectral
 
     monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", 8)    # 4 x 4 grid: chunks of 2 rows
     for model in (kerr, mvc5d):
@@ -190,7 +189,7 @@ def test_sweep_after_warm_up_evaluates_the_plan_once_per_chunk(kerr, mvc5d, monk
         with monkeypatch.context() as m:
             def forbidden(*args, **kwargs):
                 raise AssertionError("per-point work in a batched sweep")
-            for module, name in ((catalog, "compose_monodromy"), (spectral, "build_partition"),
+            for module, name in ((catalog, "compose_monodromy"), (engine, "zero_pair_for"),
                                  (poly, "poly_mul"), (np, "roots"),
                                  (engine, "factorise"), (cli, "factorise")):
                 m.setattr(module, name, forbidden)
@@ -329,6 +328,42 @@ def test_sweep_bad_grid_spec(capsys):
     code, _, err = run_capture(capsys, "sweep", "--model", "kerr", "--grid", "oops")
     assert code == 1
     assert "--grid" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--model", "kerr", "--format", "json"],
+    ["curve", "--model", "kerr", "--jobs", "2"],
+    ["factorize", "--rho", "3", "--v", "0", "--jobs", "2"],
+    ["factorize", "--rho", "3", "--v", "0", "--format", "json"],
+    ["verify", "--tol", "2"],
+    ["verify", "--model", "kerr"],    # not a prefix of --model-json
+    ["verify", "--m", "2"],
+    ["verify", "--a", "1"],
+    ["sweep", "--model", "kerr", "--form", "json"],
+    ["verify", "--branches", "plus,plus"],
+    ["catalog", "--model", "kerr"],
+    ["catalog", "--out", "catalog.txt"],
+    ["catalog", "--config", "run.json"],
+])
+def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
+    # a flag the subcommand would ignore is a malformed command line: exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_sweep_jobs_below_one_exits_1(tmp_path, capsys, jobs):
+    out = tmp_path / "s.csv"
+    code, _, err = run_capture(capsys, "sweep", "--model", "kerr", "--grid", "2:3:2,0:1:2",
+                               "--jobs", jobs, "--out", str(out))
+    assert code == 1 and "jobs must be an integer >= 1" in err
+    assert not out.exists()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"jobs": int(jobs)}))
+    code, _, err = run_capture(capsys, "curve", "--config", str(cfg), "--model", "kerr")
+    assert code == 1 and "jobs must be an integer >= 1" in err
 
 
 def test_curve_kerr_csv(tmp_path):

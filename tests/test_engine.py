@@ -27,7 +27,6 @@ from whergo.engine import (
     _d_with_scale,
     assemble_M,
     classify_2x2,
-    compute_D,
     evaluate_points,
     existence_system_2x2,
     factorise,
@@ -38,7 +37,6 @@ from whergo.poly import (
     FactoredRational,
     _multiset_minus,
     _root_lcm,
-    dense_det,
     numerical_nullity,
     poly_deflate,
     poly_eval,
@@ -46,23 +44,30 @@ from whergo.poly import (
     poly_mul,
     poly_scale,
 )
-from whergo.spectral import SpectralPoint, build_partition, weyl_from_prolate_4d, weyl_from_prolate_5d
+from whergo.spectral import SpectralPoint, weyl_from_prolate_4d, weyl_from_prolate_5d, zero_pair_for
 
 M_K, A_K = 2.0, 1.0
 C_K = np.sqrt(M_K ** 2 - A_K ** 2)
 
 
 def _setup(model, rho, v, branches=None):
+    """(branches, the inside zero of each pair in the model's pole order, the
+    composed monodromy) at (rho, v)."""
     pt = SpectralPoint(rho, v)
-    part = build_partition(pt, model.omega_poles, branches or model.default_branches)
-    mono = compose_monodromy(model, pt)
-    return pt, part, mono
+    branches = tuple(branches or model.default_branches)
+    inside = tuple(zero_pair_for(pt, w, b).tau_in for w, b in zip(model.omega_poles, branches))
+    return branches, inside, compose_monodromy(model, pt)
 
 
-def _plan_spec_at(mono, part):
-    """The plan's AnsatzSpec at the monodromy's Weyl point."""
-    plan = engine._plan_for(mono.model, engine._branches_of(mono.model, part))
-    return engine._plan_spec(plan, mono.pt.rho, mono.pt.v)
+def _plan_spec_at(model, rho, v, branches=None):
+    """The plan's AnsatzSpec at (rho, v)."""
+    plan = engine._plan_for(model, branches or model.default_branches)
+    return engine._plan_spec(plan, rho, v)
+
+
+def _d(model, rho, v, branches=None):
+    """D at one point, as a complex number."""
+    return complex(_d_with_scale(model, rho, v, branches)[0])
 
 
 def synthetic_chain_model():
@@ -114,7 +119,7 @@ def test_classify_always_canonical_stub():
                               DegreeTable(k11=1, k12=0, k22=1, n=2))
     res = classify_2x2(stub)
     assert res.kind is Classification.ALWAYS_CANONICAL
-    assert toeplitz_kernel_dim(stub, None) == 0   # fast path, no solve
+    assert toeplitz_kernel_dim(stub, 1.0, 0.0) == 0   # fast path, no solve
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +131,16 @@ def test_existence_system_on_curve_singular(kerr):
     # u(0) = m = 2 maps to (rho, v) = (1, 0) for m=2, a=1
     u = np.sqrt(M_K ** 2)
     assert weyl_from_prolate_4d(u, 0.0, C_K) == pytest.approx((1.0, 0.0))
-    _, part, mono = _setup(kerr, 1.0, 0.0)
-    A = existence_system_2x2(mono, part)
+    branches, _, mono = _setup(kerr, 1.0, 0.0)
+    A = existence_system_2x2(mono, branches)
     assert A.shape == (4, 4)
     assert numerical_nullity(A) == 1
 
 
 def test_existence_system_off_curve_regular(kerr):
     # u = sqrt(9 + 3) = 2 sqrt(3) > 2 = u_ergo(0)
-    _, part, mono = _setup(kerr, 3.0, 0.0)
-    A = existence_system_2x2(mono, part)
+    branches, _, mono = _setup(kerr, 3.0, 0.0)
+    A = existence_system_2x2(mono, branches)
     assert numerical_nullity(A) == 0
 
 
@@ -143,42 +148,41 @@ def test_existence_system_det_equals_fh(kerr, rng):
     for _ in range(20):
         rho = rng.uniform(0.3, 4.0)
         v = rng.uniform(-3.0, 3.0)
-        _, part, mono = _setup(kerr, rho, v)
-        d_val = dense_det(existence_system_2x2(mono, part))
+        branches, _, mono = _setup(kerr, rho, v)
+        d_val = np.linalg.det(existence_system_2x2(mono, branches))
         fh = kerr_fh(rho, v)
         assert abs(d_val - fh) <= 1e-8 * abs(fh)
 
 
 def test_existence_system_degenerate_zeros(kerr):
-    from whergo.spectral import PolePartition, ZeroPair, zero_pair_for
-    pt, _, mono = _setup(kerr, 1.1, 0.3)
-    zp1 = zero_pair_for(pt, C_K, "minus")
-    # fabricate a second pair whose inside member collides with the first
-    t_in = zp1.tau_in + 1e-12
-    zp2 = ZeroPair(t_in, -1.0 / t_in, -C_K, "minus")
-    bad = PolePartition((zp1, zp2), 1)
+    # far out near the axis the inside zeros of Kerr's two pairs,
+    # -1.0035e-9 and -0.9965e-9, coincide within 1e-10: the value-and-
+    # derivative system has a repeated row pair there (the composition's own
+    # check fails this far out, so it is skipped)
+    pt = SpectralPoint(1e-6, 500.0)
+    t1, t2 = (zero_pair_for(pt, w, "minus").tau_in for w in kerr.omega_poles)
+    assert abs(t1 - t2) < 1e-10
     with pytest.raises(DegenerateZeros):
-        existence_system_2x2(mono, bad)
+        existence_system_2x2(compose_monodromy(kerr, pt, check=False))
 
 
-def test_build_partition_rejects_duplicate_insides():
-    with pytest.raises(Exception):
-        build_partition(SpectralPoint(1.1, 0.3), [C_K, C_K], ["minus", "minus"])
+@pytest.mark.parametrize("branches", [("minus",), ("minus", "minus", "plus"),
+                                      ("minus", "sideways")])
+def test_existence_system_rejects_bad_branches(kerr, branches):
+    # one tag per omega pole, each "minus" or "plus", as for the plan
+    _, _, mono = _setup(kerr, 1.1, 0.3)
+    with pytest.raises(ValueError, match="one tag per omega pole"):
+        existence_system_2x2(mono, branches)
 
 
 def test_compute_d_sign_change_across_curve(kerr):
-    _, part_lo, mono_lo = _setup(kerr, 0.8, 0.0)
-    _, part_hi, mono_hi = _setup(kerr, 1.2, 0.0)
-    d_lo = compute_D(mono_lo, part_lo)
-    d_hi = compute_D(mono_hi, part_hi)
-    assert d_lo.real * d_hi.real < 0.0
+    assert _d(kerr, 0.8, 0.0).real * _d(kerr, 1.2, 0.0).real < 0.0
 
 
 def test_compute_d_identity_model():
     model = model_identity(2)
-    _, part, mono = _setup(model, 1.3, 0.2)
-    assert compute_D(mono, part) == pytest.approx(1.0)
-    assert toeplitz_kernel_dim(mono, part) == 0
+    assert _d(model, 1.3, 0.2) == pytest.approx(1.0)
+    assert toeplitz_kernel_dim(model, 1.3, 0.2) == 0
 
 
 def test_mp5d_d_vanishes_on_ergosurface_line(mp5d):
@@ -186,11 +190,9 @@ def test_mp5d_d_vanishes_on_ergosurface_line(mp5d):
     for y in (-0.6, 0.0, 0.7):
         u = (2.0 - L * y) / (2.0 - L)
         rho, v = weyl_from_prolate_5d(u, y, al)
-        _, part, mono = _setup(mp5d, rho, v)
-        assert toeplitz_kernel_dim(mono, part) == 1
+        assert toeplitz_kernel_dim(mp5d, rho, v) == 1
         rho2, v2 = weyl_from_prolate_5d(1.06 * u, y, al)
-        _, part2, mono2 = _setup(mp5d, rho2, v2)
-        assert toeplitz_kernel_dim(mono2, part2) == 0
+        assert toeplitz_kernel_dim(mp5d, rho2, v2) == 0
 
 
 def test_mvc5d_d_vanishes_on_condition_curve(mvc5d):
@@ -199,8 +201,7 @@ def test_mvc5d_d_vanishes_on_condition_curve(mvc5d):
     for y in (-0.5, 0.0, 0.4):
         u = np.sqrt(y * y + (m / (2 * al)) * (1 - y * y))
         rho, v = weyl_from_prolate_5d(u, y, al)
-        _, part, mono = _setup(mvc5d, rho, v)
-        assert toeplitz_kernel_dim(mono, part) == 1
+        assert toeplitz_kernel_dim(mvc5d, rho, v) == 1
 
 
 def test_mvc5d_loci_match_reference_subsystem(mvc5d):
@@ -238,12 +239,11 @@ def test_reducible_system_square_and_regular():
     # the chain (reducible) case goes through the generic system like every
     # other model: the selected rows form a regular square matrix
     model = synthetic_chain_model()
-    _, part, mono = _setup(model, 1.3, 0.4)
-    spec = _plan_spec_at(mono, part)
+    spec = _plan_spec_at(model, 1.3, 0.4)
     A = _assemble_homogeneous(spec)[spec.selected_rows, :]
     assert A.shape[0] == A.shape[1] > 0
     assert numerical_nullity(A) == 0
-    assert abs(compute_D(mono, part)) > 0
+    assert abs(_d(model, 1.3, 0.4)) > 0
 
 
 def _on_curve_points(kerr, mp5d, mvc5d, ys, du=0.0):
@@ -273,7 +273,6 @@ def test_factorise_d_matches_homogeneous_assembly(kerr, mp5d, mvc5d, rng):
         canonical = 0
         for rho, v in off_curve + on_curve[name]:
             out = factorise(model, rho, v)
-            _, part, mono = _setup(model, rho, v)
             assert (out.D_value, out.D_scale) == _d_with_scale(model, rho, v)
             batch = evaluate_points(model, rho, v)
             assert (out.D_value, out.D_scale) == (batch.D_value, batch.D_scale)
@@ -282,7 +281,7 @@ def test_factorise_d_matches_homogeneous_assembly(kerr, mp5d, mvc5d, rng):
                 assert np.array_equal(out.M_limit, batch.M_limit)
             if (rho, v) in on_curve[name]:
                 assert out.status is Status.DEGENERATE
-                assert out.kernel_dim == toeplitz_kernel_dim(mono, part) == 1
+                assert out.kernel_dim == toeplitz_kernel_dim(model, rho, v) == 1
         assert canonical >= 3
 
 
@@ -325,13 +324,11 @@ def test_kernel_dim_kerr_20_points(kerr, rng):
     for _ in range(20):
         rho = rng.uniform(1.2, 4.0)
         v = rng.uniform(-3.0, 3.0)
-        _, part, mono = _setup(kerr, rho, v)
-        assert toeplitz_kernel_dim(mono, part) == 0
+        assert toeplitz_kernel_dim(kerr, rho, v) == 0
     for y in (-0.8, -0.3, 0.0, 0.5, 0.9):
         u = np.sqrt(M_K ** 2 - A_K ** 2 * y * y)
         rho, v = weyl_from_prolate_4d(u, y, C_K)
-        _, part, mono = _setup(kerr, rho, v)
-        assert toeplitz_kernel_dim(mono, part) == 1
+        assert toeplitz_kernel_dim(kerr, rho, v) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +410,7 @@ def test_kerr_near_axis_point_is_not_degenerate(kerr):
 
 
 @pytest.mark.parametrize("name, rho, v", [
-    ("kerr", 1e-6, 500.0),     # inside points 7e-12 apart: no partition could be built
+    ("kerr", 1e-6, 500.0),     # the two pairs' inside points lie 7e-12 apart
     ("mvc5d", 0.5, 1000.0),    # numerator coefficients over more than 14 decades
     ("mvc5d", 1e-6, 0.3),
     ("mp5d", 1e-5, 500.0),     # L_k roots within 1e-8 of tau = 0
@@ -479,9 +476,8 @@ def test_factorise_identity_3x3():
     out = factorise(model, 1.3, 0.2)
     assert out.status is Status.CANONICAL
     assert np.allclose(out.M_limit, np.eye(3))
-    _, part, mono = _setup(model, 1.3, 0.2)
-    assert compute_D(mono, part) == pytest.approx(1.0)
-    assert toeplitz_kernel_dim(mono, part) == 0
+    assert _d(model, 1.3, 0.2) == pytest.approx(1.0)
+    assert toeplitz_kernel_dim(model, 1.3, 0.2) == 0
 
 
 def test_factorise_kerr_residuals(kerr, rng):
@@ -626,12 +622,11 @@ def test_5d_eta_coset_property(mp5d, mvc5d):
 
 def test_index_balance(kerr, mp5d, mvc5d):
     # independent homogeneous constraints match unknowns (Fredholm index 0)
-    _, part, mono = _setup(kerr, 1.9, 0.4)
-    A = existence_system_2x2(mono, part)
+    branches, _, mono = _setup(kerr, 1.9, 0.4)
+    A = existence_system_2x2(mono, branches)
     assert A.shape[0] == A.shape[1]
     for model in (mp5d, mvc5d):
-        _, part, mono = _setup(model, 1.9, 0.4)
-        spec = _plan_spec_at(mono, part)
+        spec = _plan_spec_at(model, 1.9, 0.4)
         a0 = _assemble_homogeneous(spec)
         u = spec.hom_unknowns()
         assert spec.selected_rows.size == u
@@ -640,8 +635,7 @@ def test_index_balance(kerr, mp5d, mvc5d):
 
 
 def test_uniqueness_probe(mvc5d, rng):
-    _, part, mono = _setup(mvc5d, 1.4, 0.2)
-    spec = _plan_spec_at(mono, part)
+    spec = _plan_spec_at(mvc5d, 1.4, 0.2)
     A, B = _assemble_inhomogeneous(spec)
     sol, *_ = np.linalg.lstsq(A, B, rcond=None)
     assert np.max(np.abs(A @ sol - B)) <= 1e-9 * max(1.0, np.max(np.abs(B)))
@@ -653,10 +647,10 @@ def test_uniqueness_probe(mvc5d, rng):
 
 
 def test_solve_columns_kerr_psi_structure(kerr):
-    _, part, _ = _setup(kerr, 2.0, 1.0)
+    _, inside, _ = _setup(kerr, 2.0, 1.0)
     out = factorise(kerr, 2.0, 1.0)
     assert out.residual_report.pole_cancellation <= 1e-10
-    inside = list(part.inside()) + [0.0]
+    inside = list(inside) + [0.0]
 
     def is_inside(r):
         return any(abs(r - t) <= 1e-8 * max(1.0, abs(t)) for t in inside)
@@ -724,19 +718,16 @@ def _group_roots(roots):
     return out
 
 
-def _is_inside_root(r, partition) -> bool:
+def _is_inside_root(r, inside) -> bool:
     if abs(r) < 1e-10:
         return True
-    for p in partition.pairs:
-        if abs(r - p.tau_in) <= 1e-8 * max(1.0, abs(r)):
-            return True
-    return False
+    return any(abs(r - t) <= 1e-8 * max(1.0, abs(r)) for t in inside)
 
 
-def _row_inside_poles(mono, partition):
+def _row_inside_poles(mono, inside):
     """Per-row multiset {tau: multiplicity} of the inside poles of the
     composed monodromy, read off its entries' denominator roots: tau = 0
-    and the inside member of each zero pair (the partition's value)."""
+    and the inside member of each zero pair (zero_pair_for's value)."""
     rows = []
     for row in mono.entries:
         poles = {}
@@ -746,7 +737,7 @@ def _row_inside_poles(mono, partition):
                 if abs(r) < 1e-12:
                     mult[0j] += 1
                 else:
-                    mult.update(t for t in partition.inside()
+                    mult.update(t for t in inside
                                 if abs(t - r) <= 1e-8 * max(1.0, abs(t), abs(r)))
             for t, m in mult.items():
                 poles[t] = max(poles.get(t, 0), m)
@@ -754,12 +745,12 @@ def _row_inside_poles(mono, partition):
     return rows
 
 
-def build_ansatz(mono, partition):
-    """AnsatzSpec at one point from the composed monodromy, by symbolic
-    rational arithmetic in tau: the reference the compiled plan is checked
-    against."""
+def build_ansatz(mono, inside):
+    """AnsatzSpec at one point from the composed monodromy and the inside
+    zero of each pair, by symbolic rational arithmetic in tau: the reference
+    the compiled plan is checked against."""
     n = mono.n
-    rows_inside = _row_inside_poles(mono, partition)
+    rows_inside = _row_inside_poles(mono, inside)
     pi_roots = []
     for row in rows_inside:
         roots = []
@@ -781,7 +772,7 @@ def build_ansatz(mono, partition):
             cof = _multiset_minus(lk, dens[j])
             base_polys[k][j] = poly_scale(
                 poly_mul(adj[k][j].num, poly_from_roots(cof)), 1.0 / adj[k][j].den_lc)
-        groups = [(r, m) for r, m in _group_roots(lk) if _is_inside_root(r, partition)]
+        groups = [(r, m) for r, m in _group_roots(lk) if _is_inside_root(r, inside)]
         m0 = 0
         l0 = 1.0 + 0j
         for r, m in _group_roots(lk):
@@ -806,9 +797,8 @@ def build_ansatz(mono, partition):
 
 def _reference_system(model, rho, v, branches):
     """build_ansatz at the point itself, with the plan's D-row selection."""
-    pt = SpectralPoint(rho, v)
-    part = build_partition(pt, model.omega_poles, branches)
-    spec = build_ansatz(compose_monodromy(model, pt), part)
+    _, inside, mono = _setup(model, rho, v, branches)
+    spec = build_ansatz(mono, inside)
     spec.selected_rows = engine._plan_for(model, branches).selected_rows
     return spec
 
@@ -859,7 +849,7 @@ def test_plan_matches_build_ansatz(name, branches, kerr, mp5d, mvc5d):
 
 def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch):
     # once the plan is compiled, D (single point, grid and a whole trace
-    # alike) needs no monodromy composition, no partition, no polynomial
+    # alike) needs no monodromy composition, no zero pair, no polynomial
     # product and no root finding
     from whergo import catalog, geometry, poly, spectral
 
@@ -867,17 +857,17 @@ def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch
     for model, box in ((mp5d, (0.55, 0.75, -0.1, 0.1)), (mvc5d, (0.3, 0.5, -0.1, 0.1))):
         f, fgrid = geometry._d_hat_function(model, None)
         f(1.1, 0.2)
-        _, part, mono = _setup(model, 1.3, 0.4)
+        _d(model, 1.3, 0.4)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic work after warm-up")
-        for module, name in ((catalog, "compose_monodromy"), (spectral, "build_partition"),
-                             (poly, "poly_mul"), (np, "roots")):
+        for module, name in ((catalog, "compose_monodromy"), (spectral, "zero_pair_for"),
+                             (engine, "zero_pair_for"), (poly, "poly_mul"), (np, "roots")):
             monkeypatch.setattr(module, name, forbidden)
         R, V = np.meshgrid(np.linspace(0.3, 2.0, 4), np.linspace(-1.0, 1.0, 3), indexing="ij")
         grid = fgrid(R, V)
         assert grid[2, 1] == pytest.approx(f(R[2, 1], V[2, 1]), rel=1e-12)
-        assert compute_D(mono, part) != 0
+        assert _d(model, 1.3, 0.4) != 0
         curve = geometry.trace_curve(model, box=box, grid=(5, 5), step=0.05, residual_tol=1e-11)
         assert len(curve) > 2
         monkeypatch.undo()
@@ -885,7 +875,7 @@ def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch
 
 def test_plan_compile_needs_no_tau_plane_work(monkeypatch):
     # the compile reads its labels from the model's omega poles: it composes
-    # no monodromy, builds no partition, forms no zero pair and finds no root
+    # no monodromy, forms no zero pair and finds no root
     from whergo import catalog, spectral
 
     for build in (model_kerr, model_mp5d, model_mvc5d):
@@ -895,7 +885,7 @@ def test_plan_compile_needs_no_tau_plane_work(monkeypatch):
             raise AssertionError("tau-plane work in the plan compile")
         with monkeypatch.context() as m:
             for module, name in ((catalog, "compose_monodromy"), (catalog, "zero_pair_for"),
-                                 (spectral, "build_partition"), (spectral, "zero_pair_for"),
+                                 (spectral, "zero_pair_for"), (engine, "zero_pair_for"),
                                  (np, "roots")):
                 m.setattr(module, name, forbidden)
             plan = engine._plan_for(model, model.default_branches)
@@ -1146,14 +1136,14 @@ def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d
     model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
     n = model.n
     for rho, v, out in _canonical_draws(model, 20, seed=61):
-        _, part, mono = _setup(model, rho, v)
+        _, _, mono = _setup(model, rho, v)
         taus = np.array(out.residual_report.check_points)
         assert list(out.residual_report.check_points) == _monodromy_check_taus(mono)
         for factor in (out.X, out.M_minus):
             got = factor.eval(taus)
             assert got.shape == (taus.size, n, n)
             assert np.array_equal(got, np.stack([factor.eval(t) for t in taus]))
-        spec = _plan_spec_at(mono, part)
+        spec = _plan_spec_at(model, rho, v)
         cols_plus, cols_minus = _factor_columns_loop(
             spec, evaluate_points(model, rho, v).solution)
         x_sym = engine._adjugate_fr([[cols_plus[i][k] for i in range(n)] for k in range(n)], n)
@@ -1184,11 +1174,11 @@ def test_deflation_by_root_position_with_fewer_roots_in_a_component(kept, kerr):
 
 def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypatch):
     # once the model's plan is compiled, a factorisation (canonical or on the
-    # curve) composes no monodromy, builds no partition or symbolic
+    # curve) composes no monodromy, forms no zero pair, builds no symbolic
     # adjugate, multiplies no polynomials and finds no roots; a canonical one
     # and assemble_M evaluate no polynomial entry by entry, and deflate once
     # per root position, not once per root
-    from whergo import catalog, poly, spectral
+    from whergo import catalog, poly
 
     on_curve = _on_curve_points(kerr, mp5d, mvc5d, (0.2,))
     cases = ((kerr, (2.1, 0.6), on_curve["kerr"][0]),
@@ -1200,7 +1190,7 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
 
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic work after warm-up")
-        for module, name in ((catalog, "compose_monodromy"), (spectral, "build_partition"),
+        for module, name in ((catalog, "compose_monodromy"), (engine, "zero_pair_for"),
                              (engine, "_adjugate_fr"), (poly, "poly_mul"), (np, "roots"),
                              (poly, "poly_eval"), (catalog, "poly_eval"), (engine, "poly_eval"),
                              (catalog.RationalEntry, "__call__")):

@@ -4,7 +4,6 @@ import pytest
 from whergo.errors import DegenerateCoefficient
 from whergo.poly import (
     FactoredRational,
-    dense_det,
     newton_polish,
     numerical_nullity,
     poly_add,
@@ -186,19 +185,6 @@ def test_quadratic_degenerate_raises():
         quadratic_roots(0.0, 1.0, 2.0)
 
 
-def test_dense_det():
-    assert dense_det(np.eye(3)) == pytest.approx(1.0)
-    A = np.outer([1.0, 2.0], [3.0, 4.0])
-    assert abs(dense_det(A)) <= 1e-14 * np.max(np.abs(A)) ** 2
-
-
-def test_det_times_det_inverse(rng):
-    for _ in range(5):
-        A = rng.normal(size=(6, 6)) + np.eye(6) * 3.0
-        val = dense_det(A) * dense_det(np.linalg.inv(A))
-        assert abs(val - 1.0) <= 1e-10
-
-
 def test_nullity_basic():
     assert numerical_nullity(np.eye(4)) == 0
     assert numerical_nullity(np.zeros((3, 3))) == 3
@@ -231,13 +217,6 @@ def test_factored_rational_simplify():
     assert len(s.den_roots) == 1
     assert abs(s.den_roots[0] - 0.5) < 1e-12
     assert abs(s(1.1) - fr(1.1)) < 1e-12
-
-
-def test_factored_rational_limit():
-    fr = FactoredRational(np.array([0.0, 3.0]), 2.0, (1.5,))
-    assert fr.limit_at_infinity() == pytest.approx(1.5)
-    fr = FactoredRational(np.array([1.0]), 1.0, (1.5,))
-    assert fr.limit_at_infinity() == 0.0
 
 
 def test_scale_neg():

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from whergo.errors import DegeneratePair, InadmissiblePartition, OutOfChart, ZeroTau
+from whergo.errors import DegeneratePair, OutOfChart, ZeroTau
 from whergo.poly import poly_eval, poly_mul
 from whergo.spectral import (
     SpectralPoint,
-    build_partition,
     compose_polynomial,
     pair_quadratic,
     prolate_from_weyl_4d,
@@ -85,7 +84,7 @@ def test_zero_pair_product_and_residual(rng):
         assert abs(prod + 1.0) <= 1e-12 * abs(prod)
         q = pair_quadratic(pt, w0)
         scale = np.max(np.abs(q))
-        for t in zp.members():
+        for t in (zp.tau_in, zp.tau_out):
             assert abs(poly_eval(q, t)) <= 1e-12 * scale * max(1.0, abs(t)) ** 2
 
 
@@ -147,15 +146,21 @@ def test_compose_multiplicative(rng):
         assert np.max(np.abs(prod - cpq)) <= 1e-10 * scale
 
 
+def _insides(pt, omega_zeros, branches):
+    """The inside member of each zero pair, one branch tag per omega zero."""
+    return [zero_pair_for(pt, w, b).tau_in for w, b in zip(omega_zeros, branches)]
+
+
 def test_build_partition_kerr_insides(kerr):
+    # the inside set a branch tuple selects (the pole partition of the paper)
     pt = SpectralPoint(1.0, 0.0)
-    part = build_partition(pt, kerr.omega_poles, ("minus", "minus"))
+    inside = _insides(pt, kerr.omega_poles, ("minus", "minus"))
     t1 = (0 - C_KERR - np.sqrt(3.0 + 1.0)) / 1.0
     t2 = (0 + C_KERR - np.sqrt(3.0 + 1.0)) / 1.0
-    assert sorted(x.real for x in part.inside()) == pytest.approx(sorted([t1, t2]), rel=1e-12)
+    assert sorted(x.real for x in inside) == pytest.approx(sorted([t1, t2]), rel=1e-12)
     # swapping both branches lands on the tilde points
-    part_sw = build_partition(pt, kerr.omega_poles, ("plus", "plus"))
-    assert sorted(x.real for x in part_sw.inside()) == pytest.approx(
+    inside_sw = _insides(pt, kerr.omega_poles, ("plus", "plus"))
+    assert sorted(x.real for x in inside_sw) == pytest.approx(
         sorted([-1.0 / t1, -1.0 / t2]), rel=1e-12)
 
 
@@ -164,24 +169,16 @@ def test_build_partition_four_branch_choices_distinct(kerr):
     seen = set()
     for b1 in ("minus", "plus"):
         for b2 in ("minus", "plus"):
-            part = build_partition(pt, kerr.omega_poles, (b1, b2))
-            seen.add(tuple(round(t.real, 10) for t in sorted(part.inside(), key=lambda z: z.real)))
+            inside = _insides(pt, kerr.omega_poles, (b1, b2))
+            seen.add(tuple(round(t.real, 10) for t in sorted(inside, key=lambda z: z.real)))
     assert len(seen) == 4
 
 
 def test_build_partition_single_pair_symmetric():
     pt = SpectralPoint(1.0, 0.4)
-    part = build_partition(pt, [0.4], ["minus"])
-    assert sorted(t.real for t in part.pairs[0].members()) == pytest.approx([-1.0, 1.0])
-    part2 = build_partition(pt, [0.4], ["plus"])
-    assert part2.pairs[0].tau_in == pytest.approx(1.0)
-
-
-def test_build_partition_collision_rejected():
-    # two equal omega zeros with opposite branches put one point on each side
-    pt = SpectralPoint(1.0, 0.0)
-    with pytest.raises(InadmissiblePartition):
-        build_partition(pt, [0.7, 0.7], ["minus", "plus"])
+    zp = zero_pair_for(pt, 0.4, "minus")
+    assert sorted(t.real for t in (zp.tau_in, zp.tau_out)) == pytest.approx([-1.0, 1.0])
+    assert zero_pair_for(pt, 0.4, "plus").tau_in == pytest.approx(1.0)
 
 
 def test_prolate_4d_examples():
@@ -218,13 +215,3 @@ def test_prolate_out_of_chart():
     with pytest.raises(OutOfChart):
         weyl_from_prolate_5d(2.0, 1.3, 0.75)    # |y| >= 1
 
-
-def test_verify_composition_helper():
-    from whergo.spectral import verify_composition
-
-    pt = SpectralPoint(1.3, -0.4)
-    p = np.array([-2.0, 0.5, 1.0])
-    ptilde, k = compose_polynomial(pt, p)
-    assert verify_composition(pt, p, ptilde, k) <= 1e-11
-    with pytest.raises(ArithmeticError):
-        verify_composition(pt, p, ptilde * 1.001, k)

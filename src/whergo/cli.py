@@ -12,7 +12,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import MODEL_BUILDERS, RationalMatrixOmega, load_model_json, model_identity
-from .engine import DEFAULT_TOL, check_tol, evaluate_points, factorise
+from .engine import DEFAULT_TOL, _plan_for, check_tol, evaluate_points, factorise
 from .errors import NoCurveFound, NonPhysicalM, WhergoError
 from .geometry import check_step, classify_curve, extract_metric, trace_curve
 
@@ -159,31 +159,30 @@ def _chunk_columns(cfg: RunConfig, model: RationalMatrixOmega, rho_vals, v_vals)
     return dhat.real, dhat.imag, batch.kernel_dim, gtt
 
 
-def _chunk_job(args):
-    cfg_doc, rho_vals, v_vals = args
-    cfg = RunConfig(**cfg_doc)
-    return _chunk_columns(cfg, _worker_model(cfg), rho_vals, v_vals)
+_WORKER: tuple = ()     # a pool worker's (cfg, model), handed over once
 
 
-_WORKER_MODELS: dict = {}
+def _init_worker(cfg: RunConfig, model: RationalMatrixOmega):
+    global _WORKER
+    _WORKER = (cfg, model)
 
 
-def _worker_model(cfg: RunConfig) -> RationalMatrixOmega:
-    key = (cfg.model, cfg.model_json, tuple(sorted(cfg.params.items())))
-    if key not in _WORKER_MODELS:
-        _WORKER_MODELS[key] = build_model(cfg)
-    return _WORKER_MODELS[key]
+def _chunk_job(chunk):
+    return _chunk_columns(*_WORKER, *chunk)
 
 
 def _map_points(cfg: RunConfig, model: RationalMatrixOmega, chunks):
     """Sweep columns of every (rho_vals, v_vals) chunk, in chunk order: in
-    --jobs worker processes, or here with `model`."""
-    if cfg.jobs > 1:
+    min(--jobs, chunks) worker processes, each handed cfg and model once, or
+    here with no pool where that is one.  The plan is compiled first, so no
+    worker compiles it and a model without one fails before any process."""
+    _plan_for(model, model.default_branches if cfg.branches is None else cfg.branches)
+    workers = min(cfg.jobs, len(chunks))
+    if workers > 1:
         import multiprocessing as mp
 
-        cfg_doc = {k: getattr(cfg, k) for k in RunConfig.__dataclass_fields__}
-        with mp.Pool(cfg.jobs) as pool:
-            return pool.map(_chunk_job, [(cfg_doc,) + chunk for chunk in chunks])
+        with mp.Pool(workers, _init_worker, (cfg, model)) as pool:
+            return pool.map(_chunk_job, chunks)
     return [_chunk_columns(cfg, model, *chunk) for chunk in chunks]
 
 
@@ -411,10 +410,7 @@ def main(argv=None) -> int:
         if args.command == "catalog":
             return cmd_catalog(cfg)
         raise ValueError(f"unknown command {args.command}")
-    except WhergoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (WhergoError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -51,12 +51,10 @@ def pair_quadratic(pt: SpectralPoint, omega0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZeroPair:
-    """One zero pair {tau_in, tau_out = -lam/tau_in} and its omega origin."""
+    """One zero pair: the inside member tau_in and tau_out = -lam/tau_in."""
 
     tau_in: complex
     tau_out: complex
-    omega0: complex
-    branch: str = BRANCH_MINUS
 
 
 def zero_pair_for(pt: SpectralPoint, omega0, branch: str = BRANCH_MINUS) -> ZeroPair:
@@ -82,7 +80,7 @@ def zero_pair_for(pt: SpectralPoint, omega0, branch: str = BRANCH_MINUS) -> Zero
     tau_out = -1.0 / tau_in
     if abs(tau_in - tau_out) < PAIR_TOL * max(1.0, abs(tau_in)):
         raise DegeneratePair(f"zero pair collapsed at tau = {tau_in}")
-    return ZeroPair(tau_in, tau_out, omega0, branch)
+    return ZeroPair(tau_in, tau_out)
 
 
 def compose_polynomial(pt: SpectralPoint, coeffs) -> tuple[np.ndarray, int]:

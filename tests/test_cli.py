@@ -549,17 +549,27 @@ def test_invalid_points_and_steps_exit_1(capsys, argv, bad):
     assert bad in err
 
 
-def test_console_script_entrypoint():
-    # the child does not inherit pytest's sys.path: point it at these sources
+def _run_module(*argv):
+    """`python -m *argv` in a child pointed at these sources: it does not
+    inherit pytest's sys.path."""
     import whergo
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(whergo.__file__)))
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    proc = subprocess.run([sys.executable, "-m", "whergo.cli", "--version"],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+
+
+def test_console_script_entrypoint():
+    proc = _run_module("whergo.cli", "--version")
     assert proc.returncode == 0
     assert "whergo" in proc.stdout
+
+
+def test_package_runs_as_module():
+    proc = _run_module("whergo", "catalog")
+    assert proc.returncode == 0
+    assert proc.stdout.split()[0] == "kerr"
 
 
 def test_sweep_json_format(tmp_path):
@@ -571,12 +581,111 @@ def test_sweep_json_format(tmp_path):
     assert len(doc["rows"]) == 4
 
 
-def test_jobs_parallel_sweep_matches_serial(tmp_path, mvc5d):
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The process count of every multiprocessing.Pool started, in order."""
+    import multiprocessing
+
+    sizes, real = [], multiprocessing.Pool
+    monkeypatch.setattr(multiprocessing, "Pool",
+                        lambda processes, *a, **k: sizes.append(processes) or real(processes, *a, **k))
+    return sizes
+
+
+def test_jobs_parallel_sweep_matches_serial(tmp_path, monkeypatch, pool_sizes):
+    # two chunks of one rho row each, so that 3x3 rows cross a real pool
+    import whergo.cli as cli
+
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", 2)
     args = ["sweep", "--model", "mvc5d", "--grid", "0.8:1.2:2,0:0.4:2"]
     p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     assert RUN(*args, "--jobs", "1", "--out", str(p1)) == 0
     assert RUN(*args, "--jobs", "2", "--out", str(p2)) == 0
-    assert p1.read_text() == p2.read_text()
+    assert p1.read_text() == p2.read_text() and pool_sizes == [2]
+
+
+def test_one_chunk_sweep_starts_no_pool(tmp_path, monkeypatch):
+    # the CLI's default grid is one chunk: --jobs 4 evaluates it in process
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool for a one-chunk grid")
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    p1, p4 = tmp_path / "s1.csv", tmp_path / "s4.csv"
+    assert RUN("sweep", "--model", "kerr", "--jobs", "1", "--out", str(p1)) == 0
+    assert RUN("sweep", "--model", "kerr", "--jobs", "4", "--out", str(p4)) == 0
+    assert p1.read_bytes() == p4.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_jobs_above_the_chunk_count_start_one_worker_per_chunk(tmp_path, monkeypatch,
+                                                               pool_sizes, fmt):
+    # three chunks of two rho rows: --jobs 8 starts three workers, no idle one
+    import whergo.cli as cli
+
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", 8)
+    args = ["sweep", "--model", "mp5d", "--grid", "0.5:2.5:6,-1:1:4", "--format", fmt]
+    p1, p8 = tmp_path / "s1", tmp_path / "s8"
+    assert RUN(*args, "--jobs", "1", "--out", str(p1)) == 0
+    assert RUN(*args, "--jobs", "8", "--out", str(p8)) == 0
+    assert p1.read_bytes() == p8.read_bytes() and pool_sizes == [3]
+
+
+def test_pool_workers_build_no_model_and_compile_no_plan(tmp_path, monkeypatch, pool_sizes):
+    # the workers are handed the parent's model with its plan: building a
+    # model or compiling a plan anywhere but in the parent fails the sweep
+    import whergo.cli as cli
+    import whergo.engine as engine
+
+    parent = os.getpid()
+
+    def parent_only(real):
+        def guarded(*args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError(f"{real.__name__} in a worker")
+            return real(*args, **kwargs)
+        return guarded
+    monkeypatch.setattr(cli, "build_model", parent_only(cli.build_model))
+    monkeypatch.setattr(engine, "_compile_plan", parent_only(engine._compile_plan))
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", 4)
+    p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+    args = ["sweep", "--model", "mvc5d", "--grid", "0.8:1.2:4,0:0.4:4"]
+    assert RUN(*args, "--jobs", "1", "--out", str(p1)) == 0
+    assert RUN(*args, "--jobs", "2", "--out", str(p2)) == 0
+    assert p1.read_bytes() == p2.read_bytes() and pool_sizes == [2]
+
+
+def test_sweep_without_a_plan_fails_before_any_pool(capsys, monkeypatch, pool_sizes):
+    # no reference point serves Kerr at m = 200: the parent's compile fails,
+    # and --jobs 2 exits as the serial sweep does, having started nothing
+    import whergo.cli as cli
+
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", 2)
+    argv = ["sweep", "--model", "kerr", "--m", "200", "--a", "100", "--grid", "1:2:2,0:1:2"]
+    serial = run_capture(capsys, *argv, "--jobs", "1")
+    assert run_capture(capsys, *argv, "--jobs", "2") == serial
+    assert serial[0] == 1 and "no usable reference point" in serial[2] and pool_sizes == []
+
+
+def test_model_with_its_plan_survives_pickling(kerr, mp5d, mvc5d, monkeypatch):
+    # a spawn pool pickles the parent's model once per worker: the copy
+    # keeps the compiled plan and evaluates bitwise as the original does
+    import pickle
+
+    import whergo.engine as engine
+    from whergo.engine import evaluate_points
+
+    R, V = (x.ravel() for x in np.meshgrid([0.3, 0.9, 2.0], [-1.0, 0.1, 1.5], indexing="ij"))
+    for model in (kerr, mp5d, mvc5d):
+        ref = evaluate_points(model, R, V)
+        copy = pickle.loads(pickle.dumps(model))
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_compile_plan", lambda *a, **k: pytest.fail("plan recompiled"))
+            got = evaluate_points(copy, R, V)
+        assert copy is not model and list(copy.plans) == list(model.plans)
+        for name in ("solution", "D_value", "D_scale", "consistent", "kernel_dim"):
+            a, b = getattr(ref, name), getattr(got, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (model.model_id, name)
 
 
 def test_sweep_3x3_with_degenerate_row(tmp_path):

@@ -9,6 +9,7 @@ omega-plane poles and adjugate and never composes one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,15 +61,16 @@ class RationalEntry:
 
     @cached_property
     def den_roots(self) -> tuple:
-        """Zeros of den in omega, each polished by two Newton steps."""
+        """Zeros of den in omega, each polished by two Newton steps; an
+        entry built by make_model has them from its root cancellation."""
         if poly_degree(self.den) < 1:
             return ()
-        return tuple(complex(newton_polish(self.den, r, steps=2))
-                     for r in np.roots(self.den[::-1]))
+        return _polished_roots(self.den)
 
-    @staticmethod
-    def of(num, den=(1.0,)) -> "RationalEntry":
-        return RationalEntry(poly_trim(num), poly_trim(den))
+
+def _polished_roots(p: np.ndarray) -> tuple:
+    """The zeros of p (degree >= 1), each polished by two Newton steps."""
+    return tuple(complex(newton_polish(p, r, steps=2)) for r in np.roots(p[::-1]))
 
 
 @dataclass(frozen=True)
@@ -154,19 +156,19 @@ class RationalMatrixOmega:
 def _validate_matrix(m: RationalMatrixOmega, det_tol=1e-10, sym_tol=1e-10):
     rng = np.random.default_rng(_VALIDATION_SEED)
     eta = np.diag(np.array(m.eta, dtype=float))
-    for k in range(7):
-        w = complex(rng.uniform(-4.0, 4.0), rng.uniform(0.5, 4.0))
-        val = m.eval(w)
-        scale = max(1.0, np.max(np.abs(val)))
-        det = np.linalg.det(val)
+    ws = [complex(rng.uniform(-4.0, 4.0), rng.uniform(0.5, 4.0)) for _ in range(7)]
+    # M at all seven points in one pass, each point's matrix contiguous
+    vals = np.ascontiguousarray(np.moveaxis(m.eval(np.array(ws)), -1, 0))
+    scales = np.fmax(1.0, np.abs(vals).max(axis=(1, 2)))     # max(1.0, nan) is 1.0
+    dets = np.linalg.det(vals)
+    syms = np.abs(eta @ vals[:5].transpose(0, 2, 1) @ eta - vals[:5]).max(axis=(1, 2))
+    for k, (w, det, scale) in enumerate(zip(ws, dets, scales)):
         if abs(det - 1.0) > det_tol * scale ** m.n:
             raise InvariantViolation(
                 f"det M({w}) = {det}, expected 1 (model {m.model_id})")
-        if k < 5:
-            sym = eta @ val.T @ eta - val
-            if np.max(np.abs(sym)) > sym_tol * scale:
-                raise InvariantViolation(
-                    f"eta-symmetry residual {np.max(np.abs(sym)):.2e} at omega={w}")
+        if k < 5 and syms[k] > sym_tol * scale:
+            raise InvariantViolation(
+                f"eta-symmetry residual {syms[k]:.2e} at omega={w}")
     # simple poles: denominator roots of every entry pairwise distinct
     for row in m.entries:
         for e in row:
@@ -184,10 +186,12 @@ def make_model(entries, eta=None, params=None, model_id="custom",
     n = len(entries)
 
     def reduced(e):
-        if not isinstance(e, RationalEntry):
-            e = RationalEntry.of(*e)
-        num, den = _cancel_shared_roots(e.num, e.den)
-        return RationalEntry(num, den)
+        num, den = (e.num, e.den) if isinstance(e, RationalEntry) else e
+        num, den, roots = _cancel_shared_roots(num, den)
+        e = RationalEntry(num, den)
+        if roots is not None:
+            e.__dict__["den_roots"] = roots     # the cancellation's last pass found them
+        return e
 
     entries = tuple(tuple(reduced(e) for e in row) for row in entries)
     if eta is None:
@@ -213,8 +217,16 @@ def make_model(entries, eta=None, params=None, model_id="custom",
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(m, a):
+    """ParameterViolation unless both model parameters are finite."""
+    for name, x in (("m", m), ("a", a)):
+        if not math.isfinite(x):
+            raise ParameterViolation(f"model parameter {name} must be finite, got {name}={x}")
+
+
 def model_kerr(m: float, a: float) -> RationalMatrixOmega:
     """Non-extremal Kerr 2x2 matrix; requires m > a >= 0, c = sqrt(m^2 - a^2)."""
+    _check_finite(m, a)
     if not (m > a >= 0.0):
         raise ExtremalOrOverRotating(f"need m > a >= 0, got m={m}, a={a}")
     c2 = m * m - a * a
@@ -222,7 +234,7 @@ def model_kerr(m: float, a: float) -> RationalMatrixOmega:
     p11 = [m * m + a * a, -2.0 * m, 1.0]        # (omega - m)^2 + a^2
     p22 = [m * m + a * a, 2.0 * m, 1.0]         # (omega + m)^2 + a^2
     p12 = [2.0 * a * m]
-    c = np.sqrt(c2)
+    c = math.sqrt(c2)
     return make_model(
         [[(p11, den), (p12, den)], [(p12, den), (p22, den)]],
         eta=(1.0, 1.0),
@@ -245,6 +257,7 @@ def model_mp5d(m: float, a: float) -> RationalMatrixOmega:
     The chosen contour puts the minus-branch points for omega0 in
     {-alpha, alpha, alpha - m} inside; the failure curve is the ergosurface.
     """
+    _check_finite(m, a)
     if not 2.0 * m - a * a > 0.0:
         raise ParameterViolation(f"need 2m - a^2 > 0, got m={m}, a={a}")
     al = (2.0 * m - a * a) / 4.0
@@ -275,6 +288,7 @@ def model_mvc5d(m: float, a: float) -> RationalMatrixOmega:
     Uses the plus-branch contour for omega0 in {-alpha, alpha}; the failure
     curve differs from the ergosurface.
     """
+    _check_finite(m, a)
     if not 2.0 * m - a * a > 0.0:
         raise ParameterViolation(f"need 2m - a^2 > 0, got m={m}, a={a}")
     al = (2.0 * m - a * a) / 4.0
@@ -491,10 +505,8 @@ def model_from_dict(doc: dict, model_id="json") -> RationalMatrixOmega:
             unknown = set(cell) - _ENTRY_KEYS
             if unknown:
                 raise SchemaError(f"entry ({i},{j}): unknown keys {sorted(unknown)}")
-            num = _coeffs_from_json(cell.get("num"), f"entry ({i},{j}).num")
-            den = _coeffs_from_json(cell.get("den"), f"entry ({i},{j}).den")
-            num, den = _cancel_shared_roots(num, den)
-            out_row.append(RationalEntry(poly_trim(num), poly_trim(den)))
+            out_row.append((_coeffs_from_json(cell.get("num"), f"entry ({i},{j}).num"),
+                            _coeffs_from_json(cell.get("den"), f"entry ({i},{j}).den")))
         entries.append(tuple(out_row))
     params = doc.get("params", {})
     if not isinstance(params, dict):
@@ -504,23 +516,24 @@ def model_from_dict(doc: dict, model_id="json") -> RationalMatrixOmega:
 
 
 def _cancel_shared_roots(num, den, rel=1e-12):
-    """Cancel exactly-shared linear factors between num and den."""
+    """Cancel exactly-shared linear factors between num and den.
+
+    Returns (num, den, roots): the trimmed reduced pair and den's polished
+    roots (RationalEntry.den_roots), which the last pass has found; roots is
+    None where num is zero and no pass ran."""
     num, den = poly_trim(num), poly_trim(den)
-    if poly_degree(den) < 1 or poly_is_zero(num):
-        return num, den
-    changed = True
-    while changed and poly_degree(den) >= 1:
-        changed = False
-        for r in np.roots(den[::-1]):
-            r = complex(newton_polish(den, r, steps=2))
-            nscale = np.max(np.abs(num)) * max(1.0, abs(r)) ** max(poly_degree(num), 0)
-            if abs(poly_eval(num, r)) <= rel * nscale:
-                num, _ = poly_deflate(num, r)
-                den, _ = poly_deflate(den, r)
-                num, den = poly_trim(num), poly_trim(den)
-                changed = True
-                break
-    return num, den
+    if poly_is_zero(num):
+        return num, den, None
+    while poly_degree(den) >= 1:
+        roots = _polished_roots(den)
+        top = np.abs(num).max()
+        deg = max(poly_degree(num), 0)
+        r = next((r for r in roots
+                  if abs(poly_eval(num, r)) <= rel * (top * max(1.0, abs(r)) ** deg)), None)
+        if r is None:
+            return num, den, roots
+        num, den = (poly_trim(poly_deflate(p, r)[0]) for p in (num, den))
+    return num, den, ()
 
 
 def model_to_dict(model: RationalMatrixOmega) -> dict:

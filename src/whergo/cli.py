@@ -168,7 +168,8 @@ def _init_worker(cfg: RunConfig, model: RationalMatrixOmega):
 
 
 def _chunk_job(chunk):
-    return _chunk_columns(*_WORKER, *chunk)
+    with np.errstate(all="ignore"):     # as main's: extreme points print no warnings
+        return _chunk_columns(*_WORKER, *chunk)
 
 
 def _map_points(cfg: RunConfig, model: RationalMatrixOmega, chunks):
@@ -399,16 +400,19 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command == "factorize":
-            return cmd_factorize(cfg, args.rho, args.v)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "curve":
-            return cmd_curve(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, getattr(args, "suite", None))
-        if args.command == "catalog":
-            return cmd_catalog(cfg)
+        # overflow and NaN at extreme points end in UNRESOLVED or a blank
+        # cell, never in an answer, so numpy's warnings about them are noise
+        with np.errstate(all="ignore"):
+            if args.command == "factorize":
+                return cmd_factorize(cfg, args.rho, args.v)
+            if args.command == "sweep":
+                return cmd_sweep(cfg)
+            if args.command == "curve":
+                return cmd_curve(cfg)
+            if args.command == "verify":
+                return cmd_verify(cfg, getattr(args, "suite", None))
+            if args.command == "catalog":
+                return cmd_catalog(cfg)
         raise ValueError(f"unknown command {args.command}")
     except (WhergoError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

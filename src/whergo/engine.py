@@ -607,9 +607,10 @@ def _plan_labels(model: RationalMatrixOmega, values):
     n = model.n
 
     def composed(e):
-        if poly_degree(e.num) < 0:
+        kn = poly_degree(e.num)
+        if kn < 0:
             return Counter()
-        out = Counter({0: max(poly_degree(e.num) - poly_degree(e.den), 0)})
+        out = Counter({0: max(kn - poly_degree(e.den), 0)})
         for w in e.den_roots:
             p = _pole_index(model, w)
             out.update((1 + 2 * p, 2 + 2 * p))
@@ -647,14 +648,16 @@ def _plan_labels(model: RationalMatrixOmega, values):
 
 def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     n = model.n
-    top = max((poly_degree(a.num) for row in adj for a in row), default=0)
+    flat = [a for row in adj for a in row]
+    degs = [poly_degree(a.num) for a in flat]
+    top = max(degs, default=0)
     size = n * n
     adj_num = np.zeros((size, top + 1), dtype=complex)
     adj_lc = np.ones(size, dtype=complex)
     adj_deg = np.zeros(size, dtype=int)
-    for e, a in enumerate(a for row in adj for a in row):
+    for e, a in enumerate(flat):
         if not a.is_zero():
-            adj_num[e, :poly_degree(a.num) + 1] = a.num[:poly_degree(a.num) + 1]
+            adj_num[e, :degs[e] + 1] = a.num[:degs[e] + 1]
             adj_lc[e], adj_deg[e] = a.den_lc, len(a.den_roots)
     poles = np.array(model.omega_poles, dtype=complex)
     if not (np.any(poles.imag) or np.any(adj_num.imag) or np.any(adj_lc.imag)):
@@ -670,10 +673,10 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     shifts, extras = {}, {}
     for k in range(n):
         for j in range(n):
-            a = adj[k][j]
+            a, e = adj[k][j], k * n + j
             if a.is_zero():
                 continue
-            e, d_num = k * n + j, poly_degree(a.num)
+            d_num = degs[e]
             rest = Counter(lk_labels[k])
             rest.subtract(pi_labels[j])
             for w in a.den_roots:

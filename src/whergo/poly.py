@@ -22,33 +22,44 @@ DEFAULT_TOL = 1e-9
 
 
 def as_poly(c) -> np.ndarray:
+    """c as a 1-d complex array, [0] where it is empty; a non-empty 1-d
+    complex array is returned as it is."""
+    if type(c) is np.ndarray and c.ndim == 1 and c.dtype == complex and c.size:
+        return c
     a = np.atleast_1d(np.asarray(c, dtype=complex)).ravel()
     if a.size == 0:
         return np.zeros(1, dtype=complex)
     return a
 
 
-def poly_trim(c, rel: float = TRIM_REL) -> np.ndarray:
-    p = as_poly(c)
-    scale = np.max(np.abs(p))
+def _trimmed_size(p: np.ndarray, rel: float = TRIM_REL) -> int:
+    """Number of coefficients of p that poly_trim keeps, 0 where p is
+    identically zero."""
+    scale = np.abs(p).max()
     if scale == 0.0:
-        return np.zeros(1, dtype=complex)
+        return 0
     k = p.size - 1
     while k > 0 and abs(p[k]) <= rel * scale:
         k -= 1
-    return p[: k + 1].copy()
+    return k + 1
+
+
+def poly_trim(c, rel: float = TRIM_REL) -> np.ndarray:
+    p = as_poly(c)
+    k = _trimmed_size(p, rel)
+    return p[:k].copy() if k else np.zeros(1, dtype=complex)
 
 
 def poly_degree(c) -> int:
-    p = poly_trim(c)
-    if p.size == 1 and p[0] == 0:
-        return -1
-    return p.size - 1
+    p = as_poly(c)
+    k = _trimmed_size(p)
+    # an infinite coefficient trims every finite one, p[0] = 0 included
+    return -1 if k == 1 and p[0] == 0 else k - 1
 
 
 def poly_is_zero(c) -> bool:
     """True when every coefficient is exactly zero (no noise threshold)."""
-    return np.max(np.abs(as_poly(c))) == 0.0
+    return not as_poly(c).any()
 
 
 def poly_eval(c, z):
@@ -78,7 +89,23 @@ def poly_derivative(c) -> np.ndarray:
 
 
 def poly_add(a, b) -> np.ndarray:
-    return poly_trim(npoly.polyadd(as_poly(a), as_poly(b)))
+    # npoly.polyadd's sum, bitwise: exact trailing zeros dropped first (they
+    # would turn a -0.0 of the other term into +0.0), then the shorter term,
+    # or a where the lengths are equal, added into a copy of the other
+    pa, pb = (_exact_trim(as_poly(x)) for x in (a, b))
+    if pa.size <= pb.size:
+        pa, pb = pb, pa
+    out = pa.copy()
+    out[:pb.size] += pb
+    return poly_trim(out)
+
+
+def _exact_trim(p: np.ndarray) -> np.ndarray:
+    """p without its exactly zero trailing coefficients, p[0] always kept."""
+    k = p.size
+    while k > 1 and p[k - 1] == 0:
+        k -= 1
+    return p[:k]
 
 
 def poly_mul(a, b) -> np.ndarray:
@@ -270,7 +297,7 @@ class FactoredRational:
             return FactoredRational(num, 1.0, ())
         keep = []
         for r in self.den_roots:
-            scale = np.max(np.abs(num)) * max(1.0, abs(r)) ** max(num.size - 1, 0)
+            scale = np.abs(num).max() * max(1.0, abs(r)) ** max(num.size - 1, 0)
             if abs(poly_eval(num, r)) <= rel * scale:
                 num, _ = poly_deflate(num, r)
             else:

@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+import whergo.catalog as catalog
 from whergo.catalog import (
     compose_monodromy,
     load_model_json,
@@ -15,7 +18,7 @@ from whergo.catalog import (
     model_to_dict,
 )
 import whergo.engine as engine
-from whergo.poly import poly_eval
+from whergo.poly import newton_polish, poly_degree, poly_eval
 from whergo.errors import (
     ExtremalOrOverRotating,
     InvariantViolation,
@@ -64,6 +67,25 @@ def test_kerr_parameter_domain():
         model_kerr(1.0, 1.0)
     with pytest.raises(ExtremalOrOverRotating):
         model_kerr(1.0, 2.0)
+
+
+@pytest.mark.parametrize("builder", [model_kerr, model_mp5d, model_mvc5d])
+@pytest.mark.parametrize("m, a, name, shown", [
+    (math.inf, 1.0, "m", "inf"), (2.0, math.nan, "a", "nan"),
+    (-math.inf, 1.0, "m", "-inf"), (2.0, math.inf, "a", "inf")])
+def test_non_finite_parameters_are_refused_before_root_finding(builder, m, a, name, shown,
+                                                               monkeypatch):
+    def no_roots(p):
+        raise AssertionError("root finding on a non-finite model")
+    monkeypatch.setattr(catalog, "_polished_roots", no_roots)
+    with pytest.raises(ParameterViolation, match=f"^model parameter {name} must be finite, "
+                                                 f"got {name}={shown}$"):
+        builder(m, a)
+
+
+def test_kerr_c_is_a_plain_float():
+    model = model_kerr(2.0, 1.0)
+    assert type(model.params["c"]) is float and model.params["c"] == np.sqrt(3.0)
 
 
 def test_mp5d_values(mp5d):
@@ -214,6 +236,51 @@ def test_mvc5d_row_inside_poles(mvc5d):
     assert [len(labels) for labels in plan.pi_labels] == [1, 2, 1]
 
 
+MODELS = [(builder, m, a) for builder in (model_kerr, model_mp5d, model_mvc5d)
+          for m, a in ((2.0, 1.0), (2.0, 0.3), (5.0, 1.7))]
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("builder, m, a", MODELS)
+def test_den_roots_are_the_reference_roots_bitwise(builder, m, a):
+    # make_model hands each entry the roots its cancellation found: they
+    # are the polished np.roots of the reduced denominator, bit for bit
+    for row in builder(m, a).entries:
+        for e in row:
+            want = () if poly_degree(e.den) < 1 else tuple(
+                complex(newton_polish(e.den, r, steps=2)) for r in np.roots(e.den[::-1]))
+            assert _bits(e.den_roots) == _bits(want)
+
+
+def _plan_bits(model):
+    plan = engine._plan_for(model, model.default_branches)
+    return {f.name: (_bits(v) if isinstance(v, np.ndarray) else repr(v))
+            for f in dataclasses.fields(plan) if f.name != "layout"
+            for v in [getattr(plan, f.name)]}
+
+
+@pytest.mark.parametrize("builder, m, a", MODELS)
+def test_json_roundtrip_is_bitwise(builder, m, a):
+    # the document carries the entries, not the poles or branches: its
+    # model has m's entries bit for bit, and with m's poles and branches
+    # m's plan; a second round trip changes nothing
+    model = builder(m, a)
+    loaded = model_from_dict(model_to_dict(model))
+    for row, loaded_row in zip(model.entries, loaded.entries):
+        for e, f in zip(row, loaded_row):
+            assert all(_bits(getattr(e, x)) == _bits(getattr(f, x))
+                       for x in ("num", "den", "den_roots"))
+    rebuilt = make_model(loaded.entries, loaded.eta, loaded.params, model.model_id,
+                         model.omega_poles, model.default_branches)
+    assert _plan_bits(rebuilt) == _plan_bits(model)
+    again = model_from_dict(model_to_dict(loaded))
+    assert _bits(again.omega_poles) == _bits(loaded.omega_poles)
+    assert _plan_bits(again) == _plan_bits(loaded)
+
+
 def test_json_roundtrip(kerr, tmp_path):
     doc = model_to_dict(kerr)
     path = tmp_path / "kerr.json"
@@ -225,24 +292,44 @@ def test_json_roundtrip(kerr, tmp_path):
             assert np.array_equal(loaded.entry(i, j).den, kerr.entry(i, j).den)
 
 
+# the first of the seven seeded validation points
+FIRST_OMEGA = "(-0.6760059094861965+1.1911066192339923j)"
+
+
 def test_json_det_violation():
     doc = {"n": 2, "eta": [1, 1],
            "entries": [[{"num": [[1, 0]], "den": [[1, 0]]},
                         {"num": [[0, 0]], "den": [[1, 0]]}],
                        [{"num": [[0, 0]], "den": [[1, 0]]},
                         {"num": [[2, 0]], "den": [[1, 0]]}]]}
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation) as exc:
         model_from_dict(doc)
+    assert str(exc.value) == f"det M({FIRST_OMEGA}) = (2+0j), expected 1 (model json)"
 
 
 def test_json_asymmetric_violation():
+    # asymmetric with det != 1: at each point the det check comes first
     doc = {"n": 2, "eta": [1, 1],
            "entries": [[{"num": [[1, 0], [1, 0]], "den": [[1, 0]]},
                         {"num": [[1, 0]], "den": [[1, 0]]}],
                        [{"num": [[2, 0]], "den": [[1, 0]]},
                         {"num": [[0, 0], [0, 0], [1, 0]], "den": [[1, 0], [1, 0]]}]]}
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation) as exc:
         model_from_dict(doc)
+    assert str(exc.value) == (f"det M({FIRST_OMEGA}) = (-2.961750988722771-1.6103902268606078j), "
+                              f"expected 1 (model json)")
+
+
+def test_json_eta_asymmetric_violation():
+    # M = [[1, omega], [0, 1]] has det 1 but eta M^T eta != M for eta = (1, -1)
+    doc = {"n": 2, "eta": [1, -1],
+           "entries": [[{"num": [[1, 0]], "den": [[1, 0]]},
+                        {"num": [[0, 0], [1, 0]], "den": [[1, 0]]}],
+                       [{"num": [[0, 0]], "den": [[1, 0]]},
+                        {"num": [[1, 0]], "den": [[1, 0]]}]]}
+    with pytest.raises(InvariantViolation) as exc:
+        model_from_dict(doc)
+    assert str(exc.value) == f"eta-symmetry residual 1.37e+00 at omega={FIRST_OMEGA}"
 
 
 @pytest.mark.parametrize("doc", [

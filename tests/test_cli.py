@@ -44,11 +44,45 @@ def test_factorize_on_curve_exit_3(capsys):
 
 def test_factorize_far_out_is_unresolved_exit_3(capsys):
     # the system overflows at v = 1e160: an undecided point, not an SVD error
-    with np.errstate(all="ignore"):
-        code, out, _ = run_capture(capsys, "factorize", "--model", "kerr",
-                                   "--m", "2", "--a", "1", "--rho", "1", "--v", "1e160")
+    code, out, _ = run_capture(capsys, "factorize", "--model", "kerr",
+                               "--m", "2", "--a", "1", "--rho", "1", "--v", "1e160")
     assert code == 3
     assert json.loads(out)["status"] == "unresolved"
+
+
+@pytest.mark.parametrize("rho, v", [("1e-300", "0"), ("1", "1e300")])
+def test_extreme_points_print_no_warnings(capfd, rho, v):
+    # overflow and NaN at the extremes end in UNRESOLVED, exit 3, and numpy
+    # says nothing about them (pytest would turn its RuntimeWarning into an error)
+    code = RUN("factorize", "--rho", rho, "--v", v)
+    out, err = capfd.readouterr()
+    assert code == 3 and json.loads(out)["status"] == "unresolved" and err == ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_extreme_sweep_prints_no_warnings(capfd, monkeypatch, pool_sizes, jobs):
+    # two chunks of one rho row: with --jobs 2 the workers run them, and
+    # they too print no warning; every g_tt cell is blank
+    import whergo.cli as cli
+
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", 2)
+    code = RUN("sweep", "--model", "mp5d", "--grid", "1e-300:2e-300:2,1e300:2e300:2",
+               "--jobs", jobs)
+    out, err = capfd.readouterr()
+    rows = out.splitlines()[4:]
+    assert code == 0 and err == "" and len(rows) == 4
+    assert all(row.endswith(",") for row in rows)
+    assert pool_sizes == ([2] if jobs == "2" else [])
+
+
+def test_pool_job_sets_its_own_errstate(monkeypatch, mp5d):
+    # a spawned worker does not inherit main's np.errstate: the job itself
+    # keeps the extreme points quiet
+    import whergo.cli as cli
+
+    monkeypatch.setattr(cli, "_WORKER", (cli.RunConfig(model="mp5d"), mp5d))
+    cols = cli._chunk_job((np.array([1e-300]), np.array([1e300, 2e300])))
+    assert np.isnan(cols[3]).all()
 
 
 def test_factorize_identity(capsys):
@@ -253,9 +287,9 @@ def test_sweep_output_is_the_per_row_writer_bytewise(tmp_path, capsys, monkeypat
         monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", chunk_points)
     argv = ["sweep", "--model", "kerr", "--grid", grid, "--format", fmt, "--jobs", jobs]
     path = tmp_path / f"sweep.{fmt}"
+    assert RUN(*argv, "--out", str(path)) == 0
+    code, out, _ = run_capture(capsys, *argv)
     with np.errstate(all="ignore"):
-        assert RUN(*argv, "--out", str(path)) == 0
-        code, out, _ = run_capture(capsys, *argv)
         expect = _per_row_sweep(cli.RunConfig(grid=cli._parse_grid(grid), fmt=fmt), kerr)
     assert code == 0
     assert path.read_bytes() == expect.encode() and out == expect
@@ -297,13 +331,12 @@ def _strict_json(text):
 def test_json_writes_null_for_non_finite_numbers(capsys):
     # the system overflows at v ~ 1e160: D is NaN there, which strict JSON
     # cannot carry, so factorize and sweep write null
-    with np.errstate(all="ignore"):
-        code, out, _ = run_capture(capsys, "factorize", "--model", "kerr",
-                                   "--rho", "1", "--v", "1e160")
-        doc = _strict_json(out)
-        assert code == 3 and doc["D"][0] is None and doc["D_normalised"] is None
-        code, out, _ = run_capture(capsys, "sweep", "--model", "kerr", "--format", "json",
-                                   "--grid", "0.5:1:2,1e159:1e160:2")
+    code, out, _ = run_capture(capsys, "factorize", "--model", "kerr",
+                               "--rho", "1", "--v", "1e160")
+    doc = _strict_json(out)
+    assert code == 3 and doc["D"][0] is None and doc["D_normalised"] is None
+    code, out, _ = run_capture(capsys, "sweep", "--model", "kerr", "--format", "json",
+                               "--grid", "0.5:1:2,1e159:1e160:2")
     rows = _strict_json(out)["rows"]
     assert code == 0 and len(rows) == 4 and all(r[2] is None for r in rows)
 
@@ -527,6 +560,16 @@ def test_mp5d_with_coincident_omega_poles_exit_1(capsys):
     assert code == 1 and out == ""
     assert "omega poles -1+0j and -1+0j of model mp5d coincide" in err
     assert "reference point" not in err
+
+
+@pytest.mark.parametrize("model", ["kerr", "mp5d", "mvc5d"])
+@pytest.mark.parametrize("name, shown", [("m", "inf"), ("a", "nan"), ("a", "-inf")])
+def test_non_finite_model_parameters_exit_1(capsys, model, name, shown):
+    # refused by the model's builder, naming the value, before any root is found
+    code, out, err = run_capture(capsys, "factorize", "--model", model, f"--{name}={shown}",
+                                 "--rho", "1", "--v", "0.5")
+    assert code == 1 and out == ""
+    assert err == f"error: model parameter {name} must be finite, got {name}={shown}\n"
 
 
 @pytest.mark.parametrize("argv, bad", [

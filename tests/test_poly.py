@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from whergo.errors import DegenerateCoefficient
 from whergo.poly import (
+    TRIM_REL,
     FactoredRational,
+    as_poly,
     newton_polish,
     numerical_nullity,
     poly_add,
@@ -12,6 +19,7 @@ from whergo.poly import (
     poly_derivative,
     poly_eval,
     poly_from_roots,
+    poly_is_zero,
     poly_mul,
     poly_scale,
     poly_trim,
@@ -222,3 +230,102 @@ def test_factored_rational_simplify():
 def test_scale_neg():
     fr = FactoredRational(np.array([1.0, 2.0]))
     assert np.allclose(poly_scale(fr.neg().num, -1.0), fr.num)
+
+
+# The coefficient helpers as numpy's wrappers computed them; the fast paths
+# must return the same bits.
+
+
+def _as_poly_reference(c):
+    a = np.atleast_1d(np.asarray(c, dtype=complex)).ravel()
+    if a.size == 0:
+        return np.zeros(1, dtype=complex)
+    return a
+
+
+def _poly_trim_reference(c, rel=TRIM_REL):
+    p = _as_poly_reference(c)
+    scale = np.max(np.abs(p))
+    if scale == 0.0:
+        return np.zeros(1, dtype=complex)
+    k = p.size - 1
+    while k > 0 and abs(p[k]) <= rel * scale:
+        k -= 1
+    return p[: k + 1].copy()
+
+
+def _poly_degree_reference(c):
+    p = _poly_trim_reference(c)
+    if p.size == 1 and p[0] == 0:
+        return -1
+    return p.size - 1
+
+
+def _poly_is_zero_reference(c):
+    return np.max(np.abs(_as_poly_reference(c))) == 0.0
+
+
+def _poly_add_reference(a, b):
+    return _poly_trim_reference(npoly.polyadd(_as_poly_reference(a), _as_poly_reference(b)))
+
+
+_PARTS = [0.0, -0.0, 1.0, -1.0, 2.0, TRIM_REL, -TRIM_REL, 2.0 * TRIM_REL,
+          float(np.nextafter(TRIM_REL, 0.0)), float(np.nextafter(TRIM_REL, 1.0)),
+          1e-300, 1e300, math.nan, -math.nan, math.inf, -math.inf]
+_part = st.one_of(st.sampled_from(_PARTS), st.floats(-5.0, 5.0))
+_FORMS = ("list", "reals", "ints", "array", "strided", "scalar", "0-d", "2-d")
+
+
+@st.composite
+def poly_inputs(draw):
+    """Coefficients in every form the helpers take: lists, real and int
+    arrays, 1-d complex arrays (contiguous or not), scalars, 0-d and 2-d
+    arrays, empty ones included; NaN of both signs, inf, -0.0 and
+    TRIM_REL-boundary parts."""
+    re = draw(st.lists(_part, max_size=6))
+    im = draw(st.lists(_part, min_size=len(re), max_size=len(re)))
+    z = [complex(x, y) for x, y in zip(re, im)]
+    form = draw(st.sampled_from(_FORMS))
+    if form == "list":
+        return z
+    if form == "reals":
+        return np.array(re, dtype=float)
+    if form == "ints":
+        return np.array(draw(st.lists(st.integers(-3, 3), max_size=6)), dtype=int)
+    if form == "array":
+        return np.array(z, dtype=complex)
+    if form == "strided":
+        return np.repeat(np.array(z, dtype=complex), 2)[::2]
+    if form == "scalar":
+        return z[0] if z else (re or [0.0])[0]
+    if form == "0-d":
+        return np.array(z[0] if z else 0.0)
+    return np.array(z, dtype=complex).reshape((1, -1) if draw(st.booleans()) else (-1, 1))
+
+
+def _same_bits(got, want):
+    assert type(got) is np.ndarray and got.dtype == want.dtype
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@seed(20261020)
+@settings(max_examples=400, deadline=None, database=None)
+@given(a=poly_inputs(), b=poly_inputs())
+@example(a=[1.0, TRIM_REL], b=[1.0, float(np.nextafter(TRIM_REL, 1.0))])
+@example(a=np.array([2.0, 0.0, 2.0 * TRIM_REL]), b=[0.0, -0.0])
+@example(a=[1.0, 0.0], b=np.array([1.0, complex(-0.0, -0.0), 1.0]))
+@example(a=[0.0, math.inf], b=[math.nan])
+@example(a=[-math.nan, 1.0], b=[math.nan, 1.0])
+def test_coefficient_helpers_are_their_reference_definitions_bitwise(a, b):
+    with np.errstate(all="ignore"):          # inf - inf and the like, on both sides
+        for c in (a, b):
+            _same_bits(as_poly(c), _as_poly_reference(c))
+            if type(c) is np.ndarray and c.ndim == 1 and c.dtype == complex and c.size:
+                assert as_poly(c) is c           # a 1-d complex array is taken as it is
+            trimmed = poly_trim(c)
+            _same_bits(trimmed, _poly_trim_reference(c))
+            assert not (isinstance(c, np.ndarray) and np.shares_memory(trimmed, c))
+            assert poly_degree(c) == _poly_degree_reference(c)
+            assert poly_is_zero(c) == bool(_poly_is_zero_reference(c))
+        _same_bits(poly_add(a, b), _poly_add_reference(a, b))
+        _same_bits(poly_add(b, a), _poly_add_reference(b, a))

@@ -8,8 +8,10 @@ omega-plane poles and adjugate and never composes one.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,6 +48,7 @@ from .spectral import (
 )
 
 _VALIDATION_SEED = 71209
+_MONODROMY_SEED = 40923
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,10 @@ class RationalMatrixOmega:
         return num / den
 
 
-def _validate_matrix(m: RationalMatrixOmega, det_tol=1e-10, sym_tol=1e-10):
+def _validate_matrix(m: RationalMatrixOmega):
+    """m itself if det M = 1 and eta M^T eta = M hold to 1e-10 of max(1, |M|)
+    at seeded points, and every entry's poles are simple; a NaN det or
+    symmetry residual fails its check."""
     rng = np.random.default_rng(_VALIDATION_SEED)
     eta = np.diag(np.array(m.eta, dtype=float))
     ws = [complex(rng.uniform(-4.0, 4.0), rng.uniform(0.5, 4.0)) for _ in range(7)]
@@ -163,10 +169,10 @@ def _validate_matrix(m: RationalMatrixOmega, det_tol=1e-10, sym_tol=1e-10):
     dets = np.linalg.det(vals)
     syms = np.abs(eta @ vals[:5].transpose(0, 2, 1) @ eta - vals[:5]).max(axis=(1, 2))
     for k, (w, det, scale) in enumerate(zip(ws, dets, scales)):
-        if abs(det - 1.0) > det_tol * scale ** m.n:
+        if not abs(det - 1.0) <= 1e-10 * scale ** m.n:
             raise InvariantViolation(
                 f"det M({w}) = {det}, expected 1 (model {m.model_id})")
-        if k < 5 and syms[k] > sym_tol * scale:
+        if k < 5 and not syms[k] <= 1e-10 * scale:
             raise InvariantViolation(
                 f"eta-symmetry residual {syms[k]:.2e} at omega={w}")
     # simple poles: denominator roots of every entry pairwise distinct
@@ -441,15 +447,17 @@ def compose_monodromy(model: RationalMatrixOmega, pt: SpectralPoint,
     return mono
 
 
-def _check_monodromy(mono: MonodromyMatrixTau, tol=1e-10, seed=40923):
-    rng = np.random.default_rng(seed)
+def _check_monodromy(mono: MonodromyMatrixTau):
+    """The composed entries equal M(omega(tau)) to 1e-10 of max(1, |M|), and
+    det = 1, at seeded tau."""
+    rng = np.random.default_rng(_MONODROMY_SEED)
     for _ in range(7):
         tau = complex(rng.uniform(0.3, 1.8), rng.uniform(-1.2, 1.2))
         w = spectral_map(mono.pt, tau)
         direct = mono.model.eval(w)
         composed = mono.eval(tau)
         scale = max(1.0, np.max(np.abs(direct)))
-        if np.max(np.abs(direct - composed)) > tol * scale:
+        if np.max(np.abs(direct - composed)) > 1e-10 * scale:
             raise InvariantViolation(
                 f"composed monodromy mismatch {np.max(np.abs(direct - composed)):.2e} at tau={tau}")
         det = np.linalg.det(composed)
@@ -465,14 +473,24 @@ _TOP_KEYS = {"n", "eta", "entries", "params"}
 _ENTRY_KEYS = {"num", "den"}
 
 
+def _is_number(x) -> bool:
+    """x is a JSON number a float holds: an int or a float, not a bool, and
+    no integer beyond the double range."""
+    return isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool)
+                                    and abs(x) <= sys.float_info.max)
+
+
 def _coeffs_from_json(raw, where):
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{where}: coefficient list required")
     out = []
     for item in raw:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise SchemaError(f"{where}: coefficients are [re, im] pairs")
-        out.append(complex(float(item[0]), float(item[1])))
+        if not (isinstance(item, list) and len(item) == 2 and all(map(_is_number, item))):
+            raise SchemaError(f"{where}: coefficients are [re, im] pairs of double-range numbers")
+        c = complex(*item)
+        if not cmath.isfinite(c):
+            raise SchemaError(f"{where}: coefficients must be finite, got {item}")
+        out.append(c)
     return np.array(out)
 
 
@@ -486,8 +504,8 @@ def model_from_dict(doc: dict, model_id="json") -> RationalMatrixOmega:
         if key not in doc:
             raise SchemaError(f"missing required key {key!r}")
     n = doc["n"]
-    if not (isinstance(n, int) and n >= 2):
-        raise SchemaError("n must be an integer >= 2")
+    if not (isinstance(n, int) and n in (2, 3)):
+        raise SchemaError(f"n must be 2 or 3, got {n!r}")
     eta = doc["eta"]
     if not (isinstance(eta, list) and len(eta) == n and all(e in (1, -1) for e in eta)):
         raise SchemaError("eta must be a list of +-1 of length n")

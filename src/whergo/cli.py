@@ -11,7 +11,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .catalog import MODEL_BUILDERS, RationalMatrixOmega, load_model_json, model_identity
+from .catalog import (MODEL_BUILDERS, RationalMatrixOmega, _is_number, load_model_json,
+                      model_identity)
 from .engine import DEFAULT_TOL, _plan_for, check_tol, evaluate_points, factorise
 from .errors import NoCurveFound, NonPhysicalM, WhergoError
 from .geometry import check_step, classify_curve, extract_metric, trace_curve
@@ -177,7 +178,7 @@ def _map_points(cfg: RunConfig, model: RationalMatrixOmega, chunks):
     min(--jobs, chunks) worker processes, each handed cfg and model once, or
     here with no pool where that is one.  The plan is compiled first, so no
     worker compiles it and a model without one fails before any process."""
-    _plan_for(model, model.default_branches if cfg.branches is None else cfg.branches)
+    _plan_for(model, cfg.branches)
     workers = min(cfg.jobs, len(chunks))
     if workers > 1:
         import multiprocessing as mp
@@ -308,9 +309,44 @@ def _parse_grid(text: str) -> dict:
         raise ValueError(f"bad --grid spec {text!r}; expected rmin:rmax:n,vmin:vmax:n") from exc
 
 
+def _is_grid(x) -> bool:
+    return isinstance(x, dict) and all(
+        isinstance(x.get(key), list) and len(x[key]) == 3 and all(map(_is_number, x[key]))
+        and float(x[key][2]).is_integer() for key in ("rho", "v"))
+
+
+# every config-file field: (its type test, what the error says it must be)
+_CONFIG_TYPES = {
+    "model": (lambda x: isinstance(x, str), "a string"),
+    "model_json": (lambda x: x is None or isinstance(x, str), "a string or null"),
+    "params": (lambda x: isinstance(x, dict) and set(x) <= {"m", "a"}
+               and all(map(_is_number, x.values())), 'an object {"m": number, "a": number}'),
+    "branches": (lambda x: x is None or isinstance(x, list) and all(
+        isinstance(b, str) for b in x), "a list of strings or null"),
+    "grid": (_is_grid, '{"rho": [min, max, n], "v": [min, max, n]} with whole n'),
+    "tol": (lambda x: x is None or _is_number(x), "a number or null"),
+    "out": (lambda x: x is None or isinstance(x, str), "a string or null"),
+    "fmt": (lambda x: x in ("csv", "json"), '"csv" or "json"'),
+    "jobs": (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer"),
+    "step": (_is_number, "a number"),
+}
+
+
 def _load_config(path) -> dict:
+    """The fields of a JSON config file; ValueError naming the first that
+    is unknown or not of its type."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    unknown = set(doc) - set(_CONFIG_TYPES)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        ok, what = _CONFIG_TYPES[key]
+        if not ok(value):
+            raise ValueError(f"config field {key!r} must be {what}, got {value!r}")
+    return doc
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -367,9 +403,6 @@ def _config_from_args(args) -> RunConfig:
     doc = {}
     if getattr(args, "config", None):
         doc = _load_config(args.config)
-        unknown = set(doc) - set(RunConfig.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
     cfg = RunConfig(**doc)
     if getattr(args, "model", None):
         cfg.model = args.model

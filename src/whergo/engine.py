@@ -10,18 +10,21 @@ M(rho, v) = lim M_minus(tau).
 
 The structure of the constraint system is fixed by (model, branches) and is
 compiled once into an AnsatzPlan kept on the model: the omega-plane
-adjugate, the label of every root (tau = 0, or the inside or outside member
-of a zero pair), m0, the column degrees and the D rows.  The labels are
-read from the model's omega-plane poles by integer multiset arithmetic, so
-the compile composes no monodromy and finds no tau-plane roots; it checks
-itself by factorising at its reference point.  At Weyl points the plan
-needs only the zero pairs and the composed adjugate numerators, and its
-rows are numpy arrays over (rho, v): one evaluation serves a single point,
-a tracer grid and a sweep chunk alike.  evaluate_points assembles the
-plan's full system once over an array of points (one point for factorise)
-and solves the square system of its D rows and normalisation rows: D, the
-kernel dimension, M(rho, v) and the verdict all read that one evaluation,
-so factorise, sweep, the curve classifier and toeplitz_kernel_dim cannot
+adjugate, the column degrees, the D rows and the layout, whose index tables
+name every root by its label (tau = 0, or the inside or outside member of
+a zero pair): those of pi_j, of L_k and of X's row denominators (L_k less
+its inside groups, a multiset difference of labels).  The labels are read
+from the model's omega-plane poles by integer multiset arithmetic, so the
+compile composes no monodromy and finds no tau-plane roots; it checks
+itself by factorising at its reference point.  At Weyl points an
+AnsatzSpec holds only values, the label roots and the composed adjugate
+numerators, and reads every root through the plan's tables; its rows are
+numpy arrays over (rho, v): one evaluation serves a single point, a tracer
+grid and a sweep chunk alike.  evaluate_points assembles the plan's full
+system once over an array of points (one point for factorise) and solves
+the square system of its D rows and normalisation rows: D, the kernel
+dimension, M(rho, v) and the verdict all read that one evaluation, so
+factorise, sweep, the curve classifier and toeplitz_kernel_dim cannot
 disagree.  One rank test decides: the kernel dimension counts the singular
 values <= tol * sigma_max of the row- then column-equilibrated homogeneous
 system, and D only spares that SVD where it proves the kernel trivial.
@@ -46,8 +49,9 @@ and gets no SVD: it is unresolved.
 
 The contour enters only as the branch tuple: one tag, "minus" or "plus",
 per omega pole, naming the member of its zero pair that lies inside.
-Every entry point takes it (None is the model's default), and a tuple of
-the wrong length or with an unknown tag is a ValueError.
+Every entry point takes it; None is the model's default, which _plan_for
+resolves, and a tuple of the wrong length or with an unknown tag is a
+ValueError.
 
 For 2x2 models of the common-denominator form two more pieces remain: the
 degree classification and existence_system_2x2, the paper's
@@ -278,31 +282,23 @@ class AnsatzSpec:
     at an array of them (every value then carries the batch shape as its
     trailing axes, so that the work over points runs along contiguous axes).
 
-    pi_roots[j] are the prescribed inside poles (with multiplicity) of the
-    j-th minus component.  A_kj = adj(M)_kj L_k / pi_j, with L_k the common
-    denominator of component k (roots lk_roots[k]), is num_polys[k, j, :]
-    times prod (tau - r) over the extra roots r = extra_roots[k, j, x]
-    with extra_on[k, j, x]: the plan keeps the labelled roots of L_k apart
-    so that the rows can evaluate them in product form.  inside_groups[k]
-    lists the (tau_star, vanishing order) of every condition imposed on
-    component k.
+    The values are num_polys and roots; the structure is the layout, whose
+    index tables name every root by its position in roots (0 is tau = 0;
+    for the plan, the positions are the labels).  A_kj = adj(M)_kj L_k /
+    pi_j, with L_k the common denominator of component k, is num_polys[k,
+    j, :] times prod (tau - roots[x]) over the extra roots x of
+    layout.extras[k, j]: the plan keeps the labelled roots of L_k apart so
+    that the rows can evaluate them in product form.
     """
 
-    n: int
-    pi_roots: list            # per row j: tuple of inside poles with multiplicity
     num_polys: np.ndarray     # (k, j, coefficient, ...): polynomial part of A_kj
-    extra_roots: np.ndarray   # (k, j, x, ...): roots multiplied into A_kj
-    extra_on: np.ndarray      # (k, j, x): which of those slots hold a root
-    lk_roots: list            # per component k: full denominator root multiset
-    inside_groups: list       # per k: ordered [(root, mult)] of inside constraints
-    m0: list                  # per k: multiplicity of tau = 0 in L_k
-    l0: np.ndarray            # (k, ...): leading Taylor coefficient of L_k at 0
-    layout: _RowLayout        # index tables of the rows, fixed by the structure above
+    roots: np.ndarray         # (root, ...): every root the layout names, roots[0] = 0
+    layout: _RowLayout        # index tables of the rows and the roots
     selected_rows: np.ndarray | None = None
-    labels: np.ndarray | None = None    # (2P + 1, ...): the root of every plan label
 
-    def hom_unknowns(self) -> int:
-        return sum(len(r) for r in self.pi_roots)
+    @property
+    def n(self) -> int:
+        return self.num_polys.shape[0]
 
     @property
     def batch(self) -> tuple:
@@ -312,12 +308,12 @@ class AnsatzSpec:
     def base_polys(self) -> np.ndarray:
         """Coefficients of A_kj, shape (k, j, coefficient, ...)."""
         num = _flat(self.num_polys, 3)
-        slots = self.extra_on.shape[-1]
-        base = np.concatenate([num, np.zeros(num.shape[:2] + (slots, num.shape[3]),
+        extras = self.layout.extras
+        base = np.concatenate([num, np.zeros(num.shape[:2] + (extras.shape[-1], num.shape[3]),
                                              dtype=num.dtype)], axis=2)
-        roots = _flat(self.extra_roots, 3)
-        for x in range(slots):
-            on = self.extra_on[:, :, x, None, None]
+        roots = _flat(self.roots, 1)[extras]
+        for x in range(extras.shape[-1]):
+            on = (extras[:, :, x] >= 0)[..., None, None]
             nxt = base * np.where(on, -roots[:, :, x, None, :], 1.0)
             nxt[:, :, 1:] += base[:, :, :-1] * on
             base = nxt
@@ -332,12 +328,20 @@ def _flat(x: np.ndarray, lead: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _RowLayout:
-    """Index tables of a constraint system, fixed by its structure alone."""
+    """Index tables of a constraint system, fixed by its structure alone.
+    A root is named by its position in AnsatzSpec.roots; -1 pads."""
 
     jcol: np.ndarray          # (W,) block j of each column
     ccol: np.ndarray          # (W,) coefficient c of each column, c <= deg pi_j
     hom: np.ndarray           # columns with c < deg pi_j
+    limit: np.ndarray         # (n,) column of coefficient deg pi_j of S_j: M_limit
     gk: np.ndarray            # (G,) component k of each inside group
+    groot: np.ndarray         # (G,) root of each inside group
+    extras: np.ndarray        # (n, n, X) roots multiplied into A_kj
+    pi: np.ndarray            # (n, D) roots of pi_j: M_minus's row denominators
+    xden: np.ndarray          # (n, Y) roots of L_k less its inside groups: X's rows
+    l0: np.ndarray            # (n, Z) non-zero roots of L_k
+    m0: np.ndarray            # (n,) multiplicity of tau = 0 in L_k
     powers: int               # C: the rows use powers 0..C-1 of the group roots
     tshift: np.ndarray        # (O, C) power c - i of p in C(c, i) p^(c - i) (clipped)
     tweight: np.ndarray       # (O, C, 1) C(c, i) for c >= i, else 0
@@ -357,28 +361,38 @@ class _RowLayout:
                               # each one's root)
 
 
-def _row_layout(n: int, width: int, degrees, mults, slots: int) -> _RowLayout:
-    """Layout for n components with deg pi_j = degrees[j], polynomial parts
-    of `width` coefficients times `slots` extra roots, and inside groups of
-    multiplicities mults[k]."""
-    widths = [d + 1 for d in degrees]
-    starts = np.cumsum([0] + widths[:-1])
-    groups = [(k, m) for k in range(n) for m in mults[k]]
-    order = max((m for _, m in groups), default=1)
-    rows = [(g, o) for g, (_, m) in enumerate(groups) for o in range(m)]
+def _index_table(rows) -> np.ndarray:
+    """Rows of indices padded with -1 into one table (rows, longest)."""
+    table = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=int)
+    for i, row in enumerate(rows):
+        table[i, :len(row)] = row
+    return table
+
+
+def _row_layout(width: int, pi, lk, groups, extras: np.ndarray) -> _RowLayout:
+    """Layout of the system whose roots are named by index (0 is tau = 0):
+    pi[j] the roots of pi_j, lk[k] those of L_k in ascending order, both
+    with multiplicity; groups[k] the (root, multiplicity) of every inside
+    condition on component k; extras (n, n, X) the roots multiplied into
+    A_kj (-1: none), whose polynomial part has `width` coefficients."""
+    n = len(pi)
+    widths = [len(p) + 1 for p in pi]
+    conds = [(k, r, m) for k in range(n) for r, m in groups[k]]
+    order = max((m for _, _, m in conds), default=1)
+    rows = [(g, o) for g, (_, _, m) in enumerate(conds) for o in range(m)]
     jcol = np.repeat(np.arange(n), widths)
     ccol = np.concatenate([np.arange(w) for w in widths])
     i, c = np.arange(order)[:, None], np.arange(max([width] + widths))
     g_r = np.array([g for g, _ in rows], dtype=int).reshape(-1, 1)
     o_r = np.array([o for _, o in rows], dtype=int).reshape(-1, 1)
-    span = width + slots
+    span = width + extras.shape[-1]
     t = np.arange(max(widths) - 1 + span)
     shift = t[:, None] - ccol
     comb = [np.ones(t.size)]                     # C(t, o), by the recurrence in o
     for o in range(order - 1):
         comb.append(comb[-1] * (t - o) / (o + 1))
     # the roots of component k in deflation order, one group index per root
-    seq = [[g for g, (kg, m) in enumerate(groups) if kg == k for _ in range(m)]
+    seq = [[g for g, (kg, _, m) in enumerate(conds) if kg == k for _ in range(m)]
            for k in range(n)]
     deflation, active = [], np.arange(n)
     for pos in range(max(map(len, seq), default=0)):
@@ -388,8 +402,14 @@ def _row_layout(n: int, width: int, degrees, mults, slots: int) -> _RowLayout:
                           np.array([seq[k][pos] for k in active], dtype=int)))
     return _RowLayout(
         jcol, ccol,
-        np.concatenate([np.arange(a, a + d) for a, d in zip(starts, degrees)]).astype(int),
-        np.array([k for k, _ in groups], dtype=int), c.size, np.maximum(c - i, 0),
+        np.flatnonzero(ccol < np.array(widths)[jcol] - 1), np.cumsum(widths) - 1,
+        np.array([k for k, _, _ in conds], dtype=int),
+        np.array([r for _, r, _ in conds], dtype=int),
+        extras, _index_table(pi),
+        _index_table([sorted((Counter(ls) - Counter(dict(g))).elements())
+                      for ls, g in zip(lk, groups)]),
+        _index_table([[r for r in ls if r] for ls in lk]), np.array([ls.count(0) for ls in lk]),
+        c.size, np.maximum(c - i, 0),
         np.array([[math.comb(cc, ii) if cc >= ii else 0.0 for cc in c]
                   for ii in range(order)])[..., None],
         np.where(i.T <= i, i - i.T, order), max(widths),
@@ -413,8 +433,8 @@ def _assemble_rows(spec: AnsatzSpec) -> np.ndarray:
     num = _flat(spec.num_polys, 3)
     if not lay.gk.size:
         return np.zeros(spec.batch + (0, lay.jcol.size), dtype=num.dtype)
-    p = np.array([r for g in spec.inside_groups for r, _ in g],
-                 dtype=num.dtype).reshape(-1, 1, num.shape[3])
+    roots = _flat(spec.roots, 1)
+    p = np.asarray(roots[lay.groot], dtype=num.dtype)[:, None]
     pw = np.ones((p.shape[0], lay.powers, p.shape[2]), dtype=p.dtype)
     for c in range(1, lay.powers):
         np.multiply(pw[:, c - 1], p[:, 0], out=pw[:, c])
@@ -422,8 +442,9 @@ def _assemble_rows(spec: AnsatzSpec) -> np.ndarray:
     taylor = lay.tweight * pw[:, lay.tshift]
     # Taylor coefficients at p_g of the polynomial part, (g, j, o, point)
     coef = (num[lay.gk, :, None] * taylor[:, None, :, :num.shape[2]]).sum(axis=3)
-    on = spec.extra_on[lay.gk, :, :, None]
-    gap = np.where(on, p[:, None] - _flat(spec.extra_roots, 3)[lay.gk], 1.0)   # (g, j, x, point)
+    extras = lay.extras[lay.gk]
+    on = (extras >= 0)[..., None]
+    gap = np.where(on, p[:, None] - roots[extras], 1.0)          # (g, j, x, point)
     for x in range(on.shape[2]):
         nxt = coef * gap[:, :, x, None]
         nxt[:, :, 1:] += coef[:, :, :-1] * on[:, :, x, None]
@@ -445,13 +466,6 @@ def _assemble_homogeneous(spec: AnsatzSpec) -> np.ndarray:
     return _assemble_rows(spec)[..., spec.layout.hom]
 
 
-def _homogeneous_part(spec: AnsatzSpec, A: np.ndarray) -> np.ndarray:
-    """The homogeneous system inside the full one: the analyticity rows of
-    A restricted to the columns c < deg pi_j of each block.  Entry for entry
-    equal to _assemble_homogeneous(spec), which slices the same rows."""
-    return A[..., :-spec.n, spec.layout.hom]
-
-
 def _assemble_inhomogeneous(spec: AnsatzSpec):
     """Full system: analyticity rows plus n normalisation rows at tau = 0.
 
@@ -461,12 +475,16 @@ def _assemble_inhomogeneous(spec: AnsatzSpec):
     a_top = _assemble_rows(spec)
     n, base = spec.n, _flat(spec.base_polys, 3)
     # row k: coefficient of tau^m0_k of NUM_k, i.e. A_kj[m0_k - c] per column
-    idx = np.array(spec.m0)[:, None] - lay.ccol
+    idx = lay.m0[:, None] - lay.ccol
     norm = (base[np.arange(n)[:, None], lay.jcol, np.clip(idx, 0, base.shape[2] - 1)]
             * ((idx >= 0) & (idx < base.shape[2]))[..., None])
     A = np.concatenate([a_top, _batch_first(norm, spec.batch)], axis=-2)
+    # the leading Taylor coefficient of L_k at 0, prod (-r) over its non-zero
+    # roots; -1 pads the table and picks the row of ones
+    roots = _flat(spec.roots, 1)
+    l0 = np.prod(np.concatenate([-roots, np.ones((1, roots.shape[1]))])[lay.l0], axis=1)
     B = np.zeros(A.shape[:-1] + (n,), dtype=A.dtype)
-    B[..., a_top.shape[-2] + np.arange(n), np.arange(n)] = np.moveaxis(spec.l0, 0, -1)
+    B[..., a_top.shape[-2] + np.arange(n), np.arange(n)] = l0.T.reshape(spec.batch + (n,))
     return A, B
 
 
@@ -506,14 +524,14 @@ class AnsatzPlan:
 
     Every root of the system carries one of 2P + 1 labels: tau = 0 (label 0)
     or a member of the zero pair of omega pole i, inside (1 + 2i) or outside
-    (2 + 2i).  The labels of L_k, pi_j and the inside groups, and m0, are
-    read from the model's omega-plane poles (_plan_labels); the column
-    degrees follow from them, and the D-row selection from the plan's own
-    system at a reference point.  At a Weyl point A_kj = adj(M)_kj(omega(tau))
-    L_k / pi_j is the composed numerator of the omega-plane adjugate entry,
-    times a power of tau, over the composed denominator's leading
-    coefficient, times the labelled roots of L_k that neither pi_j nor that
-    denominator takes.  When the poles and the adjugate coefficients are
+    (2 + 2i).  The labels of L_k, pi_j and the inside groups are read from
+    the model's omega-plane poles (_plan_labels) and kept only as the
+    layout's index tables; the column degrees follow from them, and the
+    D-row selection from the plan's own system at a reference point.  At a
+    Weyl point A_kj = adj(M)_kj(omega(tau)) L_k / pi_j is the composed
+    numerator of the omega-plane adjugate entry, times a power of tau, over
+    the composed denominator's leading coefficient, times the labelled roots
+    of L_k that neither pi_j nor that denominator takes.  When the poles and the adjugate coefficients are
     all real, so is every entry of the system, and the plan stores them
     real: the system is then assembled, and solved, in real arithmetic.
     """
@@ -526,27 +544,22 @@ class AnsatzPlan:
     adj_deg: np.ndarray       # (n*n,) degree of each adjugate denominator
     place: np.ndarray         # (n*n, width) row e * (2K + 2) + tau power of the composed
                               # numerators; power 2K + 1 is zero and fills the empty slots
-    extras: np.ndarray        # (n, n, X) labels of the roots multiplied in, -1 = none
-    pi_labels: tuple          # per j: labels of pi_j
-    lk_labels: tuple          # per k: labels of L_k with multiplicity
-    groups: tuple             # per k: ((label, mult), ...) of the inside constraints
-    l0_labels: np.ndarray     # (n, X) labels of the non-zero roots of L_k, -1 = none
-    m0: tuple                 # per k: multiplicity of tau = 0 in L_k
     selected_rows: np.ndarray
     layout: _RowLayout
 
 
-def _plan_for(model: RationalMatrixOmega, branches) -> AnsatzPlan:
+def _plan_for(model: RationalMatrixOmega, branches=None) -> AnsatzPlan:
     """The model's plan for this branch tuple, compiled on first use.
 
     branches holds one tag, "minus" or "plus", per omega pole in the
-    model's order; anything else is a ValueError.  The plan is compiled at
-    the first reference Weyl point that is off-curve (the homogeneous system
-    has full column rank with margin) and where the plan factorises within
-    the residual gates; the same plan, and so the same D rows, then serves
-    every other point, so D(rho, v) is a continuous determinant.
+    model's order, None the model's default; anything else is a
+    ValueError.  The plan is compiled at the first reference Weyl point
+    that is off-curve (the homogeneous system has full column rank with
+    margin) and where the plan factorises within the residual gates; the
+    same plan, and so the same D rows, then serves every other point, so
+    D(rho, v) is a continuous determinant.
     """
-    branches = tuple(branches)
+    branches = model.default_branches if branches is None else tuple(branches)
     plan = model.plans.get(branches)
     if plan is None:
         _check_branches(model, branches)
@@ -592,7 +605,7 @@ def _pole_index(model: RationalMatrixOmega, w) -> int:
 
 
 def _plan_labels(model: RationalMatrixOmega, values):
-    """(pi_labels, lk_labels, groups, m0) of the plan, from the model's
+    """(pi_labels, lk_labels, groups) of the plan, from the model's
     omega-plane poles: no monodromy is composed and no root is found.
 
     A multiset of labels is a Counter: a sum is a product of denominators,
@@ -642,8 +655,7 @@ def _plan_labels(model: RationalMatrixOmega, values):
             lk[k] |= adj[k][j] + pi[j]
     return (tuple(tuple(ordered(c.elements())) for c in pi),
             tuple(tuple(sorted(c.elements())) for c in lk),
-            tuple(tuple((lab, c[lab]) for lab in ordered(inside(c))) for c in lk),
-            tuple(c[0] for c in lk))
+            tuple(tuple((lab, c[lab]) for lab in ordered(inside(c))) for c in lk))
 
 
 def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
@@ -664,12 +676,7 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
         poles, adj_num, adj_lc = poles.real, adj_num.real, adj_lc.real
     plus = np.array([b == BRANCH_PLUS for b in branches], dtype=bool)
     values = _label_values(poles, plus, np.array([rho_ref]), np.array([v_ref]))[:, 0]
-    pi_labels, lk_labels, groups, m0 = _plan_labels(model, values)
-    nonzero = [[lab for lab in ls if lab] for ls in lk_labels]
-    l0_labels = np.full((n, max(map(len, nonzero), default=0)), -1)
-    for k, ls in enumerate(nonzero):
-        l0_labels[k, :len(ls)] = ls
-
+    pi_labels, lk_labels, groups = _plan_labels(model, values)
     shifts, extras = {}, {}
     for k in range(n):
         for j in range(n):
@@ -693,18 +700,14 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     src = np.arange(width) - np.array([shifts.get(e, 0) for e in range(size)])[:, None]
     mask = (src >= 0) & (src <= 2 * top) & np.isin(np.arange(size), list(shifts))[:, None]
     place = np.arange(size)[:, None] * (2 * top + 2) + np.where(mask, src, 2 * top + 1)
-    extra = np.full((size, max((len(x) for x in extras.values()), default=0)), -1)
-    for e, x in extras.items():
-        extra[e, :len(x)] = x
-    plan = AnsatzPlan(
-        n, poles, plus, adj_num, adj_lc, adj_deg, place, extra.reshape(n, n, -1),
-        pi_labels, lk_labels, groups, l0_labels, m0, np.zeros(0, dtype=int),
-        _row_layout(n, width, [len(ls) for ls in pi_labels], [[m for _, m in g] for g in groups],
-                    extra.shape[-1]))
+    extra = _index_table([extras.get(e, ()) for e in range(size)])
+    layout = _row_layout(width, pi_labels, lk_labels, groups, extra.reshape(n, n, -1))
+    plan = AnsatzPlan(n, poles, plus, adj_num, adj_lc, adj_deg, place,
+                      np.zeros(0, dtype=int), layout)
 
     spec = _plan_spec(plan, rho_ref, v_ref)
     a0 = _assemble_homogeneous(spec)
-    u = spec.hom_unknowns()
+    u = layout.hom.size
     if a0.shape[0] < u:
         raise NonSquareSystem("fewer constraints than unknowns in homogeneous system",
                               unknowns=u, constraints=a0.shape[0])
@@ -778,17 +781,8 @@ def _plan_spec(plan: AnsatzPlan, rho, v) -> AnsatzSpec:
     composed = (plan.adj_num @ powers.reshape(top + 1, -1)).reshape(-1, rho.size)
     scale = 1.0 / (plan.adj_lc[:, None] * half ** plan.adj_deg[:, None])
     num = composed[plan.place] * scale[:, None]
-    # -1 pads l0_labels and picks the row of ones
-    l0 = np.prod(np.concatenate([-lab, np.ones((1, rho.size))])[plan.l0_labels], axis=1)
-    labels = lab.reshape(lab.shape[:1] + batch)
-    roots = list(labels)
-    return AnsatzSpec(
-        plan.n, [tuple(roots[i] for i in ls) for ls in plan.pi_labels],
-        num.reshape((plan.n, plan.n, num.shape[1]) + batch),
-        lab[plan.extras].reshape(plan.extras.shape + batch), plan.extras >= 0,
-        [tuple(roots[i] for i in ls) for ls in plan.lk_labels],
-        [[(roots[i], m) for i, m in g] for g in plan.groups],
-        list(plan.m0), l0.reshape((plan.n,) + batch), plan.layout, plan.selected_rows, labels)
+    return AnsatzSpec(num.reshape((plan.n, plan.n, num.shape[1]) + batch),
+                      lab.reshape(lab.shape[:1] + batch), plan.layout, plan.selected_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -801,36 +795,28 @@ class RationalMatrixTau:
     """n x n matrix of rational functions of tau (factor output).
 
     Entry (r, c) is the polynomial nums[r, c] (ascending coefficients) over
-    the row denominator prod (tau - den_roots[r][x]).  With adjugate=True the
-    matrix is the adjugate of that quotient, taken at each tau: X = adj Psi_+
-    since det Psi_+ = 1.  eval takes a scalar tau, giving (n, n), or an array
-    of them, giving (..., n, n); each tau is evaluated alike, so an array
-    gives the stacked scalar values.
+    the row denominator prod (tau - den_roots[r, x]) over the slots x with
+    den_on[r, x].  With adjugate=True the matrix is the adjugate of that
+    quotient, taken at each tau: X = adj Psi_+ since det Psi_+ = 1.  eval
+    takes a scalar tau, giving (n, n), or an array of them, giving (..., n,
+    n); each tau is evaluated alike, so an array gives the stacked scalar
+    values.
     """
 
     nums: np.ndarray          # (n, n, coefficient)
-    den_roots: tuple          # per row: roots of its denominator
+    den_roots: np.ndarray     # (n, slot): roots of each row's denominator
+    den_on: np.ndarray        # (n, slot): which slots hold a root
     adjugate: bool = False
 
     @property
     def n(self) -> int:
         return self.nums.shape[0]
 
-    @cached_property
-    def _den_table(self) -> tuple:
-        """(roots, on): the row denominators' roots padded into a table
-        (n, slot), and which slots hold a root."""
-        on = np.arange(max(map(len, self.den_roots))) < np.array(
-            [len(roots) for roots in self.den_roots])[:, None]
-        roots = np.zeros(on.shape, dtype=complex)
-        roots[on] = [r for row in self.den_roots for r in row]
-        return roots, on
-
     def eval(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=complex)
         t = tau.reshape(-1)
         val = poly_eval_stack(self.nums, t)                 # (r, c, tau)
-        roots, on = self._den_table
+        roots, on = self.den_roots, self.den_on
         # the masked product of each row's roots, the padding multiplying by
         # 1.0; slot by slot, as np.prod would take another order for another
         # number of taus, and every tau must evaluate alike
@@ -873,7 +859,6 @@ class FactorisationOutcome:
     D_value: complex
     D_scale: float
     kernel_dim: int
-    classification: ClassificationResult | None = None
     X: RationalMatrixTau | None = None
     M_minus: RationalMatrixTau | None = None
     M_limit: np.ndarray | None = None
@@ -906,12 +891,12 @@ def _check_taus(poles) -> tuple:
 
 def _residual_report(model: RationalMatrixOmega, pt: SpectralPoint, poles,
                      X: RationalMatrixTau, M_minus: RationalMatrixTau,
-                     pole_resid, det_tol: float = 1e-8) -> ResidualReport:
+                     pole_resid) -> ResidualReport:
     """Pointwise check of M = M_minus * X and X(0) = I over the check circle.
 
     M(tau) comes from the model's omega-entries at omega(tau), the factors
     from the solved columns, so the check is independent of the solve.  At
-    the same points det M(tau) = 1 must hold to det_tol * max(1, |M|)^n.
+    the same points det M(tau) = 1 must hold to 1e-8 * max(1, |M|)^n.
     """
     taus = _check_taus(poles)
     t = np.array(taus)
@@ -919,7 +904,7 @@ def _residual_report(model: RationalMatrixOmega, pt: SpectralPoint, poles,
     m_val = model.eval(omega).transpose(2, 0, 1)
     scale = np.maximum(1.0, np.max(np.abs(m_val), axis=(-2, -1)))
     det = np.linalg.det(m_val)
-    bad = np.abs(det - 1.0) > det_tol * scale ** model.n
+    bad = np.abs(det - 1.0) > 1e-8 * scale ** model.n
     if np.any(bad):
         k = int(np.argmax(bad))
         raise InvariantViolation(f"det M(omega(tau)) is {det[k]} at tau={taus[k]}")
@@ -940,10 +925,11 @@ def _factors(spec: AnsatzSpec, sol: np.ndarray):
     Analyticity is re-verified at every inside pole, where psi_+'s numerator
     NUM_k must vanish to the pole's order relative to the terms it sums.
     Then NUM_k of every column is deflated by the inside roots of L_k, one
-    root position at a time for all components at once, untrimmed, and those
-    roots leave L_k's roots as the identical values the plan gives both.
-    X = Psi_+^{-1} = adj(Psi_+); the entries of a row share their
-    denominator.  Every table indexed here is the plan's layout.
+    root position at a time for all components at once, untrimmed; X's row
+    k keeps the other roots of L_k as its denominator.  X = Psi_+^{-1} =
+    adj(Psi_+); the entries of a row share their denominator.  Every table
+    indexed here is the plan's layout, and every root is read from
+    spec.roots by its index.
     """
     n, lay, base = spec.n, spec.layout, spec.base_polys
     # NUM_k = sum_j A_kj S_j of every factor column, as a map from sol
@@ -955,8 +941,9 @@ def _factors(spec: AnsatzSpec, sol: np.ndarray):
     # rounding noise relative to its own terms.  Row (g, o) of a Taylor table
     # takes coefficients to the Taylor coefficient o at the root of group g
     # (table 0), or at max(1, |root|) (table 1).
-    roots = np.array([r for g in spec.inside_groups for r, _ in g], dtype=complex)
-    at = np.stack([roots, np.maximum(1.0, np.abs(roots))])
+    roots = np.asarray(spec.roots, dtype=complex)
+    inside = roots[lay.groot]
+    at = np.stack([inside, np.maximum(1.0, np.abs(inside))])
     taylor = lay.tcomb * at[:, lay.tgroup, None] ** lay.tpower
     values = np.einsum("rt,rti->ri", taylor[0], nums[lay.gk[lay.tgroup]])
     terms = taylor[1].real @ (np.abs(conv) @ np.abs(sol)).max(axis=0)
@@ -968,32 +955,23 @@ def _factors(spec: AnsatzSpec, sol: np.ndarray):
     for done, keep, group in lay.deflation:
         if done.size:       # components whose roots are all divided out
             plus[ks[done], :, :num.shape[0]] = num[:, done].transpose(1, 2, 0)
-        num, ks = poly_deflate(num[:, keep], roots[group])[0], ks[keep]
+        num, ks = poly_deflate(num[:, keep], inside[group])[0], ks[keep]
     plus[ks, :, :num.shape[0]] = num.transpose(1, 2, 0)
-    den_plus = []
-    for k, groups in enumerate(spec.inside_groups):
-        den = list(spec.lk_roots[k])
-        for root, mult in groups:
-            for _ in range(mult):
-                den.remove(root)
-        den_plus.append(tuple(den))
-    return (RationalMatrixTau(plus, tuple(den_plus), adjugate=True),
-            RationalMatrixTau(minus, tuple(spec.pi_roots)), pole_resid)
+    return (RationalMatrixTau(plus, roots[lay.xden], lay.xden >= 0, adjugate=True),
+            RationalMatrixTau(minus, roots[lay.pi], lay.pi >= 0), pole_resid)
 
 
 def _checked_factors(model: RationalMatrixOmega, batch: PointBatch, pt: SpectralPoint):
     """(X, M_minus, residual report) of the canonical one-point batch of
     the model's plan at pt."""
     X, M_minus, pole_resid = _factors(batch.spec, batch.solution)
-    return X, M_minus, _residual_report(model, pt, batch.spec.labels, X, M_minus, pole_resid)
+    return X, M_minus, _residual_report(model, pt, batch.spec.roots, X, M_minus, pole_resid)
 
 
 def _d_with_scale(model: RationalMatrixOmega, rho, v, branches=None):
     """(D, Hadamard row-norm bound) at Weyl points (rho, v) of any common
     shape, so |D|/scale is a unit-free singularity measure.  Evaluates the
     plan's analyticity rows only: no monodromy, no normalisation rows."""
-    if branches is None:
-        branches = model.default_branches
     spec = _plan_spec(_plan_for(model, branches), rho, v)
     return _det_with_scale(_assemble_homogeneous(spec)[..., spec.selected_rows, :])
 
@@ -1080,8 +1058,7 @@ class PointBatch:
     @property
     def M_limit(self) -> np.ndarray:
         """batch + (n, n): M(rho, v) = lim M_minus, the coefficient deg pi_j of S_j."""
-        ends = np.cumsum([len(r) + 1 for r in self.spec.pi_roots]) - 1
-        return self.solution[..., ends, :]
+        return self.solution[..., self.spec.layout.limit, :]
 
     @property
     def canonical(self) -> np.ndarray:
@@ -1103,17 +1080,15 @@ def evaluate_points(model: RationalMatrixOmega, rho, v, branches=None,
     scale.
     """
     check_tol(tol)
-    if branches is None:
-        branches = model.default_branches
     return _evaluate(_plan_spec(_plan_for(model, branches), rho, v), tol)
 
 
 def _evaluate(spec: AnsatzSpec, tol: float) -> PointBatch:
     """evaluate_points on the plan's spec at its points."""
     A, B = _assemble_inhomogeneous(spec)
-    a0 = _homogeneous_part(spec, A)
-    d_val, d_scale = _det_with_scale(a0[..., spec.selected_rows, :])
     n, top = spec.n, A.shape[-2]
+    a0 = A[..., :-n, spec.layout.hom]          # _assemble_homogeneous(spec), entry for entry
+    d_val, d_scale = _det_with_scale(a0[..., spec.selected_rows, :])
     rows = np.concatenate([spec.selected_rows, np.arange(top - n, top)])
     sol = _solve_stack(A[..., rows, :], B[..., rows, :])
     resid, scale = _system_residual(A, B, sol)
@@ -1151,18 +1126,15 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
     carry D and the kernel dimension.
     """
     pt = SpectralPoint(rho, v)
-    if branches is None:
-        branches = model.default_branches
-    classification = classify_2x2(model) if model.degree_table is not None else None
     batch = evaluate_points(model, rho, v, branches, tol)
     d_val, d_scale = complex(batch.D_value.item()), batch.D_scale.item()
     kdim = int(batch.kernel_dim)
     if batch.canonical:
         X, M_minus, report = _checked_factors(model, batch, pt)
-        return FactorisationOutcome(Status.CANONICAL, d_val, d_scale, 0, classification,
+        return FactorisationOutcome(Status.CANONICAL, d_val, d_scale, 0,
                                     X, M_minus, batch.M_limit, report)
     status = Status.DEGENERATE if kdim else Status.UNRESOLVED
-    return FactorisationOutcome(status, d_val, d_scale, kdim, classification)
+    return FactorisationOutcome(status, d_val, d_scale, kdim)
 
 
 def assemble_M(outcome: FactorisationOutcome, check: bool = True,
@@ -1177,9 +1149,10 @@ def assemble_M(outcome: FactorisationOutcome, check: bool = True,
         raise NotCanonical(f"no solution matrix for status {outcome.status.value}")
     m = outcome.M_limit
     if check:
-        poles = [abs(r) for roots in outcome.M_minus.den_roots for r in roots]
-        taus = max([1.0, *poles]) * np.array([1e4, 1e6])
-        vals = outcome.M_minus.eval(taus)
+        M_minus = outcome.M_minus
+        pole = np.max(np.abs(M_minus.den_roots[M_minus.den_on]), initial=1.0)
+        taus = pole * np.array([1e4, 1e6])
+        vals = M_minus.eval(taus)
         extr = (taus[1] * vals[1] - taus[0] * vals[0]) / (taus[1] - taus[0])
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(extr - m)) > rel * scale:

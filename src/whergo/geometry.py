@@ -228,8 +228,6 @@ class CurvePolyline:
 def _d_hat_function(model: RationalMatrixOmega, branches):
     """Normalised-D callables (Hadamard-scaled determinant of factorise's D
     rows) at one point and over a grid."""
-    if branches is None:
-        branches = model.default_branches
 
     def fgrid(R, V):
         d, scale = _d_with_scale(model, R, V, branches)

@@ -203,20 +203,21 @@ def test_identity_monodromy():
     model = model_identity(2)
     mono = compose_monodromy(model, SpectralPoint(2.0, 1.0))
     assert np.allclose(mono.eval(0.7 + 0.2j), np.eye(2))
-    # no pole: the plan labels no root
-    plan = engine._plan_for(model, model.default_branches)
-    assert plan.pi_labels == plan.lk_labels == ((), ())
+    # no pole: the plan's layout names no root
+    lay = engine._plan_for(model, model.default_branches).layout
+    assert lay.pi.shape == lay.xden.shape == lay.l0.shape == (2, 0)
+    assert lay.groot.size == 0 and lay.m0.tolist() == [0, 0]
 
 
 def test_mp5d_plan_labels_have_origin_pole(mp5d):
     # labels: 0 is tau = 0, 1 + 2i and 2 + 2i the pair of omega_poles[i]
-    plan = engine._plan_for(mp5d, mp5d.default_branches)
-    assert plan.m0 == (1, 1, 1)          # one tau = 0 pole in every L_k
-    assert plan.pi_labels[1] == (0,)
+    lay = engine._plan_for(mp5d, mp5d.default_branches).layout
+    assert lay.m0.tolist() == [1, 1, 1]          # one tau = 0 pole in every L_k
+    assert lay.pi[1][lay.pi[1] >= 0].tolist() == [0]
     # the omega = alpha - m denominator factor of the (3,3) entry cancels
     # exactly under 4 alpha = 2m - a^2, so only the +-alpha pairs are poles
     assert [w.real for w in mp5d.omega_poles[:2]] == pytest.approx([-0.75, 0.75])
-    assert {lab for ls in plan.lk_labels for lab in ls} == {0, 1, 2, 3, 4}
+    assert set(lay.l0[lay.l0 >= 0].tolist()) == {1, 2, 3, 4}     # the non-zero labels of L_k
 
 
 def test_mp5d_alpha_minus_m_pole_is_removable(mp5d):
@@ -232,8 +233,8 @@ def test_mp5d_alpha_minus_m_pole_is_removable(mp5d):
 
 
 def test_mvc5d_row_inside_poles(mvc5d):
-    plan = engine._plan_for(mvc5d, mvc5d.default_branches)
-    assert [len(labels) for labels in plan.pi_labels] == [1, 2, 1]
+    lay = engine._plan_for(mvc5d, mvc5d.default_branches).layout
+    assert (lay.pi >= 0).sum(axis=1).tolist() == [1, 2, 1]
 
 
 MODELS = [(builder, m, a) for builder in (model_kerr, model_mp5d, model_mvc5d)
@@ -257,9 +258,11 @@ def test_den_roots_are_the_reference_roots_bitwise(builder, m, a):
 
 def _plan_bits(model):
     plan = engine._plan_for(model, model.default_branches)
-    return {f.name: (_bits(v) if isinstance(v, np.ndarray) else repr(v))
-            for f in dataclasses.fields(plan) if f.name != "layout"
-            for v in [getattr(plan, f.name)]}
+    fields = [(f.name, getattr(plan, f.name)) for f in dataclasses.fields(plan)
+              if f.name != "layout"]
+    fields += [("layout." + f.name, getattr(plan.layout, f.name))
+               for f in dataclasses.fields(plan.layout)]
+    return {name: (_bits(v) if isinstance(v, np.ndarray) else repr(v)) for name, v in fields}
 
 
 @pytest.mark.parametrize("builder, m, a", MODELS)

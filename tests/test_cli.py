@@ -457,6 +457,46 @@ def test_verify_bad_json_model_exit_1(tmp_path, capsys):
     assert "det" in err
 
 
+def _identity_doc(n, cell=None):
+    """The n x n identity as a model document, entry (0, 0) replaced by cell."""
+    one, zero = {"num": [[1, 0]], "den": [[1, 0]]}, {"num": [[0, 0]], "den": [[1, 0]]}
+    entries = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    if cell is not None:
+        entries[0][0] = cell
+    return {"n": n, "eta": [1] * n, "entries": entries}
+
+
+@pytest.mark.parametrize("doc, why", [
+    (_identity_doc(2, {"num": [[math.nan, 0]], "den": [[1, 0]]}), "finite"),
+    (_identity_doc(2, {"num": [[1, 0]], "den": [[1, math.nan]]}), "finite"),
+    (_identity_doc(2, {"num": [[math.inf, 0], [1, 0]], "den": [[1, 0]]}), "finite"),
+    (_identity_doc(2, {"num": [[10 ** 400, 0]], "den": [[1, 0]]}), "double-range"),
+    (_identity_doc(2, {"num": [[None, 0]], "den": [[1, 0]]}), "double-range"),
+    (_identity_doc(4), "n must be 2 or 3")],
+    ids=["nan-num", "nan-den", "inf", "huge-int", "null", "n4"])
+@pytest.mark.parametrize("command", [["factorize", "--rho", "2", "--v", "0.5"],
+                                     ["verify", "--suite", "vieta"]], ids=["factorize", "verify"])
+def test_model_json_refuses_non_finite_coefficients_and_other_n(tmp_path, capsys, doc, why,
+                                                                  command):
+    # a NaN, infinite or non-numeric coefficient, or a size the engine has
+    # no adjugate for, is a malformed model file: exit 1 with one error
+    # line, no traceback
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))          # NaN and Infinity as Python's json writes them
+    code, out, err = run_capture(capsys, *command, "--model-json", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and why in err
+
+
+def test_make_model_refuses_a_nan_determinant():
+    # a NaN in M makes det M NaN, which must fail the det = 1 check
+    from whergo.catalog import make_model
+    from whergo.errors import InvariantViolation
+
+    with pytest.raises(InvariantViolation, match="det"), np.errstate(invalid="ignore"):
+        make_model([[([math.nan], [1.0]), ([0.0], [1.0])], [([0.0], [1.0]), ([1.0], [1.0])]])
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = {"model": "kerr", "params": {"m": 2.0, "a": 1.0},
            "grid": {"rho": [0.5, 2.0, 3], "v": [-1.0, 1.0, 3]}}
@@ -480,6 +520,29 @@ def test_config_unknown_key(tmp_path, capsys):
     code, _, err = run_capture(capsys, "sweep", "--config", str(path))
     assert code == 1
     assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"grid": {"rho": [0.1, 1, 10]}}, "grid"),
+    ({"grid": {"rho": [0.1, 1, 10], "v": [-1, 1, "10"]}}, "grid"),
+    ({"tol": "0.1"}, "tol"),
+    ({"step": "a"}, "step"),
+    ({"params": {"m": "x"}}, "params"),
+    ({"params": {"m": 10 ** 400}}, "params"),
+    ({"params": {"mass": 5.0}}, "params"),          # read by no model: m stayed 2
+    ({"branches": "minus,minus"}, "branches"),
+    ({"jobs": 2.0}, "jobs"),
+    ({"fmt": ["csv"]}, "fmt"),
+])
+def test_config_field_of_the_wrong_type_exits_1(tmp_path, capsys, doc, field):
+    # a config field of another type is refused at load, with one error
+    # line naming the field: no traceback, and no string split into tags
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_capture(capsys, "sweep", "--config", str(path),
+                                 "--out", str(tmp_path / "s.csv"))
+    assert code == 1 and out == "" and not (tmp_path / "s.csv").exists()
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: config field {field!r}")
 
 
 def test_env_tolerance(tmp_path, monkeypatch, capsys):

@@ -538,7 +538,9 @@ def test_factorise_chain_model_generic_route():
     model = synthetic_chain_model()
     out = factorise(model, 1.3, 0.4)
     assert out.status is Status.CANONICAL
-    assert out.classification.kind is Classification.REDUCIBLE_CASE
+    # the classification is per model, not per point: classify_2x2 alone gives it
+    assert classify_2x2(model).kind is Classification.REDUCIBLE_CASE
+    assert not hasattr(out, "classification")
     assert out.residual_report.factorisation <= 1e-9
     assert abs(np.linalg.det(out.M_limit) - 1.0) <= 1e-9 * np.max(np.abs(out.M_limit)) ** 2
 
@@ -628,7 +630,7 @@ def test_index_balance(kerr, mp5d, mvc5d):
     for model in (mp5d, mvc5d):
         spec = _plan_spec_at(model, 1.9, 0.4)
         a0 = _assemble_homogeneous(spec)
-        u = spec.hom_unknowns()
+        u = spec.layout.hom.size
         assert spec.selected_rows.size == u
         assert a0.shape[1] == u
         assert u - numerical_nullity(a0) == u  # full column rank off-curve
@@ -759,7 +761,7 @@ def build_ansatz(mono, inside):
         pi_roots.append(tuple(roots))
     adj = engine._adjugate_fr(mono.entries, n)
     base_polys = [[None] * n for _ in range(n)]
-    lk_roots, inside_groups, m0s, l0s = [], [], [], []
+    lk_roots, inside_groups = [], []
     for k in range(n):
         dens = [tuple(adj[k][j].den_roots) + pi_roots[j] for j in range(n)]
         lk = ()
@@ -772,27 +774,29 @@ def build_ansatz(mono, inside):
             cof = _multiset_minus(lk, dens[j])
             base_polys[k][j] = poly_scale(
                 poly_mul(adj[k][j].num, poly_from_roots(cof)), 1.0 / adj[k][j].den_lc)
-        groups = [(r, m) for r, m in _group_roots(lk) if _is_inside_root(r, inside)]
-        m0 = 0
-        l0 = 1.0 + 0j
-        for r, m in _group_roots(lk):
-            if abs(r) < 1e-10:
-                m0 = m
-            else:
-                l0 *= (-r) ** m
         lk_roots.append(tuple(lk))
-        inside_groups.append(groups)
-        m0s.append(m0)
-        l0s.append(l0)
+        inside_groups.append([(r, m) for r, m in _group_roots(lk) if _is_inside_root(r, inside)])
     base = np.zeros((n, n, max(p.size for row in base_polys for p in row)), dtype=complex)
     for k in range(n):
         for j in range(n):
             base[k, j, :base_polys[k][j].size] = base_polys[k][j]
-    layout = engine._row_layout(n, base.shape[-1], [len(r) for r in pi_roots],
-                                [[m for _, m in g] for g in inside_groups], 0)
-    return engine.AnsatzSpec(n, pi_roots, base, np.zeros((n, n, 0), dtype=complex),
-                             np.zeros((n, n, 0), dtype=bool), lk_roots, inside_groups, m0s,
-                             np.array(l0s), layout)
+    # the spec names every root by its index: 0 is tau = 0, then each
+    # distinct root in the order first met
+    roots = [0j]
+
+    def index(r):
+        if abs(r) < 1e-10:
+            return 0
+        for i, s in enumerate(roots):
+            if i and abs(r - s) <= 1e-8 * max(1.0, abs(r)):
+                return i
+        roots.append(complex(r))
+        return len(roots) - 1
+    pi = [[index(r) for r in rs] for rs in pi_roots]
+    lk = [sorted(index(r) for r in rs) for rs in lk_roots]
+    groups = [[(index(r), m) for r, m in g] for g in inside_groups]
+    layout = engine._row_layout(base.shape[-1], pi, lk, groups, np.full((n, n, 0), -1))
+    return engine.AnsatzSpec(base, np.array(roots), layout)
 
 
 def _reference_system(model, rho, v, branches):
@@ -896,10 +900,10 @@ def _flip_pi_label(real, label):
     """_plan_labels with the first `label` of pi_0 (an inside member) turned
     into its outside member."""
     def flipped(*args):
-        pi, lk, groups, m0 = real(*args)
+        pi, lk, groups = real(*args)
         row = list(pi[0])
         row[row.index(label)] = label + 1
-        return (tuple(row),) + pi[1:], lk, groups, m0
+        return (tuple(row),) + pi[1:], lk, groups
     return flipped
 
 
@@ -999,17 +1003,49 @@ def _taylor_rows_loop(groups, width):
     return np.array(rows).reshape(-1, width)
 
 
-def _factors_loop(spec, sol):
+def _compiled_labels(model, branches=None):
+    """(plan, (pi_labels, lk_labels, groups)): the plan of a fresh copy of
+    the model, compiled here, and the label tuples _plan_labels gave that
+    compile, from which its layout's tables are built."""
+    fresh = dataclasses.replace(model)              # the same entries, no plan yet
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_plan_labels",
+                   lambda *args, _real=engine._plan_labels: seen.append(_real(*args)) or seen[-1])
+        plan = engine._plan_for(fresh, branches)
+    return plan, seen[-1]
+
+
+def _root_lists(labels, roots):
+    """(pi_roots, lk_roots, inside_groups) at one point: the label tuples
+    with each label replaced by its root in roots (the spec's label
+    values), one Python value per root."""
+    pi, lk, groups = labels
+    return ([tuple(roots[lab] for lab in ls) for ls in pi],
+            [tuple(roots[lab] for lab in ls) for ls in lk],
+            [[(roots[lab], m) for lab, m in g] for g in groups])
+
+
+def _den_rows(factor):
+    """The row denominators of a factor as one tuple of roots per row, in
+    slot order."""
+    return tuple(tuple(row[on]) for row, on in zip(factor.den_roots, factor.den_on))
+
+
+def _factors_loop(spec, sol, lists):
     """_factors with the Taylor rows built one root at a time and NUM_k
-    deflated one component and one root at a time; returns (X numerators,
-    X row denominators, M_minus numerators, pole_resid)."""
+    deflated one component and one root at a time, and with X's row
+    denominators L_k's roots (lists: _root_lists's) with each inside root
+    removed from them in turn; returns (X numerators, X row denominators,
+    M_minus numerators, pole_resid)."""
+    _, lk_roots, inside_groups = lists
     n, lay, base = spec.n, spec.layout, spec.base_polys
     shift = np.arange(lay.cmax - 1 + base.shape[2])[:, None] - lay.ccol
     conv = np.where((shift >= 0) & (shift < base.shape[2]),
                     base[:, lay.jcol, np.clip(shift, 0, base.shape[2] - 1)], 0.0)
     nums = conv @ sol
-    poles = [rm for g in spec.inside_groups for rm in g]
-    owner = [k for k, g in enumerate(spec.inside_groups) for _, m in g for _ in range(m)]
+    poles = [rm for g in inside_groups for rm in g]
+    owner = [k for k, g in enumerate(inside_groups) for _, m in g for _ in range(m)]
     values = np.einsum("rt,rti->ri", _taylor_rows_loop(poles, shift.shape[0]), nums[owner])
     terms = (_taylor_rows_loop([(max(1.0, abs(r)), m) for r, m in poles], shift.shape[0]).real
              @ (np.abs(conv) @ np.abs(sol)).max(axis=0))
@@ -1018,8 +1054,8 @@ def _factors_loop(spec, sol):
     minus[lay.jcol, :, lay.ccol] = sol
     plus = np.zeros((n, n, shift.shape[0]), dtype=complex)
     den_plus = []
-    for k, groups in enumerate(spec.inside_groups):
-        num, den = nums[k], list(spec.lk_roots[k])
+    for k, groups in enumerate(inside_groups):
+        num, den = nums[k], list(lk_roots[k])
         for root, mult in groups:
             for _ in range(mult):
                 num, _ = poly_deflate(num, root)
@@ -1044,10 +1080,10 @@ def _tau_eval_loop(nums, den_roots, adjugate, t):
     return engine._adjugate(val) if adjugate else val
 
 
-def _report_loop(model, rho, v, spec, factors):
-    """The residual report from the per-root factors: the check circle tried
-    one radius at a time, M(tau) entry by entry, X evaluated apart at the
-    check points and at tau = 0."""
+def _report_loop(model, rho, v, pi_roots, factors):
+    """The residual report from the per-root factors (M_minus over the
+    roots pi_roots): the check circle tried one radius at a time, M(tau)
+    entry by entry, X evaluated apart at the check points and at tau = 0."""
     plus, den_plus, minus, pole_resid = factors
     plan = engine._plan_for(model, model.default_branches)
     poles = engine._label_values(plan.omega_poles, plan.plus, np.array([rho]), np.array([v]))
@@ -1057,7 +1093,7 @@ def _report_loop(model, rho, v, spec, factors):
     m_val = np.moveaxis(np.array([[poly_eval(e.num, omega) / poly_eval(e.den, omega)
                                    for e in row] for row in model.entries]), -1, 0)
     scale = np.maximum(1.0, np.max(np.abs(m_val), axis=(-2, -1)))
-    prod = _tau_eval_loop(minus, spec.pi_roots, False, t) @ _tau_eval_loop(plus, den_plus, True, t)
+    prod = _tau_eval_loop(minus, pi_roots, False, t) @ _tau_eval_loop(plus, den_plus, True, t)
     x0 = _tau_eval_loop(plus, den_plus, True, np.zeros(1, dtype=complex))[0]
     return engine.ResidualReport(
         float(np.max(np.max(np.abs(m_val - prod), axis=(-2, -1)) / scale)),
@@ -1072,6 +1108,7 @@ def test_factors_are_the_per_root_loops_bitwise(name, kerr, mp5d, mvc5d):
     # and denominators and every field of the residual report, at canonical
     # draws and at points 1e-4..1e-2 beyond the failure curve
     model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
+    plan, labels = _compiled_labels(model)
     points = [(rho, v) for rho, v, _ in _canonical_draws(model, 12, seed=62)]
     if name != "chain":
         rng = np.random.default_rng(63)
@@ -1083,23 +1120,26 @@ def test_factors_are_the_per_root_loops_bitwise(name, kerr, mp5d, mvc5d):
         out = factorise(model, rho, v)
         if not out.canonical:
             continue
-        spec = engine._plan_spec(engine._plan_for(model, model.default_branches), rho, v)
-        ref = _factors_loop(spec, evaluate_points(model, rho, v).solution)
-        assert np.array_equal(out.X.nums, ref[0]) and out.X.den_roots == ref[1]
-        assert np.array_equal(out.M_minus.nums, ref[2])
-        assert out.residual_report == _report_loop(model, rho, v, spec, ref)
+        spec = engine._plan_spec(plan, rho, v)
+        lists = _root_lists(labels, spec.roots)
+        ref = _factors_loop(spec, evaluate_points(model, rho, v).solution, lists)
+        assert np.array_equal(out.X.nums, ref[0]) and _den_rows(out.X) == ref[1]
+        assert np.array_equal(out.M_minus.nums, ref[2]) and list(_den_rows(out.M_minus)) == lists[0]
+        assert out.residual_report == _report_loop(model, rho, v, lists[0], ref)
         compared += 1
     assert compared >= (12 if name == "chain" else 20)
 
 
-def _factor_columns_loop(spec, sol):
+def _factor_columns_loop(spec, sol, lists):
     """The psi_+ and psi_- columns of the solved ansatz at one point, one
-    column and one inside root at a time, as FactoredRational entries."""
+    column and one inside root at a time, as FactoredRational entries
+    (lists: _root_lists's)."""
+    pi_roots, lk_roots, inside_groups = lists
     n, base = spec.n, spec.base_polys
     cols_plus, cols_minus = [], []
     for i in range(n):
         s = [sol[spec.layout.jcol == j, i] for j in range(n)]
-        cols_minus.append([FactoredRational(s[j], 1.0, tuple(spec.pi_roots[j]))
+        cols_minus.append([FactoredRational(s[j], 1.0, tuple(pi_roots[j]))
                            for j in range(n)])
         plus = []
         for k in range(n):
@@ -1107,8 +1147,8 @@ def _factor_columns_loop(spec, sol):
             for j in range(n):
                 term = np.convolve(base[k, j], s[j])
                 num[:term.size] += term
-            den = list(spec.lk_roots[k])
-            for root, mult in spec.inside_groups[k]:
+            den = list(lk_roots[k])
+            for root, mult in inside_groups[k]:
                 for _ in range(mult):
                     num, _ = poly_deflate(num, root)
                     den.remove(root)
@@ -1135,6 +1175,7 @@ def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d
     # circle is the one the composed monodromy's poles pick
     model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
     n = model.n
+    plan, labels = _compiled_labels(model)
     for rho, v, out in _canonical_draws(model, 20, seed=61):
         _, _, mono = _setup(model, rho, v)
         taus = np.array(out.residual_report.check_points)
@@ -1143,9 +1184,9 @@ def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d
             got = factor.eval(taus)
             assert got.shape == (taus.size, n, n)
             assert np.array_equal(got, np.stack([factor.eval(t) for t in taus]))
-        spec = _plan_spec_at(model, rho, v)
+        spec = engine._plan_spec(plan, rho, v)
         cols_plus, cols_minus = _factor_columns_loop(
-            spec, evaluate_points(model, rho, v).solution)
+            spec, evaluate_points(model, rho, v).solution, _root_lists(labels, spec.roots))
         x_sym = engine._adjugate_fr([[cols_plus[i][k] for i in range(n)] for k in range(n)], n)
         for factor, entries in ((out.X, x_sym),
                                 (out.M_minus, [[cols_minus[i][j] for i in range(n)]
@@ -1160,16 +1201,55 @@ def test_deflation_by_root_position_with_fewer_roots_in_a_component(kept, kerr):
     # a component with fewer inside roots than another leaves the deflation
     # early and keeps its longer quotient: Kerr's spec with only the first
     # kept[k] groups of component k, against the per-root loops
-    spec = engine._plan_spec(engine._plan_for(kerr, kerr.default_branches), 2.1, 0.6)
-    groups = [list(g[:keep]) for g, keep in zip(spec.inside_groups, kept)]
-    layout = engine._row_layout(2, spec.num_polys.shape[2], [len(r) for r in spec.pi_roots],
-                                [[m for _, m in g] for g in groups], spec.extra_on.shape[-1])
-    short = dataclasses.replace(spec, inside_groups=groups, layout=layout)
+    plan, (pi, lk, groups) = _compiled_labels(kerr)
+    spec = engine._plan_spec(plan, 2.1, 0.6)
+    groups = [g[:keep] for g, keep in zip(groups, kept)]
+    layout = engine._row_layout(spec.num_polys.shape[2], pi, lk, groups, plan.layout.extras)
+    short = dataclasses.replace(spec, layout=layout)
     sol = evaluate_points(kerr, 2.1, 0.6).solution
     X, M_minus, pole_resid = engine._factors(short, sol)
-    plus, den_plus, minus, want_resid = _factors_loop(short, sol)
-    assert np.array_equal(X.nums, plus) and X.den_roots == den_plus
+    plus, den_plus, minus, want_resid = _factors_loop(
+        short, sol, _root_lists((pi, lk, groups), spec.roots))
+    assert np.array_equal(X.nums, plus) and _den_rows(X) == den_plus
     assert np.array_equal(M_minus.nums, minus) and pole_resid == want_resid
+
+
+@pytest.mark.parametrize("name, branches", [
+    ("kerr", ("minus", "minus")), ("kerr", ("plus", "minus")), ("kerr", ("minus", "plus")),
+    ("kerr", ("plus", "plus")), ("mp5d", None), ("mvc5d", None), ("chain", None)])
+def test_layout_root_tables_are_the_label_multisets(name, branches, kerr, mp5d, mvc5d,
+                                                    monkeypatch):
+    # the root tables the layout compiles once, against the label tuples of
+    # the compile: X's row denominators are L_k's labels with every inside
+    # root removed one at a time, M_minus's are pi_j's labels, and L_k's
+    # tau = 0 poles and other labels split into m0 and the l0 table.  None
+    # is the model's default branch tuple, resolved by _plan_for: one plan
+    # and one compile serve both
+    model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
+    plan, (pi, lk, groups) = _compiled_labels(model, branches)
+    lay = plan.layout
+
+    def rows(table):
+        return [row[row >= 0].tolist() for row in table]
+    xden = []
+    for labels, inside in zip(lk, groups):
+        den = list(labels)
+        for lab, mult in inside:
+            for _ in range(mult):
+                den.remove(lab)
+        xden.append(den)
+    assert rows(lay.xden) == xden
+    assert rows(lay.pi) == [list(labels) for labels in pi]
+    assert rows(lay.l0) == [[lab for lab in labels if lab] for labels in lk]
+    assert lay.m0.tolist() == [labels.count(0) for labels in lk]
+    assert lay.groot.tolist() == [lab for inside in groups for lab, _ in inside]
+
+    fresh = dataclasses.replace(model)
+    compiled = []
+    monkeypatch.setattr(engine, "_compile_plan", lambda *args, _real=engine._compile_plan:
+                        compiled.append(args[1]) or _real(*args))
+    assert engine._plan_for(fresh, None) is engine._plan_for(fresh, fresh.default_branches)
+    assert compiled == [fresh.default_branches]
 
 
 def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypatch):
@@ -1187,6 +1267,7 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
     for model, canonical, curve in cases:
         for point in (canonical, curve):
             factorise(model, *point)
+        groups = _compiled_labels(model)[1][2]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic work after warm-up")
@@ -1204,8 +1285,7 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
         out = factorise(model, *canonical)
         assert out.canonical and out.residual_report.factorisation <= 1e-9
         assemble_M(out, check=True)
-        plan = engine._plan_for(model, model.default_branches)
-        assert 0 < len(deflations) <= max(sum(m for _, m in g) for g in plan.groups)
+        assert 0 < len(deflations) <= max(sum(m for _, m in g) for g in groups)
         assert factorise(model, *curve).status is Status.DEGENERATE
         monkeypatch.undo()
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -363,16 +364,24 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
       (or a bracket shorter than 1e-13, or 81 points);
     - chain: nearest-neighbour order of the edge points, each keeping the
       residual its root search returned;
-    - refine, in rounds: each round places one target per gap still wider
-      than `step`, at most `step` past the gap's last sample towards its
-      end, searches the normal through it for a sign change (24 tries, all
-      gaps in lockstep), and finds the roots of the segments found
-      together.  A gap closes once it is at most `step` wide, or when its
-      search finds no sign change or no new point.
+    - refine, in rounds: each round gives every gap still wider than `step`
+      all of its targets at once, points spaced evenly along the gap's
+      chord at most `step` apart, kept where they lie within one scan cell
+      (the diagonal of a grid cell) of either end of the gap; the first
+      target from each end is always kept.  The normals through all
+      targets are searched for a sign change together (24 tries, in
+      lockstep, out to half the target spacing), the roots of the segments
+      found are found together, and the new samples are inserted in chain
+      order.  A gap that gained a sample stays open as its sub-gaps wider
+      than `step`; a gap closes once it is at most `step` wide, or when
+      none of its targets gives a sample.
 
     Once the polyline holds MAX_SAMPLES points no sample is inserted: the
     gaps still open stay as coarse as the rounds so far left them, and in
-    the last round the gaps late in chain order are the ones left out.
+    the last round the targets late in chain order are the ones left out.
+
+    ValueError unless the box bounds are finite with rmin < rmax, vmin <
+    vmax and rmin > 0, and grid is two integers >= 2.
 
     residual_tol must be finite and >= 0 (0 stops on the bracket alone).
     Near the axis this D falls like rho^2 (see the Kerr identity D = f h),
@@ -381,8 +390,14 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
     at rho <= 0.15 up to 9.2e-5 off the closed form, 1e-10 up to 4.1e-7.
     """
     rmin, rmax, vmin, vmax = box
+    if not np.all(np.isfinite(box)):
+        raise ValueError(f"box bounds must be finite, got {box!r}")
+    if not (rmin < rmax and vmin < vmax):
+        raise ValueError(f"box must have rmin < rmax and vmin < vmax, got {box!r}")
     if rmin <= 0:
         raise ValueError("box must lie in the rho > 0 half-plane")
+    if len(grid) != 2 or not all(isinstance(n, Integral) and n >= 2 for n in grid):
+        raise ValueError(f"grid must be two integers >= 2, got {grid!r}")
     check_step(step)
     if not 0.0 <= residual_tol < np.inf:                # NaN fails the comparison too
         raise ValueError(f"residual_tol must be a finite number >= 0, got {residual_tol!r}")
@@ -409,33 +424,40 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
     pts, res = _false_position(fn, scan[:, 0], scan[:, 1], Dn[i[:, 0], j[:, 0]],
                                Dn[i[:, 1], j[:, 1]], residual_tol)
     order = _chain_order(pts)
-    ordered, ordered_res = pts[order], res[order]
+    points, residuals = pts[order], res[order]
 
-    # gap g runs from ordered[g] to ordered[g + 1]; last[g] is its last sample
-    last, end = ordered[:-1].copy(), ordered[1:]
-    total = len(ordered)
-    open_gaps = np.flatnonzero(np.hypot(*(end - last).T) > step)[:max(MAX_SAMPLES - total, 0)]
-    inserted = []                 # (gap, round, point, residual) arrays per round
-    while len(open_gaps):
-        cur = last[open_gaps]
-        gap = np.hypot(*(end[open_gaps] - cur).T)
-        direction = (end[open_gaps] - cur) / gap[:, None]
-        reach = np.minimum(step, 0.5 * gap)
-        n_hat = direction[:, ::-1] * [-1.0, 1.0] / np.linalg.norm(direction, axis=1)[:, None]
-        found, a, b, fa, fb = _normal_search(fn, cur + reach[:, None] * direction, n_hat,
-                                             0.5 * reach)
+    # gap g runs from points[g] to points[g + 1]
+    cell = np.hypot((rmax - rmin) / (grid[0] - 1), (vmax - vmin) / (grid[1] - 1))
+    live = np.hypot(*np.diff(points, axis=0).T) > step
+    while live.any() and len(points) < MAX_SAMPLES:
+        gap = np.flatnonzero(live)
+        chord = points[gap + 1] - points[gap]
+        length = np.hypot(*chord.T)
+        parts = np.ceil(length / step).astype(int)
+        spacing = length / parts
+        # target k of a gap at k / parts of its chord, k = 1 .. parts - 1,
+        # kept within one scan cell (or one spacing) of either end; chain
+        # order throughout
+        owner = np.repeat(np.arange(len(gap)), parts - 1)
+        first = np.cumsum(parts - 1) - (parts - 1)      # each gap's first target
+        k = np.arange(len(owner)) - first[owner] + 1
+        near = (np.minimum(k, parts[owner] - k) * spacing[owner]
+                <= np.maximum(cell, spacing[owner]))
+        keep = np.flatnonzero(near)[:MAX_SAMPLES - len(points)]
+        owner, k = owner[keep], k[keep]
+        direction = chord[owner] / length[owner, None]
+        targets = points[gap[owner]] + (k / parts[owner])[:, None] * chord[owner]
+        found, a, b, fa, fb = _normal_search(fn, targets, direction[:, ::-1] * [-1.0, 1.0],
+                                             0.5 * spacing[owner])
         p, r = _false_position(fn, a, b, fa, fb, residual_tol)
-        moved = np.hypot(*(p - cur[found]).T) >= 1e-12
-        g = open_gaps[found][moved]
-        inserted.append((g, np.full(len(g), len(inserted)), p[moved], r[moved]))
-        last[g] = p[moved]
-        total += len(g)
-        open_gaps = g[np.hypot(*(end[g] - last[g]).T) > step][:max(MAX_SAMPLES - total, 0)]
-
-    chained = (np.arange(len(ordered)), np.full(len(ordered), -1), ordered, ordered_res)
-    gaps, rounds, points, residuals = map(np.concatenate, zip(chained, *inserted))
-    keep = np.lexsort((rounds, gaps))
-    return CurvePolyline(points[keep], residuals[keep])
+        # a gap with a new sample stays open as its sub-gaps wider than step
+        at = gap[owner[found]]
+        added = np.bincount(at, minlength=len(live))
+        points = np.insert(points, at + 1, p, axis=0)
+        residuals = np.insert(residuals, at + 1, r)
+        live = (np.repeat(added > 0, added + 1)
+                & (np.hypot(*np.diff(points, axis=0).T) > step))
+    return CurvePolyline(points, residuals)
 
 
 def _point_to_segments(x, q0, q1, seg, seg_len2):

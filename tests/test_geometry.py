@@ -277,6 +277,25 @@ def test_trace_rejects_a_residual_tol_that_is_not_finite_and_non_negative(kerr, 
         trace_curve(kerr, box=(0.3, 0.9, 1.0, 1.6), grid=(20, 20), residual_tol=residual_tol)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"box": (1.0, 0.5, -4.0, 4.0)}, "box must have rmin < rmax and vmin < vmax"),
+    ({"box": (0.05, 0.05, -4.0, 4.0)}, "box must have rmin < rmax and vmin < vmax"),
+    ({"box": (0.05, 4.0, 4.0, -4.0)}, "box must have rmin < rmax and vmin < vmax"),
+    ({"box": (0.05, float("inf"), -4.0, 4.0)}, "box bounds must be finite"),
+    ({"box": (0.05, 4.0, float("nan"), 4.0)}, "box bounds must be finite"),
+    ({"grid": (0, 0)}, "grid must be two integers >= 2"),
+    ({"grid": (1, 80)}, "grid must be two integers >= 2"),
+    ({"grid": (2.5, 3)}, "grid must be two integers >= 2"),
+    ({"grid": (80,)}, "grid must be two integers >= 2"),
+])
+def test_trace_rejects_a_box_or_grid_the_cli_refuses(kerr, bad, message):
+    # the scan cell that bounds the refinement's targets needs two grid
+    # points per axis; an infinite bound must not reach the engine
+    kwargs = {"box": (0.05, 4.0, -4.0, 4.0), "grid": (20, 20), **bad}
+    with pytest.raises(ValueError, match=message):
+        trace_curve(kerr, **kwargs)
+
+
 def test_classify_curve_tags(kerr):
     poly = trace_curve(kerr, box=(0.05, 2.0, -2.0, 2.0), grid=(60, 60), step=0.05)
     tagged = classify_curve(kerr, poly)
@@ -379,10 +398,11 @@ def _false_position_edge_loop(f, p0, p1, f0, f1, tol: float, max_iter: int = 80)
 
 
 def _trace_curve_loop(model, branches=None, box=(0.05, 4.0, -4.0, 4.0), grid=(80, 80),
-                      step=0.01, residual_tol=1e-10, max_points=20000):
-    """The sequential tracer, one D-hat point per call of the scalar f: the
-    reference for trace_curve.  Returns the polyline and the number of
-    chained edge points, which it evaluates a second time."""
+                      step=0.01, residual_tol=1e-10):
+    """The sequential tracer, one D-hat point per call of the scalar f and
+    one gap at a time, depth first: the reference for trace_curve below its
+    MAX_SAMPLES cap.  Returns the polyline and the number of chained edge
+    points, which it evaluates a second time."""
     from whergo.geometry import _d_hat_function
 
     rmin, rmax, vmin, vmax = box
@@ -408,56 +428,59 @@ def _trace_curve_loop(model, branches=None, box=(0.05, 4.0, -4.0, 4.0), grid=(80
     if not pts:
         raise NoCurveFound(f"no D = 0 locus found in box {box}")
     ordered = _chain_points_loop(np.array(pts))
+    cell = np.hypot((rmax - rmin) / (grid[0] - 1), (vmax - vmin) / (grid[1] - 1))
 
-    def correct(pt_mid, direction, gap):
-        nrm = np.linalg.norm(direction)
-        if nrm == 0:
-            return None
-        n_hat = np.array([-direction[1], direction[0]]) / nrm
-        h = 0.5 * gap
+    def correct(mid, n_hat, h):
         for _ in range(24):
-            a = pt_mid + h * n_hat
-            b = pt_mid - h * n_hat
+            a = mid + h * n_hat
+            b = mid - h * n_hat
             if a[0] <= 0 or b[0] <= 0:
                 h *= 0.5
                 continue
             fa, fb = f(a[0], a[1]).real, f(b[0], b[1]).real
             if (fa < 0) != (fb < 0):
-                p, r = _false_position_edge_loop(f, a, b, fa, fb, residual_tol)
-                return p, r
+                return _false_position_edge_loop(f, a, b, fa, fb, residual_tol)
             h *= 0.6
         return None
+
+    def refine(p, q):
+        """The (sample, residual) pairs the gap p-q gains, in order: its
+        targets' roots, each sub-gap refined in turn once any was found."""
+        length = np.hypot(*(q - p))
+        if length <= step:
+            return []
+        parts = int(np.ceil(length / step))
+        spacing = length / parts
+        direction = (q - p) / length
+        n_hat = np.array([-direction[1], direction[0]])
+        new = []
+        for k in range(1, parts):
+            if min(k, parts - k) * spacing <= max(cell, spacing):
+                got = correct(p + (k / parts) * (q - p), n_hat, 0.5 * spacing)
+                if got is not None:
+                    new.append(got)
+        if not new:
+            return []
+        out = []
+        for start, (x, r) in zip([p] + [x for x, _ in new], new):
+            out += refine(start, x) + [(x, r)]
+        return out + refine(new[-1][0], q)
 
     out = [ordered[0]]
     res_out = [abs(f(ordered[0][0], ordered[0][1]).real)]
     for nxt in ordered[1:]:
-        while np.hypot(*(nxt - out[-1])) > step and len(out) < max_points:
-            cur = out[-1]
-            gap = np.hypot(*(nxt - cur))
-            direction = (nxt - cur) / gap
-            target = cur + min(step, 0.5 * gap) * direction
-            got = correct(target, direction, min(step, 0.5 * gap))
-            if got is None:
-                break
-            p, r = got
-            if np.hypot(*(p - cur)) < 1e-12:
-                break
-            out.append(p)
+        for x, r in refine(out[-1], nxt):
+            out.append(x)
             res_out.append(r)
         out.append(nxt)
         res_out.append(abs(f(nxt[0], nxt[1]).real))
     return CurvePolyline(np.array(out), np.array(res_out)), len(ordered)
 
 
-def test_vectorised_tracer_loops_match_the_python_loops(kerr, mvc5d, monkeypatch):
+@pytest.fixture()
+def d_hat_calls(monkeypatch):
+    """Counts of the tracer's D-hat evaluations: calls and points."""
     from whergo import geometry
-
-    # a lattice cloud has exact distance ties (and a tie for the start point)
-    rng = np.random.default_rng(29)
-    cloud = rng.integers(0, 6, size=(60, 2)).astype(float) * 0.25
-    assert np.array_equal(cloud[geometry._chain_order(cloud)], _chain_points_loop(cloud))
-    sign = np.sign(rng.normal(size=(9, 7)))
-    assert np.array_equal(geometry._sign_change_edges(sign), _sign_change_edges_loop(sign))
 
     count = {"calls": 0, "points": 0}
     d_with_scale = geometry._d_with_scale
@@ -467,15 +490,29 @@ def test_vectorised_tracer_loops_match_the_python_loops(kerr, mvc5d, monkeypatch
         count["points"] += np.size(R)
         return d_with_scale(model, R, V, branches)
     monkeypatch.setattr(geometry, "_d_with_scale", counted)
+    return count
+
+
+# the Kerr box and scan of acceptance criterion 1, the mvc5d box of 5
+CRITERION_1 = dict(box=(0.02, 4.0, -4.0, 4.0), grid=(200, 200), step=0.01)
+CRITERION_5 = dict(box=(0.02, 0.9, -0.9, 0.9), grid=(36, 36), step=0.015, residual_tol=1e-11)
+
+
+def test_vectorised_tracer_loops_match_the_python_loops(kerr, mvc5d, d_hat_calls):
+    from whergo import geometry
+
+    # a lattice cloud has exact distance ties (and a tie for the start point)
+    rng = np.random.default_rng(29)
+    cloud = rng.integers(0, 6, size=(60, 2)).astype(float) * 0.25
+    assert np.array_equal(cloud[geometry._chain_order(cloud)], _chain_points_loop(cloud))
+    sign = np.sign(rng.normal(size=(9, 7)))
+    assert np.array_equal(geometry._sign_change_edges(sign), _sign_change_edges_loop(sign))
 
     def traced(tracer, *args, **kwargs):
-        count.update(calls=0, points=0)
-        return tracer(*args, **kwargs), dict(count)
+        d_hat_calls.update(calls=0, points=0)
+        return tracer(*args, **kwargs), dict(d_hat_calls)
 
-    # the Kerr box and scan of acceptance criterion 1, the mvc5d box of 5
-    for model, kwargs in ((kerr, dict(box=(0.02, 4.0, -4.0, 4.0), grid=(200, 200), step=0.01)),
-                          (mvc5d, dict(box=(0.02, 0.9, -0.9, 0.9), grid=(36, 36), step=0.015,
-                                       residual_tol=1e-11))):
+    for model, kwargs in ((kerr, CRITERION_1), (mvc5d, CRITERION_5)):
         new, new_count = traced(trace_curve, model, **kwargs)
         (old, chained), old_count = traced(_trace_curve_loop, model, **kwargs)
         assert len(new) == len(old)
@@ -485,6 +522,50 @@ def test_vectorised_tracer_loops_match_the_python_loops(kerr, mvc5d, monkeypatch
         # point, in batches
         assert new_count["points"] == old_count["points"] - chained
         assert new_count["calls"] * 20 < old_count["calls"]
+
+
+@pytest.mark.parametrize("case, budget", [
+    ("criterion 1", 16), ("criterion 5", 14),
+    ("criterion 9 plus,minus", 400), ("criterion 9 minus,plus", 400),
+    ("criterion 9 plus,minus, step wider than a scan cell", 36)])
+def test_trace_curve_d_hat_call_budget(kerr, mvc5d, d_hat_calls, case, budget):
+    # a round gives every open gap all of its targets at once, so the calls
+    # follow the rounds: 13, 12, 341 and 31 calls on these boxes.  With a
+    # step of 0.1 no target lies within a scan cell (0.04) of a gap's end;
+    # the first target from each end still closes the gap about 1 long.
+    alternate = dict(box=(0.05, 3.6, -2.6, 2.6), grid=(160, 160), step=0.01)
+    model, branches, kwargs = {
+        "criterion 1": (kerr, None, CRITERION_1),
+        "criterion 5": (mvc5d, None, CRITERION_5),
+        "criterion 9 plus,minus": (kerr, ("plus", "minus"), alternate),
+        "criterion 9 minus,plus": (kerr, ("minus", "plus"), alternate),
+        "criterion 9 plus,minus, step wider than a scan cell": (
+            kerr, ("plus", "minus"), {**alternate, "step": 0.1}),
+    }[case]
+    poly = trace_curve(model, branches, **kwargs)
+    assert d_hat_calls["calls"] <= budget
+    assert np.max(np.hypot(*np.diff(poly.samples, axis=0).T)) <= kwargs["step"]
+
+
+def test_trace_curve_max_samples_cap(kerr, monkeypatch):
+    from whergo import geometry
+
+    # no insertion: the chained scan points alone
+    monkeypatch.setattr(geometry, "MAX_SAMPLES", 0)
+    chained = trace_curve(kerr, **CRITERION_1).samples
+    monkeypatch.setattr(geometry, "MAX_SAMPLES", len(chained))
+    assert np.array_equal(trace_curve(kerr, **CRITERION_1).samples, chained)
+    for extra in (1, 40):
+        cap = len(chained) + extra
+        monkeypatch.setattr(geometry, "MAX_SAMPLES", cap)
+        samples = trace_curve(kerr, **CRITERION_1).samples
+        assert len(chained) < len(samples) <= cap
+        # the chained points keep their order, and the targets cut are the
+        # ones late in chain order: nothing is inserted after the first gaps
+        at = np.array([np.flatnonzero((samples == c).all(axis=1))[0] for c in chained])
+        assert np.all(np.diff(at) > 0)
+        inserted = np.setdiff1d(np.arange(len(samples)), at)
+        assert inserted.max() < at[extra + 1]
 
 
 def _bisection_evaluations(g, lo: float, hi: float, tol: float) -> int:

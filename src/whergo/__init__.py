@@ -1,19 +1,17 @@
 """Canonical Wiener-Hopf factorisation of rational monodromy matrices.
 
-Builds monodromy matrices from rational data via the spectral relation,
-tests for existence of a canonical factorisation (D(rho, v), Toeplitz
-kernel dimension), constructs the factors and the solution matrix
-M(rho, v), and reconstructs metric scalars and factorisation-failure
-curves for the built-in black-hole models.
+Takes a rational matrix M(omega) through the spectral relation, tests for
+existence of a canonical factorisation (D(rho, v), Toeplitz kernel
+dimension), constructs the factors and the solution matrix M(rho, v), and
+reconstructs metric scalars and factorisation-failure curves for the
+built-in black-hole models.
 """
 
 __version__ = "0.1.0"
 
 from . import errors
 from .catalog import (
-    MonodromyMatrixTau,
     RationalMatrixOmega,
-    compose_monodromy,
     load_model_json,
     make_model,
     model_identity,
@@ -27,7 +25,6 @@ from .engine import (
     Status,
     assemble_M,
     classify_2x2,
-    existence_system_2x2,
     factorise,
     toeplitz_kernel_dim,
 )
@@ -44,16 +41,13 @@ from .geometry import (
 from .spectral import (
     SpectralPoint,
     ZeroPair,
-    compose_polynomial,
     spectral_map,
     zero_pair_for,
 )
 
 __all__ = [
     "errors",
-    "MonodromyMatrixTau",
     "RationalMatrixOmega",
-    "compose_monodromy",
     "load_model_json",
     "make_model",
     "model_identity",
@@ -65,7 +59,6 @@ __all__ = [
     "Status",
     "assemble_M",
     "classify_2x2",
-    "existence_system_2x2",
     "factorise",
     "toeplitz_kernel_dim",
     "CurvePolyline",
@@ -78,7 +71,6 @@ __all__ = [
     "trace_curve",
     "SpectralPoint",
     "ZeroPair",
-    "compose_polynomial",
     "spectral_map",
     "zero_pair_for",
 ]

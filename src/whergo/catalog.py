@@ -1,10 +1,10 @@
-"""Rational matrices in omega, their monodromy composition, built-in models.
+"""Rational matrices in omega and the built-in models.
 
 A model is an n x n matrix of rational functions of omega with det = 1 and
-eta-symmetry eta M^T eta = M.  Composition with the spectral relation turns
-it into a monodromy matrix in tau: the 2x2 reference existence system and
-the tests read it, while the factorisation engine works from the model's
-omega-plane poles and adjugate and never composes one.
+eta-symmetry eta M^T eta = M.  It keeps the structure fixed by the matrix
+alone: the entries' denominator roots, the stacked coefficients, the 2x2
+common-denominator form with its degree table and the plans the engine
+compiles from its omega-plane poles and adjugate.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .errors import (
     SchemaError,
 )
 from .poly import (
-    FactoredRational,
     _multiset_minus,
     as_poly,
     newton_polish,
@@ -35,20 +34,11 @@ from .poly import (
     poly_from_roots,
     poly_is_zero,
     poly_mul,
-    poly_shift,
     poly_trim,
 )
-from .spectral import (
-    BRANCH_MINUS,
-    BRANCH_PLUS,
-    SpectralPoint,
-    compose_polynomial,
-    spectral_map,
-    zero_pair_for,
-)
+from .spectral import BRANCH_MINUS, BRANCH_PLUS
 
 _VALIDATION_SEED = 71209
-_MONODROMY_SEED = 40923
 
 
 @dataclass(frozen=True)
@@ -331,7 +321,7 @@ MODEL_BUILDERS = {
 
 
 # ---------------------------------------------------------------------------
-# monodromy composition
+# degree table of the 2x2 normal form
 # ---------------------------------------------------------------------------
 
 
@@ -349,120 +339,6 @@ class DegreeTable:
     @property
     def N2(self) -> int:
         return max(self.k12, self.k22)
-
-
-@dataclass(frozen=True)
-class MonodromyMatrixTau:
-    """Composed monodromy matrix: rational entries in tau plus bookkeeping.
-
-    Each entry lists its tau-plane poles: both members of the zero pair of
-    every omega pole of the entry, and tau = 0 where it grows at infinity.
-    The engine's plan needs no monodromy.  For 2x2 models of the
-    common-denominator form the model's degree table is attached, together
-    with the composed denominator q_2n and numerator polynomials ptilde at
-    this point; they feed the reference existence system.
-    """
-
-    n: int
-    pt: SpectralPoint
-    entries: tuple                  # n x n of FactoredRational in tau
-    model: RationalMatrixOmega
-    degree_table: DegreeTable | None = None
-    q2n: np.ndarray | None = None   # composed denominator polynomial (2x2)
-    ptilde: tuple | None = None     # ((p11~, p12~), (p12~, p22~)) numerators (2x2)
-
-    def eval(self, tau) -> np.ndarray:
-        return np.array([[self.entries[i][j](tau) for j in range(self.n)]
-                         for i in range(self.n)])
-
-
-def _close(a, b, rel=1e-8):
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
-
-
-def _compose_entry(entry: RationalEntry, pt: SpectralPoint, root_hints):
-    """Compose num/den with the spectral relation, attaching exact den roots.
-
-    root_hints maps each omega-plane pole to its tau pair (both members), so
-    the composed denominator is stored in factored form.
-    """
-    kn = poly_degree(entry.num)
-    kd = poly_degree(entry.den)
-    if kn < 0:  # zero numerator
-        return FactoredRational.from_const(0.0)
-    num_t, _ = compose_polynomial(pt, entry.num)
-    den_t, _ = compose_polynomial(pt, entry.den)
-    den_lc = den_t[-1]
-    roots = []
-    for r in entry.den_roots:
-        roots.extend(root_hints(r))
-    shift = kd - kn
-    if shift >= 0:
-        num_t = poly_shift(num_t, shift)
-    else:
-        roots.extend([0.0 + 0j] * (-shift))
-    return FactoredRational(poly_trim(num_t), den_lc, tuple(roots))
-
-
-def compose_monodromy(model: RationalMatrixOmega, pt: SpectralPoint,
-                      check: bool = True) -> MonodromyMatrixTau:
-    """Compose M(omega) with the spectral relation at the given Weyl point.
-
-    Only what moves with (rho, v) is computed here: the tau-plane pair of
-    each omega-plane pole and the composed polynomials.  The entry
-    denominator roots, the 2x2 normal form and its degree table are read
-    from the model, which computes each of them once.
-
-    Callers are `whergo verify` and the test oracles; the engine composes
-    no monodromy.  check=False skips the sample-point consistency
-    validation."""
-    if pt.lam != 1:
-        raise ValueError("the factorisation engine is restricted to lambda = +1")
-    pair_cache: dict[complex, tuple] = {}
-
-    def hints(omega0):
-        for key, val in pair_cache.items():
-            if _close(key, omega0):
-                return val
-        zp = zero_pair_for(pt, omega0, BRANCH_MINUS)
-        pair_cache[complex(omega0)] = (zp.tau_in, zp.tau_out)
-        return pair_cache[complex(omega0)]
-
-    entries = tuple(tuple(_compose_entry(model.entry(i, j), pt, hints)
-                          for j in range(model.n)) for i in range(model.n))
-
-    degree_table = model.degree_table
-    q2n = None
-    ptilde = None
-    if degree_table is not None:
-        q, p = model.common_denominator_form
-        q2n, _ = compose_polynomial(pt, q)
-        pt11, _ = compose_polynomial(pt, p[0][0])
-        pt12, _ = compose_polynomial(pt, p[0][1])
-        pt22, _ = compose_polynomial(pt, p[1][1])
-        ptilde = ((pt11, pt12), (pt12, pt22))
-    mono = MonodromyMatrixTau(model.n, pt, entries, model, degree_table, q2n, ptilde)
-    if check:
-        _check_monodromy(mono)
-    return mono
-
-
-def _check_monodromy(mono: MonodromyMatrixTau):
-    """The composed entries equal M(omega(tau)) to 1e-10 of max(1, |M|), and
-    det = 1, at seeded tau."""
-    rng = np.random.default_rng(_MONODROMY_SEED)
-    for _ in range(7):
-        tau = complex(rng.uniform(0.3, 1.8), rng.uniform(-1.2, 1.2))
-        w = spectral_map(mono.pt, tau)
-        direct = mono.model.eval(w)
-        composed = mono.eval(tau)
-        scale = max(1.0, np.max(np.abs(direct)))
-        if np.max(np.abs(direct - composed)) > 1e-10 * scale:
-            raise InvariantViolation(
-                f"composed monodromy mismatch {np.max(np.abs(direct - composed)):.2e} at tau={tau}")
-        det = np.linalg.det(composed)
-        if abs(det - 1.0) > 1e-8 * scale ** mono.n:
-            raise InvariantViolation(f"det of composed monodromy is {det} at tau={tau}")
 
 
 # ---------------------------------------------------------------------------

@@ -53,16 +53,14 @@ Every entry point takes it; None is the model's default, which _plan_for
 resolves, and a tuple of the wrong length or with an unknown tag is a
 ValueError.
 
-For 2x2 models of the common-denominator form two more pieces remain: the
-degree classification and existence_system_2x2, the paper's
-value-and-derivative system at the inside zeros, whose determinant is the
-reference D that the acceptance tests compare with f*h.  It is composed from
-the monodromy at one point and serves as an oracle only.  The
-classification's always-canonical case N1 + N2 < 2n cannot occur for a
-valid model (det M = 1 gives det p = q^2, of degree 2n, while
+For 2x2 models of the common-denominator form one more piece remains: the
+degree classification.  Its always-canonical case N1 + N2 < 2n cannot occur
+for a valid model (det M = 1 gives det p = q^2, of degree 2n, while
 p11 p22 - p12^2 has degree at most N1 + N2), so only
 toeplitz_kernel_dim(model, rho, v, branches)'s degree-table short cut reads
-it.
+it.  The paper's own route, the value-and-derivative system at the inside
+zeros of the monodromy composed in tau, is not part of the library: the
+tests keep it as the oracle whose determinant they compare with f*h.
 """
 from __future__ import annotations
 
@@ -76,9 +74,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import MonodromyMatrixTau, RationalMatrixOmega
+from .catalog import RationalMatrixOmega
 from .errors import (
-    DegenerateZeros,
     InvariantViolation,
     NonSquareSystem,
     NotCanonical,
@@ -90,14 +87,10 @@ from .poly import (
     equilibrate,
     numerical_nullity,
     poly_degree,
-    poly_derivative,
     poly_deflate,
-    poly_eval,
     poly_eval_stack,
-    poly_scale,
-    poly_shift,
 )
-from .spectral import BRANCH_MINUS, BRANCH_PLUS, SpectralPoint, zero_pair_for
+from .spectral import BRANCH_MINUS, BRANCH_PLUS, SpectralPoint
 
 # reference Weyl points used once per (model, branches) to compile the plan
 # of the generic constraint system; must be off-curve, which the compile
@@ -129,7 +122,7 @@ class ClassificationResult:
 
 def classify_2x2(source) -> ClassificationResult:
     """Trichotomy on N1 + N2 versus 2n for the 2x2 normal form (source: a
-    model or a monodromy, both carry the degree table)."""
+    model, or anything else that carries its degree table)."""
     dt = source.degree_table
     if dt is None:
         raise ValueError("no 2x2 normal form available for this monodromy")
@@ -170,64 +163,6 @@ def _check_branches(model: RationalMatrixOmega, branches) -> tuple:
             f"({len(model.omega_poles)} in all), each 'minus' or 'plus'; "
             f"got {','.join(map(str, branches)) or 'none'}")
     return branches
-
-
-def _inside_zeros(mono: MonodromyMatrixTau, branches):
-    """Inside zeros tau_i of q_2n in the model's declared pole order."""
-    model = mono.model
-    taus = [zero_pair_for(mono.pt, w, b).tau_in
-            for w, b in zip(model.omega_poles, _check_branches(model, branches))]
-    for i in range(len(taus)):
-        for j in range(i + 1, len(taus)):
-            if abs(taus[i] - taus[j]) < 1e-10 * max(1.0, abs(taus[i])):
-                raise DegenerateZeros(f"inside zeros {taus[i]} and {taus[j]} coincide")
-    return taus
-
-
-def _normal_form_gpair(mono: MonodromyMatrixTau):
-    """g2 = tau^(N2-k22) p22~ and g1 = tau^(N1-k12) p12~ of the existence system."""
-    dt = mono.degree_table
-    p12t = mono.ptilde[0][1]
-    p22t = mono.ptilde[1][1]
-    g2 = poly_shift(p22t, dt.N2 - dt.k22)
-    g1 = poly_shift(p12t, dt.N1 - dt.k12)
-    return g1, g2
-
-
-def existence_system_2x2(mono: MonodromyMatrixTau, branches=None) -> np.ndarray:
-    """Value-and-derivative system at the inside zeros (homogeneous form),
-    the paper's reference D for the 2x2 normal form.
-
-    branches picks the inside member of each zero pair, one tag per omega
-    pole (default: the model's).  Unknown order (alpha_0, .., alpha_{N1-1},
-    beta_0, .., beta_{N2-1}); row order value-then-derivative per inside
-    zero, in the model's declared pole order.
-    """
-    dt = mono.degree_table
-    cls = classify_2x2(mono)
-    if cls.kind is not Classification.DETERMINANT_TEST:
-        raise ValueError(f"existence system defined for the determinant-test case, got {cls.kind}")
-    taus = _inside_zeros(mono, branches)
-    g1, g2 = _normal_form_gpair(mono)
-    # rows of alpha(tau) * g2 - beta(tau) * g1
-    return _block_rows_at_zero(taus, g2, poly_scale(g1, -1.0), dt.N1, dt.N2)
-
-
-def _block_rows_at_zero(taus, poly_alpha, poly_beta, n_alpha, n_beta):
-    """Value and derivative rows of alpha(tau)*poly_alpha + beta(tau)*poly_beta
-    at each tau_i, where alpha/beta are unknown-coefficient polynomials."""
-    da, db = poly_derivative(poly_alpha), poly_derivative(poly_beta)
-    rows = []
-    for t in taus:
-        va, via = poly_eval(poly_alpha, t), poly_eval(da, t)
-        vb, vib = poly_eval(poly_beta, t), poly_eval(db, t)
-        pw_a = np.array([t ** c for c in range(n_alpha)])
-        pw_b = np.array([t ** c for c in range(n_beta)])
-        dpw_a = np.array([c * t ** (c - 1) if c > 0 else 0.0 for c in range(n_alpha)])
-        dpw_b = np.array([c * t ** (c - 1) if c > 0 else 0.0 for c in range(n_beta)])
-        rows.append(np.concatenate([pw_a * va, pw_b * vb]))
-        rows.append(np.concatenate([dpw_a * va + pw_a * via, dpw_b * vb + pw_b * vib]))
-    return np.array(rows)
 
 
 def toeplitz_kernel_dim(model: RationalMatrixOmega, rho: float, v: float, branches=None,
@@ -1137,8 +1072,11 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
     return FactorisationOutcome(status, d_val, d_scale, kdim)
 
 
-def assemble_M(outcome: FactorisationOutcome, check: bool = True,
-               rel: float = 1e-8) -> np.ndarray:
+# relative bound, of max(1, |M|), on assemble_M's Richardson cross-check
+LIMIT_CHECK_REL = 1e-8
+
+
+def assemble_M(outcome: FactorisationOutcome, check: bool = True) -> np.ndarray:
     """Solution matrix M(rho, v) = lim M_minus(tau), with a Richardson
     cross-check of the closed-form limit against large-tau evaluations.
 
@@ -1155,7 +1093,7 @@ def assemble_M(outcome: FactorisationOutcome, check: bool = True,
         vals = M_minus.eval(taus)
         extr = (taus[1] * vals[1] - taus[0] * vals[0]) / (taus[1] - taus[0])
         scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(extr - m)) > rel * scale:
+        if np.max(np.abs(extr - m)) > LIMIT_CHECK_REL * scale:
             raise ArithmeticError(
                 f"limit cross-check failed: |extrapolated - closed form| = "
                 f"{np.max(np.abs(extr - m)):.2e}")

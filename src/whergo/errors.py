@@ -37,10 +37,6 @@ class InvariantViolation(WhergoError):
     """A loaded or constructed matrix fails a structural invariant."""
 
 
-class DegenerateZeros(WhergoError):
-    """Two inside zeros coincide within tolerance."""
-
-
 class NonSquareSystem(WhergoError):
     """Constraint assembly produced a structurally deficient system."""
 

@@ -514,10 +514,12 @@ def curve_match_distance(traced: np.ndarray, oracle: np.ndarray,
 # ergosurfaces, while curves where g_tt stays O(1) keep the failure tag.
 ERGO_GTT_TOL = 1e-3
 
+# curve points probed for g_tt, spread evenly along the polyline
+CURVE_PROBE_COUNT = 9
+
 
 def classify_curve(model: RationalMatrixOmega, polyline: CurvePolyline,
-                   branches=None, probe_count: int = 9,
-                   tol: float = DEFAULT_TOL) -> CurvePolyline:
+                   branches=None, tol: float = DEFAULT_TOL) -> CurvePolyline:
     """Tag the failure curve "ergosurface" when g_tt vanishes along it.
 
     g_tt is sampled at small normal offsets from curve points, both sides of
@@ -528,7 +530,7 @@ def classify_curve(model: RationalMatrixOmega, polyline: CurvePolyline,
     only).
     """
     samples = polyline.samples
-    idxs = np.linspace(0, len(samples) - 1, min(probe_count, len(samples))).astype(int)
+    idxs = np.linspace(0, len(samples) - 1, min(CURVE_PROBE_COUNT, len(samples))).astype(int)
     owner, probes = [], []
     for i in idxs:
         d = samples[min(i + 1, len(samples) - 1)] - samples[max(i - 1, 0)]

@@ -119,14 +119,6 @@ def poly_scale(a, s) -> np.ndarray:
     return poly_trim(as_poly(a) * complex(s))
 
 
-def poly_shift(a, k: int) -> np.ndarray:
-    """Multiply by tau**k (coefficient shift)."""
-    p = as_poly(a)
-    if k == 0 or poly_is_zero(p):
-        return p.copy()
-    return np.concatenate([np.zeros(k, dtype=complex), p])
-
-
 def poly_from_roots(roots, lc=1.0) -> np.ndarray:
     p = np.array([complex(lc)])
     for r in roots:
@@ -245,10 +237,6 @@ class FactoredRational:
     num: np.ndarray
     den_lc: complex = 1.0
     den_roots: tuple = ()
-
-    @staticmethod
-    def from_const(c) -> "FactoredRational":
-        return FactoredRational(as_poly([c]))
 
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=complex)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePair, OutOfChart, ZeroTau
-from .poly import poly_mul, poly_shift, poly_trim, quadratic_roots
+from .poly import quadratic_roots
 
 PAIR_TOL = 1e-10
 
@@ -81,29 +81,6 @@ def zero_pair_for(pt: SpectralPoint, omega0, branch: str = BRANCH_MINUS) -> Zero
     if abs(tau_in - tau_out) < PAIR_TOL * max(1.0, abs(tau_in)):
         raise DegeneratePair(f"zero pair collapsed at tau = {tau_in}")
     return ZeroPair(tau_in, tau_out)
-
-
-def compose_polynomial(pt: SpectralPoint, coeffs) -> tuple[np.ndarray, int]:
-    """Compose p(omega) with the spectral relation.
-
-    Returns (ptilde, k) with p(omega(tau)) = ptilde(tau) / tau^k and
-    deg ptilde = 2k for a degree-k input.  Only lambda = +1 is supported.
-    """
-    if pt.lam != 1:
-        raise ValueError("composition implemented for lambda = +1 only")
-    p = poly_trim(coeffs)
-    k = p.size - 1
-    # W(tau) = tau * omega(tau) = rho/2 + v*tau - (rho/2) tau^2
-    w = np.array([pt.rho / 2.0, pt.v, -pt.rho / 2.0], dtype=complex)
-    acc = np.zeros(2 * k + 1, dtype=complex)
-    wpow = np.ones(1, dtype=complex)
-    for j in range(k + 1):
-        if p[j] != 0:
-            term = poly_shift(wpow * p[j], k - j)
-            acc[: term.size] += term
-        if j < k:
-            wpow = poly_mul(wpow, w)
-    return poly_trim(acc), k
 
 
 # ---------------------------------------------------------------------------

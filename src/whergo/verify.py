@@ -5,11 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import compose_monodromy, model_kerr, model_mp5d, model_mvc5d
-from .engine import existence_system_2x2, factorise
+from .catalog import model_kerr, model_mp5d, model_mvc5d
+from .engine import factorise
 from .geometry import extract_4d, extract_5d
-from .poly import poly_mul
-from .spectral import SpectralPoint, compose_polynomial, spectral_map, zero_pair_for
+from .spectral import SpectralPoint, spectral_map, zero_pair_for
 
 
 @dataclass(frozen=True)
@@ -45,26 +44,6 @@ def _suite_involution(rng) -> SuiteResult:
         rhs = spectral_map(pt, -1.0 / tau)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return SuiteResult("spectral-involution", worst, 1e-11)
-
-
-def _suite_compose(rng) -> SuiteResult:
-    worst = 0.0
-    for _ in range(20):
-        pt = SpectralPoint(rng.uniform(0.3, 2.5), rng.uniform(-2.0, 2.0))
-        p = rng.normal(size=rng.integers(1, 4) + 1).astype(complex)
-        q = rng.normal(size=rng.integers(1, 4) + 1).astype(complex)
-        cp, kp = compose_polynomial(pt, p)
-        cq, kq = compose_polynomial(pt, q)
-        cpq, kpq = compose_polynomial(pt, poly_mul(p, q))
-        prod = poly_mul(cp, cq)
-        if kpq != kp + kq:
-            return SuiteResult("compose-multiplicative", 1.0, 1e-10)
-        scale = max(np.max(np.abs(prod)), 1e-30)
-        diff = np.zeros(max(prod.size, cpq.size), dtype=complex)
-        diff[: prod.size] += prod
-        diff[: cpq.size] -= cpq
-        worst = max(worst, float(np.max(np.abs(diff)) / scale))
-    return SuiteResult("compose-multiplicative", worst, 1e-10)
 
 
 def _suite_models(rng) -> SuiteResult:
@@ -121,37 +100,13 @@ def _suite_roundtrip(rng) -> SuiteResult:
     return SuiteResult("extraction-roundtrip", worst, 1e-10)
 
 
-def _suite_kerr_det(rng) -> SuiteResult:
-    m, a = 2.0, 1.0
-    c = np.sqrt(m * m - a * a)
-    model = model_kerr(m, a)
-    worst = 0.0
-    for _ in range(25):
-        rho = rng.uniform(0.3, 4.0)
-        v = rng.uniform(-3.0, 3.0)
-        pt = SpectralPoint(rho, v)
-        mono = compose_monodromy(model, pt, check=False)
-        d_val = np.linalg.det(existence_system_2x2(mono))
-        t1 = ((v - c) - np.sqrt((v - c) ** 2 + rho ** 2)) / rho
-        t2 = ((v + c) - np.sqrt((v + c) ** 2 + rho ** 2)) / rho
-        f = (a * a * m * m / 4.0) * rho * rho * (t1 - t2) ** 4
-        h = (-16 * (m - v) ** 2 * t1 ** 2 * t2 ** 2
-             + rho ** 2 * (1 + 4 * t1 ** 3 * t2 + 6 * t1 ** 2 * t2 ** 2
-                           + 4 * t1 * t2 ** 3 + t1 ** 4 * t2 ** 4)
-             - 8 * rho * (m - v) * t1 * t2 * (-t1 - t2 + t1 ** 2 * t2 + t1 * t2 ** 2))
-        worst = max(worst, abs(d_val - f * h) / abs(f * h))
-    return SuiteResult("kerr-determinant-oracle", worst, 1e-8)
-
-
 SUITES = {
     "vieta": _suite_vieta,
     "involution": _suite_involution,
-    "compose": _suite_compose,
     "models": _suite_models,
     "residual": _suite_residual,
     "sigma": _suite_sigma,
     "roundtrip": _suite_roundtrip,
-    "kerr-det": _suite_kerr_det,
 }
 
 

@@ -9,13 +9,13 @@ import pytest
 from mpmath import mp, mpf
 
 from conftest import KERR_A, KERR_M, kerr_fh, mp5d_solution_closed_form, mvc_closed_form
-from whergo.catalog import DegreeTable, MonodromyMatrixTau, compose_monodromy
+from tau_route import MonodromyMatrixTau, compose_monodromy, existence_system_2x2
+from whergo.catalog import DegreeTable
 from whergo.engine import (
     Classification,
     Status,
     classify_2x2,
     evaluate_points,
-    existence_system_2x2,
     factorise,
     toeplitz_kernel_dim,
 )

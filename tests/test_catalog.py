@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import whergo.catalog as catalog
+from tau_route import compose_monodromy
 from whergo.catalog import (
-    compose_monodromy,
     load_model_json,
     make_model,
     model_from_dict,

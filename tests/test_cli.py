@@ -209,10 +209,10 @@ def test_sweep_after_warm_up_evaluates_the_plan_once_per_chunk(kerr, mvc5d, monk
     # once the plan exists a sweep is batched: no per-point factorisation,
     # composition, zero pair or polynomial product, and one plan evaluation
     # for each chunk of rho rows
-    import whergo.catalog as catalog
     import whergo.cli as cli
     import whergo.engine as engine
     import whergo.poly as poly
+    import whergo.spectral as spectral
 
     monkeypatch.setattr(cli, "SWEEP_CHUNK_POINTS", 8)    # 4 x 4 grid: chunks of 2 rows
     for model in (kerr, mvc5d):
@@ -223,7 +223,7 @@ def test_sweep_after_warm_up_evaluates_the_plan_once_per_chunk(kerr, mvc5d, monk
         with monkeypatch.context() as m:
             def forbidden(*args, **kwargs):
                 raise AssertionError("per-point work in a batched sweep")
-            for module, name in ((catalog, "compose_monodromy"), (engine, "zero_pair_for"),
+            for module, name in ((spectral, "zero_pair_for"),
                                  (poly, "poly_mul"), (np, "roots"),
                                  (engine, "factorise"), (cli, "factorise")):
                 m.setattr(module, name, forbidden)
@@ -825,6 +825,9 @@ def test_sweep_model_json(tmp_path, kerr):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, err = run_capture(capsys, "verify", "--suite", "nope")
-    assert code == 1
-    assert "unknown suites" in err
+    for suite in ("nope", "kerr-det", "compose"):
+        code, _, err = run_capture(capsys, "verify", "--suite", suite)
+        assert code == 1
+        assert "unknown suites" in err
+        assert ("available ['involution', 'models', 'residual', 'roundtrip', 'sigma', 'vieta']"
+                in err)

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import (kerr_delta_closed_form, kerr_fh, mp5d_solution_closed_form,
                       mvc_closed_form, mvc_closed_form_D)
+from tau_route import DegenerateZeros, MonodromyMatrixTau, compose_monodromy, existence_system_2x2
 from whergo.catalog import (
     DegreeTable,
-    MonodromyMatrixTau,
-    compose_monodromy,
     make_model,
     model_identity,
     model_kerr,
@@ -28,11 +27,10 @@ from whergo.engine import (
     assemble_M,
     classify_2x2,
     evaluate_points,
-    existence_system_2x2,
     factorise,
     toeplitz_kernel_dim,
 )
-from whergo.errors import DegenerateZeros, InvariantViolation, NonSquareSystem, NotCanonical
+from whergo.errors import InvariantViolation, NonSquareSystem, NotCanonical
 from whergo.poly import (
     FactoredRational,
     _multiset_minus,
@@ -855,7 +853,7 @@ def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch
     # once the plan is compiled, D (single point, grid and a whole trace
     # alike) needs no monodromy composition, no zero pair, no polynomial
     # product and no root finding
-    from whergo import catalog, geometry, poly, spectral
+    from whergo import geometry, poly, spectral
 
     # each box straddles the model's failure curve at y = 0
     for model, box in ((mp5d, (0.55, 0.75, -0.1, 0.1)), (mvc5d, (0.3, 0.5, -0.1, 0.1))):
@@ -865,8 +863,7 @@ def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch
 
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic work after warm-up")
-        for module, name in ((catalog, "compose_monodromy"), (spectral, "zero_pair_for"),
-                             (engine, "zero_pair_for"), (poly, "poly_mul"), (np, "roots")):
+        for module, name in ((spectral, "zero_pair_for"), (poly, "poly_mul"), (np, "roots")):
             monkeypatch.setattr(module, name, forbidden)
         R, V = np.meshgrid(np.linspace(0.3, 2.0, 4), np.linspace(-1.0, 1.0, 3), indexing="ij")
         grid = fgrid(R, V)
@@ -880,7 +877,7 @@ def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch
 def test_plan_compile_needs_no_tau_plane_work(monkeypatch):
     # the compile reads its labels from the model's omega poles: it composes
     # no monodromy, forms no zero pair and finds no root
-    from whergo import catalog, spectral
+    from whergo import spectral
 
     for build in (model_kerr, model_mp5d, model_mvc5d):
         model = build(2.0, 1.0)
@@ -888,9 +885,7 @@ def test_plan_compile_needs_no_tau_plane_work(monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("tau-plane work in the plan compile")
         with monkeypatch.context() as m:
-            for module, name in ((catalog, "compose_monodromy"), (catalog, "zero_pair_for"),
-                                 (spectral, "zero_pair_for"), (engine, "zero_pair_for"),
-                                 (np, "roots")):
+            for module, name in ((spectral, "zero_pair_for"), (np, "roots")):
                 m.setattr(module, name, forbidden)
             plan = engine._plan_for(model, model.default_branches)
         assert model.plans[model.default_branches] is plan
@@ -1258,7 +1253,7 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
     # adjugate, multiplies no polynomials and finds no roots; a canonical one
     # and assemble_M evaluate no polynomial entry by entry, and deflate once
     # per root position, not once per root
-    from whergo import catalog, poly
+    from whergo import catalog, poly, spectral
 
     on_curve = _on_curve_points(kerr, mp5d, mvc5d, (0.2,))
     cases = ((kerr, (2.1, 0.6), on_curve["kerr"][0]),
@@ -1271,9 +1266,9 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
 
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic work after warm-up")
-        for module, name in ((catalog, "compose_monodromy"), (engine, "zero_pair_for"),
+        for module, name in ((spectral, "zero_pair_for"),
                              (engine, "_adjugate_fr"), (poly, "poly_mul"), (np, "roots"),
-                             (poly, "poly_eval"), (catalog, "poly_eval"), (engine, "poly_eval"),
+                             (poly, "poly_eval"), (catalog, "poly_eval"),
                              (catalog.RationalEntry, "__call__")):
             monkeypatch.setattr(module, name, forbidden)
         deflations = []

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from tau_route import compose_polynomial
 from whergo.errors import DegeneratePair, OutOfChart, ZeroTau
 from whergo.poly import poly_eval, poly_mul
 from whergo.spectral import (
     SpectralPoint,
-    compose_polynomial,
     pair_quadratic,
     prolate_from_weyl_4d,
     prolate_from_weyl_5d,

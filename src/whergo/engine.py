@@ -714,7 +714,12 @@ def _plan_spec(plan: AnsatzPlan, rho, v) -> AnsatzSpec:
         poly[i] += v * prev
         poly[i, 1:] += half * prev[:-1]
     composed = (plan.adj_num @ powers.reshape(top + 1, -1)).reshape(-1, rho.size)
-    scale = 1.0 / (plan.adj_lc[:, None] * half ** plan.adj_deg[:, None])
+    # half^d by repeated products: numpy's pow of a negative base rounds
+    # differently below and above its SIMD batch size
+    half_pw = np.ones((plan.adj_deg.max() + 1, rho.size))
+    for d in range(1, len(half_pw)):
+        np.multiply(half_pw[d - 1], half, out=half_pw[d])
+    scale = 1.0 / (plan.adj_lc[:, None] * half_pw[plan.adj_deg])
     num = composed[plan.place] * scale[:, None]
     return AnsatzSpec(num.reshape((plan.n, plan.n, num.shape[1]) + batch),
                       lab.reshape(lab.shape[:1] + batch), plan.layout, plan.selected_rows)

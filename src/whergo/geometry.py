@@ -239,6 +239,17 @@ def _d_hat_function(model: RationalMatrixOmega, branches):
     return f, fgrid
 
 
+def _secant_point(a, b, fa, fb, ok=True):
+    """The new points of a _false_position level on stacked segments a-b
+    (K, 2) with end values fa and fb (K,): the secant roots, or the
+    midpoints where ok is False or a root is not finite or not strictly
+    inside its segment.  At level 0 ok is True throughout."""
+    with np.errstate(all="ignore"):
+        x = a + (fa / (fa - fb))[:, None] * (b - a)
+    ok = ok & np.isfinite(x).all(axis=1) & (x != a).any(axis=1) & (x != b).any(axis=1)
+    return np.where(ok[:, None], x, 0.5 * (a + b))
+
+
 def _false_position(fn, a, b, fa, fb, tol: float):
     """Roots of fn on stacked segments a-b (K, 2) across which it changes
     sign, fa = fn(a) and fb = fn(b), by safeguarded false position.
@@ -264,12 +275,10 @@ def _false_position(fn, a, b, fa, fb, tol: float):
             break
         width = np.hypot(*(b - a).T)
         with np.errstate(all="ignore"):
-            x = a + (fa / (fa - 0.5 ** np.maximum(kept - 1, 0) * fb))[:, None] * (b - a)
             xi, phi = width / np.hypot(*(c - b).T), (fa - fb) / (fc - fb)
             smooth = (level == 0) | ((phi * phi < xi) & ((1 - phi) ** 2 < 1 - xi))
-        ok = (np.isfinite(x).all(axis=1) & (x != a).any(axis=1) & (x != b).any(axis=1)
-              & smooth & (width <= width0 * 2.0 ** (2 - 0.5 * level)))
-        x = np.where(ok[:, None], x, 0.5 * (a + b))
+        x = _secant_point(a, b, fa, 0.5 ** np.maximum(kept - 1, 0) * fb,
+                          smooth & (width <= width0 * 2.0 ** (2 - 0.5 * level)))
         fx = fn(x)
         done = (np.abs(fx) <= tol) | (width < 1e-13) | (level == 80)
         pts[live[done]], res[live[done]] = x[done], np.abs(fx[done])
@@ -285,17 +294,17 @@ def _false_position(fn, a, b, fa, fb, tol: float):
     return pts, res
 
 
-def _normal_search(fn, mid, n_hat, h):
+def _normal_search(fn, mid, n_hat, h, tries: int = 24):
     """Probe pairs mid +- h n_hat (K, 2) for a sign change of fn, all pairs in
     lockstep: a pair with a probe at rho <= 0 halves h unevaluated, the other
     pairs are evaluated in one call and h shrinks by 0.6 where fn keeps its
-    sign.  Returns (mask of the pairs that found a change within 24 tries,
-    their probes a and b, fn(a), fn(b))."""
+    sign.  Returns (mask of the pairs that found a change within `tries`
+    tries, their probes a and b, fn(a), fn(b))."""
     h = h.copy()
     a, b = np.empty_like(mid), np.empty_like(mid)
     fa, fb = np.empty(len(mid)), np.empty(len(mid))
     searching = np.ones(len(mid), dtype=bool)
-    for _ in range(24):
+    for _ in range(tries):
         if not searching.any():
             break
         pa, pb = mid + h[:, None] * n_hat, mid - h[:, None] * n_hat
@@ -312,6 +321,30 @@ def _normal_search(fn, mid, n_hat, h):
             h[idx[~change]] *= 0.6
     found = ~searching
     return found, a[found], b[found], fa[found], fb[found]
+
+
+def _targets(points, gap, step: float, cell: float, room: int):
+    """Refinement targets of the gaps points[g]-points[g + 1], g in gap (in
+    chain order): points spaced evenly along each gap's chord at most `step`
+    apart, kept where they lie within one scan cell (or one spacing) of
+    either end of the gap, the first `room` of them in chain order.  Returns
+    (the gap g of each target, the targets, the unit normals of their
+    chords, half their spacing)."""
+    chord = points[gap + 1] - points[gap]
+    length = np.hypot(*chord.T)
+    parts = np.ceil(length / step).astype(int)
+    spacing = length / parts
+    # target k of a gap at k / parts of its chord, k = 1 .. parts - 1
+    owner = np.repeat(np.arange(len(gap)), parts - 1)
+    first = np.cumsum(parts - 1) - (parts - 1)          # each gap's first target
+    k = np.arange(len(owner)) - first[owner] + 1
+    near = (np.minimum(k, parts[owner] - k) * spacing[owner]
+            <= np.maximum(cell, spacing[owner]))
+    keep = np.flatnonzero(near)[:max(room, 0)]
+    owner, k = owner[keep], k[keep]
+    normal = (chord[owner] / length[owner, None])[:, ::-1] * [-1.0, 1.0]
+    targets = points[gap[owner]] + (k / parts[owner])[:, None] * chord[owner]
+    return gap[owner], targets, normal, 0.5 * spacing[owner]
 
 
 def _chain_order(pts: np.ndarray) -> np.ndarray:
@@ -362,9 +395,19 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
       edge with a sign change is found by safeguarded false position (see
       _false_position), all edges together, down to |D| <= residual_tol
       (or a bracket shorter than 1e-13, or 81 points);
-    - chain: nearest-neighbour order of the edge points, each keeping the
-      residual its root search returned;
-    - refine, in rounds: each round gives every gap still wider than `step`
+    - speculative round: the first secant point of every edge (the first
+      point false position places, known without evaluating D) is chained
+      in nearest-neighbour order, and the gaps of that provisional chain
+      get their targets by the rule of a round below.  The normal through
+      each target is probed once, all targets in one call, and the
+      segments with a sign change are solved in the same false-position
+      run as the edges, so the edge roots come out as without them;
+    - chain: nearest-neighbour order of the edge roots, each keeping the
+      residual its root search returned.  The speculative samples are
+      inserted where this order is the provisional one, and dropped
+      otherwise;
+    - refine, in rounds: the first round takes every gap wider than `step`,
+      each later one every gap still open.  A round gives each of its gaps
       all of its targets at once, points spaced evenly along the gap's
       chord at most `step` apart, kept where they lie within one scan cell
       (the diagonal of a grid cell) of either end of the gap; the first
@@ -376,9 +419,16 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
       than `step`; a gap closes once it is at most `step` wide, or when
       none of its targets gives a sample.
 
+    On a small box whose provisional chain lies close to the roots the
+    speculative round mostly leaves no gap to refine: a 5 x 5 scan of a
+    0.14 x 0.14 box on the mp5d or mvc5d curve (step 0.015) then takes 6
+    or 7 array calls of D, where a first round placed from the roots took
+    10 to 12.
+
     Once the polyline holds MAX_SAMPLES points no sample is inserted: the
     gaps still open stay as coarse as the rounds so far left them, and in
-    the last round the targets late in chain order are the ones left out.
+    the last round (the speculative one included) the targets late in
+    chain order are the ones left out.
 
     ValueError unless the box bounds are finite with rmin < rmax, vmin <
     vmax and rmin > 0, and grid is two integers >= 2.
@@ -421,37 +471,35 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
         raise NoCurveFound(f"no D = 0 locus found in box {box}")
     i, j = edges[..., 0], edges[..., 1]
     scan = np.stack([R[i, j], V[i, j]], axis=-1)
-    pts, res = _false_position(fn, scan[:, 0], scan[:, 1], Dn[i[:, 0], j[:, 0]],
-                               Dn[i[:, 1], j[:, 1]], residual_tol)
-    order = _chain_order(pts)
+    edge = (scan[:, 0], scan[:, 1], Dn[i[:, 0], j[:, 0]], Dn[i[:, 1], j[:, 1]])
+    cell = np.hypot((rmax - rmin) / (grid[0] - 1), (vmax - vmin) / (grid[1] - 1))
+
+    # the speculative round: targets placed from the chained provisional
+    # points, probed once, their brackets solved with the edges
+    provisional = _secant_point(*edge)
+    guess = _chain_order(provisional)
+    provisional = provisional[guess]
+    gap = np.flatnonzero(np.hypot(*np.diff(provisional, axis=0).T) > step)
+    at, targets, normal, h = _targets(provisional, gap, step, cell, MAX_SAMPLES - len(scan))
+    found, *brackets = _normal_search(fn, targets, normal, h, tries=1)
+    pts, res = _false_position(fn, *(np.concatenate(pair) for pair in zip(edge, brackets)),
+                               residual_tol)
+    order = _chain_order(pts[:len(scan)])
     points, residuals = pts[order], res[order]
+    if np.array_equal(order, guess):
+        at = at[found]
+        points = np.insert(points, at + 1, pts[len(scan):], axis=0)
+        residuals = np.insert(residuals, at + 1, res[len(scan):])
 
     # gap g runs from points[g] to points[g + 1]
-    cell = np.hypot((rmax - rmin) / (grid[0] - 1), (vmax - vmin) / (grid[1] - 1))
     live = np.hypot(*np.diff(points, axis=0).T) > step
     while live.any() and len(points) < MAX_SAMPLES:
-        gap = np.flatnonzero(live)
-        chord = points[gap + 1] - points[gap]
-        length = np.hypot(*chord.T)
-        parts = np.ceil(length / step).astype(int)
-        spacing = length / parts
-        # target k of a gap at k / parts of its chord, k = 1 .. parts - 1,
-        # kept within one scan cell (or one spacing) of either end; chain
-        # order throughout
-        owner = np.repeat(np.arange(len(gap)), parts - 1)
-        first = np.cumsum(parts - 1) - (parts - 1)      # each gap's first target
-        k = np.arange(len(owner)) - first[owner] + 1
-        near = (np.minimum(k, parts[owner] - k) * spacing[owner]
-                <= np.maximum(cell, spacing[owner]))
-        keep = np.flatnonzero(near)[:MAX_SAMPLES - len(points)]
-        owner, k = owner[keep], k[keep]
-        direction = chord[owner] / length[owner, None]
-        targets = points[gap[owner]] + (k / parts[owner])[:, None] * chord[owner]
-        found, a, b, fa, fb = _normal_search(fn, targets, direction[:, ::-1] * [-1.0, 1.0],
-                                             0.5 * spacing[owner])
+        at, targets, normal, h = _targets(points, np.flatnonzero(live), step, cell,
+                                          MAX_SAMPLES - len(points))
+        found, a, b, fa, fb = _normal_search(fn, targets, normal, h)
         p, r = _false_position(fn, a, b, fa, fb, residual_tol)
         # a gap with a new sample stays open as its sub-gaps wider than step
-        at = gap[owner[found]]
+        at = at[found]
         added = np.bincount(at, minlength=len(live))
         points = np.insert(points, at + 1, p, axis=0)
         residuals = np.insert(residuals, at + 1, r)

@@ -655,15 +655,20 @@ def test_invalid_points_and_steps_exit_1(capsys, argv, bad):
     assert bad in err
 
 
-def _run_module(*argv):
-    """`python -m *argv` in a child pointed at these sources: it does not
+def _run_python(*argv):
+    """`python *argv` in a child pointed at these sources: it does not
     inherit pytest's sys.path."""
     import whergo
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(whergo.__file__)))
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+
+
+def _run_module(*argv):
+    """`python -m *argv` in a child pointed at these sources."""
+    return _run_python("-m", *argv)
 
 
 def test_console_script_entrypoint():
@@ -676,6 +681,23 @@ def test_package_runs_as_module():
     proc = _run_module("whergo", "catalog")
     assert proc.returncode == 0
     assert proc.stdout.split()[0] == "kerr"
+
+
+def test_building_models_and_running_the_cli_imports_no_numpy_random(tmp_path):
+    # numpy.random costs more to import than a model costs to build
+    script = f"""
+import sys
+import whergo
+from whergo import cli
+models = [build(2.0, 1.0) for build in (whergo.model_kerr, whergo.model_mp5d, whergo.model_mvc5d)]
+whergo.factorise(models[0], 2.5, 0.3)
+assert cli.main(["sweep", "--model", "kerr", "--grid", "2:3:2,0:1:2",
+                 "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
+print("numpy.random" in sys.modules)
+"""
+    proc = _run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_sweep_json_format(tmp_path):

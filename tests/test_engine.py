@@ -283,6 +283,18 @@ def test_factorise_d_matches_homogeneous_assembly(kerr, mp5d, mvc5d, rng):
         assert canonical >= 3
 
 
+def test_a_point_reads_the_same_in_a_small_and_a_large_batch(kerr, mvc5d):
+    # numpy switches to a SIMD kernel for large arrays; a point's D and
+    # solution must not depend on how many points share its batch
+    rng = np.random.default_rng(7)
+    rho, v = rng.uniform(0.05, 4.0, 40000), rng.uniform(-4.0, 4.0, 40000)
+    for model in (kerr, mvc5d):
+        large = evaluate_points(model, rho, v)
+        small = evaluate_points(model, rho[:300], v[:300])
+        assert np.array_equal(large.D_value[:300], small.D_value, equal_nan=True)
+        assert np.array_equal(large.solution[:300], small.solution, equal_nan=True)
+
+
 def test_factorise_builds_one_system(kerr, mp5d, mvc5d, monkeypatch):
     # model constants and the ansatz plan are computed once per model; each
     # call then compiles no plan, assembles one system from the plan and

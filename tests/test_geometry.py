@@ -373,8 +373,8 @@ def test_classify_curve_propagates_unexpected_errors(kerr, monkeypatch):
         classify_curve(kerr, poly)
 
 
-def _chain_points_loop(pts):
-    """The tracer's nearest-neighbour chaining as a plain Python loop."""
+def _chain_order_loop(pts):
+    """The tracer's nearest-neighbour chain order as a plain Python loop."""
     pts = list(map(np.asarray, pts))
     start = min(range(len(pts)), key=lambda i: (pts[i][1], pts[i][0]))
     order = [start]
@@ -390,7 +390,12 @@ def _chain_points_loop(pts):
                 best, bd = i, d
         order.append(best)
         used.add(best)
-    return np.array([pts[i] for i in order])
+    return order
+
+
+def _chain_points_loop(pts):
+    """The chained points, in the order of _chain_order_loop."""
+    return np.array([pts[i] for i in _chain_order_loop(pts)])
 
 
 def _sign_change_edges_loop(sign):
@@ -405,6 +410,16 @@ def _sign_change_edges_loop(sign):
     return np.array(edges, dtype=int).reshape(-1, 2, 2)
 
 
+def _secant_point_loop(a, b, fa, fb, ok=True):
+    """The secant root on the segment a-b, or its midpoint where ok is False
+    or the root is not finite or not strictly inside the segment."""
+    with np.errstate(all="ignore"):
+        x = a + fa / (fa - fb) * (b - a)
+    if ok and np.all(np.isfinite(x)) and np.any(x != a) and np.any(x != b):
+        return x
+    return 0.5 * (a + b)
+
+
 def _false_position_edge_loop(f, p0, p1, f0, f1, tol: float, max_iter: int = 80):
     """Safeguarded false position along the segment p0-p1 for a sign change
     of Re f, f0 and f1 the values at its ends: the tracer's root search for
@@ -417,12 +432,10 @@ def _false_position_edge_loop(f, p0, p1, f0, f1, tol: float, max_iter: int = 80)
     for level in range(max_iter + 1):
         width = np.hypot(*(b - a))
         with np.errstate(all="ignore"):
-            x = a + fa / (fa - 0.5 ** max(kept - 1, 0) * fb) * (b - a)
             xi, phi = width / np.hypot(*(c - b)), (fa - fb) / (fc - fb)
         smooth = level == 0 or (phi * phi < xi and (1 - phi) ** 2 < 1 - xi)
-        if not (np.all(np.isfinite(x)) and np.any(x != a) and np.any(x != b) and smooth
-                and width <= width0 * 2.0 ** (2 - 0.5 * level)):
-            x = 0.5 * (a + b)
+        x = _secant_point_loop(a, b, fa, 0.5 ** max(kept - 1, 0) * fb,
+                               smooth and width <= width0 * 2.0 ** (2 - 0.5 * level))
         fx = f(x[0], x[1]).real
         if abs(fx) <= tol or width < 1e-13 or level == max_iter:
             return x, abs(fx)
@@ -458,16 +471,15 @@ def _trace_curve_loop(model, branches=None, box=(0.05, 4.0, -4.0, 4.0), grid=(80
         return f_raw(rho, v) * np.conj(phase)
 
     Dn = (D * np.conj(phase)).real
-    pts = [_false_position_edge_loop(f, (R[a], V[a]), (R[b], V[b]), Dn[a], Dn[b],
-                                     residual_tol)[0]
-           for a, b in (map(tuple, edge) for edge in _sign_change_edges_loop(np.sign(Dn)))]
-    if not pts:
+    edges = [(np.array([R[a], V[a]]), np.array([R[b], V[b]]), Dn[a], Dn[b])
+             for a, b in (map(tuple, edge) for edge in _sign_change_edges_loop(np.sign(Dn)))]
+    if not edges:
         raise NoCurveFound(f"no D = 0 locus found in box {box}")
-    ordered = _chain_points_loop(np.array(pts))
+    pts = [_false_position_edge_loop(f, *edge, residual_tol)[0] for edge in edges]
     cell = np.hypot((rmax - rmin) / (grid[0] - 1), (vmax - vmin) / (grid[1] - 1))
 
-    def correct(mid, n_hat, h):
-        for _ in range(24):
+    def correct(mid, n_hat, h, tries=24):
+        for _ in range(tries):
             a = mid + h * n_hat
             b = mid - h * n_hat
             if a[0] <= 0 or b[0] <= 0:
@@ -479,9 +491,8 @@ def _trace_curve_loop(model, branches=None, box=(0.05, 4.0, -4.0, 4.0), grid=(80
             h *= 0.6
         return None
 
-    def refine(p, q):
-        """The (sample, residual) pairs the gap p-q gains, in order: its
-        targets' roots, each sub-gap refined in turn once any was found."""
+    def roots(p, q, tries=24):
+        """The (sample, residual) pairs the targets of the gap p-q give."""
         length = np.hypot(*(q - p))
         if length <= step:
             return []
@@ -489,23 +500,36 @@ def _trace_curve_loop(model, branches=None, box=(0.05, 4.0, -4.0, 4.0), grid=(80
         spacing = length / parts
         direction = (q - p) / length
         n_hat = np.array([-direction[1], direction[0]])
-        new = []
-        for k in range(1, parts):
-            if min(k, parts - k) * spacing <= max(cell, spacing):
-                got = correct(p + (k / parts) * (q - p), n_hat, 0.5 * spacing)
-                if got is not None:
-                    new.append(got)
+        got = [correct(p + (k / parts) * (q - p), n_hat, 0.5 * spacing, tries)
+               for k in range(1, parts) if min(k, parts - k) * spacing <= max(cell, spacing)]
+        return [x for x in got if x is not None]
+
+    def refine(p, q, new):
+        """The (sample, residual) pairs the gap p-q gains with the roots new
+        of its targets, in order: those roots, each sub-gap refined in turn
+        once any was found."""
         if not new:
             return []
         out = []
         for start, (x, r) in zip([p] + [x for x, _ in new], new):
-            out += refine(start, x) + [(x, r)]
-        return out + refine(new[-1][0], q)
+            out += refine(start, x, roots(start, x)) + [(x, r)]
+        return out + refine(new[-1][0], q, roots(new[-1][0], q))
 
+    # the speculative round: one probe per target of the provisional chain,
+    # its roots kept where the edge roots chain in the provisional order
+    provisional = [_secant_point_loop(*edge) for edge in edges]
+    guess = _chain_order_loop(provisional)
+    order = _chain_order_loop(pts)
+    gains = [roots(provisional[g], provisional[h], tries=1) for g, h in zip(guess, guess[1:])]
+    if order != guess:
+        gains = [[] for _ in gains]
+
+    ordered = [pts[i] for i in order]
     out = [ordered[0]]
     res_out = [abs(f(ordered[0][0], ordered[0][1]).real)]
-    for nxt in ordered[1:]:
-        for x, r in refine(out[-1], nxt):
+    for nxt, gained in zip(ordered[1:], gains):
+        # a gap without speculative samples is refined from its edge roots
+        for x, r in refine(out[-1], nxt, gained or roots(out[-1], nxt)):
             out.append(x)
             res_out.append(r)
         out.append(nxt)
@@ -548,7 +572,10 @@ def test_vectorised_tracer_loops_match_the_python_loops(kerr, mvc5d, d_hat_calls
         d_hat_calls.update(calls=0, points=0)
         return tracer(*args, **kwargs), dict(d_hat_calls)
 
-    for model, kwargs in ((kerr, CRITERION_1), (mvc5d, CRITERION_5)):
+    # on Kerr a = 1.5 the edge roots chain in another order than their first
+    # secant points, so the speculative samples are dropped
+    for model, kwargs in ((kerr, CRITERION_1), (mvc5d, CRITERION_5),
+                          (model_kerr(M_K, 1.5), CRITERION_1)):
         new, new_count = traced(trace_curve, model, **kwargs)
         (old, chained), old_count = traced(_trace_curve_loop, model, **kwargs)
         assert len(new) == len(old)
@@ -560,15 +587,22 @@ def test_vectorised_tracer_loops_match_the_python_loops(kerr, mvc5d, d_hat_calls
         assert new_count["calls"] * 20 < old_count["calls"]
 
 
+# the trace5d workload's seed-1 boxes: a 5 x 5 scan of a 0.14 x 0.14 box
+TRACE5D_SEED_1 = dict(grid=(5, 5), step=0.015, residual_tol=1e-11)
+
+
 @pytest.mark.parametrize("case, budget", [
     ("criterion 1", 16), ("criterion 5", 14),
-    ("criterion 9 plus,minus", 400), ("criterion 9 minus,plus", 400),
-    ("criterion 9 plus,minus, step wider than a scan cell", 36)])
-def test_trace_curve_d_hat_call_budget(kerr, mvc5d, d_hat_calls, case, budget):
-    # a round gives every open gap all of its targets at once, so the calls
-    # follow the rounds: 13, 12, 341 and 31 calls on these boxes.  With a
-    # step of 0.1 no target lies within a scan cell (0.04) of a gap's end;
-    # the first target from each end still closes the gap about 1 long.
+    ("criterion 9 plus,minus", 341), ("criterion 9 minus,plus", 341),
+    ("criterion 9 plus,minus, step wider than a scan cell", 36),
+    ("trace5d seed 1 mp5d", 8), ("trace5d seed 1 mvc5d", 8)])
+def test_trace_curve_d_hat_call_budget(kerr, mp5d, mvc5d, d_hat_calls, case, budget):
+    # the first refinement round is placed from the scan edges' first secant
+    # points and solved with the edges; later rounds give every open gap all
+    # of its targets at once, so the calls follow the rounds: 14, 12, 314,
+    # 27, 6 and 7 calls on these boxes.  With a step of 0.1 no target lies
+    # within a scan cell (0.04) of a gap's end; the first target from each
+    # end still closes the gap about 1 long.
     alternate = dict(box=(0.05, 3.6, -2.6, 2.6), grid=(160, 160), step=0.01)
     model, branches, kwargs = {
         "criterion 1": (kerr, None, CRITERION_1),
@@ -577,6 +611,10 @@ def test_trace_curve_d_hat_call_budget(kerr, mvc5d, d_hat_calls, case, budget):
         "criterion 9 minus,plus": (kerr, ("minus", "plus"), alternate),
         "criterion 9 plus,minus, step wider than a scan cell": (
             kerr, ("plus", "minus"), {**alternate, "step": 0.1}),
+        "trace5d seed 1 mp5d": (
+            mp5d, None, {**TRACE5D_SEED_1, "box": (0.6, 0.74, -0.0759, 0.0641)}),
+        "trace5d seed 1 mvc5d": (
+            mvc5d, None, {**TRACE5D_SEED_1, "box": (0.3584, 0.4984, -0.0327, 0.1073)}),
     }[case]
     poly = trace_curve(model, branches, **kwargs)
     assert d_hat_calls["calls"] <= budget

@@ -20,11 +20,9 @@ from .catalog import (
     model_mvc5d,
 )
 from .engine import (
-    Classification,
     FactorisationOutcome,
     Status,
     assemble_M,
-    classify_2x2,
     factorise,
     toeplitz_kernel_dim,
 )
@@ -38,12 +36,7 @@ from .geometry import (
     extract_metric,
     trace_curve,
 )
-from .spectral import (
-    SpectralPoint,
-    ZeroPair,
-    spectral_map,
-    zero_pair_for,
-)
+from .spectral import SpectralPoint, spectral_map
 
 __all__ = [
     "errors",
@@ -54,11 +47,9 @@ __all__ = [
     "model_kerr",
     "model_mp5d",
     "model_mvc5d",
-    "Classification",
     "FactorisationOutcome",
     "Status",
     "assemble_M",
-    "classify_2x2",
     "factorise",
     "toeplitz_kernel_dim",
     "CurvePolyline",
@@ -70,7 +61,5 @@ __all__ = [
     "extract_metric",
     "trace_curve",
     "SpectralPoint",
-    "ZeroPair",
     "spectral_map",
-    "zero_pair_for",
 ]

@@ -2,9 +2,8 @@
 
 A model is an n x n matrix of rational functions of omega with det = 1 and
 eta-symmetry eta M^T eta = M.  It keeps the structure fixed by the matrix
-alone: the entries' denominator roots, the stacked coefficients, the 2x2
-common-denominator form with its degree table and the plans the engine
-compiles from its omega-plane poles and adjugate.
+alone: the entries' denominator roots, the stacked coefficients and the
+plans the engine compiles from its omega-plane poles and adjugate.
 """
 from __future__ import annotations
 
@@ -24,14 +23,12 @@ from .errors import (
     SchemaError,
 )
 from .poly import (
-    _multiset_minus,
     as_poly,
     newton_polish,
     poly_deflate,
     poly_degree,
     poly_eval,
     poly_eval_stack,
-    poly_from_roots,
     poly_is_zero,
     poly_mul,
     poly_trim,
@@ -81,9 +78,9 @@ class RationalMatrixOmega:
     """Validated omega-plane matrix: det = 1, eta M^T eta = M, simple poles.
 
     Structure fixed by the matrix alone is computed once and kept on it
-    (each entry keeps its own denominator roots): the 2x2 common-denominator
-    form with its degree table and, filled by the engine, the compiled plan
-    of the generic constraint system per branch tuple.
+    (each entry keeps its own denominator roots): the stacked coefficients
+    and, filled by the engine, the compiled plan of the generic constraint
+    system per branch tuple.
     """
 
     n: int
@@ -98,43 +95,6 @@ class RationalMatrixOmega:
 
     def entry(self, i: int, j: int) -> RationalEntry:
         return self.entries[i][j]
-
-    @cached_property
-    def common_denominator_form(self):
-        """2x2 normal form (q, p): monic common denominator q (root-multiset
-        lcm of the reduced entry denominators) and numerators
-        p_ij = num * (q/den)."""
-        lcm: list = []
-        for i in range(2):
-            for j in range(2):
-                lcm = lcm + _multiset_minus(self.entry(i, j).den_roots, lcm)
-        q = poly_from_roots(lcm, 1.0)
-        p = [[None, None], [None, None]]
-        for i in range(2):
-            for j in range(2):
-                e = self.entry(i, j)
-                if poly_is_zero(e.num):
-                    p[i][j] = np.zeros(1, dtype=complex)
-                    continue
-                cof = _multiset_minus(lcm, e.den_roots)
-                p[i][j] = poly_trim(poly_mul(e.num, poly_from_roots(cof, 1.0 / e.den[-1])))
-        return q, p
-
-    @cached_property
-    def degree_table(self) -> "DegreeTable | None":
-        """Degrees of the 2x2 normal form, or None where that form does not
-        apply: it presumes n = 2 and plain symmetry (eta = (1, 1), p21 = p12),
-        so eta-symmetric but asymmetric matrices carry no degree table."""
-        if self.n != 2 or any(e != 1.0 for e in self.eta):
-            return None
-        q, p = self.common_denominator_form
-        sym_ok = (poly_degree(p[0][1]) == poly_degree(p[1][0])
-                  and (poly_is_zero(p[0][1]) or
-                       np.max(np.abs(p[0][1] - p[1][0])) <= 1e-10 * np.max(np.abs(p[0][1]))))
-        if not sym_ok:
-            return None
-        return DegreeTable(k11=poly_degree(p[0][0]), k12=poly_degree(p[0][1]),
-                           k22=poly_degree(p[1][1]), n=poly_degree(q))
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -326,27 +286,6 @@ MODEL_BUILDERS = {
     "mp5d": model_mp5d,
     "mvc5d": model_mvc5d,
 }
-
-
-# ---------------------------------------------------------------------------
-# degree table of the 2x2 normal form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DegreeTable:
-    k11: int
-    k12: int
-    k22: int
-    n: int
-
-    @property
-    def N1(self) -> int:
-        return max(self.k11, self.k12)
-
-    @property
-    def N2(self) -> int:
-        return max(self.k12, self.k22)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -41,12 +40,9 @@ class RunConfig:
     step: float = 0.01
 
     def tolerance(self) -> float:
-        """The rank tolerance: tol, else WH_ERGO_TOL, else DEFAULT_TOL;
-        ValueError unless it lies in (0, 1)."""
-        if self.tol is not None:
-            return check_tol(self.tol)
-        env = os.environ.get("WH_ERGO_TOL")
-        return check_tol(float(env)) if env else DEFAULT_TOL
+        """The rank tolerance: tol, else DEFAULT_TOL; ValueError unless it
+        lies in (0, 1)."""
+        return DEFAULT_TOL if self.tol is None else check_tol(self.tol)
 
     def validate(self):
         for key in ("rho", "v"):
@@ -370,7 +366,7 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, help="rank tolerance in (0, 1): a kernel where "
                                                   "sigma_min/sigma_max of the equilibrated "
                                                   "system is at most tol "
-                                                  "(default WH_ERGO_TOL or 1e-9)")
+                                                  "(default 1e-9)")
         sp.add_argument("--out", help="output file (default stdout)")
 
     sp = command("factorize", "factorise at one Weyl point")

@@ -53,14 +53,10 @@ Every entry point takes it; None is the model's default, which _plan_for
 resolves, and a tuple of the wrong length or with an unknown tag is a
 ValueError.
 
-For 2x2 models of the common-denominator form one more piece remains: the
-degree classification.  Its always-canonical case N1 + N2 < 2n cannot occur
-for a valid model (det M = 1 gives det p = q^2, of degree 2n, while
-p11 p22 - p12^2 has degree at most N1 + N2), so only
-toeplitz_kernel_dim(model, rho, v, branches)'s degree-table short cut reads
-it.  The paper's own route, the value-and-derivative system at the inside
-zeros of the monodromy composed in tau, is not part of the library: the
-tests keep it as the oracle whose determinant they compare with f*h.
+The paper's own route for 2x2 models of the common-denominator form, the
+degree trichotomy and the value-and-derivative system at the inside zeros
+of the monodromy composed in tau, is not part of the library: the tests
+keep it as the oracle whose determinant they compare with f*h.
 """
 from __future__ import annotations
 
@@ -90,7 +86,7 @@ from .poly import (
     poly_deflate,
     poly_eval_stack,
 )
-from .spectral import BRANCH_MINUS, BRANCH_PLUS, SpectralPoint
+from .spectral import BRANCH_MINUS, BRANCH_PLUS, SpectralPoint, spectral_map
 
 # reference Weyl points used once per (model, branches) to compile the plan
 # of the generic constraint system; must be off-curve, which the compile
@@ -98,57 +94,11 @@ from .spectral import BRANCH_MINUS, BRANCH_PLUS, SpectralPoint
 _REFERENCE_POINTS = ((2.0, 0.5), (3.1, -0.7), (1.7, 1.3), (2.6, 1.9))
 
 
-class Classification(enum.Enum):
-    ALWAYS_CANONICAL = "always-canonical"
-    DETERMINANT_TEST = "determinant-test"
-    REDUCIBLE_CASE = "reducible-case"
-
-
 class Status(enum.Enum):
     CANONICAL = "canonical"
     DEGENERATE = "degenerate"        # a non-trivial Toeplitz kernel
     UNRESOLVED = "unresolved"        # no consistent solution: a trivial kernel, or a
                                      # system beyond the double range
-
-
-@dataclass(frozen=True)
-class ClassificationResult:
-    kind: Classification
-    N1: int
-    N2: int
-    two_n: int
-    transcript: str | None = None
-
-
-def classify_2x2(source) -> ClassificationResult:
-    """Trichotomy on N1 + N2 versus 2n for the 2x2 normal form (source: a
-    model, or anything else that carries its degree table)."""
-    dt = source.degree_table
-    if dt is None:
-        raise ValueError("no 2x2 normal form available for this monodromy")
-    n1, n2, two_n = dt.N1, dt.N2, 2 * dt.n
-    if n1 + n2 < two_n:
-        return ClassificationResult(Classification.ALWAYS_CANONICAL, n1, n2, two_n)
-    if n1 + n2 == two_n:
-        return ClassificationResult(Classification.DETERMINANT_TEST, n1, n2, two_n)
-    if dt.k11 > dt.k12 > dt.k22:
-        chain = "k11 > k12 > k22"
-        swap = False
-    elif dt.k22 > dt.k12 > dt.k11:
-        chain = "k22 > k12 > k11"
-        swap = True
-    else:
-        raise ValueError("N1+N2 > 2n without a chain inequality; degree table inconsistent")
-    d = n1 + n2 - two_n
-    transcript = (
-        f"chain {chain}: rearranged numerator "
-        f"Q_N1-1 * tau^e2 * p22~ - Q_N2-1 * tau^e1 * p12~ with the common "
-        f"factor tau^{d} divided out; {d} extra vanishing condition(s) at "
-        f"tau = 0 on the second-component numerator restore a square system "
-        f"of size {n1 + n2}."
-        + (" Roles of rows 1 and 2 are swapped." if swap else "")
-    )
-    return ClassificationResult(Classification.REDUCIBLE_CASE, n1, n2, two_n, transcript)
 
 
 def _check_branches(model: RationalMatrixOmega, branches) -> tuple:
@@ -168,15 +118,7 @@ def _check_branches(model: RationalMatrixOmega, branches) -> tuple:
 def toeplitz_kernel_dim(model: RationalMatrixOmega, rho: float, v: float, branches=None,
                         tol: float = DEFAULT_TOL) -> int:
     """Kernel dimension of the Toeplitz operator with this symbol: the
-    kernel_dim of evaluate_points at (rho, v).
-
-    The always-canonical classification short-circuits to 0 without
-    assembling anything: every kernel element picks up a positive tau power
-    and is forced to vanish at the origin, hence identically.
-    """
-    if (model.degree_table is not None
-            and classify_2x2(model).kind is Classification.ALWAYS_CANONICAL):
-        return 0
+    kernel_dim of evaluate_points at (rho, v)."""
     return int(evaluate_points(model, rho, v, branches, tol).kernel_dim)
 
 
@@ -674,9 +616,10 @@ def _label_values(poles: np.ndarray, plus: np.ndarray, rho, v) -> np.ndarray:
     omega poles `poles` (P,) with the plus branch inside where `plus`;
     returns shape (2P + 1, N).
 
-    The inside member is zero_pair_for's (v - w +- sqrt((v - w)^2 + rho^2))
-    / rho, taken from the product -rho^2 of the two numerators where it
-    would cancel; the outside member is -1/tau_in.
+    The inside member is (v - w +- sqrt((v - w)^2 + rho^2)) / rho, a zero
+    of omega(tau) - w, with + for the plus branch; it is taken from the
+    product -rho^2 of the two numerators where it would cancel.  The
+    outside member is -1/tau_in.
     """
     dv = v - poles[:, None]
     s = np.sqrt(dv * dv + rho * rho)
@@ -840,8 +783,7 @@ def _residual_report(model: RationalMatrixOmega, pt: SpectralPoint, poles,
     """
     taus = _check_taus(poles)
     t = np.array(taus)
-    omega = pt.v + 0.5 * pt.rho * (1.0 - t * t) / t          # the spectral map, lambda = 1
-    m_val = model.eval(omega).transpose(2, 0, 1)
+    m_val = model.eval(spectral_map(pt, t)).transpose(2, 0, 1)
     scale = np.maximum(1.0, np.max(np.abs(m_val), axis=(-2, -1)))
     det = np.linalg.det(m_val)
     bad = np.abs(det - 1.0) > 1e-8 * scale ** model.n

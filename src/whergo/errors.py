@@ -5,16 +5,8 @@ class WhergoError(Exception):
     """Base class for all library errors."""
 
 
-class DegenerateCoefficient(WhergoError):
-    """Leading coefficient of a quadratic is (numerically) zero."""
-
-
 class ZeroTau(WhergoError):
     """The spectral map is undefined at tau = 0."""
-
-
-class DegeneratePair(WhergoError):
-    """A zero pair collapsed (double zero); the simple-zero assumption fails."""
 
 
 class OutOfChart(WhergoError):

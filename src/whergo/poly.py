@@ -11,8 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .errors import DegenerateCoefficient
-
 # Coefficients below TRIM_REL * max|coeff| are treated as arithmetic noise.
 TRIM_REL = 1e-14
 
@@ -197,30 +195,6 @@ def newton_polish(c, z, steps: int = 1):
             break
         z = z - step
     return z
-
-
-def quadratic_roots(a, b, c) -> tuple[complex, complex]:
-    """Both roots of a*t^2 + b*t + c, large-magnitude root computed first.
-
-    The second root comes from the product c/a, which avoids cancellation
-    when |b| dominates.  Each root gets one Newton polish on the full
-    quadratic.
-    """
-    a, b, c = complex(a), complex(b), complex(c)
-    scale = max(abs(a), abs(b), abs(c))
-    if scale == 0.0 or abs(a) <= 1e-300 or abs(a) < 1e-15 * scale:
-        raise DegenerateCoefficient("quadratic leading coefficient is zero")
-    disc = np.sqrt(b * b - 4.0 * a * c + 0j)
-    # pick the sign that adds constructively to -b
-    if (b.conjugate() * disc).real > 0.0:
-        disc = -disc
-    r1 = (-b + disc) / (2.0 * a)
-    if r1 == 0:
-        r2 = -b / a
-    else:
-        r2 = (c / a) / r1
-    p = np.array([c, b, a])
-    return newton_polish(p, r1), newton_polish(p, r2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from .catalog import model_kerr, model_mp5d, model_mvc5d
-from .engine import factorise
 from .geometry import extract_4d, extract_5d
-from .spectral import SpectralPoint, spectral_map, zero_pair_for
+from .spectral import SpectralPoint, spectral_map
 
 
 @dataclass(frozen=True)
@@ -23,13 +23,19 @@ class SuiteResult:
 
 
 def _suite_vieta(rng) -> SuiteResult:
+    """The engine's zero pairs (engine._label_values): both members of the
+    pair of omega0 map to omega0, relative to max(1, |omega0|, |v|, rho),
+    and their product is -1."""
     worst = 0.0
     for _ in range(50):
         pt = SpectralPoint(rng.uniform(0.2, 3.0), rng.uniform(-3.0, 3.0))
         w0 = complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
-        zp = zero_pair_for(pt, w0, "minus" if rng.random() < 0.5 else "plus")
-        prod = zp.tau_in * zp.tau_out
-        worst = max(worst, abs(prod + 1.0) / abs(prod))
+        plus = np.array([rng.random() >= 0.5])
+        _, t_in, t_out = engine._label_values(np.array([w0]), plus, np.array([pt.rho]),
+                                              np.array([pt.v]))[:, 0]
+        scale = max(1.0, abs(w0), abs(pt.v), pt.rho)
+        worst = max(worst, abs(t_in * t_out + 1.0),
+                    *(abs(spectral_map(pt, t) - w0) / scale for t in (t_in, t_out)))
     return SuiteResult("vieta-pair-product", worst, 1e-12)
 
 
@@ -65,7 +71,7 @@ def _suite_residual(rng) -> SuiteResult:
         for _ in range(3):
             rho = rng.uniform(1.4, 3.0)
             v = rng.uniform(-1.0, 1.0)
-            out = factorise(model, rho, v)
+            out = engine.factorise(model, rho, v)
             if not out.canonical:
                 continue
             r = out.residual_report
@@ -77,7 +83,7 @@ def _suite_sigma(rng) -> SuiteResult:
     worst = 0.0
     for model in (model_mp5d(2.0, 1.0), model_mvc5d(2.0, 1.0)):
         for _ in range(4):
-            out = factorise(model, rng.uniform(1.2, 3.0), rng.uniform(-1.0, 1.0))
+            out = engine.factorise(model, rng.uniform(1.2, 3.0), rng.uniform(-1.0, 1.0))
             if not out.canonical:
                 continue
             s = extract_5d(out.M_limit)
@@ -89,11 +95,11 @@ def _suite_roundtrip(rng) -> SuiteResult:
     kerr, mvc5d = model_kerr(2.0, 1.0), model_mvc5d(2.0, 1.0)
     worst = 0.0
     for _ in range(4):
-        out = factorise(kerr, rng.uniform(1.5, 3.0), rng.uniform(-1.0, 1.0))
+        out = engine.factorise(kerr, rng.uniform(1.5, 3.0), rng.uniform(-1.0, 1.0))
         M = out.M_limit.real
         s = extract_4d(M)
         worst = max(worst, float(np.max(np.abs(s.rebuild_M() - M))) / max(1.0, np.max(np.abs(M))))
-        out = factorise(mvc5d, rng.uniform(1.2, 2.5), rng.uniform(-0.8, 0.8))
+        out = engine.factorise(mvc5d, rng.uniform(1.2, 2.5), rng.uniform(-0.8, 0.8))
         M = out.M_limit.real
         s5 = extract_5d(M)
         worst = max(worst, float(np.max(np.abs(s5.rebuild_M() - M))) / max(1.0, np.max(np.abs(M))))

@@ -1,39 +1,232 @@
 """The paper's tau-plane route, kept as a test oracle.
 
 M(omega) composed with the spectral relation gives a monodromy matrix in
-tau.  For 2x2 models of the common-denominator form, the value-and-
-derivative system at the inside zeros is the paper's existence system; for
-Kerr its determinant is f*h, which vanishes on the ergosurface.  The library
-computes every answer from the plan compiled per (model, branches) and
-composes no monodromy; the tests check it against this route.
+tau.  For 2x2 models of the common-denominator form, the degree trichotomy
+of that form picks the paper's case, and in its determinant-test case the
+value-and-derivative system at the inside zeros is the paper's existence
+system; for Kerr its determinant is f*h, which vanishes on the ergosurface.
+The zero pair of an omega pole comes from the quadratic omega(tau) = omega0
+solved on its own.  The library computes every answer from the plan
+compiled per (model, branches), composes no monodromy and reads its zero
+pairs from engine._label_values; the tests check it against this route.
 """
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from whergo.catalog import DegreeTable, RationalEntry, RationalMatrixOmega
-from whergo.engine import Classification, _check_branches, classify_2x2
+from whergo.catalog import RationalEntry, RationalMatrixOmega
+from whergo.engine import _check_branches
 from whergo.errors import InvariantViolation, WhergoError
 from whergo.poly import (
     FactoredRational,
+    _multiset_minus,
     as_poly,
+    newton_polish,
     poly_degree,
     poly_derivative,
     poly_eval,
+    poly_from_roots,
     poly_is_zero,
     poly_mul,
     poly_scale,
     poly_trim,
 )
-from whergo.spectral import BRANCH_MINUS, SpectralPoint, spectral_map, zero_pair_for
+from whergo.spectral import BRANCH_MINUS, BRANCH_PLUS, SpectralPoint, spectral_map
 
 _MONODROMY_SEED = 40923
 
 
 class DegenerateZeros(WhergoError):
     """Two inside zeros coincide within tolerance."""
+
+
+class DegeneratePair(WhergoError):
+    """A zero pair collapsed (double zero); the simple-zero assumption fails."""
+
+
+class DegenerateCoefficient(WhergoError):
+    """Leading coefficient of a quadratic is (numerically) zero."""
+
+
+# ---------------------------------------------------------------------------
+# zero pairs
+# ---------------------------------------------------------------------------
+
+PAIR_TOL = 1e-10
+
+
+def quadratic_roots(a, b, c) -> tuple[complex, complex]:
+    """Both roots of a*t^2 + b*t + c, large-magnitude root computed first.
+
+    The second root comes from the product c/a, which avoids cancellation
+    when |b| dominates.  Each root gets one Newton polish on the full
+    quadratic.
+    """
+    a, b, c = complex(a), complex(b), complex(c)
+    scale = max(abs(a), abs(b), abs(c))
+    if scale == 0.0 or abs(a) <= 1e-300 or abs(a) < 1e-15 * scale:
+        raise DegenerateCoefficient("quadratic leading coefficient is zero")
+    disc = np.sqrt(b * b - 4.0 * a * c + 0j)
+    # pick the sign that adds constructively to -b
+    if (b.conjugate() * disc).real > 0.0:
+        disc = -disc
+    r1 = (-b + disc) / (2.0 * a)
+    if r1 == 0:
+        r2 = -b / a
+    else:
+        r2 = (c / a) / r1
+    p = np.array([c, b, a])
+    return newton_polish(p, r1), newton_polish(p, r2)
+
+
+def pair_quadratic(pt: SpectralPoint, omega0) -> np.ndarray:
+    """Numerator of omega(tau) - omega0 as a quadratic in tau (ascending)."""
+    return np.array([pt.rho / 2.0, pt.v - complex(omega0), -pt.rho / 2.0])
+
+
+@dataclass(frozen=True)
+class ZeroPair:
+    """One zero pair: the inside member tau_in and tau_out = -1/tau_in."""
+
+    tau_in: complex
+    tau_out: complex
+
+
+def zero_pair_for(pt: SpectralPoint, omega0, branch: str = BRANCH_MINUS) -> ZeroPair:
+    """Zero pair of the quadratic for omega0, with the chosen branch inside.
+
+    branch "minus" designates (v - omega0 - sqrt((v-omega0)^2 + rho^2))/rho,
+    matching the standard Kerr contour convention.  Rejects degenerate pairs,
+    i.e. parameter points where v +- i*rho hits omega0.
+    """
+    if branch not in (BRANCH_MINUS, BRANCH_PLUS):
+        raise ValueError(f"unknown branch {branch!r}")
+    omega0 = complex(omega0)
+    scale = max(1.0, abs(omega0), abs(pt.v), pt.rho)
+    if min(abs(omega0 - (pt.v + 1j * pt.rho)), abs(omega0 - (pt.v - 1j * pt.rho))) < 1e-10 * scale:
+        raise DegeneratePair(f"v +- i*rho coincides with omega-zero {omega0}")
+    q = pair_quadratic(pt, omega0)
+    r1, r2 = quadratic_roots(q[2], q[1], q[0])
+    s = np.sqrt((pt.v - omega0) ** 2 + pt.rho ** 2 + 0j)
+    target = ((pt.v - omega0) - s) / pt.rho if branch == BRANCH_MINUS else ((pt.v - omega0) + s) / pt.rho
+    tau_in = r1 if abs(r1 - target) <= abs(r2 - target) else r2
+    tau_out = -1.0 / tau_in
+    if abs(tau_in - tau_out) < PAIR_TOL * max(1.0, abs(tau_in)):
+        raise DegeneratePair(f"zero pair collapsed at tau = {tau_in}")
+    return ZeroPair(tau_in, tau_out)
+
+
+# ---------------------------------------------------------------------------
+# the 2x2 normal form and its degree trichotomy
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DegreeTable:
+    k11: int
+    k12: int
+    k22: int
+    n: int
+
+    @property
+    def N1(self) -> int:
+        return max(self.k11, self.k12)
+
+    @property
+    def N2(self) -> int:
+        return max(self.k12, self.k22)
+
+
+def common_denominator_form(model: RationalMatrixOmega):
+    """2x2 normal form (q, p): monic common denominator q (root-multiset
+    lcm of the reduced entry denominators) and numerators
+    p_ij = num * (q/den)."""
+    lcm: list = []
+    for i in range(2):
+        for j in range(2):
+            lcm = lcm + _multiset_minus(model.entry(i, j).den_roots, lcm)
+    q = poly_from_roots(lcm, 1.0)
+    p = [[None, None], [None, None]]
+    for i in range(2):
+        for j in range(2):
+            e = model.entry(i, j)
+            if poly_is_zero(e.num):
+                p[i][j] = np.zeros(1, dtype=complex)
+                continue
+            cof = _multiset_minus(lcm, e.den_roots)
+            p[i][j] = poly_trim(poly_mul(e.num, poly_from_roots(cof, 1.0 / e.den[-1])))
+    return q, p
+
+
+def degree_table(model: RationalMatrixOmega) -> DegreeTable | None:
+    """Degrees of the 2x2 normal form, or None where that form does not
+    apply: it presumes n = 2 and plain symmetry (eta = (1, 1), p21 = p12),
+    so eta-symmetric but asymmetric matrices carry no degree table."""
+    if model.n != 2 or any(e != 1.0 for e in model.eta):
+        return None
+    q, p = common_denominator_form(model)
+    sym_ok = (poly_degree(p[0][1]) == poly_degree(p[1][0])
+              and (poly_is_zero(p[0][1]) or
+                   np.max(np.abs(p[0][1] - p[1][0])) <= 1e-10 * np.max(np.abs(p[0][1]))))
+    if not sym_ok:
+        return None
+    return DegreeTable(k11=poly_degree(p[0][0]), k12=poly_degree(p[0][1]),
+                       k22=poly_degree(p[1][1]), n=poly_degree(q))
+
+
+class Classification(enum.Enum):
+    ALWAYS_CANONICAL = "always-canonical"
+    DETERMINANT_TEST = "determinant-test"
+    REDUCIBLE_CASE = "reducible-case"
+
+
+@dataclass(frozen=True)
+class ClassificationResult:
+    kind: Classification
+    N1: int
+    N2: int
+    two_n: int
+    transcript: str | None = None
+
+
+def classify_2x2(dt: DegreeTable | None) -> ClassificationResult:
+    """Trichotomy on N1 + N2 versus 2n for the 2x2 normal form of degree
+    table dt.
+
+    The always-canonical case N1 + N2 < 2n cannot occur for a valid model:
+    det M = 1 gives det p = q^2, of degree 2n, while p11 p22 - p12^2 has
+    degree at most N1 + N2.  Degree tables with N1 + N2 > 2n and no chain
+    inequality are not the paper's and raise ValueError, although a valid
+    model may have one (the engine factorises it).
+    """
+    if dt is None:
+        raise ValueError("no 2x2 normal form available for this monodromy")
+    n1, n2, two_n = dt.N1, dt.N2, 2 * dt.n
+    if n1 + n2 < two_n:
+        return ClassificationResult(Classification.ALWAYS_CANONICAL, n1, n2, two_n)
+    if n1 + n2 == two_n:
+        return ClassificationResult(Classification.DETERMINANT_TEST, n1, n2, two_n)
+    if dt.k11 > dt.k12 > dt.k22:
+        chain = "k11 > k12 > k22"
+        swap = False
+    elif dt.k22 > dt.k12 > dt.k11:
+        chain = "k22 > k12 > k11"
+        swap = True
+    else:
+        raise ValueError("N1+N2 > 2n without a chain inequality; degree table inconsistent")
+    d = n1 + n2 - two_n
+    transcript = (
+        f"chain {chain}: rearranged numerator "
+        f"Q_N1-1 * tau^e2 * p22~ - Q_N2-1 * tau^e1 * p12~ with the common "
+        f"factor tau^{d} divided out; {d} extra vanishing condition(s) at "
+        f"tau = 0 on the second-component numerator restore a square system "
+        f"of size {n1 + n2}."
+        + (" Roles of rows 1 and 2 are swapped." if swap else "")
+    )
+    return ClassificationResult(Classification.REDUCIBLE_CASE, n1, n2, two_n, transcript)
 
 
 def poly_shift(a, k: int) -> np.ndarray:
@@ -48,10 +241,8 @@ def compose_polynomial(pt: SpectralPoint, coeffs) -> tuple[np.ndarray, int]:
     """Compose p(omega) with the spectral relation.
 
     Returns (ptilde, k) with p(omega(tau)) = ptilde(tau) / tau^k and
-    deg ptilde = 2k for a degree-k input.  Only lambda = +1 is supported.
+    deg ptilde = 2k for a degree-k input.
     """
-    if pt.lam != 1:
-        raise ValueError("composition implemented for lambda = +1 only")
     p = poly_trim(coeffs)
     k = p.size - 1
     # W(tau) = tau * omega(tau) = rho/2 + v*tau - (rho/2) tau^2
@@ -130,11 +321,8 @@ def compose_monodromy(model: RationalMatrixOmega, pt: SpectralPoint,
 
     Only what moves with (rho, v) is computed here: the tau-plane pair of
     each omega-plane pole and the composed polynomials.  The entry
-    denominator roots, the 2x2 normal form and its degree table are read
-    from the model, which computes each of them once.  check=False skips
-    the sample-point consistency validation."""
-    if pt.lam != 1:
-        raise ValueError("the factorisation engine is restricted to lambda = +1")
+    denominator roots are read from the model, which finds them once.
+    check=False skips the sample-point consistency validation."""
     pair_cache: dict[complex, tuple] = {}
 
     def hints(omega0):
@@ -148,17 +336,17 @@ def compose_monodromy(model: RationalMatrixOmega, pt: SpectralPoint,
     entries = tuple(tuple(_compose_entry(model.entry(i, j), pt, hints)
                           for j in range(model.n)) for i in range(model.n))
 
-    degree_table = model.degree_table
+    dt = degree_table(model)
     q2n = None
     ptilde = None
-    if degree_table is not None:
-        q, p = model.common_denominator_form
+    if dt is not None:
+        q, p = common_denominator_form(model)
         q2n, _ = compose_polynomial(pt, q)
         pt11, _ = compose_polynomial(pt, p[0][0])
         pt12, _ = compose_polynomial(pt, p[0][1])
         pt22, _ = compose_polynomial(pt, p[1][1])
         ptilde = ((pt11, pt12), (pt12, pt22))
-    mono = MonodromyMatrixTau(model.n, pt, entries, model, degree_table, q2n, ptilde)
+    mono = MonodromyMatrixTau(model.n, pt, entries, model, dt, q2n, ptilde)
     if check:
         _check_monodromy(mono)
     return mono
@@ -219,7 +407,7 @@ def existence_system_2x2(mono: MonodromyMatrixTau, branches=None) -> np.ndarray:
     zero, in the model's declared pole order.
     """
     dt = mono.degree_table
-    cls = classify_2x2(mono)
+    cls = classify_2x2(dt)
     if cls.kind is not Classification.DETERMINANT_TEST:
         raise ValueError(f"existence system defined for the determinant-test case, got {cls.kind}")
     taus = _inside_zeros(mono, branches)

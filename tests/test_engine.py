@@ -2,15 +2,24 @@ import dataclasses
 from collections import Counter
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (kerr_delta_closed_form, kerr_fh, mp5d_solution_closed_form,
                       mvc_closed_form, mvc_closed_form_D)
-from tau_route import DegenerateZeros, MonodromyMatrixTau, compose_monodromy, existence_system_2x2
-from whergo.catalog import (
+from tau_route import (
+    Classification,
+    DegenerateZeros,
     DegreeTable,
+    classify_2x2,
+    compose_monodromy,
+    degree_table,
+    existence_system_2x2,
+    zero_pair_for,
+)
+from whergo.catalog import (
     make_model,
     model_identity,
     model_kerr,
@@ -19,13 +28,11 @@ from whergo.catalog import (
 )
 import whergo.engine as engine
 from whergo.engine import (
-    Classification,
     Status,
     _assemble_homogeneous,
     _assemble_inhomogeneous,
     _d_with_scale,
     assemble_M,
-    classify_2x2,
     evaluate_points,
     factorise,
     toeplitz_kernel_dim,
@@ -42,7 +49,7 @@ from whergo.poly import (
     poly_mul,
     poly_scale,
 )
-from whergo.spectral import SpectralPoint, weyl_from_prolate_4d, weyl_from_prolate_5d, zero_pair_for
+from whergo.spectral import SpectralPoint, weyl_from_prolate_4d, weyl_from_prolate_5d
 
 M_K, A_K = 2.0, 1.0
 C_K = np.sqrt(M_K ** 2 - A_K ** 2)
@@ -81,6 +88,19 @@ def synthetic_chain_model():
                       eta=(1.0, 1.0), model_id="synthetic-chain")
 
 
+def nilpotent_models():
+    """I + f(omega) N0 with N0 = [[1, i], [i, -1]], so N0^2 = 0 and det = 1
+    for any f: f = omega and f = omega^3 / (omega^2 - 1).  Their 2x2 normal
+    forms have N1 + N2 > 2n without a chain inequality."""
+    models = []
+    for num, den in (([0.0, 1.0], [1.0]), ([0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 1.0])):
+        plus, minus = npoly.polyadd(den, num), npoly.polysub(den, num)
+        off = 1j * np.asarray(num)
+        models.append(make_model([[(plus, den), (off, den)], [(off, den), (minus, den)]],
+                                 eta=(1.0, 1.0)))
+    return models
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -88,7 +108,7 @@ def synthetic_chain_model():
 
 def test_classify_kerr_is_determinant_test(kerr):
     _, _, mono = _setup(kerr, 1.1, 0.4)
-    res = classify_2x2(mono)
+    res = classify_2x2(mono.degree_table)
     assert res.kind is Classification.DETERMINANT_TEST
     assert res.N1 + res.N2 == res.two_n == 4
 
@@ -96,7 +116,7 @@ def test_classify_kerr_is_determinant_test(kerr):
 def test_classify_chain_is_reducible():
     model = synthetic_chain_model()
     _, _, mono = _setup(model, 1.3, 0.4)
-    res = classify_2x2(mono)
+    res = classify_2x2(mono.degree_table)
     assert res.kind is Classification.REDUCIBLE_CASE
     assert res.transcript and "tau = 0" in res.transcript
     assert (res.N1, res.N2, res.two_n) == (3, 2, 4)
@@ -105,19 +125,17 @@ def test_classify_chain_is_reducible():
 def test_classify_diagonal_is_determinant_test():
     model = model_kerr(2.0, 0.0)
     _, _, mono = _setup(model, 1.5, 0.2)
-    res = classify_2x2(mono)
+    res = classify_2x2(mono.degree_table)
     assert res.kind is Classification.DETERMINANT_TEST
 
 
 def test_classify_always_canonical_stub():
-    # N1 + N2 < 2n is unreachable for composed monodromies (the degree
-    # bookkeeping forces N1 + N2 >= 2n); a degree-table stub exercises the
-    # fast path, which must not touch entries at all
-    stub = MonodromyMatrixTau(2, SpectralPoint(1.0, 0.0), None, None,
-                              DegreeTable(k11=1, k12=0, k22=1, n=2))
-    res = classify_2x2(stub)
+    # N1 + N2 < 2n is unreachable for a valid model (det M = 1 forces
+    # N1 + N2 >= 2n, see test_always_canonical_degrees_violate_det_one);
+    # a degree-table stub exercises that branch of the trichotomy
+    res = classify_2x2(DegreeTable(k11=1, k12=0, k22=1, n=2))
     assert res.kind is Classification.ALWAYS_CANONICAL
-    assert toeplitz_kernel_dim(stub, 1.0, 0.0) == 0   # fast path, no solve
+    assert (res.N1, res.N2, res.two_n) == (1, 1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +199,16 @@ def test_compute_d_identity_model():
     model = model_identity(2)
     assert _d(model, 1.3, 0.2) == pytest.approx(1.0)
     assert toeplitz_kernel_dim(model, 1.3, 0.2) == 0
+    # identity plus a nilpotent: outside the paper's degree trichotomy, yet
+    # canonical, and toeplitz_kernel_dim is the batch's kernel_dim there too
+    for model in nilpotent_models():
+        with pytest.raises(ValueError, match="without a chain inequality"):
+            classify_2x2(degree_table(model))
+        for rho, v in ((1.3, 0.2), (0.5, -1.7), (3.0, 2.0)):
+            out = factorise(model, rho, v)
+            assert out.status is Status.CANONICAL
+            assert out.residual_report.factorisation <= 1e-9
+            assert toeplitz_kernel_dim(model, rho, v) == evaluate_points(model, rho, v).kernel_dim == 0
 
 
 def test_mp5d_d_vanishes_on_ergosurface_line(mp5d):
@@ -548,8 +576,8 @@ def test_factorise_chain_model_generic_route():
     model = synthetic_chain_model()
     out = factorise(model, 1.3, 0.4)
     assert out.status is Status.CANONICAL
-    # the classification is per model, not per point: classify_2x2 alone gives it
-    assert classify_2x2(model).kind is Classification.REDUCIBLE_CASE
+    # the classification is per model, not per point: its degree table alone gives it
+    assert classify_2x2(degree_table(model)).kind is Classification.REDUCIBLE_CASE
     assert not hasattr(out, "classification")
     assert out.residual_report.factorisation <= 1e-9
     assert abs(np.linalg.det(out.M_limit) - 1.0) <= 1e-9 * np.max(np.abs(out.M_limit)) ** 2
@@ -863,9 +891,9 @@ def test_plan_matches_build_ansatz(name, branches, kerr, mp5d, mvc5d):
 
 def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch):
     # once the plan is compiled, D (single point, grid and a whole trace
-    # alike) needs no monodromy composition, no zero pair, no polynomial
-    # product and no root finding
-    from whergo import geometry, poly, spectral
+    # alike) needs no monodromy composition, no polynomial product and no
+    # root finding
+    from whergo import geometry, poly
 
     # each box straddles the model's failure curve at y = 0
     for model, box in ((mp5d, (0.55, 0.75, -0.1, 0.1)), (mvc5d, (0.3, 0.5, -0.1, 0.1))):
@@ -875,7 +903,7 @@ def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch
 
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic work after warm-up")
-        for module, name in ((spectral, "zero_pair_for"), (poly, "poly_mul"), (np, "roots")):
+        for module, name in ((poly, "poly_mul"), (np, "roots")):
             monkeypatch.setattr(module, name, forbidden)
         R, V = np.meshgrid(np.linspace(0.3, 2.0, 4), np.linspace(-1.0, 1.0, 3), indexing="ij")
         grid = fgrid(R, V)
@@ -888,17 +916,14 @@ def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch
 
 def test_plan_compile_needs_no_tau_plane_work(monkeypatch):
     # the compile reads its labels from the model's omega poles: it composes
-    # no monodromy, forms no zero pair and finds no root
-    from whergo import spectral
-
+    # no monodromy and finds no root
     for build in (model_kerr, model_mp5d, model_mvc5d):
         model = build(2.0, 1.0)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("tau-plane work in the plan compile")
         with monkeypatch.context() as m:
-            for module, name in ((spectral, "zero_pair_for"), (np, "roots")):
-                m.setattr(module, name, forbidden)
+            m.setattr(np, "roots", forbidden)
             plan = engine._plan_for(model, model.default_branches)
         assert model.plans[model.default_branches] is plan
 
@@ -1261,11 +1286,11 @@ def test_layout_root_tables_are_the_label_multisets(name, branches, kerr, mp5d, 
 
 def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypatch):
     # once the model's plan is compiled, a factorisation (canonical or on the
-    # curve) composes no monodromy, forms no zero pair, builds no symbolic
-    # adjugate, multiplies no polynomials and finds no roots; a canonical one
-    # and assemble_M evaluate no polynomial entry by entry, and deflate once
-    # per root position, not once per root
-    from whergo import catalog, poly, spectral
+    # curve) composes no monodromy, builds no symbolic adjugate, multiplies
+    # no polynomials and finds no roots; a canonical one and assemble_M
+    # evaluate no polynomial entry by entry, and deflate once per root
+    # position, not once per root
+    from whergo import catalog, poly
 
     on_curve = _on_curve_points(kerr, mp5d, mvc5d, (0.2,))
     cases = ((kerr, (2.1, 0.6), on_curve["kerr"][0]),
@@ -1278,8 +1303,7 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
 
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic work after warm-up")
-        for module, name in ((spectral, "zero_pair_for"),
-                             (engine, "_adjugate_fr"), (poly, "poly_mul"), (np, "roots"),
+        for module, name in ((engine, "_adjugate_fr"), (poly, "poly_mul"), (np, "roots"),
                              (poly, "poly_eval"), (catalog, "poly_eval"),
                              (catalog.RationalEntry, "__call__")):
             monkeypatch.setattr(module, name, forbidden)

@@ -1,13 +1,22 @@
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
 
 import whergo
+import whergo.engine as engine
+from whergo.spectral import SpectralPoint
+from whergo.verify import run_suites
 
-# the paper's tau-plane route, kept as a test oracle in tests/tau_route.py
+# the paper's tau-plane route, kept as a test oracle in tests/tau_route.py:
+# the composition and its existence system, the 2x2 degree trichotomy and
+# the scalar zero-pair algebra
 TAU_ROUTE_NAMES = ("compose_monodromy", "MonodromyMatrixTau", "existence_system_2x2",
-                   "compose_polynomial")
+                   "compose_polynomial", "Classification", "ClassificationResult",
+                   "classify_2x2", "DegreeTable", "common_denominator_form", "degree_table",
+                   "zero_pair_for", "ZeroPair", "pair_quadratic", "PAIR_TOL",
+                   "quadratic_roots", "DegeneratePair", "DegenerateCoefficient")
 TEST_MODULES = ("tests", "tau_route", "conftest")
 
 
@@ -29,6 +38,25 @@ def test_library_has_one_route_and_no_test_code():
     for module in modules:
         for name in TAU_ROUTE_NAMES:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for name in TAU_ROUTE_NAMES:
+        assert not hasattr(whergo.RationalMatrixOmega, name), f"RationalMatrixOmega.{name}"
     for path in Path(whergo.__file__).parent.glob("*.py"):
         for imported in _imported_modules(ast.parse(path.read_text(encoding="utf-8"))):
             assert imported.split(".")[0] not in TEST_MODULES, f"{path.name} imports {imported}"
+
+
+def test_spectral_point_has_no_signature_flag():
+    # every route takes lambda = +1; the point carries only (rho, v)
+    assert [f.name for f in dataclasses.fields(SpectralPoint)] == ["rho", "v"]
+
+
+def test_vieta_suite_checks_the_engine_pairs(monkeypatch):
+    assert run_suites(["vieta"])[0].passed
+    real = engine._label_values
+
+    def wrong_outside(*args):
+        lab = real(*args)
+        lab[2::2] = 1.0 / lab[1::2]         # +1/tau_in in place of -1/tau_in
+        return lab
+    monkeypatch.setattr(engine, "_label_values", wrong_outside)
+    assert not run_suites(["vieta"])[0].passed

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from whergo.errors import DegenerateCoefficient
+from tau_route import DegenerateCoefficient, quadratic_roots
 from whergo.poly import (
     TRIM_REL,
     FactoredRational,
@@ -23,7 +23,6 @@ from whergo.poly import (
     poly_mul,
     poly_scale,
     poly_trim,
-    quadratic_roots,
 )
 
 # q4 of the Kerr composition at rho=1, v=0, c=sqrt(3): hand-expanded

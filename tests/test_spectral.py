@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from tau_route import compose_polynomial
-from whergo.errors import DegeneratePair, OutOfChart, ZeroTau
+from tau_route import DegeneratePair, compose_polynomial, pair_quadratic, zero_pair_for
+from whergo.errors import OutOfChart, ZeroTau
 from whergo.poly import poly_eval, poly_mul
 from whergo.spectral import (
     SpectralPoint,
-    pair_quadratic,
     prolate_from_weyl_4d,
     prolate_from_weyl_5d,
     spectral_map,
     weyl_from_prolate_4d,
     weyl_from_prolate_5d,
-    zero_pair_for,
 )
 
 C_KERR = np.sqrt(3.0)
@@ -21,9 +19,6 @@ C_KERR = np.sqrt(3.0)
 def test_point_validation():
     with pytest.raises(ValueError):
         SpectralPoint(0.0, 1.0)
-    with pytest.raises(ValueError):
-        SpectralPoint(1.0, 1.0, lam=2)
-    SpectralPoint(1.0, 0.0, lam=-1)  # accepted by the map itself
 
 
 def test_spectral_map_tau_one_gives_v():
@@ -32,13 +27,24 @@ def test_spectral_map_tau_one_gives_v():
 
 
 def test_spectral_map_hand_value():
-    # lam=1, rho=2, v=1, tau=2 -> 1 + (1/2)*2*(1-4)/2 = -0.5
+    # rho=2, v=1, tau=2 -> 1 + (1/2)*2*(1-4)/2 = -0.5
     assert spectral_map(SpectralPoint(2.0, 1.0), 2.0) == pytest.approx(-0.5)
 
 
 def test_spectral_map_zero_tau():
     with pytest.raises(ZeroTau):
         spectral_map(SpectralPoint(1.0, 0.0), 0.0)
+    with pytest.raises(ZeroTau):
+        spectral_map(SpectralPoint(1.0, 0.0), np.array([1.0, 0.0]))
+
+
+def test_spectral_map_takes_an_array_of_tau(rng):
+    pt = SpectralPoint(1.3, -0.4)
+    taus = rng.uniform(0.2, 2.0, (3, 4)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (3, 4)))
+    omega = spectral_map(pt, taus)
+    assert omega.shape == taus.shape
+    for tau, w in zip(taus.ravel(), omega.ravel()):
+        assert w == pytest.approx(spectral_map(pt, tau), rel=1e-14)
 
 
 def test_spectral_map_involution(rng):
@@ -48,17 +54,8 @@ def test_spectral_map_involution(rng):
         if abs(tau) < 0.05:
             continue
         lhs = spectral_map(pt, tau)
-        rhs = spectral_map(pt, -pt.lam / tau)
+        rhs = spectral_map(pt, -1.0 / tau)
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
-
-
-def test_spectral_map_lambda_minus_one():
-    pt = SpectralPoint(2.0, 1.0, lam=-1)
-    tau = 0.7 + 0.2j
-    expected = 1.0 + (-0.5) * 2.0 * (-1 - tau * tau) / tau
-    assert spectral_map(pt, tau) == pytest.approx(expected)
-    # involution for lam=-1 is tau -> +1/tau
-    assert spectral_map(pt, 1.0 / tau) == pytest.approx(expected)
 
 
 def test_zero_pair_symmetric_case():

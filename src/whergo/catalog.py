@@ -134,14 +134,15 @@ def _validate_matrix(m: RationalMatrixOmega):
             raise InvariantViolation(
                 f"eta-symmetry residual {syms[k]:.2e} at omega={w}")
     # simple poles: denominator roots of every entry pairwise distinct
-    for row in m.entries:
-        for e in row:
-            roots = e.den_roots
-            for i in range(len(roots)):
-                for j in range(i + 1, len(roots)):
-                    if abs(roots[i] - roots[j]) < 1e-8 * max(1.0, abs(roots[i])):
-                        raise InvariantViolation("entry denominator has a repeated zero")
+    for roots in (e.den_roots for row in m.entries for e in row):
+        if any(same_pole(p, q) for i, p in enumerate(roots) for q in roots[i + 1:]):
+            raise InvariantViolation("entry denominator has a repeated zero")
     return m
+
+
+def same_pole(p, q) -> bool:
+    """The one rule by which two omega poles are the same pole."""
+    return abs(p - q) <= 1e-8 * max(1.0, abs(p), abs(q))
 
 
 def make_model(entries, eta=None, params=None, model_id="custom",
@@ -153,8 +154,7 @@ def make_model(entries, eta=None, params=None, model_id="custom",
         num, den = (e.num, e.den) if isinstance(e, RationalEntry) else e
         num, den, roots = _cancel_shared_roots(num, den)
         e = RationalEntry(num, den)
-        if roots is not None:
-            e.__dict__["den_roots"] = roots     # the cancellation's last pass found them
+        e.__dict__["den_roots"] = roots     # the cancellation's last pass found them
         return e
 
     entries = tuple(tuple(reduced(e) for e in row) for row in entries)
@@ -166,7 +166,7 @@ def make_model(entries, eta=None, params=None, model_id="custom",
         for row in entries:
             for e in row:
                 for r in e.den_roots:
-                    if not any(abs(r - s) < 1e-8 * max(1.0, abs(r)) for s in found):
+                    if not any(same_pole(r, s) for s in found):
                         found.append(r)
         omega_poles = tuple(sorted(found, key=lambda z: (round(z.real, 12), round(z.imag, 12))))
     if default_branches is None:
@@ -360,11 +360,11 @@ def _cancel_shared_roots(num, den, rel=1e-12):
     """Cancel exactly-shared linear factors between num and den.
 
     Returns (num, den, roots): the trimmed reduced pair and den's polished
-    roots (RationalEntry.den_roots), which the last pass has found; roots is
-    None where num is zero and no pass ran."""
+    roots (RationalEntry.den_roots), which the last pass has found.  An
+    identically zero num is 0/1: it has no poles."""
     num, den = poly_trim(num), poly_trim(den)
     if poly_is_zero(num):
-        return num, den, None
+        return num, poly_trim([1.0]), ()
     while poly_degree(den) >= 1:
         roots = _polished_roots(den)
         top = np.abs(num).max()

@@ -13,10 +13,10 @@ compiled once into an AnsatzPlan kept on the model: the omega-plane
 adjugate, the column degrees, the D rows and the layout, whose index tables
 name every root by its label (tau = 0, or the inside or outside member of
 a zero pair): those of pi_j, of L_k and of X's row denominators (L_k less
-its inside groups, a multiset difference of labels).  The labels are read
-from the model's omega-plane poles by integer multiset arithmetic, so the
-compile composes no monodromy and finds no tau-plane roots; it checks
-itself by factorising at its reference point.  At Weyl points an
+its inside groups, a multiset difference of labels).  One expansion of adj
+M(omega), poles named by index, gives its numerators and, by integer
+multiset arithmetic, the labels; the compile finds no tau-plane roots and
+checks itself by factorising at its reference point.  At Weyl points an
 AnsatzSpec holds only values, the label roots and the composed adjugate
 numerators, and reads every root through the plan's tables; its rows are
 numpy arrays over (rho, v): one evaluation serves a single point, a tracer
@@ -66,11 +66,12 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
-from .catalog import RationalMatrixOmega
+from .catalog import RationalMatrixOmega, same_pole
 from .errors import (
     InvariantViolation,
     NonSquareSystem,
@@ -79,12 +80,15 @@ from .errors import (
 )
 from .poly import (
     DEFAULT_TOL,
-    FactoredRational,
     equilibrate,
     numerical_nullity,
     poly_degree,
     poly_deflate,
+    poly_eval,
     poly_eval_stack,
+    poly_from_roots,
+    poly_mul,
+    poly_trim,
 )
 from .spectral import BRANCH_MINUS, BRANCH_PLUS, SpectralPoint, spectral_map
 
@@ -130,27 +134,6 @@ def toeplitz_kernel_dim(model: RationalMatrixOmega, rho: float, v: float, branch
 def _root_sort_key(r):
     r = complex(r)
     return (round(r.real, 9), round(r.imag, 9))
-
-
-def _adjugate_fr(entries, n):
-    """Adjugate of an n x n FactoredRational matrix (n = 2 or 3)."""
-    if n == 2:
-        return [[entries[1][1], entries[0][1].neg()],
-                [entries[1][0].neg(), entries[0][0]]]
-    if n == 3:
-        def minor(r, c):
-            rs = [i for i in range(3) if i != r]
-            cs = [j for j in range(3) if j != c]
-            return entries[rs[0]][cs[0]].mul(entries[rs[1]][cs[1]]).sub(
-                entries[rs[0]][cs[1]].mul(entries[rs[1]][cs[0]]))
-
-        adj = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                m = minor(j, i)          # adj = transposed cofactor matrix
-                adj[i][j] = m if (i + j) % 2 == 0 else m.neg()
-        return adj
-    raise NotImplementedError("adjugate implemented for n <= 3")
 
 
 @dataclass
@@ -402,7 +385,7 @@ class AnsatzPlan:
     Every root of the system carries one of 2P + 1 labels: tau = 0 (label 0)
     or a member of the zero pair of omega pole i, inside (1 + 2i) or outside
     (2 + 2i).  The labels of L_k, pi_j and the inside groups are read from
-    the model's omega-plane poles (_plan_labels) and kept only as the
+    the one expansion of adj M(omega) (_omega_adjugate) and kept only as the
     layout's index tables; the column degrees follow from them, and the
     D-row selection from the plan's own system at a reference point.  At a
     Weyl point A_kj = adj(M)_kj(omega(tau)) L_k / pi_j is the composed
@@ -442,10 +425,9 @@ def _plan_for(model: RationalMatrixOmega, branches=None) -> AnsatzPlan:
         _check_branches(model, branches)
         # each pole has its own zero pair and labels: coincident poles (mp5d
         # at a = 0) would split into roots that match neither label
-        poles = model.omega_poles
-        for i, p in enumerate(poles):
-            for q in poles[i + 1:]:
-                if abs(p - q) <= 1e-8 * max(1.0, abs(p)):
+        for i, p in enumerate(model.omega_poles):
+            for q in model.omega_poles[i + 1:]:
+                if same_pole(p, q):
                     raise ParameterViolation(
                         f"omega poles {p:.17g} and {q:.17g} of model {model.model_id} "
                         f"coincide at params {model.params}; the factorisation needs "
@@ -465,71 +447,80 @@ def _plan_for(model: RationalMatrixOmega, branches=None) -> AnsatzPlan:
 
 
 def _omega_adjugate(model: RationalMatrixOmega):
-    """adj M(omega), each entry with its shared numerator/denominator roots
-    cancelled."""
-    entries = [[FactoredRational(e.num, e.den[-1], e.den_roots) for e in row]
-               for row in model.entries]
-    return [[a if a.is_zero() else a.simplified() for a in row]
-            for row in _adjugate_fr(entries, model.n)]
+    """M(omega) and adj M(omega) in one cofactor expansion, as terms
+    (numerator, leading coefficient of the denominator, labels), each entry
+    of adj M with the poles that survive its cancellation.
+
+    The labels of a denominator are the pair (1 + 2p, 2 + 2p) of each pole,
+    named by its index p in model.omega_poles (the one place where a float
+    root becomes a label), and tau = 0 (label 0) as often as deg num exceeds
+    deg den.  A product adds the labels; a difference takes their union,
+    each numerator times (omega - omega_poles[p]) for every pole p that the
+    other side adds.  adj M keeps its labels uncancelled; its numerators
+    cancel each pole p where they vanish to 1e-9 of their coefficients,
+    times max(1, |omega_poles[p]|)^degree.
+    """
+    n, poles = model.n, model.omega_poles
+    if n not in (2, 3):
+        raise NotImplementedError("adjugate implemented for n <= 3")
+
+    def read(e):
+        labels = Counter({0: max(poly_degree(e.num) - poly_degree(e.den), 0)})
+        for w in e.den_roots:
+            p = [i for i, w0 in enumerate(poles) if same_pole(w, w0)]
+            if not p:
+                raise NonSquareSystem(f"pole {w} is not a pole of the model")
+            labels.update((1 + 2 * p[0], 2 + 2 * p[0]))
+        return e.num, e.den[-1], +labels
+
+    def over(x, labels, lc):        # x's numerator times lc, over the denominator of labels
+        return poly_mul(x[0] * lc, poly_from_roots(poles[lab // 2]
+                                                   for lab in (labels - x[2]).elements() if lab % 2))
+
+    def minor(r, c):                # of M at (r, c)
+        if n == 2:
+            return ent[1 - r][1 - c]
+        (r0, r1), (c0, c1) = ([x for x in range(3) if x != y] for y in (r, c))
+        ad, bc = ((poly_mul(x[0], y[0]), x[1] * y[1], x[2] + y[2]) for x, y in
+                  ((ent[r0][c0], ent[r1][c1]), (ent[r0][c1], ent[r1][c0])))
+        labels = ad[2] | bc[2]
+        return (poly_trim(npoly.polysub(over(ad, labels, bc[1]), over(bc, labels, ad[1]))),
+                ad[1] * bc[1], labels)
+
+    def cofactor(i, j):             # adj M_ij: the cofactor of (j, i), cancelled
+        num, lc, labels = minor(j, i)
+        num, kept = (-num if (i + j) % 2 else num), []
+        for p in (lab // 2 for lab in labels.elements() if lab % 2):
+            scale = np.abs(num).max() * max(1.0, abs(poles[p])) ** max(num.size - 1, 0)
+            if abs(poly_eval(num, poles[p])) <= 1e-9 * scale:
+                num = poly_deflate(num, poles[p])[0]
+            else:
+                kept.append(p)
+        return poly_trim(num), lc, labels, kept
+
+    ent = [[read(e) for e in row] for row in model.entries]
+    return ent, [[cofactor(i, j) for j in range(n)] for i in range(n)]
 
 
-def _pole_index(model: RationalMatrixOmega, w) -> int:
-    """Index of the omega pole w in model.omega_poles."""
-    for i, w0 in enumerate(model.omega_poles):
-        if abs(w - w0) <= 1e-8 * max(1.0, abs(w0)):
-            return i
-    raise NonSquareSystem(f"pole {w} is not a pole of the model")
-
-
-def _plan_labels(model: RationalMatrixOmega, values):
-    """(pi_labels, lk_labels, groups) of the plan, from the model's
-    omega-plane poles: no monodromy is composed and no root is found.
+def _plan_labels(ent, adj, values):
+    """(pi_labels, lk_labels, groups) of the plan, read from the labels of
+    the terms of M (ent) and adj M (adj) that _omega_adjugate gives: no
+    monodromy is composed, no root is found and no adjugate is expanded.
 
     A multiset of labels is a Counter: a sum is a product of denominators,
-    a union (|) their lcm.  M_ij(omega(tau)) has both members of the pair
-    of each omega pole of M_ij, and tau = 0 as often as deg num exceeds
-    deg den.  The adjugate mirrors _adjugate_fr without
-    cancellation: a minor a b - c d has the labels (a + b) | (c + d).  pi_j
-    is the union of the inside labels (0 and odd) of row j, L_k the union
-    over j of adj_kj + pi_j.  pi_j and the groups are ordered by the roots
-    of their labels at the reference point (values).
+    a union (|) their lcm.  pi_j is the union of the inside labels (0 and
+    odd) of row j of M, L_k the union over j of the uncancelled labels of
+    adj_kj plus pi_j.  pi_j and the groups are ordered by the roots of
+    their labels at the reference point (values).
     """
-    n = model.n
-
-    def composed(e):
-        kn = poly_degree(e.num)
-        if kn < 0:
-            return Counter()
-        out = Counter({0: max(kn - poly_degree(e.den), 0)})
-        for w in e.den_roots:
-            p = _pole_index(model, w)
-            out.update((1 + 2 * p, 2 + 2 * p))
-        return +out
-
     def inside(c):
         return Counter({lab: m for lab, m in c.items() if lab % 2 or not lab})
 
     def ordered(labels):
         return sorted(labels, key=lambda lab: (_root_sort_key(values[lab]), lab))
 
-    ent = [[composed(e) for e in row] for row in model.entries]
-    if n == 2:
-        adj = [[ent[1][1], ent[0][1]], [ent[1][0], ent[0][0]]]
-    elif n == 3:
-        def minor(r, c):
-            (r0, r1), (c0, c1) = ([i for i in range(3) if i != x] for x in (r, c))
-            return (ent[r0][c0] + ent[r1][c1]) | (ent[r0][c1] + ent[r1][c0])
-        adj = [[minor(j, i) for j in range(3)] for i in range(3)]
-    else:
-        raise NotImplementedError("adjugate implemented for n <= 3")
-    pi = [Counter() for _ in range(n)]
-    for j, row in enumerate(ent):
-        for c in row:
-            pi[j] |= inside(c)
-    lk = [Counter() for _ in range(n)]
-    for k in range(n):
-        for j in range(n):
-            lk[k] |= adj[k][j] + pi[j]
+    pi = [reduce(Counter.__or__, (inside(e[2]) for e in row)) for row in ent]
+    lk = [reduce(Counter.__or__, (a[2] + p for a, p in zip(row, pi))) for row in adj]
     return (tuple(tuple(ordered(c.elements())) for c in pi),
             tuple(tuple(sorted(c.elements())) for c in lk),
             tuple(tuple((lab, c[lab]) for lab in ordered(inside(c))) for c in lk))
@@ -537,42 +528,39 @@ def _plan_labels(model: RationalMatrixOmega, values):
 
 def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     n = model.n
+    ent, adj = adj                  # _omega_adjugate's terms of M and adj M
     flat = [a for row in adj for a in row]
-    degs = [poly_degree(a.num) for a in flat]
+    degs = [poly_degree(num) for num, _, _, _ in flat]
     top = max(degs, default=0)
     size = n * n
     adj_num = np.zeros((size, top + 1), dtype=complex)
     adj_lc = np.ones(size, dtype=complex)
     adj_deg = np.zeros(size, dtype=int)
-    for e, a in enumerate(flat):
-        if not a.is_zero():
-            adj_num[e, :degs[e] + 1] = a.num[:degs[e] + 1]
-            adj_lc[e], adj_deg[e] = a.den_lc, len(a.den_roots)
+    for e, (num, lc, _, kept) in enumerate(flat):
+        if degs[e] >= 0:
+            adj_num[e, :degs[e] + 1] = num[:degs[e] + 1]
+            adj_lc[e], adj_deg[e] = lc, len(kept)
     poles = np.array(model.omega_poles, dtype=complex)
     if not (np.any(poles.imag) or np.any(adj_num.imag) or np.any(adj_lc.imag)):
         poles, adj_num, adj_lc = poles.real, adj_num.real, adj_lc.real
     plus = np.array([b == BRANCH_PLUS for b in branches], dtype=bool)
     values = _label_values(poles, plus, np.array([rho_ref]), np.array([v_ref]))[:, 0]
-    pi_labels, lk_labels, groups = _plan_labels(model, values)
+    pi_labels, lk_labels, groups = _plan_labels(ent, adj, values)
     shifts, extras = {}, {}
-    for k in range(n):
-        for j in range(n):
-            a, e = adj[k][j], k * n + j
-            if a.is_zero():
-                continue
-            d_num = degs[e]
-            rest = Counter(lk_labels[k])
-            rest.subtract(pi_labels[j])
-            for w in a.den_roots:
-                p = _pole_index(model, w)
-                rest.subtract((1 + 2 * p, 2 + 2 * p))
-            # A_kj carries tau^(m0_k - deg_0 pi_j + deg den - deg num)
-            tau_power = rest.pop(0, 0) + len(a.den_roots) - d_num
-            if tau_power < 0 or min(rest.values(), default=0) < 0:
-                raise NonSquareSystem(f"adjugate entry ({k}, {j}) has a pole that "
-                                      f"L_{k} / pi_{j} does not cancel")
-            shifts[e] = tau_power - (top - d_num)     # the composition carries tau^(K - deg num)
-            extras[e] = sorted(rest.elements())
+    for e, (_, _, _, kept) in enumerate(flat):
+        (k, j), d_num = divmod(e, n), degs[e]
+        if d_num < 0:
+            continue
+        rest = Counter(lk_labels[k])
+        rest.subtract(pi_labels[j])
+        rest.subtract(lab for p in kept for lab in (1 + 2 * p, 2 + 2 * p))
+        # A_kj carries tau^(m0_k - deg_0 pi_j + deg den - deg num)
+        tau_power = rest.pop(0, 0) + len(kept) - d_num
+        if tau_power < 0 or min(rest.values(), default=0) < 0:
+            raise NonSquareSystem(f"adjugate entry ({k}, {j}) has a pole that "
+                                  f"L_{k} / pi_{j} does not cancel")
+        shifts[e] = tau_power - (top - d_num)     # the composition carries tau^(K - deg num)
+        extras[e] = sorted(rest.elements())
     width = max((shifts[e] + 2 * top + 1 for e in shifts), default=1)
     src = np.arange(width) - np.array([shifts.get(e, 0) for e in range(size)])[:, None]
     mask = (src >= 0) & (src <= 2 * top) & np.isin(np.arange(size), list(shifts))[:, None]
@@ -586,15 +574,12 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     a0 = _assemble_homogeneous(spec)
     u = layout.hom.size
     if a0.shape[0] < u:
-        raise NonSquareSystem("fewer constraints than unknowns in homogeneous system",
-                              unknowns=u, constraints=a0.shape[0])
+        raise NonSquareSystem("fewer constraints than unknowns in homogeneous system")
     sel, margin = _greedy_rows(a0, u)
     if margin < 1e-8:
         raise NonSquareSystem(
             f"homogeneous system rank-deficient at reference point "
-            f"({rho_ref}, {v_ref}); smallest accepted pivot {margin:.2e}",
-            unknowns=u, constraints=a0.shape[0],
-            certificate={"reference": (rho_ref, v_ref), "margin": margin})
+            f"({rho_ref}, {v_ref}); smallest accepted pivot {margin:.2e}")
     plan = dataclasses.replace(plan, selected_rows=sel)
     # the plan factorises at its reference point within the residual gates:
     # a wrong label leaves a pole that no solution cancels

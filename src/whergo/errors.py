@@ -32,12 +32,6 @@ class InvariantViolation(WhergoError):
 class NonSquareSystem(WhergoError):
     """Constraint assembly produced a structurally deficient system."""
 
-    def __init__(self, message, unknowns=None, constraints=None, certificate=None):
-        super().__init__(message)
-        self.unknowns = unknowns
-        self.constraints = constraints
-        self.certificate = certificate
-
 
 class NotCanonical(WhergoError):
     """Solution matrix requested from a non-canonical outcome."""

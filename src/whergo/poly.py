@@ -1,12 +1,10 @@
-"""Dense complex polynomials, factored rationals and small dense linear algebra.
+"""Dense complex polynomials and small dense linear algebra.
 
 Polynomials are 1-d complex arrays of coefficients in ascending power order,
 kept in trimmed canonical form (nonzero leading coefficient unless the
 polynomial is identically zero).  Matrices are plain numpy arrays.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -86,35 +84,11 @@ def poly_derivative(c) -> np.ndarray:
     return poly_trim(p[1:] * np.arange(1, p.size))
 
 
-def poly_add(a, b) -> np.ndarray:
-    # npoly.polyadd's sum, bitwise: exact trailing zeros dropped first (they
-    # would turn a -0.0 of the other term into +0.0), then the shorter term,
-    # or a where the lengths are equal, added into a copy of the other
-    pa, pb = (_exact_trim(as_poly(x)) for x in (a, b))
-    if pa.size <= pb.size:
-        pa, pb = pb, pa
-    out = pa.copy()
-    out[:pb.size] += pb
-    return poly_trim(out)
-
-
-def _exact_trim(p: np.ndarray) -> np.ndarray:
-    """p without its exactly zero trailing coefficients, p[0] always kept."""
-    k = p.size
-    while k > 1 and p[k - 1] == 0:
-        k -= 1
-    return p[:k]
-
-
 def poly_mul(a, b) -> np.ndarray:
     pa, pb = as_poly(a), as_poly(b)
     if poly_is_zero(pa) or poly_is_zero(pb):
         return np.zeros(1, dtype=complex)
     return poly_trim(np.convolve(pa, pb))
-
-
-def poly_scale(a, s) -> np.ndarray:
-    return poly_trim(as_poly(a) * complex(s))
 
 
 def poly_from_roots(roots, lc=1.0) -> np.ndarray:
@@ -195,100 +169,6 @@ def newton_polish(c, z, steps: int = 1):
             break
         z = z - step
     return z
-
-
-# ---------------------------------------------------------------------------
-# factored rationals in tau
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FactoredRational:
-    """num(tau) / (den_lc * prod (tau - r)) with denominator roots listed
-    explicitly (with multiplicity).  All pole locations are tracked exactly,
-    which lets rational arithmetic cancel shared factors reliably."""
-
-    num: np.ndarray
-    den_lc: complex = 1.0
-    den_roots: tuple = ()
-
-    def __call__(self, tau):
-        tau = np.asarray(tau, dtype=complex)
-        den = np.full(tau.shape, complex(self.den_lc))
-        for r in self.den_roots:
-            den = den * (tau - r)
-        val = poly_eval(self.num, tau) / den
-        if val.shape == ():
-            return complex(val)
-        return val
-
-    def is_zero(self) -> bool:
-        return poly_is_zero(self.num)
-
-    def scale(self, s) -> "FactoredRational":
-        return FactoredRational(poly_scale(self.num, s), self.den_lc, self.den_roots)
-
-    def neg(self) -> "FactoredRational":
-        return self.scale(-1.0)
-
-    def mul(self, other: "FactoredRational") -> "FactoredRational":
-        return FactoredRational(
-            poly_mul(self.num, other.num),
-            self.den_lc * other.den_lc,
-            self.den_roots + other.den_roots,
-        )
-
-    def add(self, other: "FactoredRational") -> "FactoredRational":
-        """Sum over the root-multiset lcm denominator; no cancellation is
-        attempted (call simplified() explicitly), so the denominator
-        structure stays stable under parameter sweeps."""
-        lcm, cof_a, cof_b = _root_lcm(self.den_roots, other.den_roots)
-        num = poly_add(
-            poly_mul(poly_scale(self.num, other.den_lc), poly_from_roots(cof_a)),
-            poly_mul(poly_scale(other.num, self.den_lc), poly_from_roots(cof_b)),
-        )
-        return FactoredRational(num, self.den_lc * other.den_lc, lcm)
-
-    def sub(self, other: "FactoredRational") -> "FactoredRational":
-        return self.add(other.neg())
-
-    def simplified(self, rel: float = 1e-9) -> "FactoredRational":
-        """Cancel denominator roots at which the numerator vanishes."""
-        num = poly_trim(self.num)
-        if poly_is_zero(num):
-            return FactoredRational(num, 1.0, ())
-        keep = []
-        for r in self.den_roots:
-            scale = np.abs(num).max() * max(1.0, abs(r)) ** max(num.size - 1, 0)
-            if abs(poly_eval(num, r)) <= rel * scale:
-                num, _ = poly_deflate(num, r)
-            else:
-                keep.append(r)
-        return FactoredRational(poly_trim(num), self.den_lc, tuple(keep))
-
-
-def _root_match(a, b, rel: float = 1e-9) -> bool:
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
-
-
-def _multiset_minus(roots_a, roots_b):
-    """Roots of a left over after removing one match per root of b."""
-    rem = list(roots_a)
-    for s in roots_b:
-        for i, r in enumerate(rem):
-            if _root_match(s, r):
-                rem.pop(i)
-                break
-    return rem
-
-
-def _root_lcm(roots_a, roots_b):
-    """Root-multiset lcm; returns (lcm, cofactor_a, cofactor_b) with
-    cofactor_x = lcm / roots_x."""
-    cof_a = _multiset_minus(roots_b, roots_a)
-    cof_b = _multiset_minus(roots_a, roots_b)
-    lcm = list(roots_a) + cof_a
-    return tuple(lcm), tuple(cof_a), tuple(cof_b)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def _suite_vieta(rng) -> SuiteResult:
         scale = max(1.0, abs(w0), abs(pt.v), pt.rho)
         worst = max(worst, abs(t_in * t_out + 1.0),
                     *(abs(spectral_map(pt, t) - w0) / scale for t in (t_in, t_out)))
-    return SuiteResult("vieta-pair-product", worst, 1e-12)
+    return SuiteResult("vieta-pairs", worst, 1e-12)
 
 
 def _suite_involution(rng) -> SuiteResult:

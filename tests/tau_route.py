@@ -21,17 +21,15 @@ from whergo.catalog import RationalEntry, RationalMatrixOmega
 from whergo.engine import _check_branches
 from whergo.errors import InvariantViolation, WhergoError
 from whergo.poly import (
-    FactoredRational,
-    _multiset_minus,
     as_poly,
     newton_polish,
+    poly_deflate,
     poly_degree,
     poly_derivative,
     poly_eval,
     poly_from_roots,
     poly_is_zero,
     poly_mul,
-    poly_scale,
     poly_trim,
 )
 from whergo.spectral import BRANCH_MINUS, BRANCH_PLUS, SpectralPoint, spectral_map
@@ -49,6 +47,145 @@ class DegeneratePair(WhergoError):
 
 class DegenerateCoefficient(WhergoError):
     """Leading coefficient of a quadratic is (numerically) zero."""
+
+
+# ---------------------------------------------------------------------------
+# factored rationals in tau
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FactoredRational:
+    """num(tau) / (den_lc * prod (tau - r)) with denominator roots listed
+    explicitly (with multiplicity).  All pole locations are tracked exactly,
+    which lets rational arithmetic cancel shared factors reliably."""
+
+    num: np.ndarray
+    den_lc: complex = 1.0
+    den_roots: tuple = ()
+
+    def __call__(self, tau):
+        tau = np.asarray(tau, dtype=complex)
+        den = np.full(tau.shape, complex(self.den_lc))
+        for r in self.den_roots:
+            den = den * (tau - r)
+        val = poly_eval(self.num, tau) / den
+        if val.shape == ():
+            return complex(val)
+        return val
+
+    def is_zero(self) -> bool:
+        return poly_is_zero(self.num)
+
+    def scale(self, s) -> "FactoredRational":
+        return FactoredRational(poly_scale(self.num, s), self.den_lc, self.den_roots)
+
+    def neg(self) -> "FactoredRational":
+        return self.scale(-1.0)
+
+    def mul(self, other: "FactoredRational") -> "FactoredRational":
+        return FactoredRational(
+            poly_mul(self.num, other.num),
+            self.den_lc * other.den_lc,
+            self.den_roots + other.den_roots,
+        )
+
+    def add(self, other: "FactoredRational") -> "FactoredRational":
+        """Sum over the root-multiset lcm denominator; no cancellation is
+        attempted (call simplified() explicitly), so the denominator
+        structure stays stable under parameter sweeps."""
+        lcm, cof_a, cof_b = _root_lcm(self.den_roots, other.den_roots)
+        num = poly_add(
+            poly_mul(poly_scale(self.num, other.den_lc), poly_from_roots(cof_a)),
+            poly_mul(poly_scale(other.num, self.den_lc), poly_from_roots(cof_b)),
+        )
+        return FactoredRational(num, self.den_lc * other.den_lc, lcm)
+
+    def sub(self, other: "FactoredRational") -> "FactoredRational":
+        return self.add(other.neg())
+
+    def simplified(self, rel: float = 1e-9) -> "FactoredRational":
+        """Cancel denominator roots at which the numerator vanishes."""
+        num = poly_trim(self.num)
+        if poly_is_zero(num):
+            return FactoredRational(num, 1.0, ())
+        keep = []
+        for r in self.den_roots:
+            scale = np.abs(num).max() * max(1.0, abs(r)) ** max(num.size - 1, 0)
+            if abs(poly_eval(num, r)) <= rel * scale:
+                num, _ = poly_deflate(num, r)
+            else:
+                keep.append(r)
+        return FactoredRational(poly_trim(num), self.den_lc, tuple(keep))
+
+
+def _root_match(a, b, rel: float = 1e-9) -> bool:
+    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+
+
+def _multiset_minus(roots_a, roots_b):
+    """Roots of a left over after removing one match per root of b."""
+    rem = list(roots_a)
+    for s in roots_b:
+        for i, r in enumerate(rem):
+            if _root_match(s, r):
+                rem.pop(i)
+                break
+    return rem
+
+
+def _root_lcm(roots_a, roots_b):
+    """Root-multiset lcm; returns (lcm, cofactor_a, cofactor_b) with
+    cofactor_x = lcm / roots_x."""
+    cof_a = _multiset_minus(roots_b, roots_a)
+    cof_b = _multiset_minus(roots_a, roots_b)
+    lcm = list(roots_a) + cof_a
+    return tuple(lcm), tuple(cof_a), tuple(cof_b)
+
+
+def _adjugate_fr(entries, n):
+    """Adjugate of an n x n FactoredRational matrix (n = 2 or 3)."""
+    if n == 2:
+        return [[entries[1][1], entries[0][1].neg()],
+                [entries[1][0].neg(), entries[0][0]]]
+    if n == 3:
+        def minor(r, c):
+            rs = [i for i in range(3) if i != r]
+            cs = [j for j in range(3) if j != c]
+            return entries[rs[0]][cs[0]].mul(entries[rs[1]][cs[1]]).sub(
+                entries[rs[0]][cs[1]].mul(entries[rs[1]][cs[0]]))
+
+        adj = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(3):
+                m = minor(j, i)          # adj = transposed cofactor matrix
+                adj[i][j] = m if (i + j) % 2 == 0 else m.neg()
+        return adj
+    raise NotImplementedError("adjugate implemented for n <= 3")
+
+
+def poly_add(a, b) -> np.ndarray:
+    # npoly.polyadd's sum, bitwise: exact trailing zeros dropped first (they
+    # would turn a -0.0 of the other term into +0.0), then the shorter term,
+    # or a where the lengths are equal, added into a copy of the other
+    pa, pb = (_exact_trim(as_poly(x)) for x in (a, b))
+    if pa.size <= pb.size:
+        pa, pb = pb, pa
+    out = pa.copy()
+    out[:pb.size] += pb
+    return poly_trim(out)
+
+
+def _exact_trim(p: np.ndarray) -> np.ndarray:
+    """p without its exactly zero trailing coefficients, p[0] always kept."""
+    k = p.size
+    while k > 1 and p[k - 1] == 0:
+        k -= 1
+    return p[:k]
+
+
+def poly_scale(a, s) -> np.ndarray:
+    return poly_trim(as_poly(a) * complex(s))
 
 
 # ---------------------------------------------------------------------------

@@ -438,7 +438,7 @@ def test_catalog_lists_models(capsys):
 def test_verify_single_suite(capsys):
     code, out, _ = run_capture(capsys, "verify", "--suite", "vieta")
     assert code == 0
-    assert "vieta-pair-product" in out and "pass" in out
+    assert "vieta-pairs" in out and "pass" in out
 
 
 def test_verify_bad_json_model_exit_1(tmp_path, capsys):

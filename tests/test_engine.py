@@ -13,10 +13,15 @@ from tau_route import (
     Classification,
     DegenerateZeros,
     DegreeTable,
+    FactoredRational,
+    _adjugate_fr,
+    _multiset_minus,
+    _root_lcm,
     classify_2x2,
     compose_monodromy,
     degree_table,
     existence_system_2x2,
+    poly_scale,
     zero_pair_for,
 )
 from whergo.catalog import (
@@ -39,15 +44,11 @@ from whergo.engine import (
 )
 from whergo.errors import InvariantViolation, NonSquareSystem, NotCanonical
 from whergo.poly import (
-    FactoredRational,
-    _multiset_minus,
-    _root_lcm,
     numerical_nullity,
     poly_deflate,
     poly_eval,
     poly_from_roots,
     poly_mul,
-    poly_scale,
 )
 from whergo.spectral import SpectralPoint, weyl_from_prolate_4d, weyl_from_prolate_5d
 
@@ -797,7 +798,7 @@ def build_ansatz(mono, inside):
         for r, mult in sorted(row.items(), key=lambda kv: engine._root_sort_key(kv[0])):
             roots.extend([complex(r)] * mult)
         pi_roots.append(tuple(roots))
-    adj = engine._adjugate_fr(mono.entries, n)
+    adj = _adjugate_fr(mono.entries, n)
     base_polys = [[None] * n for _ in range(n)]
     lk_roots, inside_groups = [], []
     for k in range(n):
@@ -912,6 +913,81 @@ def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch
         curve = geometry.trace_curve(model, box=box, grid=(5, 5), step=0.05, residual_tol=1e-11)
         assert len(curve) > 2
         monkeypatch.undo()
+
+
+def _factored_adjugate(model):
+    """adj M(omega) of the model by FactoredRational arithmetic on its
+    entries' own polished roots: (uncancelled, cancelled)."""
+    entries = [[FactoredRational(e.num, e.den[-1], e.den_roots) for e in row]
+               for row in model.entries]
+    adj = _adjugate_fr(entries, model.n)
+    return adj, [[a.simplified() for a in row] for row in adj]
+
+
+def _pole_counts(model, roots):
+    """The multiset of omega-pole indices of roots, each root matched to its
+    nearest omega pole."""
+    poles = np.array(model.omega_poles, dtype=complex)
+    counts = Counter()
+    for r in roots:
+        p = int(np.argmin(np.abs(poles - r)))
+        assert abs(poles[p] - r) <= 1e-8 * max(1.0, abs(r))
+        counts[p] += 1
+    return counts
+
+
+@pytest.mark.parametrize("name, params", [
+    (name, params) for name in ("kerr", "mp5d", "mvc5d")
+    for params in ((2.0, 1.0), (2.0, 0.3), (5.0, 1.7), (2.0, 1.9))]
+    + [(name, None) for name in ("identity", "identity3", "eta-asym", "chain")])
+def test_omega_adjugate_is_the_factored_rational_adjugate(name, params):
+    # the one cofactor expansion keyed by pole index against the adjugate of
+    # FactoredRational entries: the labels are the uncancelled denominators
+    # (both members of each pole's pair, once per root; tau = 0 as often as
+    # in the adjugate of the composed monodromy), the surviving poles those
+    # that simplified() keeps, and numerator and leading coefficient agree
+    # within 1e-14 relative
+    model = {"kerr": model_kerr, "mp5d": model_mp5d, "mvc5d": model_mvc5d,
+             "identity": model_identity, "identity3": lambda: model_identity(3),
+             "eta-asym": _eta_asym_model, "chain": synthetic_chain_model}[name](*(params or ()))
+    n = model.n
+    _, adj = engine._omega_adjugate(model)
+    uncancelled, cancelled = _factored_adjugate(model)
+    tau_adj = _adjugate_fr(compose_monodromy(model, SpectralPoint(1.3, 0.4)).entries, n)
+    for i in range(n):
+        for j in range(n):
+            num, lc, labels, kept = adj[i][j]
+            poles = _pole_counts(model, uncancelled[i][j].den_roots)
+            assert labels - Counter({0: labels[0]}) == Counter(
+                {1 + 2 * p + side: m for p, m in poles.items() for side in (0, 1)})
+            assert labels[0] == sum(r == 0 for r in tau_adj[i][j].den_roots)
+            want = cancelled[i][j]
+            assert Counter(kept) == _pole_counts(model, want.den_roots)
+            assert num.size == want.num.size
+            top = np.max(np.abs(want.num))
+            assert np.max(np.abs(num - want.num)) <= 1e-14 * top
+            if top:
+                assert abs(lc - want.den_lc) <= 1e-14 * abs(want.den_lc)
+
+
+@pytest.mark.parametrize("zero_den", [[-4.0, 0.0, 1.0], [1.0, -2.0, 1.0]])
+def test_zero_entry_has_no_omega_poles(zero_den):
+    # an identically zero entry is 0/1 whatever its denominator: 0/(w^2 - 4)
+    # and 0/(w - 1)^2 add no omega pole, and the model factorises as the one
+    # written with 0/1
+    def model(den):
+        return make_model([[([-1.0, 1.0], [1.0, 1.0]), ([0.0], den)],
+                           [([0.0], [1.0]), ([1.0, 1.0], [-1.0, 1.0])]], eta=(1.0, 1.0))
+    plain, written = model([1.0]), model(zero_den)
+    assert plain.omega_poles == written.omega_poles == (-1.0, 1.0)
+    for branches in (None, ("plus", "minus"), ("minus", "plus")):
+        for rho, v in ((2.6, 1.9), (0.7, -0.4), (1.5, 0.2)):
+            want, got = (factorise(m, rho, v, branches) for m in (plain, written))
+            assert want.status is got.status
+            assert (want.D_value, want.kernel_dim) == (got.D_value, got.kernel_dim)
+            if want.canonical:
+                assert np.array_equal(want.M_limit, got.M_limit)
+    assert factorise(plain, 2.6, 1.9).canonical
 
 
 def test_plan_compile_needs_no_tau_plane_work(monkeypatch):
@@ -1219,7 +1295,7 @@ def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d
         spec = engine._plan_spec(plan, rho, v)
         cols_plus, cols_minus = _factor_columns_loop(
             spec, evaluate_points(model, rho, v).solution, _root_lists(labels, spec.roots))
-        x_sym = engine._adjugate_fr([[cols_plus[i][k] for i in range(n)] for k in range(n)], n)
+        x_sym = _adjugate_fr([[cols_plus[i][k] for i in range(n)] for k in range(n)], n)
         for factor, entries in ((out.X, x_sym),
                                 (out.M_minus, [[cols_minus[i][j] for i in range(n)]
                                                for j in range(n)])):
@@ -1303,7 +1379,7 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
 
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic work after warm-up")
-        for module, name in ((engine, "_adjugate_fr"), (poly, "poly_mul"), (np, "roots"),
+        for module, name in ((engine, "_omega_adjugate"), (poly, "poly_mul"), (np, "roots"),
                              (poly, "poly_eval"), (catalog, "poly_eval"),
                              (catalog.RationalEntry, "__call__")):
             monkeypatch.setattr(module, name, forbidden)

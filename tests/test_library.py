@@ -10,13 +10,17 @@ from whergo.spectral import SpectralPoint
 from whergo.verify import run_suites
 
 # the paper's tau-plane route, kept as a test oracle in tests/tau_route.py:
-# the composition and its existence system, the 2x2 degree trichotomy and
-# the scalar zero-pair algebra
+# the composition and its existence system, the 2x2 degree trichotomy, the
+# scalar zero-pair algebra, and the factored rationals with their float
+# root-multiset arithmetic (the library expands adj M(omega) once, by pole
+# index)
 TAU_ROUTE_NAMES = ("compose_monodromy", "MonodromyMatrixTau", "existence_system_2x2",
                    "compose_polynomial", "Classification", "ClassificationResult",
                    "classify_2x2", "DegreeTable", "common_denominator_form", "degree_table",
                    "zero_pair_for", "ZeroPair", "pair_quadratic", "PAIR_TOL",
-                   "quadratic_roots", "DegeneratePair", "DegenerateCoefficient")
+                   "quadratic_roots", "DegeneratePair", "DegenerateCoefficient",
+                   "FactoredRational", "_adjugate_fr", "_root_lcm", "_multiset_minus",
+                   "_root_match", "poly_add", "_exact_trim", "poly_scale")
 TEST_MODULES = ("tests", "tau_route", "conftest")
 
 

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from tau_route import DegenerateCoefficient, quadratic_roots
+from tau_route import DegenerateCoefficient, FactoredRational, poly_add, poly_scale, quadratic_roots
 from whergo.poly import (
     TRIM_REL,
-    FactoredRational,
     as_poly,
     newton_polish,
     numerical_nullity,
-    poly_add,
     poly_deflate,
     poly_degree,
     poly_derivative,
@@ -21,7 +19,6 @@ from whergo.poly import (
     poly_from_roots,
     poly_is_zero,
     poly_mul,
-    poly_scale,
     poly_trim,
 )
 

@@ -330,7 +330,8 @@ def model_from_dict(doc: dict, model_id="json") -> RationalMatrixOmega:
     if not (isinstance(n, int) and n in (2, 3)):
         raise SchemaError(f"n must be 2 or 3, got {n!r}")
     eta = doc["eta"]
-    if not (isinstance(eta, list) and len(eta) == n and all(e in (1, -1) for e in eta)):
+    if not (isinstance(eta, list) and len(eta) == n
+            and all(_is_number(e) and e in (1, -1) for e in eta)):
         raise SchemaError("eta must be a list of +-1 of length n")
     rows = doc["entries"]
     if not (isinstance(rows, list) and len(rows) == n):

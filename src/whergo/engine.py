@@ -992,12 +992,11 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
     trivial but whose solution misses a row of the system.  The last two
     carry D and the kernel dimension.
     """
-    pt = SpectralPoint(rho, v)
     batch = evaluate_points(model, rho, v, branches, tol)
     d_val, d_scale = complex(batch.D_value.item()), batch.D_scale.item()
     kdim = int(batch.kernel_dim)
     if batch.canonical:
-        X, M_minus, report = _checked_factors(model, batch, pt)
+        X, M_minus, report = _checked_factors(model, batch, SpectralPoint(rho, v))
         return FactorisationOutcome(Status.CANONICAL, d_val, d_scale, 0,
                                     X, M_minus, batch.M_limit, report)
     status = Status.DEGENERATE if kdim else Status.UNRESOLVED

@@ -294,42 +294,15 @@ def _false_position(fn, a, b, fa, fb, tol: float):
     return pts, res
 
 
-def _normal_search(fn, mid, n_hat, h, tries: int = 24):
-    """Probe pairs mid +- h n_hat (K, 2) for a sign change of fn, all pairs in
-    lockstep: a pair with a probe at rho <= 0 halves h unevaluated, the other
-    pairs are evaluated in one call and h shrinks by 0.6 where fn keeps its
-    sign.  Returns (mask of the pairs that found a change within `tries`
-    tries, their probes a and b, fn(a), fn(b))."""
-    h = h.copy()
-    a, b = np.empty_like(mid), np.empty_like(mid)
-    fa, fb = np.empty(len(mid)), np.empty(len(mid))
-    searching = np.ones(len(mid), dtype=bool)
-    for _ in range(tries):
-        if not searching.any():
-            break
-        pa, pb = mid + h[:, None] * n_hat, mid - h[:, None] * n_hat
-        inside = searching & (pa[:, 0] > 0) & (pb[:, 0] > 0)
-        h[searching & ~inside] *= 0.5
-        idx = np.flatnonzero(inside)
-        if len(idx):
-            f = fn(np.concatenate([pa[idx], pb[idx]]))
-            f_a, f_b = f[:len(idx)], f[len(idx):]
-            change = (f_a < 0) != (f_b < 0)
-            hit = idx[change]
-            a[hit], b[hit], fa[hit], fb[hit] = pa[hit], pb[hit], f_a[change], f_b[change]
-            searching[hit] = False
-            h[idx[~change]] *= 0.6
-    found = ~searching
-    return found, a[found], b[found], fa[found], fb[found]
-
-
-def _targets(points, gap, step: float, cell: float, room: int):
-    """Refinement targets of the gaps points[g]-points[g + 1], g in gap (in
-    chain order): points spaced evenly along each gap's chord at most `step`
-    apart, kept where they lie within one scan cell (or one spacing) of
-    either end of the gap, the first `room` of them in chain order.  Returns
-    (the gap g of each target, the targets, the unit normals of their
-    chords, half their spacing)."""
+def _brackets(fn, points, gap, step: float, cell: float, room: int):
+    """A round's brackets across D = 0 for the gaps points[g]-points[g + 1],
+    g in gap (in chain order).  Its targets are points spaced evenly along
+    each gap's chord at most `step` apart, kept where they lie within one
+    scan cell (or one spacing) of either end of the gap, the first `room`
+    of them in chain order.  The chord's normal through each target is
+    probed once, at +- half the spacing, cut so that both probes keep rho >=
+    rho(target) / 2; all probes go into one call of fn.  Returns (the gap g
+    of each target whose probes a and b change sign, a, b, fn(a), fn(b))."""
     chord = points[gap + 1] - points[gap]
     length = np.hypot(*chord.T)
     parts = np.ceil(length / step).astype(int)
@@ -343,8 +316,14 @@ def _targets(points, gap, step: float, cell: float, room: int):
     keep = np.flatnonzero(near)[:max(room, 0)]
     owner, k = owner[keep], k[keep]
     normal = (chord[owner] / length[owner, None])[:, ::-1] * [-1.0, 1.0]
-    targets = points[gap[owner]] + (k / parts[owner])[:, None] * chord[owner]
-    return gap[owner], targets, normal, 0.5 * spacing[owner]
+    mid = points[gap[owner]] + (k / parts[owner])[:, None] * chord[owner]
+    with np.errstate(divide="ignore"):
+        h = np.minimum(0.5 * spacing[owner], 0.5 * mid[:, 0] / np.abs(normal[:, 0]))
+    a, b = mid + h[:, None] * normal, mid - h[:, None] * normal
+    f = fn(np.concatenate([a, b])) if len(mid) else np.empty(0)
+    fa, fb = f[:len(mid)], f[len(mid):]
+    change = (fa < 0) != (fb < 0)
+    return gap[owner[change]], a[change], b[change], fa[change], fb[change]
 
 
 def _chain_order(pts: np.ndarray) -> np.ndarray:
@@ -398,8 +377,7 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
     - speculative round: the first secant point of every edge (the first
       point false position places, known without evaluating D) is chained
       in nearest-neighbour order, and the gaps of that provisional chain
-      get their targets by the rule of a round below.  The normal through
-      each target is probed once, all targets in one call, and the
+      get their targets and probes by the rule of a round below, and the
       segments with a sign change are solved in the same false-position
       run as the edges, so the edge roots come out as without them;
     - chain: nearest-neighbour order of the edge roots, each keeping the
@@ -411,13 +389,14 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
       all of its targets at once, points spaced evenly along the gap's
       chord at most `step` apart, kept where they lie within one scan cell
       (the diagonal of a grid cell) of either end of the gap; the first
-      target from each end is always kept.  The normals through all
-      targets are searched for a sign change together (24 tries, in
-      lockstep, out to half the target spacing), the roots of the segments
-      found are found together, and the new samples are inserted in chain
-      order.  A gap that gained a sample stays open as its sub-gaps wider
-      than `step`; a gap closes once it is at most `step` wide, or when
-      none of its targets gives a sample.
+      target from each end is always kept.  The normal through each
+      target is probed once, at +- half the target spacing (less where a
+      probe would come closer to the axis than half the target's rho), all
+      probes in one call; the roots of the segments with a sign change are
+      found together, and the new samples are inserted in chain order.  A
+      gap that gained a sample stays open as its sub-gaps wider than
+      `step`; a gap closes once it is at most `step` wide, or when none of
+      its targets gives a sample.
 
     On a small box whose provisional chain lies close to the roots the
     speculative round mostly leaves no gap to refine: a 5 x 5 scan of a
@@ -480,26 +459,22 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
     guess = _chain_order(provisional)
     provisional = provisional[guess]
     gap = np.flatnonzero(np.hypot(*np.diff(provisional, axis=0).T) > step)
-    at, targets, normal, h = _targets(provisional, gap, step, cell, MAX_SAMPLES - len(scan))
-    found, *brackets = _normal_search(fn, targets, normal, h, tries=1)
+    at, *brackets = _brackets(fn, provisional, gap, step, cell, MAX_SAMPLES - len(scan))
     pts, res = _false_position(fn, *(np.concatenate(pair) for pair in zip(edge, brackets)),
                                residual_tol)
     order = _chain_order(pts[:len(scan)])
     points, residuals = pts[order], res[order]
     if np.array_equal(order, guess):
-        at = at[found]
         points = np.insert(points, at + 1, pts[len(scan):], axis=0)
         residuals = np.insert(residuals, at + 1, res[len(scan):])
 
     # gap g runs from points[g] to points[g + 1]
     live = np.hypot(*np.diff(points, axis=0).T) > step
     while live.any() and len(points) < MAX_SAMPLES:
-        at, targets, normal, h = _targets(points, np.flatnonzero(live), step, cell,
-                                          MAX_SAMPLES - len(points))
-        found, a, b, fa, fb = _normal_search(fn, targets, normal, h)
-        p, r = _false_position(fn, a, b, fa, fb, residual_tol)
+        at, *brackets = _brackets(fn, points, np.flatnonzero(live), step, cell,
+                                  MAX_SAMPLES - len(points))
+        p, r = _false_position(fn, *brackets, residual_tol)
         # a gap with a new sample stays open as its sub-gaps wider than step
-        at = at[found]
         added = np.bincount(at, minlength=len(live))
         points = np.insert(points, at + 1, p, axis=0)
         residuals = np.insert(residuals, at + 1, r)

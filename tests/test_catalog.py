@@ -342,6 +342,10 @@ def test_json_eta_asymmetric_violation():
     {"n": "two", "eta": [1, 1], "entries": [[], []]},
     {"n": 2, "eta": [1, 1], "entries": [[{"num": [[1, 0]], "den": [[1, 0]],
                                           "foo": 3}] * 2] * 2},
+    # the identity model, whose only fault is a boolean in eta
+    {"n": 2, "eta": [True, 1],
+     "entries": [[{"num": [[1, 0]], "den": [[1, 0]]}, {"num": [[0, 0]], "den": [[1, 0]]}],
+                 [{"num": [[0, 0]], "den": [[1, 0]]}, {"num": [[1, 0]], "den": [[1, 0]]}]]},
 ])
 def test_json_schema_errors(doc):
     with pytest.raises(SchemaError):

@@ -406,9 +406,13 @@ def test_factorise_is_the_batch_verdict_over_the_half_plane(name, points, kerr, 
 @pytest.mark.parametrize("rho, v", [(1.0, np.nan), (np.inf, 0.5), (-1.0, 0.5),
                                     ([1.0, 2.0], [0.5, np.nan])])
 def test_evaluate_points_rejects_points_that_are_not_finite(kerr, rho, v):
-    # a NaN or infinite coordinate never reaches the linear algebra
+    # a NaN or infinite coordinate never reaches the linear algebra, and
+    # factorise refuses a point by the same one check
     with pytest.raises(ValueError, match="finite v and finite rho > 0"):
         evaluate_points(kerr, np.asarray(rho), np.asarray(v))
+    if np.ndim(rho) == 0:
+        with pytest.raises(ValueError, match="finite v and finite rho > 0"):
+            factorise(kerr, rho, v)
 
 
 @pytest.mark.parametrize("name, rho, v", [("kerr", 1.0, 1e160), ("kerr", 1e-300, 0.3),

@@ -478,20 +478,18 @@ def _trace_curve_loop(model, branches=None, box=(0.05, 4.0, -4.0, 4.0), grid=(80
     pts = [_false_position_edge_loop(f, *edge, residual_tol)[0] for edge in edges]
     cell = np.hypot((rmax - rmin) / (grid[0] - 1), (vmax - vmin) / (grid[1] - 1))
 
-    def correct(mid, n_hat, h, tries=24):
-        for _ in range(tries):
-            a = mid + h * n_hat
-            b = mid - h * n_hat
-            if a[0] <= 0 or b[0] <= 0:
-                h *= 0.5
-                continue
-            fa, fb = f(a[0], a[1]).real, f(b[0], b[1]).real
-            if (fa < 0) != (fb < 0):
-                return _false_position_edge_loop(f, a, b, fa, fb, residual_tol)
-            h *= 0.6
+    def correct(mid, n_hat, h):
+        # both probes keep rho >= rho(mid) / 2
+        if h * abs(n_hat[0]) > 0.5 * mid[0]:
+            h = 0.5 * mid[0] / abs(n_hat[0])
+        a = mid + h * n_hat
+        b = mid - h * n_hat
+        fa, fb = f(a[0], a[1]).real, f(b[0], b[1]).real
+        if (fa < 0) != (fb < 0):
+            return _false_position_edge_loop(f, a, b, fa, fb, residual_tol)
         return None
 
-    def roots(p, q, tries=24):
+    def roots(p, q):
         """The (sample, residual) pairs the targets of the gap p-q give."""
         length = np.hypot(*(q - p))
         if length <= step:
@@ -500,7 +498,7 @@ def _trace_curve_loop(model, branches=None, box=(0.05, 4.0, -4.0, 4.0), grid=(80
         spacing = length / parts
         direction = (q - p) / length
         n_hat = np.array([-direction[1], direction[0]])
-        got = [correct(p + (k / parts) * (q - p), n_hat, 0.5 * spacing, tries)
+        got = [correct(p + (k / parts) * (q - p), n_hat, 0.5 * spacing)
                for k in range(1, parts) if min(k, parts - k) * spacing <= max(cell, spacing)]
         return [x for x in got if x is not None]
 
@@ -520,7 +518,7 @@ def _trace_curve_loop(model, branches=None, box=(0.05, 4.0, -4.0, 4.0), grid=(80
     provisional = [_secant_point_loop(*edge) for edge in edges]
     guess = _chain_order_loop(provisional)
     order = _chain_order_loop(pts)
-    gains = [roots(provisional[g], provisional[h], tries=1) for g, h in zip(guess, guess[1:])]
+    gains = [roots(provisional[g], provisional[h]) for g, h in zip(guess, guess[1:])]
     if order != guess:
         gains = [[] for _ in gains]
 
@@ -603,10 +601,10 @@ CRITERION_9_ALTERNATE = dict(box=(0.05, 3.6, -2.6, 2.6), grid=(160, 160), step=0
 def test_trace_curve_d_hat_call_budget(kerr, mp5d, mvc5d, d_hat_calls, case, budget):
     # the first refinement round is placed from the scan edges' first secant
     # points and solved with the edges; later rounds give every open gap all
-    # of its targets at once, so the calls follow the rounds: 14, 12, 314,
-    # 27, 6 and 7 calls on these boxes.  With a step of 0.1 no target lies
-    # within a scan cell (0.04) of a gap's end; the first target from each
-    # end still closes the gap about 1 long.
+    # of its targets at once and probe each target's normal once, so the
+    # calls follow the rounds: 14, 12, 107, 27, 6 and 7 calls on these boxes.
+    # With a step of 0.1 no target lies within a scan cell (0.04) of a gap's
+    # end; the first target from each end still closes the gap about 1 long.
     alternate = CRITERION_9_ALTERNATE
     model, branches, kwargs = {
         "criterion 1": (kerr, None, CRITERION_1),
@@ -628,10 +626,34 @@ def test_trace_curve_d_hat_call_budget(kerr, mp5d, mvc5d, d_hat_calls, case, bud
 @pytest.mark.parametrize("branches", [("plus", "minus"), ("minus", "plus")],
                          ids=["plus,minus", "minus,plus"])
 def test_trace_curve_alternate_contour_call_budget(kerr, d_hat_calls, branches):
-    # the budget above was set when these contours took 509 calls; since the
-    # first round rides on the scan-edge solve they take 314
+    # the budget above was set when these contours took 509 calls; a normal
+    # probed once per target, not searched by up to 24 tries, takes them to 107
     trace_curve(kerr, branches, **CRITERION_9_ALTERNATE)
-    assert d_hat_calls["calls"] <= 341
+    assert d_hat_calls["calls"] <= 110
+
+
+def test_a_round_whose_probes_bracket_nothing_costs_one_d_hat_call(kerr, d_hat_calls):
+    from whergo.geometry import _brackets, _d_hat_function
+
+    _, fgrid = _d_hat_function(kerr, None)
+    # a gap 1 long at v = 3, far off the Kerr curve (rho <= 1, |v| <= 2):
+    # its 99 targets are probed in one call and none brackets D = 0
+    gap = np.array([[2.0, 3.0], [3.0, 3.0]])
+    at, a, b, fa, fb = _brackets(lambda p: fgrid(p[:, 0], p[:, 1]).real, gap, np.array([0]),
+                                 0.01, 0.5, 1000)
+    assert len(at) == len(a) == 0
+    assert d_hat_calls == {"calls": 1, "points": 2 * 99}
+
+
+def test_trace_curve_keeps_its_probes_off_the_axis():
+    # Kerr at small a on a box reaching rho = 0.0043: near the axis the
+    # probes of 24 targets would come within half the target's rho of the
+    # axis at half the target spacing, and are cut to stay that far off it
+    model, params = model_kerr(M_K, 0.063), {"m": M_K, "a": 0.063}
+    box = (0.0043, 2.86, -3.597, 0.338)
+    poly = trace_curve(model, box=box, grid=(70, 70), step=0.0198)
+    oracle = closed_form_curve_weyl("kerr", params, np.linspace(-0.99, 0.99, 1500))
+    assert curve_match_distance(poly.samples, oracle, box, margin=0.05) <= 1e-4
 
 
 def test_trace_curve_max_samples_cap(kerr, monkeypatch):

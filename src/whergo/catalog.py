@@ -147,7 +147,9 @@ def same_pole(p, q) -> bool:
 
 def make_model(entries, eta=None, params=None, model_id="custom",
                omega_poles=None, default_branches=None) -> RationalMatrixOmega:
-    """Build and validate a RationalMatrixOmega from nested RationalEntry data."""
+    """Build and validate a RationalMatrixOmega from nested RationalEntry data.
+
+    omega_poles, if given, must be exactly the poles of M, each named once."""
     n = len(entries)
 
     def reduced(e):
@@ -160,15 +162,24 @@ def make_model(entries, eta=None, params=None, model_id="custom",
     entries = tuple(tuple(reduced(e) for e in row) for row in entries)
     if eta is None:
         eta = (1.0,) * n
+    found = []          # the distinct denominator zeros across entries
+    for r in (r for row in entries for e in row for r in e.den_roots):
+        if not any(same_pole(r, s) for s in found):
+            found.append(r)
     if omega_poles is None:
-        # collect distinct denominator zeros across entries
-        found = []
-        for row in entries:
-            for e in row:
-                for r in e.den_roots:
-                    if not any(same_pole(r, s) for s in found):
-                        found.append(r)
         omega_poles = tuple(sorted(found, key=lambda z: (round(z.real, 12), round(z.imag, 12))))
+    # the declared poles are exactly the poles of M, each named once (each
+    # pole has its own zero pair and labels)
+    for i, p in enumerate(omega_poles):
+        for q in omega_poles[i + 1:]:
+            if same_pole(p, q):
+                raise ParameterViolation(
+                    f"omega poles {p:.17g} and {q:.17g} of model {model_id} coincide at "
+                    f"params {dict(params or {})}; the factorisation needs distinct poles")
+    if not (all(any(same_pole(p, r) for r in found) for p in omega_poles)
+            and all(any(same_pole(r, p) for p in omega_poles) for r in found)):
+        raise InvariantViolation(f"model {model_id} declares omega poles {tuple(omega_poles)}, "
+                                 f"but the poles of M are {tuple(found)}")
     if default_branches is None:
         default_branches = (BRANCH_MINUS,) * len(omega_poles)
     m = RationalMatrixOmega(n, entries, tuple(eta), dict(params or {}),
@@ -219,30 +230,30 @@ def model_mp5d(m: float, a: float) -> RationalMatrixOmega:
     """Myers-Perry 3x3 matrix (single angular momentum), 4 alpha = 2m - a^2 > 0.
 
     The chosen contour puts the minus-branch points for omega0 in
-    {-alpha, alpha, alpha - m} inside; the failure curve is the ergosurface.
+    {-alpha, alpha} inside; the failure curve is the ergosurface.  The
+    (3, 3) entry [(omega - alpha)^2 (omega + alpha) + a^2 m^2 / 2] /
+    [(omega^2 - alpha^2)(omega - alpha + m)] has its numerator vanish at
+    omega = alpha - m for every (m, a), since 4 alpha = 2m - a^2, so it is
+    written reduced and alpha - m is no pole of M.  At a = 0 this is the 5D
+    Schwarzschild-Tangherlini matrix.
     """
     _check_finite(m, a)
     if not 2.0 * m - a * a > 0.0:
         raise ParameterViolation(f"need 2m - a^2 > 0, got m={m}, a={a}")
     al = (2.0 * m - a * a) / 4.0
-    # common denominators
     d2 = poly_trim([-al * al, 0.0, 1.0])                    # (omega+al)(omega-al)
-    d3 = poly_mul(d2, [m - al, 1.0])                        # ... * (omega - al + m)
-    e11 = ([ (m - al) / 2.0, 0.5], d2)                      # (omega - al + m)/(2 (omega^2-al^2))
+    e11 = ([(m - al) / 2.0, 0.5], d2)                       # (omega - al + m)/(2 (omega^2-al^2))
     e13 = ([a * m / 2.0], d2)
     e22 = ([2.0 * al, 2.0], [1.0])                          # 2 (omega + alpha)
-    # (8 (omega-al)^2 (omega+al) + 4 a^2 m^2) / (8 (omega+al)(omega-al)(omega-al+m))
-    num33 = poly_mul(poly_mul([-al, 1.0], [-al, 1.0]), [al, 1.0])
-    num33 = poly_trim(np.polynomial.polynomial.polyadd(num33, [a * a * m * m / 2.0]))
-    e33 = (num33, d3)
+    e33 = ([m * m - al * m - al * al, -m, 1.0], d2)         # the reduced (3, 3) entry
     z = ([0.0], [1.0])
     return make_model(
         [[e11, z, e13], [z, e22, z], [e13, z, e33]],
         eta=(1.0, -1.0, 1.0),
         params={"m": m, "a": a, "alpha": al, "L": a * a / m},
         model_id="mp5d",
-        omega_poles=(complex(-al), complex(al), complex(al - m)),
-        default_branches=(BRANCH_MINUS, BRANCH_MINUS, BRANCH_MINUS),
+        omega_poles=(complex(-al), complex(al)),
+        default_branches=(BRANCH_MINUS, BRANCH_MINUS),
     )
 
 

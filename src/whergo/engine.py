@@ -76,7 +76,6 @@ from .errors import (
     InvariantViolation,
     NonSquareSystem,
     NotCanonical,
-    ParameterViolation,
 )
 from .poly import (
     DEFAULT_TOL,
@@ -423,15 +422,6 @@ def _plan_for(model: RationalMatrixOmega, branches=None) -> AnsatzPlan:
     plan = model.plans.get(branches)
     if plan is None:
         _check_branches(model, branches)
-        # each pole has its own zero pair and labels: coincident poles (mp5d
-        # at a = 0) would split into roots that match neither label
-        for i, p in enumerate(model.omega_poles):
-            for q in model.omega_poles[i + 1:]:
-                if same_pole(p, q):
-                    raise ParameterViolation(
-                        f"omega poles {p:.17g} and {q:.17g} of model {model.model_id} "
-                        f"coincide at params {model.params}; the factorisation needs "
-                        f"distinct poles")
         adj = _omega_adjugate(model)
         last_exc = None
         for rho_ref, v_ref in _REFERENCE_POINTS:
@@ -466,11 +456,9 @@ def _omega_adjugate(model: RationalMatrixOmega):
 
     def read(e):
         labels = Counter({0: max(poly_degree(e.num) - poly_degree(e.den), 0)})
-        for w in e.den_roots:
-            p = [i for i, w0 in enumerate(poles) if same_pole(w, w0)]
-            if not p:
-                raise NonSquareSystem(f"pole {w} is not a pole of the model")
-            labels.update((1 + 2 * p[0], 2 + 2 * p[0]))
+        for w in e.den_roots:       # make_model has checked that one pole is w
+            p = next(i for i, w0 in enumerate(poles) if same_pole(w, w0))
+            labels.update((1 + 2 * p, 2 + 2 * p))
         return e.num, e.den[-1], +labels
 
     def over(x, labels, lc):        # x's numerator times lc, over the denominator of labels

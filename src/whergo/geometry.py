@@ -299,22 +299,33 @@ def _brackets(fn, points, gap, step: float, cell: float, room: int):
     g in gap (in chain order).  Its targets are points spaced evenly along
     each gap's chord at most `step` apart, kept where they lie within one
     scan cell (or one spacing) of either end of the gap, the first `room`
-    of them in chain order.  The chord's normal through each target is
+    of them in chain order; only those are generated, so a tiny step costs
+    at most `room` targets.  The chord's normal through each target is
     probed once, at +- half the spacing, cut so that both probes keep rho >=
     rho(target) / 2; all probes go into one call of fn.  Returns (the gap g
     of each target whose probes a and b change sign, a, b, fn(a), fn(b))."""
+    room = max(room, 0)
     chord = points[gap + 1] - points[gap]
     length = np.hypot(*chord.T)
-    parts = np.ceil(length / step).astype(int)
-    spacing = length / parts
-    # target k of a gap at k / parts of its chord, k = 1 .. parts - 1
-    owner = np.repeat(np.arange(len(gap)), parts - 1)
-    first = np.cumsum(parts - 1) - (parts - 1)          # each gap's first target
-    k = np.arange(len(owner)) - first[owner] + 1
-    near = (np.minimum(k, parts[owner] - k) * spacing[owner]
-            <= np.maximum(cell, spacing[owner]))
-    keep = np.flatnonzero(near)[:max(room, 0)]
-    owner, k = owner[keep], k[keep]
+    parts = np.ceil(length / step)                  # a float, so that it cannot overflow
+    spacing = length / parts                        # 0 where parts is inf
+    reach = np.maximum(cell, spacing)
+    # target k of a gap at k / parts of its chord, k = 1 .. parts - 1, is
+    # kept where min(k, parts - k) * spacing <= reach, that is where
+    # min(k, parts - k) <= ends (counted to at most room + 1)
+    with np.errstate(divide="ignore"):
+        ends = np.minimum(np.floor(reach / spacing), room)
+    ends = ends + ((ends + 1) * spacing <= reach) - (ends * spacing > reach)
+    ends[spacing == 0] = 0                          # coincident probes give no bracket
+    lo = np.minimum(ends, parts - 1)                # k = 1 .. lo
+    hi = np.minimum(ends, parts - 1 - lo)           # k = parts - hi .. parts - 1
+    # the first room of these in chain order: segment 2g is gap g's lo, 2g + 1 its hi
+    count = np.stack([lo, hi], axis=1).ravel()
+    take = np.clip(room - (np.cumsum(count) - count), 0, count).astype(int)
+    seg = np.repeat(np.arange(len(count)), take)
+    i = np.arange(len(seg)) - (np.cumsum(take) - take)[seg]
+    owner = seg // 2
+    k = np.where(seg % 2, parts[owner] - hi[owner] + i, 1.0 + i)
     normal = (chord[owner] / length[owner, None])[:, ::-1] * [-1.0, 1.0]
     mid = points[gap[owner]] + (k / parts[owner])[:, None] * chord[owner]
     with np.errstate(divide="ignore"):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,14 +223,13 @@ def test_mp5d_plan_labels_have_origin_pole(mp5d):
 
 def test_mp5d_alpha_minus_m_pole_is_removable(mp5d):
     al = mp5d.params["alpha"]
-    m = mp5d.params["m"]
     e33 = mp5d.entry(2, 2)
     assert e33.den.size == 3          # reduced to (omega^2 - alpha^2)
     roots = sorted(np.roots(e33.den[::-1]).real)
     assert roots == pytest.approx([-al, al])
-    # but the declared contour still lists the alpha - m pair, as in the
-    # unreduced common-denominator presentation
-    assert any(abs(w - (al - m)) < 1e-12 for w in mp5d.omega_poles)
+    # alpha - m is no pole of M, and the model declares only the two it has
+    assert mp5d.omega_poles == (-al, al)
+    assert mp5d.default_branches == ("minus", "minus")
 
 
 def test_mvc5d_row_inside_poles(mvc5d):
@@ -365,6 +365,27 @@ def test_make_model_cancels_shared_factors():
     # (w - m)^2 + 0 over w^2 - m^2 reduces to (w - m)/(w + m)
     assert model.entry(0, 0).num.size == 2
     assert model.entry(0, 0).den.size == 2
+
+
+def _kerr_entries():
+    return [list(row) for row in model_kerr(2.0, 1.0).entries]
+
+
+@pytest.mark.parametrize("poles, error, message", [
+    ((math.sqrt(3.0), math.sqrt(3.0), -math.sqrt(3.0)), ParameterViolation,
+     "omega poles 1.7320508075688772+0j and 1.7320508075688772+0j of model kerr coincide"),
+    ((math.sqrt(3.0), -math.sqrt(3.0), 0.5), InvariantViolation, "but the poles of M are"),
+    ((math.sqrt(3.0),), InvariantViolation, "but the poles of M are"),
+], ids=["coincident", "no-pole-of-m", "entry-pole-undeclared"])
+def test_make_model_refuses_poles_that_are_not_those_of_m(monkeypatch, poles, error, message):
+    # declared omega poles must be exactly M's, each named once: refused at
+    # build, before any plan is compiled
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan was compiled")
+    monkeypatch.setattr(engine, "_compile_plan", no_plan)
+    with pytest.raises(error, match=re.escape(message)):
+        make_model(_kerr_entries(), eta=(1.0, 1.0), model_id="kerr",
+                   omega_poles=tuple(map(complex, poles)))
 
 
 def test_degree_bookkeeping_max_rule(kerr, rng):

@@ -600,7 +600,7 @@ def test_branches_flag(capsys):
 
 @pytest.mark.parametrize("model, branches, count", [
     ("kerr", "minus", 2), ("kerr", "minus,plus,plus", 2), ("mvc5d", "plus", 2),
-    ("mp5d", "minus,minus", 3), ("kerr", "minus,sideways", 2)])
+    ("mp5d", "minus,minus,minus", 2), ("kerr", "minus,sideways", 2)])
 def test_branches_need_one_tag_per_omega_pole(capsys, model, branches, count):
     # a wrong tuple is a usage error that names the expected count, not a
     # failed plan compile
@@ -611,14 +611,14 @@ def test_branches_need_one_tag_per_omega_pole(capsys, model, branches, count):
     assert "reference point" not in err
 
 
-def test_mp5d_with_coincident_omega_poles_exit_1(capsys):
-    # at a = 0 the poles -alpha and alpha - m of mp5d coincide: a usage
-    # error naming them, not "no usable reference point found"
+def test_mp5d_at_a_zero_answers(capsys):
+    # a = 0, the 5D Schwarzschild-Tangherlini limit: the poles -alpha and
+    # alpha are distinct, and the point factorises
     code, out, err = run_capture(capsys, "factorize", "--model", "mp5d", "--m", "2", "--a", "0",
                                  "--rho", "2", "--v", "0.5")
-    assert code == 1 and out == ""
-    assert "omega poles -1+0j and -1+0j of model mp5d coincide" in err
-    assert "reference point" not in err
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["status"] == "canonical" and report["branches"] == ["minus", "minus"]
 
 
 @pytest.mark.parametrize("model", ["kerr", "mp5d", "mvc5d"])

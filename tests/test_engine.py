@@ -474,6 +474,19 @@ def test_far_and_near_axis_points_pass_every_gate(name, rho, v, kerr, mp5d, mvc5
         assert np.max(np.abs(m - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("a", [0.0, 0.001, 0.002, 0.005, 0.01, 0.1, 0.5, 1.9])
+def test_mp5d_matches_its_closed_form_down_to_a_zero(a):
+    # the rotation family at m = 2 down to the 5D Schwarzschild-Tangherlini
+    # limit a = 0: every draw canonical, M within 1e-8 of the closed form
+    rng = np.random.default_rng(1)
+    rho, v = 10.0 ** rng.uniform(-2.0, np.log10(20.0), 40), rng.uniform(-4.0, 4.0, 40)
+    batch = evaluate_points(model_mp5d(2.0, a), rho, v)
+    assert batch.canonical.all()
+    for got, r, w in zip(batch.M_limit, rho, v):
+        want = mp5d_solution_closed_form(r, w, 2.0, a)
+        assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
+
+
 def _kerr_plus_one(kerr):
     """Kerr + 1: the Kerr entries in a 3x3 block with a unit (3, 3) entry."""
     zero, one = ([0.0], [1.0]), ([1.0], [1.0])

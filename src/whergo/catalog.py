@@ -151,10 +151,17 @@ def make_model(entries, eta=None, params=None, model_id="custom",
 
     omega_poles, if given, must be exactly the poles of M, each named once."""
     n = len(entries)
+    found_roots = {}        # the polished roots of each distinct denominator, by its bytes
+
+    def roots_of(den):
+        key = den.tobytes()
+        if key not in found_roots:
+            found_roots[key] = _polished_roots(den)
+        return found_roots[key]
 
     def reduced(e):
         num, den = (e.num, e.den) if isinstance(e, RationalEntry) else e
-        num, den, roots = _cancel_shared_roots(num, den)
+        num, den, roots = _cancel_shared_roots(num, den, roots_of)
         e = RationalEntry(num, den)
         e.__dict__["den_roots"] = roots     # the cancellation's last pass found them
         return e
@@ -368,17 +375,18 @@ def model_from_dict(doc: dict, model_id="json") -> RationalMatrixOmega:
                       params=params, model_id=model_id)
 
 
-def _cancel_shared_roots(num, den, rel=1e-12):
+def _cancel_shared_roots(num, den, roots_of, rel=1e-12):
     """Cancel exactly-shared linear factors between num and den.
 
     Returns (num, den, roots): the trimmed reduced pair and den's polished
-    roots (RationalEntry.den_roots), which the last pass has found.  An
-    identically zero num is 0/1: it has no poles."""
+    roots (RationalEntry.den_roots), which the last pass has found, each
+    pass's by roots_of (make_model's finds a denominator's roots once per
+    build).  An identically zero num is 0/1: it has no poles."""
     num, den = poly_trim(num), poly_trim(den)
     if poly_is_zero(num):
         return num, poly_trim([1.0]), ()
     while poly_degree(den) >= 1:
-        roots = _polished_roots(den)
+        roots = roots_of(den)
         top = np.abs(num).max()
         deg = max(poly_degree(num), 0)
         r = next((r for r in roots

@@ -32,20 +32,30 @@ Callers that need only D assemble the analyticity rows alone.
 
 factorise is evaluate_points at one point, plus the factors and the
 residual report.  It composes no monodromy, so it answers wherever the
-batch does.  Its factors come from a few array passes over tables the
-plan's layout fixes once (_factors): the gather that maps the solution to
-the numerators NUM_k, the Taylor tables of their analyticity re-check, and
-the deflation order, one synthetic-division step per root position for
-every component that has a root there.  M_minus is the solution scattered
-through the layout, S_j over pi_j; X holds the psi_+ numerators of every
-column, deflated and never trimmed, and X(tau) is the adjugate of
-Psi_+(tau) taken at each evaluation.  Both evaluate at a scalar tau or an
-array of them, every tau alike.  The residual report evaluates M(tau) in
-one Horner pass over the model's stacked omega-coefficients at omega(tau),
-M_minus at the check circle and X at the circle and tau = 0 in one
-evaluation; the circle's poles are the label values the plan's spec already
-holds.  A point whose system overflows the double range is never consistent
-and gets no SVD: it is unresolved.
+batch does.  Every index that depends only on the plan is a table the
+plan compiles once, so that a call spends its time on the point's values
+alone, and every table serves a sweep chunk and a tracer batch as it
+serves one point: the flat gather and mask of the normalisation rows, the
+root table whose padding picks a row of ones for their right-hand sides
+l0, and the row order of the square system (the D rows, then the
+normalisation rows).  The system's right-hand sides are zero but for l0,
+so the residual and its scale read l0 itself.  The factors come from a few
+array passes over tables the plan's layout fixes once (_factors): the
+flat gather that maps the solution to the numerators NUM_k, the Taylor
+tables of their analyticity re-check, and the deflation order, one
+synthetic-division step per root position for every component that has a
+root there, computing quotients only, with each root's recurrence and
+inverse taken once per point.  M_minus is the solution scattered through
+the layout, S_j over pi_j; X holds the psi_+ numerators of every column,
+deflated and never trimmed, and X(tau) is the adjugate of Psi_+(tau)
+taken at each evaluation.  Both evaluate at a scalar tau or an array of
+them, every tau alike.  The residual report evaluates M(tau) in one Horner
+pass over the model's stacked omega-coefficients at omega(tau), and the
+numerators of both factors in one more, M_minus at the check circle and X
+at the circle and tau = 0; the circle's poles are the label values the
+plan's spec already holds.  A point whose system overflows the double
+range is never consistent and gets no SVD: it is unresolved.  An empty
+array of points gives an empty batch.
 
 The contour enters only as the branch tuple: one tag, "minus" or "plus",
 per omega pole, naming the member of its zero pair that lies inside.
@@ -79,7 +89,7 @@ from .errors import (
 )
 from .poly import (
     DEFAULT_TOL,
-    equilibrate,
+    deflate_quotients,
     numerical_nullity,
     poly_degree,
     poly_deflate,
@@ -88,6 +98,8 @@ from .poly import (
     poly_from_roots,
     poly_mul,
     poly_trim,
+    reversed_inverses,
+    row_scaled,
 )
 from .spectral import BRANCH_MINUS, BRANCH_PLUS, SpectralPoint, spectral_map
 
@@ -154,6 +166,7 @@ class AnsatzSpec:
     roots: np.ndarray         # (root, ...): every root the layout names, roots[0] = 0
     layout: _RowLayout        # index tables of the rows and the roots
     selected_rows: np.ndarray | None = None
+    square_rows: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -166,22 +179,25 @@ class AnsatzSpec:
     @cached_property
     def base_polys(self) -> np.ndarray:
         """Coefficients of A_kj, shape (k, j, coefficient, ...)."""
-        num = _flat(self.num_polys, 3)
-        extras = self.layout.extras
-        base = np.concatenate([num, np.zeros(num.shape[:2] + (extras.shape[-1], num.shape[3]),
+        lay, num = self.layout, _flat(self.num_polys, 3)
+        base = np.concatenate([num, np.zeros(num.shape[:2] + (lay.extras.shape[-1], num.shape[3]),
                                              dtype=num.dtype)], axis=2)
-        roots = _flat(self.roots, 1)[extras]
-        for x in range(extras.shape[-1]):
-            on = (extras[:, :, x] >= 0)[..., None, None]
-            nxt = base * np.where(on, -roots[:, :, x, None, :], 1.0)
-            nxt[:, :, 1:] += base[:, :, :-1] * on
+        # -r, the constant term of the factor (tau - r) of every extra root;
+        # 1 where there is none
+        factor = np.where(lay.extras_on, -_flat(self.roots, 1)[lay.extras], 1.0)
+        for x in range(factor.shape[2]):
+            nxt = base * factor[:, :, x, None]
+            nxt[:, :, 1:] += base[:, :, :-1] * lay.extras_on[:, :, x, None]
             base = nxt
         return base.reshape(base.shape[:3] + self.batch)
 
 
 def _flat(x: np.ndarray, lead: int) -> np.ndarray:
     """x with its trailing batch axes folded into one (of length 1 when x
-    holds a single point)."""
+    holds a single point); lead = 0 folds the leading axes instead, all but
+    the last."""
+    if not lead:
+        return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
     return x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),))
 
 
@@ -201,6 +217,11 @@ class _RowLayout:
     xden: np.ndarray          # (n, Y) roots of L_k less its inside groups: X's rows
     l0: np.ndarray            # (n, Z) non-zero roots of L_k
     m0: np.ndarray            # (n,) multiplicity of tau = 0 in L_k
+    # normalisation row k, coefficient m0_k - c of A_kj in column (j, c), as a
+    # position in A's (k, j, coefficient) axes (clipped), and where it exists
+    norm: np.ndarray          # (n, W)
+    norm_on: np.ndarray       # (n, W, 1)
+    extras_on: np.ndarray     # (n, n, X, 1) where extras[k, j, x] holds a root
     powers: int               # C: the rows use powers 0..C-1 of the group roots
     tshift: np.ndarray        # (O, C) power c - i of p in C(c, i) p^(c - i) (clipped)
     tweight: np.ndarray       # (O, C, 1) C(c, i) for c >= i, else 0
@@ -209,15 +230,22 @@ class _RowLayout:
     cell: np.ndarray          # (R, W) entry of each row and column in the (g, j, o, c) cells
     # the factor build (_factors): NUM_k has T = cmax - 1 + B coefficients, B those of A_kj
     gather: np.ndarray        # (T, W) coefficient t - c of A_kj that coefficient t of
-                              # NUM_k takes from column c (clipped)
+                              # NUM_k takes from column c (clipped), as a position in
+                              # A_k's (j, coefficient) axes
     gmask: np.ndarray         # (T, W) where that coefficient exists
     tgroup: np.ndarray        # (R,) group g of each Taylor row (g, o)
     tpower: np.ndarray        # (R, T) power max(t - o, 0) of the group root in row (g, o)
     tcomb: np.ndarray         # (R, T) C(t, o), zero for t < o
+    tcomp: np.ndarray         # (R,) component k of each Taylor row
     deflation: tuple          # per root position: (the components of the previous
-                              # position that have no root here, those that have one,
-                              # as positions in that position's stack; the group of
-                              # each one's root)
+                              # position that have no root here, as positions in its
+                              # stack and as components; those that have one, as
+                              # positions, a slice where all have; the slice of
+                              # dgroup that holds their roots)
+    dgroup: np.ndarray        # the group of every root the deflation divides by
+    deflated: np.ndarray      # the components still in the stack after the last position
+    xwidth: int               # coefficients of X's numerators that can be non-zero:
+                              # T less the fewest roots any component divides by
 
 
 def _index_table(rows) -> np.ndarray:
@@ -247,18 +275,22 @@ def _row_layout(width: int, pi, lk, groups, extras: np.ndarray) -> _RowLayout:
     span = width + extras.shape[-1]
     t = np.arange(max(widths) - 1 + span)
     shift = t[:, None] - ccol
+    m0 = np.array([ls.count(0) for ls in lk])
+    norm = m0[:, None] - ccol
     comb = [np.ones(t.size)]                     # C(t, o), by the recurrence in o
     for o in range(order - 1):
         comb.append(comb[-1] * (t - o) / (o + 1))
     # the roots of component k in deflation order, one group index per root
     seq = [[g for g, (kg, _, m) in enumerate(conds) if kg == k for _ in range(m)]
            for k in range(n)]
-    deflation, active = [], np.arange(n)
+    deflation, active, dgroup = [], np.arange(n), []
     for pos in range(max(map(len, seq), default=0)):
         has = np.array([len(seq[k]) > pos for k in active])
+        deflation.append((np.flatnonzero(~has), active[~has],
+                          slice(None) if has.all() else np.flatnonzero(has),
+                          slice(len(dgroup), len(dgroup) + int(has.sum()))))
         active = active[has]
-        deflation.append((np.flatnonzero(~has), np.flatnonzero(has),
-                          np.array([seq[k][pos] for k in active], dtype=int)))
+        dgroup += [seq[k][pos] for k in active]
     return _RowLayout(
         jcol, ccol,
         np.flatnonzero(ccol < np.array(widths)[jcol] - 1), np.cumsum(widths) - 1,
@@ -267,15 +299,21 @@ def _row_layout(width: int, pi, lk, groups, extras: np.ndarray) -> _RowLayout:
         extras, _index_table(pi),
         _index_table([sorted((Counter(ls) - Counter(dict(g))).elements())
                       for ls, g in zip(lk, groups)]),
-        _index_table([[r for r in ls if r] for ls in lk]), np.array([ls.count(0) for ls in lk]),
+        _index_table([[r for r in ls if r] for ls in lk]), m0,
+        (np.arange(n)[:, None] * n + jcol) * span + np.clip(norm, 0, span - 1),
+        ((norm >= 0) & (norm < span))[..., None],
+        (extras >= 0)[..., None],
         c.size, np.maximum(c - i, 0),
         np.array([[math.comb(cc, ii) if cc >= ii else 0.0 for cc in c]
                   for ii in range(order)])[..., None],
         np.where(i.T <= i, i - i.T, order), max(widths),
         ((g_r * n + jcol) * order + o_r) * max(widths) + ccol,
-        np.clip(shift, 0, span - 1), (shift >= 0) & (shift < span),
+        jcol * span + np.clip(shift, 0, span - 1), (shift >= 0) & (shift < span),
         g_r[:, 0],
-        np.maximum(t - o_r, 0), np.array(comb)[o_r[:, 0]], tuple(deflation))
+        np.maximum(t - o_r, 0), np.array(comb)[o_r[:, 0]],
+        np.array([k for k, _, _ in conds], dtype=int)[g_r[:, 0]],
+        tuple(deflation), np.array(dgroup, dtype=int), active,
+        t.size - min(map(len, seq), default=0))
 
 
 def _assemble_rows(spec: AnsatzSpec) -> np.ndarray:
@@ -301,9 +339,8 @@ def _assemble_rows(spec: AnsatzSpec) -> np.ndarray:
     taylor = lay.tweight * pw[:, lay.tshift]
     # Taylor coefficients at p_g of the polynomial part, (g, j, o, point)
     coef = (num[lay.gk, :, None] * taylor[:, None, :, :num.shape[2]]).sum(axis=3)
-    extras = lay.extras[lay.gk]
-    on = (extras >= 0)[..., None]
-    gap = np.where(on, p[:, None] - roots[extras], 1.0)          # (g, j, x, point)
+    on = lay.extras_on[lay.gk]
+    gap = np.where(on, p[:, None] - roots[lay.extras[lay.gk]], 1.0)     # (g, j, x, point)
     for x in range(on.shape[2]):
         nxt = coef * gap[:, :, x, None]
         nxt[:, :, 1:] += coef[:, :, :-1] * on[:, :, x, None]
@@ -311,7 +348,7 @@ def _assemble_rows(spec: AnsatzSpec) -> np.ndarray:
     # Taylor coefficient o of tau^c A_kj in every (g, j, o, c) cell
     coef = np.concatenate([coef, np.zeros_like(coef[:, :, :1])], axis=2)
     cells = (coef[:, :, lay.lag, None] * taylor[:, None, None, :, :lay.cmax]).sum(axis=3)
-    return _batch_first(cells.reshape(-1, cells.shape[-1])[lay.cell], spec.batch)
+    return _batch_first(_flat(cells, 0)[lay.cell], spec.batch)
 
 
 def _batch_first(x: np.ndarray, batch: tuple) -> np.ndarray:
@@ -328,23 +365,37 @@ def _assemble_homogeneous(spec: AnsatzSpec) -> np.ndarray:
 def _assemble_inhomogeneous(spec: AnsatzSpec):
     """Full system: analyticity rows plus n normalisation rows at tau = 0.
 
-    Returns (A, B) where B has one right-hand side per factor column.
+    Returns (A, l0): the right-hand side of factor column k is l0[..., k]
+    in normalisation row k and zero in every other row (_right_hand_sides).
     """
     lay = spec.layout
     a_top = _assemble_rows(spec)
-    n, base = spec.n, _flat(spec.base_polys, 3)
+    base = _flat(spec.base_polys, 3)
     # row k: coefficient of tau^m0_k of NUM_k, i.e. A_kj[m0_k - c] per column
-    idx = lay.m0[:, None] - lay.ccol
-    norm = (base[np.arange(n)[:, None], lay.jcol, np.clip(idx, 0, base.shape[2] - 1)]
-            * ((idx >= 0) & (idx < base.shape[2]))[..., None])
+    norm = _flat(base, 0)[lay.norm] * lay.norm_on
     A = np.concatenate([a_top, _batch_first(norm, spec.batch)], axis=-2)
     # the leading Taylor coefficient of L_k at 0, prod (-r) over its non-zero
-    # roots; -1 pads the table and picks the row of ones
+    # roots; -1 pads the table and picks the last row, of ones
     roots = _flat(spec.roots, 1)
-    l0 = np.prod(np.concatenate([-roots, np.ones((1, roots.shape[1]))])[lay.l0], axis=1)
-    B = np.zeros(A.shape[:-1] + (n,), dtype=A.dtype)
-    B[..., a_top.shape[-2] + np.arange(n), np.arange(n)] = l0.T.reshape(spec.batch + (n,))
-    return A, B
+    neg = np.empty((roots.shape[0] + 1, roots.shape[1]), dtype=roots.dtype)
+    np.negative(roots, out=neg[:-1])
+    neg[-1] = 1.0
+    l0 = neg[lay.l0].prod(axis=1)
+    return A, l0.T.reshape(spec.batch + (spec.n,))
+
+
+def _right_hand_sides(l0: np.ndarray, rows: int, dtype) -> np.ndarray:
+    """batch + (rows, n): l0[..., k] in row rows - n + k of column k, the
+    normalisation rows that close a system of `rows` rows, zero elsewhere."""
+    b = np.zeros(l0.shape[:-1] + (rows, l0.shape[-1]), dtype=dtype)
+    _normalisation_diagonal(b)[...] = l0
+    return b
+
+
+def _normalisation_diagonal(x: np.ndarray) -> np.ndarray:
+    """A writeable view of the entries (rows - n + k, k) of stacked systems
+    x, batch + (rows, n): the diagonal of their last n rows."""
+    return np.einsum("...ii->...i", x[..., -x.shape[-1]:, :])
 
 
 def _greedy_rows(A: np.ndarray, k: int):
@@ -405,6 +456,7 @@ class AnsatzPlan:
                               # numerators; power 2K + 1 is zero and fills the empty slots
     selected_rows: np.ndarray
     layout: _RowLayout
+    square_rows: np.ndarray   # the D rows, then the n normalisation rows: the square system
 
 
 def _plan_for(model: RationalMatrixOmega, branches=None) -> AnsatzPlan:
@@ -556,7 +608,7 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     extra = _index_table([extras.get(e, ()) for e in range(size)])
     layout = _row_layout(width, pi_labels, lk_labels, groups, extra.reshape(n, n, -1))
     plan = AnsatzPlan(n, poles, plus, adj_num, adj_lc, adj_deg, place,
-                      np.zeros(0, dtype=int), layout)
+                      np.zeros(0, dtype=int), layout, np.zeros(0, dtype=int))
 
     spec = _plan_spec(plan, rho_ref, v_ref)
     a0 = _assemble_homogeneous(spec)
@@ -568,10 +620,11 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
         raise NonSquareSystem(
             f"homogeneous system rank-deficient at reference point "
             f"({rho_ref}, {v_ref}); smallest accepted pivot {margin:.2e}")
-    plan = dataclasses.replace(plan, selected_rows=sel)
+    plan = dataclasses.replace(plan, selected_rows=sel,
+                               square_rows=np.concatenate([sel, a0.shape[0] + np.arange(n)]))
     # the plan factorises at its reference point within the residual gates:
     # a wrong label leaves a pole that no solution cancels
-    batch = _evaluate(dataclasses.replace(spec, selected_rows=sel), DEFAULT_TOL)
+    batch = _evaluate(_plan_spec(plan, rho_ref, v_ref), DEFAULT_TOL)
     if not batch.canonical:
         raise InvariantViolation(f"the plan is not canonical at its reference point "
                                  f"({rho_ref}, {v_ref})")
@@ -596,8 +649,8 @@ def _label_values(poles: np.ndarray, plus: np.ndarray, rho, v) -> np.ndarray:
     """
     dv = v - poles[:, None]
     s = np.sqrt(dv * dv + rho * rho)
-    sign = np.where(plus, 1.0, -1.0)[:, None]
-    a, b = dv + sign * s, dv - sign * s
+    s = np.where(plus[:, None], s, -s)      # + for the plus branch, - for the minus
+    a, b = dv + s, dv - s
     big = np.abs(a) >= np.abs(b)            # b may vanish far out, where a is kept
     t_in = np.where(big, a, -rho) / np.where(big, rho, b)
     lab = np.zeros((1 + 2 * plus.size,) + rho.shape, dtype=t_in.dtype)
@@ -608,12 +661,16 @@ def _label_values(poles: np.ndarray, plus: np.ndarray, rho, v) -> np.ndarray:
 
 def _plan_spec(plan: AnsatzPlan, rho, v) -> AnsatzSpec:
     """The plan's AnsatzSpec at Weyl points (rho, v) of any common shape."""
-    rho, v = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(v, dtype=float))
+    rho, v = np.asarray(rho, dtype=float), np.asarray(v, dtype=float)
+    if rho.shape != v.shape:
+        rho, v = np.broadcast_arrays(rho, v)
     batch = rho.shape
     rho, v = rho.reshape(-1), v.reshape(-1)
-    bad = ~((rho > 0.0) & np.isfinite(rho) & np.isfinite(v))
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    good = rho > 0.0
+    good &= np.isfinite(rho)
+    good &= np.isfinite(v)
+    if not good.all():
+        i = int(np.argmin(good))
         raise ValueError(f"a Weyl point needs finite v and finite rho > 0, "
                          f"got (rho, v) = ({rho[i]}, {v[i]})")
     lab = _label_values(plan.omega_poles, plan.plus, rho, v)
@@ -626,19 +683,24 @@ def _plan_spec(plan: AnsatzPlan, rho, v) -> AnsatzSpec:
     poly[0, top] = 1.0
     for i in range(1, top + 1):
         prev = poly[i - 1]
-        poly[i, :-1] -= half * prev[1:]
+        step = half * prev
+        poly[i, :-1] -= step[1:]
         poly[i] += v * prev
-        poly[i, 1:] += half * prev[:-1]
-    composed = (plan.adj_num @ powers.reshape(top + 1, -1)).reshape(-1, rho.size)
-    # half^d by repeated products: numpy's pow of a negative base rounds
-    # differently below and above its SIMD batch size
-    half_pw = np.ones((plan.adj_deg.max() + 1, rho.size))
-    for d in range(1, len(half_pw)):
-        np.multiply(half_pw[d - 1], half, out=half_pw[d])
+        poly[i, 1:] += step[:-1]
+    composed = (plan.adj_num @ powers.reshape(top + 1, -1)).reshape(
+        plan.adj_num.shape[0] * (2 * top + 2), rho.size)
+    # half^d by repeated products, one sequential product along d: numpy's
+    # pow of a negative base rounds differently below and above its SIMD
+    # batch size
+    half_pw = np.empty((plan.adj_deg.max() + 1, rho.size))
+    half_pw[0] = 1.0
+    half_pw[1:] = half
+    np.multiply.accumulate(half_pw, axis=0, out=half_pw)
     scale = 1.0 / (plan.adj_lc[:, None] * half_pw[plan.adj_deg])
     num = composed[plan.place] * scale[:, None]
     return AnsatzSpec(num.reshape((plan.n, plan.n, num.shape[1]) + batch),
-                      lab.reshape(lab.shape[:1] + batch), plan.layout, plan.selected_rows)
+                      lab.reshape(lab.shape[:1] + batch), plan.layout, plan.selected_rows,
+                      plan.square_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -671,18 +733,44 @@ class RationalMatrixTau:
     def eval(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=complex)
         t = tau.reshape(-1)
-        val = poly_eval_stack(self.nums, t)                 # (r, c, tau)
-        roots, on = self.den_roots, self.den_on
-        # the masked product of each row's roots, the padding multiplying by
-        # 1.0; slot by slot, as np.prod would take another order for another
-        # number of taus, and every tau must evaluate alike
-        den = np.ones((self.n, t.size), dtype=complex)
-        for x in range(on.shape[1]):
-            den = den * np.where(on[:, x, None], t - roots[:, x, None], 1.0)
-        val = (val / den[:, None]).transpose(2, 0, 1)
-        if self.adjugate:
-            val = _adjugate(val)
+        val = self._values(poly_eval_stack(self.nums, t), t)
         return val.reshape(tau.shape + val.shape[-2:])
+
+    def _values(self, num: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """(tau, n, n): the matrix at the taus t (1-d) from its numerators'
+        values num (r, c, tau) there."""
+        # the masked product of each row's factors (tau - root), the padding
+        # multiplying by 1.0; slot by slot, as np.prod would take another
+        # order for another number of taus, and every tau must evaluate alike
+        factor = np.where(self.den_on[..., None], t - self.den_roots[..., None], 1.0)
+        den = factor[:, 0] if factor.shape[1] else np.ones((self.n, t.size), dtype=complex)
+        for x in range(1, factor.shape[1]):
+            den = den * factor[:, x]
+        val = (num / den[:, None]).transpose(2, 0, 1)
+        return _adjugate(val) if self.adjugate else val
+
+
+def _factor_values(X: RationalMatrixTau, M_minus: RationalMatrixTau, t0: np.ndarray,
+                   width: int):
+    """(X at the taus t0, M_minus at t0[:-1]): eval's values, bitwise, with
+    the numerators of both factors in one Horner pass.  Leading zero
+    coefficients change no value (poly_eval_stack): X's beyond `width`,
+    which are zero, are left out, and M_minus's are padded to one length
+    with zeros.  t0 ends in tau = 0, where M_minus has a pole: it is not
+    divided there."""
+    width = max(width, M_minus.nums.shape[2])
+    nums = np.zeros((2,) + X.nums.shape[:2] + (width,), dtype=complex)
+    nums[0] = X.nums[..., :width]
+    nums[1, ..., :M_minus.nums.shape[2]] = M_minus.nums
+    num = poly_eval_stack(nums, t0)                       # (factor, r, c, tau)
+    return X._values(num[0], t0), M_minus._values(num[1, ..., :-1], t0[:-1])
+
+
+# entry (i, j) of a 3 x 3 adjugate is the cofactor of (j, i): the minor of
+# rows _REST[j] and columns _REST[i], with the sign _COFACTOR_SIGN[i, j]
+_REST = np.array([[1, 2], [0, 2], [0, 1]])
+_MINOR_ROWS, _MINOR_COLS = _REST[None, :, :, None], _REST[:, None, None, :]
+_COFACTOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
 
 
 def _adjugate(a: np.ndarray) -> np.ndarray:
@@ -694,11 +782,9 @@ def _adjugate(a: np.ndarray) -> np.ndarray:
                          np.stack([-a[..., 1, 0], a[..., 0, 0]], axis=-1)], axis=-2)
     if n != 3:
         raise NotImplementedError("adjugate implemented for n <= 3")
-    rest = np.array([[1, 2], [0, 2], [0, 1]])
-    # entry (i, j) is the cofactor of (j, i): rows rest[j], columns rest[i]
-    sub = a[..., rest[None, :, :, None], rest[:, None, None, :]]     # (..., i, j, 2, 2)
+    sub = a[..., _MINOR_ROWS, _MINOR_COLS]                  # (..., i, j, 2, 2)
     minor = sub[..., 0, 0] * sub[..., 1, 1] - sub[..., 0, 1] * sub[..., 1, 0]
-    return minor * np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+    return minor * _COFACTOR_SIGN
 
 
 @dataclass(frozen=True)
@@ -725,14 +811,16 @@ class FactorisationOutcome:
         return self.status is Status.CANONICAL
 
 
-# the candidate check circles of the residual report, in the order tried
+# the candidate check circles of the residual report, in the order tried,
+# and their points as arrays, each followed by tau = 0
 _CHECK_CIRCLES = tuple(tuple(radius * np.exp(2j * np.pi * (k + 0.37) / 12) for k in range(12))
                        for radius in (1.0, 1.17, 0.83, 1.31, 0.67))
-_CHECK_TAUS = np.array(_CHECK_CIRCLES)
+_CHECK_TAUS = np.array([circle + (0j,) for circle in _CHECK_CIRCLES])
 
 
-def _check_taus(poles) -> tuple:
-    """Sample points for residual checks, nudged off every pole in `poles`.
+def _check_circle(poles) -> int:
+    """The check circle for the residual checks, as an index into
+    _CHECK_CIRCLES, nudged off every pole in `poles`.
 
     Pair radii have geometric mean 1, so the unit circle is the natural
     spot-check contour; the radius is bumped when a pole sits too close:
@@ -740,33 +828,38 @@ def _check_taus(poles) -> tuple:
     one farthest off.
     """
     poles = np.asarray(poles, dtype=complex).reshape(-1)
-    gaps = np.min(np.abs(_CHECK_TAUS[:, :, None] - poles), axis=(1, 2), initial=np.inf)
-    clear = gaps > 0.08
-    return _CHECK_CIRCLES[int(np.argmax(clear if clear.any() else gaps))]
+    gaps = []
+    for i, taus in enumerate(_CHECK_TAUS[:, :-1]):
+        gaps.append(np.abs(taus[:, None] - poles).min(initial=np.inf))
+        if gaps[-1] > 0.08:
+            return i
+    return int(np.argmax(gaps))
 
 
-def _residual_report(model: RationalMatrixOmega, pt: SpectralPoint, poles,
+def _residual_report(model: RationalMatrixOmega, pt: SpectralPoint, spec: AnsatzSpec,
                      X: RationalMatrixTau, M_minus: RationalMatrixTau,
                      pole_resid) -> ResidualReport:
-    """Pointwise check of M = M_minus * X and X(0) = I over the check circle.
+    """Pointwise check of M = M_minus * X and X(0) = I over the check circle
+    of the point's roots (spec.roots).
 
     M(tau) comes from the model's omega-entries at omega(tau), the factors
     from the solved columns, so the check is independent of the solve.  At
     the same points det M(tau) = 1 must hold to 1e-8 * max(1, |M|)^n.
     """
-    taus = _check_taus(poles)
-    t = np.array(taus)
+    circle = _check_circle(spec.roots)
+    taus, t0 = _CHECK_CIRCLES[circle], _CHECK_TAUS[circle]
+    t = t0[:-1]
     m_val = model.eval(spectral_map(pt, t)).transpose(2, 0, 1)
-    scale = np.maximum(1.0, np.max(np.abs(m_val), axis=(-2, -1)))
+    scale = np.maximum(1.0, np.abs(m_val).max(axis=(-2, -1)))
     det = np.linalg.det(m_val)
     bad = np.abs(det - 1.0) > 1e-8 * scale ** model.n
-    if np.any(bad):
+    if bad.any():
         k = int(np.argmax(bad))
         raise InvariantViolation(f"det M(omega(tau)) is {det[k]} at tau={taus[k]}")
-    x_val = X.eval(np.append(t, 0.0))                       # the check points and tau = 0
-    resid = np.max(np.abs(m_val - M_minus.eval(t) @ x_val[:-1]), axis=(-2, -1))
-    x0_resid = float(np.max(np.abs(x_val[-1] - np.eye(model.n))))
-    return ResidualReport(float(np.max(resid / scale)), x0_resid, taus, float(pole_resid))
+    x_val, minus_val = _factor_values(X, M_minus, t0, spec.layout.xwidth)   # X also at 0
+    resid = np.abs(m_val - minus_val @ x_val[:-1]).max(axis=(-2, -1))
+    x0_resid = float(np.abs(x_val[-1] - np.eye(model.n)).max())
+    return ResidualReport(float((resid / scale).max()), x0_resid, taus, float(pole_resid))
 
 
 def _factors(spec: AnsatzSpec, sol: np.ndarray):
@@ -788,7 +881,7 @@ def _factors(spec: AnsatzSpec, sol: np.ndarray):
     """
     n, lay, base = spec.n, spec.layout, spec.base_polys
     # NUM_k = sum_j A_kj S_j of every factor column, as a map from sol
-    conv = np.where(lay.gmask, base[:, lay.jcol, lay.gather], 0.0)
+    conv = np.where(lay.gmask, base.reshape(n, -1)[:, lay.gather], 0.0)
     nums = conv @ sol                               # (k, coefficient, column)
     # every NUM_k vanishes to the pole order at each inside pole, relative to
     # the terms of its column before they cancel (coefficient-wise bound,
@@ -798,20 +891,30 @@ def _factors(spec: AnsatzSpec, sol: np.ndarray):
     # (table 0), or at max(1, |root|) (table 1).
     roots = np.asarray(spec.roots, dtype=complex)
     inside = roots[lay.groot]
-    at = np.stack([inside, np.maximum(1.0, np.abs(inside))])
+    size = np.abs(inside)
+    at = np.empty((2,) + inside.shape, dtype=complex)
+    at[0] = inside
+    np.maximum(1.0, size, out=at[1])
     taylor = lay.tcomb * at[:, lay.tgroup, None] ** lay.tpower
-    values = np.einsum("rt,rti->ri", taylor[0], nums[lay.gk[lay.tgroup]])
+    values = np.einsum("rt,rti->ri", taylor[0], nums[lay.tcomp])
     terms = taylor[1].real @ (np.abs(conv) @ np.abs(sol)).max(axis=0)
-    pole_resid = float(np.max(np.abs(values) / np.maximum(terms, 1e-300), initial=0.0))
+    pole_resid = float((np.abs(values) / np.maximum(terms, 1e-300)).max(initial=0.0))
     minus = np.zeros((n, n, lay.cmax), dtype=complex)
     minus[lay.jcol, :, lay.ccol] = sol
     plus = np.zeros((n, n, lay.gather.shape[0]), dtype=complex)
-    num, ks = nums.transpose(1, 0, 2), np.arange(n)        # (coefficient, k, column)
-    for done, keep, group in lay.deflation:
+    # the deflation's quotients (poly_deflate's, bitwise): each root's
+    # recurrence and inverse are taken once, the roots of every position
+    # in one gather; complex from the start, as poly_deflate takes them, so
+    # that a -0.0 keeps its sign
+    small = size <= 1.0
+    inv = reversed_inverses(inside, small)[lay.dgroup]
+    root, small = inside[lay.dgroup, None], small[lay.dgroup]
+    num = np.asarray(nums.transpose(1, 0, 2), dtype=complex)   # (coefficient, k, column)
+    for done, done_k, keep, part in lay.deflation:
         if done.size:       # components whose roots are all divided out
-            plus[ks[done], :, :num.shape[0]] = num[:, done].transpose(1, 2, 0)
-        num, ks = poly_deflate(num[:, keep], inside[group])[0], ks[keep]
-    plus[ks, :, :num.shape[0]] = num.transpose(1, 2, 0)
+            plus[done_k, :, :num.shape[0]] = num[:, done].transpose(1, 2, 0)
+        num = deflate_quotients(num[:, keep], root[part], small[part], inv[part])
+    plus[lay.deflated, :, :num.shape[0]] = num.transpose(1, 2, 0)
     return (RationalMatrixTau(plus, roots[lay.xden], lay.xden >= 0, adjugate=True),
             RationalMatrixTau(minus, roots[lay.pi], lay.pi >= 0), pole_resid)
 
@@ -820,7 +923,7 @@ def _checked_factors(model: RationalMatrixOmega, batch: PointBatch, pt: Spectral
     """(X, M_minus, residual report) of the canonical one-point batch of
     the model's plan at pt."""
     X, M_minus, pole_resid = _factors(batch.spec, batch.solution)
-    return X, M_minus, _residual_report(model, pt, batch.spec.roots, X, M_minus, pole_resid)
+    return X, M_minus, _residual_report(model, pt, batch.spec, X, M_minus, pole_resid)
 
 
 def _d_with_scale(model: RationalMatrixOmega, rho, v, branches=None):
@@ -838,24 +941,28 @@ def _det_with_scale(a: np.ndarray):
     the rows scaled to unit norm (whose LU is well conditioned) and scaled
     back."""
     norms = np.linalg.norm(a, axis=-1)
-    full = np.all(norms > 0, axis=-1)
+    full = (norms > 0).all(axis=-1)
     unit = np.where(full[..., None], norms, 1.0)
-    scale = np.where(full, np.prod(norms, axis=-1), 1.0)
-    return np.linalg.det(a / unit[..., None]) * np.prod(unit, axis=-1), np.maximum(scale, 1e-300)
+    scale = np.where(full, norms.prod(axis=-1), 1.0)
+    return np.linalg.det(a / unit[..., None]) * unit.prod(axis=-1), np.maximum(scale, 1e-300)
 
 
-def _system_residual(A, B, sol):
-    """(max |A sol - B|, scale of the system) over stacked systems;
-    evaluate_points calls sol consistent where the residual is at most 1e-8
-    of the scale."""
-    def largest(x):      # max |x| per system, from squares: one square root per system
+def _system_residual(A, l0, sol):
+    """(max |A sol - B|, scale of the system) over stacked systems, B the
+    right-hand sides of l0 (_assemble_inhomogeneous); evaluate_points calls
+    sol consistent where the residual is at most 1e-8 of the scale."""
+    def largest(x, axes=(-2, -1)):  # max |x| per system, from squares: one square root each
         square = x.real * x.real
         if np.iscomplexobj(x):
             square += x.imag * x.imag
-        return np.sqrt(square.max(axis=(-2, -1)))
+        return np.sqrt(square.max(axis=axes))
 
-    scale = np.maximum(np.maximum(1.0, largest(B)), largest(A) * np.maximum(1.0, largest(sol)))
-    return largest(A @ sol - B), scale
+    # B is zero but for l0: its largest entry is l0's, and subtracting it
+    # touches only the normalisation rows (x - 0 is x)
+    scale = np.maximum(np.maximum(1.0, largest(l0, -1)), largest(A) * np.maximum(1.0, largest(sol)))
+    r = A @ sol
+    _normalisation_diagonal(r)[...] -= l0
+    return largest(r), scale
 
 
 def check_tol(tol: float) -> float:
@@ -880,10 +987,10 @@ def _kernel_dim(a0: np.ndarray, d_hat: np.ndarray, tol: float) -> np.ndarray:
     tol, a trivial kernel, wherever |D-hat| > tol u^(u/2) prod c_j.
     """
     u = a0.shape[-1]
-    _, cols = equilibrate(a0)
-    clear = np.abs(d_hat) > tol * u ** (u / 2) * np.prod(cols, axis=-1)
+    cols = row_scaled(a0)[1]           # equilibrate's column norms, bitwise
+    clear = np.abs(d_hat) > tol * u ** (u / 2) * cols.prod(axis=-1)
     kernel = np.zeros(clear.shape, dtype=int)
-    if not np.all(clear):
+    if not clear.all():
         rest = a0[~clear]
         # a system with a non-finite entry has no SVD: its kernel stays 0 and
         # _evaluate finds no consistent solution there, so it is unresolved
@@ -940,13 +1047,12 @@ def evaluate_points(model: RationalMatrixOmega, rho, v, branches=None,
 
 def _evaluate(spec: AnsatzSpec, tol: float) -> PointBatch:
     """evaluate_points on the plan's spec at its points."""
-    A, B = _assemble_inhomogeneous(spec)
-    n, top = spec.n, A.shape[-2]
-    a0 = A[..., :-n, spec.layout.hom]          # _assemble_homogeneous(spec), entry for entry
+    A, l0 = _assemble_inhomogeneous(spec)
+    a0 = A[..., :-spec.n, spec.layout.hom]          # _assemble_homogeneous(spec), entry for entry
     d_val, d_scale = _det_with_scale(a0[..., spec.selected_rows, :])
-    rows = np.concatenate([spec.selected_rows, np.arange(top - n, top)])
-    sol = _solve_stack(A[..., rows, :], B[..., rows, :])
-    resid, scale = _system_residual(A, B, sol)
+    rows = spec.square_rows
+    sol = _solve_stack(A[..., rows, :], _right_hand_sides(l0, rows.size, A.dtype))
+    resid, scale = _system_residual(A, l0, sol)
     # a finite scale bounds the residual too: inf <= inf must not pass
     return PointBatch(spec, sol, d_val, d_scale, (resid <= 1e-8 * scale) & np.isfinite(scale),
                       _kernel_dim(a0, d_val / d_scale, tol))
@@ -1007,12 +1113,12 @@ def assemble_M(outcome: FactorisationOutcome, check: bool = True) -> np.ndarray:
     m = outcome.M_limit
     if check:
         M_minus = outcome.M_minus
-        pole = np.max(np.abs(M_minus.den_roots[M_minus.den_on]), initial=1.0)
+        pole = np.abs(M_minus.den_roots[M_minus.den_on]).max(initial=1.0)
         taus = pole * np.array([1e4, 1e6])
         vals = M_minus.eval(taus)
         extr = (taus[1] * vals[1] - taus[0] * vals[0]) / (taus[1] - taus[0])
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(extr - m)) > LIMIT_CHECK_REL * scale:
+        scale = max(1.0, float(np.abs(m).max()))
+        if np.abs(extr - m).max() > LIMIT_CHECK_REL * scale:
             raise ArithmeticError(
                 f"limit cross-check failed: |extrapolated - closed form| = "
                 f"{np.max(np.abs(extr - m)):.2e}")

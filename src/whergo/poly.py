@@ -110,7 +110,8 @@ def poly_deflate(c, root) -> tuple[np.ndarray, float]:
     the reversed polynomial at 1/root), chosen per root, which keeps the
     division backward-stable for any root magnitude.  One polynomial runs
     as a stack of one, so that every column of a stack, and every row with
-    its own root, is divided bitwise as it would be alone.
+    its own root, is divided bitwise as it would be alone.  The quotients
+    are deflate_quotients's; the remainder is the recurrence's next step.
     """
     p = np.asarray(c, dtype=complex)
     if p.ndim == 0 or p.size == 0:
@@ -121,39 +122,66 @@ def poly_deflate(c, root) -> tuple[np.ndarray, float]:
     if n < 1:
         return np.zeros((1,) + stack, dtype=complex), np.abs(p[0]).reshape(stack)[()]
     small = np.abs(root[:, 0]) <= 1.0
-    if small.all() or not small.any():      # one recurrence serves every row: no copies
-        q, rem = (_deflate_forward if small.all() else _deflate_reversed)(p, root)
-    else:
-        q, rem = np.empty((n,) + p.shape[1:], dtype=complex), np.empty(p.shape[1:])
-        for recurrence, rows in ((_deflate_forward, small), (_deflate_reversed, ~small)):
-            q[:, rows], rem[rows] = recurrence(p[:, rows], root[rows])
+    inv = reversed_inverses(root[:, 0], small)
+    q = deflate_quotients(p, root, small, inv)
+    rem = np.empty(p.shape[1:])
+    big = ~small
+    rem[small] = np.abs(p[0, small] + q[0, small] * root[small])
+    # the reversed recurrence's final defect is -p(root)/root^(n+1)
+    rem[big] = (np.abs((q[n - 1, big] - p[n, big]) * inv[big])
+                * np.array([abs(complex(r)) ** (n + 1) for r in root[big, 0]]).reshape(-1, 1))
     return q.reshape((n,) + stack), rem.reshape(stack)[()]
 
 
-def _deflate_forward(p, root):
-    """poly_deflate's recurrence for |root| <= 1 on a stack (coefficient,
-    row, column) with one root per row, root (row, 1)."""
-    n = p.shape[0] - 1
-    q = np.empty((n,) + p.shape[1:], dtype=complex)
-    acc = p[n]
-    for k in range(n - 1, -1, -1):
-        q[k] = acc
-        acc = p[k] + acc * root
-    return q, np.abs(acc)
+def reversed_inverses(root: np.ndarray, small: np.ndarray) -> np.ndarray:
+    """1 / root for the roots that the reversed recurrence divides by (not
+    small, |root| > 1), 0 for the others, shape (row, 1): Python's complex
+    division, as numpy's differs from it in the last bit.  A root at 0 is
+    small and gets no inverse."""
+    return np.array([0j if s else 1.0 / complex(r) for r, s in zip(root, small)],
+                    dtype=complex).reshape(-1, 1)
 
 
-def _deflate_reversed(p, root):
-    """poly_deflate's recurrence for |root| > 1, on the reversed coefficients."""
+def deflate_quotients(p: np.ndarray, root: np.ndarray, small: np.ndarray,
+                      inv: np.ndarray) -> np.ndarray:
+    """The quotients of poly_deflate alone, bitwise: p is a complex stack
+    (coefficient, row, column) with one root per row, root (row, 1); small
+    (row,) is |root| <= 1 and inv (row, 1) is reversed_inverses(root,
+    small).  No remainder is formed and nothing is copied where every row
+    takes one recurrence."""
+    if small.all():
+        return _quotients_forward(p, root)
+    if not small.any():
+        return _quotients_reversed(p, inv)
+    q = np.empty((p.shape[0] - 1,) + p.shape[1:], dtype=complex)
+    q[:, small] = _quotients_forward(p[:, small], root[small])
+    q[:, ~small] = _quotients_reversed(p[:, ~small], inv[~small])
+    return q
+
+
+def _quotients_forward(p, root):
+    """The recurrence for |root| <= 1: q_(k-1) = p_k + root q_k from the
+    top coefficient down."""
     n = p.shape[0] - 1
-    # Python's complex division: numpy's differs from it in the last bit
-    inv = np.array([[1.0 / complex(r)] for r in root[:, 0]])
     q = np.empty((n,) + p.shape[1:], dtype=complex)
-    acc = -p[0] * inv
-    for k in range(n):
-        q[k] = acc
-        acc = (q[k] - p[k + 1]) * inv
-    # final defect is -p(root)/root^(n+1)
-    return q, np.abs(acc) * np.array([[abs(complex(r)) ** (n + 1)] for r in root[:, 0]])
+    if n:
+        q[n - 1] = p[n]
+    for k in range(n - 1, 0, -1):
+        np.multiply(q[k], root, out=q[k - 1])
+        q[k - 1] += p[k]
+    return q
+
+
+def _quotients_reversed(p, inv):
+    """The recurrence for |root| > 1 on the reversed coefficients: q_k =
+    (q_(k-1) - p_k) / root from the constant term up, inv = 1 / root."""
+    n = p.shape[0] - 1
+    q = np.empty((n,) + p.shape[1:], dtype=complex)
+    if n:
+        np.multiply(-p[0], inv, out=q[0])
+    for k in range(1, n):
+        np.multiply(q[k - 1] - p[k], inv, out=q[k])
+    return q
 
 
 def newton_polish(c, z, steps: int = 1):
@@ -176,16 +204,22 @@ def newton_polish(c, z, steps: int = 1):
 # ---------------------------------------------------------------------------
 
 
+def row_scaled(A):
+    """(A with its rows scaled to unit 2-norm, the column norms of that),
+    for one matrix (m, u) or a stack (..., m, u); zero rows stay zero."""
+    A = np.asarray(A)
+    rows = np.linalg.norm(A, axis=-1, keepdims=True)
+    A = A / np.where(rows > 0, rows, 1.0)
+    return A, np.linalg.norm(A, axis=-2)
+
+
 def equilibrate(A):
     """(A with its rows and then its columns scaled to unit 2-norm, the
     column norms of the row-scaled A), for one matrix (m, u) or a stack
     (..., m, u).  Zero rows and columns stay zero (van der Sluis 1969:
     this scaling takes the condition number to within a factor sqrt(u) of
     its minimum over all column scalings)."""
-    A = np.asarray(A)
-    rows = np.linalg.norm(A, axis=-1, keepdims=True)
-    A = A / np.where(rows > 0, rows, 1.0)
-    cols = np.linalg.norm(A, axis=-2)
+    A, cols = row_scaled(A)
     return A / np.where(cols > 0, cols, 1.0)[..., None, :], cols
 
 

@@ -256,6 +256,22 @@ def test_den_roots_are_the_reference_roots_bitwise(builder, m, a):
             assert _bits(e.den_roots) == _bits(want)
 
 
+def test_make_model_finds_each_denominators_roots_once(monkeypatch):
+    # the entries share their denominators: Kerr has 4 entries over 1, mp5d
+    # 4 over 1, mvc5d 7 over 3; each is root-found and polished once a build
+    calls = []
+    real = catalog._polished_roots
+
+    def counted(p):
+        calls.append(_bits(p))
+        return real(p)
+    monkeypatch.setattr(catalog, "_polished_roots", counted)
+    for builder, distinct in ((model_kerr, 1), (model_mp5d, 1), (model_mvc5d, 3)):
+        calls.clear()
+        builder(2.0, 1.0)
+        assert len(calls) == len(set(calls)) == distinct
+
+
 def _plan_bits(model):
     plan = engine._plan_for(model, model.default_branches)
     fields = [(f.name, getattr(plan, f.name)) for f in dataclasses.fields(plan)

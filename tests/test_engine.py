@@ -44,6 +44,7 @@ from whergo.engine import (
 )
 from whergo.errors import InvariantViolation, NonSquareSystem, NotCanonical
 from whergo.poly import (
+    equilibrate,
     numerical_nullity,
     poly_deflate,
     poly_eval,
@@ -692,9 +693,16 @@ def test_index_balance(kerr, mp5d, mvc5d):
         assert u - numerical_nullity(a0) == u  # full column rank off-curve
 
 
+def _full_system(spec):
+    """(A, B) of the full system: B, one right-hand side per factor column,
+    holds l0 in the normalisation rows."""
+    A, l0 = _assemble_inhomogeneous(spec)
+    return A, engine._right_hand_sides(l0, A.shape[-2], A.dtype)
+
+
 def test_uniqueness_probe(mvc5d, rng):
     spec = _plan_spec_at(mvc5d, 1.4, 0.2)
-    A, B = _assemble_inhomogeneous(spec)
+    A, B = _full_system(spec)
     sol, *_ = np.linalg.lstsq(A, B, rcond=None)
     assert np.max(np.abs(A @ sol - B)) <= 1e-9 * max(1.0, np.max(np.abs(B)))
     for _ in range(5):
@@ -895,7 +903,7 @@ def test_plan_matches_build_ansatz(name, branches, kerr, mp5d, mvc5d):
     for rho, v in points + list(engine._REFERENCE_POINTS):
         ref = _reference_system(model, rho, v, branches)
         plan = engine._plan_spec(engine._plan_for(model, branches), rho, v)
-        want, got = (np.hstack(_assemble_inhomogeneous(s)) for s in (ref, plan))
+        want, got = (np.hstack(_full_system(s)) for s in (ref, plan))
         assert got.shape == want.shape
         norms = np.linalg.norm(want, axis=1)
         top = np.max(norms, initial=0.0)
@@ -1087,13 +1095,13 @@ def test_check_taus_falls_back_to_the_farthest_radius():
     first = np.exp(2j * np.pi * 0.37 / 12)            # angle of the first sample
     gaps = {1.0: 0.01, 1.17: 0.05, 0.83: 0.02, 1.31: 0.03, 0.67: 0.04}
     poles = np.array([(r + g) * first for r, g in gaps.items()])
-    taus = engine._check_taus(poles)
+    taus = engine._CHECK_CIRCLES[engine._check_circle(poles)]
     assert np.allclose(np.abs(taus), 1.17)
-    assert taus == engine._check_taus(poles)
+    assert taus == engine._CHECK_CIRCLES[engine._check_circle(poles)]
 
 
 def _check_taus_loop(poles, count=12):
-    """The check circle tried one radius at a time: the rule _check_taus
+    """The check circle tried one radius at a time: the rule _check_circle
     applies to its module constants."""
     poles = np.asarray(poles, dtype=complex).reshape(-1)
     best, best_gap = None, -1.0
@@ -1402,10 +1410,10 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
             monkeypatch.setattr(module, name, forbidden)
         deflations = []
 
-        def deflate(c, root, _real=engine.poly_deflate):
+        def deflate(p, root, small, inv, _real=engine.deflate_quotients):
             deflations.append(np.shape(root))
-            return _real(c, root)
-        monkeypatch.setattr(engine, "poly_deflate", deflate)
+            return _real(p, root, small, inv)
+        monkeypatch.setattr(engine, "deflate_quotients", deflate)
         out = factorise(model, *canonical)
         assert out.canonical and out.residual_report.factorisation <= 1e-9
         assemble_M(out, check=True)
@@ -1422,3 +1430,108 @@ def test_residual_report_checks_det_m_at_the_check_points(kerr, monkeypatch):
     monkeypatch.setattr(type(kerr), "eval", lambda self, w: 1.001 * real_eval(self, w))
     with pytest.raises(InvariantViolation):
         factorise(kerr, 2.1, 0.6)
+
+
+# ---------------------------------------------------------------------------
+# the compiled one-point tables against the per-call arithmetic they replace
+# ---------------------------------------------------------------------------
+
+TABLE_CASES = [(builder, branches, m, a)
+               for builder, branches in ((model_kerr, None), (model_kerr, ("plus", "minus")),
+                                         (model_mp5d, None), (model_mvc5d, None))
+               for m, a in ((2.0, 1.0), (5.0, 1.7))]
+
+
+def _the_300_draws():
+    rng = np.random.default_rng(1)
+    rho = 10.0 ** rng.uniform(-3.0, np.log10(20.0), 300)
+    return rho, rng.uniform(-4.0, 4.0, 300)
+
+
+def _per_call_system(spec):
+    """(normalisation rows, l0, B) as the assembly built them at every call
+    before the layout compiled its tables: index arithmetic on m0 and ccol,
+    the roots extended by a row of ones, and a zero B filled by fancy index."""
+    lay, n = spec.layout, spec.n
+    base = engine._flat(spec.base_polys, 3)
+    idx = lay.m0[:, None] - lay.ccol
+    norm = (base[np.arange(n)[:, None], lay.jcol, np.clip(idx, 0, base.shape[2] - 1)]
+            * ((idx >= 0) & (idx < base.shape[2]))[..., None])
+    roots = engine._flat(spec.roots, 1)
+    l0 = np.prod(np.concatenate([-roots, np.ones((1, roots.shape[1]))])[lay.l0], axis=1)
+    rows = lay.cell.shape[0] + n
+    B = np.zeros(spec.batch + (rows, n), dtype=np.result_type(base, roots))
+    B[..., rows - n + np.arange(n), np.arange(n)] = l0.T.reshape(spec.batch + (n,))
+    return engine._batch_first(norm, spec.batch), l0.T.reshape(spec.batch + (n,)), B
+
+
+def _per_call_residual(A, B, sol):
+    """_system_residual as it read the full B."""
+    def largest(x):
+        square = x.real * x.real
+        if np.iscomplexobj(x):
+            square += x.imag * x.imag
+        return np.sqrt(square.max(axis=(-2, -1)))
+    scale = np.maximum(np.maximum(1.0, largest(B)), largest(A) * np.maximum(1.0, largest(sol)))
+    return largest(A @ sol - B), scale
+
+
+@pytest.mark.parametrize("builder, branches, m, a", TABLE_CASES)
+def test_compiled_tables_are_the_per_call_arithmetic_bitwise(builder, branches, m, a):
+    # the normalisation gather and mask, the l0 table, the square-system row
+    # order, the right-hand sides and the residual read from l0 reproduce
+    # the arithmetic they replace bit for bit, at the 300 draws as one batch
+    # and at single points; the column norms of _kernel_dim are
+    # equilibrate's
+    model = builder(m, a)
+    plan = engine._plan_for(model, branches)
+    rho, v = _the_300_draws()
+    for at in [(rho, v)] + [(rho[i], v[i]) for i in range(0, 300, 30)]:
+        spec = engine._plan_spec(plan, *at)
+        n = spec.n
+        A, l0 = _assemble_inhomogeneous(spec)
+        norm, want_l0, B = _per_call_system(spec)
+        assert A[..., -n:, :].tobytes() == norm.tobytes()
+        assert l0.tobytes() == want_l0.tobytes()
+        top = A.shape[-2]
+        assert np.array_equal(plan.square_rows,
+                              np.concatenate([plan.selected_rows, np.arange(top - n, top)]))
+        rows = plan.square_rows
+        assert (engine._right_hand_sides(l0, rows.size, A.dtype).tobytes()
+                == B[..., rows, :].tobytes())
+        sol = engine._evaluate(spec, 1e-9).solution
+        assert all(x.tobytes() == y.tobytes() for x, y in
+                   zip(engine._system_residual(A, l0, sol), _per_call_residual(A, B, sol)))
+        a0 = A[..., :-n, spec.layout.hom]
+        assert engine.row_scaled(a0)[1].tobytes() == equilibrate(a0)[1].tobytes()
+
+
+@pytest.mark.parametrize("name", ["kerr", "mp5d", "mvc5d", "chain"])
+def test_factor_values_are_the_factors_evals_bitwise(name, kerr, mp5d, mvc5d):
+    # the residual report's one Horner pass over both factors (X trimmed to
+    # the coefficients the deflation can leave non-zero, M_minus padded)
+    # gives X.eval at the check points and tau = 0 and M_minus.eval at the
+    # check points, bit for bit
+    model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
+    for rho, v, out in _canonical_draws(model, 12, seed=64):
+        spec = engine._plan_spec(engine._plan_for(model), rho, v)
+        t0 = engine._CHECK_TAUS[engine._check_circle(spec.roots)]
+        assert np.all(out.X.nums[..., spec.layout.xwidth:] == 0.0)
+        x_val, minus_val = engine._factor_values(out.X, out.M_minus, t0, spec.layout.xwidth)
+        assert x_val.tobytes() == out.X.eval(t0).tobytes()
+        assert minus_val.tobytes() == out.M_minus.eval(t0[:-1]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_an_empty_batch_is_an_empty_point_batch(shape, kerr, mp5d, mvc5d):
+    # no points: every field of the batch, and the tracer's D and scale,
+    # carry the input's batch shape
+    for model in (kerr, mp5d, mvc5d):
+        rho, v = np.ones(shape), np.zeros(shape)
+        batch = evaluate_points(model, rho, v)
+        assert (batch.D_value.shape == batch.D_scale.shape == batch.kernel_dim.shape
+                == batch.consistent.shape == batch.canonical.shape == shape)
+        assert batch.M_limit.shape == shape + (model.n, model.n)
+        d, scale = _d_with_scale(model, rho, v)
+        assert d.shape == scale.shape == shape
+    assert evaluate_points(kerr, [], []).D_value.shape == (0,)

@@ -64,3 +64,29 @@ def test_vieta_suite_checks_the_engine_pairs(monkeypatch):
         return lab
     monkeypatch.setattr(engine, "_label_values", wrong_outside)
     assert not run_suites(["vieta"])[0].passed
+
+
+def test_residual_suite_gates_pole_cancellation(monkeypatch):
+    # a canonical answer whose pole cancellation misses 1e-9 fails the
+    # residual suite, like one that misses the factorisation or X(0) gate
+    assert run_suites(["residual"])[0].passed
+    real = engine.factorise
+
+    def leaky(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if not out.canonical:
+            return out
+        report = dataclasses.replace(out.residual_report, pole_cancellation=1e-8)
+        return dataclasses.replace(out, residual_report=report)
+    monkeypatch.setattr(engine, "factorise", leaky)
+    (result,) = run_suites(["residual"])
+    assert not result.passed and result.residual == 1e-8
+
+
+def test_roundtrip_suite_skips_answers_that_are_not_canonical(monkeypatch):
+    # an answer without M has nothing to rebuild: the suite skips it, as
+    # the sigma suite does
+    monkeypatch.setattr(engine, "factorise", lambda *args, **kwargs: engine.FactorisationOutcome(
+        engine.Status.DEGENERATE, 0j, 1.0, 1))
+    (result,) = run_suites(["roundtrip"])
+    assert result.passed and result.residual == 0.0

@@ -10,6 +10,8 @@ from tau_route import DegenerateCoefficient, FactoredRational, poly_add, poly_sc
 from whergo.poly import (
     TRIM_REL,
     as_poly,
+    deflate_quotients,
+    equilibrate,
     newton_polish,
     numerical_nullity,
     poly_deflate,
@@ -20,6 +22,8 @@ from whergo.poly import (
     poly_is_zero,
     poly_mul,
     poly_trim,
+    reversed_inverses,
+    row_scaled,
 )
 
 # q4 of the Kerr composition at rho=1, v=0, c=sqrt(3): hand-expanded
@@ -152,6 +156,47 @@ def test_deflate_rows_with_their_own_roots_are_the_row_calls_bitwise():
         for j in range(3):
             want_q, want_rem = _deflate_reference(p[:, i, j], root)
             assert np.array_equal(q[:, i, j], want_q) and rem[i, j] == want_rem
+
+
+@pytest.mark.parametrize("roots", [
+    [0.6 - 0.3j, -0.9, 0.25, 1.0],
+    [1.1 + 0.9j, -40.0, 3.0, -1.5j],
+    [0.6 - 0.3j, 1.1 + 0.9j, -0.9, -40.0],
+    [0.0, 2.5 + 1.5j, 0.0, -0.5],
+], ids=["forward", "reversed", "mixed", "zero-root"])
+def test_deflate_quotients_are_poly_deflate_bitwise(roots):
+    # the quotient-only recurrence, given each root's recurrence and inverse
+    # once, gives poly_deflate's quotients bit for bit (a -0.0 keeps its
+    # sign), on every row the recurrence of that row alone; a root at 0 is
+    # forward and gets no inverse
+    rng = np.random.default_rng(9)
+    p = rng.normal(size=(7, 4, 3)) + 1j * rng.normal(size=(7, 4, 3))
+    p[-1, :, 0] = -0.0
+    p[2, 1, 1] = complex(-0.0, -0.0)
+    root = np.array(roots, dtype=complex).reshape(-1, 1)
+    small = np.abs(root[:, 0]) <= 1.0
+    inv = reversed_inverses(root[:, 0], small)
+    assert np.all(inv[small] == 0.0)
+    q = deflate_quotients(p, root, small, inv)
+    assert q.shape == (6, 4, 3)
+    assert q.tobytes() == poly_deflate(p, root[:, 0])[0].tobytes()
+    for i, r in enumerate(roots):
+        for j in range(3):
+            assert q[:, i, j].tobytes() == _deflate_reference(p[:, i, j], r)[0].tobytes()
+
+
+def test_row_scaled_column_norms_are_equilibrate_s_bitwise():
+    # _kernel_dim reads the column norms of the row-scaled system alone:
+    # they are equilibrate's, and the norms of the rows scaled as it scales
+    # them, for one matrix and a stack, real and complex, zero rows included
+    rng = np.random.default_rng(10)
+    for a in (rng.normal(size=(9, 4)), rng.normal(size=(5, 9, 4)) + 1j * rng.normal(size=(5, 9, 4))):
+        a[..., 3, :] = 0.0
+        rows = np.linalg.norm(a, axis=-1, keepdims=True)
+        want = np.linalg.norm(a / np.where(rows > 0, rows, 1.0), axis=-2)
+        scaled, cols = row_scaled(a)
+        assert cols.tobytes() == equilibrate(a)[1].tobytes() == want.tobytes()
+        assert scaled.tobytes() == (a / np.where(rows > 0, rows, 1.0)).tobytes()
 
 
 def test_quadratic_roots_symmetric_pair():

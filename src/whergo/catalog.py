@@ -149,8 +149,12 @@ def make_model(entries, eta=None, params=None, model_id="custom",
                omega_poles=None, default_branches=None) -> RationalMatrixOmega:
     """Build and validate a RationalMatrixOmega from nested RationalEntry data.
 
-    omega_poles, if given, must be exactly the poles of M, each named once."""
+    The entries are n x n with n 2 or 3; omega_poles, if given, must be
+    exactly the poles of M, each named once."""
     n = len(entries)
+    if n not in (2, 3) or any(len(row) != n for row in entries):
+        raise InvariantViolation(f"model {model_id} needs 2 x 2 or 3 x 3 entries, got rows "
+                                 f"of lengths {[len(row) for row in entries]}")
     found_roots = {}        # the polished roots of each distinct denominator, by its bytes
 
     def roots_of(den):
@@ -375,7 +379,7 @@ def model_from_dict(doc: dict, model_id="json") -> RationalMatrixOmega:
                       params=params, model_id=model_id)
 
 
-def _cancel_shared_roots(num, den, roots_of, rel=1e-12):
+def _cancel_shared_roots(num, den, roots_of):
     """Cancel exactly-shared linear factors between num and den.
 
     Returns (num, den, roots): the trimmed reduced pair and den's polished
@@ -390,10 +394,10 @@ def _cancel_shared_roots(num, den, roots_of, rel=1e-12):
         top = np.abs(num).max()
         deg = max(poly_degree(num), 0)
         r = next((r for r in roots
-                  if abs(poly_eval(num, r)) <= rel * (top * max(1.0, abs(r)) ** deg)), None)
+                  if abs(poly_eval(num, r)) <= 1e-12 * (top * max(1.0, abs(r)) ** deg)), None)
         if r is None:
             return num, den, roots
-        num, den = (poly_trim(poly_deflate(p, r)[0]) for p in (num, den))
+        num, den = (poly_trim(poly_deflate(p, r)) for p in (num, den))
     return num, den, ()
 
 

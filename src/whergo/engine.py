@@ -277,9 +277,8 @@ def _row_layout(width: int, pi, lk, groups, extras: np.ndarray) -> _RowLayout:
     shift = t[:, None] - ccol
     m0 = np.array([ls.count(0) for ls in lk])
     norm = m0[:, None] - ccol
-    comb = [np.ones(t.size)]                     # C(t, o), by the recurrence in o
-    for o in range(order - 1):
-        comb.append(comb[-1] * (t - o) / (o + 1))
+    # C(t, o), zero for t < o: the binomials of tweight and tcomb alike
+    comb = np.array([[math.comb(x, o) for x in t] for o in range(order)], dtype=float)
     # the roots of component k in deflation order, one group index per root
     seq = [[g for g, (kg, _, m) in enumerate(conds) if kg == k for _ in range(m)]
            for k in range(n)]
@@ -303,14 +302,12 @@ def _row_layout(width: int, pi, lk, groups, extras: np.ndarray) -> _RowLayout:
         (np.arange(n)[:, None] * n + jcol) * span + np.clip(norm, 0, span - 1),
         ((norm >= 0) & (norm < span))[..., None],
         (extras >= 0)[..., None],
-        c.size, np.maximum(c - i, 0),
-        np.array([[math.comb(cc, ii) if cc >= ii else 0.0 for cc in c]
-                  for ii in range(order)])[..., None],
+        c.size, np.maximum(c - i, 0), comb[:, :c.size, None],
         np.where(i.T <= i, i - i.T, order), max(widths),
         ((g_r * n + jcol) * order + o_r) * max(widths) + ccol,
         jcol * span + np.clip(shift, 0, span - 1), (shift >= 0) & (shift < span),
         g_r[:, 0],
-        np.maximum(t - o_r, 0), np.array(comb)[o_r[:, 0]],
+        np.maximum(t - o_r, 0), comb[o_r[:, 0]],
         np.array([k for k, _, _ in conds], dtype=int)[g_r[:, 0]],
         tuple(deflation), np.array(dgroup, dtype=int), active,
         t.size - min(map(len, seq), default=0))
@@ -470,10 +467,9 @@ def _plan_for(model: RationalMatrixOmega, branches=None) -> AnsatzPlan:
     same plan, and so the same D rows, then serves every other point, so
     D(rho, v) is a continuous determinant.
     """
-    branches = model.default_branches if branches is None else tuple(branches)
+    branches = _check_branches(model, branches)
     plan = model.plans.get(branches)
     if plan is None:
-        _check_branches(model, branches)
         adj = _omega_adjugate(model)
         last_exc = None
         for rho_ref, v_ref in _REFERENCE_POINTS:
@@ -503,8 +499,6 @@ def _omega_adjugate(model: RationalMatrixOmega):
     times max(1, |omega_poles[p]|)^degree.
     """
     n, poles = model.n, model.omega_poles
-    if n not in (2, 3):
-        raise NotImplementedError("adjugate implemented for n <= 3")
 
     def read(e):
         labels = Counter({0: max(poly_degree(e.num) - poly_degree(e.den), 0)})
@@ -533,7 +527,7 @@ def _omega_adjugate(model: RationalMatrixOmega):
         for p in (lab // 2 for lab in labels.elements() if lab % 2):
             scale = np.abs(num).max() * max(1.0, abs(poles[p])) ** max(num.size - 1, 0)
             if abs(poly_eval(num, poles[p])) <= 1e-9 * scale:
-                num = poly_deflate(num, poles[p])[0]
+                num = poly_deflate(num, poles[p])
             else:
                 kept.append(p)
         return poly_trim(num), lc, labels, kept
@@ -776,12 +770,9 @@ _COFACTOR_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]
 def _adjugate(a: np.ndarray) -> np.ndarray:
     """Adjugate of stacked n x n matrices (..., n, n), n = 2 or 3, from the
     cofactors."""
-    n = a.shape[-1]
-    if n == 2:
+    if a.shape[-1] == 2:
         return np.stack([np.stack([a[..., 1, 1], -a[..., 0, 1]], axis=-1),
                          np.stack([-a[..., 1, 0], a[..., 0, 0]], axis=-1)], axis=-2)
-    if n != 3:
-        raise NotImplementedError("adjugate implemented for n <= 3")
     sub = a[..., _MINOR_ROWS, _MINOR_COLS]                  # (..., i, j, 2, 2)
     minor = sub[..., 0, 0] * sub[..., 1, 1] - sub[..., 0, 1] * sub[..., 1, 0]
     return minor * _COFACTOR_SIGN

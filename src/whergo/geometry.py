@@ -180,24 +180,11 @@ def closed_form_curve_weyl(model_id: str, params: dict, ys) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def bl_from_prolate_4d(u: float, y: float, m: float) -> tuple[float, float]:
-    """u = r - m, y = cos(theta)."""
-    if not (-1.0 <= y <= 1.0):
-        raise OutOfChart(f"y = {y} outside [-1, 1]")
-    return u + m, float(np.arccos(y))
-
-
 def spherical_from_prolate_5d(u: float, y: float, alpha: float) -> tuple[float, float]:
     """r^2 = 2 alpha (u + 1), 2 cos^2(theta) = y + 1."""
     if u < -1.0 or not (-1.0 <= y <= 1.0):
         raise OutOfChart(f"(u, y) = ({u}, {y}) outside chart")
     return float(np.sqrt(2.0 * alpha * (u + 1.0))), float(np.arccos(np.sqrt((y + 1.0) / 2.0)))
-
-
-def kerr_gtt_bl(r: float, theta: float, m: float, a: float) -> float:
-    """Kerr g_tt in Boyer-Lindquist coordinates."""
-    c2 = np.cos(theta) ** 2
-    return -(r * r - 2.0 * m * r + a * a * c2) / (r * r + a * a * c2)
 
 
 def mp_gtt_spherical(r: float, theta: float, m: float, a: float) -> float:
@@ -514,11 +501,6 @@ def _directed_hausdorff(p, q, skip_overhang: bool = False):
             continue  # x projects beyond the target's parameter range
         worst = max(worst, d)
     return worst
-
-
-def polyline_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two polylines (point-to-segment)."""
-    return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
 
 
 def curve_match_distance(traced: np.ndarray, oracle: np.ndarray,

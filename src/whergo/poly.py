@@ -28,21 +28,21 @@ def as_poly(c) -> np.ndarray:
     return a
 
 
-def _trimmed_size(p: np.ndarray, rel: float = TRIM_REL) -> int:
+def _trimmed_size(p: np.ndarray) -> int:
     """Number of coefficients of p that poly_trim keeps, 0 where p is
     identically zero."""
     scale = np.abs(p).max()
     if scale == 0.0:
         return 0
     k = p.size - 1
-    while k > 0 and abs(p[k]) <= rel * scale:
+    while k > 0 and abs(p[k]) <= TRIM_REL * scale:
         k -= 1
     return k + 1
 
 
-def poly_trim(c, rel: float = TRIM_REL) -> np.ndarray:
+def poly_trim(c) -> np.ndarray:
     p = as_poly(c)
-    k = _trimmed_size(p, rel)
+    k = _trimmed_size(p)
     return p[:k].copy() if k else np.zeros(1, dtype=complex)
 
 
@@ -98,39 +98,19 @@ def poly_from_roots(roots, lc=1.0) -> np.ndarray:
     return p
 
 
-def poly_deflate(c, root) -> tuple[np.ndarray, float]:
-    """Synthetic division by (tau - root); returns (quotient, |remainder|).
-
-    c is one polynomial or a stack of them with the coefficients on axis 0
-    (the quotients then share that layout, the remainders the trailing
-    shape).  root is one root for the whole stack, or an array of roots, one
-    per row of the stack: root.shape leads the stack's shape, and each root
-    divides the polynomials of its row.  Forward recurrence for |root| <= 1,
-    reversed-coefficient recurrence for |root| > 1 (equivalent to deflating
-    the reversed polynomial at 1/root), chosen per root, which keeps the
-    division backward-stable for any root magnitude.  One polynomial runs
-    as a stack of one, so that every column of a stack, and every row with
-    its own root, is divided bitwise as it would be alone.  The quotients
-    are deflate_quotients's; the remainder is the recurrence's next step.
-    """
-    p = np.asarray(c, dtype=complex)
-    if p.ndim == 0 or p.size == 0:
-        p = as_poly(p)
-    stack, n = p.shape[1:], p.shape[0] - 1
-    root = np.asarray(root, dtype=complex).reshape(-1, 1)
-    p = np.ascontiguousarray(p.reshape(n + 1, root.shape[0], -1))    # (coefficient, row, column)
-    if n < 1:
-        return np.zeros((1,) + stack, dtype=complex), np.abs(p[0]).reshape(stack)[()]
+def poly_deflate(c, root) -> np.ndarray:
+    """The quotient of one polynomial c by (tau - root), [0] where c is a
+    constant; no remainder is formed.  The forward recurrence for |root| <=
+    1, the reversed-coefficient one for |root| > 1 (deflating the reversed
+    polynomial at 1/root), keep it backward-stable for any root magnitude:
+    deflate_quotients on a stack of one, bitwise a stack row's quotient."""
+    p = as_poly(c)
+    if p.size < 2:
+        return np.zeros(1, dtype=complex)
+    root = np.array([[complex(root)]])
     small = np.abs(root[:, 0]) <= 1.0
-    inv = reversed_inverses(root[:, 0], small)
-    q = deflate_quotients(p, root, small, inv)
-    rem = np.empty(p.shape[1:])
-    big = ~small
-    rem[small] = np.abs(p[0, small] + q[0, small] * root[small])
-    # the reversed recurrence's final defect is -p(root)/root^(n+1)
-    rem[big] = (np.abs((q[n - 1, big] - p[n, big]) * inv[big])
-                * np.array([abs(complex(r)) ** (n + 1) for r in root[big, 0]]).reshape(-1, 1))
-    return q.reshape((n,) + stack), rem.reshape(stack)[()]
+    return deflate_quotients(p.reshape(-1, 1, 1), root, small,
+                             reversed_inverses(root[:, 0], small)).reshape(-1)
 
 
 def reversed_inverses(root: np.ndarray, small: np.ndarray) -> np.ndarray:
@@ -144,11 +124,11 @@ def reversed_inverses(root: np.ndarray, small: np.ndarray) -> np.ndarray:
 
 def deflate_quotients(p: np.ndarray, root: np.ndarray, small: np.ndarray,
                       inv: np.ndarray) -> np.ndarray:
-    """The quotients of poly_deflate alone, bitwise: p is a complex stack
-    (coefficient, row, column) with one root per row, root (row, 1); small
-    (row,) is |root| <= 1 and inv (row, 1) is reversed_inverses(root,
-    small).  No remainder is formed and nothing is copied where every row
-    takes one recurrence."""
+    """The quotients of a complex stack p (coefficient, row, column)
+    divided by (tau - root), each row by its own root, root (row, 1), on
+    poly_deflate's recurrence for it: small (row,) is |root| <= 1 and inv
+    (row, 1) is reversed_inverses(root, small).  No remainder is formed and
+    nothing is copied where every row takes one recurrence."""
     if small.all():
         return _quotients_forward(p, root)
     if not small.any():

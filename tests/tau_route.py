@@ -113,7 +113,7 @@ class FactoredRational:
         for r in self.den_roots:
             scale = np.abs(num).max() * max(1.0, abs(r)) ** max(num.size - 1, 0)
             if abs(poly_eval(num, r)) <= rel * scale:
-                num, _ = poly_deflate(num, r)
+                num = poly_deflate(num, r)
             else:
                 keep.append(r)
         return FactoredRational(poly_trim(num), self.den_lc, tuple(keep))

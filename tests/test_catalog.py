@@ -410,3 +410,17 @@ def test_degree_bookkeeping_max_rule(kerr, rng):
     dt = mono.degree_table
     assert 2 * dt.n == max(dt.k11 + dt.k22, 2 * dt.k12)
     assert np.allclose(mono.q2n[-1].real, (1.7 / 2.0) ** 2)  # lc(q) (-rho/2)^n
+
+
+@pytest.mark.parametrize("build", [
+    lambda: model_identity(1),
+    lambda: model_identity(4),
+    lambda: make_model([[([1.0], [1.0]), ([0.0], [1.0])], [([1.0], [1.0])]]),
+    lambda: make_model([[([1.0], [1.0]), ([0.0], [1.0]), ([0.0], [1.0])],
+                        [([0.0], [1.0]), ([1.0], [1.0])]]),
+], ids=["1x1", "4x4", "ragged-2", "ragged-3"])
+def test_make_model_refuses_a_shape_other_than_2x2_or_3x3(build):
+    # the engine factorises 2 x 2 and 3 x 3 models only: any other shape,
+    # ragged rows included, is refused at build as a library error
+    with pytest.raises(InvariantViolation, match="2 x 2 or 3 x 3"):
+        build()

@@ -475,6 +475,45 @@ def test_far_and_near_axis_points_pass_every_gate(name, rho, v, kerr, mp5d, mvc5
         assert np.max(np.abs(m - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+# Known wrong answers, one strict xfail per point: each flips alone, and
+# fails the suite, the day its ROADMAP item mends it.
+def _known_wrong(items, what):
+    return pytest.mark.xfail(strict=True, reason=f"ROADMAP {items}: {what}")
+
+
+_ROD_END = "CANONICAL with factors that miss their gates at the horizon-rod end"
+
+
+@pytest.mark.parametrize("rho, v", [
+    # factorisation residual 2.0e-7, |X(0) - I| 2.2e-6
+    pytest.param(1e-4, np.sqrt(3.0), marks=_known_wrong("items 1 and 3", _ROD_END)),
+    # |X(0) - I| 1.5e3
+    pytest.param(1e-4, -np.sqrt(3.0), marks=_known_wrong("items 1 and 3", _ROD_END)),
+    # factorisation residual 4.2e-3, |X(0) - I| 1.8e-2
+    pytest.param(1e-6, np.sqrt(3.0), marks=_known_wrong("items 1 and 3", _ROD_END)),
+    # factorisation residual 4.5e-3, |X(0) - I| 1.3e9
+    pytest.param(1e-6, -np.sqrt(3.0), marks=_known_wrong("items 1 and 3", _ROD_END)),
+])
+def test_kerr_near_the_rod_ends_is_canonical_only_within_its_gates(kerr, rho, v):
+    out = factorise(kerr, rho, v)
+    assert out.canonical
+    _assert_gates(out)
+
+
+_FAR_OUT = "DEGENERATE far out along v, where the closed form is regular"
+
+
+@pytest.mark.parametrize("name, rho, v", [
+    pytest.param("kerr", 1.0, 1e12, marks=_known_wrong("item 9", _FAR_OUT)),
+    pytest.param("kerr", 1.0, 1e14, marks=_known_wrong("item 9", _FAR_OUT)),
+    pytest.param("mp5d", 1.0, 1e10, marks=_known_wrong("item 9", _FAR_OUT)),
+    pytest.param("mp5d", 1.0, 1e12, marks=_known_wrong("item 9", _FAR_OUT)),
+])
+def test_far_out_points_are_not_degenerate(name, rho, v, kerr, mp5d):
+    out = factorise({"kerr": kerr, "mp5d": mp5d}[name], rho, v)
+    assert out.status is not Status.DEGENERATE
+
+
 @pytest.mark.parametrize("a", [0.0, 0.001, 0.002, 0.005, 0.01, 0.1, 0.5, 1.9])
 def test_mp5d_matches_its_closed_form_down_to_a_zero(a):
     # the rotation family at m = 2 down to the 5D Schwarzschild-Tangherlini
@@ -1167,7 +1206,7 @@ def _den_rows(factor):
 
 def _factors_loop(spec, sol, lists):
     """_factors with the Taylor rows built one root at a time and NUM_k
-    deflated one component and one root at a time, and with X's row
+    deflated one component, one column and one root at a time, and with X's row
     denominators L_k's roots (lists: _root_lists's) with each inside root
     removed from them in turn; returns (X numerators, X row denominators,
     M_minus numerators, pole_resid)."""
@@ -1188,12 +1227,12 @@ def _factors_loop(spec, sol, lists):
     plus = np.zeros((n, n, shift.shape[0]), dtype=complex)
     den_plus = []
     for k, groups in enumerate(inside_groups):
-        num, den = nums[k], list(lk_roots[k])
+        cols, den = list(nums[k].T), list(lk_roots[k])
         for root, mult in groups:
             for _ in range(mult):
-                num, _ = poly_deflate(num, root)
+                cols = [poly_deflate(c, root) for c in cols]
                 den.remove(root)
-        plus[k, :, :num.shape[0]] = num.T
+        plus[k, :, :cols[0].size] = cols
         den_plus.append(tuple(den))
     return plus, tuple(den_plus), minus, pole_resid
 
@@ -1283,7 +1322,7 @@ def _factor_columns_loop(spec, sol, lists):
             den = list(lk_roots[k])
             for root, mult in inside_groups[k]:
                 for _ in range(mult):
-                    num, _ = poly_deflate(num, root)
+                    num = poly_deflate(num, root)
                     den.remove(root)
             plus.append(FactoredRational(num, 1.0, tuple(den)))
         cols_plus.append(plus)

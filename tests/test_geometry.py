@@ -3,22 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mvc_closed_form
+from conftest import kerr_delta_closed_form, mvc_closed_form
 from whergo.catalog import MODEL_BUILDERS, model_kerr
 from whergo.engine import Status, factorise
 from whergo.errors import NoCurveFound, NonPhysicalM, NoRealSolution
 from whergo.geometry import (
     CurvePolyline,
-    bl_from_prolate_4d,
     classify_curve,
     closed_form_curve_weyl,
     curve_match_distance,
     ergosurface_closed_form,
     extract_4d,
     extract_5d,
-    kerr_gtt_bl,
     mp_gtt_spherical,
-    polyline_hausdorff,
     spherical_from_prolate_5d,
     trace_curve,
 )
@@ -70,7 +67,7 @@ def test_extract_4d_kerr_ergosurface_point(kerr):
     if out.status is Status.CANONICAL:
         s = extract_4d(out.M_limit)
         assert abs(s.g_tt) < 1e-6
-    assert kerr_gtt_bl(2.0 * M_K, np.pi / 2, M_K, A_K) == pytest.approx(0.0, abs=1e-15)
+    assert kerr_delta_closed_form(rho, v) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_extract_5d_identity():
@@ -187,7 +184,6 @@ def test_ergosurface_closed_form_errors():
 
 
 def test_bl_maps():
-    assert bl_from_prolate_4d(2.0, 1.0, 2.0) == pytest.approx((4.0, 0.0))
     r, th = spherical_from_prolate_5d(1.0, 1.0, 1.0)
     assert (r, th) == pytest.approx((2.0, 0.0))
 
@@ -340,13 +336,6 @@ def test_traced_curve_over_the_rotation_family(model_id, a):
     oracle = closed_form_curve_weyl(model_id, {"m": M_K, "a": a}, np.linspace(-0.99, 0.99, 1500))
     assert poly.tag == FAMILY_TAGS[model_id]
     assert curve_match_distance(poly.samples, oracle, box, margin=margin) <= 1e-4
-
-
-def test_polyline_hausdorff_basic():
-    a = np.array([[0.0, 0.0], [1.0, 0.0]])
-    b = np.array([[0.0, 0.1], [1.0, 0.1]])
-    assert polyline_hausdorff(a, b) == pytest.approx(0.1)
-    assert polyline_hausdorff(a, a) == 0.0
 
 
 def test_curve_polyline_len():

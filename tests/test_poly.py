@@ -90,28 +90,27 @@ def test_trim_and_degree():
 
 def test_deflate():
     p = poly_from_roots([2.0, -1.0, 0.5])
-    q, rem = poly_deflate(p, 2.0)
-    assert rem < 1e-14
-    assert np.allclose(q, poly_from_roots([-1.0, 0.5]))
+    assert np.allclose(poly_deflate(p, 2.0), poly_from_roots([-1.0, 0.5]))
 
 
 @pytest.mark.parametrize("root", [0.6 - 0.3j, -1.0, 2.5 + 1.5j, -40.0])
 def test_deflate_stack_is_the_columns_bitwise(root):
-    # a stack (coefficients on axis 0) divides every column as it would be
-    # divided alone, on the forward (|root| <= 1) and the reversed recurrence
+    # a stack (coefficients on axis 0) of one row, as _factors divides it,
+    # divides every column as poly_deflate divides it alone, on the forward
+    # (|root| <= 1) and the reversed recurrence
     rng = np.random.default_rng(5)
-    p = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-    q, rem = poly_deflate(p, root)
-    assert q.shape == (5, 4) and rem.shape == (4,)
+    p = rng.normal(size=(6, 1, 4)) + 1j * rng.normal(size=(6, 1, 4))
+    r = np.array([[complex(root)]])
+    small = np.abs(r[:, 0]) <= 1.0
+    q = deflate_quotients(p, r, small, reversed_inverses(r[:, 0], small))
+    assert q.shape == (5, 1, 4)
     for i in range(4):
-        qi, ri = poly_deflate(p[:, i], root)
-        assert np.array_equal(q[:, i], qi) and rem[i] == ri
+        assert q[:, 0, i].tobytes() == poly_deflate(p[:, 0, i], root).tobytes()
 
 
 def _deflate_reference(p, root):
-    """Synthetic division of one polynomial by (tau - root), as a stack of
-    one with a Python scalar root, as poly_deflate divided before it took a
-    root per stack row: (quotient, |remainder|)."""
+    """The quotient of one polynomial by (tau - root), one coefficient at a
+    time with a Python scalar root."""
     p, root, n = np.asarray(p, dtype=complex).reshape(-1, 1), complex(root), len(p) - 1
     q = np.empty((n, 1), dtype=complex)
     if abs(root) <= 1.0:
@@ -119,43 +118,21 @@ def _deflate_reference(p, root):
         for k in range(n - 1, -1, -1):
             q[k] = acc
             acc = p[k] + acc * root
-        return q[:, 0], np.abs(acc)[0]
+        return q[:, 0]
     inv = 1.0 / root
     acc = -p[0] * inv
     for k in range(n):
         q[k] = acc
         acc = (q[k] - p[k + 1]) * inv
-    return q[:, 0], (np.abs(acc) * abs(root) ** (n + 1))[0]
+    return q[:, 0]
 
 
 @pytest.mark.parametrize("root", [0.6 - 0.3j, -1.0, 0.25, 1.1 + 0.9j, -40.0, 3.0])
 def test_deflate_scalar_root_is_the_plain_recurrence_bitwise(root):
     rng = np.random.default_rng(6)
     p = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
-    for c in (p[:, 0], p[:, 1].real):
-        q, rem = poly_deflate(c, root)
-        want_q, want_rem = _deflate_reference(c, root)
-        assert np.array_equal(q, want_q) and rem == want_rem
-    q, rem = poly_deflate(p, root)
-    for i in range(3):
-        want_q, want_rem = _deflate_reference(p[:, i], root)
-        assert np.array_equal(q[:, i], want_q) and rem[i] == want_rem
-
-
-def test_deflate_rows_with_their_own_roots_are_the_row_calls_bitwise():
-    # one root per stack row, |root| <= 1 and > 1 mixed: each row is divided
-    # by its own root, with its own recurrence, as a call on that row alone
-    rng = np.random.default_rng(7)
-    p = rng.normal(size=(6, 4, 3)) + 1j * rng.normal(size=(6, 4, 3))
-    roots = np.array([0.6 - 0.3j, 1.1 + 0.9j, -0.9, -40.0])
-    q, rem = poly_deflate(p, roots)
-    assert q.shape == (5, 4, 3) and rem.shape == (4, 3)
-    for i, root in enumerate(roots):
-        qi, ri = poly_deflate(p[:, i], root)
-        assert np.array_equal(q[:, i], qi) and np.array_equal(rem[i], ri)
-        for j in range(3):
-            want_q, want_rem = _deflate_reference(p[:, i, j], root)
-            assert np.array_equal(q[:, i, j], want_q) and rem[i, j] == want_rem
+    for c in (*p.T, p[:, 1].real):
+        assert np.array_equal(poly_deflate(c, root), _deflate_reference(c, root))
 
 
 @pytest.mark.parametrize("roots", [
@@ -179,10 +156,10 @@ def test_deflate_quotients_are_poly_deflate_bitwise(roots):
     assert np.all(inv[small] == 0.0)
     q = deflate_quotients(p, root, small, inv)
     assert q.shape == (6, 4, 3)
-    assert q.tobytes() == poly_deflate(p, root[:, 0])[0].tobytes()
     for i, r in enumerate(roots):
         for j in range(3):
-            assert q[:, i, j].tobytes() == _deflate_reference(p[:, i, j], r)[0].tobytes()
+            assert q[:, i, j].tobytes() == poly_deflate(p[:, i, j], r).tobytes()
+            assert q[:, i, j].tobytes() == _deflate_reference(p[:, i, j], r).tobytes()
 
 
 def test_row_scaled_column_norms_are_equilibrate_s_bitwise():

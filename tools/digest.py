@@ -1,0 +1,131 @@
+"""Print one `name sha256` line per whergo output, to compare two trees.
+
+A change meant to keep every output bit for bit is checked by running
+this script against each tree and comparing the two outputs:
+
+    PYTHONPATH=<parent>/src python tools/digest.py > parent.txt
+    PYTHONPATH=src python tools/digest.py > change.txt
+    diff parent.txt change.txt
+
+The artefacts, all at m = 2, a = 1:
+- factorise/<model>: `factorise` at the 300 draws (per model, one
+  `default_rng(1)` draws 300 rho log-uniform over 1e-3..20, then 300 v
+  uniform over -4..4): status, kernel_dim, the bytes of D and D_scale, and
+  where canonical the M_limit bytes, the residual report and the factors'
+  tables (numerators, denominator roots and their mask);
+- assemble_M/<model>: `assemble_M` of every canonical answer, or the name
+  of the error it raises;
+- evaluate_points/<model>: `evaluate_points` over the same draws as one
+  batch;
+- sweep/..., curve/...: the bytes the CLI writes;
+- verify: the stdout of `whergo verify`.
+It uses numpy and whergo's public functions only.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+import numpy as np
+
+from whergo import assemble_M, factorise, model_kerr, model_mp5d, model_mvc5d
+from whergo.cli import main
+from whergo.engine import evaluate_points
+
+MODELS = (
+    ("kerr", model_kerr, None),
+    ("kerr-plus-minus", model_kerr, ("plus", "minus")),
+    ("mp5d", model_mp5d, None),
+    ("mvc5d", model_mvc5d, None),
+)
+
+SWEEPS = (
+    ("sweep/kerr", ["--model", "kerr", "--grid", "0.05:4:200,-4:4:200"]),
+    ("sweep/kerr-plus-minus", ["--model", "kerr", "--branches", "plus,minus",
+                               "--grid", "0.05:4:60,-4:4:60"]),
+    ("sweep/mvc5d", ["--model", "mvc5d", "--grid", "0.02:0.9:10,-0.9:0.9:10"]),
+    ("sweep/mp5d-json", ["--model", "mp5d", "--grid", "0.02:0.9:10,-0.9:0.9:10",
+                         "--format", "json"]),
+)
+
+BOX_5D = "0.05:2.5:80,-2.5:2.5:80"
+CURVES = (
+    ("curve/kerr", ["--model", "kerr", "--grid", "0.02:4:200,-4:4:200", "--step", "0.01"]),
+    ("curve/kerr-plus-minus", ["--model", "kerr", "--branches", "plus,minus",
+                               "--grid", "0.05:3.6:160,-2.6:2.6:160", "--step", "0.01"]),
+    ("curve/mp5d", ["--model", "mp5d", "--grid", BOX_5D, "--step", "0.015"]),
+    ("curve/mvc5d", ["--model", "mvc5d", "--grid", BOX_5D, "--step", "0.015"]),
+)
+
+
+def draws():
+    rng = np.random.default_rng(1)
+    rho = 10.0 ** rng.uniform(-3.0, np.log10(20.0), 300)
+    return rho, rng.uniform(-4.0, 4.0, 300)
+
+
+def _bytes(*arrays) -> bytes:
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+def _factor_tables(f) -> bytes:
+    return _bytes(f.nums, f.den_roots, f.den_on)
+
+
+def point_digests(build, branches):
+    """(factorise, assemble_M, evaluate_points) digests of one model."""
+    model = build(2.0, 1.0)
+    rho, v = draws()
+    fact, limit = hashlib.sha256(), hashlib.sha256()
+    for r, w in zip(rho, v):
+        out = factorise(model, float(r), float(w), branches)
+        fact.update(f"{out.status.value} {out.kernel_dim}".encode())
+        fact.update(_bytes(np.complex128(out.D_value), np.float64(out.D_scale)))
+        if not out.canonical:
+            continue
+        rep = out.residual_report
+        fact.update(_bytes(out.M_limit, np.array([rep.factorisation, rep.x_at_zero,
+                                                  rep.pole_cancellation])))
+        fact.update(_bytes(np.array(rep.check_points, dtype=complex)))
+        fact.update(_factor_tables(out.X) + _factor_tables(out.M_minus))
+        try:
+            limit.update(_bytes(assemble_M(out)))
+        except ArithmeticError as exc:
+            limit.update(type(exc).__name__.encode())
+    batch = evaluate_points(model, rho, v, branches)
+    whole = hashlib.sha256(_bytes(batch.D_value, batch.D_scale, batch.kernel_dim,
+                                  batch.consistent, batch.solution))
+    return fact.hexdigest(), limit.hexdigest(), whole.hexdigest()
+
+
+def cli_digest(command, argv, tmp):
+    """The sha256 of the file that `whergo <command> ... --out` writes."""
+    path = os.path.join(tmp, "out")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, *argv, "--out", path])
+    with open(path, "rb") as fh:
+        return hashlib.sha256(f"exit {code}\n".encode() + fh.read()).hexdigest()
+
+
+def main_digest():
+    for name, build, branches in MODELS:
+        fact, limit, whole = point_digests(build, branches)
+        print(f"factorise/{name} {fact}")
+        print(f"assemble_M/{name} {limit}")
+        print(f"evaluate_points/{name} {whole}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in SWEEPS:
+            print(f"{name} {cli_digest('sweep', argv, tmp)}")
+        for name, argv in CURVES:
+            print(f"{name} {cli_digest('curve', argv, tmp)}")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify"])
+    print(f"verify {hashlib.sha256(f'exit {code}'.encode() + out.getvalue().encode()).hexdigest()}")
+
+
+if __name__ == "__main__":
+    main_digest()

@@ -29,7 +29,6 @@ from .poly import (
     poly_degree,
     poly_eval,
     poly_eval_stack,
-    poly_is_zero,
     poly_mul,
     poly_trim,
 )
@@ -149,13 +148,18 @@ def make_model(entries, eta=None, params=None, model_id="custom",
                omega_poles=None, default_branches=None) -> RationalMatrixOmega:
     """Build and validate a RationalMatrixOmega from nested RationalEntry data.
 
-    The entries are n x n with n 2 or 3; omega_poles, if given, must be
-    exactly the poles of M, each named once."""
+    The entries are n x n with n 2 or 3 and eta, if given, n numbers +-1
+    (no bool); omega_poles, if given, must be exactly the poles of M, each
+    named once."""
     n = len(entries)
     if n not in (2, 3) or any(len(row) != n for row in entries):
         raise InvariantViolation(f"model {model_id} needs 2 x 2 or 3 x 3 entries, got rows "
                                  f"of lengths {[len(row) for row in entries]}")
+    eta = (1.0,) * n if eta is None else tuple(eta) if np.iterable(eta) else (eta,)
+    if len(eta) != n or not all(e in (1, -1) and not isinstance(e, bool) for e in eta):
+        raise InvariantViolation(f"model {model_id} needs eta as {n} numbers +-1, got {eta}")
     found_roots = {}        # the polished roots of each distinct denominator, by its bytes
+    found_entries = {}      # (num, den, reduced entry), by the ids of num and den
 
     def roots_of(den):
         key = den.tobytes()
@@ -165,14 +169,15 @@ def make_model(entries, eta=None, params=None, model_id="custom",
 
     def reduced(e):
         num, den = (e.num, e.den) if isinstance(e, RationalEntry) else e
-        num, den, roots = _cancel_shared_roots(num, den, roots_of)
-        e = RationalEntry(num, den)
-        e.__dict__["den_roots"] = roots     # the cancellation's last pass found them
-        return e
+        key = (id(num), id(den))            # found_entries keeps both alive: no id is reused
+        if key not in found_entries:
+            top, bottom, roots = _cancel_shared_roots(num, den, roots_of)
+            entry = RationalEntry(top, bottom)
+            entry.__dict__["den_roots"] = roots     # the cancellation's last pass found them
+            found_entries[key] = (num, den, entry)
+        return found_entries[key][2]
 
     entries = tuple(tuple(reduced(e) for e in row) for row in entries)
-    if eta is None:
-        eta = (1.0,) * n
     found = []          # the distinct denominator zeros across entries
     for r in (r for row in entries for e in row for r in e.den_roots):
         if not any(same_pole(r, s) for s in found):
@@ -193,7 +198,7 @@ def make_model(entries, eta=None, params=None, model_id="custom",
                                  f"but the poles of M are {tuple(found)}")
     if default_branches is None:
         default_branches = (BRANCH_MINUS,) * len(omega_poles)
-    m = RationalMatrixOmega(n, entries, tuple(eta), dict(params or {}),
+    m = RationalMatrixOmega(n, entries, eta, dict(params or {}),
                             model_id, tuple(omega_poles), tuple(default_branches))
     return _validate_matrix(m)
 
@@ -387,12 +392,14 @@ def _cancel_shared_roots(num, den, roots_of):
     pass's by roots_of (make_model's finds a denominator's roots once per
     build).  An identically zero num is 0/1: it has no poles."""
     num, den = poly_trim(num), poly_trim(den)
-    if poly_is_zero(num):
+    # both stay trimmed: zero where the leading coefficient is, their sizes
+    # giving the degrees
+    if not num[-1]:
         return num, poly_trim([1.0]), ()
-    while poly_degree(den) >= 1:
+    while den.size > 1:
         roots = roots_of(den)
         top = np.abs(num).max()
-        deg = max(poly_degree(num), 0)
+        deg = num.size - 1
         r = next((r for r in roots
                   if abs(poly_eval(num, r)) <= 1e-12 * (top * max(1.0, abs(r)) ** deg)), None)
         if r is None:

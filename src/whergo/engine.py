@@ -14,9 +14,10 @@ adjugate, the column degrees, the D rows and the layout, whose index tables
 name every root by its label (tau = 0, or the inside or outside member of
 a zero pair): those of pi_j, of L_k and of X's row denominators (L_k less
 its inside groups, a multiset difference of labels).  One expansion of adj
-M(omega), poles named by index, gives its numerators and, by integer
-multiset arithmetic, the labels; the compile finds no tau-plane roots and
-checks itself by factorising at its reference point.  At Weyl points an
+M(omega), poles named by index, gives its numerators and, by arithmetic
+on label counts, the labels; the compile finds no tau-plane roots and
+checks itself by factorising at its reference point, from the one spec
+and assembly of rows that also chose its D rows there.  At Weyl points an
 AnsatzSpec holds only values, the label roots and the composed adjugate
 numerators, and reads every root through the plan's tables; its rows are
 numpy arrays over (rho, v): one evaluation serves a single point, a tracer
@@ -71,15 +72,12 @@ keep it as the oracle whose determinant they compare with f*h.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .catalog import RationalMatrixOmega, same_pole
 from .errors import (
@@ -90,13 +88,12 @@ from .errors import (
 from .poly import (
     DEFAULT_TOL,
     deflate_quotients,
+    deflation_root,
     numerical_nullity,
-    poly_degree,
-    poly_deflate,
     poly_eval,
     poly_eval_stack,
     poly_from_roots,
-    poly_mul,
+    poly_sub,
     poly_trim,
     reversed_inverses,
     row_scaled,
@@ -256,6 +253,18 @@ def _index_table(rows) -> np.ndarray:
     return table
 
 
+def _less(labels, groups) -> list:
+    """labels in ascending order less the label of each (label,
+    multiplicity) group, as often as its multiplicity allows."""
+    left, out = dict(groups), []
+    for lab in sorted(labels):
+        if left.get(lab, 0):
+            left[lab] -= 1
+        else:
+            out.append(lab)
+    return out
+
+
 def _row_layout(width: int, pi, lk, groups, extras: np.ndarray) -> _RowLayout:
     """Layout of the system whose roots are named by index (0 is tau = 0):
     pi[j] the roots of pi_j, lk[k] those of L_k in ascending order, both
@@ -269,6 +278,7 @@ def _row_layout(width: int, pi, lk, groups, extras: np.ndarray) -> _RowLayout:
     rows = [(g, o) for g, (_, _, m) in enumerate(conds) for o in range(m)]
     jcol = np.repeat(np.arange(n), widths)
     ccol = np.concatenate([np.arange(w) for w in widths])
+    gk = np.array([k for k, _, _ in conds], dtype=int)
     i, c = np.arange(order)[:, None], np.arange(max([width] + widths))
     g_r = np.array([g for g, _ in rows], dtype=int).reshape(-1, 1)
     o_r = np.array([o for _, o in rows], dtype=int).reshape(-1, 1)
@@ -282,34 +292,33 @@ def _row_layout(width: int, pi, lk, groups, extras: np.ndarray) -> _RowLayout:
     # the roots of component k in deflation order, one group index per root
     seq = [[g for g, (kg, _, m) in enumerate(conds) if kg == k for _ in range(m)]
            for k in range(n)]
-    deflation, active, dgroup = [], np.arange(n), []
+    deflation, active, dgroup = [], list(range(n)), []
     for pos in range(max(map(len, seq), default=0)):
-        has = np.array([len(seq[k]) > pos for k in active])
-        deflation.append((np.flatnonzero(~has), active[~has],
-                          slice(None) if has.all() else np.flatnonzero(has),
-                          slice(len(dgroup), len(dgroup) + int(has.sum()))))
-        active = active[has]
+        has = [len(seq[k]) > pos for k in active]
+        done = [x for x, h in enumerate(has) if not h]
+        deflation.append((np.array(done, dtype=int), np.array([active[x] for x in done], dtype=int),
+                          slice(None) if all(has) else np.flatnonzero(has),
+                          slice(len(dgroup), len(dgroup) + sum(has))))
+        active = [k for k, h in zip(active, has) if h]
         dgroup += [seq[k][pos] for k in active]
     return _RowLayout(
         jcol, ccol,
         np.flatnonzero(ccol < np.array(widths)[jcol] - 1), np.cumsum(widths) - 1,
-        np.array([k for k, _, _ in conds], dtype=int),
-        np.array([r for _, r, _ in conds], dtype=int),
+        gk, np.array([r for _, r, _ in conds], dtype=int),
         extras, _index_table(pi),
-        _index_table([sorted((Counter(ls) - Counter(dict(g))).elements())
-                      for ls, g in zip(lk, groups)]),
+        _index_table([_less(ls, g) for ls, g in zip(lk, groups)]),
         _index_table([[r for r in ls if r] for ls in lk]), m0,
-        (np.arange(n)[:, None] * n + jcol) * span + np.clip(norm, 0, span - 1),
+        (np.arange(n)[:, None] * n + jcol) * span + np.minimum(np.maximum(norm, 0), span - 1),
         ((norm >= 0) & (norm < span))[..., None],
         (extras >= 0)[..., None],
         c.size, np.maximum(c - i, 0), comb[:, :c.size, None],
         np.where(i.T <= i, i - i.T, order), max(widths),
         ((g_r * n + jcol) * order + o_r) * max(widths) + ccol,
-        jcol * span + np.clip(shift, 0, span - 1), (shift >= 0) & (shift < span),
+        jcol * span + np.minimum(np.maximum(shift, 0), span - 1), (shift >= 0) & (shift < span),
         g_r[:, 0],
         np.maximum(t - o_r, 0), comb[o_r[:, 0]],
-        np.array([k for k, _, _ in conds], dtype=int)[g_r[:, 0]],
-        tuple(deflation), np.array(dgroup, dtype=int), active,
+        gk[g_r[:, 0]],
+        tuple(deflation), np.array(dgroup, dtype=int), np.array(active, dtype=int),
         t.size - min(map(len, seq), default=0))
 
 
@@ -359,14 +368,16 @@ def _assemble_homogeneous(spec: AnsatzSpec) -> np.ndarray:
     return _assemble_rows(spec)[..., spec.layout.hom]
 
 
-def _assemble_inhomogeneous(spec: AnsatzSpec):
-    """Full system: analyticity rows plus n normalisation rows at tau = 0.
+def _assemble_inhomogeneous(spec: AnsatzSpec, a_top: np.ndarray | None = None):
+    """Full system: the analyticity rows (a_top where they are already
+    assembled) plus n normalisation rows at tau = 0.
 
     Returns (A, l0): the right-hand side of factor column k is l0[..., k]
     in normalisation row k and zero in every other row (_right_hand_sides).
     """
     lay = spec.layout
-    a_top = _assemble_rows(spec)
+    if a_top is None:
+        a_top = _assemble_rows(spec)
     base = _flat(spec.base_polys, 3)
     # row k: coefficient of tau^m0_k of NUM_k, i.e. A_kj[m0_k - c] per column
     norm = _flat(base, 0)[lay.norm] * lay.norm_on
@@ -403,20 +414,19 @@ def _greedy_rows(A: np.ndarray, k: int):
     (lowest index wins ties).  Returns sorted indices and the smallest
     accepted residual norm relative to the largest row norm.
     """
-    work = A.astype(complex).copy()
+    work = A.astype(complex, order="C")     # C order, as the BLAS products below take it
     norms0 = np.linalg.norm(A, axis=1)
-    scale = float(np.max(norms0)) if norms0.size else 0.0
+    scale = float(norms0.max()) if norms0.size else 0.0
     chosen = []
     worst = np.inf
     for _ in range(k):
         norms = np.linalg.norm(work, axis=1)
-        for idx in chosen:
-            norms[idx] = -1.0
-        pick = int(np.argmax(norms))
+        norms[chosen] = -1.0
+        pick = int(norms.argmax())
         worst = min(worst, norms[pick] / scale if scale else 0.0)
         q = work[pick] / norms[pick] if norms[pick] > 0 else work[pick]
         chosen.append(pick)
-        work = work - np.outer(work @ q.conj(), q)
+        work = work - (work @ q.conj())[:, None] * q
     return np.array(sorted(chosen), dtype=int), worst
 
 
@@ -486,126 +496,182 @@ def _plan_for(model: RationalMatrixOmega, branches=None) -> AnsatzPlan:
 
 def _omega_adjugate(model: RationalMatrixOmega):
     """M(omega) and adj M(omega) in one cofactor expansion, as terms
-    (numerator, leading coefficient of the denominator, labels), each entry
-    of adj M with the poles that survive its cancellation.
+    (numerator, leading coefficient of the denominator, label counts), each
+    entry of adj M with the poles that survive its cancellation.
 
     The labels of a denominator are the pair (1 + 2p, 2 + 2p) of each pole,
     named by its index p in model.omega_poles (the one place where a float
     root becomes a label), and tau = 0 (label 0) as often as deg num exceeds
-    deg den.  A product adds the labels; a difference takes their union,
+    deg den; a term's counts give the multiplicity of every label, indexed
+    by label.  A product adds the counts; a difference takes their maximum,
     each numerator times (omega - omega_poles[p]) for every pole p that the
-    other side adds.  adj M keeps its labels uncancelled; its numerators
-    cancel each pole p where they vanish to 1e-9 of their coefficients,
-    times max(1, |omega_poles[p]|)^degree.
+    other side adds, the poles in the order of their first appearance in
+    the terms.  adj M keeps its labels uncancelled; its numerators cancel
+    each pole p where they vanish to 1e-9 of their coefficients, times
+    max(1, |omega_poles[p]|)^degree.
     """
     n, poles = model.n, model.omega_poles
+    # while expanding, a term is (numerator, leading coefficient, tau = 0
+    # count, {pole: count} in the order of first appearance)
 
     def read(e):
-        labels = Counter({0: max(poly_degree(e.num) - poly_degree(e.den), 0)})
+        found = {}
         for w in e.den_roots:       # make_model has checked that one pole is w
-            p = next(i for i, w0 in enumerate(poles) if same_pole(w, w0))
-            labels.update((1 + 2 * p, 2 + 2 * p))
-        return e.num, e.den[-1], +labels
+            found[next(i for i, w0 in enumerate(poles) if same_pole(w, w0))] = 1
+        # make_model keeps num and den trimmed: their sizes give the degrees
+        return e.num, e.den[-1], max(e.num.size - e.den.size, 0), found
 
-    def over(x, labels, lc):        # x's numerator times lc, over the denominator of labels
-        return poly_mul(x[0] * lc, poly_from_roots(poles[lab // 2]
-                                                   for lab in (labels - x[2]).elements() if lab % 2))
+    def times(x, y):
+        found = dict(x[3])
+        for p, m in y[3].items():
+            found[p] = found.get(p, 0) + m
+        # poly_mul's product: every numerator here is trimmed, so it is zero
+        # where its leading coefficient is
+        num = (np.zeros(1, dtype=complex) if x[0][-1] == 0 or y[0][-1] == 0
+               else poly_trim(np.convolve(x[0], y[0])))
+        return num, x[1] * y[1], x[2] + y[2], found
+
+    def over(x, found, lc):         # x's numerator times lc, over the denominator of found
+        if x[0][-1] == 0:
+            return np.zeros(1, dtype=complex)
+        rest = tuple(p for p, m in found.items() for _ in range(m - x[3].get(p, 0)))
+        if rest not in factors:
+            factors[rest] = poly_from_roots(poles[p] for p in rest)
+        # poly_mul's product, which is zero where x[0] * lc underflows to zero
+        return poly_trim(np.convolve(x[0] * lc, factors[rest]))
+
+    others = ((1, 2), (0, 2), (0, 1))      # the rows (columns) of a 3 x 3 minor
 
     def minor(r, c):                # of M at (r, c)
         if n == 2:
             return ent[1 - r][1 - c]
-        (r0, r1), (c0, c1) = ([x for x in range(3) if x != y] for y in (r, c))
-        ad, bc = ((poly_mul(x[0], y[0]), x[1] * y[1], x[2] + y[2]) for x, y in
-                  ((ent[r0][c0], ent[r1][c1]), (ent[r0][c1], ent[r1][c0])))
-        labels = ad[2] | bc[2]
-        return (poly_trim(npoly.polysub(over(ad, labels, bc[1]), over(bc, labels, ad[1]))),
-                ad[1] * bc[1], labels)
+        (r0, r1), (c0, c1) = others[r], others[c]
+        ad, bc = times(ent[r0][c0], ent[r1][c1]), times(ent[r0][c1], ent[r1][c0])
+        found = dict(ad[3])
+        for p, m in bc[3].items():
+            found[p] = max(found.get(p, 0), m)
+        num = over(ad, found, bc[1])
+        if bc[0][-1] != 0:          # a - 0 is a, trimmed, bit for bit
+            num = poly_sub(num, over(bc, found, ad[1]))
+        return num, ad[1] * bc[1], max(ad[2], bc[2]), found
+
+    def counts(zero, found):        # label counts of a term, indexed by label
+        out = [zero] + [0] * (2 * len(poles))
+        for p, m in found.items():
+            out[1 + 2 * p] = out[2 + 2 * p] = m
+        return tuple(out)
 
     def cofactor(i, j):             # adj M_ij: the cofactor of (j, i), cancelled
-        num, lc, labels = minor(j, i)
+        num, lc, zero, found = minor(j, i)
         num, kept = (-num if (i + j) % 2 else num), []
-        for p in (lab // 2 for lab in labels.elements() if lab % 2):
-            scale = np.abs(num).max() * max(1.0, abs(poles[p])) ** max(num.size - 1, 0)
-            if abs(poly_eval(num, poles[p])) <= 1e-9 * scale:
-                num = poly_deflate(num, poles[p])
-            else:
-                kept.append(p)
-        return poly_trim(num), lc, labels, kept
+        top = np.abs(num).max()
+        for p, m in found.items():
+            for _ in range(m):
+                scale = top * max(1.0, abs(poles[p])) ** max(num.size - 1, 0)
+                if abs(poly_eval(num, poles[p])) <= 1e-9 * scale:
+                    # poly_deflate(num, poles[p]), the root's tables made once
+                    num = (deflate_quotients(num.reshape(-1, 1, 1), *at[p]).reshape(-1)
+                           if num.size > 1 else np.zeros(1, dtype=complex))
+                    top = np.abs(num).max()
+                else:
+                    kept.append(p)
+        # trimmed where a pole cancelled; the minor's numerator already is
+        trimmed = poly_trim(num) if len(kept) < sum(found.values()) else num
+        return trimmed, lc, counts(zero, found), kept
 
+    at = [deflation_root(w) for w in poles]
+    factors = {}                    # prod (omega - poles[p]) over a tuple of pole indices
     ent = [[read(e) for e in row] for row in model.entries]
-    return ent, [[cofactor(i, j) for j in range(n)] for i in range(n)]
+    adj = [[cofactor(i, j) for j in range(n)] for i in range(n)]
+    return [[(num, lc, counts(zero, found)) for num, lc, zero, found in row]
+            for row in ent], adj
 
 
 def _plan_labels(ent, adj, values):
-    """(pi_labels, lk_labels, groups) of the plan, read from the labels of
-    the terms of M (ent) and adj M (adj) that _omega_adjugate gives: no
-    monodromy is composed, no root is found and no adjugate is expanded.
+    """(pi_labels, lk_labels, groups) of the plan, read from the label
+    counts of the terms of M (ent) and adj M (adj) that _omega_adjugate
+    gives: no monodromy is composed, no root is found and no adjugate is
+    expanded.
 
-    A multiset of labels is a Counter: a sum is a product of denominators,
-    a union (|) their lcm.  pi_j is the union of the inside labels (0 and
-    odd) of row j of M, L_k the union over j of the uncancelled labels of
-    adj_kj plus pi_j.  pi_j and the groups are ordered by the roots of
-    their labels at the reference point (values).
+    A sum of counts is a product of denominators, their maximum the lcm.
+    pi_j is the lcm over row j of M of its inside labels (0 and odd), L_k
+    the lcm over j of adj_kj's uncancelled labels times pi_j.  pi_j and the
+    groups are ordered by the roots of their labels at the reference point
+    (values).
     """
-    def inside(c):
-        return Counter({lab: m for lab, m in c.items() if lab % 2 or not lab})
+    inside = np.ones(len(values), dtype=bool)
+    inside[2::2] = False
+    pi = (np.array([[e[2] for e in row] for row in ent]) * inside).max(axis=1)
+    lk = (np.array([[a[2] for a in row] for row in adj]) + pi).max(axis=1).tolist()
+    pi = pi.tolist()
+    ordered = sorted(range(len(values)), key=lambda lab: (_root_sort_key(values[lab]), lab))
+    return (tuple(tuple(lab for lab in ordered for _ in range(c[lab])) for c in pi),
+            tuple(tuple(lab for lab, m in enumerate(c) for _ in range(m)) for c in lk),
+            tuple(tuple((lab, c[lab]) for lab in ordered if inside[lab] and c[lab])
+                  for c in lk))
 
-    def ordered(labels):
-        return sorted(labels, key=lambda lab: (_root_sort_key(values[lab]), lab))
 
-    pi = [reduce(Counter.__or__, (inside(e[2]) for e in row)) for row in ent]
-    lk = [reduce(Counter.__or__, (a[2] + p for a, p in zip(row, pi))) for row in adj]
-    return (tuple(tuple(ordered(c.elements())) for c in pi),
-            tuple(tuple(sorted(c.elements())) for c in lk),
-            tuple(tuple((lab, c[lab]) for lab in ordered(inside(c))) for c in lk))
+def _label_counts(labels, size: int) -> np.ndarray:
+    """(len(labels), size): how often each of the labels 0..size-1 occurs in
+    each label tuple of `labels`."""
+    return np.array([[ls.count(lab) for lab in range(size)] for ls in labels],
+                    dtype=int).reshape(len(labels), size)
 
 
 def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     n = model.n
     ent, adj = adj                  # _omega_adjugate's terms of M and adj M
     flat = [a for row in adj for a in row]
-    degs = [poly_degree(num) for num, _, _, _ in flat]
-    top = max(degs, default=0)
+    # every numerator is trimmed: zero where its leading coefficient is
+    degs = np.array([num.size - 1 if num[-1] else -1 for num, _, _, _ in flat])
+    top = int(max(degs.max(), 0))
     size = n * n
     adj_num = np.zeros((size, top + 1), dtype=complex)
     adj_lc = np.ones(size, dtype=complex)
     adj_deg = np.zeros(size, dtype=int)
     for e, (num, lc, _, kept) in enumerate(flat):
         if degs[e] >= 0:
-            adj_num[e, :degs[e] + 1] = num[:degs[e] + 1]
+            adj_num[e, :degs[e] + 1] = num
             adj_lc[e], adj_deg[e] = lc, len(kept)
     poles = np.array(model.omega_poles, dtype=complex)
-    if not (np.any(poles.imag) or np.any(adj_num.imag) or np.any(adj_lc.imag)):
+    if not (poles.imag.any() or adj_num.imag.any() or adj_lc.imag.any()):
         poles, adj_num, adj_lc = poles.real, adj_num.real, adj_lc.real
     plus = np.array([b == BRANCH_PLUS for b in branches], dtype=bool)
     values = _label_values(poles, plus, np.array([rho_ref]), np.array([v_ref]))[:, 0]
     pi_labels, lk_labels, groups = _plan_labels(ent, adj, values)
-    shifts, extras = {}, {}
-    for e, (_, _, _, kept) in enumerate(flat):
-        (k, j), d_num = divmod(e, n), degs[e]
-        if d_num < 0:
-            continue
-        rest = Counter(lk_labels[k])
-        rest.subtract(pi_labels[j])
-        rest.subtract(lab for p in kept for lab in (1 + 2 * p, 2 + 2 * p))
-        # A_kj carries tau^(m0_k - deg_0 pi_j + deg den - deg num)
-        tau_power = rest.pop(0, 0) + len(kept) - d_num
-        if tau_power < 0 or min(rest.values(), default=0) < 0:
-            raise NonSquareSystem(f"adjugate entry ({k}, {j}) has a pole that "
-                                  f"L_{k} / pi_{j} does not cancel")
-        shifts[e] = tau_power - (top - d_num)     # the composition carries tau^(K - deg num)
-        extras[e] = sorted(rest.elements())
-    width = max((shifts[e] + 2 * top + 1 for e in shifts), default=1)
-    src = np.arange(width) - np.array([shifts.get(e, 0) for e in range(size)])[:, None]
-    mask = (src >= 0) & (src <= 2 * top) & np.isin(np.arange(size), list(shifts))[:, None]
+    # the labels of L_k / pi_j that adj_kj's denominator (the labels of its
+    # kept poles) does not take, for every entry e = (k, j); label 0 gives
+    # its tau power
+    labels = values.size
+    den_labels = np.array([[0] + [a[3].count(p) for p in range(poles.size) for _ in (0, 1)]
+                           for a in flat])
+    rest = (_label_counts(lk_labels, labels)[:, None]
+            - _label_counts(pi_labels, labels)).reshape(size, labels) - den_labels
+    # A_kj carries tau^(m0_k - deg_0 pi_j + deg den - deg num)
+    tau_power = rest[:, 0] + adj_deg - degs
+    live = degs >= 0
+    bad = live & ((tau_power < 0) | (rest[:, 1:] < 0).any(axis=1))
+    if bad.any():
+        k, j = divmod(int(np.argmax(bad)), n)
+        raise NonSquareSystem(f"adjugate entry ({k}, {j}) has a pole that "
+                              f"L_{k} / pi_{j} does not cancel")
+    # the composition carries tau^(K - deg num)
+    shifts = np.where(live, tau_power - (top - degs), 0)
+    span = int((shifts + 2 * top + 1)[live].max(initial=1))
+    src = np.arange(span) - shifts[:, None]
+    mask = (src >= 0) & (src <= 2 * top) & live[:, None]
     place = np.arange(size)[:, None] * (2 * top + 2) + np.where(mask, src, 2 * top + 1)
-    extra = _index_table([extras.get(e, ()) for e in range(size)])
-    layout = _row_layout(width, pi_labels, lk_labels, groups, extra.reshape(n, n, -1))
+    extra = _index_table([[lab for lab in range(1, labels) for _ in range(r[lab])] if on else ()
+                          for r, on in zip(rest.tolist(), live.tolist())])
+    layout = _row_layout(span, pi_labels, lk_labels, groups, extra.reshape(n, n, -1))
     plan = AnsatzPlan(n, poles, plus, adj_num, adj_lc, adj_deg, place,
                       np.zeros(0, dtype=int), layout, np.zeros(0, dtype=int))
 
+    # one spec and one assembly of its rows at the reference point serve
+    # the D-row selection and the plan's own factorisation there
     spec = _plan_spec(plan, rho_ref, v_ref)
-    a0 = _assemble_homogeneous(spec)
+    rows = _assemble_rows(spec)
+    a0 = rows[..., layout.hom]
     u = layout.hom.size
     if a0.shape[0] < u:
         raise NonSquareSystem("fewer constraints than unknowns in homogeneous system")
@@ -614,11 +680,13 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
         raise NonSquareSystem(
             f"homogeneous system rank-deficient at reference point "
             f"({rho_ref}, {v_ref}); smallest accepted pivot {margin:.2e}")
-    plan = dataclasses.replace(plan, selected_rows=sel,
-                               square_rows=np.concatenate([sel, a0.shape[0] + np.arange(n)]))
+    spec.selected_rows = sel
+    spec.square_rows = np.concatenate([sel, a0.shape[0] + np.arange(n)])
+    plan = AnsatzPlan(n, poles, plus, adj_num, adj_lc, adj_deg, place, sel, layout,
+                      spec.square_rows)
     # the plan factorises at its reference point within the residual gates:
     # a wrong label leaves a pole that no solution cancels
-    batch = _evaluate(_plan_spec(plan, rho_ref, v_ref), DEFAULT_TOL)
+    batch = _evaluate(spec, DEFAULT_TOL, rows)
     if not batch.canonical:
         raise InvariantViolation(f"the plan is not canonical at its reference point "
                                  f"({rho_ref}, {v_ref})")
@@ -1036,9 +1104,10 @@ def evaluate_points(model: RationalMatrixOmega, rho, v, branches=None,
     return _evaluate(_plan_spec(_plan_for(model, branches), rho, v), tol)
 
 
-def _evaluate(spec: AnsatzSpec, tol: float) -> PointBatch:
-    """evaluate_points on the plan's spec at its points."""
-    A, l0 = _assemble_inhomogeneous(spec)
+def _evaluate(spec: AnsatzSpec, tol: float, rows: np.ndarray | None = None) -> PointBatch:
+    """evaluate_points on the plan's spec at its points; rows are its
+    analyticity rows where they are already assembled."""
+    A, l0 = _assemble_inhomogeneous(spec, rows)
     a0 = A[..., :-spec.n, spec.layout.hom]          # _assemble_homogeneous(spec), entry for entry
     d_val, d_scale = _det_with_scale(a0[..., spec.selected_rows, :])
     rows = spec.square_rows

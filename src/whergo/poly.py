@@ -59,8 +59,15 @@ def poly_is_zero(c) -> bool:
 
 
 def poly_eval(c, z):
-    """Horner evaluation; `z` may be a scalar or an array."""
-    return npoly.polyval(z, as_poly(c))
+    """Horner evaluation; `z` may be a scalar or an array: numpy's polyval,
+    whose Horner loop a scalar z runs here without its argument handling."""
+    p = as_poly(c)
+    if isinstance(z, (tuple, list, np.ndarray)):
+        return npoly.polyval(z, p)
+    val = p[-1] + z * 0
+    for k in range(p.size - 2, -1, -1):
+        val = p[k] + val * z
+    return val
 
 
 def poly_eval_stack(c, z) -> np.ndarray:
@@ -91,6 +98,20 @@ def poly_mul(a, b) -> np.ndarray:
     return poly_trim(np.convolve(pa, pb))
 
 
+def poly_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b, trimmed, of two complex polynomials as poly_trim leaves finite
+    ones ([0], or a non-zero leading coefficient): the values of
+    poly_trim(numpy.polynomial.polynomial.polysub(a, b)) bit for bit, its
+    coefficients beyond the shorter operand a's, or b's negated."""
+    if a.size > b.size:
+        d = a.copy()
+        d[:b.size] -= b
+    else:
+        d = -b
+        d[:a.size] += a
+    return poly_trim(d)
+
+
 def poly_from_roots(roots, lc=1.0) -> np.ndarray:
     p = np.array([complex(lc)])
     for r in roots:
@@ -107,10 +128,15 @@ def poly_deflate(c, root) -> np.ndarray:
     p = as_poly(c)
     if p.size < 2:
         return np.zeros(1, dtype=complex)
+    return deflate_quotients(p.reshape(-1, 1, 1), *deflation_root(root)).reshape(-1)
+
+
+def deflation_root(root) -> tuple:
+    """(root, small, inv): deflate_quotients' arguments for one root, a
+    stack of one row, as poly_deflate takes them."""
     root = np.array([[complex(root)]])
     small = np.abs(root[:, 0]) <= 1.0
-    return deflate_quotients(p.reshape(-1, 1, 1), root, small,
-                             reversed_inverses(root[:, 0], small)).reshape(-1)
+    return root, small, reversed_inverses(root[:, 0], small)
 
 
 def reversed_inverses(root: np.ndarray, small: np.ndarray) -> np.ndarray:

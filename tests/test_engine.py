@@ -1020,7 +1020,8 @@ def test_omega_adjugate_is_the_factored_rational_adjugate(name, params):
     tau_adj = _adjugate_fr(compose_monodromy(model, SpectralPoint(1.3, 0.4)).entries, n)
     for i in range(n):
         for j in range(n):
-            num, lc, labels, kept = adj[i][j]
+            num, lc, counts, kept = adj[i][j]
+            labels = +Counter(dict(enumerate(counts)))      # counts are indexed by label
             poles = _pole_counts(model, uncancelled[i][j].den_roots)
             assert labels - Counter({0: labels[0]}) == Counter(
                 {1 + 2 * p + side: m for p, m in poles.items() for side in (0, 1)})
@@ -1093,6 +1094,32 @@ def test_plan_compile_rejects_a_wrong_label(build, monkeypatch):
     assert not model.plans
     if model.model_id == "mp5d":
         assert "does not factorise" in str(info.value)
+
+
+@pytest.mark.parametrize("first_degenerate", [False, True], ids=["first", "second"])
+def test_plan_compile_assembles_once_per_reference_point(first_degenerate, monkeypatch):
+    # on a fresh model the compile evaluates the plan's spec and assembles
+    # its rows once at each reference point it tries: the D-row selection
+    # and the plan's own factorisation there read the same rows.  With the
+    # first reference point degenerate, the compile tries two
+    counts = dict.fromkeys(("_compile_plan", "_plan_spec", "_assemble_rows"), 0)
+    for name in counts:
+        def counted(*args, _fn=getattr(engine, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(engine, name, counted)
+    real = engine._greedy_rows
+
+    def greedy(a, k):
+        sel, margin = real(a, k)
+        return sel, (1e-9 if first_degenerate and counts["_compile_plan"] == 1 else margin)
+    monkeypatch.setattr(engine, "_greedy_rows", greedy)
+    for build in (model_kerr, model_mp5d, model_mvc5d):
+        counts.update(dict.fromkeys(counts, 0))
+        model = build(2.0, 1.0)
+        engine._plan_for(model)
+        tried = 2 if first_degenerate else 1
+        assert counts == dict.fromkeys(counts, tried), build.__name__
 
 
 def test_plan_compile_skips_degenerate_reference_points(monkeypatch):

@@ -21,6 +21,7 @@ from whergo.poly import (
     poly_from_roots,
     poly_is_zero,
     poly_mul,
+    poly_sub,
     poly_trim,
     reversed_inverses,
     row_scaled,
@@ -347,3 +348,11 @@ def test_coefficient_helpers_are_their_reference_definitions_bitwise(a, b):
             assert poly_is_zero(c) == bool(_poly_is_zero_reference(c))
         _same_bits(poly_add(a, b), _poly_add_reference(a, b))
         _same_bits(poly_add(b, a), _poly_add_reference(b, a))
+        # poly_sub takes polynomials as poly_trim leaves finite ones
+        ta, tb = poly_trim(a), poly_trim(b)
+        if np.isfinite(ta).all() and np.isfinite(tb).all():
+            for x, y in ((ta, tb), (tb, ta)):
+                _same_bits(poly_sub(x, y), _poly_trim_reference(npoly.polysub(x, y)))
+        for z in (0.7 - 1.3j, 2.5, -0.0, np.complex128(-1.1 + 0.4j), np.float64(3.0)):
+            got, want = poly_eval(a, z), npoly.polyval(z, _as_poly_reference(a))
+            assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -18,12 +18,21 @@ The artefacts, all at m = 2, a = 1:
 - evaluate_points/<model>: `evaluate_points` over the same draws as one
   batch;
 - sweep/..., curve/...: the bytes the CLI writes;
-- verify: the stdout of `whergo verify`.
-It uses numpy and whergo's public functions only.
+- verify: the stdout of `whergo verify`;
+- plan/<model>: the model's entries (numerators, denominators and their
+  roots) and omega poles, and every array and table of its compiled plan
+  for the given branches, the layout's `deflation` tuple included, or the
+  error (name and message) the compile raises.  Besides the four models above,
+  mp5d, mvc5d and Kerr at m = 2 and a in {0.01, 0.5, 1.9}, and the JSON
+  round trip of each built-in model at m = 2, a = 1.
+The plan/ lines read the plan that whergo.engine._plan_for compiles, its
+fields by name; every other line uses numpy and whergo's public functions
+only.
 """
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -32,8 +41,10 @@ import tempfile
 import numpy as np
 
 from whergo import assemble_M, factorise, model_kerr, model_mp5d, model_mvc5d
+from whergo.catalog import model_from_dict, model_to_dict
 from whergo.cli import main
-from whergo.engine import evaluate_points
+from whergo.engine import _plan_for, evaluate_points
+from whergo.errors import WhergoError
 
 MODELS = (
     ("kerr", model_kerr, None),
@@ -59,6 +70,9 @@ CURVES = (
     ("curve/mp5d", ["--model", "mp5d", "--grid", BOX_5D, "--step", "0.015"]),
     ("curve/mvc5d", ["--model", "mvc5d", "--grid", BOX_5D, "--step", "0.015"]),
 )
+
+
+BUILT_IN = (("kerr", model_kerr), ("mp5d", model_mp5d), ("mvc5d", model_mvc5d))
 
 
 def draws():
@@ -101,6 +115,37 @@ def point_digests(build, branches):
     return fact.hexdigest(), limit.hexdigest(), whole.hexdigest()
 
 
+def _update(h, value):
+    """Feed a plan field to h: arrays with their dtype and shape, tuples
+    and dataclasses item by item, anything else by its repr."""
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype} {value.shape}".encode() + _bytes(value))
+    elif isinstance(value, tuple):
+        h.update(f"tuple {len(value)}".encode())
+        for item in value:
+            _update(h, item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            h.update(f.name.encode())
+            _update(h, getattr(value, f.name))
+    else:
+        h.update(repr(value).encode())
+
+
+def plan_digest(model, branches) -> str:
+    """The sha256 of the model's entries, denominator roots and omega poles
+    and of its compiled plan for branches."""
+    h = hashlib.sha256()
+    for e in (e for row in model.entries for e in row):
+        _update(h, (e.num, e.den, np.array(e.den_roots, dtype=complex)))
+    _update(h, (np.array(model.omega_poles, dtype=complex), model.eta, model.default_branches))
+    try:
+        _update(h, _plan_for(model, branches))
+    except WhergoError as exc:
+        h.update(f"{type(exc).__name__}: {exc}".encode())
+    return h.hexdigest()
+
+
 def cli_digest(command, argv, tmp):
     """The sha256 of the file that `whergo <command> ... --out` writes."""
     path = os.path.join(tmp, "out")
@@ -125,6 +170,14 @@ def main_digest():
     with contextlib.redirect_stdout(out):
         code = main(["verify"])
     print(f"verify {hashlib.sha256(f'exit {code}'.encode() + out.getvalue().encode()).hexdigest()}")
+    for name, build, branches in MODELS:
+        print(f"plan/{name} {plan_digest(build(2.0, 1.0), branches)}")
+    for name, build in BUILT_IN:
+        for a in (0.01, 0.5, 1.9):
+            print(f"plan/{name}-a{a} {plan_digest(build(2.0, a), None)}")
+    for name, build in BUILT_IN:
+        model = model_from_dict(model_to_dict(build(2.0, 1.0)))
+        print(f"plan/{name}-json {plan_digest(model, None)}")
 
 
 if __name__ == "__main__":

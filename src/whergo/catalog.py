@@ -156,10 +156,10 @@ def make_model(entries, eta=None, params=None, model_id="custom",
         raise InvariantViolation(f"model {model_id} needs 2 x 2 or 3 x 3 entries, got rows "
                                  f"of lengths {[len(row) for row in entries]}")
     eta = (1.0,) * n if eta is None else tuple(eta) if np.iterable(eta) else (eta,)
-    if len(eta) != n or not all(e in (1, -1) and not isinstance(e, bool) for e in eta):
+    if len(eta) != n or not all(e in (1, -1) and not isinstance(e, (bool, np.bool_))
+                                for e in eta):
         raise InvariantViolation(f"model {model_id} needs eta as {n} numbers +-1, got {eta}")
     found_roots = {}        # the polished roots of each distinct denominator, by its bytes
-    found_entries = {}      # (num, den, reduced entry), by the ids of num and den
 
     def roots_of(den):
         key = den.tobytes()
@@ -169,13 +169,10 @@ def make_model(entries, eta=None, params=None, model_id="custom",
 
     def reduced(e):
         num, den = (e.num, e.den) if isinstance(e, RationalEntry) else e
-        key = (id(num), id(den))            # found_entries keeps both alive: no id is reused
-        if key not in found_entries:
-            top, bottom, roots = _cancel_shared_roots(num, den, roots_of)
-            entry = RationalEntry(top, bottom)
-            entry.__dict__["den_roots"] = roots     # the cancellation's last pass found them
-            found_entries[key] = (num, den, entry)
-        return found_entries[key][2]
+        num, den, roots = _cancel_shared_roots(num, den, roots_of)
+        e = RationalEntry(num, den)
+        e.__dict__["den_roots"] = roots     # the cancellation's last pass found them
+        return e
 
     entries = tuple(tuple(reduced(e) for e in row) for row in entries)
     found = []          # the distinct denominator zeros across entries

@@ -88,8 +88,8 @@ from .errors import (
 from .poly import (
     DEFAULT_TOL,
     deflate_quotients,
-    deflation_root,
     numerical_nullity,
+    poly_deflate,
     poly_eval,
     poly_eval_stack,
     poly_from_roots,
@@ -368,16 +368,14 @@ def _assemble_homogeneous(spec: AnsatzSpec) -> np.ndarray:
     return _assemble_rows(spec)[..., spec.layout.hom]
 
 
-def _assemble_inhomogeneous(spec: AnsatzSpec, a_top: np.ndarray | None = None):
-    """Full system: the analyticity rows (a_top where they are already
-    assembled) plus n normalisation rows at tau = 0.
+def _assemble_inhomogeneous(spec: AnsatzSpec, a_top: np.ndarray):
+    """Full system: the analyticity rows a_top (_assemble_rows(spec)) plus
+    n normalisation rows at tau = 0.
 
     Returns (A, l0): the right-hand side of factor column k is l0[..., k]
     in normalisation row k and zero in every other row (_right_hand_sides).
     """
     lay = spec.layout
-    if a_top is None:
-        a_top = _assemble_rows(spec)
     base = _flat(spec.base_polys, 3)
     # row k: coefficient of tau^m0_k of NUM_k, i.e. A_kj[m0_k - c] per column
     norm = _flat(base, 0)[lay.norm] * lay.norm_on
@@ -569,9 +567,7 @@ def _omega_adjugate(model: RationalMatrixOmega):
             for _ in range(m):
                 scale = top * max(1.0, abs(poles[p])) ** max(num.size - 1, 0)
                 if abs(poly_eval(num, poles[p])) <= 1e-9 * scale:
-                    # poly_deflate(num, poles[p]), the root's tables made once
-                    num = (deflate_quotients(num.reshape(-1, 1, 1), *at[p]).reshape(-1)
-                           if num.size > 1 else np.zeros(1, dtype=complex))
+                    num = poly_deflate(num, poles[p])
                     top = np.abs(num).max()
                 else:
                     kept.append(p)
@@ -579,7 +575,6 @@ def _omega_adjugate(model: RationalMatrixOmega):
         trimmed = poly_trim(num) if len(kept) < sum(found.values()) else num
         return trimmed, lc, counts(zero, found), kept
 
-    at = [deflation_root(w) for w in poles]
     factors = {}                    # prod (omega - poles[p]) over a tuple of pole indices
     ent = [[read(e) for e in row] for row in model.entries]
     adj = [[cofactor(i, j) for j in range(n)] for i in range(n)]
@@ -686,7 +681,7 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
                       spec.square_rows)
     # the plan factorises at its reference point within the residual gates:
     # a wrong label leaves a pole that no solution cancels
-    batch = _evaluate(spec, DEFAULT_TOL, rows)
+    batch = _evaluate(spec, *_assemble_inhomogeneous(spec, rows), DEFAULT_TOL)
     if not batch.canonical:
         raise InvariantViolation(f"the plan is not canonical at its reference point "
                                  f"({rho_ref}, {v_ref})")
@@ -1101,13 +1096,13 @@ def evaluate_points(model: RationalMatrixOmega, rho, v, branches=None,
     scale.
     """
     check_tol(tol)
-    return _evaluate(_plan_spec(_plan_for(model, branches), rho, v), tol)
+    spec = _plan_spec(_plan_for(model, branches), rho, v)
+    return _evaluate(spec, *_assemble_inhomogeneous(spec, _assemble_rows(spec)), tol)
 
 
-def _evaluate(spec: AnsatzSpec, tol: float, rows: np.ndarray | None = None) -> PointBatch:
-    """evaluate_points on the plan's spec at its points; rows are its
-    analyticity rows where they are already assembled."""
-    A, l0 = _assemble_inhomogeneous(spec, rows)
+def _evaluate(spec: AnsatzSpec, A: np.ndarray, l0: np.ndarray, tol: float) -> PointBatch:
+    """evaluate_points on the plan's spec at its points, from its full
+    system (A, l0) (_assemble_inhomogeneous)."""
     a0 = A[..., :-spec.n, spec.layout.hom]          # _assemble_homogeneous(spec), entry for entry
     d_val, d_scale = _det_with_scale(a0[..., spec.selected_rows, :])
     rows = spec.square_rows

@@ -7,7 +7,6 @@ polynomial is identically zero).  Matrices are plain numpy arrays.
 from __future__ import annotations
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 # Coefficients below TRIM_REL * max|coeff| are treated as arithmetic noise.
 TRIM_REL = 1e-14
@@ -59,11 +58,11 @@ def poly_is_zero(c) -> bool:
 
 
 def poly_eval(c, z):
-    """Horner evaluation; `z` may be a scalar or an array: numpy's polyval,
-    whose Horner loop a scalar z runs here without its argument handling."""
+    """Horner evaluation; `z` may be a scalar or an array, a tuple or list
+    taken as one: numpy's polyval, bit for bit."""
     p = as_poly(c)
-    if isinstance(z, (tuple, list, np.ndarray)):
-        return npoly.polyval(z, p)
+    if isinstance(z, (tuple, list)):
+        z = np.asarray(z)
     val = p[-1] + z * 0
     for k in range(p.size - 2, -1, -1):
         val = p[k] + val * z
@@ -128,15 +127,10 @@ def poly_deflate(c, root) -> np.ndarray:
     p = as_poly(c)
     if p.size < 2:
         return np.zeros(1, dtype=complex)
-    return deflate_quotients(p.reshape(-1, 1, 1), *deflation_root(root)).reshape(-1)
-
-
-def deflation_root(root) -> tuple:
-    """(root, small, inv): deflate_quotients' arguments for one root, a
-    stack of one row, as poly_deflate takes them."""
     root = np.array([[complex(root)]])
     small = np.abs(root[:, 0]) <= 1.0
-    return root, small, reversed_inverses(root[:, 0], small)
+    return deflate_quotients(p.reshape(-1, 1, 1), root, small,
+                             reversed_inverses(root[:, 0], small)).reshape(-1)
 
 
 def reversed_inverses(root: np.ndarray, small: np.ndarray) -> np.ndarray:

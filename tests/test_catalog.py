@@ -427,8 +427,9 @@ def test_make_model_refuses_a_shape_other_than_2x2_or_3x3(build):
 
 
 @pytest.mark.parametrize("eta", [
-    (1.0, 1.0, 1.0), (1.0,), (1.0, 2.0), (1.0, float("nan")), (True, 1.0), 1.0,
-], ids=["3-of-2", "1-of-2", "two", "nan", "bool", "scalar"])
+    (1.0, 1.0, 1.0), (1.0,), (1.0, 2.0), (1.0, float("nan")), (True, 1.0),
+    np.array([True, True]), 1.0,
+], ids=["3-of-2", "1-of-2", "two", "nan", "bool", "numpy-bool", "scalar"])
 def test_make_model_refuses_an_eta_that_is_not_n_signs(eta):
     # eta is the signature diagonal: n numbers +-1, as the JSON schema asks,
     # refused at build as a library error before any matrix arithmetic

@@ -735,7 +735,7 @@ def test_index_balance(kerr, mp5d, mvc5d):
 def _full_system(spec):
     """(A, B) of the full system: B, one right-hand side per factor column,
     holds l0 in the normalisation rows."""
-    A, l0 = _assemble_inhomogeneous(spec)
+    A, l0 = _assemble_inhomogeneous(spec, engine._assemble_rows(spec))
     return A, engine._right_hand_sides(l0, A.shape[-2], A.dtype)
 
 
@@ -1555,7 +1555,7 @@ def test_compiled_tables_are_the_per_call_arithmetic_bitwise(builder, branches, 
     for at in [(rho, v)] + [(rho[i], v[i]) for i in range(0, 300, 30)]:
         spec = engine._plan_spec(plan, *at)
         n = spec.n
-        A, l0 = _assemble_inhomogeneous(spec)
+        A, l0 = _assemble_inhomogeneous(spec, engine._assemble_rows(spec))
         norm, want_l0, B = _per_call_system(spec)
         assert A[..., -n:, :].tobytes() == norm.tobytes()
         assert l0.tobytes() == want_l0.tobytes()
@@ -1565,7 +1565,7 @@ def test_compiled_tables_are_the_per_call_arithmetic_bitwise(builder, branches, 
         rows = plan.square_rows
         assert (engine._right_hand_sides(l0, rows.size, A.dtype).tobytes()
                 == B[..., rows, :].tobytes())
-        sol = engine._evaluate(spec, 1e-9).solution
+        sol = engine._evaluate(spec, A, l0, 1e-9).solution
         assert all(x.tobytes() == y.tobytes() for x, y in
                    zip(engine._system_residual(A, l0, sol), _per_call_residual(A, B, sol)))
         a0 = A[..., :-n, spec.layout.hom]

@@ -353,6 +353,9 @@ def test_coefficient_helpers_are_their_reference_definitions_bitwise(a, b):
         if np.isfinite(ta).all() and np.isfinite(tb).all():
             for x, y in ((ta, tb), (tb, ta)):
                 _same_bits(poly_sub(x, y), _poly_trim_reference(npoly.polysub(x, y)))
-        for z in (0.7 - 1.3j, 2.5, -0.0, np.complex128(-1.1 + 0.4j), np.float64(3.0)):
+        for z in (0.7 - 1.3j, 2.5, -0.0, np.complex128(-1.1 + 0.4j), np.float64(3.0),
+                  np.array(0.5 + 2j), np.array([0.3, -2.0 + 1j, 0.0]), [1.5, -0.25],
+                  (2j, -1.0), np.array([[0.9, -1.7j], [3.0, 0.0]])):
             got, want = poly_eval(a, z), npoly.polyval(z, _as_poly_reference(a))
-            assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

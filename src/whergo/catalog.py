@@ -30,6 +30,7 @@ from .poly import (
     poly_eval,
     poly_eval_stack,
     poly_mul,
+    poly_sub,
     poly_trim,
 )
 from .spectral import BRANCH_MINUS, BRANCH_PLUS
@@ -286,10 +287,9 @@ def model_mvc5d(m: float, a: float) -> RationalMatrixOmega:
     e11 = ([-2.0], dp)
     e12 = ([al - m / 2.0, 1.0], dp)            # 1 - m/(2(omega+alpha))
     e21 = ([-al + m / 2.0, -1.0], dp)
-    # -a^2 m/(4(omega-alpha)) + m^2/(8(omega+alpha))
-    num22 = poly_trim(np.polynomial.polynomial.polyadd(
-        np.asarray(poly_mul([-a * a * m / 4.0], dp), dtype=complex),
-        np.asarray(poly_mul([m * m / 8.0], dm), dtype=complex)))
+    # -a^2 m/(4(omega-alpha)) + m^2/(8(omega+alpha)): the sum of the two
+    # trimmed numerators as numpy's polyadd forms it (x - (-y) is x + y)
+    num22 = poly_sub(poly_mul([-a * a * m / 4.0], dp), -poly_mul([m * m / 8.0], dm))
     e22 = (num22, d2)
     e23 = ([a * m / 2.0], dm)
     e32 = ([-a * m / 2.0], dm)

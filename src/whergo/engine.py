@@ -43,18 +43,19 @@ normalisation rows).  The system's right-hand sides are zero but for l0,
 so the residual and its scale read l0 itself.  The factors come from a few
 array passes over tables the plan's layout fixes once (_factors): the
 flat gather that maps the solution to the numerators NUM_k, the Taylor
-tables of their analyticity re-check, and the deflation order, one
-synthetic-division step per root position for every component that has a
-root there, computing quotients only, with each root's recurrence and
-inverse taken once per point.  M_minus is the solution scattered through
-the layout, S_j over pi_j; X holds the psi_+ numerators of every column,
-deflated and never trimmed, and X(tau) is the adjugate of Psi_+(tau)
-taken at each evaluation.  Both evaluate at a scalar tau or an array of
-them, every tau alike.  The residual report evaluates M(tau) in one Horner
-pass over the model's stacked omega-coefficients at omega(tau), and the
-numerators of both factors in one more, M_minus at the check circle and X
-at the circle and tau = 0; the circle's poles are the label values the
-plan's spec already holds.  A point whose system overflows the double
+tables of their analyticity re-check, and the deflation order, one pass
+of synthetic division over the coefficients for every run of root
+positions whose roots all take one recurrence, computing quotients only,
+with each root's recurrence and inverse taken once per point.  M_minus is
+the solution scattered through the layout, S_j over pi_j; X holds the
+psi_+ numerators of every column, deflated and never trimmed, and X(tau)
+is the adjugate of Psi_+(tau) taken at each evaluation.  Both evaluate at
+a scalar tau or an array of them, every tau alike.  The residual report
+evaluates M(tau) in one Horner pass over the model's stacked
+omega-coefficients at omega(tau), X at the check circle and tau = 0, and
+M_minus at the circle and at the two large taus of its Richardson
+estimate of M(rho, v), which assemble_M checks M_limit against; the
+circle's poles are the label values the plan's spec already holds.  A point whose system overflows the double
 range is never consistent and gets no SVD: it is unresolved.  An empty
 array of points gives an empty batch.
 
@@ -87,7 +88,7 @@ from .errors import (
 )
 from .poly import (
     DEFAULT_TOL,
-    deflate_quotients,
+    deflate_positions,
     numerical_nullity,
     poly_deflate,
     poly_eval,
@@ -243,6 +244,25 @@ class _RowLayout:
     deflated: np.ndarray      # the components still in the stack after the last position
     xwidth: int               # coefficients of X's numerators that can be non-zero:
                               # T less the fewest roots any component divides by
+
+    @cached_property
+    def dcolumns(self) -> np.ndarray:
+        """dgroup with each entry repeated over the n factor columns."""
+        return np.repeat(self.dgroup, len(self.pi))
+
+    @cached_property
+    def segments(self) -> tuple:
+        """The deflation order in segments of root positions, a new one
+        wherever components leave the stack: (done, done_k, keep) of the
+        segment's first position, as in deflation, and the slice of dgroup
+        that holds the roots of all its positions."""
+        out = []
+        for done, done_k, keep, part in self.deflation:
+            if out and not done.size:
+                out[-1][3] = slice(out[-1][3].start, part.stop)
+            else:
+                out.append([done, done_k, keep, part])
+        return tuple(map(tuple, out))
 
 
 def _index_table(rows) -> np.ndarray:
@@ -408,9 +428,12 @@ def _greedy_rows(A: np.ndarray, k: int):
     """Deterministic greedy selection of k maximally independent rows.
 
     Modified Gram-Schmidt volume heuristic: repeatedly take the row with
-    the largest component orthogonal to the span of those already chosen
-    (lowest index wins ties).  Returns sorted indices and the smallest
-    accepted residual norm relative to the largest row norm.
+    the largest component orthogonal to the span of those already chosen.
+    The lowest index wins an exact tie only: a near-tie goes by the last
+    bits of the BLAS products work @ q.conj(), which depend on the memory
+    order of the work matrix, so that a copy in another order can move a
+    plan's D rows.  Returns sorted indices and the smallest accepted
+    residual norm relative to the largest row norm.
     """
     work = A.astype(complex, order="C")     # C order, as the BLAS products below take it
     norms0 = np.linalg.norm(A, axis=1)
@@ -808,19 +831,15 @@ class RationalMatrixTau:
 
 
 def _factor_values(X: RationalMatrixTau, M_minus: RationalMatrixTau, t0: np.ndarray,
-                   width: int):
-    """(X at the taus t0, M_minus at t0[:-1]): eval's values, bitwise, with
-    the numerators of both factors in one Horner pass.  Leading zero
-    coefficients change no value (poly_eval_stack): X's beyond `width`,
-    which are zero, are left out, and M_minus's are padded to one length
-    with zeros.  t0 ends in tau = 0, where M_minus has a pole: it is not
-    divided there."""
-    width = max(width, M_minus.nums.shape[2])
-    nums = np.zeros((2,) + X.nums.shape[:2] + (width,), dtype=complex)
-    nums[0] = X.nums[..., :width]
-    nums[1, ..., :M_minus.nums.shape[2]] = M_minus.nums
-    num = poly_eval_stack(nums, t0)                       # (factor, r, c, tau)
-    return X._values(num[0], t0), M_minus._values(num[1, ..., :-1], t0[:-1])
+                   far: np.ndarray, width: int):
+    """(X at the taus t0, M_minus at t0[:-1] followed by the taus far):
+    eval's values, bitwise.  Leading zero coefficients change no value
+    (poly_eval_stack): X's beyond `width`, which are zero, are left out.
+    t0 ends in tau = 0, where M_minus has a pole; far holds the large taus
+    of the Richardson estimate of M(rho, v), where X is not evaluated."""
+    t1 = np.concatenate((t0[:-1], far))
+    return (X._values(poly_eval_stack(X.nums[..., :width], t0), t0),
+            M_minus._values(poly_eval_stack(M_minus.nums, t1), t1))
 
 
 # entry (i, j) of a 3 x 3 adjugate is the cofactor of (j, i): the minor of
@@ -859,6 +878,9 @@ class FactorisationOutcome:
     M_minus: RationalMatrixTau | None = None
     M_limit: np.ndarray | None = None
     residual_report: ResidualReport | None = None
+    # (n, n): M_minus extrapolated to infinity from two large taus, which
+    # assemble_M checks M_limit against (_residual_report)
+    M_richardson: np.ndarray | None = None
 
     @property
     def canonical(self) -> bool:
@@ -870,6 +892,9 @@ class FactorisationOutcome:
 _CHECK_CIRCLES = tuple(tuple(radius * np.exp(2j * np.pi * (k + 0.37) / 12) for k in range(12))
                        for radius in (1.0, 1.17, 0.83, 1.31, 0.67))
 _CHECK_TAUS = np.array([circle + (0j,) for circle in _CHECK_CIRCLES])
+# the large taus of the Richardson estimate of M(rho, v) from M_minus, in
+# units of max(1, |pole|) over the poles of M_minus
+_RICHARDSON_TAUS = np.array([1e4, 1e6])
 
 
 def _check_circle(poles) -> int:
@@ -891,14 +916,17 @@ def _check_circle(poles) -> int:
 
 
 def _residual_report(model: RationalMatrixOmega, pt: SpectralPoint, spec: AnsatzSpec,
-                     X: RationalMatrixTau, M_minus: RationalMatrixTau,
-                     pole_resid) -> ResidualReport:
+                     X: RationalMatrixTau, M_minus: RationalMatrixTau, pole_resid):
     """Pointwise check of M = M_minus * X and X(0) = I over the check circle
-    of the point's roots (spec.roots).
+    of the point's roots (spec.roots); returns (report, M_richardson).
 
     M(tau) comes from the model's omega-entries at omega(tau), the factors
     from the solved columns, so the check is independent of the solve.  At
-    the same points det M(tau) = 1 must hold to 1e-8 * max(1, |M|)^n.
+    the same points det M(tau) = 1 must hold to 1e-8 * max(1, |M|)^n.  The
+    same evaluation of M_minus gives its Richardson estimate of M(rho, v)
+    from two large taus, which assemble_M checks M_limit against.  The
+    extrapolation's own error grows like pole^2 / (tau1 tau2) with the
+    largest pole of M_minus, so both taus are scaled by max(1, |pole|).
     """
     circle = _check_circle(spec.roots)
     taus, t0 = _CHECK_CIRCLES[circle], _CHECK_TAUS[circle]
@@ -910,10 +938,13 @@ def _residual_report(model: RationalMatrixOmega, pt: SpectralPoint, spec: Ansatz
     if bad.any():
         k = int(np.argmax(bad))
         raise InvariantViolation(f"det M(omega(tau)) is {det[k]} at tau={taus[k]}")
-    x_val, minus_val = _factor_values(X, M_minus, t0, spec.layout.xwidth)   # X also at 0
-    resid = np.abs(m_val - minus_val @ x_val[:-1]).max(axis=(-2, -1))
+    far = np.abs(M_minus.den_roots[M_minus.den_on]).max(initial=1.0) * _RICHARDSON_TAUS
+    x_val, minus_val = _factor_values(X, M_minus, t0, far, spec.layout.xwidth)   # X also at 0
+    resid = np.abs(m_val - minus_val[:t.size] @ x_val[:-1]).max(axis=(-2, -1))
     x0_resid = float(np.abs(x_val[-1] - np.eye(model.n)).max())
-    return ResidualReport(float((resid / scale).max()), x0_resid, taus, float(pole_resid))
+    vals = minus_val[t.size:]
+    return (ResidualReport(float((resid / scale).max()), x0_resid, taus, float(pole_resid)),
+            (far[1] * vals[1] - far[0] * vals[0]) / (far[1] - far[0]))
 
 
 def _factors(spec: AnsatzSpec, sol: np.ndarray):
@@ -926,10 +957,11 @@ def _factors(spec: AnsatzSpec, sol: np.ndarray):
     psi_+(0) = e_i fixes the coefficients, as evaluate_points solves them.
     Analyticity is re-verified at every inside pole, where psi_+'s numerator
     NUM_k must vanish to the pole's order relative to the terms it sums.
-    Then NUM_k of every column is deflated by the inside roots of L_k, one
-    root position at a time for all components at once, untrimmed; X's row
-    k keeps the other roots of L_k as its denominator.  X = Psi_+^{-1} =
-    adj(Psi_+); the entries of a row share their denominator.  Every table
+    Then NUM_k of every column is deflated by the inside roots of L_k, a
+    run of root positions at a time for all components at once, untrimmed
+    (_deflated_numerators); X's row k keeps the other roots of L_k as its
+    denominator.  X = Psi_+^{-1} = adj(Psi_+); the entries of a row share
+    their denominator.  Every table
     indexed here is the plan's layout, and every root is read from
     spec.roots by its index.
     """
@@ -955,29 +987,46 @@ def _factors(spec: AnsatzSpec, sol: np.ndarray):
     pole_resid = float((np.abs(values) / np.maximum(terms, 1e-300)).max(initial=0.0))
     minus = np.zeros((n, n, lay.cmax), dtype=complex)
     minus[lay.jcol, :, lay.ccol] = sol
-    plus = np.zeros((n, n, lay.gather.shape[0]), dtype=complex)
-    # the deflation's quotients (poly_deflate's, bitwise): each root's
-    # recurrence and inverse are taken once, the roots of every position
-    # in one gather; complex from the start, as poly_deflate takes them, so
-    # that a -0.0 keeps its sign
-    small = size <= 1.0
-    inv = reversed_inverses(inside, small)[lay.dgroup]
-    root, small = inside[lay.dgroup, None], small[lay.dgroup]
-    num = np.asarray(nums.transpose(1, 0, 2), dtype=complex)   # (coefficient, k, column)
-    for done, done_k, keep, part in lay.deflation:
-        if done.size:       # components whose roots are all divided out
-            plus[done_k, :, :num.shape[0]] = num[:, done].transpose(1, 2, 0)
-        num = deflate_quotients(num[:, keep], root[part], small[part], inv[part])
-    plus[lay.deflated, :, :num.shape[0]] = num.transpose(1, 2, 0)
-    return (RationalMatrixTau(plus, roots[lay.xden], lay.xden >= 0, adjugate=True),
+    return (RationalMatrixTau(_deflated_numerators(lay, nums, inside, size <= 1.0),
+                              roots[lay.xden], lay.xden >= 0, adjugate=True),
             RationalMatrixTau(minus, roots[lay.pi], lay.pi >= 0), pole_resid)
 
 
+def _deflated_numerators(lay: _RowLayout, nums: np.ndarray, inside: np.ndarray,
+                         small: np.ndarray) -> np.ndarray:
+    """X's numerators, (k, column, coefficient) zero-padded to T: NUM_k
+    of every column (nums, (k, coefficient, column)) divided by the roots
+    of component k's inside groups (inside, one root per group; small,
+    |root| <= 1) in the layout's deflation order, untrimmed.
+
+    The quotients are poly_deflate's, bitwise: each root's recurrence and
+    inverse are taken once, the roots of every segment in one gather, and
+    the positions of a segment in one deflate_positions call, which takes
+    the numerators to complex first, as poly_deflate takes them, so that a
+    -0.0 keeps its sign."""
+    n = nums.shape[0]
+    plus = np.zeros((n, n, lay.gather.shape[0]), dtype=complex)
+    # every root and inverse in deflation order, repeated over the n columns
+    root = inside[lay.dcolumns].reshape(-1, n)
+    inv = reversed_inverses(inside, small)[lay.dcolumns].reshape(-1, n)
+    small = small[lay.dgroup]
+    num = nums.transpose(1, 0, 2)                   # (coefficient, k, column)
+    for done, done_k, keep, part in lay.segments:
+        if done.size:       # components whose roots are all divided out
+            plus[done_k, :, :num.shape[0]] = num[:, done].transpose(1, 2, 0)
+        num = num[:, keep]
+        rows = num.shape[1]
+        num = deflate_positions(num, root[part].reshape(-1, rows, n),
+                                small[part].reshape(-1, rows), inv[part].reshape(-1, rows, n))
+    plus[lay.deflated, :, :num.shape[0]] = num.transpose(1, 2, 0)
+    return plus
+
+
 def _checked_factors(model: RationalMatrixOmega, batch: PointBatch, pt: SpectralPoint):
-    """(X, M_minus, residual report) of the canonical one-point batch of
-    the model's plan at pt."""
+    """(X, M_minus, residual report, M_richardson) of the canonical
+    one-point batch of the model's plan at pt."""
     X, M_minus, pole_resid = _factors(batch.spec, batch.solution)
-    return X, M_minus, _residual_report(model, pt, batch.spec, X, M_minus, pole_resid)
+    return X, M_minus, *_residual_report(model, pt, batch.spec, X, M_minus, pole_resid)
 
 
 def _d_with_scale(model: RationalMatrixOmega, rho, v, branches=None):
@@ -1145,9 +1194,9 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
     d_val, d_scale = complex(batch.D_value.item()), batch.D_scale.item()
     kdim = int(batch.kernel_dim)
     if batch.canonical:
-        X, M_minus, report = _checked_factors(model, batch, SpectralPoint(rho, v))
+        X, M_minus, report, richardson = _checked_factors(model, batch, SpectralPoint(rho, v))
         return FactorisationOutcome(Status.CANONICAL, d_val, d_scale, 0,
-                                    X, M_minus, batch.M_limit, report)
+                                    X, M_minus, batch.M_limit, report, richardson)
     status = Status.DEGENERATE if kdim else Status.UNRESOLVED
     return FactorisationOutcome(status, d_val, d_scale, kdim)
 
@@ -1158,23 +1207,15 @@ LIMIT_CHECK_REL = 1e-8
 
 def assemble_M(outcome: FactorisationOutcome, check: bool = True) -> np.ndarray:
     """Solution matrix M(rho, v) = lim M_minus(tau), with a Richardson
-    cross-check of the closed-form limit against large-tau evaluations.
-
-    The extrapolation's own error grows like pole^2 / (tau1 tau2) with the
-    largest pole of M_minus, so both taus are scaled by max(1, |pole|).
-    """
+    cross-check of the closed-form limit against large-tau evaluations of
+    M_minus (the outcome's M_richardson, which factorise takes from the
+    residual report's evaluation of M_minus)."""
     if not outcome.canonical:
         raise NotCanonical(f"no solution matrix for status {outcome.status.value}")
     m = outcome.M_limit
     if check:
-        M_minus = outcome.M_minus
-        pole = np.abs(M_minus.den_roots[M_minus.den_on]).max(initial=1.0)
-        taus = pole * np.array([1e4, 1e6])
-        vals = M_minus.eval(taus)
-        extr = (taus[1] * vals[1] - taus[0] * vals[0]) / (taus[1] - taus[0])
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(extr - m).max() > LIMIT_CHECK_REL * scale:
+        gap = np.abs(outcome.M_richardson - m).max()
+        if gap > LIMIT_CHECK_REL * max(1.0, float(np.abs(m).max())):
             raise ArithmeticError(
-                f"limit cross-check failed: |extrapolated - closed form| = "
-                f"{np.max(np.abs(extr - m)):.2e}")
+                f"limit cross-check failed: |extrapolated - closed form| = {gap:.2e}")
     return m

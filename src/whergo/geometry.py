@@ -1,6 +1,7 @@
 """Metric scalars from M(rho, v), ergosurface curves and D = 0 tracing."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from numbers import Integral
 
@@ -15,8 +16,9 @@ REALITY_REL = 1e-9
 
 
 def _coset_scalars(cls, M, n: int, formulas):
-    """cls(*Sigma_i, *fields), (exps, fields) = formulas(Re M), Sigma_i =
-    0.5 log exps[i], for one matrix (n, n) or a stack (..., n, n).
+    """cls(*Sigma_i, *fields), (exps, fields) = formulas(R), Sigma_i = 0.5
+    log exps[i], for one matrix (n, n) or a stack (..., n, n); R[i][j] is
+    Re M_ij, stacked, or a Python float for one matrix.
 
     Refused where M is not finite and real (real: |Im M| <= REALITY_REL *
     max(1, |M|)) or a denominator vanishes, leaving an exp or a field not
@@ -26,21 +28,39 @@ def _coset_scalars(cls, M, n: int, formulas):
     M = np.asarray(M)
     if M.shape[-2:] != (n, n):
         raise ValueError(f"{n}x{n} matrix or a stack of them required")
+    if M.ndim == 2:
+        return _one_coset(cls, M, formulas)
     size = np.abs(M).max(axis=(-2, -1))
     ok = np.isfinite(size)
     if np.iscomplexobj(M):
         ok &= np.abs(M.imag).max(axis=(-2, -1)) <= REALITY_REL * np.maximum(1.0, size)
     with np.errstate(all="ignore"):
-        exps, fields = formulas(M.real)
+        exps, fields = formulas(np.moveaxis(M.real, (-2, -1), (0, 1)))
         sigmas = [np.where(e > 0, 0.5 * np.log(e), np.nan) for e in exps]
     ok &= np.all([np.isfinite(x) for x in (*exps, *fields)], axis=0)
-    values = [np.where(ok, x, np.nan) for x in (*sigmas, *fields)]
-    if np.ndim(ok):
-        return cls(*values)
-    if not ok:
+    return cls(*(np.where(ok, x, np.nan) for x in (*sigmas, *fields)))
+
+
+def _one_coset(cls, M, formulas):
+    """_coset_scalars of one matrix M (n, n): its formulas run on Python
+    floats, the same IEEE operations as on a stack, bit for bit; a
+    denominator that vanishes raises ZeroDivisionError there, where a
+    stack reads a value that is not finite.  Sigma_i takes numpy's log, as
+    a stack does."""
+    R = M.real.tolist()
+    if np.iscomplexobj(M):
+        size = np.abs(M).max()
+        ok = bool(np.isfinite(size)) and np.abs(M.imag).max() <= REALITY_REL * max(1.0, size)
+    else:
+        ok = all(math.isfinite(x) for row in R for x in row)
+    try:
+        exps, fields = formulas(R)
+    except ZeroDivisionError:
+        ok = False
+    if not (ok and all(map(math.isfinite, (*exps, *fields)))):
         raise NonPhysicalM("M is not finite and real, or a denominator of its coset form "
                            f"vanishes: M = {M.tolist()}")
-    return cls(*(None if np.isnan(x) else float(x) for x in values))
+    return cls(*(float(0.5 * np.log(e)) if e > 0 else None for e in exps), *fields)
 
 
 @dataclass(frozen=True)
@@ -89,16 +109,16 @@ def extract_4d(M) -> MetricScalars4D:
     Delta = 1/M22, Btilde = M12/M22, g_tt = -Delta, also where M22 < 0
     (inside the Kerr ergoregion, where g_tt > 0)."""
     return _coset_scalars(MetricScalars4D, M, 2, lambda R: (
-        (), (1.0 / R[..., 1, 1], R[..., 0, 1] / R[..., 1, 1], -1.0 / R[..., 1, 1])))
+        (), (1.0 / R[1][1], R[0][1] / R[1][1], -1.0 / R[1][1])))
 
 
-def _formulas_5d(M):
-    e1 = M[..., 0, 0]
-    chi2 = M[..., 0, 1] / e1
-    chi3 = M[..., 0, 2] / e1
-    e2 = M[..., 1, 1] + e1 * chi2 * chi2
-    chi1 = (M[..., 1, 2] + e1 * chi2 * chi3) / e2
-    e3 = M[..., 2, 2] + e2 * chi1 * chi1 - e1 * chi3 * chi3
+def _formulas_5d(R):
+    e1 = R[0][0]
+    chi2 = R[0][1] / e1
+    chi3 = R[0][2] / e1
+    e2 = R[1][1] + e1 * chi2 * chi2
+    chi1 = (R[1][2] + e1 * chi2 * chi3) / e2
+    e3 = R[2][2] + e2 * chi1 * chi1 - e1 * chi3 * chi3
     return (e1, e2, e3), (chi1, chi2, chi3, -e3 + e2 * chi1 * chi1)
 
 

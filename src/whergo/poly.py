@@ -6,6 +6,8 @@ polynomial is identically zero).  Matrices are plain numpy arrays.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 # Coefficients below TRIM_REL * max|coeff| are treated as arithmetic noise.
@@ -74,12 +76,23 @@ def poly_eval_stack(c, z) -> np.ndarray:
     ascending and zero-padded to one length, at z of any shape; returns
     shape c.shape[:-1] + z.shape.  Each value is poly_eval's at an array of
     z, bitwise (leading zero coefficients change no value); a scalar z runs
-    as an array of one, so that it too is taken in numpy's array arithmetic."""
+    as an array of one, so that it too is taken in numpy's array arithmetic.
+    The coefficients and the points are laid out (coefficient, row, point)
+    and (row, point) first, so that each step multiplies and adds operands
+    of one shape, each contiguous: numpy's fast loop, the same arithmetic."""
     z = np.asarray(z)
     x = z.reshape(-1)
-    val = c[..., -1, None] + x * 0
-    for k in range(c.shape[-1] - 2, -1, -1):
-        val = c[..., k, None] + val * x
+    size = c.shape[-1]
+    rows = c.size // size
+    dtype = np.result_type(c, x)
+    coef = np.empty((size, rows, x.size), dtype=dtype)
+    coef[...] = c.reshape(rows, size).T[..., None]
+    at = np.empty((rows, x.size), dtype=dtype)
+    at[...] = x
+    val = coef[-1] + x * 0
+    for k in range(size - 2, -1, -1):
+        val = val * at
+        val += coef[k]
     return val.reshape(c.shape[:-1] + z.shape)
 
 
@@ -138,7 +151,7 @@ def reversed_inverses(root: np.ndarray, small: np.ndarray) -> np.ndarray:
     small, |root| > 1), 0 for the others, shape (row, 1): Python's complex
     division, as numpy's differs from it in the last bit.  A root at 0 is
     small and gets no inverse."""
-    return np.array([0j if s else 1.0 / complex(r) for r, s in zip(root, small)],
+    return np.array([0j if s else 1.0 / r for r, s in zip(root.tolist(), small.tolist())],
                     dtype=complex).reshape(-1, 1)
 
 
@@ -147,41 +160,93 @@ def deflate_quotients(p: np.ndarray, root: np.ndarray, small: np.ndarray,
     """The quotients of a complex stack p (coefficient, row, column)
     divided by (tau - root), each row by its own root, root (row, 1), on
     poly_deflate's recurrence for it: small (row,) is |root| <= 1 and inv
-    (row, 1) is reversed_inverses(root, small).  No remainder is formed and
-    nothing is copied where every row takes one recurrence."""
-    if small.all():
-        return _quotients_forward(p, root)
-    if not small.any():
-        return _quotients_reversed(p, inv)
-    q = np.empty((p.shape[0] - 1,) + p.shape[1:], dtype=complex)
-    q[:, small] = _quotients_forward(p[:, small], root[small])
-    q[:, ~small] = _quotients_reversed(p[:, ~small], inv[~small])
-    return q
+    (row, 1) is reversed_inverses(root, small).  No remainder is formed:
+    this is deflate_positions at one root position."""
+    cols = p.shape[2]
+    return deflate_positions(p, np.repeat(root[None], cols, axis=2), small[None],
+                             np.repeat(inv[None], cols, axis=2))
+
+
+def deflate_positions(p: np.ndarray, root: np.ndarray, small: np.ndarray,
+                      inv: np.ndarray) -> np.ndarray:
+    """deflate_quotients at every root position of root in turn: p divided
+    by prod (tau - root[j]) over the positions j, bit for bit the
+    quotients of one position after another.  root and inv, (position,
+    row, column), repeat the root of each row and its reversed_inverses
+    over the columns, so that every step reads contiguous blocks; small
+    (position, row) is |root| <= 1.  Consecutive positions whose roots all
+    take one recurrence share one pass over the coefficients; a position
+    that mixes the two splits its rows."""
+    kinds = [row[0] if row.count(row[0]) == len(row) else None for row in small.tolist()]
+    pos = 0
+    for kind, run in itertools.groupby(kinds):
+        m = len(list(run))
+        if kind is None:            # one recurrence per row, a position at a time
+            for j in range(pos, pos + m):
+                s = small[j]
+                q = np.empty((p.shape[0] - 1,) + p.shape[1:], dtype=complex)
+                q[:, s] = _quotients_forward(p[:, s], root[j:j + 1, s])
+                q[:, ~s] = _quotients_reversed(p[:, ~s], inv[j:j + 1, ~s])
+                p = q
+        elif kind:
+            p = _quotients_forward(p, root[pos:pos + m])
+        else:
+            p = _quotients_reversed(p, inv[pos:pos + m])
+        pos += m
+    return p
 
 
 def _quotients_forward(p, root):
-    """The recurrence for |root| <= 1: q_(k-1) = p_k + root q_k from the
-    top coefficient down."""
-    n = p.shape[0] - 1
-    q = np.empty((n,) + p.shape[1:], dtype=complex)
-    if n:
-        q[n - 1] = p[n]
-    for k in range(n - 1, 0, -1):
-        np.multiply(q[k], root, out=q[k - 1])
-        q[k - 1] += p[k]
-    return q
+    """The recurrence for |root| <= 1, q_(k-1) = p_k + root q_k from the
+    top coefficient down, for the roots (position, row, column) in turn.
+    Every quotient takes the same coefficient k - 1 at the same step, that
+    of position j from coefficient k of the one before it (of p for the
+    first): q[:, j + 1] starts a step after q[:, j], with its top
+    coefficient copied, and each step after the first m is one product
+    and one sum over the contiguous block q[k - 1, 1:] of all positions."""
+    m, n = root.shape[0], p.shape[0]
+    q = np.empty((n, m + 1) + p.shape[1:], dtype=complex)
+    q[:, 0] = p
+    new, old = q[:, 1:], q[:, :-1]          # each quotient, and the one it divides
+    for step in range(n - 1):
+        k, on = n - 1 - step, min(step, m)
+        if on == m:
+            out = new[k - 1]
+            np.multiply(new[k], root, out)
+            np.add(out, old[k], out)
+            continue
+        if on:
+            out = new[k - 1, :on]
+            np.multiply(new[k, :on], root[:on], out)
+            np.add(out, old[k, :on], out)
+        q[k - 1, on + 1] = q[k, on]
+    return q[:n - m, m]
 
 
 def _quotients_reversed(p, inv):
-    """The recurrence for |root| > 1 on the reversed coefficients: q_k =
-    (q_(k-1) - p_k) / root from the constant term up, inv = 1 / root."""
-    n = p.shape[0] - 1
-    q = np.empty((n,) + p.shape[1:], dtype=complex)
-    if n:
-        np.multiply(-p[0], inv, out=q[0])
-    for k in range(1, n):
-        np.multiply(q[k - 1] - p[k], inv, out=q[k])
-    return q
+    """The recurrence for |root| > 1 on the reversed coefficients, q_k =
+    (q_(k-1) - p_k) / root from the constant term up, inv = 1 / root
+    (position, row, column), for the roots in turn.  The quotient of
+    position j is stored j + 1 places up (q[k + j + 1, j + 1] is its
+    coefficient k), so that every quotient takes one storage index at the
+    same step, a step after the one before it starts."""
+    m, n = inv.shape[0], p.shape[0]
+    q = np.empty((n, m + 1) + p.shape[1:], dtype=complex)
+    q[:, 0] = p
+    new, old = q[:, 1:], q[:, :-1]
+    diff = np.empty(inv.shape, dtype=complex)
+    for t in range(1, n):
+        on = min(t - 1, m)
+        # the product is not taken in place: numpy rounds that differently
+        if on == m:
+            np.subtract(new[t - 1], old[t - 1], diff)
+            np.multiply(diff, inv, new[t])
+            continue
+        if on:
+            np.subtract(new[t - 1, :on], old[t - 1, :on], diff[:on])
+            np.multiply(diff[:on], inv[:on], new[t, :on])
+        np.multiply(-q[t - 1, t - 1], inv[t - 1], q[t, t])
+    return q[m:, m]
 
 
 def newton_polish(c, z, steps: int = 1):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -1329,6 +1330,49 @@ def test_factors_are_the_per_root_loops_bitwise(name, kerr, mp5d, mvc5d):
     assert compared >= (12 if name == "chain" else 20)
 
 
+# inside groups (label, multiplicity) per component: component 0 leaves
+# the deflation stack after the first position, component 1 after the
+# third, so that every segment of positions but the first starts where
+# components leave
+_LEAVING_GROUPS = (((1, 1),), ((1, 2), (3, 1)), ((3, 2), (5, 2)))
+_LEAVING_ROOTS = (0.0, 1.0, -1j, 0.6 - 0.3j, -0.9, 1.1 + 0.9j, -40.0, 3.0, 2.5 - 1.5j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(_LEAVING_ROOTS), min_size=5, max_size=5),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example([0.6 - 0.3j, 0.0, 1.0, -0.9, -1j], False, 1)
+@example([3.0, -40.0, 1.1 + 0.9j, 2.5 - 1.5j, -40.0], True, 2)
+def test_deflation_with_components_leaving_is_poly_deflate_root_by_root_bitwise(roots, real, seed):
+    # _deflated_numerators divides NUM_k of every column by the roots of
+    # component k's inside groups, whatever the recurrences of the roots at
+    # each position, components leaving the stack on the way, as
+    # poly_deflate divides each column root by root, bit for bit (-0.0
+    # coefficients and real numerators included)
+    lk = [(0, 1, 2), (1, 1, 3, 4), (3, 3, 5, 5, 6)]
+    lay = engine._row_layout(6, [(1,), (1, 3), (3, 5)], lk, _LEAVING_GROUPS,
+                             np.full((3, 3, 0), -1, dtype=int))
+    assert [seg[0].size for seg in lay.segments] == [0, 1, 1]
+    rng = np.random.default_rng(seed)
+    size = lay.gather.shape[0]
+    nums = rng.normal(size=(3, size, 3))
+    if not real:
+        nums = nums + 1j * rng.normal(size=nums.shape)
+    nums[rng.random(nums.shape) < 0.15] = -0.0
+    inside = np.array(roots, dtype=complex)           # one root per inside group
+    plus = engine._deflated_numerators(lay, nums, inside, np.abs(inside) <= 1.0)
+    group = 0
+    for k, groups in enumerate(_LEAVING_GROUPS):
+        order = [g for g, (_, m) in enumerate(groups, start=group) for _ in range(m)]
+        group += len(groups)
+        for c in range(3):
+            col = nums[k, :, c].astype(complex)
+            for g in order:
+                col = poly_deflate(col, inside[g])
+            assert plus[k, c, :col.size].tobytes() == col.tobytes()
+            assert not plus[k, c, col.size:].any()
+
+
 def _factor_columns_loop(spec, sol, lists):
     """The psi_+ and psi_- columns of the solved ansatz at one point, one
     column and one inside root at a time, as FactoredRational entries
@@ -1455,8 +1499,9 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
     # once the model's plan is compiled, a factorisation (canonical or on the
     # curve) composes no monodromy, builds no symbolic adjugate, multiplies
     # no polynomials and finds no roots; a canonical one and assemble_M
-    # evaluate no polynomial entry by entry, and deflate once per root
-    # position, not once per root
+    # evaluate no polynomial entry by entry, and deflate in one pass per run
+    # of root positions whose roots take one recurrence, not once per root
+    # or per position
     from whergo import catalog, poly
 
     on_curve = _on_curve_points(kerr, mp5d, mvc5d, (0.2,))
@@ -1474,16 +1519,30 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
                              (poly, "poly_eval"), (catalog, "poly_eval"),
                              (catalog.RationalEntry, "__call__")):
             monkeypatch.setattr(module, name, forbidden)
-        deflations = []
+        deflations, passes = [], []
 
-        def deflate(p, root, small, inv, _real=engine.deflate_quotients):
-            deflations.append(np.shape(root))
+        def deflate(p, root, small, inv, _real=engine.deflate_positions):
+            deflations.append(small.tolist())
             return _real(p, root, small, inv)
-        monkeypatch.setattr(engine, "deflate_quotients", deflate)
+        monkeypatch.setattr(engine, "deflate_positions", deflate)
+        for name in ("_quotients_forward", "_quotients_reversed"):
+            def one_pass(p, root, _real=getattr(poly, name)):
+                passes.append(len(root))
+                return _real(p, root)
+            monkeypatch.setattr(poly, name, one_pass)
         out = factorise(model, *canonical)
         assert out.canonical and out.residual_report.factorisation <= 1e-9
         assemble_M(out, check=True)
-        assert 0 < len(deflations) <= max(sum(m for _, m in g) for g in groups)
+        # one call per segment of positions (no component leaves the stack
+        # here), one pass per run of positions of one recurrence (the
+        # components divide by one label at each position)
+        positions = [row for call in deflations for row in call]
+        assert len(positions) == max(sum(m for _, m in g) for g in groups)
+        assert len(deflations) == len(engine._plan_for(model).layout.segments) == 1
+        assert all(len(set(row)) == 1 for row in positions)
+        runs = [len(list(run)) for call in deflations
+                for _, run in itertools.groupby(row[0] for row in call)]
+        assert passes == runs
         assert factorise(model, *curve).status is Status.DEGENERATE
         monkeypatch.undo()
 
@@ -1574,18 +1633,25 @@ def test_compiled_tables_are_the_per_call_arithmetic_bitwise(builder, branches, 
 
 @pytest.mark.parametrize("name", ["kerr", "mp5d", "mvc5d", "chain"])
 def test_factor_values_are_the_factors_evals_bitwise(name, kerr, mp5d, mvc5d):
-    # the residual report's one Horner pass over both factors (X trimmed to
-    # the coefficients the deflation can leave non-zero, M_minus padded)
-    # gives X.eval at the check points and tau = 0 and M_minus.eval at the
-    # check points, bit for bit
+    # the residual report's evaluation of the factors (X trimmed to the
+    # coefficients the deflation can leave non-zero) gives X.eval at the
+    # check points and tau = 0 and M_minus.eval at the check points and the
+    # two large taus of the Richardson estimate, bit for bit; the estimate
+    # is the one assemble_M took from its own M_minus.eval there
     model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
     for rho, v, out in _canonical_draws(model, 12, seed=64):
         spec = engine._plan_spec(engine._plan_for(model), rho, v)
         t0 = engine._CHECK_TAUS[engine._check_circle(spec.roots)]
         assert np.all(out.X.nums[..., spec.layout.xwidth:] == 0.0)
-        x_val, minus_val = engine._factor_values(out.X, out.M_minus, t0, spec.layout.xwidth)
+        pole = np.abs(out.M_minus.den_roots[out.M_minus.den_on]).max(initial=1.0)
+        far = pole * np.array([1e4, 1e6])
+        x_val, minus_val = engine._factor_values(out.X, out.M_minus, t0, far,
+                                                 spec.layout.xwidth)
         assert x_val.tobytes() == out.X.eval(t0).tobytes()
-        assert minus_val.tobytes() == out.M_minus.eval(t0[:-1]).tobytes()
+        assert minus_val.tobytes() == out.M_minus.eval(np.append(t0[:-1], far)).tobytes()
+        vals = out.M_minus.eval(far)
+        extrapolated = (far[1] * vals[1] - far[0] * vals[0]) / (far[1] - far[0])
+        assert out.M_richardson.tobytes() == extrapolated.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3)])

@@ -15,6 +15,7 @@ from whergo.geometry import (
     ergosurface_closed_form,
     extract_4d,
     extract_5d,
+    extract_metric,
     mp_gtt_spherical,
     spherical_from_prolate_5d,
     trace_curve,
@@ -56,6 +57,58 @@ def test_extract_4d_rejects_bad_input():
     # in a stack the refused entries are NaN, the others as alone
     stack = extract_4d(np.array([[[1.0, 0.0], [0.0, -2.0]], [[1.0, 0.0], [0.0, 0.0]]]))
     assert stack.g_tt[0] == 0.5 and np.isnan(stack.g_tt[1])
+
+
+# matrices that one-matrix extraction refuses, by size n
+_REFUSED = {
+    2: ([[1.0, 0.5], [0.5, 0.0]],                                   # M22 = 0
+        [[1.0, np.nan], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]),  # not finite
+    3: ([[0.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],        # e1 = 0
+        [[1.0, 1.0, 0.5], [-1.0, -1.0, 0.3], [0.5, 0.2, 1.0]],      # e2 = 0
+        [[1.0, 0.0, 0.0], [0.0, 1.0, np.nan], [0.0, 0.0, 1.0]]),    # not finite
+}
+
+
+def _assert_one_is_stack_element(one, stack, k):
+    """Every field of one matrix's scalars is the stack's element k, bit
+    for bit, and a Sigma_i is None exactly where the stack reads NaN."""
+    for name, value in vars(one).items():
+        got = getattr(stack, name)[k]
+        if value is None:
+            assert np.isnan(got), name
+        else:
+            assert np.float64(value).tobytes() == np.float64(got).tobytes(), name
+
+
+@pytest.mark.parametrize("model_id", ["kerr", "mp5d", "mvc5d"])
+def test_one_matrix_extraction_is_the_stack_element_bitwise(model_id):
+    # one matrix runs the coset formulas on Python floats, a stack on
+    # arrays: the same bits at canonical M(rho, v), the same refusals
+    # (NonPhysicalM alone, NaN in every field of a stack) where M22, e1 or
+    # e2 vanishes, an entry is not finite or Im M exceeds REALITY_REL
+    model = MODEL_BUILDERS[model_id](M_K, A_K)
+    rng = np.random.default_rng(71)
+    rho, v = 10.0 ** rng.uniform(-3.0, np.log10(20.0), 60), rng.uniform(-4.0, 4.0, 60)
+    limits = [out.M_limit for out in (factorise(model, r, w) for r, w in zip(rho, v))
+              if out.canonical]
+    n = model.n
+    refused = [np.array(m) for m in _REFUSED[n]]
+    complex_refused = [np.eye(n) + 2e-9j, np.eye(n) + 1j * np.inf]
+    for matrices, bad in ((limits + refused, len(refused)),
+                          ([m.astype(complex) for m in limits] + complex_refused,
+                           len(complex_refused))):
+        stack = extract_metric(np.array(matrices))
+        good = len(matrices) - bad
+        for k, M in enumerate(matrices):
+            if k < good:
+                _assert_one_is_stack_element(extract_metric(M), stack, k)
+                continue
+            with pytest.raises(NonPhysicalM):
+                extract_metric(M)
+            assert all(np.isnan(getattr(stack, name)[k]) for name in vars(stack))
+    assert len(limits) >= 40
+    if n == 3:      # Sigma_i is None at some canonical draws: exp(2 Sigma_i) < 0
+        assert np.isnan(extract_metric(np.array(limits)).Sigma1).any()
 
 
 def test_extract_4d_kerr_ergosurface_point(kerr):

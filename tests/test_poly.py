@@ -10,6 +10,7 @@ from tau_route import DegenerateCoefficient, FactoredRational, poly_add, poly_sc
 from whergo.poly import (
     TRIM_REL,
     as_poly,
+    deflate_positions,
     deflate_quotients,
     equilibrate,
     newton_polish,
@@ -161,6 +162,51 @@ def test_deflate_quotients_are_poly_deflate_bitwise(roots):
         for j in range(3):
             assert q[:, i, j].tobytes() == poly_deflate(p[:, i, j], r).tobytes()
             assert q[:, i, j].tobytes() == _deflate_reference(p[:, i, j], r).tobytes()
+
+
+# roots that take the forward recurrence (|root| <= 1, 0 and the unit
+# circle included) and roots that take the reversed one
+_FORWARD_ROOTS = (0.0, 1.0, -1.0, 1j, (0.6 - 0.8j), 0.6 - 0.3j, -0.9, 0.25)
+_REVERSED_ROOTS = (1.1 + 0.9j, -40.0, 3.0, -1.5j, 2.5 + 1.5j, 1.0 + 1e-12)
+_ROWS = 3
+
+
+def _position(choices):
+    return st.lists(st.sampled_from(choices), min_size=_ROWS, max_size=_ROWS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(_position(_FORWARD_ROOTS), _position(_REVERSED_ROOTS),
+                          _position(_FORWARD_ROOTS + _REVERSED_ROOTS)), min_size=1, max_size=6),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@example([[0.25, 1.0, 0.0]] * 3 + [[3.0, -40.0, -1.5j]] * 2 + [[0.6 - 0.3j, 3.0, 1j]], 3, 7)
+def test_deflate_positions_are_one_position_after_another_bitwise(positions, cols, seed):
+    # the run-wise deflation (one pass per run of positions whose roots all
+    # take one recurrence, a position that mixes the two row by row) gives
+    # deflate_quotients position by position, and poly_deflate and the plain
+    # recurrence root by root, bit for bit, -0.0 coefficients included
+    rng = np.random.default_rng(seed)
+    m = len(positions)
+    p = rng.normal(size=(m + 4, _ROWS, cols)) + 1j * rng.normal(size=(m + 4, _ROWS, cols))
+    p[rng.random(p.shape) < 0.15] = complex(-0.0, -0.0)
+    p[rng.random(p.shape) < 0.15] = complex(0.0, -0.0)
+    p[-1, 0] = -0.0
+    root = np.array(positions, dtype=complex)                     # (position, row)
+    small = np.abs(root) <= 1.0
+    inv = np.array([reversed_inverses(r, s) for r, s in zip(root, small)])
+    got = deflate_positions(p, np.repeat(root[..., None], cols, axis=2), small,
+                            np.repeat(inv, cols, axis=2))
+    want = p
+    for j in range(m):
+        want = deflate_quotients(want, root[j, :, None], small[j], inv[j])
+    assert got.shape == want.shape == (4, _ROWS, cols)
+    assert got.tobytes() == want.tobytes()
+    for i in range(_ROWS):
+        for c in range(cols):
+            alone = plain = p[:, i, c]
+            for r in root[:, i]:
+                alone, plain = poly_deflate(alone, r), _deflate_reference(plain, r)
+            assert got[:, i, c].tobytes() == alone.tobytes() == plain.tobytes()
 
 
 def test_row_scaled_column_norms_are_equilibrate_s_bitwise():

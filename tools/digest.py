@@ -15,6 +15,9 @@ The artefacts, all at m = 2, a = 1:
   tables (numerators, denominator roots and their mask);
 - assemble_M/<model>: `assemble_M` of every canonical answer, or the name
   of the error it raises;
+- extract/<model>: `extract_metric` of the M_limit of every canonical
+  answer: the bytes of every field, a marker for a field that is None, or
+  the name of the NonPhysicalM it raises;
 - evaluate_points/<model>: `evaluate_points` over the same draws as one
   batch;
 - sweep/..., curve/...: the bytes the CLI writes;
@@ -40,11 +43,11 @@ import tempfile
 
 import numpy as np
 
-from whergo import assemble_M, factorise, model_kerr, model_mp5d, model_mvc5d
+from whergo import assemble_M, extract_metric, factorise, model_kerr, model_mp5d, model_mvc5d
 from whergo.catalog import model_from_dict, model_to_dict
 from whergo.cli import main
 from whergo.engine import _plan_for, evaluate_points
-from whergo.errors import WhergoError
+from whergo.errors import NonPhysicalM, WhergoError
 
 MODELS = (
     ("kerr", model_kerr, None),
@@ -89,11 +92,23 @@ def _factor_tables(f) -> bytes:
     return _bytes(f.nums, f.den_roots, f.den_on)
 
 
+def _metric_bytes(M) -> bytes:
+    """The fields of extract_metric(M) in order, b"None" for a field that
+    is None, or the name of the NonPhysicalM it raises."""
+    try:
+        scalars = extract_metric(M)
+    except NonPhysicalM as exc:
+        return type(exc).__name__.encode()
+    return b"".join(b"None" if value is None else np.float64(value).tobytes()
+                    for value in dataclasses.astuple(scalars))
+
+
 def point_digests(build, branches):
-    """(factorise, assemble_M, evaluate_points) digests of one model."""
+    """(factorise, assemble_M, extract, evaluate_points) digests of one
+    model."""
     model = build(2.0, 1.0)
     rho, v = draws()
-    fact, limit = hashlib.sha256(), hashlib.sha256()
+    fact, limit, metric = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for r, w in zip(rho, v):
         out = factorise(model, float(r), float(w), branches)
         fact.update(f"{out.status.value} {out.kernel_dim}".encode())
@@ -109,10 +124,11 @@ def point_digests(build, branches):
             limit.update(_bytes(assemble_M(out)))
         except ArithmeticError as exc:
             limit.update(type(exc).__name__.encode())
+        metric.update(_metric_bytes(out.M_limit))
     batch = evaluate_points(model, rho, v, branches)
     whole = hashlib.sha256(_bytes(batch.D_value, batch.D_scale, batch.kernel_dim,
                                   batch.consistent, batch.solution))
-    return fact.hexdigest(), limit.hexdigest(), whole.hexdigest()
+    return fact.hexdigest(), limit.hexdigest(), metric.hexdigest(), whole.hexdigest()
 
 
 def _update(h, value):
@@ -157,9 +173,10 @@ def cli_digest(command, argv, tmp):
 
 def main_digest():
     for name, build, branches in MODELS:
-        fact, limit, whole = point_digests(build, branches)
+        fact, limit, metric, whole = point_digests(build, branches)
         print(f"factorise/{name} {fact}")
         print(f"assemble_M/{name} {limit}")
+        print(f"extract/{name} {metric}")
         print(f"evaluate_points/{name} {whole}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in SWEEPS:

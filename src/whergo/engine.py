@@ -43,21 +43,18 @@ normalisation rows).  The system's right-hand sides are zero but for l0,
 so the residual and its scale read l0 itself.  The factors come from a few
 array passes over tables the plan's layout fixes once (_factors): the
 flat gather that maps the solution to the numerators NUM_k, the Taylor
-tables of their analyticity re-check, and the deflation order, one pass
-of synthetic division over the coefficients for every run of root
-positions whose roots all take one recurrence, computing quotients only,
-with each root's recurrence and inverse taken once per point.  M_minus is
+tables of their analyticity re-check, and the deflation order, one
+poly.deflate_positions call per segment of root positions.  M_minus is
 the solution scattered through the layout, S_j over pi_j; X holds the
-psi_+ numerators of every column, deflated and never trimmed, and X(tau)
-is the adjugate of Psi_+(tau) taken at each evaluation.  Both evaluate at
-a scalar tau or an array of them, every tau alike.  The residual report
-evaluates M(tau) in one Horner pass over the model's stacked
-omega-coefficients at omega(tau), X at the check circle and tau = 0, and
-M_minus at the circle and at the two large taus of its Richardson
-estimate of M(rho, v), which assemble_M checks M_limit against; the
-circle's poles are the label values the plan's spec already holds.  A point whose system overflows the double
-range is never consistent and gets no SVD: it is unresolved.  An empty
-array of points gives an empty batch.
+deflated psi_+ numerators of every column, and X(tau) is the adjugate of
+Psi_+(tau) taken at each evaluation.  Both evaluate at a scalar tau or an
+array of them, every tau alike.  The residual report evaluates M(tau) in
+one Horner pass over the model's stacked omega-coefficients at
+omega(tau), and the factors by their own eval: X at the check circle and
+tau = 0, M_minus there and at the two large taus of its Richardson
+estimate of M(rho, v), which assemble_M checks M_limit against.  A point
+whose system overflows the double range is never consistent and gets no
+SVD: it is unresolved.  An empty array of points gives an empty batch.
 
 The contour enters only as the branch tuple: one tag, "minus" or "plus",
 per omega pole, naming the member of its zero pair that lies inside.
@@ -96,7 +93,6 @@ from .poly import (
     poly_from_roots,
     poly_sub,
     poly_trim,
-    reversed_inverses,
     row_scaled,
 )
 from .spectral import BRANCH_MINUS, BRANCH_PLUS, SpectralPoint, spectral_map
@@ -128,10 +124,21 @@ def _check_branches(model: RationalMatrixOmega, branches) -> tuple:
     return branches
 
 
+def _one_point(caller: str, rho, v) -> tuple:
+    """(rho, v), an array of one number taken as that number; ValueError
+    unless each is one number: an array of points is evaluate_points's."""
+    if isinstance(rho, float) and isinstance(v, float):     # floats: no array to look at
+        return rho, v
+    if np.size(rho) != 1 or np.size(v) != 1:
+        raise ValueError(f"{caller} takes one Weyl point; evaluate_points takes arrays of them")
+    return np.reshape(rho, ()), np.reshape(v, ())
+
+
 def toeplitz_kernel_dim(model: RationalMatrixOmega, rho: float, v: float, branches=None,
                         tol: float = DEFAULT_TOL) -> int:
     """Kernel dimension of the Toeplitz operator with this symbol: the
-    kernel_dim of evaluate_points at (rho, v)."""
+    kernel_dim of evaluate_points at the one point (rho, v)."""
+    rho, v = _one_point("toeplitz_kernel_dim", rho, v)
     return int(evaluate_points(model, rho, v, branches, tol).kernel_dim)
 
 
@@ -235,34 +242,14 @@ class _RowLayout:
     tpower: np.ndarray        # (R, T) power max(t - o, 0) of the group root in row (g, o)
     tcomb: np.ndarray         # (R, T) C(t, o), zero for t < o
     tcomp: np.ndarray         # (R,) component k of each Taylor row
-    deflation: tuple          # per root position: (the components of the previous
-                              # position that have no root here, as positions in its
-                              # stack and as components; those that have one, as
-                              # positions, a slice where all have; the slice of
-                              # dgroup that holds their roots)
+    segments: tuple           # the deflation order, a new segment of root positions
+                              # wherever components leave the stack: (those that leave
+                              # before it, as stack positions and as components; those
+                              # that stay, a slice where all do; its slice of dgroup)
     dgroup: np.ndarray        # the group of every root the deflation divides by
     deflated: np.ndarray      # the components still in the stack after the last position
-    xwidth: int               # coefficients of X's numerators that can be non-zero:
-                              # T less the fewest roots any component divides by
-
-    @cached_property
-    def dcolumns(self) -> np.ndarray:
-        """dgroup with each entry repeated over the n factor columns."""
-        return np.repeat(self.dgroup, len(self.pi))
-
-    @cached_property
-    def segments(self) -> tuple:
-        """The deflation order in segments of root positions, a new one
-        wherever components leave the stack: (done, done_k, keep) of the
-        segment's first position, as in deflation, and the slice of dgroup
-        that holds the roots of all its positions."""
-        out = []
-        for done, done_k, keep, part in self.deflation:
-            if out and not done.size:
-                out[-1][3] = slice(out[-1][3].start, part.stop)
-            else:
-                out.append([done, done_k, keep, part])
-        return tuple(map(tuple, out))
+    xwidth: int               # coefficients of X's numerators, all the deflation can
+                              # fill: T less the fewest roots any component divides by
 
 
 def _index_table(rows) -> np.ndarray:
@@ -312,13 +299,18 @@ def _row_layout(width: int, pi, lk, groups, extras: np.ndarray) -> _RowLayout:
     # the roots of component k in deflation order, one group index per root
     seq = [[g for g, (kg, _, m) in enumerate(conds) if kg == k for _ in range(m)]
            for k in range(n)]
-    deflation, active, dgroup = [], list(range(n)), []
+    segments, active, dgroup = [], list(range(n)), []
     for pos in range(max(map(len, seq), default=0)):
         has = [len(seq[k]) > pos for k in active]
-        done = [x for x, h in enumerate(has) if not h]
-        deflation.append((np.array(done, dtype=int), np.array([active[x] for x in done], dtype=int),
-                          slice(None) if all(has) else np.flatnonzero(has),
-                          slice(len(dgroup), len(dgroup) + sum(has))))
+        stop = len(dgroup) + sum(has)
+        if segments and all(has):       # no component leaves: the segment goes on
+            segments[-1][3] = slice(segments[-1][3].start, stop)
+        else:
+            done = [x for x, h in enumerate(has) if not h]
+            segments.append([np.array(done, dtype=int),
+                             np.array([active[x] for x in done], dtype=int),
+                             slice(None) if all(has) else np.flatnonzero(has),
+                             slice(len(dgroup), stop)])
         active = [k for k, h in zip(active, has) if h]
         dgroup += [seq[k][pos] for k in active]
     return _RowLayout(
@@ -338,7 +330,7 @@ def _row_layout(width: int, pi, lk, groups, extras: np.ndarray) -> _RowLayout:
         g_r[:, 0],
         np.maximum(t - o_r, 0), comb[o_r[:, 0]],
         gk[g_r[:, 0]],
-        tuple(deflation), np.array(dgroup, dtype=int), np.array(active, dtype=int),
+        tuple(map(tuple, segments)), np.array(dgroup, dtype=int), np.array(active, dtype=int),
         t.size - min(map(len, seq), default=0))
 
 
@@ -798,7 +790,8 @@ class RationalMatrixTau:
     quotient, taken at each tau: X = adj Psi_+ since det Psi_+ = 1.  eval
     takes a scalar tau, giving (n, n), or an array of them, giving (..., n,
     n); each tau is evaluated alike, so an array gives the stacked scalar
-    values.
+    values.  It is the factors' one evaluation: the residual report and its
+    Richardson estimate of M(rho, v) read them through it.
     """
 
     nums: np.ndarray          # (n, n, coefficient)
@@ -813,12 +806,6 @@ class RationalMatrixTau:
     def eval(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=complex)
         t = tau.reshape(-1)
-        val = self._values(poly_eval_stack(self.nums, t), t)
-        return val.reshape(tau.shape + val.shape[-2:])
-
-    def _values(self, num: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """(tau, n, n): the matrix at the taus t (1-d) from its numerators'
-        values num (r, c, tau) there."""
         # the masked product of each row's factors (tau - root), the padding
         # multiplying by 1.0; slot by slot, as np.prod would take another
         # order for another number of taus, and every tau must evaluate alike
@@ -826,20 +813,8 @@ class RationalMatrixTau:
         den = factor[:, 0] if factor.shape[1] else np.ones((self.n, t.size), dtype=complex)
         for x in range(1, factor.shape[1]):
             den = den * factor[:, x]
-        val = (num / den[:, None]).transpose(2, 0, 1)
-        return _adjugate(val) if self.adjugate else val
-
-
-def _factor_values(X: RationalMatrixTau, M_minus: RationalMatrixTau, t0: np.ndarray,
-                   far: np.ndarray, width: int):
-    """(X at the taus t0, M_minus at t0[:-1] followed by the taus far):
-    eval's values, bitwise.  Leading zero coefficients change no value
-    (poly_eval_stack): X's beyond `width`, which are zero, are left out.
-    t0 ends in tau = 0, where M_minus has a pole; far holds the large taus
-    of the Richardson estimate of M(rho, v), where X is not evaluated."""
-    t1 = np.concatenate((t0[:-1], far))
-    return (X._values(poly_eval_stack(X.nums[..., :width], t0), t0),
-            M_minus._values(poly_eval_stack(M_minus.nums, t1), t1))
+        val = (poly_eval_stack(self.nums, t) / den[:, None]).transpose(2, 0, 1)
+        return (_adjugate(val) if self.adjugate else val).reshape(tau.shape + val.shape[-2:])
 
 
 # entry (i, j) of a 3 x 3 adjugate is the cofactor of (j, i): the minor of
@@ -939,7 +914,8 @@ def _residual_report(model: RationalMatrixOmega, pt: SpectralPoint, spec: Ansatz
         k = int(np.argmax(bad))
         raise InvariantViolation(f"det M(omega(tau)) is {det[k]} at tau={taus[k]}")
     far = np.abs(M_minus.den_roots[M_minus.den_on]).max(initial=1.0) * _RICHARDSON_TAUS
-    x_val, minus_val = _factor_values(X, M_minus, t0, far, spec.layout.xwidth)   # X also at 0
+    x_val = X.eval(t0)                              # X also at tau = 0
+    minus_val = M_minus.eval(np.concatenate((t, far)))
     resid = np.abs(m_val - minus_val[:t.size] @ x_val[:-1]).max(axis=(-2, -1))
     x0_resid = float(np.abs(x_val[-1] - np.eye(model.n)).max())
     vals = minus_val[t.size:]
@@ -958,12 +934,12 @@ def _factors(spec: AnsatzSpec, sol: np.ndarray):
     Analyticity is re-verified at every inside pole, where psi_+'s numerator
     NUM_k must vanish to the pole's order relative to the terms it sums.
     Then NUM_k of every column is deflated by the inside roots of L_k, a
-    run of root positions at a time for all components at once, untrimmed
+    segment of root positions at a time for all components at once, on
+    the recurrence deflate_positions picks for each root, untrimmed
     (_deflated_numerators); X's row k keeps the other roots of L_k as its
     denominator.  X = Psi_+^{-1} = adj(Psi_+); the entries of a row share
-    their denominator.  Every table
-    indexed here is the plan's layout, and every root is read from
-    spec.roots by its index.
+    their denominator.  Every table indexed here is the plan's layout, and
+    every root is read from spec.roots by its index.
     """
     n, lay, base = spec.n, spec.layout, spec.base_polys
     # NUM_k = sum_j A_kj S_j of every factor column, as a map from sol
@@ -977,47 +953,36 @@ def _factors(spec: AnsatzSpec, sol: np.ndarray):
     # (table 0), or at max(1, |root|) (table 1).
     roots = np.asarray(spec.roots, dtype=complex)
     inside = roots[lay.groot]
-    size = np.abs(inside)
     at = np.empty((2,) + inside.shape, dtype=complex)
     at[0] = inside
-    np.maximum(1.0, size, out=at[1])
+    np.maximum(1.0, np.abs(inside), out=at[1])
     taylor = lay.tcomb * at[:, lay.tgroup, None] ** lay.tpower
     values = np.einsum("rt,rti->ri", taylor[0], nums[lay.tcomp])
     terms = taylor[1].real @ (np.abs(conv) @ np.abs(sol)).max(axis=0)
     pole_resid = float((np.abs(values) / np.maximum(terms, 1e-300)).max(initial=0.0))
     minus = np.zeros((n, n, lay.cmax), dtype=complex)
     minus[lay.jcol, :, lay.ccol] = sol
-    return (RationalMatrixTau(_deflated_numerators(lay, nums, inside, size <= 1.0),
+    return (RationalMatrixTau(_deflated_numerators(lay, nums, inside),
                               roots[lay.xden], lay.xden >= 0, adjugate=True),
             RationalMatrixTau(minus, roots[lay.pi], lay.pi >= 0), pole_resid)
 
 
-def _deflated_numerators(lay: _RowLayout, nums: np.ndarray, inside: np.ndarray,
-                         small: np.ndarray) -> np.ndarray:
-    """X's numerators, (k, column, coefficient) zero-padded to T: NUM_k
-    of every column (nums, (k, coefficient, column)) divided by the roots
-    of component k's inside groups (inside, one root per group; small,
-    |root| <= 1) in the layout's deflation order, untrimmed.
-
-    The quotients are poly_deflate's, bitwise: each root's recurrence and
-    inverse are taken once, the roots of every segment in one gather, and
-    the positions of a segment in one deflate_positions call, which takes
-    the numerators to complex first, as poly_deflate takes them, so that a
-    -0.0 keeps its sign."""
+def _deflated_numerators(lay: _RowLayout, nums: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """X's numerators, (k, column, coefficient) zero-padded to xwidth:
+    NUM_k of every column (nums, (k, coefficient, column)) divided by the
+    roots of component k's inside groups (inside, one root per group) in
+    the layout's deflation order, untrimmed: poly_deflate's quotients,
+    bitwise.  deflate_positions takes the numerators to complex first, as
+    poly_deflate does, so that a -0.0 keeps its sign."""
     n = nums.shape[0]
-    plus = np.zeros((n, n, lay.gather.shape[0]), dtype=complex)
-    # every root and inverse in deflation order, repeated over the n columns
-    root = inside[lay.dcolumns].reshape(-1, n)
-    inv = reversed_inverses(inside, small)[lay.dcolumns].reshape(-1, n)
-    small = small[lay.dgroup]
+    plus = np.zeros((n, n, lay.xwidth), dtype=complex)
+    root = inside[lay.dgroup]                       # every root in deflation order
     num = nums.transpose(1, 0, 2)                   # (coefficient, k, column)
     for done, done_k, keep, part in lay.segments:
         if done.size:       # components whose roots are all divided out
             plus[done_k, :, :num.shape[0]] = num[:, done].transpose(1, 2, 0)
         num = num[:, keep]
-        rows = num.shape[1]
-        num = deflate_positions(num, root[part].reshape(-1, rows, n),
-                                small[part].reshape(-1, rows), inv[part].reshape(-1, rows, n))
+        num = deflate_positions(num, root[part].reshape(-1, num.shape[1]))
     plus[lay.deflated, :, :num.shape[0]] = num.transpose(1, 2, 0)
     return plus
 
@@ -1188,8 +1153,9 @@ def factorise(model: RationalMatrixOmega, rho: float, v: float,
     composed.  Returns a CANONICAL outcome with factors and M(rho, v); a
     DEGENERATE one (kernel_dim >= 1); or an UNRESOLVED one, whose kernel is
     trivial but whose solution misses a row of the system.  The last two
-    carry D and the kernel dimension.
+    carry D and the kernel dimension.  More than one point is a ValueError.
     """
+    rho, v = _one_point("factorise", rho, v)
     batch = evaluate_points(model, rho, v, branches, tol)
     d_val, d_scale = complex(batch.D_value.item()), batch.D_scale.item()
     kdim = int(batch.kernel_dim)

@@ -133,50 +133,32 @@ def poly_from_roots(roots, lc=1.0) -> np.ndarray:
 
 def poly_deflate(c, root) -> np.ndarray:
     """The quotient of one polynomial c by (tau - root), [0] where c is a
-    constant; no remainder is formed.  The forward recurrence for |root| <=
-    1, the reversed-coefficient one for |root| > 1 (deflating the reversed
-    polynomial at 1/root), keep it backward-stable for any root magnitude:
-    deflate_quotients on a stack of one, bitwise a stack row's quotient."""
+    constant; no remainder is formed: deflate_positions at one root, on a
+    stack of one."""
     p = as_poly(c)
     if p.size < 2:
         return np.zeros(1, dtype=complex)
-    root = np.array([[complex(root)]])
-    small = np.abs(root[:, 0]) <= 1.0
-    return deflate_quotients(p.reshape(-1, 1, 1), root, small,
-                             reversed_inverses(root[:, 0], small)).reshape(-1)
+    return deflate_positions(p.reshape(-1, 1, 1), np.array([[complex(root)]])).reshape(-1)
 
 
-def reversed_inverses(root: np.ndarray, small: np.ndarray) -> np.ndarray:
-    """1 / root for the roots that the reversed recurrence divides by (not
-    small, |root| > 1), 0 for the others, shape (row, 1): Python's complex
-    division, as numpy's differs from it in the last bit.  A root at 0 is
-    small and gets no inverse."""
-    return np.array([0j if s else 1.0 / r for r, s in zip(root.tolist(), small.tolist())],
-                    dtype=complex).reshape(-1, 1)
-
-
-def deflate_quotients(p: np.ndarray, root: np.ndarray, small: np.ndarray,
-                      inv: np.ndarray) -> np.ndarray:
-    """The quotients of a complex stack p (coefficient, row, column)
-    divided by (tau - root), each row by its own root, root (row, 1), on
-    poly_deflate's recurrence for it: small (row,) is |root| <= 1 and inv
-    (row, 1) is reversed_inverses(root, small).  No remainder is formed:
-    this is deflate_positions at one root position."""
+def deflate_positions(p: np.ndarray, root) -> np.ndarray:
+    """The quotients of a complex stack p (coefficient, row, column) divided
+    by prod (tau - root[j, i]) over the positions j, row i by its own root
+    at each, root (position, row): bit for bit those of one position after
+    another; no remainder is formed.  A root takes the forward recurrence
+    where |root| <= 1 and the reversed-coefficient one at 1 / root (Python's
+    complex division: numpy's differs in the last bit) beyond, which keeps
+    the quotient backward-stable at any root magnitude.  Roots and inverses
+    are repeated over the columns, so that every step reads contiguous
+    blocks.  Consecutive positions whose roots all take one recurrence
+    share one pass over the coefficients; a position that mixes the two
+    splits its rows."""
+    root = np.asarray(root, dtype=complex)
+    small = np.abs(root) <= 1.0
+    flat = zip(root.ravel().tolist(), small.ravel().tolist())
+    inv = np.array([0j if s else 1.0 / r for r, s in flat], dtype=complex).reshape(root.shape)
     cols = p.shape[2]
-    return deflate_positions(p, np.repeat(root[None], cols, axis=2), small[None],
-                             np.repeat(inv[None], cols, axis=2))
-
-
-def deflate_positions(p: np.ndarray, root: np.ndarray, small: np.ndarray,
-                      inv: np.ndarray) -> np.ndarray:
-    """deflate_quotients at every root position of root in turn: p divided
-    by prod (tau - root[j]) over the positions j, bit for bit the
-    quotients of one position after another.  root and inv, (position,
-    row, column), repeat the root of each row and its reversed_inverses
-    over the columns, so that every step reads contiguous blocks; small
-    (position, row) is |root| <= 1.  Consecutive positions whose roots all
-    take one recurrence share one pass over the coefficients; a position
-    that mixes the two splits its rows."""
+    root, inv = root[..., None].repeat(cols, 2), inv[..., None].repeat(cols, 2)
     kinds = [row[0] if row.count(row[0]) == len(row) else None for row in small.tolist()]
     pos = 0
     for kind, run in itertools.groupby(kinds):

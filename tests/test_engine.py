@@ -52,7 +52,7 @@ from whergo.poly import (
     poly_from_roots,
     poly_mul,
 )
-from whergo.spectral import SpectralPoint, weyl_from_prolate_4d, weyl_from_prolate_5d
+from whergo.spectral import SpectralPoint, spectral_map, weyl_from_prolate_4d, weyl_from_prolate_5d
 
 M_K, A_K = 2.0, 1.0
 C_K = np.sqrt(M_K ** 2 - A_K ** 2)
@@ -354,6 +354,25 @@ def test_factorise_builds_one_system(kerr, mp5d, mvc5d, monkeypatch):
         assert out.status is status
         assert out.kernel_dim == (status is Status.DEGENERATE)
         assert counts == {"_compile_plan": 0, "_assemble_rows": 1, "roots": 0}
+
+
+@pytest.mark.parametrize("entry", [factorise, toeplitz_kernel_dim])
+def test_one_point_entries_refuse_an_array_of_points(entry, kerr, monkeypatch):
+    # factorise and toeplitz_kernel_dim take one Weyl point: more than one
+    # is a ValueError naming evaluate_points, raised before any evaluation;
+    # an array of one number is that number
+    want = entry(kerr, 2.1, 0.6)
+    got = entry(kerr, np.array([2.1]), [0.6])
+    if entry is factorise:
+        assert got.status is want.status is Status.CANONICAL
+        assert got.M_limit.tobytes() == want.M_limit.tobytes()
+        assert assemble_M(got).tobytes() == assemble_M(want).tobytes()
+    else:
+        assert got == want == 0
+    monkeypatch.setattr(engine, "evaluate_points", None)
+    for rho, v in ((np.array([1.0, 2.0]), 0.3), (2.1, [0.3, 0.4]), (np.ones((1, 2)), 0.3)):
+        with pytest.raises(ValueError, match="one Weyl point.*evaluate_points"):
+            entry(kerr, rho, v)
 
 
 # ---------------------------------------------------------------------------
@@ -1305,8 +1324,10 @@ def test_factors_are_the_per_root_loops_bitwise(name, kerr, mp5d, mvc5d):
     # the plan's Taylor tables, the deflation by root position, the masked
     # row denominators and the stacked Horner pass of model.eval compute
     # what the per-root loops compute, bit for bit: the factors' numerators
-    # and denominators and every field of the residual report, at canonical
-    # draws and at points 1e-4..1e-2 beyond the failure curve
+    # (X's at the xwidth coefficients the deflation can fill, the loops'
+    # beyond them all zero) and denominators and every field of the
+    # residual report, at canonical draws and at points 1e-4..1e-2 beyond
+    # the failure curve
     model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
     plan, labels = _compiled_labels(model)
     points = [(rho, v) for rho, v, _ in _canonical_draws(model, 12, seed=62)]
@@ -1323,7 +1344,9 @@ def test_factors_are_the_per_root_loops_bitwise(name, kerr, mp5d, mvc5d):
         spec = engine._plan_spec(plan, rho, v)
         lists = _root_lists(labels, spec.roots)
         ref = _factors_loop(spec, evaluate_points(model, rho, v).solution, lists)
-        assert np.array_equal(out.X.nums, ref[0]) and _den_rows(out.X) == ref[1]
+        width = spec.layout.xwidth
+        assert np.array_equal(out.X.nums, ref[0][..., :width]) and _den_rows(out.X) == ref[1]
+        assert not ref[0][..., width:].any()
         assert np.array_equal(out.M_minus.nums, ref[2]) and list(_den_rows(out.M_minus)) == lists[0]
         assert out.residual_report == _report_loop(model, rho, v, lists[0], ref)
         compared += 1
@@ -1360,7 +1383,8 @@ def test_deflation_with_components_leaving_is_poly_deflate_root_by_root_bitwise(
         nums = nums + 1j * rng.normal(size=nums.shape)
     nums[rng.random(nums.shape) < 0.15] = -0.0
     inside = np.array(roots, dtype=complex)           # one root per inside group
-    plus = engine._deflated_numerators(lay, nums, inside, np.abs(inside) <= 1.0)
+    plus = engine._deflated_numerators(lay, nums, inside)
+    assert plus.shape == (3, 3, lay.xwidth)
     group = 0
     for k, groups in enumerate(_LEAVING_GROUPS):
         order = [g for g, (_, m) in enumerate(groups, start=group) for _ in range(m)]
@@ -1443,7 +1467,8 @@ def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d
 def test_deflation_by_root_position_with_fewer_roots_in_a_component(kept, kerr):
     # a component with fewer inside roots than another leaves the deflation
     # early and keeps its longer quotient: Kerr's spec with only the first
-    # kept[k] groups of component k, against the per-root loops
+    # kept[k] groups of component k, against the per-root loops, whose
+    # numerators are zero beyond the xwidth coefficients X keeps
     plan, (pi, lk, groups) = _compiled_labels(kerr)
     spec = engine._plan_spec(plan, 2.1, 0.6)
     groups = [g[:keep] for g, keep in zip(groups, kept)]
@@ -1453,7 +1478,8 @@ def test_deflation_by_root_position_with_fewer_roots_in_a_component(kept, kerr):
     X, M_minus, pole_resid = engine._factors(short, sol)
     plus, den_plus, minus, want_resid = _factors_loop(
         short, sol, _root_lists((pi, lk, groups), spec.roots))
-    assert np.array_equal(X.nums, plus) and _den_rows(X) == den_plus
+    assert np.array_equal(X.nums, plus[..., :layout.xwidth]) and _den_rows(X) == den_plus
+    assert not plus[..., layout.xwidth:].any()
     assert np.array_equal(M_minus.nums, minus) and pole_resid == want_resid
 
 
@@ -1521,9 +1547,9 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
             monkeypatch.setattr(module, name, forbidden)
         deflations, passes = [], []
 
-        def deflate(p, root, small, inv, _real=engine.deflate_positions):
-            deflations.append(small.tolist())
-            return _real(p, root, small, inv)
+        def deflate(p, root, _real=engine.deflate_positions):
+            deflations.append((np.abs(root) <= 1.0).tolist())
+            return _real(p, root)
         monkeypatch.setattr(engine, "deflate_positions", deflate)
         for name in ("_quotients_forward", "_quotients_reversed"):
             def one_pass(p, root, _real=getattr(poly, name)):
@@ -1633,22 +1659,25 @@ def test_compiled_tables_are_the_per_call_arithmetic_bitwise(builder, branches, 
 
 @pytest.mark.parametrize("name", ["kerr", "mp5d", "mvc5d", "chain"])
 def test_factor_values_are_the_factors_evals_bitwise(name, kerr, mp5d, mvc5d):
-    # the residual report's evaluation of the factors (X trimmed to the
-    # coefficients the deflation can leave non-zero) gives X.eval at the
-    # check points and tau = 0 and M_minus.eval at the check points and the
-    # two large taus of the Richardson estimate, bit for bit; the estimate
-    # is the one assemble_M took from its own M_minus.eval there
+    # the residual report reads the factors through their own eval: its
+    # factorisation residual and X(0) gap are those of X.eval and
+    # M_minus.eval at the check points and at tau = 0, X holds the xwidth
+    # coefficients the deflation can fill, and the Richardson estimate is
+    # the one assemble_M took from M_minus.eval at the two large taus, bit
+    # for bit
     model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
+    plan = engine._plan_for(model)
     for rho, v, out in _canonical_draws(model, 12, seed=64):
-        spec = engine._plan_spec(engine._plan_for(model), rho, v)
-        t0 = engine._CHECK_TAUS[engine._check_circle(spec.roots)]
-        assert np.all(out.X.nums[..., spec.layout.xwidth:] == 0.0)
+        report = out.residual_report
+        assert out.X.nums.shape == (model.n, model.n, plan.layout.xwidth)
+        taus = np.array(report.check_points)
+        m_val = model.eval(spectral_map(SpectralPoint(rho, v), taus)).transpose(2, 0, 1)
+        scale = np.maximum(1.0, np.abs(m_val).max(axis=(-2, -1)))
+        resid = np.abs(m_val - out.M_minus.eval(taus) @ out.X.eval(taus)).max(axis=(-2, -1))
+        assert report.factorisation == float((resid / scale).max())
+        assert report.x_at_zero == float(np.abs(out.X.eval(0.0) - np.eye(model.n)).max())
         pole = np.abs(out.M_minus.den_roots[out.M_minus.den_on]).max(initial=1.0)
         far = pole * np.array([1e4, 1e6])
-        x_val, minus_val = engine._factor_values(out.X, out.M_minus, t0, far,
-                                                 spec.layout.xwidth)
-        assert x_val.tobytes() == out.X.eval(t0).tobytes()
-        assert minus_val.tobytes() == out.M_minus.eval(np.append(t0[:-1], far)).tobytes()
         vals = out.M_minus.eval(far)
         extrapolated = (far[1] * vals[1] - far[0] * vals[0]) / (far[1] - far[0])
         assert out.M_richardson.tobytes() == extrapolated.tobytes()

@@ -22,6 +22,17 @@ TAU_ROUTE_NAMES = ("compose_monodromy", "MonodromyMatrixTau", "existence_system_
                    "FactoredRational", "_adjugate_fr", "_root_lcm", "_multiset_minus",
                    "_root_match", "poly_add", "_exact_trim", "poly_scale")
 TEST_MODULES = ("tests", "tau_route", "conftest")
+# top-level definitions that no library code uses and whergo does not
+# export, each kept for the reason given
+UNREFERENCED = {
+    "closed_form_curve_weyl": "paper oracle of the tests and perfbench (ROADMAP item 18)",
+    "curve_match_distance": "Hausdorff oracle of the tests and perfbench (ROADMAP item 18)",
+    "mp_gtt_spherical": "paper oracle of the tests (ROADMAP item 18)",
+    "spherical_from_prolate_5d": "chart map of the paper oracles (ROADMAP item 18)",
+    "prolate_from_weyl_4d": "chart map of the paper oracles (ROADMAP item 18)",
+    "prolate_from_weyl_5d": "chart map of the paper oracles (ROADMAP item 18)",
+    "model_to_dict": "the JSON model format, read by tools/digest.py and the round-trip tests",
+}
 
 
 def _imported_modules(tree):
@@ -47,6 +58,32 @@ def test_library_has_one_route_and_no_test_code():
     for path in Path(whergo.__file__).parent.glob("*.py"):
         for imported in _imported_modules(ast.parse(path.read_text(encoding="utf-8"))):
             assert imported.split(".")[0] not in TEST_MODULES, f"{path.name} imports {imported}"
+
+
+def _used_names(node):
+    """Every name and attribute name that a parsed node refers to."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_library_definition_is_used_exported_or_listed():
+    # a top-level def or class of whergo is referred to by library code
+    # outside its own body, exported in whergo.__all__, or listed with its
+    # reason: helpers that only the tests call belong in the tests
+    defined, used = [], set()
+    for path in sorted(Path(whergo.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                defined.append((path.stem, own))
+            used.update(name for name in _used_names(node) if name != own)
+    unused = sorted((module, name) for module, name in defined
+                    if name not in used and name not in whergo.__all__)
+    assert sorted(name for _, name in unused) == sorted(UNREFERENCED), unused
 
 
 def test_spectral_point_has_no_signature_flag():

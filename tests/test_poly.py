@@ -11,7 +11,6 @@ from whergo.poly import (
     TRIM_REL,
     as_poly,
     deflate_positions,
-    deflate_quotients,
     equilibrate,
     newton_polish,
     numerical_nullity,
@@ -24,7 +23,6 @@ from whergo.poly import (
     poly_mul,
     poly_sub,
     poly_trim,
-    reversed_inverses,
     row_scaled,
 )
 
@@ -102,9 +100,7 @@ def test_deflate_stack_is_the_columns_bitwise(root):
     # (|root| <= 1) and the reversed recurrence
     rng = np.random.default_rng(5)
     p = rng.normal(size=(6, 1, 4)) + 1j * rng.normal(size=(6, 1, 4))
-    r = np.array([[complex(root)]])
-    small = np.abs(r[:, 0]) <= 1.0
-    q = deflate_quotients(p, r, small, reversed_inverses(r[:, 0], small))
+    q = deflate_positions(p, np.array([[complex(root)]]))
     assert q.shape == (5, 1, 4)
     for i in range(4):
         assert q[:, 0, i].tobytes() == poly_deflate(p[:, 0, i], root).tobytes()
@@ -144,19 +140,15 @@ def test_deflate_scalar_root_is_the_plain_recurrence_bitwise(root):
     [0.0, 2.5 + 1.5j, 0.0, -0.5],
 ], ids=["forward", "reversed", "mixed", "zero-root"])
 def test_deflate_quotients_are_poly_deflate_bitwise(roots):
-    # the quotient-only recurrence, given each root's recurrence and inverse
-    # once, gives poly_deflate's quotients bit for bit (a -0.0 keeps its
-    # sign), on every row the recurrence of that row alone; a root at 0 is
-    # forward and gets no inverse
+    # the quotient-only recurrence at one root position, each row by its
+    # own root, gives poly_deflate's quotients bit for bit (a -0.0 keeps
+    # its sign), on every row the recurrence of that row alone; a root at 0
+    # is forward
     rng = np.random.default_rng(9)
     p = rng.normal(size=(7, 4, 3)) + 1j * rng.normal(size=(7, 4, 3))
     p[-1, :, 0] = -0.0
     p[2, 1, 1] = complex(-0.0, -0.0)
-    root = np.array(roots, dtype=complex).reshape(-1, 1)
-    small = np.abs(root[:, 0]) <= 1.0
-    inv = reversed_inverses(root[:, 0], small)
-    assert np.all(inv[small] == 0.0)
-    q = deflate_quotients(p, root, small, inv)
+    q = deflate_positions(p, np.array([roots], dtype=complex))
     assert q.shape == (6, 4, 3)
     for i, r in enumerate(roots):
         for j in range(3):
@@ -183,8 +175,8 @@ def _position(choices):
 def test_deflate_positions_are_one_position_after_another_bitwise(positions, cols, seed):
     # the run-wise deflation (one pass per run of positions whose roots all
     # take one recurrence, a position that mixes the two row by row) gives
-    # deflate_quotients position by position, and poly_deflate and the plain
-    # recurrence root by root, bit for bit, -0.0 coefficients included
+    # deflate_positions one position at a time, and poly_deflate and the
+    # plain recurrence root by root, bit for bit, -0.0 coefficients included
     rng = np.random.default_rng(seed)
     m = len(positions)
     p = rng.normal(size=(m + 4, _ROWS, cols)) + 1j * rng.normal(size=(m + 4, _ROWS, cols))
@@ -192,13 +184,10 @@ def test_deflate_positions_are_one_position_after_another_bitwise(positions, col
     p[rng.random(p.shape) < 0.15] = complex(0.0, -0.0)
     p[-1, 0] = -0.0
     root = np.array(positions, dtype=complex)                     # (position, row)
-    small = np.abs(root) <= 1.0
-    inv = np.array([reversed_inverses(r, s) for r, s in zip(root, small)])
-    got = deflate_positions(p, np.repeat(root[..., None], cols, axis=2), small,
-                            np.repeat(inv, cols, axis=2))
+    got = deflate_positions(p, root)
     want = p
     for j in range(m):
-        want = deflate_quotients(want, root[j, :, None], small[j], inv[j])
+        want = deflate_positions(want, root[j:j + 1])
     assert got.shape == want.shape == (4, _ROWS, cols)
     assert got.tobytes() == want.tobytes()
     for i in range(_ROWS):

@@ -24,7 +24,7 @@ The artefacts, all at m = 2, a = 1:
 - verify: the stdout of `whergo verify`;
 - plan/<model>: the model's entries (numerators, denominators and their
   roots) and omega poles, and every array and table of its compiled plan
-  for the given branches, the layout's `deflation` tuple included, or the
+  for the given branches, the layout's `segments` tuple included, or the
   error (name and message) the compile raises.  Besides the four models above,
   mp5d, mvc5d and Kerr at m = 2 and a in {0.01, 0.5, 1.9}, and the JSON
   round trip of each built-in model at m = 2, a = 1.

@@ -29,7 +29,8 @@ factorise, sweep, the curve classifier and toeplitz_kernel_dim cannot
 disagree.  One rank test decides: the kernel dimension counts the singular
 values <= tol * sigma_max of the row- then column-equilibrated homogeneous
 system, and D only spares that SVD where it proves the kernel trivial.
-Callers that need only D assemble the analyticity rows alone.
+Callers that need only D (the tracer) assemble the D rows alone, through
+a second layout the plan compiles over the inside groups those rows use.
 
 factorise is evaluate_points at one point, plus the factors and the
 residual report.  It composes no monodromy, so it answers wherever the
@@ -72,7 +73,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -374,12 +375,6 @@ def _batch_first(x: np.ndarray, batch: tuple) -> np.ndarray:
     return x.transpose(2, 0, 1).reshape(batch + x.shape[:2])
 
 
-def _assemble_homogeneous(spec: AnsatzSpec) -> np.ndarray:
-    """Analyticity rows on the columns c <= deg pi_j - 1 of each block: phi_-
-    must vanish at infinity; rows with deg pi_j = 0 contribute no unknowns."""
-    return _assemble_rows(spec)[..., spec.layout.hom]
-
-
 def _assemble_inhomogeneous(spec: AnsatzSpec, a_top: np.ndarray):
     """Full system: the analyticity rows a_top (_assemble_rows(spec)) plus
     n normalisation rows at tau = 0.
@@ -464,6 +459,10 @@ class AnsatzPlan:
     of L_k that neither pi_j nor that denominator takes.  When the poles and the adjugate coefficients are
     all real, so is every entry of the system, and the plan stores them
     real: the system is then assembled, and solved, in real arithmetic.
+    Two layouts serve the one assembly (_assemble_rows): layout, every
+    analyticity row, for evaluate_points, whose kernel dimension and
+    consistency check read them all; and d_layout, the D rows alone over
+    the inside groups they use, for the tracer's D (_d_with_scale).
     """
 
     n: int
@@ -477,6 +476,7 @@ class AnsatzPlan:
     selected_rows: np.ndarray
     layout: _RowLayout
     square_rows: np.ndarray   # the D rows, then the n normalisation rows: the square system
+    d_layout: _RowLayout      # the D rows alone, over the inside groups they use (_d_layout)
 
 
 def _plan_for(model: RationalMatrixOmega, branches=None) -> AnsatzPlan:
@@ -629,6 +629,15 @@ def _label_counts(labels, size: int) -> np.ndarray:
 
 
 def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
+    """The plan of (model, branches) from _omega_adjugate's terms adj,
+    compiled at the reference Weyl point (rho_ref, v_ref).
+
+    The labels give the layout of the full system; the greedy selection on
+    its homogeneous rows at the reference point gives the D rows, and
+    _d_layout the second layout that assembles those rows alone.  The plan
+    must factorise at its reference point within the residual gates; a
+    NonSquareSystem or InvariantViolation sends _plan_for to the next one.
+    """
     n = model.n
     ent, adj = adj                  # _omega_adjugate's terms of M and adj M
     flat = [a for row in adj for a in row]
@@ -675,7 +684,7 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
                           for r, on in zip(rest.tolist(), live.tolist())])
     layout = _row_layout(span, pi_labels, lk_labels, groups, extra.reshape(n, n, -1))
     plan = AnsatzPlan(n, poles, plus, adj_num, adj_lc, adj_deg, place,
-                      np.zeros(0, dtype=int), layout, np.zeros(0, dtype=int))
+                      np.zeros(0, dtype=int), layout, np.zeros(0, dtype=int), layout)
 
     # one spec and one assembly of its rows at the reference point serve
     # the D-row selection and the plan's own factorisation there
@@ -693,7 +702,7 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     spec.selected_rows = sel
     spec.square_rows = np.concatenate([sel, a0.shape[0] + np.arange(n)])
     plan = AnsatzPlan(n, poles, plus, adj_num, adj_lc, adj_deg, place, sel, layout,
-                      spec.square_rows)
+                      spec.square_rows, _d_layout(layout, sel))
     # the plan factorises at its reference point within the residual gates:
     # a wrong label leaves a pole that no solution cancels
     batch = _evaluate(spec, *_assemble_inhomogeneous(spec, rows), DEFAULT_TOL)
@@ -707,6 +716,22 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
             f"factorisation {r.factorisation:.1e}, X(0) {r.x_at_zero:.1e}, "
             f"pole cancellation {r.pole_cancellation:.1e}")
     return plan
+
+
+def _d_layout(layout: _RowLayout, sel: np.ndarray) -> _RowLayout:
+    """The layout of the analyticity rows sel of `layout` alone, in their
+    order: the inside groups those rows use, and their cells re-indexed to
+    the kept groups.  The Taylor tables and the extras are layout's own, so
+    every cell is computed by the same arithmetic, bit for bit."""
+    groups = layout.tgroup[sel]
+    # np.unique would import numpy.ma on its first call
+    keep = np.flatnonzero(np.bincount(groups, minlength=layout.gk.size))
+    new = np.zeros(layout.gk.size, dtype=int)
+    new[keep] = np.arange(keep.size)
+    # a group's cells are a block of n * O * cmax entries: (g, j, o, c)
+    block = layout.limit.size * layout.lag.shape[0] * layout.cmax
+    return replace(layout, gk=layout.gk[keep], groot=layout.groot[keep],
+                   cell=layout.cell[sel] + ((new[groups] - groups) * block)[:, None])
 
 
 def _label_values(poles: np.ndarray, plus: np.ndarray, rho, v) -> np.ndarray:
@@ -996,10 +1021,13 @@ def _checked_factors(model: RationalMatrixOmega, batch: PointBatch, pt: Spectral
 
 def _d_with_scale(model: RationalMatrixOmega, rho, v, branches=None):
     """(D, Hadamard row-norm bound) at Weyl points (rho, v) of any common
-    shape, so |D|/scale is a unit-free singularity measure.  Evaluates the
-    plan's analyticity rows only: no monodromy, no normalisation rows."""
-    spec = _plan_spec(_plan_for(model, branches), rho, v)
-    return _det_with_scale(_assemble_homogeneous(spec)[..., spec.selected_rows, :])
+    shape, so |D|/scale is a unit-free singularity measure.  Assembles the
+    plan's D rows alone, through its D layout: no monodromy, no other
+    analyticity row and no normalisation row.  The values are those of the
+    D rows of the full system, bit for bit."""
+    plan = _plan_for(model, branches)
+    spec = replace(_plan_spec(plan, rho, v), layout=plan.d_layout)
+    return _det_with_scale(_assemble_rows(spec)[..., plan.d_layout.hom])
 
 
 def _det_with_scale(a: np.ndarray):
@@ -1117,7 +1145,7 @@ def evaluate_points(model: RationalMatrixOmega, rho, v, branches=None,
 def _evaluate(spec: AnsatzSpec, A: np.ndarray, l0: np.ndarray, tol: float) -> PointBatch:
     """evaluate_points on the plan's spec at its points, from its full
     system (A, l0) (_assemble_inhomogeneous)."""
-    a0 = A[..., :-spec.n, spec.layout.hom]          # _assemble_homogeneous(spec), entry for entry
+    a0 = A[..., :-spec.n, spec.layout.hom]          # the homogeneous part: c < deg pi_j
     d_val, d_scale = _det_with_scale(a0[..., spec.selected_rows, :])
     rows = spec.square_rows
     sol = _solve_stack(A[..., rows, :], _right_hand_sides(l0, rows.size, A.dtype))

@@ -274,10 +274,11 @@ def test_make_model_finds_each_denominators_roots_once(monkeypatch):
 
 def _plan_bits(model):
     plan = engine._plan_for(model, model.default_branches)
+    layouts = ("layout", "d_layout")
     fields = [(f.name, getattr(plan, f.name)) for f in dataclasses.fields(plan)
-              if f.name != "layout"]
-    fields += [("layout." + f.name, getattr(plan.layout, f.name))
-               for f in dataclasses.fields(plan.layout)]
+              if f.name not in layouts]
+    fields += [(f"{lay}.{f.name}", getattr(getattr(plan, lay), f.name))
+               for lay in layouts for f in dataclasses.fields(plan.layout)]
     return {name: (_bits(v) if isinstance(v, np.ndarray) else repr(v)) for name, v in fields}
 
 

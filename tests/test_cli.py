@@ -677,21 +677,26 @@ def test_package_runs_as_module():
 
 
 def test_building_models_and_running_the_cli_imports_no_numpy_random(tmp_path):
-    # numpy.random costs more to import than a model costs to build, and
-    # numpy.polynomial some milliseconds of every process that builds mvc5d
+    # numpy.random costs more to import than a model costs to build,
+    # numpy.polynomial some milliseconds of every process that builds mvc5d,
+    # and numpy.ma (which np.unique loads on its first call) some of every
+    # process that compiles a plan and traces a curve
     script = f"""
 import sys
 import whergo
-from whergo import cli
+from whergo import cli, geometry
 models = [build(2.0, 1.0) for build in (whergo.model_kerr, whergo.model_mp5d, whergo.model_mvc5d)]
 whergo.factorise(models[0], 2.5, 0.3)
 assert cli.main(["sweep", "--model", "kerr", "--grid", "2:3:2,0:1:2",
                  "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
-print("numpy.random" in sys.modules, "numpy.polynomial" in sys.modules)
+curve = geometry.trace_curve(models[1], box=(0.6, 0.74, -0.0759, 0.0641), grid=(5, 5),
+                             step=0.015, residual_tol=1e-11)
+geometry.classify_curve(models[1], curve)
+print(*(name in sys.modules for name in ("numpy.random", "numpy.polynomial", "numpy.ma")))
 """
     proc = _run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == ["False", "False", "False"]
 
 
 def test_sweep_json_format(tmp_path):

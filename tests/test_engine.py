@@ -35,8 +35,8 @@ from whergo.catalog import (
 import whergo.engine as engine
 from whergo.engine import (
     Status,
-    _assemble_homogeneous,
     _assemble_inhomogeneous,
+    _assemble_rows,
     _d_with_scale,
     assemble_M,
     evaluate_points,
@@ -269,7 +269,7 @@ def test_reducible_system_square_and_regular():
     # other model: the selected rows form a regular square matrix
     model = synthetic_chain_model()
     spec = _plan_spec_at(model, 1.3, 0.4)
-    A = _assemble_homogeneous(spec)[spec.selected_rows, :]
+    A = _assemble_rows(spec)[..., spec.layout.hom][spec.selected_rows, :]
     assert A.shape[0] == A.shape[1] > 0
     assert numerical_nullity(A) == 0
     assert abs(_d(model, 1.3, 0.4)) > 0
@@ -293,7 +293,7 @@ def _on_curve_points(kerr, mp5d, mvc5d, ys, du=0.0):
 
 def test_factorise_d_matches_homogeneous_assembly(kerr, mp5d, mvc5d, rng):
     # factorise takes D and the kernel from its full system; the D-only
-    # callers assemble the homogeneous system alone; both must agree exactly.
+    # callers assemble the D rows alone; both must agree exactly.
     # factorise is evaluate_points at one point: D, its scale and M agree
     # bitwise with the batch
     on_curve = _on_curve_points(kerr, mp5d, mvc5d, (-0.6, 0.1, 0.7))
@@ -312,6 +312,46 @@ def test_factorise_d_matches_homogeneous_assembly(kerr, mp5d, mvc5d, rng):
                 assert out.status is Status.DEGENERATE
                 assert out.kernel_dim == toeplitz_kernel_dim(model, rho, v) == 1
         assert canonical >= 3
+
+
+def _d_from_every_row(model, rho, v, branches=None):
+    """(D, scale) from the full layout: every analyticity row assembled,
+    the homogeneous columns and then the D rows taken."""
+    plan = engine._plan_for(model, branches)
+    a0 = _assemble_rows(engine._plan_spec(plan, rho, v))[..., plan.layout.hom]
+    return engine._det_with_scale(a0[..., plan.selected_rows, :])
+
+
+D_LAYOUT_CASES = ([("kerr", model_kerr, 1.0, None), ("kerr", model_kerr, 1.0, ("plus", "minus"))]
+                  + [(name, build, a, None)
+                     for name, build in (("mp5d", model_mp5d), ("mvc5d", model_mvc5d))
+                     for a in (0.01, 0.5, 1.0, 1.9)]
+                  + [(f"nilpotent{i}", lambda m, a, i=i: nilpotent_models()[i], None, None)
+                     for i in range(2)]
+                  + [("identity", lambda m, a: model_identity(2), None, None)])
+
+
+@pytest.mark.parametrize("name, build, a, branches", D_LAYOUT_CASES,
+                         ids=[f"{c[0]}-{c[2]}-{c[3] and ','.join(c[3])}" for c in D_LAYOUT_CASES])
+def test_d_layout_gives_the_d_rows_of_the_full_system_bit_for_bit(name, build, a, branches):
+    # the tracer's D assembles only the D rows, over the inside groups they
+    # use (the plan's d_layout); D and its scale are those of the D rows of
+    # the full system, byte for byte, over the 300 draws as one batch and
+    # at single points.  The identity has no inside group and D = 1
+    model = build(2.0, a)
+    plan = engine._plan_for(model, branches)
+    assert np.array_equal(plan.d_layout.gk, plan.layout.gk[np.unique(
+        plan.layout.tgroup[plan.selected_rows])])
+    rho, v = _the_300_draws()
+    got, want = _d_with_scale(model, rho, v, branches), _d_from_every_row(model, rho, v, branches)
+    assert [x.dtype for x in got] == [x.dtype for x in want]
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+    for r, w in zip(rho[::15], v[::15]):
+        got, want = _d_with_scale(model, r, w, branches), _d_from_every_row(model, r, w, branches)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+    if name == "identity":
+        assert plan.layout.gk.size == plan.d_layout.gk.size == 0
+        assert np.all(got[0] == 1.0) and np.all(got[1] == 1.0)
 
 
 def test_a_point_reads_the_same_in_a_small_and_a_large_batch(kerr, mvc5d):
@@ -745,7 +785,7 @@ def test_index_balance(kerr, mp5d, mvc5d):
     assert A.shape[0] == A.shape[1]
     for model in (mp5d, mvc5d):
         spec = _plan_spec_at(model, 1.9, 0.4)
-        a0 = _assemble_homogeneous(spec)
+        a0 = _assemble_rows(spec)[..., spec.layout.hom]
         u = spec.layout.hom.size
         assert spec.selected_rows.size == u
         assert a0.shape[1] == u
@@ -931,7 +971,8 @@ def _reference_system(model, rho, v, branches):
 
 
 def _d_hat(spec):
-    d, scale = engine._det_with_scale(_assemble_homogeneous(spec)[spec.selected_rows, :])
+    a0 = _assemble_rows(spec)[..., spec.layout.hom]
+    d, scale = engine._det_with_scale(a0[spec.selected_rows, :])
     return abs(d) / scale
 
 

@@ -20,14 +20,16 @@ The artefacts, all at m = 2, a = 1:
   the name of the NonPhysicalM it raises;
 - evaluate_points/<model>: `evaluate_points` over the same draws as one
   batch;
-- sweep/..., curve/...: the bytes the CLI writes;
+- sweep/..., curve/...: the bytes the CLI writes; the curve/...-small
+  lines trace the 5 x 5 scans of perfbench's trace5d boxes at seed 1;
 - verify: the stdout of `whergo verify`;
 - plan/<model>: the model's entries (numerators, denominators and their
   roots) and omega poles, and every array and table of its compiled plan
-  for the given branches, the layout's `segments` tuple included, or the
-  error (name and message) the compile raises.  Besides the four models above,
-  mp5d, mvc5d and Kerr at m = 2 and a in {0.01, 0.5, 1.9}, and the JSON
-  round trip of each built-in model at m = 2, a = 1.
+  for the given branches, the layout's `segments` tuple and the D layout
+  (`d_layout`, the D rows alone) included, or the error (name and message)
+  the compile raises.  Besides the four models above, mp5d, mvc5d and
+  Kerr at m = 2 and a in {0.01, 0.5, 1.9}, and the JSON round trip of
+  each built-in model at m = 2, a = 1.
 The plan/ lines read the plan that whergo.engine._plan_for compiles, its
 fields by name; every other line uses numpy and whergo's public functions
 only.
@@ -72,6 +74,11 @@ CURVES = (
                                "--grid", "0.05:3.6:160,-2.6:2.6:160", "--step", "0.01"]),
     ("curve/mp5d", ["--model", "mp5d", "--grid", BOX_5D, "--step", "0.015"]),
     ("curve/mvc5d", ["--model", "mvc5d", "--grid", BOX_5D, "--step", "0.015"]),
+    # the seed-1 boxes of perfbench's trace5d workload, rounded: the small scans it times
+    ("curve/mp5d-small", ["--model", "mp5d", "--grid", "0.6:0.74:5,-0.0759:0.0641:5",
+                          "--step", "0.015"]),
+    ("curve/mvc5d-small", ["--model", "mvc5d", "--grid", "0.3584:0.4984:5,-0.0327:0.1073:5",
+                           "--step", "0.015"]),
 )
 
 

@@ -1,9 +1,10 @@
 """Rational matrices in omega and the built-in models.
 
 A model is an n x n matrix of rational functions of omega with det = 1 and
-eta-symmetry eta M^T eta = M.  It keeps the structure fixed by the matrix
-alone: the entries' denominator roots, the stacked coefficients and the
-plans the engine compiles from its omega-plane poles and adjugate.
+eta-symmetry eta M^T eta = M, built by make_model, each entry once.  It
+keeps the structure fixed by the matrix alone: the entries' denominator
+roots, the stacked coefficients (model.eval, the one evaluation of M) and
+the plans the engine compiles from its omega-plane poles and adjugate.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .poly import (
     as_poly,
     newton_polish,
     poly_deflate,
-    poly_degree,
     poly_eval,
     poly_eval_stack,
     poly_mul,
@@ -50,22 +50,12 @@ _VALIDATION_POINTS = np.array([
 
 @dataclass(frozen=True)
 class RationalEntry:
-    """num(omega)/den(omega), coefficients ascending."""
+    """num(omega)/den(omega), coefficients ascending, no root shared, and the
+    polished zeros of den: make_model builds it from _cancel_shared_roots."""
 
     num: np.ndarray
     den: np.ndarray
-
-    def __call__(self, w):
-        """The entry at w of any shape, as RationalMatrixOmega.eval takes it."""
-        return (poly_eval_stack(as_poly(self.num), w) / poly_eval_stack(as_poly(self.den), w))[()]
-
-    @cached_property
-    def den_roots(self) -> tuple:
-        """Zeros of den in omega, each polished by two Newton steps; an
-        entry built by make_model has them from its root cancellation."""
-        if poly_degree(self.den) < 1:
-            return ()
-        return _polished_roots(self.den)
+    den_roots: tuple
 
 
 def _polished_roots(p: np.ndarray) -> tuple:
@@ -111,7 +101,7 @@ class RationalMatrixOmega:
 
     def eval(self, w) -> np.ndarray:
         """M(w), shape (n, n) + w.shape: one Horner pass over the stacked
-        coefficients, entry for entry RationalEntry.__call__'s value."""
+        coefficients."""
         num, den = poly_eval_stack(self.coefficients, w)
         return num / den
 
@@ -147,11 +137,10 @@ def same_pole(p, q) -> bool:
 
 def make_model(entries, eta=None, params=None, model_id="custom",
                omega_poles=None, default_branches=None) -> RationalMatrixOmega:
-    """Build and validate a RationalMatrixOmega from nested RationalEntry data.
-
-    The entries are n x n with n 2 or 3 and eta, if given, n numbers +-1
-    (no bool); omega_poles, if given, must be exactly the poles of M, each
-    named once."""
+    """Build and validate a RationalMatrixOmega from n x n (num, den) pairs or
+    RationalEntry data, each entry once from _cancel_shared_roots.  n is 2 or
+    3 and eta, if given, n numbers +-1 (no bool); omega_poles, if given, must
+    be exactly the poles of M, each named once."""
     n = len(entries)
     if n not in (2, 3) or any(len(row) != n for row in entries):
         raise InvariantViolation(f"model {model_id} needs 2 x 2 or 3 x 3 entries, got rows "
@@ -170,10 +159,7 @@ def make_model(entries, eta=None, params=None, model_id="custom",
 
     def reduced(e):
         num, den = (e.num, e.den) if isinstance(e, RationalEntry) else e
-        num, den, roots = _cancel_shared_roots(num, den, roots_of)
-        e = RationalEntry(num, den)
-        e.__dict__["den_roots"] = roots     # the cancellation's last pass found them
-        return e
+        return RationalEntry(*_cancel_shared_roots(num, den, roots_of))
 
     entries = tuple(tuple(reduced(e) for e in row) for row in entries)
     found = []          # the distinct denominator zeros across entries
@@ -377,6 +363,9 @@ def model_from_dict(doc: dict, model_id="json") -> RationalMatrixOmega:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("params must be an object")
+    for key, value in params.items():
+        if not _is_number(value):
+            raise SchemaError(f"params[{key!r}] must be a number, got {value!r}")
     return make_model(entries, eta=tuple(float(e) for e in eta),
                       params=params, model_id=model_id)
 

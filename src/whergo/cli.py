@@ -17,6 +17,7 @@ from .errors import NoCurveFound, NonPhysicalM, WhergoError
 from .geometry import check_step, classify_curve, extract_metric, trace_curve
 
 SCHEMA_VERSION = 1
+DEFAULT_PARAMS = {"m": 2.0, "a": 1.0}       # a run's model parameters where it sets none
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -25,11 +26,11 @@ EXIT_NONCANONICAL = 3
 
 @dataclass
 class RunConfig:
-    """Execution settings; every CLI flag overrides its config-file field."""
+    """Execution settings; every given CLI flag overrides its config-file field."""
 
     model: str = "kerr"
     model_json: str | None = None
-    params: dict = field(default_factory=lambda: {"m": 2.0, "a": 1.0})
+    params: dict = field(default_factory=lambda: dict(DEFAULT_PARAMS))
     branches: list | None = None
     grid: dict = field(default_factory=lambda: {"rho": [0.05, 4.0, 40],
                                                 "v": [-4.0, 4.0, 40]})
@@ -396,33 +397,19 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    doc = {}
-    if getattr(args, "config", None):
-        doc = _load_config(args.config)
-    cfg = RunConfig(**doc)
-    if getattr(args, "model", None):
-        cfg.model = args.model
-    if getattr(args, "model_json", None):
-        cfg.model_json = args.model_json
-    if getattr(args, "m", None) is not None:
-        cfg.params["m"] = args.m
-    if getattr(args, "a", None) is not None:
-        cfg.params["a"] = args.a
-    if getattr(args, "branches", None):
-        cfg.branches = args.branches.split(",")
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    if getattr(args, "fmt", None):
-        cfg.fmt = args.fmt
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
-    if getattr(args, "grid", None):
-        cfg.grid = _parse_grid(args.grid)
-    if getattr(args, "step", None) is not None:
-        cfg.step = args.step
-    return cfg
+    """The config file's fields with every given flag (not None, not "") in place."""
+    given = {k: x for k, x in vars(args).items() if x is not None and x != ""}
+    doc = _load_config(given["config"]) if "config" in given else {}
+    params = {k: given[k] for k in ("m", "a") if k in given}
+    if params:
+        doc["params"] = {**doc.get("params", DEFAULT_PARAMS), **params}
+    if "branches" in given:
+        doc["branches"] = given["branches"].split(",")
+    if "grid" in given:
+        doc["grid"] = _parse_grid(given["grid"])
+    doc.update((k, given[k]) for k in ("model", "model_json", "tol", "out", "fmt", "jobs", "step")
+               if k in given)
+    return RunConfig(**doc)
 
 
 def main(argv=None) -> int:

@@ -153,11 +153,11 @@ def _root_sort_key(r):
     return (round(r.real, 9), round(r.imag, 9))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AnsatzSpec:
-    """Assembly data for the generic constraint system at one Weyl point, or
-    at an array of them (every value then carries the batch shape as its
-    trailing axes, so that the work over points runs along contiguous axes).
+    """The plan's values at one Weyl point, or at an array of them (each
+    with the batch shape as its trailing axes, so that the work over points
+    runs along contiguous axes), and the layout they are read through.
 
     The values are num_polys and roots; the structure is the layout, whose
     index tables name every root by its position in roots (0 is tau = 0;
@@ -171,8 +171,6 @@ class AnsatzSpec:
     num_polys: np.ndarray     # (k, j, coefficient, ...): polynomial part of A_kj
     roots: np.ndarray         # (root, ...): every root the layout names, roots[0] = 0
     layout: _RowLayout        # index tables of the rows and the roots
-    selected_rows: np.ndarray | None = None
-    square_rows: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -222,9 +220,8 @@ class _RowLayout:
     pi: np.ndarray            # (n, D) roots of pi_j: M_minus's row denominators
     xden: np.ndarray          # (n, Y) roots of L_k less its inside groups: X's rows
     l0: np.ndarray            # (n, Z) non-zero roots of L_k
-    m0: np.ndarray            # (n,) multiplicity of tau = 0 in L_k
-    # normalisation row k, coefficient m0_k - c of A_kj in column (j, c), as a
-    # position in A's (k, j, coefficient) axes (clipped), and where it exists
+    # normalisation row k, coefficient m0_k - c of A_kj in column (j, c), m0_k the count of
+    # tau = 0 in L_k, as a position in A's (k, j, coefficient) axes (clipped); where it exists
     norm: np.ndarray          # (n, W)
     norm_on: np.ndarray       # (n, W, 1)
     extras_on: np.ndarray     # (n, n, X, 1) where extras[k, j, x] holds a root
@@ -320,7 +317,7 @@ def _row_layout(width: int, pi, lk, groups, extras: np.ndarray) -> _RowLayout:
         gk, np.array([r for _, r, _ in conds], dtype=int),
         extras, _index_table(pi),
         _index_table([_less(ls, g) for ls, g in zip(lk, groups)]),
-        _index_table([[r for r in ls if r] for ls in lk]), m0,
+        _index_table([[r for r in ls if r] for ls in lk]),
         (np.arange(n)[:, None] * n + jcol) * span + np.minimum(np.maximum(norm, 0), span - 1),
         ((norm >= 0) & (norm < span))[..., None],
         (extras >= 0)[..., None],
@@ -632,11 +629,11 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     """The plan of (model, branches) from _omega_adjugate's terms adj,
     compiled at the reference Weyl point (rho_ref, v_ref).
 
-    The labels give the layout of the full system; the greedy selection on
-    its homogeneous rows at the reference point gives the D rows, and
-    _d_layout the second layout that assembles those rows alone.  The plan
-    must factorise at its reference point within the residual gates; a
-    NonSquareSystem or InvariantViolation sends _plan_for to the next one.
+    The labels give the layout of the full system; a plan with no rows gives
+    the spec there, the greedy selection on its homogeneous rows the D rows,
+    and one replace adds them, the square rows and _d_layout's layout of the
+    D rows alone.  The plan must factorise there within the residual gates;
+    a NonSquareSystem or InvariantViolation sends _plan_for to the next one.
     """
     n = model.n
     ent, adj = adj                  # _omega_adjugate's terms of M and adj M
@@ -683,8 +680,8 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
     extra = _index_table([[lab for lab in range(1, labels) for _ in range(r[lab])] if on else ()
                           for r, on in zip(rest.tolist(), live.tolist())])
     layout = _row_layout(span, pi_labels, lk_labels, groups, extra.reshape(n, n, -1))
-    plan = AnsatzPlan(n, poles, plus, adj_num, adj_lc, adj_deg, place,
-                      np.zeros(0, dtype=int), layout, np.zeros(0, dtype=int), layout)
+    none = np.zeros(0, dtype=int)   # the rows, until the selection below
+    plan = AnsatzPlan(n, poles, plus, adj_num, adj_lc, adj_deg, place, none, layout, none, layout)
 
     # one spec and one assembly of its rows at the reference point serve
     # the D-row selection and the plan's own factorisation there
@@ -699,13 +696,11 @@ def _compile_plan(model, branches, adj, rho_ref, v_ref) -> AnsatzPlan:
         raise NonSquareSystem(
             f"homogeneous system rank-deficient at reference point "
             f"({rho_ref}, {v_ref}); smallest accepted pivot {margin:.2e}")
-    spec.selected_rows = sel
-    spec.square_rows = np.concatenate([sel, a0.shape[0] + np.arange(n)])
-    plan = AnsatzPlan(n, poles, plus, adj_num, adj_lc, adj_deg, place, sel, layout,
-                      spec.square_rows, _d_layout(layout, sel))
+    plan = replace(plan, selected_rows=sel, d_layout=_d_layout(layout, sel),
+                   square_rows=np.concatenate([sel, a0.shape[0] + np.arange(n)]))
     # the plan factorises at its reference point within the residual gates:
     # a wrong label leaves a pole that no solution cancels
-    batch = _evaluate(spec, *_assemble_inhomogeneous(spec, rows), DEFAULT_TOL)
+    batch = _evaluate(plan, spec, *_assemble_inhomogeneous(spec, rows), DEFAULT_TOL)
     if not batch.canonical:
         raise InvariantViolation(f"the plan is not canonical at its reference point "
                                  f"({rho_ref}, {v_ref})")
@@ -796,8 +791,7 @@ def _plan_spec(plan: AnsatzPlan, rho, v) -> AnsatzSpec:
     scale = 1.0 / (plan.adj_lc[:, None] * half_pw[plan.adj_deg])
     num = composed[plan.place] * scale[:, None]
     return AnsatzSpec(num.reshape((plan.n, plan.n, num.shape[1]) + batch),
-                      lab.reshape(lab.shape[:1] + batch), plan.layout, plan.selected_rows,
-                      plan.square_rows)
+                      lab.reshape(lab.shape[:1] + batch), plan.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,16 +1132,18 @@ def evaluate_points(model: RationalMatrixOmega, rho, v, branches=None,
     scale.
     """
     check_tol(tol)
-    spec = _plan_spec(_plan_for(model, branches), rho, v)
-    return _evaluate(spec, *_assemble_inhomogeneous(spec, _assemble_rows(spec)), tol)
+    plan = _plan_for(model, branches)
+    spec = _plan_spec(plan, rho, v)
+    return _evaluate(plan, spec, *_assemble_inhomogeneous(spec, _assemble_rows(spec)), tol)
 
 
-def _evaluate(spec: AnsatzSpec, A: np.ndarray, l0: np.ndarray, tol: float) -> PointBatch:
-    """evaluate_points on the plan's spec at its points, from its full
-    system (A, l0) (_assemble_inhomogeneous)."""
+def _evaluate(plan: AnsatzPlan, spec: AnsatzSpec, A: np.ndarray, l0: np.ndarray,
+              tol: float) -> PointBatch:
+    """evaluate_points on the plan's spec at its points, from its full system
+    (A, l0) (_assemble_inhomogeneous) and the plan's D rows and square rows."""
     a0 = A[..., :-spec.n, spec.layout.hom]          # the homogeneous part: c < deg pi_j
-    d_val, d_scale = _det_with_scale(a0[..., spec.selected_rows, :])
-    rows = spec.square_rows
+    d_val, d_scale = _det_with_scale(a0[..., plan.selected_rows, :])
+    rows = plan.square_rows
     sol = _solve_stack(A[..., rows, :], _right_hand_sides(l0, rows.size, A.dtype))
     resid, scale = _system_residual(A, l0, sol)
     # a finite scale bounds the residual too: inf <= inf must not pass

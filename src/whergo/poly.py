@@ -47,13 +47,6 @@ def poly_trim(c) -> np.ndarray:
     return p[:k].copy() if k else np.zeros(1, dtype=complex)
 
 
-def poly_degree(c) -> int:
-    p = as_poly(c)
-    k = _trimmed_size(p)
-    # an infinite coefficient trims every finite one, p[0] = 0 included
-    return -1 if k == 1 and p[0] == 0 else k - 1
-
-
 def poly_is_zero(c) -> bool:
     """True when every coefficient is exactly zero (no noise threshold)."""
     return not as_poly(c).any()

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import whergo.engine as engine
 from whergo.catalog import model_kerr, model_mp5d, model_mvc5d
 
 KERR_M, KERR_A = 2.0, 1.0
@@ -24,6 +27,19 @@ def mvc5d():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260808)
+
+
+def compiled_labels(model, branches=None):
+    """(plan, (pi_labels, lk_labels, groups)): the plan of a fresh copy of
+    the model, compiled here, and the label tuples _plan_labels gave that
+    compile, from which its layout's tables are built."""
+    fresh = dataclasses.replace(model)              # the same entries, no plan yet
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_plan_labels",
+                   lambda *args, _real=engine._plan_labels: seen.append(_real(*args)) or seen[-1])
+        plan = engine._plan_for(fresh, branches)
+    return plan, seen[-1]
 
 
 def kerr_delta_closed_form(rho, v, m=KERR_M, a=KERR_A):

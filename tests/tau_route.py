@@ -21,10 +21,10 @@ from whergo.catalog import RationalEntry, RationalMatrixOmega
 from whergo.engine import _check_branches
 from whergo.errors import InvariantViolation, WhergoError
 from whergo.poly import (
+    _trimmed_size,
     as_poly,
     newton_polish,
     poly_deflate,
-    poly_degree,
     poly_derivative,
     poly_eval,
     poly_from_roots,
@@ -186,6 +186,13 @@ def _exact_trim(p: np.ndarray) -> np.ndarray:
 
 def poly_scale(a, s) -> np.ndarray:
     return poly_trim(as_poly(a) * complex(s))
+
+
+def poly_degree(c) -> int:
+    p = as_poly(c)
+    k = _trimmed_size(p)
+    # an infinite coefficient trims every finite one, p[0] = 0 included
+    return -1 if k == 1 and p[0] == 0 else k - 1
 
 
 # ---------------------------------------------------------------------------

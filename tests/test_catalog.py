@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import whergo.catalog as catalog
-from tau_route import compose_monodromy
+from conftest import compiled_labels
+from tau_route import compose_monodromy, poly_degree
 from whergo.catalog import (
     load_model_json,
     make_model,
@@ -19,7 +20,7 @@ from whergo.catalog import (
     model_to_dict,
 )
 import whergo.engine as engine
-from whergo.poly import newton_polish, poly_degree, poly_eval
+from whergo.poly import as_poly, newton_polish, poly_eval, poly_eval_stack
 from whergo.errors import (
     ExtremalOrOverRotating,
     InvariantViolation,
@@ -31,22 +32,24 @@ from whergo.spectral import SpectralPoint, spectral_map
 
 def test_kerr_entry_values(kerr):
     # (1,2) entry: 2 a m / (w^2 - c^2) = 4/(w^2 - 3) at m=2, a=1
-    assert kerr.entry(0, 1)(2.0) == pytest.approx(4.0)
+    assert kerr.eval(2.0)[0, 1] == pytest.approx(4.0)
     assert abs(np.linalg.det(kerr.eval(5j)) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
 def test_stacked_eval_is_the_entry_calls_bitwise(shape, kerr, mp5d, mvc5d):
     # one Horner pass over the zero-padded coefficient stack gives each
-    # entry's own value, bit for bit and with the same shape; an array of
-    # omega gives poly_eval's values too
+    # entry's own value (poly_eval_stack of that entry alone), bit for bit
+    # and with the same shape; an array of omega gives poly_eval's values too
     rng = np.random.default_rng(8)
     w = rng.uniform(-4.0, 4.0, shape) + 1j * rng.uniform(-3.0, 3.0, shape)
     w = complex(w) if shape == () else w
     for model in (kerr, mp5d, mvc5d):
         got = model.eval(w)
         assert got.shape == (model.n, model.n) + shape
-        want = np.array([[e(w) for e in row] for row in model.entries])
+        want = np.array([[(poly_eval_stack(as_poly(e.num), w)
+                           / poly_eval_stack(as_poly(e.den), w))[()] for e in row]
+                         for row in model.entries])
         assert want.shape == got.shape and np.array_equal(got, want)
         if shape:
             direct = np.array([[poly_eval(e.num, w) / poly_eval(e.den, w) for e in row]
@@ -58,9 +61,10 @@ def test_kerr_a_zero_reduces_to_ratio():
     m = 2.0
     model = model_kerr(m, 0.0)
     for w in (3.0, 5.0 + 1.0j):
-        assert model.entry(0, 0)(w) == pytest.approx((w - m) / (w + m))
-        assert model.entry(1, 1)(w) == pytest.approx((w + m) / (w - m))
-        assert model.entry(0, 1)(w) == 0.0
+        val = model.eval(w)
+        assert val[0, 0] == pytest.approx((w - m) / (w + m))
+        assert val[1, 1] == pytest.approx((w + m) / (w - m))
+        assert val[0, 1] == 0.0
 
 
 def test_kerr_parameter_domain():
@@ -117,7 +121,7 @@ def test_mp5d_parameter_domain():
 
 def test_mvc5d_values(mvc5d):
     al = 0.75
-    assert mvc5d.entry(0, 0)(2.0) == pytest.approx(-2.0 / (2.0 + al))
+    assert mvc5d.eval(2.0)[0, 0] == pytest.approx(-2.0 / (2.0 + al))
     assert abs(np.linalg.det(mvc5d.eval(1.0 + 1.0j)) - 1.0) <= 1e-10
 
 
@@ -205,15 +209,17 @@ def test_identity_monodromy():
     mono = compose_monodromy(model, SpectralPoint(2.0, 1.0))
     assert np.allclose(mono.eval(0.7 + 0.2j), np.eye(2))
     # no pole: the plan's layout names no root
-    lay = engine._plan_for(model, model.default_branches).layout
+    plan, (_, lk, _) = compiled_labels(model, model.default_branches)
+    lay = plan.layout
     assert lay.pi.shape == lay.xden.shape == lay.l0.shape == (2, 0)
-    assert lay.groot.size == 0 and lay.m0.tolist() == [0, 0]
+    assert lay.groot.size == 0 and [labels.count(0) for labels in lk] == [0, 0]
 
 
 def test_mp5d_plan_labels_have_origin_pole(mp5d):
     # labels: 0 is tau = 0, 1 + 2i and 2 + 2i the pair of omega_poles[i]
-    lay = engine._plan_for(mp5d, mp5d.default_branches).layout
-    assert lay.m0.tolist() == [1, 1, 1]          # one tau = 0 pole in every L_k
+    plan, (_, lk, _) = compiled_labels(mp5d, mp5d.default_branches)
+    lay = plan.layout
+    assert [labels.count(0) for labels in lk] == [1, 1, 1]     # one tau = 0 pole in every L_k
     assert lay.pi[1][lay.pi[1] >= 0].tolist() == [0]
     # the omega = alpha - m denominator factor of the (3,3) entry cancels
     # exactly under 4 alpha = 2m - a^2, so only the +-alpha pairs are poles
@@ -367,6 +373,20 @@ def test_json_eta_asymmetric_violation():
 def test_json_schema_errors(doc):
     with pytest.raises(SchemaError):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value", [("note", "x"), ("m", True)])
+def test_json_params_must_be_numbers(key, value):
+    # model_to_dict writes every param as a float: a string would load and
+    # then fail to save, a boolean come back as 1.0; both are refused at
+    # load, naming the key.  Every built-in model's document round-trips
+    doc = model_to_dict(model_kerr(2.0, 1.0))
+    doc["params"][key] = value
+    with pytest.raises(SchemaError, match=f"^params\\[{key!r}\\] must be a number"):
+        model_from_dict(doc)
+    for builder in (model_kerr, model_mp5d, model_mvc5d):
+        doc = model_to_dict(builder(2.0, 1.0))
+        assert model_to_dict(model_from_dict(doc)) == doc
 
 
 def test_load_model_json_bad_file(tmp_path):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (kerr_delta_closed_form, kerr_fh, mp5d_solution_closed_form,
-                      mvc_closed_form, mvc_closed_form_D)
+from conftest import (compiled_labels, kerr_delta_closed_form, kerr_fh,
+                      mp5d_solution_closed_form, mvc_closed_form, mvc_closed_form_D)
 from tau_route import (
     Classification,
     DegenerateZeros,
@@ -269,7 +269,7 @@ def test_reducible_system_square_and_regular():
     # other model: the selected rows form a regular square matrix
     model = synthetic_chain_model()
     spec = _plan_spec_at(model, 1.3, 0.4)
-    A = _assemble_rows(spec)[..., spec.layout.hom][spec.selected_rows, :]
+    A = _assemble_rows(spec)[..., spec.layout.hom][engine._plan_for(model).selected_rows, :]
     assert A.shape[0] == A.shape[1] > 0
     assert numerical_nullity(A) == 0
     assert abs(_d(model, 1.3, 0.4)) > 0
@@ -787,7 +787,7 @@ def test_index_balance(kerr, mp5d, mvc5d):
         spec = _plan_spec_at(model, 1.9, 0.4)
         a0 = _assemble_rows(spec)[..., spec.layout.hom]
         u = spec.layout.hom.size
-        assert spec.selected_rows.size == u
+        assert engine._plan_for(model).selected_rows.size == u
         assert a0.shape[1] == u
         assert u - numerical_nullity(a0) == u  # full column rank off-curve
 
@@ -963,16 +963,14 @@ def build_ansatz(mono, inside):
 
 
 def _reference_system(model, rho, v, branches):
-    """build_ansatz at the point itself, with the plan's D-row selection."""
+    """(build_ansatz at the point itself, the plan's D-row selection)."""
     _, inside, mono = _setup(model, rho, v, branches)
-    spec = build_ansatz(mono, inside)
-    spec.selected_rows = engine._plan_for(model, branches).selected_rows
-    return spec
+    return build_ansatz(mono, inside), engine._plan_for(model, branches).selected_rows
 
 
-def _d_hat(spec):
+def _d_hat(spec, sel):
     a0 = _assemble_rows(spec)[..., spec.layout.hom]
-    d, scale = engine._det_with_scale(a0[spec.selected_rows, :])
+    d, scale = engine._det_with_scale(a0[sel, :])
     return abs(d) / scale
 
 
@@ -1001,7 +999,7 @@ def test_plan_matches_build_ansatz(name, branches, kerr, mp5d, mvc5d):
     points = [(10.0 ** rng.uniform(-3.0, np.log10(20.0)), rng.uniform(-4.0, 4.0))
               for _ in range(12)]
     for rho, v in points + list(engine._REFERENCE_POINTS):
-        ref = _reference_system(model, rho, v, branches)
+        ref, sel = _reference_system(model, rho, v, branches)
         plan = engine._plan_spec(engine._plan_for(model, branches), rho, v)
         want, got = (np.hstack(_full_system(s)) for s in (ref, plan))
         assert got.shape == want.shape
@@ -1011,8 +1009,8 @@ def test_plan_matches_build_ansatz(name, branches, kerr, mp5d, mvc5d):
         real = np.any(got != 0, axis=1) & ~noise
         assert np.all(norms[~real] <= 1e-8 * top)
         assert np.all(np.max(np.abs(got - want), axis=1)[real] <= 1e-12 * norms[real])
-        d_ref = _d_hat(ref)
-        assert abs(_d_hat(plan) - d_ref) <= 1e-11 * d_ref
+        d_ref = _d_hat(ref, sel)
+        assert abs(_d_hat(plan, sel) - d_ref) <= 1e-11 * d_ref
 
 
 def test_d_evaluation_after_warm_up_skips_symbolic_work(mp5d, mvc5d, monkeypatch):
@@ -1263,19 +1261,6 @@ def _taylor_rows_loop(groups, width):
     return np.array(rows).reshape(-1, width)
 
 
-def _compiled_labels(model, branches=None):
-    """(plan, (pi_labels, lk_labels, groups)): the plan of a fresh copy of
-    the model, compiled here, and the label tuples _plan_labels gave that
-    compile, from which its layout's tables are built."""
-    fresh = dataclasses.replace(model)              # the same entries, no plan yet
-    seen = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_plan_labels",
-                   lambda *args, _real=engine._plan_labels: seen.append(_real(*args)) or seen[-1])
-        plan = engine._plan_for(fresh, branches)
-    return plan, seen[-1]
-
-
 def _root_lists(labels, roots):
     """(pi_roots, lk_roots, inside_groups) at one point: the label tuples
     with each label replaced by its root in roots (the spec's label
@@ -1370,7 +1355,7 @@ def test_factors_are_the_per_root_loops_bitwise(name, kerr, mp5d, mvc5d):
     # residual report, at canonical draws and at points 1e-4..1e-2 beyond
     # the failure curve
     model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
-    plan, labels = _compiled_labels(model)
+    plan, labels = compiled_labels(model)
     points = [(rho, v) for rho, v, _ in _canonical_draws(model, 12, seed=62)]
     if name != "chain":
         rng = np.random.default_rng(63)
@@ -1483,7 +1468,7 @@ def test_numeric_factors_match_the_symbolic_construction(name, kerr, mp5d, mvc5d
     # circle is the one the composed monodromy's poles pick
     model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
     n = model.n
-    plan, labels = _compiled_labels(model)
+    plan, labels = compiled_labels(model)
     for rho, v, out in _canonical_draws(model, 20, seed=61):
         _, _, mono = _setup(model, rho, v)
         taus = np.array(out.residual_report.check_points)
@@ -1510,7 +1495,7 @@ def test_deflation_by_root_position_with_fewer_roots_in_a_component(kept, kerr):
     # early and keeps its longer quotient: Kerr's spec with only the first
     # kept[k] groups of component k, against the per-root loops, whose
     # numerators are zero beyond the xwidth coefficients X keeps
-    plan, (pi, lk, groups) = _compiled_labels(kerr)
+    plan, (pi, lk, groups) = compiled_labels(kerr)
     spec = engine._plan_spec(plan, 2.1, 0.6)
     groups = [g[:keep] for g, keep in zip(groups, kept)]
     layout = engine._row_layout(spec.num_polys.shape[2], pi, lk, groups, plan.layout.extras)
@@ -1532,11 +1517,11 @@ def test_layout_root_tables_are_the_label_multisets(name, branches, kerr, mp5d, 
     # the root tables the layout compiles once, against the label tuples of
     # the compile: X's row denominators are L_k's labels with every inside
     # root removed one at a time, M_minus's are pi_j's labels, and L_k's
-    # tau = 0 poles and other labels split into m0 and the l0 table.  None
+    # labels other than tau = 0 are the l0 table.  None
     # is the model's default branch tuple, resolved by _plan_for: one plan
     # and one compile serve both
     model = {"kerr": kerr, "mp5d": mp5d, "mvc5d": mvc5d, "chain": synthetic_chain_model()}[name]
-    plan, (pi, lk, groups) = _compiled_labels(model, branches)
+    plan, (pi, lk, groups) = compiled_labels(model, branches)
     lay = plan.layout
 
     def rows(table):
@@ -1551,7 +1536,6 @@ def test_layout_root_tables_are_the_label_multisets(name, branches, kerr, mp5d, 
     assert rows(lay.xden) == xden
     assert rows(lay.pi) == [list(labels) for labels in pi]
     assert rows(lay.l0) == [[lab for lab in labels if lab] for labels in lk]
-    assert lay.m0.tolist() == [labels.count(0) for labels in lk]
     assert lay.groot.tolist() == [lab for inside in groups for lab, _ in inside]
 
     fresh = dataclasses.replace(model)
@@ -1578,13 +1562,12 @@ def test_factorise_after_warm_up_skips_symbolic_work(kerr, mp5d, mvc5d, monkeypa
     for model, canonical, curve in cases:
         for point in (canonical, curve):
             factorise(model, *point)
-        groups = _compiled_labels(model)[1][2]
+        groups = compiled_labels(model)[1][2]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic work after warm-up")
         for module, name in ((engine, "_omega_adjugate"), (poly, "poly_mul"), (np, "roots"),
-                             (poly, "poly_eval"), (catalog, "poly_eval"),
-                             (catalog.RationalEntry, "__call__")):
+                             (poly, "poly_eval"), (catalog, "poly_eval")):
             monkeypatch.setattr(module, name, forbidden)
         deflations, passes = [], []
 
@@ -1640,13 +1623,14 @@ def _the_300_draws():
     return rho, rng.uniform(-4.0, 4.0, 300)
 
 
-def _per_call_system(spec):
+def _per_call_system(spec, m0):
     """(normalisation rows, l0, B) as the assembly built them at every call
-    before the layout compiled its tables: index arithmetic on m0 and ccol,
-    the roots extended by a row of ones, and a zero B filled by fancy index."""
+    before the layout compiled its tables: index arithmetic on m0 (the
+    multiplicity of tau = 0 in each L_k) and ccol, the roots extended by a
+    row of ones, and a zero B filled by fancy index."""
     lay, n = spec.layout, spec.n
     base = engine._flat(spec.base_polys, 3)
-    idx = lay.m0[:, None] - lay.ccol
+    idx = m0[:, None] - lay.ccol
     norm = (base[np.arange(n)[:, None], lay.jcol, np.clip(idx, 0, base.shape[2] - 1)]
             * ((idx >= 0) & (idx < base.shape[2]))[..., None])
     roots = engine._flat(spec.roots, 1)
@@ -1676,13 +1660,14 @@ def test_compiled_tables_are_the_per_call_arithmetic_bitwise(builder, branches, 
     # and at single points; the column norms of _kernel_dim are
     # equilibrate's
     model = builder(m, a)
-    plan = engine._plan_for(model, branches)
+    plan, (_, lk, _) = compiled_labels(model, branches)
+    m0 = np.array([labels.count(0) for labels in lk])
     rho, v = _the_300_draws()
     for at in [(rho, v)] + [(rho[i], v[i]) for i in range(0, 300, 30)]:
         spec = engine._plan_spec(plan, *at)
         n = spec.n
         A, l0 = _assemble_inhomogeneous(spec, engine._assemble_rows(spec))
-        norm, want_l0, B = _per_call_system(spec)
+        norm, want_l0, B = _per_call_system(spec, m0)
         assert A[..., -n:, :].tobytes() == norm.tobytes()
         assert l0.tobytes() == want_l0.tobytes()
         top = A.shape[-2]
@@ -1691,7 +1676,7 @@ def test_compiled_tables_are_the_per_call_arithmetic_bitwise(builder, branches, 
         rows = plan.square_rows
         assert (engine._right_hand_sides(l0, rows.size, A.dtype).tobytes()
                 == B[..., rows, :].tobytes())
-        sol = engine._evaluate(spec, A, l0, 1e-9).solution
+        sol = engine._evaluate(plan, spec, A, l0, 1e-9).solution
         assert all(x.tobytes() == y.tobytes() for x, y in
                    zip(engine._system_residual(A, l0, sol), _per_call_residual(A, B, sol)))
         a0 = A[..., :-n, spec.layout.hom]

@@ -20,7 +20,8 @@ TAU_ROUTE_NAMES = ("compose_monodromy", "MonodromyMatrixTau", "existence_system_
                    "zero_pair_for", "ZeroPair", "pair_quadratic", "PAIR_TOL",
                    "quadratic_roots", "DegeneratePair", "DegenerateCoefficient",
                    "FactoredRational", "_adjugate_fr", "_root_lcm", "_multiset_minus",
-                   "_root_match", "poly_add", "_exact_trim", "poly_scale")
+                   "_root_match", "poly_add", "_exact_trim", "poly_scale",
+                   "poly_degree")
 TEST_MODULES = ("tests", "tau_route", "conftest")
 # top-level definitions that no library code uses and whergo does not
 # export, each kept for the reason given
@@ -84,6 +85,18 @@ def test_every_library_definition_is_used_exported_or_listed():
     unused = sorted((module, name) for module, name in defined
                     if name not in used and name not in whergo.__all__)
     assert sorted(name for _, name in unused) == sorted(UNREFERENCED), unused
+
+
+def test_every_compiled_table_is_read_by_library_code():
+    # every field of the plan and of its layouts is read as an attribute
+    # somewhere in the library: a table that nothing reads is compiled for
+    # nothing
+    read = {sub.attr for path in Path(whergo.__file__).parent.glob("*.py")
+            for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    unread = [(cls.__name__, f.name) for cls in (engine.AnsatzPlan, engine._RowLayout)
+              for f in dataclasses.fields(cls) if f.name not in read]
+    assert unread == []
 
 
 def test_spectral_point_has_no_signature_flag():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from tau_route import DegenerateCoefficient, FactoredRational, poly_add, poly_scale, quadratic_roots
+from tau_route import (DegenerateCoefficient, FactoredRational, poly_add, poly_degree, poly_scale,
+                       quadratic_roots)
 from whergo.poly import (
     TRIM_REL,
     as_poly,
@@ -15,7 +16,6 @@ from whergo.poly import (
     newton_polish,
     numerical_nullity,
     poly_deflate,
-    poly_degree,
     poly_derivative,
     poly_eval,
     poly_from_roots,

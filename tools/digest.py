@@ -30,9 +30,12 @@ The artefacts, all at m = 2, a = 1:
   the compile raises.  Besides the four models above, mp5d, mvc5d and
   Kerr at m = 2 and a in {0.01, 0.5, 1.9}, and the JSON round trip of
   each built-in model at m = 2, a = 1.
-The plan/ lines read the plan that whergo.engine._plan_for compiles, its
-fields by name; every other line uses numpy and whergo's public functions
-only.
+The plan/ lines read the plan that whergo.engine._plan_for compiles: they
+hash its fields, and those of its layouts, by name in declaration order, so
+a change that removes a field moves every plan/ line.  To check such a
+change, compare against a copy of the parent's digest whose `_update`
+skips that field name; every other line must match as it is.  Every other
+line uses numpy and whergo's public functions only.
 """
 from __future__ import annotations
 

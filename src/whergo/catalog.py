@@ -364,8 +364,8 @@ def model_from_dict(doc: dict, model_id="json") -> RationalMatrixOmega:
     if not isinstance(params, dict):
         raise SchemaError("params must be an object")
     for key, value in params.items():
-        if not _is_number(value):
-            raise SchemaError(f"params[{key!r}] must be a number, got {value!r}")
+        if not (_is_number(value) and math.isfinite(value)):
+            raise SchemaError(f"params[{key!r}] must be a finite number, got {value!r}")
     return make_model(entries, eta=tuple(float(e) for e in eta),
                       params=params, model_id=model_id)
 

@@ -355,12 +355,13 @@ def _assemble_rows(spec: AnsatzSpec) -> np.ndarray:
     taylor = lay.tweight * pw[:, lay.tshift]
     # Taylor coefficients at p_g of the polynomial part, (g, j, o, point)
     coef = (num[lay.gk, :, None] * taylor[:, None, :, :num.shape[2]]).sum(axis=3)
-    on = lay.extras_on[lay.gk]
-    gap = np.where(on, p[:, None] - roots[lay.extras[lay.gk]], 1.0)     # (g, j, x, point)
-    for x in range(on.shape[2]):
-        nxt = coef * gap[:, :, x, None]
-        nxt[:, :, 1:] += coef[:, :, :-1] * on[:, :, x, None]
-        coef = nxt
+    if lay.extras.shape[-1]:
+        on = lay.extras_on[lay.gk]
+        gap = np.where(on, p[:, None] - roots[lay.extras[lay.gk]], 1.0)     # (g, j, x, point)
+        for x in range(on.shape[2]):
+            nxt = coef * gap[:, :, x, None]
+            nxt[:, :, 1:] += coef[:, :, :-1] * on[:, :, x, None]
+            coef = nxt
     # Taylor coefficient o of tau^c A_kj in every (g, j, o, c) cell
     coef = np.concatenate([coef, np.zeros_like(coef[:, :, :1])], axis=2)
     cells = (coef[:, :, lay.lag, None] * taylor[:, None, None, :, :lay.cmax]).sum(axis=3)
@@ -1020,7 +1021,8 @@ def _d_with_scale(model: RationalMatrixOmega, rho, v, branches=None):
     analyticity row and no normalisation row.  The values are those of the
     D rows of the full system, bit for bit."""
     plan = _plan_for(model, branches)
-    spec = replace(_plan_spec(plan, rho, v), layout=plan.d_layout)
+    spec = _plan_spec(plan, rho, v)
+    spec = AnsatzSpec(spec.num_polys, spec.roots, plan.d_layout)
     return _det_with_scale(_assemble_rows(spec)[..., plan.d_layout.hom])
 
 
@@ -1030,11 +1032,11 @@ def _det_with_scale(a: np.ndarray):
     The rows span many orders of magnitude, so the determinant is taken of
     the rows scaled to unit norm (whose LU is well conditioned) and scaled
     back."""
-    norms = np.linalg.norm(a, axis=-1)
+    norms = np.sqrt(np.add.reduce((a.conj() * a).real, axis=-1))     # np.linalg.norm's sum
     full = (norms > 0).all(axis=-1)
     unit = np.where(full[..., None], norms, 1.0)
-    scale = np.where(full, norms.prod(axis=-1), 1.0)
-    return np.linalg.det(a / unit[..., None]) * unit.prod(axis=-1), np.maximum(scale, 1e-300)
+    scale = unit.prod(axis=-1)                      # 1.0 where a row vanishes
+    return np.linalg.det(a / unit[..., None]) * scale, np.maximum(scale, 1e-300)
 
 
 def _system_residual(A, l0, sol):

@@ -246,46 +246,61 @@ def _d_hat_function(model: RationalMatrixOmega, branches):
     return f, fgrid
 
 
-def _secant_point(a, b, fa, fb, ok=True):
-    """The new points of a _false_position level on stacked segments a-b
-    (K, 2) with end values fa and fb (K,): the secant roots, or the
-    midpoints where ok is False or a root is not finite or not strictly
-    inside its segment.  At level 0 ok is True throughout."""
+def _inside_point(a, b, t, ok=True):
+    """The points a + t (b - a) on stacked segments a-b (K, 2), t (K,), or
+    the midpoints where ok is False or a point is not strictly inside its
+    segment (t not finite, not in (0, 1), or x rounding to an end)."""
     with np.errstate(all="ignore"):
-        x = a + (fa / (fa - fb))[:, None] * (b - a)
-    ok = ok & np.isfinite(x).all(axis=1) & (x != a).any(axis=1) & (x != b).any(axis=1)
+        x = a + t[:, None] * (b - a)
+    ok = ok & (t > 0) & (t < 1) & (x != a).any(axis=1) & (x != b).any(axis=1)
     return np.where(ok[:, None], x, 0.5 * (a + b))
+
+
+def _secant_point(a, b, fa, fb):
+    """The first points of a _false_position search on stacked segments a-b
+    (K, 2) with end values fa and fb (K,): the secant roots, or the
+    midpoints where a root is not strictly inside its segment."""
+    with np.errstate(all="ignore"):
+        return _inside_point(a, b, fa / (fa - fb))
 
 
 def _false_position(fn, a, b, fa, fb, tol: float):
     """Roots of fn on stacked segments a-b (K, 2) across which it changes
-    sign, fa = fn(a) and fb = fn(b), by safeguarded false position.
+    sign, fa = fn(a) and fb = fn(b), by Chandrupatla's safeguarded inverse
+    quadratic interpolation (T. R. Chandrupatla, Advances in Engineering
+    Software 28, 1997).
 
     fn maps points (k, 2) to real values (k,); each level evaluates the new
-    points of all live segments in one call.  A bracket's new point x is the
-    secant root, where an end kept k > 1 times in a row enters with its
-    value scaled by 2^(1 - k) (Illinois).  x is the midpoint instead where
-    the secant root is not finite or not strictly inside the bracket, where
-    the bracket is still wider than 2^(2 - level/2) times the segment, or
-    where the bracket's newest end, its other end and the point dropped
-    last fail Chandrupatla's test for a function smooth enough to
-    interpolate (multiple roots, steps).  A segment retires at x once
-    |fn(x)| <= tol, the bracket x was placed in is shorter than 1e-13, or x
-    is its 81st point.  Returns (points (K, 2), |fn| there (K,))."""
+    points of all live segments in one call.  With a the bracket's newest
+    end, b its other end and c the point dropped last (all on the segment's
+    line), the new point is x = a + t (b - a), where t is the root of the
+    inverse quadratic through the three, t = fa/(fb - fa) fc/(fb - fc) +
+    alpha fa/(fc - fa) fb/(fc - fb) with alpha = (c - a)/(b - a); level 0,
+    which has no c yet, takes the secant root.  x is the midpoint instead
+    where a, b and c fail Chandrupatla's test for a function smooth enough
+    to interpolate (multiple roots, steps), where t is not finite or not
+    strictly inside (0, 1), or where the bracket is still wider than
+    2^(2 - level/2) times the segment.  A segment retires at x once |fn(x)|
+    <= tol, the bracket x was placed in is shorter than 1e-13, or x is its
+    81st point.  Returns (points (K, 2), |fn| there (K,))."""
     pts, res = np.empty_like(a), np.empty(len(a))
     live = np.arange(len(a))
     width0 = np.hypot(*(b - a).T)
     c, fc = a, fa                           # the point dropped last
-    kept = np.zeros(len(a))                 # levels b has been kept in a row
     for level in range(81):
         if not len(live):
             break
-        width = np.hypot(*(b - a).T)
-        with np.errstate(all="ignore"):
-            xi, phi = width / np.hypot(*(c - b).T), (fa - fb) / (fc - fb)
-            smooth = (level == 0) | ((phi * phi < xi) & ((1 - phi) ** 2 < 1 - xi))
-        x = _secant_point(a, b, fa, 0.5 ** np.maximum(kept - 1, 0) * fb,
-                          smooth & (width <= width0 * 2.0 ** (2 - 0.5 * level)))
+        ab = b - a
+        width = np.hypot(*ab.T)
+        if level:
+            with np.errstate(all="ignore"):
+                xi, phi = width / np.hypot(*(c - b).T), (fa - fb) / (fc - fb)
+                alpha = ((c - a) * ab).sum(axis=1) / (ab * ab).sum(axis=1)
+                t = fa / (fb - fa) * (fc / (fb - fc)) + alpha * (fa / (fc - fa)) * (fb / (fc - fb))
+            x = _inside_point(a, b, t, (phi * phi < xi) & ((1 - phi) ** 2 < 1 - xi)
+                              & (width <= width0 * 2.0 ** (2 - 0.5 * level)))
+        else:
+            x = _secant_point(a, b, fa, fb)
         fx = fn(x)
         done = (np.abs(fx) <= tol) | (width < 1e-13) | (level == 80)
         pts[live[done]], res[live[done]] = x[done], np.abs(fx[done])
@@ -293,11 +308,11 @@ def _false_position(fn, a, b, fa, fb, tol: float):
         same = ((fa < 0) == (fx < 0))[:, None]
         c, fc = np.where(same, a, b), np.where(same[:, 0], fa, fb)
         b, fb = np.where(same, b, a), np.where(same[:, 0], fb, fa)
-        a, fa, kept = x, fx, np.where(same[:, 0], kept + 1, 1)
+        a, fa = x, fx
         keep = ~done
         live, a, b, c, fa, fb, fc = (live[keep], a[keep], b[keep], c[keep],
                                      fa[keep], fb[keep], fc[keep])
-        kept, width0 = kept[keep], width0[keep]
+        width0 = width0[keep]
     return pts, res
 
 
@@ -389,15 +404,16 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
     over all the work still open:
 
     - scan: Re of the phase-normalised D on the grid; the root on every grid
-      edge with a sign change is found by safeguarded false position (see
-      _false_position), all edges together, down to |D| <= residual_tol
-      (or a bracket shorter than 1e-13, or 81 points);
+      edge with a sign change is found by Chandrupatla's safeguarded
+      inverse quadratic interpolation (see _false_position), all edges
+      together, down to |D| <= residual_tol (or a bracket shorter than
+      1e-13, or 81 points);
     - speculative round: the first secant point of every edge (the first
-      point false position places, known without evaluating D) is chained
+      point the root search places, known without evaluating D) is chained
       in nearest-neighbour order, and the gaps of that provisional chain
       get their targets and probes by the rule of a round below, and the
-      segments with a sign change are solved in the same false-position
-      run as the edges, so the edge roots come out as without them;
+      segments with a sign change are solved in the same root search as
+      the edges, so the edge roots come out as without them;
     - chain: nearest-neighbour order of the edge roots, each keeping the
       residual its root search returned.  The speculative samples are
       inserted where this order is the provisional one, and dropped
@@ -418,8 +434,8 @@ def trace_curve(model: RationalMatrixOmega, branches=None,
 
     On a small box whose provisional chain lies close to the roots the
     speculative round mostly leaves no gap to refine: a 5 x 5 scan of a
-    0.14 x 0.14 box on the mp5d or mvc5d curve (step 0.015) then takes 6
-    or 7 array calls of D, where a first round placed from the roots took
+    0.14 x 0.14 box on the mp5d or mvc5d curve (step 0.015) then takes 5
+    or 6 array calls of D, where a first round placed from the roots took
     10 to 12.
 
     Once the polyline holds MAX_SAMPLES points no sample is inserted: the

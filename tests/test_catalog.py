@@ -375,14 +375,17 @@ def test_json_schema_errors(doc):
         model_from_dict(doc)
 
 
-@pytest.mark.parametrize("key, value", [("note", "x"), ("m", True)])
+@pytest.mark.parametrize("key, value", [("note", "x"), ("m", True), ("m", float("nan")),
+                                        ("a", float("inf")), ("a", -float("inf"))])
 def test_json_params_must_be_numbers(key, value):
     # model_to_dict writes every param as a float: a string would load and
-    # then fail to save, a boolean come back as 1.0; both are refused at
-    # load, naming the key.  Every built-in model's document round-trips
+    # then fail to save, a boolean come back as 1.0, and a NaN or Infinity
+    # (which Python's json reads) be written back as a token that strict
+    # JSON refuses; all are refused at load, naming the key.  Every
+    # built-in model's document round-trips
     doc = model_to_dict(model_kerr(2.0, 1.0))
     doc["params"][key] = value
-    with pytest.raises(SchemaError, match=f"^params\\[{key!r}\\] must be a number"):
+    with pytest.raises(SchemaError, match=f"^params\\[{key!r}\\] must be a finite number"):
         model_from_dict(doc)
     for builder in (model_kerr, model_mp5d, model_mvc5d):
         doc = model_to_dict(builder(2.0, 1.0))

@@ -20,8 +20,13 @@ The artefacts, all at m = 2, a = 1:
   the name of the NonPhysicalM it raises;
 - evaluate_points/<model>: `evaluate_points` over the same draws as one
   batch;
-- sweep/..., curve/...: the bytes the CLI writes; the curve/...-small
-  lines trace the 5 x 5 scans of perfbench's trace5d boxes at seed 1;
+- sweep/..., curve/...: the bytes the CLI writes; curve/kerr-plus-minus
+  and curve/kerr-minus-plus trace the two alternate contours of acceptance
+  criterion 9 on one box, and the curve/...-small lines the 5 x 5 scans of
+  perfbench's trace5d boxes at seed 1.  A change to the tracer's root rule
+  (_false_position) moves exactly the curve/ lines: its roots, and so the
+  samples and residuals the CLI writes, move within the root search's
+  tolerance, while nothing else calls it;
 - verify: the stdout of `whergo verify`;
 - plan/<model>: the model's entries (numerators, denominators and their
   roots) and omega poles, and every array and table of its compiled plan
@@ -74,6 +79,8 @@ BOX_5D = "0.05:2.5:80,-2.5:2.5:80"
 CURVES = (
     ("curve/kerr", ["--model", "kerr", "--grid", "0.02:4:200,-4:4:200", "--step", "0.01"]),
     ("curve/kerr-plus-minus", ["--model", "kerr", "--branches", "plus,minus",
+                               "--grid", "0.05:3.6:160,-2.6:2.6:160", "--step", "0.01"]),
+    ("curve/kerr-minus-plus", ["--model", "kerr", "--branches", "minus,plus",
                                "--grid", "0.05:3.6:160,-2.6:2.6:160", "--step", "0.01"]),
     ("curve/mp5d", ["--model", "mp5d", "--grid", BOX_5D, "--step", "0.015"]),
     ("curve/mvc5d", ["--model", "mvc5d", "--grid", BOX_5D, "--step", "0.015"]),
